@@ -11,9 +11,10 @@
 //! simulator (`mcss-netsim`, which re-exports these types at their
 //! historical `mcss_netsim::queue` paths) schedules frame deliveries
 //! and application timers on it, and each `mcss-server` shard runs one
-//! wheel as its session timer multiplexer — tens of thousands of
-//! per-session sweep/source timers per shard, which is exactly the
-//! many-short-horizon-timers workload wheels were invented for.
+//! wheel as its session timer multiplexer: a source tick per paced
+//! session and a sweep timer per session with something to expire —
+//! many short-horizon timers, the workload wheels were invented for,
+//! but as many as there is work, not as many as there are sessions.
 //!
 //! # Why a wheel
 //!
@@ -38,6 +39,12 @@
 //!   bitmask makes "next occupied bucket" one `trailing_zeros`;
 //! * **overflow** — events beyond the wheel span (≳ 3 days of simulated
 //!   time), stored unordered and rebased lazily.
+//!
+//! A drained bucket's storage goes to its level's spare list and the
+//! next bucket of that level that needs storage takes it from there, so
+//! the wheel allocates when more buckets of a level are occupied at
+//! once than ever before — a warm wheel allocates nothing as time moves
+//! on, whichever bucket indices its cursor reaches.
 //!
 //! The separation invariant — staging holds ticks `<= cur`, everything
 //! else holds ticks `> cur` — means the staging minimum is the *global*
@@ -207,6 +214,12 @@ struct TimerWheel<T> {
     staging: BinaryHeap<Entry<T>>,
     /// `LEVELS × SLOTS` buckets.
     levels: Box<[[Vec<Entry<T>>; SLOTS]; LEVELS]>,
+    /// Storage of drained buckets, per level (buckets of one level hold
+    /// alike numbers of events). A bucket that needs storage takes one
+    /// of these before it allocates, so the wheel allocates when more
+    /// buckets of a level are occupied at once than ever before — not
+    /// whenever the cursor reaches a bucket index for the first time.
+    spare: Box<[Vec<Vec<Entry<T>>>; LEVELS]>,
     /// Per-level occupancy bitmask (bit `s` set ⇔ bucket `s` non-empty).
     occ: [u64; LEVELS],
     /// Events beyond the wheel span, unordered.
@@ -224,6 +237,7 @@ impl<T> TimerWheel<T> {
             cur: 0,
             staging: BinaryHeap::new(),
             levels: Box::new(std::array::from_fn(|_| std::array::from_fn(|_| Vec::new()))),
+            spare: Box::new(std::array::from_fn(|_| Vec::new())),
             occ: [0; LEVELS],
             overflow: Vec::new(),
             len: 0,
@@ -250,7 +264,13 @@ impl<T> TimerWheel<T> {
             return;
         }
         let slot = ((tick >> (level as u32 * SLOT_BITS)) & SLOT_MASK) as usize;
-        self.levels[level][slot].push(entry);
+        let bucket = &mut self.levels[level][slot];
+        if bucket.capacity() == 0 {
+            if let Some(spare) = self.spare[level].pop() {
+                *bucket = spare;
+            }
+        }
+        bucket.push(entry);
         self.occ[level] |= 1 << slot;
     }
 
@@ -310,7 +330,7 @@ impl<T> TimerWheel<T> {
                         self.place(entry, tick);
                     }
                 }
-                self.levels[level][slot] = bucket; // keep the capacity
+                self.spare[level].push(bucket);
                 cascaded = true;
                 break;
             }

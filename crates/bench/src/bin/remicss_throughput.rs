@@ -216,14 +216,15 @@ struct ThroughputReport {
     telemetry: TelemetrySection,
 }
 
-/// Symbols between periodic sweeps, mirroring a session's sweep timer.
-/// Without sweeps the completion-order queue grows one entry per
-/// symbol and pays a doubling reallocation inside the timed window.
+/// Symbols between sweeps, as under a driver that sweeps on a timer.
+/// The table bounds its own bookkeeping (the insertion ring empties
+/// whenever no partial is left), so these sweeps find nothing to do
+/// and cost `O(1)`; they stay so the timed loop is the one it was.
 const DATAPATH_SWEEP_EVERY: u64 = 1_024;
 
 fn datapath_table() -> ReassemblyTable {
-    // Huge timeout: sweeps prune bookkeeping, never live shares, and
-    // the resolution cap alone bounds resolution memory.
+    // Huge timeout: nothing expires, and the resolution cap alone
+    // bounds resolution memory.
     ReassemblyTable::new(SimTime::from_secs(3_600), 1 << 24)
         .with_resolved_cap(DATAPATH_RESOLVED_CAP)
 }

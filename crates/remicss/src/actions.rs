@@ -9,7 +9,7 @@
 //!
 //! | Event | Meaning |
 //! |---|---|
-//! | [`Event::Started`] | The driver is running; arm the initial timers. |
+//! | [`Event::Started`] | The driver is running; a paced source arms its first tick (nothing is armed for reassembly until a share is buffered). |
 //! | [`Event::SymbolReady`] | An external source offers one symbol to send from host A. |
 //! | [`Event::ShareReceived`] | A decoded share frame arrived on `channel` at `to`. |
 //! | [`Event::ControlReceived`] | A decoded control frame arrived at `to`. |
@@ -20,7 +20,7 @@
 //! |---|---|
 //! | [`Action::SendShare`] | Put `frame` on `channel` from `from`; report the outcome via [`Engine::share_send_ok`](crate::engine::Engine::share_send_ok) / [`share_send_rejected`](crate::engine::Engine::share_send_rejected). |
 //! | [`Action::SendControl`] | Put `frame` on `channel` from `from`; on local drop call [`Engine::control_send_rejected`](crate::engine::Engine::control_send_rejected). |
-//! | [`Action::SetTimer`] | Fire [`Event::TimerFired`] with `token` at (or after) `at`. |
+//! | [`Action::SetTimer`] | Fire [`Event::TimerFired`] with `token` at (or after) `at`. Timers are set on demand — an idle engine has none outstanding — so a driver may sleep until the earliest one. |
 //! | [`Action::DeliverSymbol`] | Hand `payload` to the application, then return the buffer with [`Engine::recycle`](crate::engine::Engine::recycle). |
 
 use mcss_base::{Endpoint, SimTime};
@@ -29,7 +29,12 @@ use crate::wire::{ControlFrame, ShareRef};
 
 /// Timer token for the paced symbol source tick.
 pub const TIMER_SOURCE: u64 = 0;
-/// Timer token for the periodic reassembly sweep.
+/// Timer token for the reassembly sweep. Demand-armed and grid-aligned:
+/// set only while a reassembly table buffers a partial symbol, never
+/// more than one outstanding, for the first multiple of the table's
+/// [`sweep_period`](crate::reassembly::ReassemblyTable::sweep_period)
+/// strictly after the oldest partial's expiry, and set again after a
+/// sweep only if partials remain.
 pub const TIMER_SWEEP: u64 = 1;
 /// Timer token for the receiver's adaptive feedback report.
 pub const TIMER_FEEDBACK: u64 = 2;
@@ -41,7 +46,9 @@ pub const TIMER_FEEDBACK: u64 = 2;
 /// pooled storage, so the borrow ends with the call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event<'a> {
-    /// The driver started; the engine arms its initial timers.
+    /// The driver started; a paced engine arms its source tick (and the
+    /// feedback report, with adaptation on). An external-source engine
+    /// arms nothing.
     Started,
     /// An external source offers one symbol payload to transmit from
     /// host A ([`SourceMode::External`](crate::engine::SourceMode)

@@ -20,6 +20,21 @@
 //! entries hand their buffers back — the steady-state receive path
 //! performs no heap allocation (see
 //! [`accept_into`](ReassemblyTable::accept_into)).
+//!
+//! # What a timeout costs
+//!
+//! The timeout is one value per table, so deadline order is insertion
+//! order and nothing here scans. [`sweep`](ReassemblyTable::sweep) pops
+//! expired partials off the front of the insertion ring — `O(evicted)`,
+//! `O(1)` when nothing expired — and
+//! [`next_sweep_at`](ReassemblyTable::next_sweep_at) tells a driver the
+//! first instant a sweep can evict anything, so it need not call before.
+//! Resolution records are never swept at all: sweeps belong on the grid
+//! of multiples of [`sweep_period`](ReassemblyTable::sweep_period), a
+//! record is forgotten at the first grid instant more than `2 × timeout`
+//! after its stamp, and the table applies that rule itself when a share
+//! is offered — the oldest records are dropped from the front of their
+//! ring, amortized `O(1)` a symbol — whether or not anyone swept then.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -80,7 +95,7 @@ pub struct ReassemblyStats {
     /// Shares rejected for disagreeing with buffered siblings.
     pub inconsistent: u64,
     /// Resolution records evicted by the resolution cap (distinct from
-    /// the routine horizon pruning in [`ReassemblyTable::sweep`]).
+    /// the routine forgetting of records older than twice the timeout).
     pub resolved_evictions: u64,
     /// Symbols that reached their threshold but whose codec decode
     /// failed (malformed share payloads); the symbol is resolved (late
@@ -99,10 +114,18 @@ struct Pending {
     shares: Vec<(u8, BufHandle)>,
     first_seen: SimTime,
     bytes: usize,
+    /// Position of this symbol's entry in the insertion ring, counted
+    /// from the table's creation: an entry that carries the symbol's id
+    /// at another position belongs to an earlier, resolved incarnation.
+    slot: u64,
 }
 
-/// Default bound on remembered resolutions; high enough that the
-/// time-horizon pruning in [`ReassemblyTable::sweep`] normally wins.
+/// Dead entries the insertion ring may carry beyond twice the live
+/// partials before it is compacted.
+const ORDER_SLACK: usize = 8;
+
+/// Default bound on remembered resolutions; high enough that records
+/// normally age out (twice the timeout) first.
 pub const DEFAULT_RESOLVED_CAP: usize = 1 << 20;
 
 /// The share reassembly table.
@@ -137,24 +160,40 @@ pub struct ReassemblyTable {
     /// Post-rehash capacity high-water of `pending` (see
     /// [`reserve_headroom`](Self::reserve_headroom)).
     pending_full_cap: usize,
-    /// Insertion order of pending symbols, for oldest-first memory
-    /// eviction (may contain ids already completed or evicted).
+    /// Partial symbols in insertion order, which is deadline order. An
+    /// entry outlives its symbol's completion (see [`Pending::slot`])
+    /// until it reaches the front or the ring is compacted.
     order: VecDeque<u64>,
-    /// Recently completed or evicted symbols and when they resolved.
+    /// Ring position of `order`'s front.
+    order_base: u64,
+    /// Completed or evicted symbols and the instant each is remembered
+    /// from. Holds no record the sweep grid has forgotten by the latest
+    /// `now` the table was shown.
     resolved: HashMap<u64, SimTime>,
     /// Post-rehash capacity high-water of `resolved`.
     resolved_full_cap: usize,
-    /// Insertion order of resolution records, for oldest-first eviction
-    /// at the cap (may contain ids already pruned by the sweep).
+    /// Records stamped with the instant they were made, in insertion
+    /// order, which is the order they are forgotten in.
     resolved_order: VecDeque<u64>,
+    /// Records ever taken off the front of `resolved_order`.
+    resolved_popped: u64,
+    /// Records of memory-cap evictions, which are stamped with the
+    /// symbol's first share instead and so are forgotten ahead of their
+    /// neighbours in `resolved_order`: `(id, records pushed to
+    /// resolved_order before it)`, the second placing it among them for
+    /// oldest-first eviction at the resolved cap.
+    evicted_order: VecDeque<(u64, u64)>,
+    /// Earliest instant the grid forgets a record now held
+    /// ([`SimTime::MAX`] with none held); may run early, never late.
+    forget_at: SimTime,
+    /// Latest explicit [`sweep`](Self::sweep).
+    last_sweep: SimTime,
     /// Share-data buffers, recycled across symbols.
     pool: BufferPool,
     /// Recycled share lists of removed `Pending` entries.
     spare_shares: Vec<Vec<(u8, BufHandle)>>,
     /// Abscissa scratch for reconstruction.
     xs: Vec<u8>,
-    /// Expired-id scratch for [`sweep`](ReassemblyTable::sweep).
-    expired: Vec<u64>,
     /// Buffering time of the most recently completed symbol.
     last_completed_residency: SimTime,
     stats: ReassemblyStats,
@@ -173,13 +212,17 @@ impl ReassemblyTable {
             pending: HashMap::new(),
             pending_full_cap: 0,
             order: VecDeque::new(),
+            order_base: 0,
             resolved: HashMap::new(),
             resolved_full_cap: 0,
             resolved_order: VecDeque::new(),
+            resolved_popped: 0,
+            evicted_order: VecDeque::new(),
+            forget_at: SimTime::MAX,
+            last_sweep: SimTime::ZERO,
             pool: BufferPool::new(),
             spare_shares: Vec::new(),
             xs: Vec::new(),
-            expired: Vec::new(),
             last_completed_residency: SimTime::ZERO,
             stats: ReassemblyStats::default(),
         }
@@ -188,7 +231,7 @@ impl ReassemblyTable {
     /// Bounds the resolved-symbol memory to `cap` records, evicting
     /// oldest-first; an evicted record makes a late duplicate of that
     /// symbol read as fresh rather than stale (exactly as after the
-    /// sweep's time-horizon pruning).
+    /// record has aged out).
     ///
     /// # Panics
     ///
@@ -244,6 +287,34 @@ impl ReassemblyTable {
     #[must_use]
     pub fn last_completed_residency(&self) -> SimTime {
         self.last_completed_residency
+    }
+
+    /// Spacing of the sweep grid: a quarter of the timeout, at least a
+    /// millisecond. A driver that sweeps only at multiples of it (as
+    /// [`next_sweep_at`](Self::next_sweep_at) proposes) evicts every
+    /// partial at the instant a sweep on every multiple would have.
+    #[must_use]
+    pub fn sweep_period(&self) -> SimTime {
+        SimTime::from_nanos((self.timeout.as_nanos() / 4).max(1_000_000))
+    }
+
+    /// The first instant on the sweep grid at which
+    /// [`sweep`](Self::sweep) evicts the oldest partial symbol; `None`
+    /// while nothing is buffered, when no sweep is needed at all.
+    pub fn next_sweep_at(&mut self) -> Option<SimTime> {
+        self.oldest()
+            .map(|(_, first_seen)| self.grid_after(first_seen.saturating_add(self.timeout)))
+    }
+
+    /// The last multiple of the sweep period at or before `t`.
+    fn grid_floor(&self, t: SimTime) -> SimTime {
+        let period = self.sweep_period().as_nanos();
+        SimTime::from_nanos(t.as_nanos() / period * period)
+    }
+
+    /// The first multiple of the sweep period strictly after `t`.
+    fn grid_after(&self, t: SimTime) -> SimTime {
+        self.grid_floor(t).saturating_add(self.sweep_period())
     }
 
     /// Offers a share frame to the table at time `now`, allocating the
@@ -306,6 +377,10 @@ impl ReassemblyTable {
         now: SimTime,
         out: &mut Vec<u8>,
     ) -> AcceptOutcome {
+        if now >= self.forget_at {
+            // Every sweep-grid instant up to `now` has passed.
+            self.forget(self.grid_floor(now));
+        }
         if self.resolved.contains_key(&seq) {
             self.stats.stale += 1;
             return AcceptOutcome::Stale;
@@ -326,7 +401,7 @@ impl ReassemblyTable {
                         }
                     }
                 }
-                self.resolve(seq, now);
+                self.resolve(seq, now, false);
                 self.last_completed_residency = SimTime::ZERO;
                 self.stats.completed += 1;
                 return AcceptOutcome::Completed;
@@ -346,6 +421,7 @@ impl ReassemblyTable {
                     shares,
                     first_seen: now,
                     bytes,
+                    slot: self.order_base + self.order.len() as u64,
                 },
             );
             self.order.push_back(seq);
@@ -376,7 +452,8 @@ impl ReassemblyTable {
         if p.shares.len() >= p.k as usize {
             let p = self.pending.remove(&seq).expect("just seen");
             self.buffered_bytes -= p.bytes;
-            self.resolve(seq, now);
+            self.trim_order();
+            self.resolve(seq, now, false);
             let decoded = self.reconstruct_into(&p, out);
             let residency = now.saturating_sub(p.first_seen);
             self.recycle(p);
@@ -440,33 +517,111 @@ impl ReassemblyTable {
         self.spare_shares.push(shares);
     }
 
-    /// Evicts timed-out partial symbols and prunes stale resolution
-    /// records. Call periodically (the session does so on a timer).
+    /// Evicts the partial symbols older than the timeout at `now`, oldest
+    /// first, and forgets the resolution records older than twice the
+    /// timeout. Costs `O(evicted + forgotten)`; nothing is evicted before
+    /// [`next_sweep_at`](Self::next_sweep_at).
     pub fn sweep(&mut self, now: SimTime) {
-        let timeout = self.timeout;
-        self.expired.clear();
-        self.expired.extend(
-            self.pending
-                .iter()
-                .filter(|(_, p)| now.saturating_sub(p.first_seen) > timeout)
-                .map(|(&seq, _)| seq),
-        );
-        for i in 0..self.expired.len() {
-            let seq = self.expired[i];
-            let p = self.pending.remove(&seq).expect("listed above");
-            self.buffered_bytes -= p.bytes;
+        // The evictions below meet the resolved cap with the records
+        // the grid instants before `now` left, not with those `now`
+        // itself is about to drop.
+        self.forget(self.grid_floor(now.saturating_sub(SimTime::from_nanos(1))));
+        while let Some((seq, first_seen)) = self.oldest() {
+            if now.saturating_sub(first_seen) <= self.timeout {
+                break;
+            }
+            let p = self.take_oldest(seq);
             self.recycle(p);
-            self.resolve(seq, now);
+            self.resolve(seq, now, false);
             self.stats.timeout_evictions += 1;
         }
-        // Forget resolutions old enough that no share can still arrive
-        // (keep them one extra timeout beyond the eviction horizon).
+        self.last_sweep = self.last_sweep.max(now);
+        self.forget(now);
+    }
+
+    /// The oldest partial symbol and when its first share arrived,
+    /// dropping dead entries off the front of the ring on the way.
+    fn oldest(&mut self) -> Option<(u64, SimTime)> {
+        while let Some(&seq) = self.order.front() {
+            match self.pending.get(&seq) {
+                Some(p) if p.slot == self.order_base => return Some((seq, p.first_seen)),
+                _ => {
+                    self.order.pop_front();
+                    self.order_base += 1;
+                }
+            }
+        }
+        None
+    }
+
+    /// Removes the partial symbol [`oldest`](Self::oldest) just named.
+    fn take_oldest(&mut self, seq: u64) -> Pending {
+        self.order.pop_front();
+        self.order_base += 1;
+        let p = self.pending.remove(&seq).expect("named by oldest()");
+        self.buffered_bytes -= p.bytes;
+        p
+    }
+
+    /// Bounds the dead entries in the insertion ring after partials
+    /// left the table. A flow that loses nothing empties the ring every
+    /// symbol; a lossy one parks a live partial at the front for a whole
+    /// timeout while completions pile up behind it, so the ring is
+    /// compacted once they outnumber the live partials.
+    fn trim_order(&mut self) {
+        if self.pending.is_empty() {
+            self.order_base += self.order.len() as u64;
+            self.order.clear();
+        } else if self.order.len() > 2 * self.pending.len() + ORDER_SLACK {
+            let (base, mut live) = (self.order_base, 0);
+            for i in 0..self.order.len() {
+                let seq = self.order[i];
+                if let Some(p) = self.pending.get_mut(&seq) {
+                    if p.slot == base + i as u64 {
+                        p.slot = base + live as u64;
+                        self.order[live] = seq;
+                        live += 1;
+                    }
+                }
+            }
+            self.order.truncate(live);
+        }
+    }
+
+    /// Drops the resolution records older than twice the timeout at
+    /// `reference` (a sweep-grid instant, or an explicit sweep's `now`)
+    /// or at the latest explicit sweep: no share of theirs can still
+    /// arrive. Both rings are in stamp order, so only fronts are read.
+    fn forget(&mut self, reference: SimTime) {
+        let reference = reference.max(self.last_sweep);
         let horizon = self.timeout * 2;
-        self.resolved
-            .retain(|_, &mut t| now.saturating_sub(t) <= horizon);
-        self.resolved_order
-            .retain(|seq| self.resolved.contains_key(seq));
-        self.order.retain(|seq| self.pending.contains_key(seq));
+        let stale = |stamp: SimTime| reference.saturating_sub(stamp) > horizon;
+        let mut oldest = SimTime::MAX;
+        while let Some(&seq) = self.resolved_order.front() {
+            let stamp = self.resolved[&seq];
+            if !stale(stamp) {
+                oldest = stamp;
+                break;
+            }
+            self.resolved.remove(&seq);
+            self.resolved_order.pop_front();
+            self.resolved_popped += 1;
+        }
+        while let Some(&(seq, _)) = self.evicted_order.front() {
+            let stamp = self.resolved[&seq];
+            if !stale(stamp) {
+                oldest = oldest.min(stamp);
+                break;
+            }
+            self.resolved.remove(&seq);
+            self.evicted_order.pop_front();
+        }
+        self.forget_at = self.forgotten_at(oldest);
+    }
+
+    /// The sweep-grid instant that forgets a record stamped `stamp`.
+    fn forgotten_at(&self, stamp: SimTime) -> SimTime {
+        self.grid_after(stamp.saturating_add(self.timeout * 2))
     }
 
     /// Keeps `map` at no more than half its true capacity. Removals
@@ -491,20 +646,44 @@ impl ReassemblyTable {
         }
     }
 
-    fn resolve(&mut self, seq: u64, now: SimTime) {
-        if self.resolved.insert(seq, now).is_none() {
+    /// Remembers that `seq` is done with, from `stamp` on. `evicted`
+    /// marks the memory cap's records, whose stamp is the symbol's first
+    /// share (the others carry the current time).
+    fn resolve(&mut self, seq: u64, stamp: SimTime, evicted: bool) {
+        let fresh = self.resolved.insert(seq, stamp).is_none();
+        debug_assert!(fresh, "a symbol is pending or resolved, never both");
+        let first_of_its_ring = if evicted {
+            let before = self.resolved_popped + self.resolved_order.len() as u64;
+            self.evicted_order.push_back((seq, before));
+            self.evicted_order.len() == 1
+        } else {
             self.resolved_order.push_back(seq);
+            self.resolved_order.len() == 1
+        };
+        if first_of_its_ring {
+            // Behind an older record of its ring it is forgotten no
+            // sooner, and `forget_at` already covers that one.
+            self.forget_at = self.forget_at.min(self.forgotten_at(stamp));
         }
         Self::reserve_headroom(&mut self.resolved, &mut self.resolved_full_cap);
-        // Oldest-first eviction past the cap; ids already pruned by the
-        // sweep are skipped (their ring entries are stale).
+        // Oldest-first eviction past the cap: an evicted symbol's record
+        // is older than the front of the other ring once every record
+        // made before it has left that ring.
         while self.resolved.len() > self.resolved_cap {
-            let Some(old) = self.resolved_order.pop_front() else {
-                break;
+            let old = match self.evicted_order.front() {
+                Some(&(old, before)) if before <= self.resolved_popped => {
+                    self.evicted_order.pop_front();
+                    old
+                }
+                _ => {
+                    self.resolved_popped += 1;
+                    self.resolved_order
+                        .pop_front()
+                        .expect("every record is in one of the rings")
+                }
             };
-            if self.resolved.remove(&old).is_some() {
-                self.stats.resolved_evictions += 1;
-            }
+            self.resolved.remove(&old);
+            self.stats.resolved_evictions += 1;
         }
     }
 
@@ -512,17 +691,13 @@ impl ReassemblyTable {
     /// under the cap.
     fn make_room(&mut self, incoming: usize) {
         while self.buffered_bytes + incoming > self.capacity_bytes {
-            // Oldest still-pending symbol.
-            let Some(seq) = self.order.pop_front() else {
+            let Some((seq, first_seen)) = self.oldest() else {
                 break;
             };
-            if let Some(p) = self.pending.remove(&seq) {
-                self.buffered_bytes -= p.bytes;
-                let at = p.first_seen;
-                self.recycle(p);
-                self.resolve(seq, at);
-                self.stats.memory_evictions += 1;
-            }
+            let p = self.take_oldest(seq);
+            self.recycle(p);
+            self.resolve(seq, first_seen, true);
+            self.stats.memory_evictions += 1;
         }
     }
 }
@@ -710,6 +885,64 @@ mod tests {
     }
 
     #[test]
+    fn next_sweep_at_names_the_grid_instant_that_evicts() {
+        let mut t = table();
+        assert_eq!(t.sweep_period(), SimTime::from_millis(25));
+        assert_eq!(t.next_sweep_at(), None, "nothing buffered");
+        let (a, b) = (frames(1, 2, 3, b"a"), frames(2, 2, 3, b"b"));
+        t.accept(&a[0], SimTime::from_millis(37));
+        t.accept(&b[0], SimTime::from_millis(50));
+        // Symbol 1 is past its timeout from 137 ms on; symbol 2 is not
+        // yet at 150 ms (older than the timeout, not as old).
+        assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(150)));
+        t.sweep(SimTime::from_millis(125));
+        assert_eq!(t.stats().timeout_evictions, 0, "nothing due before it");
+        t.sweep(SimTime::from_millis(150));
+        assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (1, 1));
+        assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(175)));
+        assert!(matches!(
+            t.accept(&b[1], SimTime::from_millis(160)),
+            Accept::Completed(_)
+        ));
+        assert_eq!(t.next_sweep_at(), None);
+    }
+
+    #[test]
+    fn ring_compacts_behind_a_parked_partial() {
+        let mut t = table();
+        let parked = frames(0, 2, 3, b"parked");
+        t.accept(&parked[0], SimTime::ZERO);
+        // A thousand symbols complete behind the starved one.
+        for seq in 1..=1000 {
+            let fs = frames(seq, 2, 3, b"flow");
+            t.accept(&fs[0], SimTime::from_millis(1));
+            assert!(matches!(
+                t.accept(&fs[1], SimTime::from_millis(1)),
+                Accept::Completed(_)
+            ));
+            assert!(
+                t.order.len() <= 2 + ORDER_SLACK + 1,
+                "ring grew: {}",
+                t.order.len()
+            );
+        }
+        // Compaction moved the survivors; they still expire in order.
+        let late = frames(2000, 2, 3, b"late");
+        t.accept(&late[0], SimTime::from_millis(30));
+        assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(125)));
+        t.sweep(SimTime::from_millis(125));
+        assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (1, 1));
+        assert_eq!(
+            t.accept(&parked[1], SimTime::from_millis(126)),
+            Accept::Stale
+        );
+        assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(150)));
+        t.sweep(SimTime::from_millis(150));
+        assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (2, 0));
+        assert!(t.order.is_empty());
+    }
+
+    #[test]
     fn memory_cap_evicts_oldest() {
         // Cap of 100 bytes; 40-byte shares.
         let mut t = ReassemblyTable::new(SimTime::from_secs(1), 100);
@@ -763,6 +996,22 @@ mod tests {
             t.accept(&fs[0], SimTime::from_millis(26)),
             Accept::Completed(_)
         ));
+    }
+
+    #[test]
+    fn records_are_forgotten_on_the_grid_without_a_sweep() {
+        // Timeout 10 ms: grid every 2.5 ms, records kept 20 ms.
+        let mut t = ReassemblyTable::new(SimTime::from_millis(10), 1 << 20);
+        let fs = frames(21, 1, 1, b"x");
+        t.accept(&fs[0], SimTime::from_millis(1));
+        // Older than 20 ms from 21 ms on, forgotten at the next grid
+        // instant — where a periodic sweep would have dropped it.
+        assert_eq!(t.accept(&fs[0], SimTime::from_millis(22)), Accept::Stale);
+        assert!(matches!(
+            t.accept(&fs[0], SimTime::from_micros(22_500)),
+            Accept::Completed(_)
+        ));
+        assert_eq!(t.resolved_records(), 1);
     }
 
     #[test]

@@ -1,14 +1,197 @@
 //! Property tests for the reassembly table: arbitrary interleavings,
-//! duplications, and losses of shares must preserve its invariants.
+//! duplications, and losses of shares must preserve its invariants, and
+//! the table, swept only when it says a sweep is due, must behave
+//! exactly as the [`periodic`] table swept on every grid instant.
 
 #![cfg(feature = "sim")]
 
+use mcss_codec::{xor2d, CodecId};
 use mcss_netsim::SimTime;
 use mcss_remicss::reassembly::{Accept, ReassemblyTable};
 use mcss_remicss::wire::ShareFrame;
 use mcss_shamir::{split, Params};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{RngExt as _, SeedableRng};
+
+/// The reassembly table as it was when timeouts cost a scan: a sweep
+/// reads every partial symbol and every resolution record, and the
+/// memory cap looks through all partials for the oldest. Kept as the
+/// reference the demand-swept table is compared against. It stores no
+/// share data (the caller knows what a completed symbol must decode
+/// to), and it evicts the partials one sweep finds expired in arrival
+/// order, where the old table followed its hash map's.
+mod periodic {
+    use std::collections::{HashMap, VecDeque};
+
+    use mcss_codec::CodecId;
+    use mcss_netsim::SimTime;
+    use mcss_remicss::reassembly::ReassemblyStats;
+    use mcss_remicss::wire::ShareFrame;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Verdict {
+        Stored,
+        Completed,
+        Duplicate,
+        Stale,
+        Inconsistent,
+    }
+
+    struct Partial {
+        codec: CodecId,
+        k: u8,
+        m: u8,
+        share_len: usize,
+        xs: Vec<u8>,
+        first_seen: SimTime,
+        /// Arrival rank of the first share.
+        ticket: u64,
+    }
+
+    impl Partial {
+        fn bytes(&self) -> usize {
+            self.xs.len() * self.share_len
+        }
+    }
+
+    pub struct Table {
+        timeout: SimTime,
+        capacity_bytes: usize,
+        resolved_cap: usize,
+        buffered_bytes: usize,
+        tickets: u64,
+        pending: HashMap<u64, Partial>,
+        resolved: HashMap<u64, SimTime>,
+        resolved_order: VecDeque<u64>,
+        pub stats: ReassemblyStats,
+    }
+
+    impl Table {
+        pub fn new(timeout: SimTime, capacity_bytes: usize, resolved_cap: usize) -> Self {
+            Table {
+                timeout,
+                capacity_bytes,
+                resolved_cap,
+                buffered_bytes: 0,
+                tickets: 0,
+                pending: HashMap::new(),
+                resolved: HashMap::new(),
+                resolved_order: VecDeque::new(),
+                stats: ReassemblyStats::default(),
+            }
+        }
+
+        pub fn pending_symbols(&self) -> usize {
+            self.pending.len()
+        }
+
+        pub fn buffered_bytes(&self) -> usize {
+            self.buffered_bytes
+        }
+
+        pub fn resolved_records(&self) -> usize {
+            self.resolved.len()
+        }
+
+        pub fn accept(&mut self, frame: &ShareFrame, now: SimTime) -> Verdict {
+            let seq = frame.seq();
+            let share_len = frame.payload().len();
+            if self.resolved.contains_key(&seq) {
+                self.stats.stale += 1;
+                return Verdict::Stale;
+            }
+            let Some(p) = self.pending.get_mut(&seq) else {
+                if frame.k() == 1 {
+                    self.resolve(seq, now);
+                    self.stats.completed += 1;
+                    return Verdict::Completed;
+                }
+                self.make_room(share_len);
+                self.tickets += 1;
+                self.pending.insert(
+                    seq,
+                    Partial {
+                        codec: frame.codec(),
+                        k: frame.k(),
+                        m: frame.m(),
+                        share_len,
+                        xs: vec![frame.x()],
+                        first_seen: now,
+                        ticket: self.tickets,
+                    },
+                );
+                self.buffered_bytes += share_len;
+                return Verdict::Stored;
+            };
+            if (p.codec, p.k, p.m, p.share_len) != (frame.codec(), frame.k(), frame.m(), share_len)
+            {
+                self.stats.inconsistent += 1;
+                return Verdict::Inconsistent;
+            }
+            if p.xs.contains(&frame.x()) {
+                self.stats.duplicates += 1;
+                return Verdict::Duplicate;
+            }
+            p.xs.push(frame.x());
+            self.buffered_bytes += share_len;
+            if p.xs.len() < usize::from(p.k) {
+                return Verdict::Stored;
+            }
+            let p = self.pending.remove(&seq).expect("just seen");
+            self.buffered_bytes -= p.bytes();
+            self.resolve(seq, now);
+            self.stats.completed += 1;
+            Verdict::Completed
+        }
+
+        pub fn sweep(&mut self, now: SimTime) {
+            let mut expired: Vec<(u64, u64)> = self
+                .pending
+                .iter()
+                .filter(|(_, p)| now.saturating_sub(p.first_seen) > self.timeout)
+                .map(|(&seq, p)| (p.ticket, seq))
+                .collect();
+            expired.sort_unstable();
+            for (_, seq) in expired {
+                let p = self.pending.remove(&seq).expect("listed above");
+                self.buffered_bytes -= p.bytes();
+                self.resolve(seq, now);
+                self.stats.timeout_evictions += 1;
+            }
+            let horizon = self.timeout * 2;
+            self.resolved
+                .retain(|_, &mut t| now.saturating_sub(t) <= horizon);
+            self.resolved_order
+                .retain(|seq| self.resolved.contains_key(seq));
+        }
+
+        fn resolve(&mut self, seq: u64, at: SimTime) {
+            assert!(self.resolved.insert(seq, at).is_none());
+            self.resolved_order.push_back(seq);
+            while self.resolved.len() > self.resolved_cap {
+                let old = self
+                    .resolved_order
+                    .pop_front()
+                    .expect("a record a ring entry");
+                self.resolved.remove(&old);
+                self.stats.resolved_evictions += 1;
+            }
+        }
+
+        fn make_room(&mut self, incoming: usize) {
+            while self.buffered_bytes + incoming > self.capacity_bytes {
+                let Some((&seq, _)) = self.pending.iter().min_by_key(|(_, p)| p.ticket) else {
+                    break;
+                };
+                let p = self.pending.remove(&seq).expect("just found");
+                self.buffered_bytes -= p.bytes();
+                self.resolve(seq, p.first_seen);
+                self.stats.memory_evictions += 1;
+            }
+        }
+    }
+}
 
 /// A scripted delivery: (symbol index, share index, repeat?).
 type Script = (Vec<(u8, u8, u8)>, Vec<(u8, u8)>);
@@ -141,6 +324,136 @@ proptest! {
                 "cap breached: {} > {cap}",
                 table.buffered_bytes()
             );
+        }
+    }
+
+    /// Loss, duplicates, reordering, `k = 1`, both codecs, forged
+    /// shares, shares later than twice the timeout, and both caps under
+    /// pressure: whatever
+    /// arrives, the table swept only at its own `next_sweep_at` gives
+    /// the verdicts and counters of the periodic table swept on every
+    /// grid instant.
+    #[test]
+    fn demand_swept_table_matches_the_periodic_one(
+        seed in any::<u64>(),
+        tight_memory in any::<bool>(),
+        tight_records in any::<bool>(),
+        brisk in any::<bool>(),
+    ) {
+        const SYMBOLS: u64 = 300;
+        const STEPS: usize = 900;
+        const PAYLOAD: usize = 24;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let symbols: Vec<(Vec<u8>, Vec<ShareFrame>)> = (0..SYMBOLS)
+            .map(|seq| {
+                // A brisk flow completes most symbols on their second
+                // share, behind the few it starves.
+                let m = rng.random_range(1..=4u8);
+                let k = rng.random_range(1..=if brisk { m.min(2) } else { m });
+                let payload: Vec<u8> = (0..PAYLOAD).map(|_| rng.random()).collect();
+                let frames = if rng.random_bool(0.5) {
+                    split(&payload, Params::new(k, m).unwrap(), &mut rng)
+                        .unwrap()
+                        .iter()
+                        .map(|s| ShareFrame::new(seq, k, m, s.x(), 0, s.data().to_vec()).unwrap())
+                        .collect()
+                } else {
+                    let (mut pad, mut outs) = (Vec::new(), vec![Vec::new(); usize::from(m)]);
+                    xor2d::split_into(&payload, k, m, &mut rng, &mut pad, &mut outs).unwrap();
+                    (1..=m)
+                        .zip(outs)
+                        .map(|(x, data)| {
+                            ShareFrame::new(seq, k, m, x, 0, data)
+                                .unwrap()
+                                .with_codec(CodecId::Xor2d)
+                        })
+                        .collect()
+                };
+                (payload, frames)
+            })
+            .collect();
+
+        let timeout = SimTime::from_millis(40);
+        // Room for three or so first shares, or for every share.
+        let capacity = if tight_memory { 3 * PAYLOAD } else { 1 << 20 };
+        let resolved_cap = if tight_records { 6 } else { 1 << 20 };
+        let mut table =
+            ReassemblyTable::new(timeout, capacity).with_resolved_cap(resolved_cap);
+        let mut reference = periodic::Table::new(timeout, capacity, resolved_cap);
+        let period = table.sweep_period();
+        prop_assert_eq!(period, SimTime::from_millis(10));
+
+        let mut now = SimTime::ZERO;
+        let mut grid = SimTime::ZERO;
+        // What an engine would have its one sweep timer set to.
+        let mut armed: Option<SimTime> = None;
+        for step in 0..STEPS {
+            // Mostly a few milliseconds apart (a few hundred microseconds
+            // in a brisk flow), now and then the same instant, now and
+            // then well past every horizon.
+            now += SimTime::from_micros(match rng.random_range(0..if brisk { 200 } else { 20u32 }) {
+                0..=3 => 0,
+                4 => rng.random_range(80_000..200_000),
+                _ => rng.random_range(0..if brisk { 600 } else { 6_000 }),
+            });
+            while grid + period <= now {
+                grid += period;
+                reference.sweep(grid);
+                if armed == Some(grid) {
+                    table.sweep(grid);
+                    armed = table.next_sweep_at();
+                }
+            }
+            // Ids drift upwards, a new one every third step; one share
+            // in sixteen belongs to a symbol long gone.
+            let recent = step / 3 + rng.random_range(0..6);
+            let id = if rng.random_range(0..16) == 0 {
+                rng.random_range(0..=recent)
+            } else {
+                recent
+            };
+            let (payload, frames) = &symbols[id % SYMBOLS as usize];
+            let frame = &frames[rng.random_range(0..frames.len())];
+            // One share in twenty-four claims another threshold (and
+            // Shamir, whose decode is total): it is inconsistent with
+            // the symbol's real shares, and they with it.
+            let alien = rng.random_range(0..24) == 0;
+            let forged;
+            let frame = if alien {
+                let (k, data) = (frame.k() % 4 + 1, frame.payload().to_vec());
+                forged = ShareFrame::new(frame.seq(), k, 4, frame.x(), 0, data).unwrap();
+                &forged
+            } else {
+                frame
+            };
+            let want = reference.accept(frame, now);
+            let got = match table.accept(frame, now) {
+                Accept::Stored => periodic::Verdict::Stored,
+                Accept::Completed(decoded) => {
+                    prop_assert!(alien || &decoded == payload, "step {} decoded garbage", step);
+                    periodic::Verdict::Completed
+                }
+                Accept::Duplicate => periodic::Verdict::Duplicate,
+                Accept::Stale => periodic::Verdict::Stale,
+                Accept::Inconsistent => periodic::Verdict::Inconsistent,
+            };
+            prop_assert_eq!(got, want, "step {} at {}", step, now);
+            prop_assert_eq!(table.stats(), reference.stats, "step {} at {}", step, now);
+            prop_assert_eq!(table.pending_symbols(), reference.pending_symbols());
+            prop_assert_eq!(table.buffered_bytes(), reference.buffered_bytes());
+            prop_assert!(table.resolved_records() <= resolved_cap);
+            prop_assert!(reference.resolved_records() <= resolved_cap);
+            if armed.is_none() {
+                armed = table.next_sweep_at();
+            }
+            match armed {
+                // On the grid, ahead of the clock, and only while
+                // something is buffered.
+                Some(at) => {
+                    prop_assert!(at > now && at.as_nanos() % period.as_nanos() == 0);
+                }
+                None => prop_assert_eq!(table.pending_symbols(), 0),
+            }
         }
     }
 }

@@ -11,12 +11,11 @@
 //! their high-water capacity) and asserts it does not move during a
 //! measurement window in which thousands of symbols flow.
 //!
-//! The simulation runs on the binary-heap event queue: a warm heap is
-//! strictly allocation-free, whereas the timer wheel touches a fresh
-//! slot vector the first time the cursor enters it (its levels only
-//! become fully warm after a complete wrap). The queue engine is pinned
-//! bit-identical against the heap separately (see `engine_pin.rs`), so
-//! this measures exactly the protocol data path.
+//! The simulation runs on the binary-heap event queue, which holds the
+//! network's deliveries too: the session phase measures exactly the
+//! protocol data path (the wheel is pinned bit-identical against the
+//! heap separately, see `engine_pin.rs`). The external-source phase
+//! keeps the engine's timers on the timer wheel, with time moving.
 //!
 //! This test builds with the default `telemetry` feature **on**, so it
 //! also proves the `mcss-obs` overhead contract: span timers, session
@@ -218,9 +217,14 @@ fn xor_codec_phase() {
 /// and reassembly scratch all reach their high-water capacity during
 /// warmup, and offering symbols, draining `SendShare` actions, looping
 /// frames back to host B, and taking `DeliverSymbol` reconstructions
-/// allocate nothing after that.
+/// allocate nothing after that. Time moves: the driver keeps the
+/// engine's timers on a timer wheel, as the UDP driver and the server
+/// shards do, polls it every round, and the measured window spans five
+/// rollovers of the wheel level that turns every 1.07 s — the
+/// demand-armed sweep timer is set and fires throughout, and the wheel
+/// hands the storage of drained buckets to the ones the cursor reaches.
 fn engine_external_phase(codec: CodecId) {
-    use mcss_base::{Endpoint, SimTime as T};
+    use mcss_base::{Endpoint, EventQueue, SimTime as T};
     use mcss_remicss::actions::{Action, Event};
     use mcss_remicss::engine::{Engine, SourceMode};
     use rand::SeedableRng;
@@ -233,58 +237,87 @@ fn engine_external_phase(codec: CodecId) {
             .with_reassembly_timeout(T::from_millis(20))
             .with_codec(codec),
     );
-    let mut engine = Engine::new(Arc::clone(&config), N, SourceMode::External).unwrap();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-    let mut now = T::ZERO;
-    let mut timers: Vec<(T, u64)> = Vec::with_capacity(8);
-    let payload = vec![0x5au8; 512];
 
-    engine.handle(now, Event::Started, &mut rng);
+    /// The engine, its RNG and clock, and the wheel its timers wait on.
+    struct Driver {
+        engine: Engine,
+        rng: rand::rngs::StdRng,
+        now: T,
+        timers: EventQueue<u64>,
+        timer_seq: u64,
+        fired: u64,
+    }
 
-    // Loop every share straight back to host B and recycle all buffers,
-    // exactly as a loopback driver would.
-    fn pump(engine: &mut Engine, now: T, timers: &mut Vec<(T, u64)>, rng: &mut rand::rngs::StdRng) {
-        while let Some(action) = engine.poll_action() {
-            match action {
-                Action::SendShare { channel, frame, .. } => {
-                    engine.share_send_ok(channel);
-                    let _ = engine.handle_frame(now, channel, Endpoint::B, &frame, rng);
-                    engine.recycle(frame);
+    impl Driver {
+        /// Loops every share straight back to host B and recycles all
+        /// buffers, exactly as a loopback driver would.
+        fn pump(&mut self) {
+            while let Some(action) = self.engine.poll_action() {
+                match action {
+                    Action::SendShare { channel, frame, .. } => {
+                        self.engine.share_send_ok(channel);
+                        let _ = self.engine.handle_frame(
+                            self.now,
+                            channel,
+                            Endpoint::B,
+                            &frame,
+                            &mut self.rng,
+                        );
+                        self.engine.recycle(frame);
+                    }
+                    Action::SendControl { frame, .. } => self.engine.recycle(frame),
+                    Action::SetTimer { token, at } => {
+                        self.timer_seq += 1;
+                        self.timers.push(at, self.timer_seq, token);
+                    }
+                    Action::DeliverSymbol { payload, .. } => self.engine.recycle(payload),
                 }
-                Action::SendControl { frame, .. } => engine.recycle(frame),
-                Action::SetTimer { token, at } => timers.push((at, token)),
-                Action::DeliverSymbol { payload, .. } => engine.recycle(payload),
             }
         }
-    }
 
-    fn step(
-        engine: &mut Engine,
-        now: &mut T,
-        timers: &mut Vec<(T, u64)>,
-        payload: &[u8],
-        rng: &mut rand::rngs::StdRng,
-    ) {
-        *now += T::from_micros(100);
-        while let Some(idx) = timers.iter().position(|&(at, _)| at <= *now) {
-            let (_, token) = timers.swap_remove(idx);
-            engine.handle(*now, Event::TimerFired { token }, rng);
-            pump(engine, *now, timers, rng);
+        /// One round, 100 µs on: fire what is due, offer one symbol.
+        fn step(&mut self, payload: &[u8]) {
+            self.now += T::from_micros(100);
+            while matches!(self.timers.next_at(), Some(at) if at <= self.now) {
+                let (_, _, token) = self.timers.pop().expect("peeked entry exists");
+                self.fired += 1;
+                self.engine
+                    .handle(self.now, Event::TimerFired { token }, &mut self.rng);
+                self.pump();
+            }
+            self.engine
+                .handle(self.now, Event::SymbolReady { payload }, &mut self.rng);
+            self.pump();
         }
-        engine.handle(*now, Event::SymbolReady { payload }, rng);
-        pump(engine, *now, timers, rng);
     }
 
-    for _ in 0..500 {
-        step(&mut engine, &mut now, &mut timers, &payload, &mut rng);
+    let mut d = Driver {
+        engine: Engine::new(Arc::clone(&config), N, SourceMode::External).unwrap(),
+        rng: rand::rngs::StdRng::seed_from_u64(13),
+        now: T::ZERO,
+        timers: EventQueue::new(QueueKind::Wheel),
+        timer_seq: 0,
+        fired: 0,
+    };
+    let payload = vec![0x5au8; 512];
+    d.engine.handle(d.now, Event::Started, &mut d.rng);
+    d.pump();
+
+    // 1.5 s of warmup (past the first 1.07 s rollover), 5.5 s measured.
+    for _ in 0..15_000 {
+        d.step(&payload);
     }
-    let before = allocations();
-    for _ in 0..2_000 {
-        step(&mut engine, &mut now, &mut timers, &payload, &mut rng);
+    let (before, fired_before) = (allocations(), d.fired);
+    for _ in 0..55_000 {
+        d.step(&payload);
     }
     let during = allocations() - before;
-    let report = engine.report(now);
-    assert_eq!(report.delivered_symbols, 2_500, "loopback lost symbols");
+    let report = d.engine.report(d.now);
+    assert_eq!(report.delivered_symbols, 70_000, "loopback lost symbols");
+    assert!(
+        d.fired - fired_before > 100,
+        "[{codec}] the sweep timer hardly ran in the measured window"
+    );
     assert_eq!(
         during, 0,
         "external-source engine [{codec}]: {during} allocations in steady state"

@@ -160,6 +160,9 @@ pub struct Shard {
     pool: BufferPool,
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
+    /// Scratch of [`Shard::poll_timers`]: the `(cid, token)` of the
+    /// timers due this call; retained so polling allocates nothing.
+    due: Vec<(u32, u64)>,
     outbound: VecDeque<OutboundDatagram>,
     /// Sessions with work pending: an event was delivered to their
     /// engine and its actions have not been drained yet. Together with
@@ -192,6 +195,7 @@ impl Shard {
             pool: BufferPool::new(),
             timers: EventQueue::new(QueueKind::Wheel),
             timer_seq: 0,
+            due: Vec::new(),
             outbound: VecDeque::new(),
             ready: Vec::new(),
             ready_scratch: Vec::new(),
@@ -289,17 +293,14 @@ impl Shard {
     /// flushes after every event (preserving the recorded trace
     /// semantics exactly); the socket driver flushes once per wakeup,
     /// amortizing the drain across a whole receive batch.
-    pub fn flush_ready(&mut self, now: SimTime) {
+    pub fn flush_ready(&mut self, _now: SimTime) {
         if self.ready.is_empty() {
             return;
         }
         let mut batch = std::mem::take(&mut self.ready_scratch);
         std::mem::swap(&mut batch, &mut self.ready);
         for &cid in &batch {
-            if let Some(slot) = self.sessions.get_mut(&cid) {
-                slot.in_ready = false;
-            }
-            self.drain_engine(now, cid);
+            self.drive(cid, |slot| slot.in_ready = false);
         }
         batch.clear();
         self.ready_scratch = batch;
@@ -321,19 +322,12 @@ impl Shard {
     /// bit-identical regardless of how the wheel would batch the same
     /// due times.
     pub fn fire_timer(&mut self, now: SimTime, cid: u32, token: u64) {
-        self.fire_timer_inner(now, cid, token);
-        self.flush_ready(now);
-    }
-
-    /// Delivers the timer event and marks the session ready without
-    /// flushing — [`poll_timers`](Shard::poll_timers) batches the flush
-    /// across every timer due this wakeup.
-    fn fire_timer_inner(&mut self, now: SimTime, cid: u32, token: u64) {
         let slot = self.slot_mut(cid);
         slot.engine
             .handle(now, Event::TimerFired { token }, &mut slot.rng);
         ShardStats::bump(&self.stats.timers_fired);
         self.mark_ready(cid);
+        self.flush_ready(now);
     }
 
     /// Updates `cid`'s view of `from`'s send backlog on `channel`.
@@ -491,22 +485,38 @@ impl Shard {
     }
 
     /// Fires every timer due at or before `now` from the shard wheel,
-    /// then flushes the ready-set once for the whole batch. Returns the
-    /// number of timers fired.
+    /// draining each session as its timer fires (one session lookup per
+    /// timer). The due timers are taken off the wheel first, so one a
+    /// drain sets — even for an instant already past — waits for the
+    /// next call: a source that fell behind catches up a tick a call,
+    /// between receive batches, not in one burst. Returns the number of
+    /// timers fired.
     pub fn poll_timers(&mut self, now: SimTime) -> usize {
-        let mut fired = 0;
+        let mut due = std::mem::take(&mut self.due);
         while matches!(self.timers.next_at(), Some(at) if at <= now) {
-            let (_, _, (cid, token)) = self.timers.pop().expect("peeked entry exists");
-            if !self.sessions.contains_key(&cid) {
-                continue;
+            let (_, _, timer) = self.timers.pop().expect("peeked entry exists");
+            due.push(timer);
+        }
+        let mut fired = 0;
+        for &(cid, token) in &due {
+            let timer = |slot: &mut SessionSlot| {
+                slot.engine
+                    .handle(now, Event::TimerFired { token }, &mut slot.rng);
+            };
+            if self.drive(cid, timer) {
+                ShardStats::bump(&self.stats.timers_fired);
+                fired += 1;
             }
-            self.fire_timer_inner(now, cid, token);
-            fired += 1;
         }
-        if fired > 0 {
-            self.flush_ready(now);
-        }
+        due.clear();
+        self.due = due;
         fired
+    }
+
+    /// Timers set and not yet fired, across all of the shard's sessions.
+    #[must_use]
+    pub fn timers_pending(&self) -> usize {
+        self.timers.len()
     }
 
     /// When the next shard-wheel timer is due, if any — the epoll
@@ -528,14 +538,17 @@ impl Shard {
         self.outbound.len()
     }
 
-    /// Drains the session's action queue: shares and control frames
-    /// are prefixed with the connection ID into pooled buffers and
-    /// queued outbound, timers go onto the shard wheel, reconstructed
-    /// symbols park in the session's delivery queue.
-    fn drain_engine(&mut self, _now: SimTime, cid: u32) {
+    /// Looks `cid`'s session up once, applies `event` to it, and drains
+    /// its action queue: shares and control frames are prefixed with
+    /// the connection ID into pooled buffers and queued outbound, timers
+    /// go onto the shard wheel, reconstructed symbols park in the
+    /// session's delivery queue. Returns `false` (and does nothing) if
+    /// the session is gone.
+    fn drive(&mut self, cid: u32, event: impl FnOnce(&mut SessionSlot)) -> bool {
         let Some(slot) = self.sessions.get_mut(&cid) else {
-            return;
+            return false;
         };
+        event(slot);
         while let Some(action) = slot.engine.poll_action() {
             if slot.record {
                 slot.action_log.push(action.clone());
@@ -597,6 +610,7 @@ impl Shard {
             delivered - slot.counted_delivered,
         );
         slot.counted_delivered = delivered;
+        true
     }
 
     /// Takes the oldest queued outbound datagram. Pass `bytes` back via
@@ -851,9 +865,9 @@ impl ShardSet {
     }
 
     /// The snapshot endpoint: per-shard counters under
-    /// `server.shard{i}.*`, totals under `server.total.*`, plus a
-    /// session-count gauge — ready to merge with engine metrics or
-    /// export as Prometheus text.
+    /// `server.shard{i}.*`, totals under `server.total.*`, plus
+    /// session-count and timer-wheel-depth gauges — ready to merge with
+    /// engine metrics or export as Prometheus text.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = MetricsSnapshot::default();
@@ -866,6 +880,10 @@ impl ShardSet {
                 value: shard.session_count() as i64,
             });
             snapshot.gauges.push(GaugeSnapshot {
+                name: format!("server.shard{i}.timers_pending"),
+                value: shard.timers_pending() as i64,
+            });
+            snapshot.gauges.push(GaugeSnapshot {
                 name: format!("server.shard{i}.datagrams_per_syscall"),
                 value: datagrams_per_syscall(&stats),
             });
@@ -875,6 +893,13 @@ impl ShardSet {
         snapshot.gauges.push(GaugeSnapshot {
             name: "server.total.sessions".to_string(),
             value: self.session_count() as i64,
+        });
+        // Depth of the timer wheels: with demand-armed sweep timers it
+        // counts the sessions with something to expire or send, and is 0
+        // on an idle fleet.
+        snapshot.gauges.push(GaugeSnapshot {
+            name: "server.total.timers_pending".to_string(),
+            value: self.shards.iter().map(Shard::timers_pending).sum::<usize>() as i64,
         });
         // Per-codec session counts, so an operator sees codec rollouts
         // (and stragglers on the old codec) at a glance.

@@ -12,17 +12,13 @@
 //! A counting global allocator (filtered to the measured thread, as in
 //! the engine-level `zero_alloc` test) snapshots after a warmup window
 //! long enough for every pool, ring, and reassembly table to reach its
-//! high-water mark. The shard timer wheel is deliberately left idle
-//! during measurement: its lazily-warmed slot vectors allocate on first
-//! touch of each high-level frame (a documented property, pinned
-//! elsewhere), which would otherwise mask a real leak in the handoff
-//! path being measured here. Receiver state stays bounded anyway: the
-//! resolved-map cap (set below the warmup count) bounds resolution
-//! memory at insert time, and a single sweep fired at the
-//! warmup/measure boundary prunes the completion-order bookkeeping
-//! down to the (short) reassembly horizon while keeping its high-water
-//! capacity — so the measurement window refills it without a doubling
-//! reallocation.
+//! high-water mark. Time moves throughout: every round polls the shard
+//! timer wheels, the sessions' demand-armed sweep timers fire and are
+//! set again, and the measured window spans several rollovers of the
+//! wheel's upper levels — the wheel recycles the storage of drained
+//! buckets, so a cursor reaching a bucket it never used allocates
+//! nothing. The warmup crosses one such rollover itself, which is when
+//! the level above the timers' usual one first gets storage.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,16 +69,15 @@ fn allocations() -> u64 {
 
 const SYMBOL_BYTES: usize = 512;
 const ROUND: SimTime = SimTime::from_millis(1);
-/// Must exceed `RESOLVED_CAP` so the receivers' resolved maps saturate
-/// (and stop growing) before the measurement window opens.
+/// 1.5 s: past the first rollover of the wheel level that spans 1.07 s.
 const WARMUP_ROUNDS: u64 = 1_500;
-const MEASURE_ROUNDS: u64 = 1_500;
-const RESOLVED_CAP: usize = 1_024;
+/// 6 s: five more of those rollovers.
+const MEASURE_ROUNDS: u64 = 6_000;
 const CIDS: [u32; 2] = [0, 1];
 
-/// One duty cycle: offer a symbol to each session, then deliver every
+/// One duty cycle: offer a symbol to each session, deliver every
 /// produced datagram to the session's *non-owning* shard so the frame
-/// always crosses the handoff queues.
+/// always crosses the handoff queues, then fire the timers now due.
 fn round(set: &mut ShardSet, now: SimTime, payload: &[u8]) {
     for &cid in &CIDS {
         set.offer_symbol(now, cid, payload);
@@ -98,6 +93,7 @@ fn round(set: &mut ShardSet, now: SimTime, payload: &[u8]) {
             set.shard_mut(owner).recycle_delivered(cid, symbol);
         }
     }
+    set.poll(now);
 }
 
 #[test]
@@ -107,8 +103,7 @@ fn cross_shard_handoff_is_allocation_free_in_steady_state() {
         ProtocolConfig::new(2.0, 3.0)
             .unwrap()
             .with_symbol_bytes(SYMBOL_BYTES)
-            .with_reassembly_timeout(SimTime::from_millis(20))
-            .with_reassembly_resolved_cap(RESOLVED_CAP),
+            .with_reassembly_timeout(SimTime::from_millis(20)),
     );
     let mut set = ShardSet::new(&ServerConfig::with_shards(2));
     for &cid in &CIDS {
@@ -129,11 +124,6 @@ fn cross_shard_handoff_is_allocation_free_in_steady_state() {
         now += ROUND;
         round(&mut set, now, &payload);
     }
-    // Fire the sessions' pending sweep timers once: prunes the
-    // reassembly bookkeeping back to the 2x-timeout horizon, so the
-    // measurement window refills inside the capacity the warmup built.
-    set.poll(now);
-
     let warm = set.totals();
     let pool_high_water: Vec<(u64, u64)> = (0..set.num_shards())
         .map(|i| (set.shard(i).pool().misses(), set.shard(i).pool().grows()))
@@ -146,10 +136,14 @@ fn cross_shard_handoff_is_allocation_free_in_steady_state() {
     let during = allocations() - before;
     let totals = set.totals();
 
-    // The handoff path genuinely ran during measurement...
+    // The handoff path and the timers genuinely ran during measurement...
     assert!(
         totals.handoff_in > warm.handoff_in,
         "measurement window saw no cross-shard handoffs"
+    );
+    assert!(
+        totals.timers_fired > warm.timers_fired,
+        "measurement window fired no timers"
     );
     assert_eq!(
         totals.handoff_rejected, warm.handoff_rejected,

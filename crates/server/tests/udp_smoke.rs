@@ -5,7 +5,8 @@
 //! that symbols move, that nothing on the wire misroutes (no
 //! unknown-cid or malformed drops on a clean loopback), and that the
 //! metrics snapshot exports the per-shard and total counter families —
-//! including the new wakeup/syscall amortization counters.
+//! including the new wakeup/syscall amortization counters. A fleet
+//! whose sources have stopped must hold no timer at all.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,6 +91,14 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
             .any(|g| g.name == "server.total.datagrams_per_syscall"),
         "snapshot missing amortization gauge"
     );
+    // The sources still tick, so their timers are on the wheels.
+    assert!(
+        snapshot
+            .gauges
+            .iter()
+            .any(|g| g.name == "server.total.timers_pending" && g.value >= i64::from(SESSIONS)),
+        "snapshot missing timer-depth gauge"
+    );
     let text = snapshot.to_prometheus();
     assert!(
         text.contains("server_total_datagrams_received"),
@@ -106,6 +115,42 @@ fn loopback_server_moves_symbols_and_exports_metrics_busypoll() {
 #[test]
 fn loopback_server_moves_symbols_and_exports_metrics_epoll() {
     run_smoke(IoMode::Epoll, IoBackend::Epoll);
+}
+
+/// Sweep timers are armed on demand: once the sources have stopped and
+/// the last partial symbol has expired, nothing is left on any wheel,
+/// so an idle fleet costs its shards no wakeups.
+#[test]
+fn idle_fleet_holds_no_timers() {
+    let protocol = Arc::new(
+        ProtocolConfig::new(2.0, 3.0)
+            .unwrap()
+            .with_symbol_bytes(64)
+            .with_reassembly_timeout(SimTime::from_millis(40)),
+    );
+    let mut server =
+        UdpServer::new(ServerConfig::with_shards(2), protocol, 5).expect("sockets bind");
+    for cid in 0..16u32 {
+        let workload = Workload::cbr(200.0, SimTime::from_millis(50));
+        server
+            .add_session(cid, workload, 1 + u64::from(cid))
+            .unwrap();
+    }
+    // The last symbol's first share arrives by about 50 ms and the sweep
+    // timer it armed fires by 100 ms, finding nothing to arm for.
+    let summary = server.run_for(Duration::from_millis(400)).expect("run");
+    assert!(summary.delivered_symbols > 0, "{summary:?}");
+    let totals = server.shards().totals();
+    assert!(totals.timers_fired > 0, "{totals:?}");
+    let snapshot = server.metrics_snapshot();
+    for name in [
+        "server.shard0.timers_pending",
+        "server.shard1.timers_pending",
+        "server.total.timers_pending",
+    ] {
+        let gauge = snapshot.gauges.iter().find(|g| g.name == name);
+        assert_eq!(gauge.map(|g| g.value), Some(0), "{name}");
+    }
 }
 
 /// The epoll backend must amortize syscalls: far fewer wakeups than
