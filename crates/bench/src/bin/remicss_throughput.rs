@@ -482,9 +482,10 @@ fn ns_to_ms(nanos: f64) -> f64 {
 /// Harvests the telemetry section from a finished session.
 fn telemetry_section(session: &Session) -> TelemetrySection {
     let metrics = session.metrics();
+    let histograms = metrics.histograms();
     let pool = session.frame_pool();
     let (hits, misses) = (pool.hits(), pool.misses());
-    let per_channel_delay = metrics
+    let per_channel_delay = histograms
         .channels()
         .iter()
         .enumerate()
@@ -512,9 +513,9 @@ fn telemetry_section(session: &Session) -> TelemetrySection {
         pool_hit_rate: hits as f64 / (hits + misses).max(1) as f64,
         pool_grows: pool.grows(),
         per_channel_delay,
-        residency_p50_ms: ns_to_ms(metrics.residency.percentile(0.50)),
-        residency_p99_ms: ns_to_ms(metrics.residency.percentile(0.99)),
-        residency_max_ms: ns_to_ms(metrics.residency.max() as f64),
+        residency_p50_ms: ns_to_ms(histograms.residency.percentile(0.50)),
+        residency_p99_ms: ns_to_ms(histograms.residency.percentile(0.99)),
+        residency_max_ms: ns_to_ms(histograms.residency.max() as f64),
         global: mcss::obs::global_snapshot(),
     }
 }

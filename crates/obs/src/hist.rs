@@ -110,6 +110,29 @@ mod enabled {
             self.max.fetch_max(v, Ordering::Relaxed);
         }
 
+        /// Adds every sample of `other` to this histogram, as if each
+        /// had been recorded here: buckets, count and sum add, min and
+        /// max fold. Samples recorded into `other` meanwhile may be
+        /// partly included.
+        pub fn absorb(&self, other: &Histogram) {
+            if other.is_empty() {
+                return;
+            }
+            for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
+                let c = theirs.load(Ordering::Relaxed);
+                if c != 0 {
+                    mine.fetch_add(c, Ordering::Relaxed);
+                }
+            }
+            self.count.fetch_add(other.count(), Ordering::Relaxed);
+            self.sum
+                .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.min
+                .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.max
+                .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+
         /// Number of samples recorded.
         #[inline]
         #[must_use]
@@ -208,6 +231,10 @@ mod disabled {
         /// No-op.
         #[inline]
         pub fn record(&self, _v: u64) {}
+
+        /// No-op.
+        #[inline]
+        pub fn absorb(&self, _other: &Histogram) {}
 
         /// Always zero.
         #[must_use]

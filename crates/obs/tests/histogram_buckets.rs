@@ -95,6 +95,32 @@ proptest! {
         assert_percentile_close(&samples, q);
     }
 
+    /// Absorbing is indistinguishable from having recorded the other
+    /// histogram's samples here — including when either side is empty.
+    #[test]
+    fn absorb_equals_recording_both_sets(
+        a in proptest::collection::vec(0u64..1_000_000_000, 0..300),
+        b in proptest::collection::vec(0u64..1_000_000_000, 0..300),
+    ) {
+        let (left, right, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for &v in &a {
+            left.record(v);
+            both.record(v);
+        }
+        for &v in &b {
+            right.record(v);
+            both.record(v);
+        }
+        left.absorb(&right);
+        prop_assert_eq!(left.count(), both.count());
+        prop_assert_eq!(left.min(), both.min());
+        prop_assert_eq!(left.max(), both.max());
+        prop_assert_eq!(left.mean(), both.mean());
+        for q in [0.50, 0.90, 0.99, 0.999] {
+            prop_assert_eq!(left.percentile(q), both.percentile(q), "q={}", q);
+        }
+    }
+
     #[test]
     fn bucket_index_is_monotone(a in any::<u64>(), b in any::<u64>()) {
         if a <= b {

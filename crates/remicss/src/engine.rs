@@ -37,7 +37,7 @@ use crate::actions::{Action, Event, TIMER_FEEDBACK, TIMER_SOURCE, TIMER_SWEEP};
 use crate::adaptive::AdaptiveController;
 use crate::config::{ProtocolConfig, SchedulerKind};
 use crate::cpu::CpuClock;
-use crate::metrics::SessionMetrics;
+use crate::metrics::{SessionHistograms, SessionMetrics};
 use crate::reassembly::{AcceptOutcome, ReassemblyStats, ReassemblyTable};
 use crate::scheduler::{
     ChannelState, Choice, DynamicScheduler, RoundRobinScheduler, Scheduler as _, SessionScheduler,
@@ -298,7 +298,8 @@ impl core::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Builds an engine for `n` channels.
+    /// Builds an engine for `n` channels that records its delay, gap and
+    /// residency distributions into histograms of its own.
     ///
     /// # Errors
     ///
@@ -308,6 +309,28 @@ impl Engine {
         config: impl Into<Arc<ProtocolConfig>>,
         n: usize,
         source: SourceMode,
+    ) -> Result<Self, mcss_core::ModelError> {
+        Engine::with_histograms(config, n, source, Arc::new(SessionHistograms::new(n)))
+    }
+
+    /// Builds an engine for `n` channels that records its distributions
+    /// into `histograms`, which any number of engines over the same
+    /// channels may share (a server shard does). Counters stay per
+    /// engine.
+    ///
+    /// # Errors
+    ///
+    /// [`mcss_core::ModelError::InvalidParameters`] if the config's
+    /// `(κ, μ)` are invalid for `n` channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `histograms` was not built for `n` channels.
+    pub fn with_histograms(
+        config: impl Into<Arc<ProtocolConfig>>,
+        n: usize,
+        source: SourceMode,
+        histograms: Arc<SessionHistograms>,
     ) -> Result<Self, mcss_core::ModelError> {
         let config: Arc<ProtocolConfig> = config.into();
         let scheduler_a = build_scheduler(config.scheduler(), config.kappa(), config.mu(), n)?;
@@ -369,7 +392,7 @@ impl Engine {
             wire_errors: 0,
             cpu_a: CpuClock::new(),
             cpu_b: CpuClock::new(),
-            metrics: SessionMetrics::new(n),
+            metrics: SessionMetrics::with_histograms(n, histograms),
             adaptive,
             feedback_epoch: 0,
             last_epoch_seen: None,
@@ -487,8 +510,9 @@ impl Engine {
         self.adaptive.as_ref()
     }
 
-    /// The engine's protocol metrics (per-channel share traffic, delay
-    /// and gap histograms, realized `(k, m)` frequencies).
+    /// The engine's protocol metrics (per-channel share traffic,
+    /// realized `(k, m)` frequencies, and the delay, gap and residency
+    /// histograms it records into).
     #[must_use]
     pub fn metrics(&self) -> &SessionMetrics {
         &self.metrics

@@ -83,7 +83,7 @@ pub mod wire;
 pub use actions::{Action, Event};
 pub use config::{ProtocolConfig, SchedulerKind};
 pub use engine::{Engine, SessionReport, SourceMode, Workload};
-pub use metrics::SessionMetrics;
+pub use metrics::{SessionHistograms, SessionMetrics};
 #[cfg(feature = "sim")]
 pub use session::Session;
 #[cfg(feature = "udp")]

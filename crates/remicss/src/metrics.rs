@@ -1,27 +1,39 @@
-//! Per-session protocol metrics.
+//! Per-session protocol metrics, and the distributions they feed.
 //!
 //! [`SessionMetrics`] is the session-scoped companion to the global
 //! [`mcss_obs`] span registry: while spans time *code* (split kernels,
-//! the event loop), these count and time *protocol* behavior — shares
-//! sent, dropped, and received per channel, one-way share delay and
-//! inter-share gap distributions, reassembly residency, and the
-//! realized `(k, m)` frequency matrix the dynamic scheduler actually
-//! drew (whose empirical means must converge to the configured `κ` and
-//! `μ`; see `tests/metrics_stat.rs`).
+//! the event loop), these count and time *protocol* behavior. The state
+//! is split by what it describes:
+//!
+//! * **Per session** — shares sent, dropped and received per channel,
+//!   the per-channel one-way delay *sum* (mean delay of one `(session,
+//!   channel)` = sum ÷ `shares_received`), and the realized `(k, m)`
+//!   frequency matrix the dynamic scheduler actually drew (whose
+//!   empirical means must converge to the configured `κ` and `μ`; see
+//!   `tests/metrics_stat.rs`). A few hundred bytes.
+//! * **Per channel** — the *distributions*: one-way share delay and
+//!   inter-share gap per channel, and reassembly residency. Delay is a
+//!   property of the channel (the paper's `(z_i, l_i, d_i, r_i)`), not
+//!   of the session crossing it, and a full-range [`Histogram`] is
+//!   15 KB, so these live in one [`SessionHistograms`] behind an `Arc`:
+//!   a standalone engine builds its own, a server shard shares one
+//!   among every session it hosts.
 //!
 //! Everything here is built from [`mcss_obs`] primitives, so the whole
 //! structure inherits the crate's overhead contract: recording is
-//! relaxed atomics on storage preallocated at session build (the
+//! relaxed atomics on storage preallocated before the first symbol (the
 //! zero-allocation steady-state proof holds with telemetry enabled),
 //! and with the `telemetry` feature off every field is a zero-sized
 //! no-op.
+
+use std::sync::Arc;
 
 use mcss_obs::{Counter, Histogram, MetricsSnapshot};
 
 /// Sentinel for "no share received on this channel yet".
 const NO_RX: u64 = u64::MAX;
 
-/// One channel's share traffic counters and latency histograms.
+/// One channel's share traffic counters, per session.
 #[derive(Debug, Default)]
 pub struct ChannelMetrics {
     /// Share frames handed to this channel's send queue.
@@ -30,12 +42,106 @@ pub struct ChannelMetrics {
     pub shares_dropped: Counter,
     /// Share frames delivered from this channel.
     pub shares_received: Counter,
-    /// One-way share delay (send stamp to delivery), nanoseconds of
-    /// simulated time.
+    /// Sum of the one-way delays of the shares delivered from this
+    /// channel, nanoseconds; over `shares_received` it is this session's
+    /// mean delay on the channel.
+    pub delay_sum_nanos: Counter,
+}
+
+/// One channel's latency distributions.
+#[derive(Debug, Default)]
+pub struct ChannelHistograms {
+    /// One-way share delay (send stamp to delivery), nanoseconds.
     pub one_way_delay: Histogram,
-    /// Gap between consecutive share deliveries on this channel,
-    /// nanoseconds of simulated time.
+    /// Gap between consecutive share deliveries of one session on this
+    /// channel, nanoseconds.
     pub inter_share_gap: Histogram,
+}
+
+/// The distributions sessions record into: delay and gap per channel,
+/// and reassembly residency. Recording goes through `&self` atomics, so
+/// any number of sessions over the same `n` channels may share one.
+#[derive(Debug)]
+pub struct SessionHistograms {
+    channels: Vec<ChannelHistograms>,
+    /// Reassembly residency of completed symbols (first share seen to
+    /// reconstruction), nanoseconds.
+    pub residency: Histogram,
+}
+
+impl SessionHistograms {
+    /// Empty distributions for `n` channels. Allocates all bucket
+    /// storage here; recording never allocates.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        SessionHistograms {
+            channels: (0..n).map(|_| ChannelHistograms::default()).collect(),
+            residency: Histogram::new(),
+        }
+    }
+
+    /// The channel count this was built for.
+    #[must_use]
+    pub fn channel_count(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// One channel's distributions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel >= channel_count()`.
+    #[must_use]
+    pub fn channel(&self, channel: usize) -> &ChannelHistograms {
+        &self.channels[channel]
+    }
+
+    /// All channels' distributions, in channel order.
+    #[must_use]
+    pub fn channels(&self) -> &[ChannelHistograms] {
+        &self.channels
+    }
+
+    /// Adds every sample of `other` to the same channels here (see
+    /// [`Histogram::absorb`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has more channels than `self`.
+    pub fn absorb(&self, other: &SessionHistograms) {
+        assert!(
+            other.channels.len() <= self.channels.len(),
+            "absorbing {} channels into {}",
+            other.channels.len(),
+            self.channels.len()
+        );
+        for (mine, theirs) in self.channels.iter().zip(&other.channels) {
+            mine.one_way_delay.absorb(&theirs.one_way_delay);
+            mine.inter_share_gap.absorb(&theirs.inter_share_gap);
+        }
+        self.residency.absorb(&other.residency);
+    }
+
+    /// Appends the non-empty distributions as `{prefix}.delay.ch{i}`,
+    /// `{prefix}.inter_share_gap.ch{i}` and `{prefix}.{residency}`.
+    /// Appends nothing with the `telemetry` feature off.
+    pub fn extend_snapshot(&self, prefix: &str, residency: &str, snapshot: &mut MetricsSnapshot) {
+        let mut push = |name: String, hist: &Histogram| {
+            if !hist.is_empty() {
+                snapshot
+                    .histograms
+                    .push(mcss_obs::HistogramSnapshot::of(&name, hist));
+            }
+        };
+        for (i, ch) in self.channels.iter().enumerate() {
+            push(format!("{prefix}.delay.ch{i}"), &ch.one_way_delay);
+            push(
+                format!("{prefix}.inter_share_gap.ch{i}"),
+                &ch.inter_share_gap,
+            );
+        }
+        push(format!("{prefix}.{residency}"), &self.residency);
+    }
 }
 
 /// Protocol counters for one [`Session`](crate::Session).
@@ -58,16 +164,34 @@ pub struct SessionMetrics {
     sum_m: Counter,
     /// Number of scheduler draws recorded.
     choices: Counter,
-    /// Reassembly residency of completed symbols (first share seen to
-    /// reconstruction), nanoseconds of simulated time.
-    pub residency: Histogram,
+    /// The distributions this session records into — its own, or one
+    /// shared with the other sessions of a server shard.
+    histograms: Arc<SessionHistograms>,
 }
 
 impl SessionMetrics {
-    /// Metrics for a session over `n` channels. Allocates all storage up
-    /// front; recording never allocates.
+    /// Metrics for a standalone session over `n` channels, recording
+    /// into distributions of its own. Allocates the counters and the
+    /// histograms' bucket storage here; recording never allocates.
     #[must_use]
     pub fn new(n: usize) -> Self {
+        SessionMetrics::with_histograms(n, Arc::new(SessionHistograms::new(n)))
+    }
+
+    /// Metrics for a session over `n` channels recording its
+    /// distributions into `histograms`; only the counters (a few hundred
+    /// bytes) are allocated here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `histograms` was not built for `n` channels.
+    #[must_use]
+    pub(crate) fn with_histograms(n: usize, histograms: Arc<SessionHistograms>) -> Self {
+        assert_eq!(
+            histograms.channel_count(),
+            n,
+            "histograms built for another channel count"
+        );
         SessionMetrics {
             n,
             channels: (0..n).map(|_| ChannelMetrics::default()).collect(),
@@ -76,7 +200,7 @@ impl SessionMetrics {
             sum_k: Counter::new(),
             sum_m: Counter::new(),
             choices: Counter::new(),
-            residency: Histogram::new(),
+            histograms,
         }
     }
 
@@ -100,6 +224,14 @@ impl SessionMetrics {
     #[must_use]
     pub fn channels(&self) -> &[ChannelMetrics] {
         &self.channels
+    }
+
+    /// The distributions this session records into. Shared with other
+    /// sessions when the engine was built with
+    /// [`Engine::with_histograms`](crate::Engine::with_histograms).
+    #[must_use]
+    pub fn histograms(&self) -> &Arc<SessionHistograms> {
+        &self.histograms
     }
 
     /// Records one scheduler draw of threshold `k` over `m` channels.
@@ -128,17 +260,19 @@ impl SessionMetrics {
     pub fn record_receive(&mut self, channel: usize, now_nanos: u64, delay_nanos: u64) {
         let ch = &self.channels[channel];
         ch.shares_received.inc();
-        ch.one_way_delay.record(delay_nanos);
+        ch.delay_sum_nanos.add(delay_nanos);
+        let hist = &self.histograms.channels[channel];
+        hist.one_way_delay.record(delay_nanos);
         let last = self.last_rx_nanos[channel];
         if last != NO_RX {
-            ch.inter_share_gap.record(now_nanos.saturating_sub(last));
+            hist.inter_share_gap.record(now_nanos.saturating_sub(last));
         }
         self.last_rx_nanos[channel] = now_nanos;
     }
 
     /// Records a completed symbol's reassembly residency.
     pub fn record_residency(&mut self, nanos: u64) {
-        self.residency.record(nanos);
+        self.histograms.residency.record(nanos);
     }
 
     /// Number of scheduler draws recorded.
@@ -210,7 +344,7 @@ impl SessionMetrics {
         }
         #[cfg(feature = "telemetry")]
         {
-            use mcss_obs::{CounterSnapshot, HistogramSnapshot};
+            use mcss_obs::CounterSnapshot;
             let mut snap = MetricsSnapshot::default();
             for (i, ch) in self.channels.iter().enumerate() {
                 for (what, counter) in [
@@ -223,29 +357,13 @@ impl SessionMetrics {
                         value: counter.get(),
                     });
                 }
-                if !ch.one_way_delay.is_empty() {
-                    snap.histograms.push(HistogramSnapshot::of(
-                        &format!("remicss.delay.ch{i}"),
-                        &ch.one_way_delay,
-                    ));
-                }
-                if !ch.inter_share_gap.is_empty() {
-                    snap.histograms.push(HistogramSnapshot::of(
-                        &format!("remicss.inter_share_gap.ch{i}"),
-                        &ch.inter_share_gap,
-                    ));
-                }
             }
             snap.counters.push(CounterSnapshot {
                 name: "remicss.scheduler.choices".to_string(),
                 value: self.choices.get(),
             });
-            if !self.residency.is_empty() {
-                snap.histograms.push(HistogramSnapshot::of(
-                    "remicss.reassembly.residency",
-                    &self.residency,
-                ));
-            }
+            self.histograms
+                .extend_snapshot("remicss", "reassembly.residency", &mut snap);
             snap
         }
     }
@@ -280,12 +398,16 @@ mod tests {
         m.record_send(0);
         m.record_drop(2);
         m.record_receive(1, 1_000, 250);
+        m.record_receive(1, 2_000, 350);
         if cfg!(feature = "telemetry") {
             assert_eq!(m.channel(0).shares_sent.get(), 2);
-            assert_eq!(m.channel(1).shares_received.get(), 1);
+            assert_eq!(m.channel(1).shares_received.get(), 2);
+            // The per-session estimator: mean delay = sum / received.
+            assert_eq!(m.channel(1).delay_sum_nanos.get(), 600);
+            assert_eq!(m.channel(0).delay_sum_nanos.get(), 0);
             assert_eq!(m.channel(2).shares_dropped.get(), 1);
             assert_eq!(m.shares_sent_total(), 2);
-            assert_eq!(m.shares_received_total(), 1);
+            assert_eq!(m.shares_received_total(), 2);
             assert_eq!(m.shares_dropped_total(), 1);
         }
     }
@@ -295,10 +417,39 @@ mod tests {
     fn inter_share_gap_needs_two_deliveries() {
         let mut m = SessionMetrics::new(1);
         m.record_receive(0, 1_000, 100);
-        assert!(m.channel(0).inter_share_gap.is_empty());
+        let histograms = Arc::clone(m.histograms());
+        let gap = &histograms.channel(0).inter_share_gap;
+        assert!(gap.is_empty());
         m.record_receive(0, 1_750, 100);
-        assert_eq!(m.channel(0).inter_share_gap.count(), 1);
-        assert_eq!(m.channel(0).inter_share_gap.max(), 750);
+        assert_eq!(gap.count(), 1);
+        assert_eq!(gap.max(), 750);
+    }
+
+    /// Two sessions on one set of distributions: counters stay apart,
+    /// samples pool, and a gap is never measured across sessions.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn sessions_sharing_histograms_pool_samples_not_counters() {
+        let shared = Arc::new(SessionHistograms::new(2));
+        let mut a = SessionMetrics::with_histograms(2, Arc::clone(&shared));
+        let mut b = SessionMetrics::with_histograms(2, Arc::clone(&shared));
+        a.record_receive(1, 1_000, 100);
+        b.record_receive(1, 5_000, 300);
+        a.record_residency(40);
+        assert_eq!(a.channel(1).shares_received.get(), 1);
+        assert_eq!(b.channel(1).delay_sum_nanos.get(), 300);
+        assert_eq!(shared.channel(1).one_way_delay.count(), 2);
+        assert_eq!(shared.channel(1).one_way_delay.max(), 300);
+        assert!(shared.channel(1).inter_share_gap.is_empty());
+        assert_eq!(shared.residency.count(), 1);
+        assert!(Arc::ptr_eq(a.histograms(), b.histograms()));
+
+        let total = SessionHistograms::new(3);
+        total.absorb(&shared);
+        total.absorb(&shared);
+        assert_eq!(total.channel(1).one_way_delay.count(), 4);
+        assert_eq!(total.residency.count(), 2);
+        assert!(total.channel(2).one_way_delay.is_empty());
     }
 
     #[cfg(feature = "telemetry")]
@@ -329,5 +480,22 @@ mod tests {
         m.record_receive(0, 1_000, 100);
         assert!(m.snapshot().is_empty());
         assert_eq!(m.shares_sent_total(), 0);
+    }
+
+    /// Feature off, the distributions compile to nothing: no bucket
+    /// storage behind the `Arc`, whatever the channel count.
+    #[cfg(not(feature = "telemetry"))]
+    #[test]
+    fn disabled_histograms_are_zero_sized() {
+        use std::mem::{size_of, size_of_val};
+        assert_eq!(size_of::<ChannelHistograms>(), 0);
+        assert_eq!(size_of::<ChannelMetrics>(), 0);
+        let h = SessionHistograms::new(64);
+        assert_eq!(size_of_val(h.channels()), 0);
+        assert_eq!(size_of_val(&h.residency), 0);
+        h.absorb(&SessionHistograms::new(3));
+        let mut snap = MetricsSnapshot::default();
+        h.extend_snapshot("x", "residency", &mut snap);
+        assert!(snap.is_empty());
     }
 }

@@ -87,3 +87,46 @@ fn near_boundary_parameters_converge() {
     // μ close to n stresses the "all channels" end of the sampler.
     check_convergence(1.2, 4.8, 5, 23);
 }
+
+/// The per-session delay estimator that survives without a per-session
+/// histogram: on each channel `delay_sum_nanos / shares_received` is
+/// the mean of the very samples the channel's delay histogram holds,
+/// and over the Delayed setup it recovers each channel's configured
+/// one-way delay plus the share's serialization time (and, at 0.3 of
+/// the optimal rate, a little queueing).
+#[test]
+fn per_channel_delay_sum_recovers_the_channel_delay() {
+    use mcss_remicss::{testbed, ProtocolConfig, Session, Workload};
+
+    let channels = mcss_core::setups::delayed();
+    let config = ProtocolConfig::new(2.0, 3.0).expect("valid (kappa, mu)");
+    let rate = 0.3 * testbed::optimal_symbol_rate(&channels, &config).expect("mu fits");
+    let horizon = SimTime::from_secs(1);
+    let network = testbed::network_for(&channels, &config);
+    let wire_bits = (config.share_wire_bytes() * 8) as f64;
+    let session =
+        Session::new(config, channels.len(), Workload::cbr(rate, horizon)).expect("valid");
+    let mut sim = mcss_netsim::Simulator::new(network, session, 42);
+    sim.run_until(SimTime::from_secs(2));
+
+    let metrics = sim.app().metrics();
+    let mut received = 0;
+    for (i, channel) in channels.iter().enumerate() {
+        let counters = metrics.channel(i);
+        let histogram = &metrics.histograms().channel(i).one_way_delay;
+        let shares = counters.shares_received.get();
+        assert_eq!(shares, histogram.count(), "channel {i}");
+        if shares == 0 {
+            continue;
+        }
+        received += shares;
+        let mean = counters.delay_sum_nanos.get() as f64 / shares as f64;
+        assert_eq!(mean, histogram.mean(), "channel {i}");
+        let expected = (channel.delay() + wire_bits / (channel.rate() * 1e6)) * 1e9;
+        assert!(
+            mean >= expected - 1.0 && mean <= expected + 1e6,
+            "channel {i}: mean delay {mean} ns, delay + serialization {expected} ns"
+        );
+    }
+    assert!(received > 1_000, "only {received} shares delivered");
+}

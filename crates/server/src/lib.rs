@@ -26,9 +26,15 @@
 //!   hierarchical timer wheel ([`mcss_base::queue`]); handed-off
 //!   buffers travel home through per-shard return rings, keeping the
 //!   steady state allocation-free across shard boundaries.
-//! * [`ShardSet::metrics_snapshot`] aggregates per-shard counters into
-//!   an `mcss-obs` [`MetricsSnapshot`](mcss_obs::MetricsSnapshot)
-//!   (JSON or Prometheus text).
+//! * Each shard also owns the delay, gap and residency histograms its
+//!   sessions record into
+//!   ([`SessionHistograms`](mcss_remicss::metrics::SessionHistograms),
+//!   one set per channel count hosted): the distributions describe the
+//!   channels, so a session adds counters only.
+//! * [`ShardSet::metrics_snapshot`] aggregates per-shard counters and
+//!   those per-channel distributions into an `mcss-obs`
+//!   [`MetricsSnapshot`](mcss_obs::MetricsSnapshot) (JSON or
+//!   Prometheus text).
 //!
 //! # Example: three sessions, two shards, one datagram path
 //!

@@ -28,6 +28,7 @@ use mcss_obs::{GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{Engine, SessionReport, SourceMode};
+use mcss_remicss::metrics::SessionHistograms;
 use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError};
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
@@ -151,12 +152,18 @@ struct SessionSlot {
 }
 
 /// One worker partition: the sessions it owns, their shared buffer
-/// pool and timer wheel, and the queues linking it to its peers.
+/// pool, timer wheel and delay distributions, and the queues linking it
+/// to its peers.
 #[derive(Debug)]
 pub struct Shard {
     index: usize,
     num_shards: usize,
     sessions: HashMap<u32, SessionSlot>,
+    /// The delay, gap and residency distributions every session of this
+    /// shard records into: one set per channel count hosted. They
+    /// describe the channels, not the sessions, so a session adds none
+    /// (a set is 15 KB per histogram, `2n + 1` of them).
+    histograms: Vec<Arc<SessionHistograms>>,
     pool: BufferPool,
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
@@ -192,6 +199,7 @@ impl Shard {
             index,
             num_shards: inboxes.len(),
             sessions: HashMap::new(),
+            histograms: Vec::new(),
             pool: BufferPool::new(),
             timers: EventQueue::new(QueueKind::Wheel),
             timer_seq: 0,
@@ -234,6 +242,14 @@ impl Shard {
         &self.stats
     }
 
+    /// The distributions this shard's sessions record into, one set per
+    /// channel count hosted, in the order first hosted (shared with
+    /// metric aggregators, like [`stats`](Shard::stats)).
+    #[must_use]
+    pub fn histograms(&self) -> &[Arc<SessionHistograms>] {
+        &self.histograms
+    }
+
     /// The shard's buffer pool (its hit/miss/grow counters witness the
     /// zero-allocation steady state).
     #[must_use]
@@ -252,9 +268,30 @@ impl Shard {
             .unwrap_or_else(|| panic!("no session with connection id {cid}"))
     }
 
-    fn add_session(&mut self, cid: u32, engine: Engine, seed: u64) -> Result<(), ServerError> {
+    fn add_session(
+        &mut self,
+        cid: u32,
+        config: Arc<ProtocolConfig>,
+        channels: usize,
+        source: SourceMode,
+        seed: u64,
+    ) -> Result<(), ServerError> {
         if self.sessions.contains_key(&cid) {
             return Err(ServerError::DuplicateCid(cid));
+        }
+        // The shard's set for this channel count; a new one is kept only
+        // once the engine accepted the parameters.
+        let hosted = self
+            .histograms
+            .iter()
+            .find(|set| set.channel_count() == channels)
+            .cloned();
+        let histograms = hosted
+            .clone()
+            .unwrap_or_else(|| Arc::new(SessionHistograms::new(channels)));
+        let engine = Engine::with_histograms(config, channels, source, Arc::clone(&histograms))?;
+        if hosted.is_none() {
+            self.histograms.push(histograms);
         }
         self.sessions.insert(
             cid,
@@ -761,9 +798,8 @@ impl ShardSet {
         source: SourceMode,
         seed: u64,
     ) -> Result<(), ServerError> {
-        let engine = Engine::new(config, channels, source)?;
         let owner = self.shard_of(cid);
-        self.shards[owner].add_session(cid, engine, seed)
+        self.shards[owner].add_session(cid, config.into(), channels, source, seed)
     }
 
     /// Routes bare pre-prefix (`"RM"`/`"RC"`) frames to the session
@@ -865,16 +901,39 @@ impl ShardSet {
     }
 
     /// The snapshot endpoint: per-shard counters under
-    /// `server.shard{i}.*`, totals under `server.total.*`, plus
-    /// session-count and timer-wheel-depth gauges — ready to merge with
+    /// `server.shard{i}.*`, totals under `server.total.*`, session-count
+    /// and timer-wheel-depth gauges, and the per-channel distributions
+    /// `server.shard{i}.delay.ch{c}`, `.inter_share_gap.ch{c}` and
+    /// `.reassembly_residency` (with the `telemetry` feature), merged
+    /// across shards under `server.total.*` — ready to merge with
     /// engine metrics or export as Prometheus text.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = MetricsSnapshot::default();
         let mut total = ShardStatsSnapshot::default();
+        // Channel `c` is the same channel whatever a session's channel
+        // count, so a shard's sets merge by channel index.
+        let widest = self
+            .shards
+            .iter()
+            .flat_map(|shard| &shard.histograms)
+            .map(|set| set.channel_count())
+            .max()
+            .unwrap_or(0);
+        let total_histograms = SessionHistograms::new(widest);
         for (i, shard) in self.shards.iter().enumerate() {
             let stats = shard.stats.get();
             stats.extend_snapshot(&format!("server.shard{i}"), &mut snapshot);
+            let merged = SessionHistograms::new(widest);
+            for set in &shard.histograms {
+                merged.absorb(set);
+            }
+            merged.extend_snapshot(
+                &format!("server.shard{i}"),
+                "reassembly_residency",
+                &mut snapshot,
+            );
+            total_histograms.absorb(&merged);
             snapshot.gauges.push(GaugeSnapshot {
                 name: format!("server.shard{i}.sessions"),
                 value: shard.session_count() as i64,
@@ -890,6 +949,7 @@ impl ShardSet {
             total.add(&stats);
         }
         total.extend_snapshot("server.total", &mut snapshot);
+        total_histograms.extend_snapshot("server.total", "reassembly_residency", &mut snapshot);
         snapshot.gauges.push(GaugeSnapshot {
             name: "server.total.sessions".to_string(),
             value: self.session_count() as i64,

@@ -924,7 +924,8 @@ impl UdpServer {
     }
 
     /// Aggregated per-shard metrics (`server.shard{i}.*` plus
-    /// `server.total.*`).
+    /// `server.total.*`: counters, gauges, and the per-channel delay,
+    /// gap and residency distributions).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.set.metrics_snapshot()

@@ -1,0 +1,245 @@
+//! What a session costs a shard in memory, now that the delay, gap and
+//! residency distributions belong to the shard.
+//!
+//! A full-range histogram is 15 KB and an engine over five channels
+//! records into eleven of them, so sessions that each owned a set held
+//! 176 KB apiece, nearly all of it histogram buckets no server export
+//! ever read. A shard now builds one set per channel count it hosts and
+//! every engine it builds records into that: a session is its engine,
+//! reassembly tables, frame pool and counters, about 7 KB after traffic
+//! (8.5 KB here, where a thousand sessions divide the shards' own state;
+//! 7.0 KB on the benchmark's 10 000-session `mem_fleet`).
+//!
+//! A global allocator counting live bytes (filtered to the measured
+//! thread, as `pool_handoff` counts allocations) gives the footprint;
+//! `Arc::strong_count` shows the sharing itself.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
+
+use mcss_base::{Endpoint, SimTime};
+use mcss_remicss::actions::{Action, Event};
+use mcss_remicss::config::ProtocolConfig;
+use mcss_remicss::engine::{Engine, SourceMode};
+use mcss_server::{ServerConfig, ShardSet};
+use rand::rngs::StdRng;
+use rand::SeedableRng as _;
+
+struct LiveBytesAllocator;
+
+/// Bytes allocated and not yet freed by the measured thread.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    static ON_MEASURED_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+fn account(delta: i64) {
+    if ON_MEASURED_THREAD.try_with(Cell::get).unwrap_or(false) {
+        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for LiveBytesAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        account(layout.size() as i64);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        account(new_size as i64 - layout.size() as i64);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        account(-(layout.size() as i64));
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LiveBytesAllocator = LiveBytesAllocator;
+
+const SESSIONS: u32 = 1_000;
+const CHANNELS: usize = 5;
+const SYMBOL_BYTES: usize = 64;
+const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
+/// Measured 8.5 KB; a session that owned its histograms held 176 KB.
+const BUDGET_BYTES_PER_SESSION: i64 = 12 * 1024;
+
+fn protocol() -> Arc<ProtocolConfig> {
+    Arc::new(
+        ProtocolConfig::new(2.0, 3.0)
+            .unwrap()
+            .with_symbol_bytes(SYMBOL_BYTES),
+    )
+}
+
+#[test]
+fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
+    ON_MEASURED_THREAD.with(|flag| flag.set(true));
+    let baseline = LIVE_BYTES.load(Ordering::Relaxed);
+
+    let config = protocol();
+    let mut set = ShardSet::new(&ServerConfig::with_shards(2));
+    for cid in 0..SESSIONS {
+        set.add_session(
+            cid,
+            Arc::clone(&config),
+            CHANNELS,
+            SourceMode::External,
+            u64::from(cid),
+        )
+        .unwrap();
+        set.start(SimTime::ZERO, cid);
+    }
+
+    // Lossless warm-up: every pool, table and queue reaches the size it
+    // keeps.
+    let payload = [0x5au8; SYMBOL_BYTES];
+    let mut now = SimTime::ZERO;
+    for i in 0..SESSIONS * WARMUP_SYMBOLS_PER_SESSION {
+        now += SimTime::from_micros(20);
+        let cid = i % SESSIONS;
+        let owner = set.shard_of(cid);
+        set.offer_symbol(now, cid, &payload);
+        while let Some(datagram) = set.shard_mut(owner).pop_outbound() {
+            set.deliver_datagram(now, datagram.channel, Endpoint::B, &datagram.bytes, owner);
+            set.shard_mut(owner).recycle_outbound(datagram.bytes);
+        }
+        while let Some((_, symbol)) = set.shard_mut(owner).pop_delivered(cid) {
+            set.shard_mut(owner).recycle_delivered(cid, symbol);
+        }
+        set.poll(now);
+    }
+    let delivered = set.totals().symbols_delivered;
+    assert_eq!(
+        delivered,
+        u64::from(SESSIONS * WARMUP_SYMBOLS_PER_SESSION),
+        "the warm-up is lossless"
+    );
+
+    // The whole set — shards, queues, the shards' histograms — divided
+    // among the sessions.
+    let live = LIVE_BYTES.load(Ordering::Relaxed) - baseline;
+    let per_session = live / i64::from(SESSIONS);
+    println!("{per_session} B live per session ({live} B in all)");
+    assert!(
+        per_session <= BUDGET_BYTES_PER_SESSION,
+        "{per_session} B live per session ({live} B in all)"
+    );
+
+    // One set of distributions per shard, held by the shard and by each
+    // of its engines: the second session onwards built none.
+    for i in 0..set.num_shards() {
+        let shard = set.shard(i);
+        let [histograms] = shard.histograms() else {
+            panic!(
+                "shard {i} hosts one channel count, holds {} sets",
+                shard.histograms().len()
+            );
+        };
+        assert_eq!(histograms.channel_count(), CHANNELS);
+        assert_eq!(
+            Arc::strong_count(histograms),
+            shard.session_count() + 1,
+            "shard {i}"
+        );
+        if cfg!(feature = "telemetry") {
+            let recorded: u64 = histograms
+                .channels()
+                .iter()
+                .map(|ch| ch.one_way_delay.count())
+                .sum();
+            assert_eq!(
+                recorded,
+                set.stats(i).datagrams_received,
+                "shard {i} records every share it was delivered"
+            );
+        }
+    }
+}
+
+/// A shard holds a set per channel count, not per session, and a
+/// rejected session leaves none behind.
+#[test]
+fn a_shard_holds_one_set_per_channel_count() {
+    let mut set = ShardSet::new(&ServerConfig::with_shards(1));
+    for (cid, channels) in [(0u32, 3usize), (1, 5), (2, 3), (3, 5), (4, 4)] {
+        set.add_session(cid, protocol(), channels, SourceMode::External, 1)
+            .unwrap();
+    }
+    // (2, 3) does not fit two channels.
+    assert!(set
+        .add_session(5, protocol(), 2, SourceMode::External, 1)
+        .is_err());
+    let hosted: Vec<(usize, usize)> = set
+        .shard(0)
+        .histograms()
+        .iter()
+        .map(|h| (h.channel_count(), Arc::strong_count(h)))
+        .collect();
+    assert_eq!(hosted, [(3, 3), (5, 3), (4, 2)]);
+}
+
+/// `Engine::new` is unchanged: a standalone engine owns its
+/// distributions and reports them under the `remicss.*` names.
+#[test]
+fn a_standalone_engine_reports_its_own_distributions() {
+    let mut engine = Engine::new(protocol(), CHANNELS, SourceMode::External).unwrap();
+    assert_eq!(Arc::strong_count(engine.metrics().histograms()), 1);
+    let mut rng = StdRng::seed_from_u64(3);
+    engine.handle(SimTime::ZERO, Event::Started, &mut rng);
+    let mut used = [false; CHANNELS];
+    for symbol in 1..=4u64 {
+        let now = SimTime::from_millis(symbol);
+        let payload = [symbol as u8; SYMBOL_BYTES];
+        engine.handle(now, Event::SymbolReady { payload: &payload }, &mut rng);
+        let mut shares = Vec::new();
+        while let Some(action) = engine.poll_action() {
+            match action {
+                Action::SendShare { channel, frame, .. } => {
+                    engine.share_send_ok(channel);
+                    shares.push((channel, frame));
+                }
+                Action::DeliverSymbol { payload, .. } => engine.recycle(payload),
+                Action::SetTimer { .. } | Action::SendControl { .. } => {}
+            }
+        }
+        // Three shares a symbol, delivered a millisecond later.
+        for (channel, frame) in shares {
+            used[channel] = true;
+            let arrival = now + SimTime::from_millis(1);
+            engine
+                .handle_frame(arrival, channel, Endpoint::B, &frame, &mut rng)
+                .unwrap();
+            engine.recycle(frame);
+        }
+    }
+    if !cfg!(feature = "telemetry") {
+        assert!(engine.metrics_snapshot().is_empty());
+        return;
+    }
+    let snapshot = engine.metrics_snapshot();
+    for (channel, used) in used.into_iter().enumerate() {
+        let name = format!("remicss.delay.ch{channel}");
+        let delay = snapshot.histograms.iter().find(|h| h.name == name);
+        assert_eq!(delay.is_some(), used, "{name}");
+        if let Some(delay) = delay {
+            let metrics = engine.metrics().channel(channel);
+            assert_eq!(delay.count, metrics.shares_received.get(), "{name}");
+            assert_eq!((delay.min, delay.max), (1_000_000, 1_000_000), "{name}");
+            assert_eq!(
+                metrics.delay_sum_nanos.get(),
+                1_000_000 * metrics.shares_received.get(),
+                "mean delay of channel {channel}"
+            );
+        }
+    }
+    assert!(snapshot
+        .histograms
+        .iter()
+        .any(|h| h.name == "remicss.reassembly.residency" && h.count == 4));
+}

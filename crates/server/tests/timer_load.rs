@@ -3,6 +3,12 @@
 //! start, and a lossless fleet fires a small fraction of a timer per
 //! symbol where a sweep every quarter timeout per session fired more
 //! than one.
+//!
+//! The fleet is 10 000 three-channel sessions on two shards. A session
+//! is a few kilobytes (its engine, tables and pools; the delay
+//! histograms are its shard's, see `session_footprint`), so the test
+//! peaks near 70 MiB resident and runs in about 7 s unoptimized — it
+//! held 1.1 GiB when every session owned seven histograms.
 
 use std::sync::Arc;
 

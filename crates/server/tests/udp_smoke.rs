@@ -5,8 +5,9 @@
 //! that symbols move, that nothing on the wire misroutes (no
 //! unknown-cid or malformed drops on a clean loopback), and that the
 //! metrics snapshot exports the per-shard and total counter families —
-//! including the new wakeup/syscall amortization counters. A fleet
-//! whose sources have stopped must hold no timer at all.
+//! including the new wakeup/syscall amortization counters — and the
+//! per-channel delay distributions its shards recorded. A fleet whose
+//! sources have stopped must hold no timer at all.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -103,6 +104,49 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
     assert!(
         text.contains("server_total_datagrams_received"),
         "prometheus text missing server totals:\n{text}"
+    );
+
+    // Per-channel delay, from the shards' histograms: the total is the
+    // shards merged, and every share an engine was handed is in it (the
+    // loopback is clean and carries no control frames, so that is every
+    // datagram read, less the handoffs still queued when the run ended).
+    if !cfg!(feature = "telemetry") {
+        assert!(snapshot.histograms.is_empty());
+        return;
+    }
+    let count = |name: String| {
+        let found = snapshot.histograms.iter().find(|h| h.name == name);
+        found.map_or(0, |h| h.count)
+    };
+    let mut recorded = 0;
+    for channel in 0..5 {
+        let total = count(format!("server.total.delay.ch{channel}"));
+        // Three shares a symbol over idle channels: the scheduler may
+        // leave the last two unused, and an empty histogram is absent.
+        if total == 0 {
+            assert!(channel >= 3, "no delay recorded on channel {channel}");
+            continue;
+        }
+        let shards: u64 = (0..2)
+            .map(|i| count(format!("server.shard{i}.delay.ch{channel}")))
+            .sum();
+        assert_eq!(total, shards, "channel {channel}");
+        assert!(
+            text.contains(&format!("server_total_delay_ch{channel}_count {total}\n")),
+            "prometheus text missing channel {channel}'s delay:\n{text}"
+        );
+        recorded += total;
+    }
+    assert_eq!(
+        recorded,
+        totals.datagrams_received - totals.handoff_out - totals.handoff_rejected
+            + totals.handoff_in,
+        "{totals:?}"
+    );
+    assert_eq!(
+        count("server.total.reassembly_residency".to_string()),
+        totals.symbols_delivered,
+        "{totals:?}"
     );
 }
 
