@@ -105,29 +105,6 @@ fn bench_lp(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_blakley(c: &mut Criterion) {
-    use mcss::shamir::blakley;
-    let mut g = c.benchmark_group("blakley");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let payload = vec![0x5au8; 1250];
-    for (k, m) in [(2u8, 3u8), (3, 5)] {
-        let params = Params::new(k, m).unwrap();
-        g.throughput(Throughput::Bytes(payload.len() as u64));
-        g.bench_with_input(
-            BenchmarkId::new("split_1250B", format!("{k}of{m}")),
-            &params,
-            |bch, &params| bch.iter(|| blakley::split(black_box(&payload), params, &mut rng)),
-        );
-        let shares = blakley::split(&payload, params, &mut rng).unwrap();
-        g.bench_with_input(
-            BenchmarkId::new("reconstruct_1250B", format!("{k}of{m}")),
-            &shares,
-            |bch, shares| bch.iter(|| blakley::reconstruct(black_box(shares))),
-        );
-    }
-    g.finish();
-}
-
 fn bench_extensions(c: &mut Criterion) {
     use mcss::model::adversary::JointRisk;
     use mcss::model::pareto;
@@ -170,7 +147,6 @@ criterion_group!(
     benches,
     bench_gf256,
     bench_shamir,
-    bench_blakley,
     bench_model,
     bench_lp,
     bench_extensions,

@@ -9,7 +9,7 @@ use mcss::netsim::{
     Application, Context, Endpoint, Frame, LinkConfig, NetworkBuilder, SimTime, Simulator,
 };
 use mcss::prelude::*;
-use mcss::remicss::wire::ShareFrame;
+use mcss::remicss::wire::{put_share_header_for, ShareRef};
 
 /// Minimal app: a timer-driven blaster on one channel.
 struct Blaster {
@@ -49,14 +49,21 @@ fn bench_simulator(c: &mut Criterion) {
 
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
-    let frame = ShareFrame::new(42, 3, 5, 2, 123, vec![0u8; 1250]).unwrap();
-    let encoded = frame.encode();
+    let payload = vec![0u8; 1250];
+    let mut encoded = Vec::new();
+    let encode = |buf: &mut Vec<u8>| {
+        buf.clear();
+        put_share_header_for(buf, CodecId::Shamir, 42, 3, 5, 2, 123, payload.len()).unwrap();
+        buf.extend_from_slice(&payload);
+    };
+    encode(&mut encoded);
     g.throughput(Throughput::Bytes(encoded.len() as u64));
+    let mut scratch = Vec::new();
     g.bench_function("encode_1250B", |bch| {
-        bch.iter(|| black_box(&frame).encode())
+        bch.iter(|| encode(black_box(&mut scratch)))
     });
     g.bench_function("decode_1250B", |bch| {
-        bch.iter(|| ShareFrame::decode(black_box(&encoded)))
+        bch.iter(|| ShareRef::decode(black_box(&encoded)).map(|s| s.seq()))
     });
     g.finish();
 }

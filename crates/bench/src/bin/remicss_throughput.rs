@@ -6,11 +6,9 @@
 //! binary) — written to `BENCH_remicss_throughput.json`:
 //!
 //! * **Data path**: split → frame → decode → reassemble in a tight
-//!   loop, no simulator. The legacy allocating API (`split`,
-//!   `ShareFrame::new`/`encode`/`decode`, `accept`) runs against the
-//!   pooled API (`split_into` into pre-headered buffers, `ShareRef`,
-//!   `accept_into`); both produce byte-identical wire frames and
-//!   reconstructions, so the ratio isolates allocation and copy cost.
+//!   loop, no simulator, through the one share path the engine uses
+//!   (`split_into` into pre-headered pooled buffers, `ShareRef`,
+//!   `accept_into`): symbols/sec and allocations per symbol.
 //! * **Session**: a full simulated session at 80% of the model-optimal
 //!   rate, once per queue engine. Wall-clock symbols/sec, bytes/sec,
 //!   events/sec and allocations per delivered symbol are measured after
@@ -37,11 +35,10 @@ use mcss::codec::{xor2d, CodecId, CodecScratch};
 use mcss::model::setups;
 use mcss::netsim::{QueueKind, SimTime, Simulator};
 use mcss::remicss::config::ProtocolConfig;
-use mcss::remicss::reassembly::{Accept, AcceptOutcome, ReassemblyTable};
+use mcss::remicss::reassembly::{AcceptOutcome, ReassemblyTable};
 use mcss::remicss::session::{Session, Workload};
 use mcss::remicss::testbed;
-use mcss::remicss::wire::{put_share_header, put_share_header_for, ShareFrame, ShareRef};
-use mcss::shamir::{split, split_into, BatchScratch, Params};
+use mcss::remicss::wire::{put_share_header_for, ShareRef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -88,12 +85,8 @@ struct DataPathRecord {
     m: u64,
     payload_bytes: u64,
     symbols: u64,
-    legacy_symbols_per_sec: f64,
-    legacy_allocs_per_symbol: f64,
     pooled_symbols_per_sec: f64,
     pooled_allocs_per_symbol: f64,
-    /// `pooled_symbols_per_sec / legacy_symbols_per_sec`.
-    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -207,7 +200,7 @@ struct FrontierPoint {
 struct ThroughputReport {
     id: String,
     /// The GF(2⁸) kernel backend the Shamir hot path ran on
-    /// (`scalar` | `table` | `swar` | `simd`; see `MCSS_GF256_BACKEND`).
+    /// (`Backend::name`; see `MCSS_GF256_BACKEND`).
     gf256_backend: String,
     datapath: Vec<DataPathRecord>,
     codec_compare: CodecCompare,
@@ -229,98 +222,8 @@ fn datapath_table() -> ReassemblyTable {
         .with_resolved_cap(DATAPATH_RESOLVED_CAP)
 }
 
-/// `(symbols_per_sec, allocs_per_symbol)` for the pre-pool data path.
-fn bench_datapath_legacy(k: u8, m: u8, payload: &[u8]) -> (f64, f64) {
-    let params = Params::new(k, m).expect("valid (k, m)");
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut table = datapath_table();
-    let mut completed = 0u64;
-    let mut run = |table: &mut ReassemblyTable, rng: &mut StdRng, range: Range<u64>| {
-        for seq in range {
-            let shares = split(payload, params, rng).expect("split");
-            for share in &shares {
-                let frame =
-                    ShareFrame::new(seq, k, m, share.x(), 0, share.data().to_vec()).expect("frame");
-                let enc = frame.encode();
-                let decoded = ShareFrame::decode(&enc).expect("decode");
-                if let Accept::Completed(got) = table.accept(&decoded, SimTime::from_nanos(seq)) {
-                    assert_eq!(got, payload, "reconstruction mismatch");
-                    completed += 1;
-                }
-            }
-            if (seq + 1).is_multiple_of(DATAPATH_SWEEP_EVERY) {
-                table.sweep(SimTime::from_nanos(seq));
-            }
-        }
-    };
-    run(&mut table, &mut rng, 0..DATAPATH_WARMUP);
-    let before = allocations();
-    let t = Instant::now();
-    run(
-        &mut table,
-        &mut rng,
-        DATAPATH_WARMUP..DATAPATH_WARMUP + DATAPATH_SYMBOLS,
-    );
-    let wall = t.elapsed().as_secs_f64();
-    let allocs = allocations() - before;
-    assert_eq!(completed, DATAPATH_WARMUP + DATAPATH_SYMBOLS);
-    (
-        DATAPATH_SYMBOLS as f64 / wall,
-        allocs as f64 / DATAPATH_SYMBOLS as f64,
-    )
-}
-
-/// `(symbols_per_sec, allocs_per_symbol)` for the pooled data path.
-fn bench_datapath_pooled(k: u8, m: u8, payload: &[u8]) -> (f64, f64) {
-    let params = Params::new(k, m).expect("valid (k, m)");
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut table = datapath_table();
-    let mut scratch = BatchScratch::new();
-    let mut bufs: Vec<Vec<u8>> = (0..m).map(|_| Vec::new()).collect();
-    let mut out = Vec::new();
-    let mut completed = 0u64;
-    let mut run = |table: &mut ReassemblyTable, rng: &mut StdRng, range: Range<u64>| {
-        for seq in range {
-            for (j, buf) in bufs.iter_mut().enumerate() {
-                buf.clear();
-                put_share_header(buf, seq, k, m, j as u8 + 1, 0, payload.len()).expect("header");
-            }
-            split_into(payload, params, rng, &mut scratch, &mut bufs).expect("split");
-            for buf in &bufs {
-                let share = ShareRef::decode(buf).expect("decode");
-                if table.accept_into(&share, SimTime::from_nanos(seq), &mut out)
-                    == AcceptOutcome::Completed
-                {
-                    assert_eq!(out, payload, "reconstruction mismatch");
-                    completed += 1;
-                }
-            }
-            if (seq + 1).is_multiple_of(DATAPATH_SWEEP_EVERY) {
-                table.sweep(SimTime::from_nanos(seq));
-            }
-        }
-    };
-    run(&mut table, &mut rng, 0..DATAPATH_WARMUP);
-    let before = allocations();
-    let t = Instant::now();
-    run(
-        &mut table,
-        &mut rng,
-        DATAPATH_WARMUP..DATAPATH_WARMUP + DATAPATH_SYMBOLS,
-    );
-    let wall = t.elapsed().as_secs_f64();
-    let allocs = allocations() - before;
-    assert_eq!(completed, DATAPATH_WARMUP + DATAPATH_SYMBOLS);
-    (
-        DATAPATH_SYMBOLS as f64 / wall,
-        allocs as f64 / DATAPATH_SYMBOLS as f64,
-    )
-}
-
-/// `(symbols_per_sec, allocs_per_symbol)` for the pooled data path
-/// under an arbitrary codec (split → codec-tagged frame → decode →
-/// reassemble). The Shamir leg of this loop is the same work as
-/// [`bench_datapath_pooled`] modulo enum dispatch.
+/// `(symbols_per_sec, allocs_per_symbol)` for the data path under
+/// `codec` (split → codec-tagged frame → decode → reassemble).
 fn bench_datapath_codec(codec: CodecId, k: u8, m: u8, payload: &[u8]) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(11);
     let mut table = datapath_table();
@@ -455,18 +358,14 @@ fn frontier_point(codec: CodecId, k: u8, m: u8, payload: &[u8]) -> FrontierPoint
 
 fn bench_datapath(k: u8, m: u8, payload_bytes: usize) -> DataPathRecord {
     let payload: Vec<u8> = (0..payload_bytes).map(|i| i as u8).collect();
-    let (legacy_rate, legacy_allocs) = bench_datapath_legacy(k, m, &payload);
-    let (pooled_rate, pooled_allocs) = bench_datapath_pooled(k, m, &payload);
+    let (pooled_rate, pooled_allocs) = bench_datapath_codec(CodecId::Shamir, k, m, &payload);
     DataPathRecord {
         k: u64::from(k),
         m: u64::from(m),
         payload_bytes: payload_bytes as u64,
         symbols: DATAPATH_SYMBOLS,
-        legacy_symbols_per_sec: legacy_rate,
-        legacy_allocs_per_symbol: legacy_allocs,
         pooled_symbols_per_sec: pooled_rate,
         pooled_allocs_per_symbol: pooled_allocs,
-        speedup: pooled_rate / legacy_rate,
     }
 }
 
@@ -571,10 +470,9 @@ fn main() {
          GF(2\u{2078}) backend: {gf256_backend})\n"
     );
 
-    // 64 B isolates the per-symbol fixed cost (allocation, framing,
-    // table bookkeeping) the pool removes; 1250 B (the default symbol
-    // size) shows the realistic mix where GF(2⁸) arithmetic — identical
-    // in both paths — takes a growing share of the budget.
+    // 64 B isolates the per-symbol fixed cost (framing, table
+    // bookkeeping); 1250 B (the default symbol size) shows the realistic
+    // mix where GF(2⁸) arithmetic takes a growing share of the budget.
     let datapath = vec![
         bench_datapath(2, 3, 64),
         bench_datapath(2, 3, 1_250),
@@ -582,16 +480,8 @@ fn main() {
     ];
     for r in &datapath {
         println!(
-            "data path (k={}, m={}, {} B): legacy {:>9.0} sym/s ({:.1} allocs/sym)  \
-             pooled {:>9.0} sym/s ({:.3} allocs/sym)  speedup {:.2}x",
-            r.k,
-            r.m,
-            r.payload_bytes,
-            r.legacy_symbols_per_sec,
-            r.legacy_allocs_per_symbol,
-            r.pooled_symbols_per_sec,
-            r.pooled_allocs_per_symbol,
-            r.speedup
+            "data path (k={}, m={}, {} B): {:>9.0} sym/s ({:.3} allocs/sym)",
+            r.k, r.m, r.payload_bytes, r.pooled_symbols_per_sec, r.pooled_allocs_per_symbol
         );
     }
 

@@ -36,7 +36,7 @@ const HORNER_PLANES: usize = 4;
 /// One measured cell of the matrix.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelRecord {
-    /// Backend name (`scalar` | `table` | `swar` | `simd` | `neon` |
+    /// Backend name (`scalar` | `table` | `simd` | `neon` |
     /// `avx512` | `gfni`).
     pub backend: String,
     /// Kernel name (`scale_add` | `add_scaled` | `scale` | `horner4`).
@@ -60,11 +60,10 @@ pub struct CrossoverRecord {
     pub backend: String,
     /// Smallest measured length where this backend's `scale_add` rate
     /// reached the `table` backend's rate on this host, or `null` if it
-    /// never did. Feed into `MCSS_GF256_CROSSOVER` to recalibrate.
+    /// never did. Compare with `Backend::crossover` to recalibrate.
     pub measured: Option<u64>,
-    /// The crossover the dispatch layer is actually using (compiled-in
-    /// default overlaid with any `MCSS_GF256_CROSSOVER` override);
-    /// `null` means the backend is never auto-dispatched.
+    /// The crossover compiled into the dispatch layer; `null` means the
+    /// backend is never auto-dispatched.
     pub dispatch: Option<u64>,
     /// Whether the dispatch crossover is consistent with this run:
     /// every measured length the dispatch layer would route to this

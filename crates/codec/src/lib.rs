@@ -3,21 +3,24 @@
 //! The tradeoff model upstream of this crate — `Z(p)`, `(κ, μ)`, the
 //! schedule LP — is codec-agnostic: it reasons about *which channels
 //! carry how many shares*, not about how the shares are produced. This
-//! crate makes the coding layer itself swappable behind one seam:
+//! crate makes the coding layer itself swappable behind one seam,
+//! [`CodecId`]: the closed enum of built-in backends, used for wire
+//! identification and for dispatch. Its inherent methods are the whole
+//! contract — [`share_len`](CodecId::share_len) (per-share payload
+//! sizing), [`split_into`](CodecId::split_into) over caller-owned output
+//! buffers (appending after any caller-written headers), and
+//! [`reconstruct_with`](CodecId::reconstruct_with) from any sufficient
+//! subset of shares, with [`reconstruct_into`](CodecId::reconstruct_into)
+//! as its slice form. No caller outside this crate matches on a variant
+//! to code or decode a share.
 //!
-//! * [`ShareCodec`] — the object-safe trait: per-share payload sizing,
-//!   `split_into` over caller-owned output buffers (appending after any
-//!   caller-written headers, exactly like `mcss_shamir::split_into`),
-//!   and `reconstruct_into` from any sufficient subset of shares.
-//! * [`CodecId`] — the closed enum of built-in backends, used for wire
-//!   identification and zero-cost enum dispatch on the engine hot path
-//!   (the trait object exists for external callers; the engine
-//!   monomorphizes through `CodecId`'s inherent methods).
-//! * [`ShamirCodec`] — delegates to `mcss-shamir` verbatim. Its RNG
-//!   consumption, share bytes, and scratch behaviour are byte-identical
-//!   to calling `mcss_shamir::split_into` directly; every engine-trace
-//!   and RNG-stream pin made before this crate existed still holds.
-//! * [`xor2d`] — an XOR/2D-layered codec in the spirit of Chan & Chou's
+//! * [`CodecId::Shamir`] — delegates splitting to `mcss-shamir`
+//!   verbatim: RNG consumption, share bytes, and scratch behaviour are
+//!   byte-identical to calling `mcss_shamir::split_into` directly, so
+//!   every engine-trace and RNG-stream pin made before this crate
+//!   existed still holds. Reconstruction is Lagrange interpolation,
+//!   byte-identical to `mcss_shamir::reconstruct` over the same shares.
+//! * [`CodecId::Xor2d`] ([`xor2d`]) — an XOR/2D-layered codec in the spirit of Chan & Chou's
 //!   two-dimensional XOR schemes: near-memcpy encode speed in exchange
 //!   for a *weaker, combinatorial* privacy guarantee (see the module
 //!   docs for the exact statement — it is **not** the `k−1`-collusion
@@ -255,10 +258,65 @@ impl CodecId {
         }
     }
 
-    /// Reconstructs the secret from `shares` (abscissa, payload) pairs
-    /// into `out`. Any `k` distinct shares suffice for both codecs;
-    /// the XOR codec additionally succeeds on some sub-`k` covering
-    /// sets (its documented weaker guarantee).
+    /// Reconstructs the secret into `out` from `n` shares presented
+    /// through accessor closures — `x_of(i)` the abscissa (`1..=m`) and
+    /// `data_of(i)` the payload of the `i`-th provided share — so pooled
+    /// storage (handle-indexed buffers) decodes without collecting a
+    /// slice of references. Allocation-free beyond growing `out`.
+    ///
+    /// Any `k` distinct shares suffice for both codecs (Shamir uses the
+    /// first `k` provided); the XOR codec additionally succeeds on some
+    /// sub-`k` covering sets (its documented weaker guarantee).
+    pub fn reconstruct_with<'a>(
+        self,
+        k: u8,
+        m: u8,
+        n: usize,
+        x_of: impl Fn(usize) -> u8,
+        data_of: impl Fn(usize) -> &'a [u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        match self {
+            CodecId::Shamir => {
+                if k == 0 || m < k {
+                    return Err(CodecError::InvalidParams { k, m });
+                }
+                if n == 0 {
+                    return Err(CodecError::NoShares);
+                }
+                let kk = k as usize;
+                if n < kk {
+                    return Err(CodecError::Unrecoverable);
+                }
+                let mut xs = [0u8; MAX_SHARES];
+                let len = data_of(0).len();
+                for i in 0..kk {
+                    let x = x_of(i);
+                    if x == 0 || x > m {
+                        return Err(CodecError::InvalidAbscissa { x });
+                    }
+                    if xs[..i].contains(&x) {
+                        return Err(CodecError::DuplicateShare { x });
+                    }
+                    if data_of(i).len() != len {
+                        return Err(CodecError::Malformed);
+                    }
+                    xs[i] = x;
+                }
+                out.clear();
+                out.resize(len, 0);
+                for i in 0..kk {
+                    let w = lagrange_weight_xs(&xs[..kk], i);
+                    mcss_gf256::slice::add_scaled_assign(out, data_of(i), w);
+                }
+                Ok(())
+            }
+            CodecId::Xor2d => xor2d::reconstruct_with(k, m, n, x_of, data_of, out),
+        }
+    }
+
+    /// Slice-of-pairs form of [`reconstruct_with`](Self::reconstruct_with):
+    /// `shares` are `(abscissa, payload)` pairs.
     pub fn reconstruct_into(
         self,
         k: u8,
@@ -266,196 +324,13 @@ impl CodecId {
         shares: &[(u8, &[u8])],
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        match self {
-            CodecId::Shamir => shamir_reconstruct_into(k, m, shares, out),
-            CodecId::Xor2d => {
-                xor2d::reconstruct_with(k, m, shares.len(), |i| shares[i].0, |i| shares[i].1, out)
-            }
-        }
+        self.reconstruct_with(k, m, shares.len(), |i| shares[i].0, |i| shares[i].1, out)
     }
 }
 
 impl fmt::Display for CodecId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-fn shamir_reconstruct_into(
-    k: u8,
-    m: u8,
-    shares: &[(u8, &[u8])],
-    out: &mut Vec<u8>,
-) -> Result<(), CodecError> {
-    if k == 0 || m < k {
-        return Err(CodecError::InvalidParams { k, m });
-    }
-    if shares.is_empty() {
-        return Err(CodecError::NoShares);
-    }
-    if shares.len() < k as usize {
-        return Err(CodecError::Unrecoverable);
-    }
-    let mut xs = [0u8; MAX_SHARES];
-    let used = &shares[..k as usize];
-    let len = used[0].1.len();
-    for (i, &(x, data)) in used.iter().enumerate() {
-        if x == 0 || x as usize > m as usize {
-            return Err(CodecError::InvalidAbscissa { x });
-        }
-        if used[..i].iter().any(|&(seen, _)| seen == x) {
-            return Err(CodecError::DuplicateShare { x });
-        }
-        if data.len() != len {
-            return Err(CodecError::Malformed);
-        }
-        xs[i] = x;
-    }
-    let xs = &xs[..used.len()];
-    out.clear();
-    out.resize(len, 0);
-    for (i, &(_, data)) in used.iter().enumerate() {
-        let w = lagrange_weight_xs(xs, i);
-        mcss_gf256::slice::add_scaled_assign(out, data, w);
-    }
-    Ok(())
-}
-
-/// The codec seam: sizing, splitting, and reconstruction over
-/// caller-owned buffers and RNG streams. Object-safe so drivers can
-/// hold `&dyn ShareCodec`; the engine dispatches through [`CodecId`]
-/// instead to keep the hot path monomorphic.
-pub trait ShareCodec {
-    /// Which backend this is (wire identification).
-    fn id(&self) -> CodecId;
-
-    /// Uniform per-share payload length for a `secret_len`-byte secret.
-    fn share_len(&self, secret_len: usize, k: u8, m: u8) -> usize;
-
-    /// Splits `secret` into `m` payloads appended to `outs`. Draws all
-    /// randomness from `rng` in a codec-defined deterministic order.
-    fn split_into(
-        &self,
-        secret: &[u8],
-        k: u8,
-        m: u8,
-        rng: &mut dyn Rng,
-        scratch: &mut CodecScratch,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodecError>;
-
-    /// Reconstructs from `(abscissa, payload)` pairs into `out`.
-    fn reconstruct_into(
-        &self,
-        k: u8,
-        m: u8,
-        shares: &[(u8, &[u8])],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError>;
-}
-
-impl ShareCodec for CodecId {
-    fn id(&self) -> CodecId {
-        *self
-    }
-
-    fn share_len(&self, secret_len: usize, k: u8, m: u8) -> usize {
-        CodecId::share_len(*self, secret_len, k, m)
-    }
-
-    fn split_into(
-        &self,
-        secret: &[u8],
-        k: u8,
-        m: u8,
-        rng: &mut dyn Rng,
-        scratch: &mut CodecScratch,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodecError> {
-        CodecId::split_into(*self, secret, k, m, rng, scratch, outs)
-    }
-
-    fn reconstruct_into(
-        &self,
-        k: u8,
-        m: u8,
-        shares: &[(u8, &[u8])],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        CodecId::reconstruct_into(*self, k, m, shares, out)
-    }
-}
-
-/// The Shamir backend as a unit struct, for callers that want a
-/// `ShareCodec` value rather than a [`CodecId`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShamirCodec;
-
-impl ShareCodec for ShamirCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Shamir
-    }
-
-    fn share_len(&self, secret_len: usize, k: u8, m: u8) -> usize {
-        CodecId::Shamir.share_len(secret_len, k, m)
-    }
-
-    fn split_into(
-        &self,
-        secret: &[u8],
-        k: u8,
-        m: u8,
-        rng: &mut dyn Rng,
-        scratch: &mut CodecScratch,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodecError> {
-        CodecId::Shamir.split_into(secret, k, m, rng, scratch, outs)
-    }
-
-    fn reconstruct_into(
-        &self,
-        k: u8,
-        m: u8,
-        shares: &[(u8, &[u8])],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        CodecId::Shamir.reconstruct_into(k, m, shares, out)
-    }
-}
-
-/// The XOR/2D backend as a unit struct.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Xor2dCodec;
-
-impl ShareCodec for Xor2dCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Xor2d
-    }
-
-    fn share_len(&self, secret_len: usize, k: u8, m: u8) -> usize {
-        CodecId::Xor2d.share_len(secret_len, k, m)
-    }
-
-    fn split_into(
-        &self,
-        secret: &[u8],
-        k: u8,
-        m: u8,
-        rng: &mut dyn Rng,
-        scratch: &mut CodecScratch,
-        outs: &mut [Vec<u8>],
-    ) -> Result<(), CodecError> {
-        CodecId::Xor2d.split_into(secret, k, m, rng, scratch, outs)
-    }
-
-    fn reconstruct_into(
-        &self,
-        k: u8,
-        m: u8,
-        shares: &[(u8, &[u8])],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        CodecId::Xor2d.reconstruct_into(k, m, shares, out)
     }
 }
 
@@ -501,7 +376,10 @@ mod tests {
             .split_into(&secret, k, m, &mut codec_rng, &mut scratch, &mut via_codec)
             .unwrap();
 
-        assert_eq!(direct, via_codec, "ShamirCodec diverged from mcss-shamir");
+        assert_eq!(
+            direct, via_codec,
+            "CodecId::Shamir diverged from mcss-shamir"
+        );
         // The RNG streams must have advanced identically too.
         let mut a = [0u8; 32];
         let mut b = [0u8; 32];
@@ -554,10 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_dispatch_works() {
-        let codecs: [&dyn ShareCodec; 2] = [&ShamirCodec, &Xor2dCodec];
+    fn every_codec_round_trips() {
         let secret = b"0123456789abcdef".to_vec();
-        for codec in codecs {
+        for codec in CodecId::ALL {
             let mut rng = StdRng::seed_from_u64(3);
             let mut scratch = CodecScratch::new();
             let mut outs: Vec<Vec<u8>> = (0..4).map(|_| Vec::new()).collect();
@@ -573,7 +450,7 @@ mod tests {
                 .collect();
             let mut out = Vec::new();
             codec.reconstruct_into(2, 4, &shares, &mut out).unwrap();
-            assert_eq!(out, secret, "{} round trip", codec.id());
+            assert_eq!(out, secret, "{codec} round trip");
         }
     }
 }

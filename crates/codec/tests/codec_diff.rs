@@ -11,9 +11,12 @@
 //! must reconstruct for both codecs, and any subset that reconstructs
 //! must yield the original secret (the XOR codec may legitimately
 //! succeed below `k` — its documented weaker guarantee — but it must
-//! never succeed with wrong bytes).
+//! never succeed with wrong bytes). Every subset is rebuilt three ways
+//! that must agree: `reconstruct_into` over a slice,
+//! `reconstruct_with` over accessors presenting the same shares in the
+//! opposite order, and (Shamir) the owned `mcss_shamir::reconstruct`.
 
-use mcss_codec::{xor2d, CodecError, CodecId, CodecScratch, ShamirCodec, ShareCodec, Xor2dCodec};
+use mcss_codec::{xor2d, CodecError, CodecId, CodecScratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +33,10 @@ fn split(codec: CodecId, secret: &[u8], k: u8, m: u8, seed: u64) -> Vec<Vec<u8>>
 }
 
 /// Reconstructs from the subset of shares selected by `mask` (bit `j`
-/// set ⇒ share with abscissa `j + 1` is available).
+/// set ⇒ share with abscissa `j + 1` is available) through the slice
+/// form, checking on the way that the accessor form over the same
+/// shares in reverse order — and, for a Shamir subset that reaches `k`,
+/// the owned reference — give the same answer.
 fn reconstruct_subset(
     codec: CodecId,
     k: u8,
@@ -43,9 +49,38 @@ fn reconstruct_subset(
         .map(|j| ((j + 1) as u8, shares[j].as_slice()))
         .collect();
     let mut out = Vec::new();
-    codec
+    let got = codec
         .reconstruct_into(k, m, &picked, &mut out)
-        .map(|()| out)
+        .map(|()| out);
+
+    let n = picked.len();
+    let mut reversed = Vec::new();
+    let with = codec
+        .reconstruct_with(
+            k,
+            m,
+            n,
+            |i| picked[n - 1 - i].0,
+            |i| picked[n - 1 - i].1,
+            &mut reversed,
+        )
+        .map(|()| reversed);
+    assert_eq!(
+        with, got,
+        "{codec} (k={k}, m={m}, mask={mask:b}): accessor and slice forms disagree"
+    );
+    if codec == CodecId::Shamir && n >= k as usize {
+        let owned: Vec<mcss_shamir::Share> = picked
+            .iter()
+            .map(|&(x, data)| mcss_shamir::Share::new(x, k, data.to_vec()))
+            .collect();
+        assert_eq!(
+            mcss_shamir::reconstruct(&owned).ok(),
+            got.clone().ok(),
+            "(k={k}, m={m}, mask={mask:b}): codec and mcss_shamir::reconstruct disagree"
+        );
+    }
+    got
 }
 
 /// Secret lengths that hit the XOR layout's edges for every `k ≤ 6`:
@@ -194,27 +229,26 @@ fn split_appends_after_existing_header_bytes() {
     }
 }
 
-/// The trait objects route to the same implementations as the enum.
+/// Splitting is a function of `(codec, secret, k, m, RNG stream)` alone:
+/// a second split from the same seed, through a scratch another codec
+/// has already used, yields the same shares.
 #[test]
-fn trait_objects_match_codec_id_dispatch() {
+fn split_is_deterministic_for_every_codec() {
     let secret = [0x42u8; 77];
-    let codecs: [(&dyn ShareCodec, CodecId); 2] = [
-        (&ShamirCodec, CodecId::Shamir),
-        (&Xor2dCodec, CodecId::Xor2d),
-    ];
-    for (obj, id) in codecs {
-        assert_eq!(obj.id(), id);
-        assert_eq!(obj.share_len(77, 3, 5), id.share_len(77, 3, 5));
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let mut scratch = CodecScratch::new();
-        let mut via_obj = vec![Vec::new(); 5];
-        let mut via_id = vec![Vec::new(); 5];
-        obj.split_into(&secret, 3, 5, &mut rng_a, &mut scratch, &mut via_obj)
-            .expect("trait split");
-        id.split_into(&secret, 3, 5, &mut rng_b, &mut scratch, &mut via_id)
-            .expect("enum split");
-        assert_eq!(via_obj, via_id, "{id}: trait and enum dispatch diverged");
+    let mut scratch = CodecScratch::new();
+    for codec in CodecId::ALL {
+        let mut again = vec![Vec::new(); 5];
+        codec
+            .split_into(
+                &secret,
+                3,
+                5,
+                &mut StdRng::seed_from_u64(11),
+                &mut scratch,
+                &mut again,
+            )
+            .expect("split succeeds");
+        assert_eq!(again, split(codec, &secret, 3, 5, 11), "{codec}");
     }
 }
 

@@ -1,6 +1,6 @@
-//! Portable kernel implementations: the scalar log/exp reference, the
-//! 256-entry table row, and the 8-lane SWAR path. These run on every
-//! target and serve as the tail path for every vector backend.
+//! Portable kernel implementations: the scalar log/exp reference and the
+//! 256-entry table row. These run on every target; the table row is the
+//! tail path of every vector backend.
 
 /// Reference kernels: two log/exp hops per byte, zero checks inline.
 pub(crate) mod scalar {
@@ -91,96 +91,5 @@ pub(crate) mod table {
             }
             *a = v;
         }
-    }
-}
-
-/// Portable 8-lane SWAR kernels: eight bytes per `u64`, multiplied by
-/// shift-and-add over the bits of `x` with a lane-parallel `xtime`.
-pub(crate) mod swar {
-    use crate::simd::MulTable;
-
-    const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
-    const LOW_SEVEN: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-
-    /// Multiplies all eight byte lanes of `v` by the scalar `x`:
-    /// `acc ⊕= v` for each set bit of `x`, doubling `v` between bits.
-    /// `xtime` doubles every lane at once — shift the low seven bits
-    /// left, then XOR 0x1b into exactly the lanes whose top bit was
-    /// set (`(hi >> 7) * 0x1b` spreads 0x1b into those lanes without
-    /// cross-lane carries, since lanes are 8 bits apart).
-    #[inline]
-    fn mul_word(mut v: u64, mut x: u8) -> u64 {
-        let mut acc = 0u64;
-        while x != 0 {
-            if x & 1 != 0 {
-                acc ^= v;
-            }
-            let hi = v & HIGH_BITS;
-            v = ((v & LOW_SEVEN) << 1) ^ ((hi >> 7) * 0x1b);
-            x >>= 1;
-        }
-        acc
-    }
-
-    #[inline]
-    fn load(bytes: &[u8]) -> u64 {
-        u64::from_ne_bytes(bytes.try_into().expect("8-byte chunk"))
-    }
-
-    pub fn scale_add(dst: &mut [u8], src: &[u8], t: &MulTable) {
-        let x = t.x().value();
-        let main = dst.len() & !7;
-        for (dc, sc) in dst[..main]
-            .chunks_exact_mut(8)
-            .zip(src[..main].chunks_exact(8))
-        {
-            let v = mul_word(load(dc), x) ^ load(sc);
-            dc.copy_from_slice(&v.to_ne_bytes());
-        }
-        for (d, &s) in dst[main..].iter_mut().zip(&src[main..]) {
-            *d = t.row[*d as usize] ^ s;
-        }
-    }
-
-    pub fn add_scaled(dst: &mut [u8], src: &[u8], t: &MulTable) {
-        let x = t.x().value();
-        let main = dst.len() & !7;
-        for (dc, sc) in dst[..main]
-            .chunks_exact_mut(8)
-            .zip(src[..main].chunks_exact(8))
-        {
-            let v = load(dc) ^ mul_word(load(sc), x);
-            dc.copy_from_slice(&v.to_ne_bytes());
-        }
-        for (d, &s) in dst[main..].iter_mut().zip(&src[main..]) {
-            *d ^= t.row[s as usize];
-        }
-    }
-
-    pub fn scale(dst: &mut [u8], t: &MulTable) {
-        let x = t.x().value();
-        let main = dst.len() & !7;
-        for dc in dst[..main].chunks_exact_mut(8) {
-            let v = mul_word(load(dc), x);
-            dc.copy_from_slice(&v.to_ne_bytes());
-        }
-        for d in dst[main..].iter_mut() {
-            *d = t.row[*d as usize];
-        }
-    }
-
-    pub fn horner(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-        let x = t.x().value();
-        let main = acc.len() & !7;
-        let mut off = 0;
-        for ac in acc[..main].chunks_exact_mut(8) {
-            let mut v = 0u64;
-            for p in planes {
-                v = mul_word(v, x) ^ load(&p[off..off + 8]);
-            }
-            ac.copy_from_slice(&v.to_ne_bytes());
-            off += 8;
-        }
-        super::table::horner_tail(acc, planes, t, main);
     }
 }

@@ -7,8 +7,7 @@
 //! [`MulTable`](crate::simd::MulTable):
 //!
 //! * [`generic`] — the portable implementations every target gets:
-//!   `scalar` (log/exp reference), `table` (256-entry row), and `swar`
-//!   (8-lane `u64` shift-and-add).
+//!   `scalar` (log/exp reference) and `table` (256-entry row).
 //! * [`x86`] — SSSE3/AVX2 split-nibble `pshufb` (16/32 bytes per step).
 //! * [`x86_avx512`] — AVX-512 VBMI `vpermb` split-nibble (64 bytes per
 //!   step, SSSE3 mid-tail).
@@ -21,7 +20,7 @@
 //! 256-entry table row, so byte-identity across backends holds for
 //! length 0 upward (pinned by `tests/backend_diff.rs`). Modules for
 //! other architectures still compile everywhere; on the wrong target
-//! their entry points degrade to the portable SWAR path so the
+//! their entry points degrade to the portable table path so the
 //! [`Backend`](crate::simd::Backend) enum stays total without
 //! `cfg`-dependent variants.
 

@@ -8,7 +8,7 @@
 //! no `unsafe`. The bulk [`slice`] kernels additionally dispatch to
 //! runtime-detected vector backends (GFNI `gf2p8mulb`, AVX-512 VBMI
 //! `vpermb`, and split-nibble `pshufb` on x86_64; `vqtbl1q_u8` NEON on
-//! aarch64; portable SWAR elsewhere) — see [`simd`] for the dispatch
+//! aarch64; a 256-entry table row elsewhere) — see [`simd`] for the dispatch
 //! layer, the length-aware crossover, and the `MCSS_GF256_BACKEND`
 //! override. The per-architecture kernels themselves live in the
 //! private `arch` module tree.
@@ -26,7 +26,6 @@
 //! ```
 
 mod arch;
-pub mod matrix;
 pub mod poly;
 pub mod simd;
 pub mod slice;

@@ -12,9 +12,6 @@
 //!   reference implementation.
 //! * [`Backend::Table`] — one 256-entry multiplication-table hop per
 //!   byte; the table lives in a caller-held [`MulTable`].
-//! * [`Backend::Swar`] — portable 8-lane SWAR: eight bytes packed in a
-//!   `u64`, multiplied by shift-and-add with a lane-parallel `xtime`.
-//!   No per-byte table loads, works on every target.
 //! * [`Backend::Simd`] — x86-64 split-nibble `pshufb`
 //!   (`arch/x86.rs`): 16 (SSSE3) or 32 (AVX2) field products per
 //!   shuffle pair.
@@ -34,14 +31,13 @@
 //! path, because vector setup only pays for itself on long planes (the
 //! `gf256_kernels` bench measures the crossover per backend and emits
 //! it in `BENCH_gf256_kernels.json`). `MCSS_GF256_BACKEND`
-//! (`scalar` | `table` | `swar` | `simd` | `neon` | `avx512` | `gfni`)
+//! (`scalar` | `table` | `simd` | `neon` | `avx512` | `gfni`)
 //! forces a specific path for testing and benchmarking — a *forced*
 //! backend is used at every length, bypassing the crossover, so CI
 //! legs exercise the forced kernels on short planes too. Forcing an
 //! unavailable backend falls back to the best available one with a
 //! warning on stderr, so a test matrix can set `MCSS_GF256_BACKEND`
-//! unconditionally. `MCSS_GF256_CROSSOVER` (e.g. `simd=32,swar=max`)
-//! overrides the compiled-in crossover lengths for recalibration.
+//! unconditionally.
 //!
 //! All per-multiplier state lives in the caller-owned [`MulTable`]
 //! (288 bytes, plain `Copy` data, stack- or scratch-resident), so the
@@ -62,7 +58,7 @@
 //! assert_eq!(dst[0], (Gf256::new(1) * Gf256::new(0x53) + Gf256::new(0xaa)).value());
 //! ```
 
-use crate::arch::generic::{scalar, swar, table};
+use crate::arch::generic::{scalar, table};
 use crate::arch::xor_assign;
 use crate::{Gf256, EXP, LOG};
 use std::sync::OnceLock;
@@ -70,13 +66,13 @@ use std::sync::OnceLock;
 #[cfg(target_arch = "x86_64")]
 use crate::arch::{x86 as simd_impl, x86_avx512 as avx512_impl, x86_gfni as gfni_impl};
 // On the wrong architecture a directly-constructed vector variant
-// (never returned by detection) degrades to the portable SWAR path
+// (never returned by detection) degrades to the portable table path
 // rather than aborting, keeping the enum total without cfg variants.
 #[cfg(not(target_arch = "x86_64"))]
-use crate::arch::generic::{swar as avx512_impl, swar as gfni_impl, swar as simd_impl};
+use crate::arch::generic::{table as avx512_impl, table as gfni_impl, table as simd_impl};
 
 #[cfg(not(target_arch = "aarch64"))]
-use crate::arch::generic::swar as neon_impl;
+use crate::arch::generic::table as neon_impl;
 #[cfg(target_arch = "aarch64")]
 use crate::arch::neon as neon_impl;
 
@@ -157,8 +153,6 @@ pub enum Backend {
     Scalar,
     /// One 256-entry table lookup per byte.
     Table,
-    /// Portable 8-bytes-per-`u64` SWAR shift-and-add.
-    Swar,
     /// x86-64 split-nibble `pshufb` (AVX2 when available, else SSSE3).
     Simd,
     /// aarch64 split-nibble `vqtbl1q_u8`, 16 bytes per step.
@@ -173,10 +167,9 @@ pub enum Backend {
 impl Backend {
     /// Every backend, in roughly slowest-first order (portable paths,
     /// then the vector paths by width/generation).
-    pub const ALL: [Backend; 7] = [
+    pub const ALL: [Backend; 6] = [
         Backend::Scalar,
         Backend::Table,
-        Backend::Swar,
         Backend::Simd,
         Backend::Neon,
         Backend::Avx512,
@@ -189,7 +182,6 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Table => "table",
-            Backend::Swar => "swar",
             Backend::Simd => "simd",
             Backend::Neon => "neon",
             Backend::Avx512 => "avx512",
@@ -207,7 +199,7 @@ impl Backend {
     #[must_use]
     pub fn is_available(self) -> bool {
         match self {
-            Backend::Scalar | Backend::Table | Backend::Swar => true,
+            Backend::Scalar | Backend::Table => true,
             Backend::Simd => simd_available(),
             Backend::Neon => neon_available(),
             Backend::Avx512 => avx512_available(),
@@ -258,36 +250,17 @@ impl Backend {
     /// The smallest plane length at which this backend is worth
     /// dispatching to instead of the 256-entry `table` path, per the
     /// `gf256_kernels` calibration (`BENCH_gf256_kernels.json`,
-    /// `crossover` section). `usize::MAX` means the bench never
-    /// measured the backend ahead of `table` at any length — `swar`
-    /// lands there on x86 hosts (0.52× scalar at 64 B, still behind
-    /// `table` at 256 KiB) — so auto-dispatch never selects it.
-    /// Override with `MCSS_GF256_CROSSOVER` (e.g. `simd=32,swar=max`)
-    /// after recalibrating on a new host.
+    /// `crossover` section). The vector backends run their own kernels
+    /// from one vector width (16 bytes) up — below that their main loop
+    /// is empty and they *are* the table path, minus a few setup
+    /// instructions. `usize::MAX` means the bench never measured the
+    /// backend ahead of `table` at any length (the `scalar` reference),
+    /// so auto-dispatch never selects it.
     #[must_use]
-    pub fn crossover(self) -> usize {
-        crossover_table()[self.index()]
-    }
-
-    fn index(self) -> usize {
-        Backend::ALL
-            .iter()
-            .position(|b| *b == self)
-            .expect("ALL contains every variant")
-    }
-
-    /// Compiled-in calibration defaults (see [`Backend::crossover`]).
-    /// The vector backends run their own kernels from one vector width
-    /// (16 bytes) up — below that their main loop is empty and they
-    /// *are* the table path, minus a few setup instructions.
-    const fn default_crossover(self) -> usize {
+    pub const fn crossover(self) -> usize {
         match self {
-            // Reference path: measured below `table` at every length.
             Backend::Scalar => usize::MAX,
             Backend::Table => 0,
-            // BENCH_gf256_kernels.json: 0.52× scalar at 64 B and still
-            // behind `table` at 256 KiB — never auto-dispatched.
-            Backend::Swar => usize::MAX,
             Backend::Simd | Backend::Neon | Backend::Avx512 | Backend::Gfni => 16,
         }
     }
@@ -323,7 +296,7 @@ impl Backend {
                 None => {
                     eprintln!(
                         "[gf256] unknown MCSS_GF256_BACKEND={name:?} \
-                         (expected scalar|table|swar|simd|neon|avx512|gfni); using {}",
+                         (expected scalar|table|simd|neon|avx512|gfni); using {}",
                         best.name()
                     );
                     Selection {
@@ -357,7 +330,6 @@ impl Backend {
         match self {
             Backend::Scalar => scalar::scale_add(dst, src, t),
             Backend::Table => table::scale_add(dst, src, t),
-            Backend::Swar => swar::scale_add(dst, src, t),
             Backend::Simd => simd_impl::scale_add(dst, src, t),
             Backend::Neon => neon_impl::scale_add(dst, src, t),
             Backend::Avx512 => avx512_impl::scale_add(dst, src, t),
@@ -382,7 +354,6 @@ impl Backend {
         match self {
             Backend::Scalar => scalar::add_scaled(dst, src, t),
             Backend::Table => table::add_scaled(dst, src, t),
-            Backend::Swar => swar::add_scaled(dst, src, t),
             Backend::Simd => simd_impl::add_scaled(dst, src, t),
             Backend::Neon => neon_impl::add_scaled(dst, src, t),
             Backend::Avx512 => avx512_impl::add_scaled(dst, src, t),
@@ -402,7 +373,6 @@ impl Backend {
         match self {
             Backend::Scalar => scalar::scale(dst, t),
             Backend::Table => table::scale(dst, t),
-            Backend::Swar => swar::scale(dst, t),
             Backend::Simd => simd_impl::scale(dst, t),
             Backend::Neon => neon_impl::scale(dst, t),
             Backend::Avx512 => avx512_impl::scale(dst, t),
@@ -447,7 +417,6 @@ impl Backend {
         match self {
             Backend::Scalar => scalar::horner(acc, planes, t),
             Backend::Table => table::horner(acc, planes, t),
-            Backend::Swar => swar::horner(acc, planes, t),
             Backend::Simd => simd_impl::horner(acc, planes, t),
             Backend::Neon => neon_impl::horner(acc, planes, t),
             Backend::Avx512 => avx512_impl::horner(acc, planes, t),
@@ -468,44 +437,6 @@ struct Selection {
 fn selection() -> Selection {
     static SELECTION: OnceLock<Selection> = OnceLock::new();
     *SELECTION.get_or_init(Backend::detect)
-}
-
-/// The per-backend crossover lengths, compiled-in defaults overlaid
-/// with any `MCSS_GF256_CROSSOVER` entries, parsed once.
-fn crossover_table() -> &'static [usize; Backend::ALL.len()] {
-    static TABLE: OnceLock<[usize; Backend::ALL.len()]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0usize; Backend::ALL.len()];
-        for (slot, b) in table.iter_mut().zip(Backend::ALL) {
-            *slot = b.default_crossover();
-        }
-        let Ok(spec) = std::env::var("MCSS_GF256_CROSSOVER") else {
-            return table;
-        };
-        for entry in spec.split(',').filter(|e| !e.is_empty()) {
-            let Some((name, value)) = entry.split_once('=') else {
-                eprintln!("[gf256] malformed MCSS_GF256_CROSSOVER entry {entry:?} (want name=len)");
-                continue;
-            };
-            let Some(backend) = Backend::from_name(name.trim()) else {
-                eprintln!("[gf256] unknown backend in MCSS_GF256_CROSSOVER: {name:?}");
-                continue;
-            };
-            let value = value.trim();
-            let len = if value == "max" || value == "never" {
-                Some(usize::MAX)
-            } else {
-                value.parse::<usize>().ok()
-            };
-            match len {
-                Some(len) => table[backend.index()] = len,
-                None => eprintln!(
-                    "[gf256] bad MCSS_GF256_CROSSOVER length {value:?} (want an integer or `max`)"
-                ),
-            }
-        }
-        table
-    })
 }
 
 fn simd_available() -> bool {
@@ -583,7 +514,10 @@ mod tests {
         for b in Backend::ALL {
             assert_eq!(Backend::from_name(b.name()), Some(b));
         }
+        // Unknown names, a retired backend's included, fall back with a
+        // warning in `detect` instead of selecting anything.
         assert_eq!(Backend::from_name("avx9000"), None);
+        assert_eq!(Backend::from_name("swar"), None);
     }
 
     #[test]
@@ -595,19 +529,12 @@ mod tests {
     fn portable_backends_always_available() {
         assert!(Backend::Scalar.is_available());
         assert!(Backend::Table.is_available());
-        assert!(Backend::Swar.is_available());
     }
 
-    /// The dispatch pin for the small-length regression: `swar`
-    /// measures 0.52× scalar at 64 B (and below `table` at every
-    /// measured length), so auto-dispatch must route it — and every
-    /// backend's sub-crossover lengths — to `table`.
+    /// Auto-dispatch routes every backend's sub-crossover lengths to
+    /// `table`, and the `scalar` reference at every length.
     #[test]
     fn crossover_routes_small_lengths_to_table() {
-        // The regression from BENCH_gf256_kernels.json: swar at 64 B.
-        assert_eq!(Backend::Swar.route(64), Backend::Table);
-        // ... and swar never measured ahead of table at any length.
-        assert_eq!(Backend::Swar.route(1 << 20), Backend::Table);
         assert_eq!(Backend::Scalar.route(1 << 20), Backend::Table);
         // Vector backends: table below one vector width, themselves
         // from the crossover up.
@@ -645,15 +572,13 @@ mod tests {
     fn auto_detection_never_picks_a_sub_table_backend() {
         // The detection preference list only contains backends whose
         // crossover is finite (i.e. the bench measured them ahead of
-        // table somewhere); swar and scalar must not appear.
+        // table somewhere); scalar must not appear.
         let forced = std::env::var("MCSS_GF256_BACKEND")
             .ok()
             .and_then(|n| Backend::from_name(&n))
             .is_some_and(Backend::is_available);
         if !forced {
-            let active = Backend::active();
-            assert_ne!(active, Backend::Swar);
-            assert_ne!(active, Backend::Scalar);
+            assert_ne!(Backend::active(), Backend::Scalar);
         }
     }
 

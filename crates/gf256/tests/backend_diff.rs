@@ -1,6 +1,6 @@
 //! Differential property tests for the GF(2⁸) kernel backends.
 //!
-//! Every backend available on the host (scalar, table, SWAR, and the
+//! Every backend available on the host (scalar, table, and the
 //! vector paths — `pshufb`/`vpermb`/`gf2p8mulb` on x86_64, NEON on
 //! aarch64) must produce byte-identical results for all three slice ops
 //! and the fused Horner kernel, for random lengths in 0..4096 including
@@ -140,7 +140,7 @@ proptest! {
 }
 
 /// The backend diff above samples lengths; the vector-width boundaries
-/// themselves (0..=65: every SWAR/SSSE3/AVX2 chunk edge ±1) are checked
+/// themselves (0..=65: every SSSE3/AVX2 chunk edge ±1) are checked
 /// exhaustively for every backend.
 #[test]
 fn all_chunk_boundary_lengths_agree() {
@@ -277,11 +277,6 @@ fn avx512_exhaustive_boundaries() {
 fn neon_exhaustive_boundaries() {
     let ran = exhaustive_boundaries(Backend::Neon);
     assert!(ran || !must_run(Backend::Neon));
-}
-
-#[test]
-fn swar_exhaustive_boundaries() {
-    assert!(exhaustive_boundaries(Backend::Swar));
 }
 
 #[test]

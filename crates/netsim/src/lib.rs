@@ -57,13 +57,15 @@
 mod frame;
 mod link;
 pub mod network;
-pub mod pool;
-pub mod queue;
 mod sim;
-pub mod stats;
-mod time;
 pub mod trace;
 pub mod traffic;
+
+// Buffers, the event queue, the meters and the clock live in
+// `mcss-base`, where the sans-I/O engine and the server shards use them
+// without the simulator; the simulator's paths to them are kept.
+pub use mcss_base::SimTime;
+pub use mcss_base::{pool, queue, stats};
 
 pub use frame::Frame;
 pub use link::{LinkConfig, LinkStats, SendOutcome};
@@ -71,4 +73,3 @@ pub use network::{Channel, ChannelId, Endpoint, Network, NetworkBuilder};
 pub use pool::{BufHandle, BufferPool};
 pub use queue::QueueKind;
 pub use sim::{Application, Context, Simulator};
-pub use time::SimTime;

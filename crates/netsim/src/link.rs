@@ -6,7 +6,7 @@ use rand::Rng;
 use rand::RngExt as _;
 
 use crate::frame::Frame;
-use crate::time::SimTime;
+use crate::SimTime;
 
 /// Configuration of one link direction.
 ///

@@ -5,7 +5,7 @@
 //! topology — the model assumes disjoint point-to-point channels).
 
 use crate::link::{Link, LinkConfig, LinkStats};
-use crate::time::SimTime;
+use crate::SimTime;
 
 /// Index of a channel within the [`Network`].
 pub type ChannelId = usize;

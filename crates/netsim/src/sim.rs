@@ -8,8 +8,8 @@ use crate::frame::Frame;
 use crate::link::{Admit, SendOutcome};
 use crate::network::{ChannelId, Endpoint, Network};
 use crate::queue::{EventQueue, QueueKind};
-use crate::time::SimTime;
 use crate::trace::{Trace, TraceKind};
+use crate::SimTime;
 
 /// Application logic plugged into a [`Simulator`].
 ///

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 
 use crate::link::SendOutcome;
 use crate::network::{ChannelId, Endpoint};
-use crate::time::SimTime;
+use crate::SimTime;
 
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

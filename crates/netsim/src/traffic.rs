@@ -13,7 +13,7 @@ use crate::frame::Frame;
 use crate::network::{ChannelId, Endpoint};
 use crate::sim::{Application, Context};
 use crate::stats::{DelaySummary, SequenceLossMeter, ThroughputMeter};
-use crate::time::SimTime;
+use crate::SimTime;
 
 pub use mcss_base::Pacer;
 

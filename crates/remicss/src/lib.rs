@@ -88,4 +88,3 @@ pub use metrics::{SessionHistograms, SessionMetrics};
 pub use session::Session;
 #[cfg(feature = "udp")]
 pub use udp::UdpDriver;
-pub use wire::ShareFrame;

@@ -39,32 +39,12 @@
 use std::collections::{HashMap, VecDeque};
 
 use mcss_base::{BufHandle, BufferPool, SimTime};
-use mcss_codec::{xor2d, CodecId};
-use mcss_gf256::slice as gf_slice;
-use mcss_shamir::lagrange_weight_xs;
+use mcss_codec::CodecId;
 
-use crate::wire::{ShareFrame, ShareRef};
+use crate::wire::ShareRef;
 
-/// Outcome of offering one share frame to the table via the owning
-/// [`accept`](ReassemblyTable::accept) API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Accept {
-    /// The share was buffered; the symbol is still incomplete.
-    Stored,
-    /// The share completed its symbol; here is the reconstructed payload.
-    Completed(Vec<u8>),
-    /// A share with this abscissa was already buffered for this symbol.
-    Duplicate,
-    /// The symbol was already completed or evicted; the share is stale.
-    Stale,
-    /// The share disagreed with its siblings (length, threshold,
-    /// multiplicity, or codec) and was rejected.
-    Inconsistent,
-}
-
-/// Outcome of [`accept_into`](ReassemblyTable::accept_into): like
-/// [`Accept`] but the completed payload is written to the caller's
-/// buffer instead of being allocated.
+/// Outcome of offering one share to the table via
+/// [`accept_into`](ReassemblyTable::accept_into).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcceptOutcome {
     /// The share was buffered; the symbol is still incomplete.
@@ -75,7 +55,8 @@ pub enum AcceptOutcome {
     Duplicate,
     /// The symbol was already completed or evicted; the share is stale.
     Stale,
-    /// The share disagreed with its siblings and was rejected.
+    /// The share disagreed with its siblings (length, threshold,
+    /// multiplicity, or codec) and was rejected.
     Inconsistent,
 }
 
@@ -133,19 +114,27 @@ pub const DEFAULT_RESOLVED_CAP: usize = 1 << 20;
 /// # Examples
 ///
 /// ```
-/// use mcss_remicss::{reassembly::{Accept, ReassemblyTable}, wire::ShareFrame};
 /// use mcss_base::SimTime;
-/// use mcss_shamir::{split, Params};
+/// use mcss_codec::{CodecId, CodecScratch};
+/// use mcss_remicss::reassembly::{AcceptOutcome, ReassemblyTable};
+/// use mcss_remicss::wire::{put_share_header_for, ShareRef};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // Sender: three frames of a 2-of-3 symbol, header then share.
+/// let codec = CodecId::from_env();
+/// let mut frames = vec![Vec::new(); 3];
+/// for (j, frame) in frames.iter_mut().enumerate() {
+///     put_share_header_for(frame, codec, 0, 2, 3, j as u8 + 1, 0, codec.share_len(6, 2, 3))?;
+/// }
+/// codec.split_into(b"secret", 2, 3, &mut rand::rng(), &mut CodecScratch::new(), &mut frames)?;
+///
+/// // Receiver: any two of them rebuild it.
 /// let mut table = ReassemblyTable::new(SimTime::from_millis(100), 1 << 20);
-/// let shares = split(b"secret", Params::new(2, 3)?, &mut rand::rng())?;
-/// let f0 = ShareFrame::new(0, 2, 3, shares[0].x(), 0, shares[0].data().to_vec())?;
-/// let f1 = ShareFrame::new(0, 2, 3, shares[1].x(), 0, shares[1].data().to_vec())?;
-/// assert_eq!(table.accept(&f0, SimTime::ZERO), Accept::Stored);
-/// let Accept::Completed(payload) = table.accept(&f1, SimTime::ZERO) else {
-///     panic!("second share should complete a 2-of-3 symbol");
-/// };
+/// let mut payload = Vec::new();
+/// let first = ShareRef::decode(&frames[2])?;
+/// assert_eq!(table.accept_into(&first, SimTime::ZERO, &mut payload), AcceptOutcome::Stored);
+/// let second = ShareRef::decode(&frames[0])?;
+/// assert_eq!(table.accept_into(&second, SimTime::ZERO, &mut payload), AcceptOutcome::Completed);
 /// assert_eq!(payload, b"secret");
 /// # Ok(())
 /// # }
@@ -192,8 +181,6 @@ pub struct ReassemblyTable {
     pool: BufferPool,
     /// Recycled share lists of removed `Pending` entries.
     spare_shares: Vec<Vec<(u8, BufHandle)>>,
-    /// Abscissa scratch for reconstruction.
-    xs: Vec<u8>,
     /// Buffering time of the most recently completed symbol.
     last_completed_residency: SimTime,
     stats: ReassemblyStats,
@@ -222,7 +209,6 @@ impl ReassemblyTable {
             last_sweep: SimTime::ZERO,
             pool: BufferPool::new(),
             spare_shares: Vec::new(),
-            xs: Vec::new(),
             last_completed_residency: SimTime::ZERO,
             stats: ReassemblyStats::default(),
         }
@@ -317,29 +303,6 @@ impl ReassemblyTable {
         self.grid_floor(t).saturating_add(self.sweep_period())
     }
 
-    /// Offers a share frame to the table at time `now`, allocating the
-    /// completed payload. The zero-allocation path is
-    /// [`accept_into`](ReassemblyTable::accept_into).
-    pub fn accept(&mut self, frame: &ShareFrame, now: SimTime) -> Accept {
-        let mut out = Vec::new();
-        match self.offer(
-            frame.seq(),
-            frame.codec(),
-            frame.k(),
-            frame.m(),
-            frame.x(),
-            frame.payload(),
-            now,
-            &mut out,
-        ) {
-            AcceptOutcome::Stored => Accept::Stored,
-            AcceptOutcome::Completed => Accept::Completed(out),
-            AcceptOutcome::Duplicate => Accept::Duplicate,
-            AcceptOutcome::Stale => Accept::Stale,
-            AcceptOutcome::Inconsistent => Accept::Inconsistent,
-        }
-    }
-
     /// Offers an in-place decoded share to the table at time `now`.
     ///
     /// On [`AcceptOutcome::Completed`], the reconstructed payload is in
@@ -353,30 +316,8 @@ impl ReassemblyTable {
         now: SimTime,
         out: &mut Vec<u8>,
     ) -> AcceptOutcome {
-        self.offer(
-            share.seq(),
-            share.codec(),
-            share.k(),
-            share.m(),
-            share.x(),
-            share.payload(),
-            now,
-            out,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn offer(
-        &mut self,
-        seq: u64,
-        codec: CodecId,
-        k: u8,
-        m: u8,
-        x: u8,
-        payload: &[u8],
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> AcceptOutcome {
+        let (seq, codec, k, m, x) = (share.seq(), share.codec(), share.k(), share.m(), share.x());
+        let payload = share.payload();
         if now >= self.forget_at {
             // Every sweep-grid instant up to `now` has passed.
             self.forget(self.grid_floor(now));
@@ -387,19 +328,15 @@ impl ReassemblyTable {
         }
         if !self.pending.contains_key(&seq) {
             if k == 1 {
-                // Threshold 1: a single share carries the symbol.
-                out.clear();
-                match codec {
-                    // The Shamir share *is* the symbol.
-                    CodecId::Shamir => out.extend_from_slice(payload),
-                    // The XOR share wraps it (length prefix); a garbled
-                    // wrapper must not resolve the symbol.
-                    CodecId::Xor2d => {
-                        if xor2d::reconstruct_with(1, m, 1, |_| x, |_| payload, out).is_err() {
-                            self.stats.decode_failures += 1;
-                            return AcceptOutcome::Inconsistent;
-                        }
-                    }
+                // Threshold 1: a single share carries the symbol, and
+                // nothing is buffered. A share the codec cannot decode
+                // (a garbled wrapper) must not resolve the symbol.
+                if codec
+                    .reconstruct_with(1, m, 1, |_| x, |_| payload, out)
+                    .is_err()
+                {
+                    self.stats.decode_failures += 1;
+                    return AcceptOutcome::Inconsistent;
                 }
                 self.resolve(seq, now, false);
                 self.last_completed_residency = SimTime::ZERO;
@@ -454,7 +391,21 @@ impl ReassemblyTable {
             self.buffered_bytes -= p.bytes;
             self.trim_order();
             self.resolve(seq, now, false);
-            let decoded = self.reconstruct_into(&p, out);
+            // The codec's rebuild over the pooled shares in arrival
+            // order; a failure (malformed payloads — Shamir's
+            // interpolation is total) is surfaced as a decode failure.
+            let pool = &self.pool;
+            let decoded = p
+                .codec
+                .reconstruct_with(
+                    p.k,
+                    p.m,
+                    p.shares.len(),
+                    |i| p.shares[i].0,
+                    |i| pool.get(p.shares[i].1),
+                    out,
+                )
+                .is_ok();
             let residency = now.saturating_sub(p.first_seen);
             self.recycle(p);
             if decoded {
@@ -467,43 +418,6 @@ impl ReassemblyTable {
             }
         } else {
             AcceptOutcome::Stored
-        }
-    }
-
-    /// Codec reconstruction from the buffered shares into `out`;
-    /// returns whether the decode succeeded. The Shamir branch is
-    /// Lagrange interpolation, byte-identical to
-    /// [`mcss_shamir::reconstruct`] over the same shares in arrival
-    /// order (GF(2⁸) addition is exact and the weights are the same
-    /// field elements) — and total, so it cannot fail. The XOR branch
-    /// fails on malformed payloads (garbled length prefix, short
-    /// slots), which the caller surfaces as a decode failure.
-    fn reconstruct_into(&mut self, p: &Pending, out: &mut Vec<u8>) -> bool {
-        match p.codec {
-            CodecId::Shamir => {
-                self.xs.clear();
-                self.xs.extend(p.shares.iter().map(|&(x, _)| x));
-                let len = self.pool.get(p.shares[0].1).len();
-                out.clear();
-                out.resize(len, 0);
-                for (i, &(_, handle)) in p.shares.iter().enumerate() {
-                    let w = lagrange_weight_xs(&self.xs, i);
-                    gf_slice::add_scaled_assign(out, self.pool.get(handle), w);
-                }
-                true
-            }
-            CodecId::Xor2d => {
-                let pool = &self.pool;
-                xor2d::reconstruct_with(
-                    p.k,
-                    p.m,
-                    p.shares.len(),
-                    |i| p.shares[i].0,
-                    |i| pool.get(p.shares[i].1),
-                    out,
-                )
-                .is_ok()
-            }
         }
     }
 
@@ -704,32 +618,40 @@ impl ReassemblyTable {
 
 #[cfg(test)]
 mod tests {
+    use super::AcceptOutcome::{Completed, Duplicate, Inconsistent, Stale, Stored};
     use super::*;
-    use mcss_shamir::{split, Params};
+    use crate::wire::testutil::share_bytes;
+    use crate::wire::HEADER_BYTES_V2;
+    use mcss_codec::CodecScratch;
     use rand::SeedableRng;
 
-    fn frames(seq: u64, k: u8, m: u8, payload: &[u8]) -> Vec<ShareFrame> {
+    /// The `m` encoded share frames of one symbol, in abscissa order.
+    fn frames_for(codec: CodecId, seq: u64, k: u8, m: u8, payload: &[u8]) -> Vec<Vec<u8>> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seq + 1);
-        let shares = split(payload, Params::new(k, m).unwrap(), &mut rng).unwrap();
-        shares
-            .iter()
-            .map(|s| ShareFrame::new(seq, k, m, s.x(), 0, s.data().to_vec()).unwrap())
+        let mut outs = vec![Vec::new(); m as usize];
+        codec
+            .split_into(payload, k, m, &mut rng, &mut CodecScratch::new(), &mut outs)
+            .unwrap();
+        outs.iter()
+            .enumerate()
+            .map(|(j, data)| share_bytes(codec, seq, (k, m, j as u8 + 1), 0, data))
             .collect()
     }
 
-    fn xor_frames(seq: u64, k: u8, m: u8, payload: &[u8]) -> Vec<ShareFrame> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seq + 1);
-        let mut pad = Vec::new();
-        let mut outs = vec![Vec::new(); m as usize];
-        xor2d::split_into(payload, k, m, &mut rng, &mut pad, &mut outs).unwrap();
-        outs.into_iter()
-            .enumerate()
-            .map(|(j, data)| {
-                ShareFrame::new(seq, k, m, j as u8 + 1, 0, data)
-                    .unwrap()
-                    .with_codec(CodecId::Xor2d)
-            })
-            .collect()
+    fn frames(seq: u64, k: u8, m: u8, payload: &[u8]) -> Vec<Vec<u8>> {
+        frames_for(CodecId::Shamir, seq, k, m, payload)
+    }
+
+    fn xor_frames(seq: u64, k: u8, m: u8, payload: &[u8]) -> Vec<Vec<u8>> {
+        frames_for(CodecId::Xor2d, seq, k, m, payload)
+    }
+
+    /// Decodes `frame` and offers it: the verdict, and the rebuilt
+    /// payload (empty unless the verdict is `Completed`).
+    fn offer(t: &mut ReassemblyTable, frame: &[u8], now: SimTime) -> (AcceptOutcome, Vec<u8>) {
+        let mut out = Vec::new();
+        let verdict = t.accept_into(&ShareRef::decode(frame).unwrap(), now, &mut out);
+        (verdict, out)
     }
 
     fn table() -> ReassemblyTable {
@@ -740,12 +662,13 @@ mod tests {
     fn completes_at_threshold() {
         let mut t = table();
         let fs = frames(1, 3, 5, b"payload");
-        assert_eq!(t.accept(&fs[0], SimTime::ZERO), Accept::Stored);
-        assert_eq!(t.accept(&fs[2], SimTime::ZERO), Accept::Stored);
-        let Accept::Completed(p) = t.accept(&fs[4], SimTime::ZERO) else {
-            panic!("3rd share must complete");
-        };
-        assert_eq!(p, b"payload");
+        assert_eq!(offer(&mut t, &fs[0], SimTime::ZERO).0, Stored);
+        assert_eq!(offer(&mut t, &fs[2], SimTime::ZERO).0, Stored);
+        assert_eq!(
+            offer(&mut t, &fs[4], SimTime::ZERO),
+            (Completed, b"payload".to_vec()),
+            "3rd share must complete"
+        );
         assert_eq!(t.stats().completed, 1);
         assert_eq!(t.pending_symbols(), 0);
         assert_eq!(t.buffered_bytes(), 0);
@@ -755,19 +678,20 @@ mod tests {
     fn threshold_one_completes_immediately() {
         let mut t = table();
         let fs = frames(9, 1, 3, b"now");
-        let Accept::Completed(p) = t.accept(&fs[1], SimTime::ZERO) else {
-            panic!("k=1 completes on first share");
-        };
-        assert_eq!(p, b"now");
+        assert_eq!(
+            offer(&mut t, &fs[1], SimTime::ZERO),
+            (Completed, b"now".to_vec()),
+            "k=1 completes on first share"
+        );
     }
 
     #[test]
     fn late_shares_are_stale() {
         let mut t = table();
         let fs = frames(2, 2, 3, b"xy");
-        t.accept(&fs[0], SimTime::ZERO);
-        t.accept(&fs[1], SimTime::ZERO);
-        assert_eq!(t.accept(&fs[2], SimTime::ZERO), Accept::Stale);
+        offer(&mut t, &fs[0], SimTime::ZERO);
+        offer(&mut t, &fs[1], SimTime::ZERO);
+        assert_eq!(offer(&mut t, &fs[2], SimTime::ZERO).0, Stale);
         assert_eq!(t.stats().stale, 1);
     }
 
@@ -775,8 +699,8 @@ mod tests {
     fn duplicates_detected() {
         let mut t = table();
         let fs = frames(3, 3, 3, b"dup");
-        t.accept(&fs[0], SimTime::ZERO);
-        assert_eq!(t.accept(&fs[0], SimTime::ZERO), Accept::Duplicate);
+        offer(&mut t, &fs[0], SimTime::ZERO);
+        assert_eq!(offer(&mut t, &fs[0], SimTime::ZERO).0, Duplicate);
         assert_eq!(t.stats().duplicates, 1);
     }
 
@@ -784,13 +708,13 @@ mod tests {
     fn inconsistent_share_rejected() {
         let mut t = table();
         let fs = frames(4, 2, 3, b"abcd");
-        t.accept(&fs[0], SimTime::ZERO);
+        offer(&mut t, &fs[0], SimTime::ZERO);
         // Same seq, different k.
-        let alien = ShareFrame::new(4, 3, 3, 2, 0, vec![0u8; 4]).unwrap();
-        assert_eq!(t.accept(&alien, SimTime::ZERO), Accept::Inconsistent);
+        let alien = share_bytes(CodecId::Shamir, 4, (3, 3, 2), 0, &[0u8; 4]);
+        assert_eq!(offer(&mut t, &alien, SimTime::ZERO).0, Inconsistent);
         // Same seq, different length.
-        let alien = ShareFrame::new(4, 2, 3, 2, 0, vec![0u8; 9]).unwrap();
-        assert_eq!(t.accept(&alien, SimTime::ZERO), Accept::Inconsistent);
+        let alien = share_bytes(CodecId::Shamir, 4, (2, 3, 2), 0, &[0u8; 9]);
+        assert_eq!(offer(&mut t, &alien, SimTime::ZERO).0, Inconsistent);
         assert_eq!(t.stats().inconsistent, 2);
     }
 
@@ -798,12 +722,13 @@ mod tests {
     fn xor_codec_symbols_reassemble() {
         let mut t = table();
         let fs = xor_frames(7, 3, 5, b"xor codec payload");
-        assert_eq!(t.accept(&fs[4], SimTime::ZERO), Accept::Stored);
-        assert_eq!(t.accept(&fs[1], SimTime::ZERO), Accept::Stored);
-        let Accept::Completed(p) = t.accept(&fs[3], SimTime::ZERO) else {
-            panic!("3rd distinct XOR share must complete");
-        };
-        assert_eq!(p, b"xor codec payload");
+        assert_eq!(offer(&mut t, &fs[4], SimTime::ZERO).0, Stored);
+        assert_eq!(offer(&mut t, &fs[1], SimTime::ZERO).0, Stored);
+        assert_eq!(
+            offer(&mut t, &fs[3], SimTime::ZERO),
+            (Completed, b"xor codec payload".to_vec()),
+            "3rd distinct XOR share must complete"
+        );
         assert_eq!(t.stats().completed, 1);
         assert_eq!(t.stats().decode_failures, 0);
         assert_eq!(t.buffered_bytes(), 0);
@@ -813,38 +738,38 @@ mod tests {
     fn xor_threshold_one_strips_wrapper() {
         let mut t = table();
         let fs = xor_frames(8, 1, 3, b"wrapped");
-        let Accept::Completed(p) = t.accept(&fs[2], SimTime::ZERO) else {
-            panic!("k=1 completes on first share");
-        };
-        assert_eq!(p, b"wrapped");
+        assert_eq!(
+            offer(&mut t, &fs[2], SimTime::ZERO),
+            (Completed, b"wrapped".to_vec()),
+            "k=1 completes on first share"
+        );
         // A garbled wrapper (short payload) must not resolve the symbol.
-        let bad = ShareFrame::new(9, 1, 3, 1, 0, vec![0xEE])
-            .unwrap()
-            .with_codec(CodecId::Xor2d);
-        assert_eq!(t.accept(&bad, SimTime::ZERO), Accept::Inconsistent);
+        let bad = share_bytes(CodecId::Xor2d, 9, (1, 3, 1), 0, &[0xEE]);
+        assert_eq!(offer(&mut t, &bad, SimTime::ZERO).0, Inconsistent);
         assert_eq!(t.stats().decode_failures, 1);
         // …so a well-formed share for the same seq still completes.
         let good = xor_frames(9, 1, 3, b"retry");
-        assert!(matches!(t.accept(&good[0], SimTime::ZERO), Accept::Completed(p) if p == b"retry"));
+        assert_eq!(
+            offer(&mut t, &good[0], SimTime::ZERO),
+            (Completed, b"retry".to_vec())
+        );
     }
 
     #[test]
     fn codec_mismatch_is_inconsistent() {
         let mut t = table();
         let shamir = frames(11, 2, 3, b"abcdef");
-        let xor = xor_frames(11, 2, 3, b"abcdef");
-        t.accept(&shamir[0], SimTime::ZERO);
-        // Same seq/k/m but the other codec: rejected, not mixed in.
-        let same_len = ShareFrame::new(11, 2, 3, 2, 0, vec![0u8; shamir[0].payload().len()])
-            .unwrap()
-            .with_codec(CodecId::Xor2d);
-        assert_eq!(t.accept(&same_len, SimTime::ZERO), Accept::Inconsistent);
+        offer(&mut t, &shamir[0], SimTime::ZERO);
+        // Same seq/k/m and share length but the other codec: rejected,
+        // not mixed in.
+        let same_len = share_bytes(CodecId::Xor2d, 11, (2, 3, 2), 0, &[0u8; 6]);
+        assert_eq!(offer(&mut t, &same_len, SimTime::ZERO).0, Inconsistent);
         // Differing multiplicity is likewise rejected (XOR layout
         // depends on m, which the Shamir path never examined).
-        let wrong_m = ShareFrame::new(11, 2, 5, 2, 0, shamir[1].payload().to_vec()).unwrap();
-        assert_eq!(t.accept(&wrong_m, SimTime::ZERO), Accept::Inconsistent);
+        let sibling = ShareRef::decode(&shamir[1]).unwrap();
+        let wrong_m = share_bytes(CodecId::Shamir, 11, (2, 5, 2), 0, sibling.payload());
+        assert_eq!(offer(&mut t, &wrong_m, SimTime::ZERO).0, Inconsistent);
         assert_eq!(t.stats().inconsistent, 2);
-        drop(xor);
     }
 
     #[test]
@@ -855,33 +780,30 @@ mod tests {
         // is unchanged (so the sibling check passes), but the decode —
         // which reads the prefix off the first buffered share — sees a
         // layout whose share length no longer matches.
-        let mut data = fs[0].payload().to_vec();
-        data[0] ^= 0xFF;
-        let garbled = ShareFrame::new(12, 2, 3, fs[0].x(), 0, data)
-            .unwrap()
-            .with_codec(CodecId::Xor2d);
-        assert_eq!(t.accept(&garbled, SimTime::ZERO), Accept::Stored);
-        assert_eq!(t.accept(&fs[1], SimTime::ZERO), Accept::Inconsistent);
+        let mut garbled = fs[0].clone();
+        garbled[HEADER_BYTES_V2] ^= 0xFF;
+        assert_eq!(offer(&mut t, &garbled, SimTime::ZERO).0, Stored);
+        assert_eq!(offer(&mut t, &fs[1], SimTime::ZERO).0, Inconsistent);
         assert_eq!(t.stats().decode_failures, 1);
         assert_eq!(t.stats().completed, 0);
         assert_eq!(t.pending_symbols(), 0, "failed symbol is resolved");
         assert_eq!(t.buffered_bytes(), 0);
         // Late shares of the failed symbol read as stale.
-        assert_eq!(t.accept(&fs[2], SimTime::ZERO), Accept::Stale);
+        assert_eq!(offer(&mut t, &fs[2], SimTime::ZERO).0, Stale);
     }
 
     #[test]
     fn timeout_evicts_partials() {
         let mut t = ReassemblyTable::new(SimTime::from_millis(10), 1 << 20);
         let fs = frames(5, 2, 3, b"slow");
-        t.accept(&fs[0], SimTime::ZERO);
+        offer(&mut t, &fs[0], SimTime::ZERO);
         t.sweep(SimTime::from_millis(5));
         assert_eq!(t.pending_symbols(), 1, "not yet timed out");
         t.sweep(SimTime::from_millis(11));
         assert_eq!(t.pending_symbols(), 0);
         assert_eq!(t.stats().timeout_evictions, 1);
         // A share arriving after eviction is stale.
-        assert_eq!(t.accept(&fs[1], SimTime::from_millis(12)), Accept::Stale);
+        assert_eq!(offer(&mut t, &fs[1], SimTime::from_millis(12)).0, Stale);
     }
 
     #[test]
@@ -890,8 +812,8 @@ mod tests {
         assert_eq!(t.sweep_period(), SimTime::from_millis(25));
         assert_eq!(t.next_sweep_at(), None, "nothing buffered");
         let (a, b) = (frames(1, 2, 3, b"a"), frames(2, 2, 3, b"b"));
-        t.accept(&a[0], SimTime::from_millis(37));
-        t.accept(&b[0], SimTime::from_millis(50));
+        offer(&mut t, &a[0], SimTime::from_millis(37));
+        offer(&mut t, &b[0], SimTime::from_millis(50));
         // Symbol 1 is past its timeout from 137 ms on; symbol 2 is not
         // yet at 150 ms (older than the timeout, not as old).
         assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(150)));
@@ -900,10 +822,7 @@ mod tests {
         t.sweep(SimTime::from_millis(150));
         assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (1, 1));
         assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(175)));
-        assert!(matches!(
-            t.accept(&b[1], SimTime::from_millis(160)),
-            Accept::Completed(_)
-        ));
+        assert_eq!(offer(&mut t, &b[1], SimTime::from_millis(160)).0, Completed);
         assert_eq!(t.next_sweep_at(), None);
     }
 
@@ -911,15 +830,12 @@ mod tests {
     fn ring_compacts_behind_a_parked_partial() {
         let mut t = table();
         let parked = frames(0, 2, 3, b"parked");
-        t.accept(&parked[0], SimTime::ZERO);
+        offer(&mut t, &parked[0], SimTime::ZERO);
         // A thousand symbols complete behind the starved one.
         for seq in 1..=1000 {
             let fs = frames(seq, 2, 3, b"flow");
-            t.accept(&fs[0], SimTime::from_millis(1));
-            assert!(matches!(
-                t.accept(&fs[1], SimTime::from_millis(1)),
-                Accept::Completed(_)
-            ));
+            offer(&mut t, &fs[0], SimTime::from_millis(1));
+            assert_eq!(offer(&mut t, &fs[1], SimTime::from_millis(1)).0, Completed);
             assert!(
                 t.order.len() <= 2 + ORDER_SLACK + 1,
                 "ring grew: {}",
@@ -928,13 +844,13 @@ mod tests {
         }
         // Compaction moved the survivors; they still expire in order.
         let late = frames(2000, 2, 3, b"late");
-        t.accept(&late[0], SimTime::from_millis(30));
+        offer(&mut t, &late[0], SimTime::from_millis(30));
         assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(125)));
         t.sweep(SimTime::from_millis(125));
         assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (1, 1));
         assert_eq!(
-            t.accept(&parked[1], SimTime::from_millis(126)),
-            Accept::Stale
+            offer(&mut t, &parked[1], SimTime::from_millis(126)).0,
+            Stale
         );
         assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(150)));
         t.sweep(SimTime::from_millis(150));
@@ -949,37 +865,29 @@ mod tests {
         let a = frames(10, 2, 2, &[1u8; 40]);
         let b = frames(11, 2, 2, &[2u8; 40]);
         let c = frames(12, 2, 2, &[3u8; 40]);
-        t.accept(&a[0], SimTime::ZERO);
-        t.accept(&b[0], SimTime::from_nanos(1));
+        offer(&mut t, &a[0], SimTime::ZERO);
+        offer(&mut t, &b[0], SimTime::from_nanos(1));
         assert_eq!(t.buffered_bytes(), 80);
         // Third symbol exceeds the cap: symbol 10 (oldest) is evicted.
-        t.accept(&c[0], SimTime::from_nanos(2));
+        offer(&mut t, &c[0], SimTime::from_nanos(2));
         assert_eq!(t.stats().memory_evictions, 1);
         assert_eq!(t.buffered_bytes(), 80);
-        assert_eq!(t.accept(&a[1], SimTime::from_nanos(3)), Accept::Stale);
+        assert_eq!(offer(&mut t, &a[1], SimTime::from_nanos(3)).0, Stale);
         // Symbols 11 and 12 still complete.
-        assert!(matches!(
-            t.accept(&b[1], SimTime::from_nanos(4)),
-            Accept::Completed(_)
-        ));
-        assert!(matches!(
-            t.accept(&c[1], SimTime::from_nanos(5)),
-            Accept::Completed(_)
-        ));
+        assert_eq!(offer(&mut t, &b[1], SimTime::from_nanos(4)).0, Completed);
+        assert_eq!(offer(&mut t, &c[1], SimTime::from_nanos(5)).0, Completed);
     }
 
     #[test]
     fn residency_tracks_buffering_time() {
         let mut t = table();
         let fs = frames(40, 2, 3, b"wait");
-        t.accept(&fs[0], SimTime::from_millis(3));
-        let Accept::Completed(_) = t.accept(&fs[1], SimTime::from_millis(8)) else {
-            panic!("second share completes");
-        };
+        offer(&mut t, &fs[0], SimTime::from_millis(3));
+        assert_eq!(offer(&mut t, &fs[1], SimTime::from_millis(8)).0, Completed);
         assert_eq!(t.last_completed_residency(), SimTime::from_millis(5));
         // k = 1 never buffers: residency reads zero.
         let one = frames(41, 1, 1, b"now");
-        t.accept(&one[0], SimTime::from_millis(20));
+        offer(&mut t, &one[0], SimTime::from_millis(20));
         assert_eq!(t.last_completed_residency(), SimTime::ZERO);
     }
 
@@ -987,15 +895,12 @@ mod tests {
     fn resolved_records_pruned() {
         let mut t = ReassemblyTable::new(SimTime::from_millis(10), 1 << 20);
         let fs = frames(20, 1, 1, b"x");
-        t.accept(&fs[0], SimTime::ZERO);
+        offer(&mut t, &fs[0], SimTime::ZERO);
         // After 2× timeout the resolution record is pruned, so a late
         // duplicate is treated as a fresh symbol (and completes again,
         // as in IP reassembly where the id space is reused).
         t.sweep(SimTime::from_millis(25));
-        assert!(matches!(
-            t.accept(&fs[0], SimTime::from_millis(26)),
-            Accept::Completed(_)
-        ));
+        assert_eq!(offer(&mut t, &fs[0], SimTime::from_millis(26)).0, Completed);
     }
 
     #[test]
@@ -1003,14 +908,14 @@ mod tests {
         // Timeout 10 ms: grid every 2.5 ms, records kept 20 ms.
         let mut t = ReassemblyTable::new(SimTime::from_millis(10), 1 << 20);
         let fs = frames(21, 1, 1, b"x");
-        t.accept(&fs[0], SimTime::from_millis(1));
+        offer(&mut t, &fs[0], SimTime::from_millis(1));
         // Older than 20 ms from 21 ms on, forgotten at the next grid
         // instant — where a periodic sweep would have dropped it.
-        assert_eq!(t.accept(&fs[0], SimTime::from_millis(22)), Accept::Stale);
-        assert!(matches!(
-            t.accept(&fs[0], SimTime::from_micros(22_500)),
-            Accept::Completed(_)
-        ));
+        assert_eq!(offer(&mut t, &fs[0], SimTime::from_millis(22)).0, Stale);
+        assert_eq!(
+            offer(&mut t, &fs[0], SimTime::from_micros(22_500)).0,
+            Completed
+        );
         assert_eq!(t.resolved_records(), 1);
     }
 
@@ -1019,41 +924,17 @@ mod tests {
         let mut t = table();
         let a = frames(30, 2, 3, b"AAAA");
         let b = frames(31, 2, 3, b"BBBB");
-        t.accept(&a[0], SimTime::ZERO);
-        t.accept(&b[2], SimTime::ZERO);
+        offer(&mut t, &a[0], SimTime::ZERO);
+        offer(&mut t, &b[2], SimTime::ZERO);
         assert_eq!(t.pending_symbols(), 2);
-        let Accept::Completed(pb) = t.accept(&b[0], SimTime::ZERO) else {
-            panic!()
-        };
-        let Accept::Completed(pa) = t.accept(&a[1], SimTime::ZERO) else {
-            panic!()
-        };
-        assert_eq!((pa.as_slice(), pb.as_slice()), (&b"AAAA"[..], &b"BBBB"[..]));
-    }
-
-    #[test]
-    fn accept_into_matches_accept() {
-        // The in-place path returns the same verdicts and payload as
-        // the owning path, share for share.
-        let mut owning = table();
-        let mut pooled = table();
-        let mut out = Vec::new();
-        for seq in 0..20u64 {
-            let k = 1 + (seq % 4) as u8;
-            let fs = frames(seq, k, 4, &[seq as u8; 64]);
-            for f in fs.iter().take(k as usize) {
-                let enc = f.encode();
-                let r = ShareRef::decode(&enc).unwrap();
-                let got = pooled.accept_into(&r, SimTime::ZERO, &mut out);
-                let want = owning.accept(f, SimTime::ZERO);
-                match (got, &want) {
-                    (AcceptOutcome::Completed, Accept::Completed(p)) => assert_eq!(&out, p),
-                    (AcceptOutcome::Stored, Accept::Stored) => {}
-                    other => panic!("diverged on seq {seq}: {other:?}"),
-                }
-            }
-        }
-        assert_eq!(owning.stats(), pooled.stats());
+        assert_eq!(
+            offer(&mut t, &b[0], SimTime::ZERO),
+            (Completed, b"BBBB".to_vec())
+        );
+        assert_eq!(
+            offer(&mut t, &a[1], SimTime::ZERO),
+            (Completed, b"AAAA".to_vec())
+        );
     }
 
     #[test]
@@ -1061,21 +942,15 @@ mod tests {
         let mut t = table();
         let mut out = Vec::with_capacity(256);
         // Warm up one symbol's worth of pool slots…
-        let fs = frames(0, 3, 3, &[0u8; 200]);
-        for f in &fs {
-            let enc = f.encode();
-            let r = ShareRef::decode(&enc).unwrap();
-            t.accept_into(&r, SimTime::ZERO, &mut out);
+        for f in &frames(0, 3, 3, &[0u8; 200]) {
+            t.accept_into(&ShareRef::decode(f).unwrap(), SimTime::ZERO, &mut out);
         }
         let warm = t.pool_misses();
         assert!(warm > 0);
         // …then every further same-shape symbol reuses them.
         for seq in 1..50u64 {
-            let fs = frames(seq, 3, 3, &[seq as u8; 200]);
-            for f in &fs {
-                let enc = f.encode();
-                let r = ShareRef::decode(&enc).unwrap();
-                t.accept_into(&r, SimTime::ZERO, &mut out);
+            for f in &frames(seq, 3, 3, &[seq as u8; 200]) {
+                t.accept_into(&ShareRef::decode(f).unwrap(), SimTime::ZERO, &mut out);
             }
             assert_eq!(&out, &[seq as u8; 200], "symbol {seq}");
         }
@@ -1085,33 +960,17 @@ mod tests {
     #[test]
     fn resolved_cap_bounds_memory() {
         let mut t = ReassemblyTable::new(SimTime::from_secs(10), 1 << 20).with_resolved_cap(64);
-        let mut out = Vec::new();
+        let lone = |seq| share_bytes(CodecId::Shamir, seq, (1, 1, 1), 0, &[7u8; 8]);
         for seq in 0..1000u64 {
             // k = 1 resolves immediately; never sweep, so only the cap
             // bounds the table.
-            let f = ShareFrame::new(seq, 1, 1, 1, 0, vec![7u8; 8]).unwrap();
-            let enc = f.encode();
-            let r = ShareRef::decode(&enc).unwrap();
-            assert_eq!(
-                t.accept_into(&r, SimTime::ZERO, &mut out),
-                AcceptOutcome::Completed
-            );
+            assert_eq!(offer(&mut t, &lone(seq), SimTime::ZERO).0, Completed);
             assert!(t.resolved_records() <= 64);
         }
         assert_eq!(t.stats().resolved_evictions, 1000 - 64);
         // Evicted ids read as fresh again (id space reuse), newest stay
         // stale.
-        let f = ShareFrame::new(0, 1, 1, 1, 0, vec![7u8; 8]).unwrap();
-        let enc = f.encode();
-        assert_eq!(
-            t.accept_into(&ShareRef::decode(&enc).unwrap(), SimTime::ZERO, &mut out),
-            AcceptOutcome::Completed
-        );
-        let f = ShareFrame::new(999, 1, 1, 1, 0, vec![7u8; 8]).unwrap();
-        let enc = f.encode();
-        assert_eq!(
-            t.accept_into(&ShareRef::decode(&enc).unwrap(), SimTime::ZERO, &mut out),
-            AcceptOutcome::Stale
-        );
+        assert_eq!(offer(&mut t, &lone(0), SimTime::ZERO).0, Completed);
+        assert_eq!(offer(&mut t, &lone(999), SimTime::ZERO).0, Stale);
     }
 }

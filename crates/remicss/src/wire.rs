@@ -23,17 +23,34 @@
 //!  +---------------------------------------------------------------------+
 //! ```
 //!
-//! The Shamir codec keeps emitting v1 byte-for-byte — every frame pin
-//! made before codecs existed still holds — while non-default codecs
-//! emit v2. Decoders accept both: a v1 frame *is* the legacy fallback
-//! (implicitly [`CodecId::Shamir`]), and a v2 frame with an unknown
-//! codec byte fails with the typed [`WireError::UnknownCodec`] so the
-//! engine and server shards can drop it under its own counter instead
-//! of panicking or misrouting shares into the wrong reassembly entry.
+//! The Shamir codec keeps emitting v1 byte-for-byte while every other
+//! codec emits v2; which version a codec gets is decided in one place
+//! (`version_for`). Shamir stays on v1 for a measured reason: the codec
+//! byte is one more byte per share, 285 → 288 B per symbol on the
+//! `(2, 3)`, 64 B fleet workload (+1.05 %). Decoders accept both: a v1
+//! frame is implicitly [`CodecId::Shamir`], and a v2 frame with an
+//! unknown codec byte fails with the typed [`WireError::UnknownCodec`]
+//! so the engine and server shards can drop it under its own counter
+//! instead of panicking or misrouting shares into the wrong reassembly
+//! entry.
+//!
+//! Frames are written and read in place: [`put_share_header_for`]
+//! appends a header to a pooled buffer the codec then appends the
+//! payload to, and [`ShareRef::decode`] borrows the payload from the
+//! receive buffer.
 //!
 //! The timestamp carries the sender's clock at symbol transmission and
 //! lets the receiver compute one-way latency without a side channel
 //! (both hosts share the simulated clock).
+//!
+//! Receiver feedback is one fixed-size control frame:
+//!
+//! ```text
+//!  0      2    3            7                    15
+//!  +------+----+------------+--------------------+
+//!  | "RC" | v=1| epoch      | delivered symbols  |
+//!  +------+----+------------+--------------------+
+//! ```
 //!
 //! # Connection-ID demux prefix
 //!
@@ -70,181 +87,48 @@ pub const VERSION: u8 = 1;
 /// Frame version emitted for shares of any non-Shamir codec.
 pub const VERSION_CODEC: u8 = 2;
 
+/// The codec a version-1 header implies (it has no codec byte).
+const V1_CODEC: CodecId = CodecId::Shamir;
+
+/// The header version shares of `codec` are framed with. With
+/// [`V1_CODEC`], this is the only place outside `mcss-codec` that names
+/// a codec: everything else asks it, or [`header_bytes`].
+fn version_for(codec: CodecId) -> u8 {
+    if codec == V1_CODEC {
+        VERSION
+    } else {
+        VERSION_CODEC
+    }
+}
+
 /// Header size a share of `codec` is framed with: Shamir stays on the
 /// v1 header, everything else pays one extra byte.
 #[must_use]
 pub fn header_bytes(codec: CodecId) -> usize {
-    match codec {
-        CodecId::Shamir => HEADER_BYTES,
-        _ => HEADER_BYTES_V2,
-    }
-}
-
-/// A decoded share frame.
-///
-/// # Examples
-///
-/// ```
-/// use mcss_remicss::wire::ShareFrame;
-///
-/// let f = ShareFrame::new(7, 2, 3, 1, 123456, vec![0xaa; 16])?;
-/// let encoded = f.encode();
-/// let decoded = ShareFrame::decode(&encoded)?;
-/// assert_eq!(decoded, f);
-/// # Ok::<(), mcss_remicss::wire::WireError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ShareFrame {
-    seq: u64,
-    k: u8,
-    m: u8,
-    x: u8,
-    codec: CodecId,
-    sent_at_nanos: u64,
-    payload: Bytes,
-}
-
-impl ShareFrame {
-    /// Builds a Shamir frame, validating the share parameters. Use
-    /// [`with_codec`](ShareFrame::with_codec) for other codecs.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::InvalidShare`] unless `1 ≤ k ≤ m` and `1 ≤ x ≤ m`;
-    /// [`WireError::PayloadTooLarge`] if the payload exceeds `u16::MAX`
-    /// bytes.
-    pub fn new(
-        seq: u64,
-        k: u8,
-        m: u8,
-        x: u8,
-        sent_at_nanos: u64,
-        payload: impl Into<Bytes>,
-    ) -> Result<Self, WireError> {
-        if k == 0 || k > m || x == 0 || x > m {
-            return Err(WireError::InvalidShare { k, m, x });
-        }
-        let payload = payload.into();
-        if payload.len() > u16::MAX as usize {
-            return Err(WireError::PayloadTooLarge { len: payload.len() });
-        }
-        Ok(ShareFrame {
-            seq,
-            k,
-            m,
-            x,
-            codec: CodecId::Shamir,
-            sent_at_nanos,
-            payload,
-        })
-    }
-
-    /// Tags the frame with a codec. Shamir frames encode as v1 (the
-    /// pre-codec bytes); any other codec encodes as v2.
-    #[must_use]
-    pub fn with_codec(mut self, codec: CodecId) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// The symbol sequence number.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The threshold `k` for this symbol.
-    #[must_use]
-    pub fn k(&self) -> u8 {
-        self.k
-    }
-
-    /// The multiplicity `m` for this symbol.
-    #[must_use]
-    pub fn m(&self) -> u8 {
-        self.m
-    }
-
-    /// The share abscissa (1-based).
-    #[must_use]
-    pub fn x(&self) -> u8 {
-        self.x
-    }
-
-    /// The codec that produced this share.
-    #[must_use]
-    pub fn codec(&self) -> CodecId {
-        self.codec
-    }
-
-    /// Sender clock at transmission, in nanoseconds.
-    #[must_use]
-    pub fn sent_at_nanos(&self) -> u64 {
-        self.sent_at_nanos
-    }
-
-    /// The share payload.
-    #[must_use]
-    pub fn payload(&self) -> &Bytes {
-        &self.payload
-    }
-
-    /// Total encoded size in bytes.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        header_bytes(self.codec) + self.payload.len()
-    }
-
-    /// Serializes the frame.
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let shamir = self.codec == CodecId::Shamir;
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_slice(&MAGIC);
-        buf.put_u8(if shamir { VERSION } else { VERSION_CODEC });
-        buf.put_u8(self.k);
-        buf.put_u8(self.m);
-        buf.put_u8(self.x);
-        if !shamir {
-            buf.put_u8(self.codec.wire_id());
-        }
-        buf.put_u16(self.payload.len() as u16);
-        buf.put_u64(self.seq);
-        buf.put_u64(self.sent_at_nanos);
-        buf.put_slice(&self.payload);
-        buf.freeze()
-    }
-
-    /// Parses a frame into owned storage (one payload copy). The hot
-    /// path uses the copy-free [`ShareRef::decode`] instead.
-    ///
-    /// # Errors
-    ///
-    /// - [`WireError::Truncated`] if the buffer is shorter than the
-    ///   header or the declared payload length.
-    /// - [`WireError::BadMagic`] / [`WireError::BadVersion`] for foreign
-    ///   or future frames.
-    /// - [`WireError::InvalidShare`] for inconsistent `(k, m, x)`.
-    /// - [`WireError::TrailingBytes`] if the buffer is longer than the
-    ///   declared frame.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let share = ShareRef::decode(buf)?;
-        ShareFrame::new(
-            share.seq(),
-            share.k(),
-            share.m(),
-            share.x(),
-            share.sent_at_nanos(),
-            Bytes::copy_from_slice(share.payload()),
-        )
-        .map(|f| f.with_codec(share.codec()))
+    if version_for(codec) == VERSION {
+        HEADER_BYTES
+    } else {
+        HEADER_BYTES_V2
     }
 }
 
 /// A share frame decoded *in place*: every field is read out of the
 /// receive buffer, the payload stays borrowed, and nothing allocates.
-/// This is what the session's zero-allocation receive path parses; it
-/// validates exactly what [`ShareFrame::decode`] validates.
+///
+/// # Examples
+///
+/// ```
+/// use mcss_codec::CodecId;
+/// use mcss_remicss::wire::{put_share_header_for, ShareRef};
+///
+/// let mut frame = Vec::new();
+/// put_share_header_for(&mut frame, CodecId::Shamir, 7, 2, 3, 1, 123456, 16)?;
+/// frame.extend_from_slice(&[0xaa; 16]);
+/// let share = ShareRef::decode(&frame)?;
+/// assert_eq!((share.seq(), share.k(), share.m(), share.x()), (7, 2, 3, 1));
+/// assert_eq!(share.payload(), &[0xaa; 16]);
+/// # Ok::<(), mcss_remicss::wire::WireError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShareRef<'a> {
     seq: u64,
@@ -259,15 +143,18 @@ pub struct ShareRef<'a> {
 impl<'a> ShareRef<'a> {
     /// Parses a frame without copying the payload. Both header
     /// versions decode: v1 frames carry no codec byte and are Shamir
-    /// by definition (the legacy fallback), v2 frames name their codec
-    /// explicitly.
+    /// by definition, v2 frames name their codec explicitly.
     ///
     /// # Errors
     ///
-    /// Exactly as [`ShareFrame::decode`]: [`WireError::Truncated`],
-    /// [`WireError::BadMagic`], [`WireError::BadVersion`],
-    /// [`WireError::InvalidShare`], [`WireError::UnknownCodec`],
-    /// [`WireError::TrailingBytes`].
+    /// - [`WireError::Truncated`] if the buffer is shorter than the
+    ///   header or the declared payload length.
+    /// - [`WireError::BadMagic`] / [`WireError::BadVersion`] for foreign
+    ///   or future frames.
+    /// - [`WireError::InvalidShare`] for inconsistent `(k, m, x)`.
+    /// - [`WireError::UnknownCodec`] for a v2 codec byte nobody speaks.
+    /// - [`WireError::TrailingBytes`] if the buffer is longer than the
+    ///   declared frame.
     pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
         if buf.len() < HEADER_BYTES {
             return Err(WireError::Truncated {
@@ -290,7 +177,7 @@ impl<'a> ShareRef<'a> {
             return Err(WireError::InvalidShare { k, m, x });
         }
         let (codec, header) = if buf[2] == VERSION {
-            (CodecId::Shamir, HEADER_BYTES)
+            (V1_CODEC, HEADER_BYTES)
         } else {
             if buf.len() < HEADER_BYTES_V2 {
                 return Err(WireError::Truncated {
@@ -375,50 +262,18 @@ impl<'a> ShareRef<'a> {
 
 /// Appends a share-frame header to `buf`, declaring `payload_len`
 /// payload bytes that the caller writes right after (e.g. via
-/// [`mcss_shamir::split_into`] straight into the same buffer).
+/// [`CodecId::split_into`] straight into the same buffer). Emits the v1
+/// header for Shamir and the v2 header, codec byte included, for every
+/// other codec.
 ///
 /// Writing header and payload into one pooled buffer is what removes
 /// the encode-and-copy step from the sender: the buffer *is* the wire
-/// frame. Bytes emitted are identical to [`ShareFrame::encode`].
+/// frame.
 ///
 /// # Errors
 ///
 /// [`WireError::InvalidShare`] unless `1 ≤ k ≤ m` and `1 ≤ x ≤ m`;
 /// [`WireError::PayloadTooLarge`] if `payload_len` exceeds `u16::MAX`.
-pub fn put_share_header(
-    buf: &mut Vec<u8>,
-    seq: u64,
-    k: u8,
-    m: u8,
-    x: u8,
-    sent_at_nanos: u64,
-    payload_len: usize,
-) -> Result<(), WireError> {
-    if k == 0 || k > m || x == 0 || x > m {
-        return Err(WireError::InvalidShare { k, m, x });
-    }
-    let Ok(len) = u16::try_from(payload_len) else {
-        return Err(WireError::PayloadTooLarge { len: payload_len });
-    };
-    buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    buf.push(k);
-    buf.push(m);
-    buf.push(x);
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.extend_from_slice(&seq.to_be_bytes());
-    buf.extend_from_slice(&sent_at_nanos.to_be_bytes());
-    Ok(())
-}
-
-/// Codec-aware twin of [`put_share_header`]: emits the v1 header for
-/// [`CodecId::Shamir`] — byte-identical to what [`put_share_header`]
-/// wrote before codecs existed — and the v2 header (codec byte
-/// included) for every other codec.
-///
-/// # Errors
-///
-/// As [`put_share_header`].
 #[allow(clippy::too_many_arguments)]
 pub fn put_share_header_for(
     buf: &mut Vec<u8>,
@@ -430,21 +285,21 @@ pub fn put_share_header_for(
     sent_at_nanos: u64,
     payload_len: usize,
 ) -> Result<(), WireError> {
-    if codec == CodecId::Shamir {
-        return put_share_header(buf, seq, k, m, x, sent_at_nanos, payload_len);
-    }
     if k == 0 || k > m || x == 0 || x > m {
         return Err(WireError::InvalidShare { k, m, x });
     }
     let Ok(len) = u16::try_from(payload_len) else {
         return Err(WireError::PayloadTooLarge { len: payload_len });
     };
+    let version = version_for(codec);
     buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION_CODEC);
+    buf.push(version);
     buf.push(k);
     buf.push(m);
     buf.push(x);
-    buf.push(codec.wire_id());
+    if version == VERSION_CODEC {
+        buf.push(codec.wire_id());
+    }
     buf.extend_from_slice(&len.to_be_bytes());
     buf.extend_from_slice(&seq.to_be_bytes());
     buf.extend_from_slice(&sent_at_nanos.to_be_bytes());
@@ -522,7 +377,7 @@ impl ControlFrame {
     ///
     /// [`WireError::Truncated`], [`WireError::BadMagic`],
     /// [`WireError::BadVersion`], or [`WireError::TrailingBytes`] as for
-    /// [`ShareFrame::decode`].
+    /// [`ShareRef::decode`].
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         if buf.len() < CONTROL_BYTES {
             return Err(WireError::Truncated {
@@ -561,7 +416,7 @@ pub const CID_PREFIX_BYTES: usize = 2 + 1 + 4;
 
 /// Appends a connection-ID demux prefix to `buf`; the caller writes the
 /// inner share/control frame right after, so prefix and frame share one
-/// pooled buffer just like [`put_share_header`].
+/// pooled buffer just like [`put_share_header_for`].
 pub fn put_cid_prefix(buf: &mut Vec<u8>, cid: u32) {
     buf.extend_from_slice(&CID_MAGIC);
     buf.push(CID_VERSION);
@@ -623,29 +478,6 @@ pub fn demux_frame(buf: &[u8]) -> Result<DemuxFrame<'_>, WireError> {
     })
 }
 
-/// Any frame the protocol puts on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
-    /// A share of a source symbol.
-    Share(ShareFrame),
-    /// Receiver feedback.
-    Control(ControlFrame),
-}
-
-/// Decodes either frame kind by dispatching on the magic bytes.
-///
-/// # Errors
-///
-/// [`WireError`] as for the respective `decode` functions;
-/// [`WireError::BadMagic`] if neither magic matches.
-pub fn decode_message(buf: &[u8]) -> Result<Message, WireError> {
-    if buf.len() >= 2 && buf[0..2] == CONTROL_MAGIC {
-        ControlFrame::decode(buf).map(Message::Control)
-    } else {
-        ShareFrame::decode(buf).map(Message::Share)
-    }
-}
-
 /// Any frame the protocol puts on the wire, decoded in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageRef<'a> {
@@ -655,12 +487,13 @@ pub enum MessageRef<'a> {
     Control(ControlFrame),
 }
 
-/// Copy-free twin of [`decode_message`]: dispatches on the magic bytes
-/// and leaves share payloads borrowed from `buf`.
+/// Decodes either frame kind by dispatching on the magic bytes, leaving
+/// share payloads borrowed from `buf`.
 ///
 /// # Errors
 ///
-/// [`WireError`] as for [`decode_message`].
+/// [`WireError`] as for the respective `decode` functions;
+/// [`WireError::BadMagic`] if neither magic matches.
 pub fn decode_message_ref(buf: &[u8]) -> Result<MessageRef<'_>, WireError> {
     if buf.len() >= 2 && buf[0..2] == CONTROL_MAGIC {
         ControlFrame::decode(buf).map(MessageRef::Control)
@@ -669,7 +502,7 @@ pub fn decode_message_ref(buf: &[u8]) -> Result<MessageRef<'_>, WireError> {
     }
 }
 
-/// Error from encoding or decoding a [`ShareFrame`].
+/// Error from encoding or decoding a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum WireError {
@@ -746,24 +579,104 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Test-only frame builder shared by this crate's unit tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testutil {
     use super::*;
 
-    fn sample() -> ShareFrame {
-        ShareFrame::new(0xdead_beef, 2, 5, 3, 987_654_321, vec![7u8; 100]).unwrap()
+    /// One encoded share frame: header for `codec`, then `payload`.
+    pub(crate) fn share_bytes(
+        codec: CodecId,
+        seq: u64,
+        (k, m, x): (u8, u8, u8),
+        sent_at_nanos: u64,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_share_header_for(&mut buf, codec, seq, k, m, x, sent_at_nanos, payload.len())
+            .expect("valid share parameters");
+        buf.extend_from_slice(payload);
+        buf
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::share_bytes;
+    use super::*;
+
+    fn sample() -> Vec<u8> {
+        share_bytes(
+            CodecId::Shamir,
+            0xdead_beef,
+            (2, 5, 3),
+            987_654_321,
+            &[7u8; 100],
+        )
+    }
+
+    fn xor_sample() -> Vec<u8> {
+        share_bytes(CodecId::Xor2d, 0xfeed_f00d, (2, 5, 3), 13_579, &[9u8; 64])
+    }
+
+    /// The frame layouts of the module docs, byte for byte.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let (seq, stamp) = (0x0102_0304_0506_0708, 0x1112_1314_1516_1718);
+        let mut v1 = Vec::new();
+        put_share_header_for(&mut v1, CodecId::Shamir, seq, 2, 5, 3, stamp, 100).unwrap();
+        assert_eq!(
+            v1,
+            [
+                b'R', b'M', 1, 2, 5, 3, 0, 100, // magic, v, k, m, x, length
+                1, 2, 3, 4, 5, 6, 7, 8, // symbol seq
+                0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // send timestamp
+            ]
+        );
+        assert_eq!(v1.len(), HEADER_BYTES);
+        let mut v2 = Vec::new();
+        put_share_header_for(&mut v2, CodecId::Xor2d, seq, 2, 5, 3, stamp, 100).unwrap();
+        assert_eq!(
+            v2,
+            [
+                b'R', b'M', 2, 2, 5, 3, 1, 0, 100, // …, x, codec, length
+                1, 2, 3, 4, 5, 6, 7, 8, // symbol seq
+                0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // send timestamp
+            ]
+        );
+        assert_eq!(v2.len(), HEADER_BYTES_V2);
+        for codec in CodecId::ALL {
+            let mut buf = Vec::new();
+            put_share_header_for(&mut buf, codec, seq, 2, 5, 3, stamp, 100).unwrap();
+            assert_eq!(buf.len(), header_bytes(codec), "{codec}");
+        }
+        let mut control = Vec::new();
+        ControlFrame::new(0x0a0b_0c0d, seq).encode_into(&mut control);
+        assert_eq!(
+            control,
+            [b'R', b'C', 1, 0x0a, 0x0b, 0x0c, 0x0d, 1, 2, 3, 4, 5, 6, 7, 8]
+        );
+        assert_eq!(control.len(), CONTROL_BYTES);
+        let mut prefix = Vec::new();
+        put_cid_prefix(&mut prefix, 0xdead_cafe);
+        assert_eq!(prefix, [b'R', b'X', 1, 0xde, 0xad, 0xca, 0xfe]);
+        assert_eq!(prefix.len(), CID_PREFIX_BYTES);
     }
 
     #[test]
     fn round_trip() {
-        let f = sample();
-        assert_eq!(ShareFrame::decode(&f.encode()).unwrap(), f);
-        assert_eq!(f.encoded_len(), HEADER_BYTES + 100);
+        let enc = sample();
+        assert_eq!(enc.len(), HEADER_BYTES + 100);
+        let r = ShareRef::decode(&enc).unwrap();
+        assert_eq!(r.payload(), &[7u8; 100]);
+        // Borrowed, not copied.
+        assert_eq!(r.payload().as_ptr(), enc[HEADER_BYTES..].as_ptr());
     }
 
     #[test]
     fn accessors() {
-        let f = sample();
+        let enc = sample();
+        let f = ShareRef::decode(&enc).unwrap();
         assert_eq!(f.seq(), 0xdead_beef);
         assert_eq!((f.k(), f.m(), f.x()), (2, 5, 3));
         assert_eq!(f.sent_at_nanos(), 987_654_321);
@@ -772,75 +685,77 @@ mod tests {
 
     #[test]
     fn empty_payload_round_trips() {
-        let f = ShareFrame::new(1, 1, 1, 1, 0, Bytes::new()).unwrap();
-        assert_eq!(ShareFrame::decode(&f.encode()).unwrap(), f);
+        let enc = share_bytes(CodecId::Shamir, 1, (1, 1, 1), 0, &[]);
+        let r = ShareRef::decode(&enc).unwrap();
+        assert_eq!((r.seq(), r.k(), r.m(), r.x()), (1, 1, 1, 1));
+        assert!(r.payload().is_empty());
     }
 
     #[test]
     fn invalid_share_params_rejected() {
-        for (k, m, x) in [(0, 1, 1), (2, 1, 1), (1, 1, 0), (1, 1, 2), (3, 2, 1)] {
-            assert_eq!(
-                ShareFrame::new(0, k, m, x, 0, Bytes::new()).unwrap_err(),
-                WireError::InvalidShare { k, m, x }
-            );
+        for codec in CodecId::ALL {
+            for (k, m, x) in [(0, 1, 1), (2, 1, 1), (1, 1, 0), (1, 1, 2), (3, 2, 1)] {
+                assert_eq!(
+                    put_share_header_for(&mut Vec::new(), codec, 0, k, m, x, 0, 0).unwrap_err(),
+                    WireError::InvalidShare { k, m, x }
+                );
+            }
         }
     }
 
     #[test]
     fn payload_too_large_rejected() {
-        let e = ShareFrame::new(0, 1, 1, 1, 0, vec![0u8; 65536]).unwrap_err();
-        assert_eq!(e, WireError::PayloadTooLarge { len: 65536 });
+        for codec in CodecId::ALL {
+            assert_eq!(
+                put_share_header_for(&mut Vec::new(), codec, 0, 1, 1, 1, 0, 65536).unwrap_err(),
+                WireError::PayloadTooLarge { len: 65536 }
+            );
+        }
     }
 
     #[test]
     fn decode_truncated() {
-        let enc = sample().encode();
-        assert!(matches!(
-            ShareFrame::decode(&enc[..10]),
-            Err(WireError::Truncated { .. })
-        ));
-        assert!(matches!(
-            ShareFrame::decode(&enc[..HEADER_BYTES + 5]),
-            Err(WireError::Truncated { .. })
-        ));
-        assert!(matches!(
-            ShareFrame::decode(&[]),
-            Err(WireError::Truncated { .. })
-        ));
+        let enc = sample();
+        for cut in [0, 10, HEADER_BYTES + 5] {
+            assert!(matches!(
+                ShareRef::decode(&enc[..cut]),
+                Err(WireError::Truncated { .. })
+            ));
+        }
     }
 
     #[test]
     fn decode_bad_magic_and_version() {
-        let mut enc = sample().encode().to_vec();
+        let mut enc = sample();
         enc[0] = b'X';
         assert!(matches!(
-            ShareFrame::decode(&enc),
+            ShareRef::decode(&enc),
             Err(WireError::BadMagic { .. })
         ));
-        let mut enc = sample().encode().to_vec();
+        let mut enc = sample();
         enc[2] = 9;
         assert_eq!(
-            ShareFrame::decode(&enc).unwrap_err(),
+            ShareRef::decode(&enc).unwrap_err(),
             WireError::BadVersion { found: 9 }
         );
     }
 
     #[test]
     fn decode_trailing_bytes() {
-        let mut enc = sample().encode().to_vec();
+        let mut enc = sample();
         enc.push(0);
         assert_eq!(
-            ShareFrame::decode(&enc).unwrap_err(),
+            ShareRef::decode(&enc).unwrap_err(),
             WireError::TrailingBytes { extra: 1 }
         );
     }
 
     #[test]
     fn decode_corrupt_share_params() {
-        let mut enc = sample().encode().to_vec();
+        let mut enc = sample();
         enc[3] = 0; // k = 0
         assert!(matches!(
-            ShareFrame::decode(&enc),
+            ShareRef::decode(&enc),
             Err(WireError::InvalidShare { .. })
         ));
     }
@@ -874,68 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn message_dispatch() {
-        let share = sample();
-        match decode_message(&share.encode()).unwrap() {
-            Message::Share(s) => assert_eq!(s, share),
-            Message::Control(_) => panic!("expected share"),
-        }
-        let ctl = ControlFrame::new(7, 8);
-        match decode_message(&ctl.encode()).unwrap() {
-            Message::Control(c) => assert_eq!(c, ctl),
-            Message::Share(_) => panic!("expected control"),
-        }
-        assert!(decode_message(&[0u8; 3]).is_err());
-    }
-
-    #[test]
-    fn share_ref_matches_owned_decode() {
-        let f = sample();
-        let enc = f.encode();
-        let r = ShareRef::decode(&enc).unwrap();
-        assert_eq!(
-            (r.seq(), r.k(), r.m(), r.x(), r.sent_at_nanos()),
-            (f.seq(), f.k(), f.m(), f.x(), f.sent_at_nanos())
-        );
-        assert_eq!(r.payload(), &f.payload()[..]);
-        // Borrowed, not copied.
-        assert_eq!(r.payload().as_ptr(), enc[HEADER_BYTES..].as_ptr());
-        // Same rejections.
-        for cut in [0, 10, HEADER_BYTES + 5] {
-            assert_eq!(
-                ShareRef::decode(&enc[..cut]).unwrap_err(),
-                ShareFrame::decode(&enc[..cut]).unwrap_err()
-            );
-        }
-    }
-
-    #[test]
-    fn put_share_header_matches_encode() {
-        let f = sample();
-        let mut buf = Vec::new();
-        put_share_header(
-            &mut buf,
-            f.seq(),
-            f.k(),
-            f.m(),
-            f.x(),
-            f.sent_at_nanos(),
-            100,
-        )
-        .unwrap();
-        buf.extend_from_slice(f.payload());
-        assert_eq!(&buf[..], &f.encode()[..]);
-        assert_eq!(
-            put_share_header(&mut buf, 0, 0, 1, 1, 0, 4).unwrap_err(),
-            WireError::InvalidShare { k: 0, m: 1, x: 1 }
-        );
-        assert_eq!(
-            put_share_header(&mut Vec::new(), 0, 1, 1, 1, 0, 1 << 17).unwrap_err(),
-            WireError::PayloadTooLarge { len: 1 << 17 }
-        );
-    }
-
-    #[test]
     fn control_encode_into_matches_encode() {
         let c = ControlFrame::new(77, 1 << 40);
         let mut buf = vec![0xff]; // appends after existing contents
@@ -945,10 +798,8 @@ mod tests {
 
     #[test]
     fn message_ref_dispatch() {
-        let share = sample();
-        let enc = share.encode();
-        match decode_message_ref(&enc).unwrap() {
-            MessageRef::Share(s) => assert_eq!(s.seq(), share.seq()),
+        match decode_message_ref(&sample()).unwrap() {
+            MessageRef::Share(s) => assert_eq!(s.seq(), 0xdead_beef),
             MessageRef::Control(_) => panic!("expected share"),
         }
         let ctl = ControlFrame::new(7, 8);
@@ -964,11 +815,11 @@ mod tests {
         let share = sample();
         let mut buf = Vec::new();
         put_cid_prefix(&mut buf, 0xdead_cafe);
-        buf.extend_from_slice(&share.encode());
+        buf.extend_from_slice(&share);
         match demux_frame(&buf).unwrap() {
             DemuxFrame::Cid { cid, inner } => {
                 assert_eq!(cid, 0xdead_cafe);
-                assert_eq!(ShareFrame::decode(inner).unwrap(), share);
+                assert_eq!(inner, &share[..]);
                 // Borrowed, not copied.
                 assert_eq!(inner.as_ptr(), buf[CID_PREFIX_BYTES..].as_ptr());
             }
@@ -984,8 +835,8 @@ mod tests {
     }
 
     #[test]
-    fn demux_passes_legacy_frames_through() {
-        let share_enc = sample().encode();
+    fn demux_passes_bare_frames_through() {
+        let share_enc = sample();
         assert_eq!(
             demux_frame(&share_enc).unwrap(),
             DemuxFrame::Legacy(&share_enc[..])
@@ -1001,7 +852,7 @@ mod tests {
     fn demux_rejects_truncated_and_mutated_prefixes() {
         let mut buf = Vec::new();
         put_cid_prefix(&mut buf, 42);
-        buf.extend_from_slice(&sample().encode());
+        buf.extend_from_slice(&sample());
         // Cut anywhere inside the prefix, or right at its end (an empty
         // inner frame routes nowhere), is truncated.
         for cut in [2, 3, CID_PREFIX_BYTES - 1, CID_PREFIX_BYTES] {
@@ -1044,60 +895,41 @@ mod tests {
         }
     }
 
-    fn xor_sample() -> ShareFrame {
-        ShareFrame::new(0xfeed_f00d, 2, 5, 3, 13_579, vec![9u8; 64])
-            .unwrap()
-            .with_codec(CodecId::Xor2d)
-    }
-
     #[test]
     fn v2_round_trip_preserves_codec() {
-        let f = xor_sample();
-        let enc = f.encode();
+        let enc = xor_sample();
         assert_eq!(enc.len(), HEADER_BYTES_V2 + 64);
         assert_eq!(enc[2], VERSION_CODEC);
         assert_eq!(enc[6], CodecId::Xor2d.wire_id());
-        let dec = ShareFrame::decode(&enc).unwrap();
-        assert_eq!(dec, f);
-        assert_eq!(dec.codec(), CodecId::Xor2d);
         let r = ShareRef::decode(&enc).unwrap();
         assert_eq!(r.codec(), CodecId::Xor2d);
         assert_eq!(
             (r.seq(), r.k(), r.m(), r.x(), r.sent_at_nanos()),
-            (f.seq(), f.k(), f.m(), f.x(), f.sent_at_nanos())
+            (0xfeed_f00d, 2, 5, 3, 13_579)
         );
-        assert_eq!(r.payload(), &f.payload()[..]);
+        assert_eq!(r.payload(), &[9u8; 64]);
         assert_eq!(r.payload().as_ptr(), enc[HEADER_BYTES_V2..].as_ptr());
     }
 
     #[test]
     fn v1_frames_fall_back_to_shamir() {
-        let f = sample();
-        let enc = f.encode();
+        let enc = sample();
         assert_eq!(enc[2], VERSION);
         assert_eq!(enc.len(), HEADER_BYTES + 100);
-        let dec = ShareRef::decode(&enc).unwrap();
-        assert_eq!(dec.codec(), CodecId::Shamir);
-        // Tagging Shamir explicitly is a no-op on the wire.
-        let tagged = sample().with_codec(CodecId::Shamir);
-        assert_eq!(&tagged.encode()[..], &enc[..]);
+        assert_eq!(ShareRef::decode(&enc).unwrap().codec(), CodecId::Shamir);
     }
 
     #[test]
     fn unknown_codec_id_is_a_typed_error() {
-        let mut enc = xor_sample().encode().to_vec();
+        let mut enc = xor_sample();
         enc[6] = 0xEE;
         assert_eq!(
             ShareRef::decode(&enc).unwrap_err(),
             WireError::UnknownCodec { found: 0xEE }
         );
-        assert_eq!(
-            ShareFrame::decode(&enc).unwrap_err(),
-            WireError::UnknownCodec { found: 0xEE }
-        );
         // The v1 header has no codec byte to garble: byte 6 is the
         // length field, and a flipped version byte stays BadVersion.
-        let mut v1 = sample().encode().to_vec();
+        let mut v1 = sample();
         v1[2] = 9;
         assert_eq!(
             ShareRef::decode(&v1).unwrap_err(),
@@ -1107,49 +939,18 @@ mod tests {
 
     #[test]
     fn v2_truncation_and_trailing() {
-        let enc = xor_sample().encode();
+        let enc = xor_sample();
         for cut in [HEADER_BYTES, HEADER_BYTES_V2 - 1, HEADER_BYTES_V2 + 5] {
             assert!(matches!(
                 ShareRef::decode(&enc[..cut]).unwrap_err(),
                 WireError::Truncated { .. }
             ));
         }
-        let mut long = enc.to_vec();
+        let mut long = enc.clone();
         long.push(0);
         assert_eq!(
             ShareRef::decode(&long).unwrap_err(),
             WireError::TrailingBytes { extra: 1 }
-        );
-    }
-
-    #[test]
-    fn put_share_header_for_matches_encode() {
-        for codec in CodecId::ALL {
-            let f = sample().with_codec(codec);
-            let mut buf = Vec::new();
-            put_share_header_for(
-                &mut buf,
-                codec,
-                f.seq(),
-                f.k(),
-                f.m(),
-                f.x(),
-                f.sent_at_nanos(),
-                100,
-            )
-            .unwrap();
-            assert_eq!(buf.len(), header_bytes(codec));
-            buf.extend_from_slice(f.payload());
-            assert_eq!(&buf[..], &f.encode()[..], "codec {codec}");
-        }
-        assert_eq!(
-            put_share_header_for(&mut Vec::new(), CodecId::Xor2d, 0, 0, 1, 1, 0, 4).unwrap_err(),
-            WireError::InvalidShare { k: 0, m: 1, x: 1 }
-        );
-        assert_eq!(
-            put_share_header_for(&mut Vec::new(), CodecId::Xor2d, 0, 1, 1, 1, 0, 1 << 17)
-                .unwrap_err(),
-            WireError::PayloadTooLarge { len: 1 << 17 }
         );
     }
 }

@@ -6,15 +6,13 @@
 
 #![cfg(feature = "sim")]
 
+mod common;
+
+use common::share_bytes;
+use mcss_codec::CodecId;
 use mcss_netsim::SimTime;
 use mcss_remicss::reassembly::{AcceptOutcome, ReassemblyTable};
-use mcss_remicss::wire::{put_share_header, ShareRef};
-
-fn share_frame(buf: &mut Vec<u8>, seq: u64, k: u8, m: u8, x: u8, payload: &[u8]) {
-    buf.clear();
-    put_share_header(buf, seq, k, m, x, 0, payload.len()).unwrap();
-    buf.extend_from_slice(payload);
-}
+use mcss_remicss::wire::ShareRef;
 
 #[test]
 fn resolved_memory_stays_flat_over_a_million_symbols() {
@@ -22,10 +20,9 @@ fn resolved_memory_stays_flat_over_a_million_symbols() {
     // Huge timeout and no sweeps: only the cap bounds resolution memory.
     let mut t = ReassemblyTable::new(SimTime::from_secs(3_600), 1 << 20).with_resolved_cap(cap);
     let mut out = Vec::new();
-    let mut frame = Vec::new();
     let payload = [0xA5u8; 16];
     for seq in 0..1_000_000u64 {
-        share_frame(&mut frame, seq, 1, 1, 1, &payload);
+        let frame = share_bytes(CodecId::Shamir, seq, (1, 1, 1), 0, &payload);
         let share = ShareRef::decode(&frame).unwrap();
         let outcome = t.accept_into(&share, SimTime::from_nanos(seq), &mut out);
         assert_eq!(outcome, AcceptOutcome::Completed);
@@ -50,12 +47,11 @@ fn share_buffers_stay_flat_across_many_multi_share_symbols() {
     // after warmup the pool must stop allocating.
     let mut t = ReassemblyTable::new(SimTime::from_secs(3_600), 1 << 20).with_resolved_cap(10_000);
     let mut out = Vec::new();
-    let mut frame = Vec::new();
     let payload = [0x5Au8; 64];
     let mut run = |t: &mut ReassemblyTable, range: std::ops::Range<u64>| {
         for seq in range {
             for x in [1u8, 2u8] {
-                share_frame(&mut frame, seq, 2, 2, x, &payload);
+                let frame = share_bytes(CodecId::Shamir, seq, (2, 2, x), 0, &payload);
                 let share = ShareRef::decode(&frame).unwrap();
                 t.accept_into(&share, SimTime::from_nanos(seq), &mut out);
             }

@@ -5,11 +5,13 @@
 
 #![cfg(feature = "sim")]
 
-use mcss_codec::{xor2d, CodecId};
+mod common;
+
+use common::{share_bytes, symbol_frames};
+use mcss_codec::CodecId;
 use mcss_netsim::SimTime;
-use mcss_remicss::reassembly::{Accept, ReassemblyTable};
-use mcss_remicss::wire::ShareFrame;
-use mcss_shamir::{split, Params};
+use mcss_remicss::reassembly::{AcceptOutcome, ReassemblyTable};
+use mcss_remicss::wire::ShareRef;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -26,17 +28,8 @@ mod periodic {
 
     use mcss_codec::CodecId;
     use mcss_netsim::SimTime;
-    use mcss_remicss::reassembly::ReassemblyStats;
-    use mcss_remicss::wire::ShareFrame;
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Verdict {
-        Stored,
-        Completed,
-        Duplicate,
-        Stale,
-        Inconsistent,
-    }
+    use mcss_remicss::reassembly::{AcceptOutcome, ReassemblyStats};
+    use mcss_remicss::wire::ShareRef;
 
     struct Partial {
         codec: CodecId,
@@ -94,18 +87,18 @@ mod periodic {
             self.resolved.len()
         }
 
-        pub fn accept(&mut self, frame: &ShareFrame, now: SimTime) -> Verdict {
+        pub fn accept(&mut self, frame: &ShareRef<'_>, now: SimTime) -> AcceptOutcome {
             let seq = frame.seq();
             let share_len = frame.payload().len();
             if self.resolved.contains_key(&seq) {
                 self.stats.stale += 1;
-                return Verdict::Stale;
+                return AcceptOutcome::Stale;
             }
             let Some(p) = self.pending.get_mut(&seq) else {
                 if frame.k() == 1 {
                     self.resolve(seq, now);
                     self.stats.completed += 1;
-                    return Verdict::Completed;
+                    return AcceptOutcome::Completed;
                 }
                 self.make_room(share_len);
                 self.tickets += 1;
@@ -122,27 +115,27 @@ mod periodic {
                     },
                 );
                 self.buffered_bytes += share_len;
-                return Verdict::Stored;
+                return AcceptOutcome::Stored;
             };
             if (p.codec, p.k, p.m, p.share_len) != (frame.codec(), frame.k(), frame.m(), share_len)
             {
                 self.stats.inconsistent += 1;
-                return Verdict::Inconsistent;
+                return AcceptOutcome::Inconsistent;
             }
             if p.xs.contains(&frame.x()) {
                 self.stats.duplicates += 1;
-                return Verdict::Duplicate;
+                return AcceptOutcome::Duplicate;
             }
             p.xs.push(frame.x());
             self.buffered_bytes += share_len;
             if p.xs.len() < usize::from(p.k) {
-                return Verdict::Stored;
+                return AcceptOutcome::Stored;
             }
             let p = self.pending.remove(&seq).expect("just seen");
             self.buffered_bytes -= p.bytes();
             self.resolve(seq, now);
             self.stats.completed += 1;
-            Verdict::Completed
+            AcceptOutcome::Completed
         }
 
         pub fn sweep(&mut self, now: SimTime) {
@@ -214,31 +207,23 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let k = 2u8;
         let m = 4u8;
-        let symbols: Vec<Vec<ShareFrame>> = (0..6u64)
-            .map(|seq| {
-                let payload = vec![seq as u8; 32];
-                split(&payload, Params::new(k, m).unwrap(), &mut rng)
-                    .unwrap()
-                    .iter()
-                    .map(|s| {
-                        ShareFrame::new(seq, k, m, s.x(), 0, s.data().to_vec()).unwrap()
-                    })
-                    .collect()
-            })
+        let symbols: Vec<Vec<Vec<u8>>> = (0..6u64)
+            .map(|seq| symbol_frames(CodecId::Shamir, seq, (k, m), &[seq as u8; 32], &mut rng))
             .collect();
         let mut table = ReassemblyTable::new(SimTime::from_secs(1), 1 << 20);
         let mut completed = [false; 6];
+        let mut payload = Vec::new();
         for (si, xi, repeats) in script {
-            let frame = &symbols[si as usize][xi as usize];
+            let frame = ShareRef::decode(&symbols[si as usize][xi as usize]).unwrap();
             for _ in 0..repeats {
-                match table.accept(frame, SimTime::ZERO) {
-                    Accept::Completed(payload) => {
+                match table.accept_into(&frame, SimTime::ZERO, &mut payload) {
+                    AcceptOutcome::Completed => {
                         prop_assert!(!completed[si as usize], "double completion");
                         completed[si as usize] = true;
-                        prop_assert_eq!(payload, vec![si; 32]);
+                        prop_assert_eq!(&payload, &vec![si; 32]);
                     }
-                    Accept::Stored | Accept::Duplicate | Accept::Stale => {}
-                    Accept::Inconsistent => prop_assert!(false, "consistent input"),
+                    AcceptOutcome::Stored | AcceptOutcome::Duplicate | AcceptOutcome::Stale => {}
+                    AcceptOutcome::Inconsistent => prop_assert!(false, "consistent input"),
                 }
             }
         }
@@ -261,16 +246,10 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let k = 3u8;
         let m = 3u8;
-        let symbols: Vec<Vec<ShareFrame>> = (0..8u64)
-            .map(|seq| {
-                let payload = vec![seq as u8; 16];
-                split(&payload, Params::new(k, m).unwrap(), &mut rng)
-                    .unwrap()
-                    .iter()
-                    .map(|s| ShareFrame::new(seq, k, m, s.x(), 0, s.data().to_vec()).unwrap())
-                    .collect()
-            })
+        let symbols: Vec<Vec<Vec<u8>>> = (0..8u64)
+            .map(|seq| symbol_frames(CodecId::Shamir, seq, (k, m), &[seq as u8; 16], &mut rng))
             .collect();
+        let mut out = Vec::new();
         let timeout = SimTime::from_millis(50);
         let mut table = ReassemblyTable::new(timeout, 1 << 20);
         let mut events: Vec<(u64, Option<(u8, u8)>)> = arrivals
@@ -283,7 +262,8 @@ proptest! {
             let now = SimTime::from_millis(at);
             match ev {
                 Some((si, xi)) => {
-                    let _ = table.accept(&symbols[si as usize][xi as usize], now);
+                    let share = ShareRef::decode(&symbols[si as usize][xi as usize]).unwrap();
+                    let _ = table.accept_into(&share, now, &mut out);
                 }
                 None => table.sweep(now),
             }
@@ -304,21 +284,12 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let cap = 1000usize; // 31 shares of 32 bytes
         let mut table = ReassemblyTable::new(SimTime::from_secs(10), cap);
+        let mut out = Vec::new();
         for (i, (seq, xi)) in arrivals.iter().enumerate() {
             // k = 2, m = 2: each first share is stored, second completes.
-            let payload = vec![0u8; 32];
-            let shares = split(&payload, Params::new(2, 2).unwrap(), &mut rng).unwrap();
-            let s = &shares[(*xi % 2) as usize];
-            let frame = ShareFrame::new(
-                u64::from(*seq),
-                2,
-                2,
-                s.x(),
-                0,
-                s.data().to_vec(),
-            )
-            .unwrap();
-            let _ = table.accept(&frame, SimTime::from_nanos(i as u64));
+            let frames = symbol_frames(CodecId::Shamir, u64::from(*seq), (2, 2), &[0u8; 32], &mut rng);
+            let share = ShareRef::decode(&frames[(*xi % 2) as usize]).unwrap();
+            let _ = table.accept_into(&share, SimTime::from_nanos(i as u64), &mut out);
             prop_assert!(
                 table.buffered_bytes() <= cap,
                 "cap breached: {} > {cap}",
@@ -344,31 +315,19 @@ proptest! {
         const STEPS: usize = 900;
         const PAYLOAD: usize = 24;
         let mut rng = StdRng::seed_from_u64(seed);
-        let symbols: Vec<(Vec<u8>, Vec<ShareFrame>)> = (0..SYMBOLS)
+        let symbols: Vec<(Vec<u8>, Vec<Vec<u8>>)> = (0..SYMBOLS)
             .map(|seq| {
                 // A brisk flow completes most symbols on their second
                 // share, behind the few it starves.
                 let m = rng.random_range(1..=4u8);
                 let k = rng.random_range(1..=if brisk { m.min(2) } else { m });
                 let payload: Vec<u8> = (0..PAYLOAD).map(|_| rng.random()).collect();
-                let frames = if rng.random_bool(0.5) {
-                    split(&payload, Params::new(k, m).unwrap(), &mut rng)
-                        .unwrap()
-                        .iter()
-                        .map(|s| ShareFrame::new(seq, k, m, s.x(), 0, s.data().to_vec()).unwrap())
-                        .collect()
+                let codec = if rng.random_bool(0.5) {
+                    CodecId::Shamir
                 } else {
-                    let (mut pad, mut outs) = (Vec::new(), vec![Vec::new(); usize::from(m)]);
-                    xor2d::split_into(&payload, k, m, &mut rng, &mut pad, &mut outs).unwrap();
-                    (1..=m)
-                        .zip(outs)
-                        .map(|(x, data)| {
-                            ShareFrame::new(seq, k, m, x, 0, data)
-                                .unwrap()
-                                .with_codec(CodecId::Xor2d)
-                        })
-                        .collect()
+                    CodecId::Xor2d
                 };
+                let frames = symbol_frames(codec, seq, (k, m), &payload, &mut rng);
                 (payload, frames)
             })
             .collect();
@@ -383,6 +342,7 @@ proptest! {
         let period = table.sweep_period();
         prop_assert_eq!(period, SimTime::from_millis(10));
 
+        let mut decoded = Vec::new();
         let mut now = SimTime::ZERO;
         let mut grid = SimTime::ZERO;
         // What an engine would have its one sweep timer set to.
@@ -413,30 +373,24 @@ proptest! {
                 recent
             };
             let (payload, frames) = &symbols[id % SYMBOLS as usize];
-            let frame = &frames[rng.random_range(0..frames.len())];
+            let frame = ShareRef::decode(&frames[rng.random_range(0..frames.len())]).unwrap();
             // One share in twenty-four claims another threshold (and
             // Shamir, whose decode is total): it is inconsistent with
             // the symbol's real shares, and they with it.
             let alien = rng.random_range(0..24) == 0;
             let forged;
             let frame = if alien {
-                let (k, data) = (frame.k() % 4 + 1, frame.payload().to_vec());
-                forged = ShareFrame::new(frame.seq(), k, 4, frame.x(), 0, data).unwrap();
-                &forged
+                let kmx = (frame.k() % 4 + 1, 4, frame.x());
+                forged = share_bytes(CodecId::Shamir, frame.seq(), kmx, 0, frame.payload());
+                ShareRef::decode(&forged).unwrap()
             } else {
                 frame
             };
-            let want = reference.accept(frame, now);
-            let got = match table.accept(frame, now) {
-                Accept::Stored => periodic::Verdict::Stored,
-                Accept::Completed(decoded) => {
-                    prop_assert!(alien || &decoded == payload, "step {} decoded garbage", step);
-                    periodic::Verdict::Completed
-                }
-                Accept::Duplicate => periodic::Verdict::Duplicate,
-                Accept::Stale => periodic::Verdict::Stale,
-                Accept::Inconsistent => periodic::Verdict::Inconsistent,
-            };
+            let want = reference.accept(&frame, now);
+            let got = table.accept_into(&frame, now, &mut decoded);
+            if got == AcceptOutcome::Completed {
+                prop_assert!(alien || &decoded == payload, "step {} decoded garbage", step);
+            }
             prop_assert_eq!(got, want, "step {} at {}", step, now);
             prop_assert_eq!(table.stats(), reference.stats, "step {} at {}", step, now);
             prop_assert_eq!(table.pending_symbols(), reference.pending_symbols());

@@ -4,24 +4,53 @@
 //! decoded from (the format is canonical — no two byte strings decode
 //! to the same frame).
 
-use bytes::Bytes;
+mod common;
+
+use common::share_bytes;
+use mcss_codec::CodecId;
 use mcss_remicss::wire::{
-    decode_message, decode_message_ref, ControlFrame, Message, MessageRef, ShareFrame, ShareRef,
-    CONTROL_BYTES,
+    decode_message_ref, ControlFrame, MessageRef, ShareRef, CONTROL_BYTES, CONTROL_MAGIC,
 };
 use proptest::prelude::*;
+
+/// Applies byte `mutations` (index modulo the length, new value).
+fn mutate(enc: &mut [u8], mutations: &[(usize, u8)]) {
+    for &(idx, byte) in mutations {
+        enc[idx % enc.len()] = byte;
+    }
+}
+
+/// A frame the decoder accepted must re-encode to the bytes it came
+/// from.
+fn assert_canonical(enc: &[u8]) {
+    match decode_message_ref(enc) {
+        Err(_) => {}
+        Ok(MessageRef::Share(r)) => {
+            let again = share_bytes(
+                r.codec(),
+                r.seq(),
+                (r.k(), r.m(), r.x()),
+                r.sent_at_nanos(),
+                r.payload(),
+            );
+            assert_eq!(again.as_slice(), enc);
+        }
+        Ok(MessageRef::Control(c)) => assert_eq!(c.encode().as_ref(), enc),
+    }
+}
 
 proptest! {
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Any result is fine; panicking is not.
-        let _ = ShareFrame::decode(&bytes);
+        let _ = ShareRef::decode(&bytes);
         let _ = ControlFrame::decode(&bytes);
-        let _ = decode_message(&bytes);
+        let _ = decode_message_ref(&bytes);
     }
 
     #[test]
     fn share_frame_round_trips_arbitrary_fields(
+        codec in 0usize..CodecId::ALL.len(),
         seq in any::<u64>(),
         m in 1u8..=255,
         k_off in 0u8..=254,
@@ -29,20 +58,25 @@ proptest! {
         stamp in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..2048),
     ) {
+        let codec = CodecId::ALL[codec];
         let k = 1 + k_off % m;
         let x = 1 + x_off % m;
-        let frame = ShareFrame::new(seq, k, m, x, stamp, payload).unwrap();
-        let decoded = ShareFrame::decode(&frame.encode()).unwrap();
-        prop_assert_eq!(decoded, frame);
+        let enc = share_bytes(codec, seq, (k, m, x), stamp, &payload);
+        let r = ShareRef::decode(&enc).unwrap();
+        prop_assert_eq!(
+            (r.codec(), r.seq(), r.k(), r.m(), r.x(), r.sent_at_nanos()),
+            (codec, seq, k, m, x, stamp)
+        );
+        prop_assert_eq!(r.payload(), payload.as_slice());
     }
 
     #[test]
     fn control_frame_round_trips(epoch in any::<u32>(), delivered in any::<u64>()) {
         let c = ControlFrame::new(epoch, delivered);
         prop_assert_eq!(ControlFrame::decode(&c.encode()).unwrap(), c);
-        match decode_message(&c.encode()).unwrap() {
-            Message::Control(got) => prop_assert_eq!(got, c),
-            Message::Share(_) => prop_assert!(false, "misdispatched"),
+        match decode_message_ref(&c.encode()).unwrap() {
+            MessageRef::Control(got) => prop_assert_eq!(got, c),
+            MessageRef::Share(_) => prop_assert!(false, "misdispatched"),
         }
     }
 
@@ -51,10 +85,9 @@ proptest! {
         cut in 0usize..24,
         payload in proptest::collection::vec(any::<u8>(), 1..64),
     ) {
-        let frame = ShareFrame::new(1, 1, 1, 1, 0, payload).unwrap();
-        let enc = frame.encode();
+        let enc = share_bytes(CodecId::Shamir, 1, (1, 1, 1), 0, &payload);
         let cut = cut.min(enc.len().saturating_sub(1));
-        prop_assert!(ShareFrame::decode(&enc[..cut]).is_err());
+        prop_assert!(ShareRef::decode(&enc[..cut]).is_err());
     }
 
     #[test]
@@ -69,21 +102,9 @@ proptest! {
     ) {
         let k = 1 + k_off % m;
         let x = 1 + x_off % m;
-        let frame = ShareFrame::new(seq, k, m, x, stamp, payload).unwrap();
-        let mut enc = frame.encode().to_vec();
-        for &(idx, byte) in &mutations {
-            let len = enc.len();
-            enc[idx % len] = byte;
-        }
-        match decode_message(&Bytes::copy_from_slice(&enc)) {
-            Err(_) => {}
-            Ok(Message::Share(decoded)) => {
-                prop_assert_eq!(decoded.encode().as_ref(), enc.as_slice());
-            }
-            Ok(Message::Control(decoded)) => {
-                prop_assert_eq!(decoded.encode().as_ref(), enc.as_slice());
-            }
-        }
+        let mut enc = share_bytes(CodecId::Shamir, seq, (k, m, x), stamp, &payload);
+        mutate(&mut enc, &mutations);
+        assert_canonical(&enc);
     }
 
     #[test]
@@ -93,55 +114,33 @@ proptest! {
         mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..8),
     ) {
         let mut enc = ControlFrame::new(epoch, delivered).encode().to_vec();
-        for &(idx, byte) in &mutations {
-            let len = enc.len();
-            enc[idx % len] = byte;
-        }
-        match decode_message(&Bytes::copy_from_slice(&enc)) {
-            Err(_) => {}
-            Ok(Message::Share(decoded)) => {
-                prop_assert_eq!(decoded.encode().as_ref(), enc.as_slice());
-            }
-            Ok(Message::Control(decoded)) => {
-                prop_assert_eq!(decoded.encode().as_ref(), enc.as_slice());
-            }
-        }
+        mutate(&mut enc, &mutations);
+        assert_canonical(&enc);
     }
 
+    /// Mutate, then truncate, a share frame and a control frame: the
+    /// message decoder is the frame decoder the leading magic selects,
+    /// verdict for verdict and error for error.
     #[test]
-    fn borrowed_and_owning_decoders_agree_on_mutations(
+    fn message_dispatch_agrees_with_the_frame_decoders_on_mutations(
         payload in proptest::collection::vec(any::<u8>(), 0..256),
+        epoch in any::<u32>(),
+        delivered in any::<u64>(),
         mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..12),
+        cut in 0usize..=CONTROL_BYTES,
     ) {
-        let frame = ShareFrame::new(11, 2, 3, 2, 5, payload).unwrap();
-        let mut enc = frame.encode().to_vec();
-        for &(idx, byte) in &mutations {
-            let len = enc.len();
-            enc[idx % len] = byte;
-        }
-        let owned = ShareFrame::decode(&enc);
-        let by_ref = ShareRef::decode(&enc);
-        match (&owned, &by_ref) {
-            (Ok(o), Ok(r)) => {
-                prop_assert_eq!(o.seq(), r.seq());
-                prop_assert_eq!(o.k(), r.k());
-                prop_assert_eq!(o.m(), r.m());
-                prop_assert_eq!(o.x(), r.x());
-                prop_assert_eq!(o.sent_at_nanos(), r.sent_at_nanos());
-                prop_assert_eq!(o.payload().as_ref(), r.payload());
-            }
-            (Err(oe), Err(re)) => prop_assert_eq!(oe, re),
-            other => prop_assert!(false, "decoders disagree: {:?}", other),
-        }
-        let owned_msg = decode_message(&Bytes::copy_from_slice(&enc));
-        let ref_msg = decode_message_ref(&enc);
-        prop_assert_eq!(
-            owned_msg.is_ok(),
-            ref_msg.is_ok(),
-            "message dispatch disagrees"
-        );
-        if let (Ok(Message::Control(o)), Ok(MessageRef::Control(r))) = (&owned_msg, &ref_msg) {
-            prop_assert_eq!(o, r);
+        let mut share = share_bytes(CodecId::Shamir, 11, (2, 3, 2), 5, &payload);
+        mutate(&mut share, &mutations);
+        let mut control = ControlFrame::new(epoch, delivered).encode().to_vec();
+        mutate(&mut control, &mutations);
+        control.truncate(cut);
+        for enc in [&share, &control] {
+            let want = if enc.len() >= 2 && enc[..2] == CONTROL_MAGIC {
+                ControlFrame::decode(enc).map(MessageRef::Control)
+            } else {
+                ShareRef::decode(enc).map(MessageRef::Share)
+            };
+            prop_assert_eq!(decode_message_ref(enc), want);
         }
     }
 
@@ -154,7 +153,6 @@ proptest! {
         let enc = ControlFrame::new(epoch, delivered).encode();
         prop_assert_eq!(enc.len(), CONTROL_BYTES);
         prop_assert!(ControlFrame::decode(&enc[..cut]).is_err());
-        prop_assert!(decode_message(&enc[..cut]).is_err());
         prop_assert!(decode_message_ref(&enc[..cut]).is_err());
     }
 
@@ -167,46 +165,17 @@ proptest! {
     ) {
         // The decoders must consume exactly the declared frame — any
         // trailing bytes are an error, never a silent over-read.
-        let mut share = ShareFrame::new(3, 1, 2, 1, 9, payload).unwrap().encode().to_vec();
-        share.extend_from_slice(&extra);
-        prop_assert!(ShareFrame::decode(&share).is_err());
-        prop_assert!(ShareRef::decode(&share).is_err());
-        prop_assert!(decode_message(&share).is_err());
-        prop_assert!(decode_message_ref(&share).is_err());
+        for codec in CodecId::ALL {
+            let mut share = share_bytes(codec, 3, (1, 2, 1), 9, &payload);
+            share.extend_from_slice(&extra);
+            prop_assert!(ShareRef::decode(&share).is_err());
+            prop_assert!(decode_message_ref(&share).is_err());
+        }
 
         let mut control = ControlFrame::new(epoch, delivered).encode().to_vec();
         control.extend_from_slice(&extra);
         prop_assert!(ControlFrame::decode(&control).is_err());
-        prop_assert!(decode_message(&control).is_err());
         prop_assert!(decode_message_ref(&control).is_err());
-    }
-
-    #[test]
-    fn control_decoders_agree_on_mutations(
-        epoch in any::<u32>(),
-        delivered in any::<u64>(),
-        mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..8),
-        cut in 0usize..=CONTROL_BYTES,
-    ) {
-        // Mutate, then truncate: the owning and borrowing message
-        // decoders must agree byte-for-byte on what they accept.
-        let mut enc = ControlFrame::new(epoch, delivered).encode().to_vec();
-        for &(idx, byte) in &mutations {
-            let len = enc.len();
-            enc[idx % len] = byte;
-        }
-        enc.truncate(cut);
-        let owned = decode_message(&Bytes::copy_from_slice(&enc));
-        let by_ref = decode_message_ref(&enc);
-        match (&owned, &by_ref) {
-            (Ok(Message::Control(o)), Ok(MessageRef::Control(r))) => prop_assert_eq!(o, r),
-            (Ok(Message::Share(o)), Ok(MessageRef::Share(r))) => {
-                prop_assert_eq!(o.payload().as_ref(), r.payload());
-                prop_assert_eq!((o.seq(), o.k(), o.m(), o.x()), (r.seq(), r.k(), r.m(), r.x()));
-            }
-            (Err(oe), Err(re)) => prop_assert_eq!(oe, re),
-            other => prop_assert!(false, "decoders disagree: {:?}", other),
-        }
     }
 
     #[test]
@@ -215,11 +184,10 @@ proptest! {
         flip_byte in any::<usize>(),
         flip_bit in 0u8..8,
     ) {
-        let frame = ShareFrame::new(7, 2, 3, 1, 99, payload).unwrap();
-        let mut enc = frame.encode().to_vec();
+        let mut enc = share_bytes(CodecId::Shamir, 7, (2, 3, 1), 99, &payload);
         let idx = flip_byte % enc.len();
         enc[idx] ^= 1 << flip_bit;
         // Must either decode to *something* or error — never panic.
-        let _ = decode_message(&Bytes::from(enc));
+        let _ = decode_message_ref(&enc);
     }
 }

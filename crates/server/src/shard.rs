@@ -181,7 +181,6 @@ pub struct Shard {
     /// Swap target for [`Shard::flush_ready`]; retained so the flush
     /// itself allocates nothing in steady state.
     ready_scratch: Vec<u32>,
-    legacy_cid: Option<u32>,
     stats: Arc<ShardStats>,
     inbox: Arc<BoundedQueue<Handoff>>,
     inboxes: Vec<Arc<BoundedQueue<Handoff>>>,
@@ -207,7 +206,6 @@ impl Shard {
             outbound: VecDeque::new(),
             ready: Vec::new(),
             ready_scratch: Vec::new(),
-            legacy_cid: None,
             stats: Arc::clone(&stats),
             inbox: Arc::clone(&inboxes[index]),
             inboxes,
@@ -416,16 +414,11 @@ impl Shard {
         ShardStats::bump(&self.stats.datagrams_received);
         let (cid, inner) = match demux_frame(datagram) {
             Ok(DemuxFrame::Cid { cid, inner }) => (cid, inner),
-            Ok(DemuxFrame::Legacy(frame)) => match self.legacy_cid {
-                Some(cid) => {
-                    ShardStats::bump(&self.stats.legacy_frames);
-                    (cid, frame)
-                }
-                None => {
-                    ShardStats::bump(&self.stats.dropped_legacy);
-                    return None;
-                }
-            },
+            // A bare frame names no session, and a shard serves many.
+            Ok(DemuxFrame::Legacy(_)) => {
+                ShardStats::bump(&self.stats.dropped_legacy);
+                return None;
+            }
             Err(_) => {
                 ShardStats::bump(&self.stats.dropped_malformed);
                 return None;
@@ -800,24 +793,6 @@ impl ShardSet {
     ) -> Result<(), ServerError> {
         let owner = self.shard_of(cid);
         self.shards[owner].add_session(cid, config.into(), channels, source, seed)
-    }
-
-    /// Routes bare pre-prefix (`"RM"`/`"RC"`) frames to the session
-    /// registered under `cid` — the compatibility path for
-    /// single-session peers that predate the demux prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no session is registered under `cid`.
-    pub fn set_legacy_session(&mut self, cid: u32) {
-        let owner = self.shard_of(cid);
-        assert!(
-            self.shards[owner].sessions.contains_key(&cid),
-            "no session with connection id {cid}"
-        );
-        for shard in &mut self.shards {
-            shard.legacy_cid = Some(cid);
-        }
     }
 
     /// Starts session `cid` at `now`.

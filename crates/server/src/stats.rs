@@ -89,9 +89,8 @@ shard_stats! {
     /// counted apart from `dropped_bad_frame` so a codec-version skew
     /// between peers is visible as itself, not as generic garbage.
     dropped_unknown_codec,
-    /// Bare pre-prefix frames routed to the legacy session.
-    legacy_frames,
-    /// Bare pre-prefix frames with no legacy session registered.
+    /// Bare frames without the connection-ID prefix: they name no
+    /// session, so a shard drops them.
     dropped_legacy,
     /// Outbound datagrams the transport refused (socket backpressure).
     send_drops,

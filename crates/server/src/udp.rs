@@ -16,7 +16,7 @@
 //! on shard *i*'s socket without crossing a thread boundary. The
 //! bounded handoff queues of [`Shard`](crate::shard::Shard) remain as
 //! the rare-path escape hatch (hash collisions the calibration could
-//! not untangle, legacy frames). On non-Linux hosts each "group"
+//! not untangle). On non-Linux hosts each "group"
 //! degenerates to a plain per-shard cross-connected loopback pair with
 //! the same ownership layout.
 //!

@@ -53,7 +53,9 @@ fn collect_datagrams(set: &mut ShardSet, symbols: usize) -> Vec<(u32, usize, Vec
 /// 3 mutates the demux magic, 4 rewrites the inner share header to
 /// claim a codec id this build has never heard of (a peer running a
 /// future codec — the datagram routes fine but the share must drop
-/// under its own counter, whatever codec the session itself runs).
+/// under its own counter, whatever codec the session itself runs),
+/// 5 strips the prefix, leaving the bare frame a single-session peer
+/// would send — it names no session, so a shard must drop it.
 fn corrupt(datagram: &[u8], kind: usize, fuzz: usize) -> Vec<u8> {
     let mut bytes = datagram.to_vec();
     match kind {
@@ -64,6 +66,7 @@ fn corrupt(datagram: &[u8], kind: usize, fuzz: usize) -> Vec<u8> {
             bytes[0] = b'Q';
             bytes[1] = fuzz as u8;
         }
+        5 => drop(bytes.drain(..CID_PREFIX_BYTES)),
         _ => {
             // The v2 header is the v1 header with a codec byte inserted
             // at inner offset 6; upgrade v1 frames in place the same way
@@ -87,7 +90,7 @@ proptest! {
         shards in 1usize..=4,
         symbols in 1usize..=3,
         order_seed in any::<u64>(),
-        corruptions in collection::vec((0usize..5, any::<usize>()), 0..6),
+        corruptions in collection::vec((0usize..6, any::<usize>()), 0..6),
     ) {
         let config = Arc::new(
             ProtocolConfig::new(2.0, 3.0)
@@ -114,12 +117,14 @@ proptest! {
         let mut expect_unknown = 0u64;
         let mut expect_malformed = 0u64;
         let mut expect_unknown_codec = 0u64;
+        let mut expect_legacy = 0u64;
         for (i, &(kind, fuzz)) in corruptions.iter().enumerate() {
             let (_, channel, template) = &clean[i % clean.len()];
             let mutated = corrupt(template, kind, fuzz);
             match kind {
                 0 => expect_unknown += 1,
                 4 => expect_unknown_codec += 1,
+                5 => expect_legacy += 1,
                 _ => expect_malformed += 1,
             }
             wire.push((*channel, mutated));
@@ -151,9 +156,7 @@ proptest! {
         // into the generic bad-frame bucket.
         prop_assert_eq!(totals.dropped_unknown_codec, expect_unknown_codec);
         prop_assert_eq!(totals.dropped_bad_frame, 0);
-        // No legacy session is registered, so nothing may take the
-        // legacy path.
-        prop_assert_eq!(totals.legacy_frames, 0);
+        prop_assert_eq!(totals.dropped_legacy, expect_legacy);
         prop_assert_eq!(totals.handoff_rejected, 0);
         prop_assert_eq!(totals.datagrams_received, wire.len() as u64);
     }

@@ -1,64 +1,28 @@
-//! Batched splitting and reconstruction over symbol batches.
+//! In-place splitting into caller-owned buffers.
 //!
-//! The per-symbol [`split`](crate::split) allocates `k` coefficient
-//! planes and one accumulator per call and runs the GF(2⁸) Horner
-//! kernels over one symbol's worth of bytes at a time. When a sender
-//! shares many symbols with the same `(k, m)` — every run of a share
-//! schedule entry — the same work can run over the *concatenation* of
-//! the batch: one plane set, one accumulator, and kernel calls long
-//! enough to amortize table setup (see `mcss_gf256::slice`). The scratch
-//! buffers live in a caller-held [`BatchScratch`] and are reused across
-//! batches, so steady-state splitting performs no per-symbol scratch
-//! allocation (only the returned shares themselves own memory).
+//! The owned [`split`](crate::split) allocates `k` coefficient planes
+//! and one accumulator per share on every call. [`split_into`] is the
+//! protocol sender's form of the same computation: random planes live
+//! in a caller-held [`BatchScratch`] that is reused across symbols, and
+//! each share's evaluation is appended straight to a caller-owned
+//! output buffer, so steady-state splitting allocates nothing.
 //!
-//! Determinism contract, pinned by property tests: [`split_batch`] draws
-//! randomness per symbol in batch order, consuming exactly the stream a
-//! loop of per-symbol `split` calls would, so batched and per-symbol
-//! shares are byte-identical for the same seeded RNG. Reconstruction is
-//! deterministic, and [`reconstruct_batch`] is byte-identical to mapping
-//! [`reconstruct`](crate::reconstruct) over the batch.
-//!
-//! # Examples
-//!
-//! ```
-//! use mcss_shamir::{split_batch, reconstruct_batch, BatchScratch, Params};
-//!
-//! # fn main() -> Result<(), mcss_shamir::ShareError> {
-//! let params = Params::new(2, 3)?;
-//! let mut scratch = BatchScratch::new();
-//! let symbols: [&[u8]; 3] = [b"alpha", b"bravo", b"charlie"];
-//! let shared = split_batch(&symbols, params, &mut rand::rng(), &mut scratch)?;
-//!
-//! // Drop one share of each symbol; any 2 of 3 reconstruct.
-//! let received: Vec<&[mcss_shamir::Share]> =
-//!     shared.iter().map(|s| &s[1..]).collect();
-//! let secrets = reconstruct_batch(&received, &mut scratch)?;
-//! assert_eq!(secrets[2], b"charlie");
-//! # Ok(())
-//! # }
-//! ```
+//! Determinism contract, pinned by tests: [`split_into`] draws
+//! randomness in exactly the order `split` does, so for the same seeded
+//! RNG the appended bytes are byte-identical to `split`'s share data.
 
-use mcss_gf256::{slice as gf_slice, Gf256};
+use mcss_gf256::Gf256;
 
-use crate::{
-    horner_eval, lagrange_weight, reconstruct, validate_shares, Params, Share, ShareError,
-};
+use crate::{horner_eval, Params, ShareError};
 
-/// Reusable working memory for [`split_batch`] and [`reconstruct_batch`].
+/// Reusable working memory for [`split_into`].
 ///
-/// Buffers grow to the largest batch seen and are retained, so a
-/// long-lived scratch makes steady-state batching allocation-free apart
-/// from the returned shares/secrets.
+/// Buffers grow to the largest symbol seen and are retained, so a
+/// long-lived scratch makes steady-state splitting allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// Coefficient planes (split) over the concatenated batch.
+    /// Random coefficient planes `1..k`.
     planes: Vec<Vec<u8>>,
-    /// Horner / Lagrange accumulator over the concatenated batch.
-    acc: Vec<u8>,
-    /// Per-share-position lanes (reconstruct) over the concatenated batch.
-    lanes: Vec<Vec<u8>>,
-    /// Prefix byte offsets of each symbol in the concatenation.
-    cuts: Vec<usize>,
 }
 
 impl BatchScratch {
@@ -67,75 +31,6 @@ impl BatchScratch {
     pub fn new() -> Self {
         BatchScratch::default()
     }
-}
-
-/// Splits every symbol of a batch with the same parameters, equivalent
-/// to (and byte-identical with) calling [`split`](crate::split) per
-/// symbol with the same RNG.
-///
-/// Returns one share vector per input symbol, in order.
-///
-/// # Errors
-///
-/// Never fails for valid [`Params`], like [`split`](crate::split).
-pub fn split_batch<R: rand::Rng + ?Sized>(
-    secrets: &[&[u8]],
-    params: Params,
-    rng: &mut R,
-    scratch: &mut BatchScratch,
-) -> Result<Vec<Vec<Share>>, ShareError> {
-    use rand::RngExt as _;
-    let _span = mcss_obs::span!("shamir.split_batch");
-    let k = params.threshold() as usize;
-    let m = params.multiplicity() as usize;
-
-    let cuts = &mut scratch.cuts;
-    cuts.clear();
-    cuts.push(0);
-    for s in secrets {
-        cuts.push(cuts.last().expect("non-empty") + s.len());
-    }
-    let total = *cuts.last().expect("non-empty");
-
-    if scratch.planes.len() < k {
-        scratch.planes.resize_with(k, Vec::new);
-    }
-    let planes = &mut scratch.planes[..k];
-    for p in planes.iter_mut() {
-        p.clear();
-        p.resize(total, 0);
-    }
-    for (s, secret) in secrets.iter().enumerate() {
-        planes[0][cuts[s]..cuts[s + 1]].copy_from_slice(secret);
-    }
-    // Random coefficient planes, drawn per symbol in batch order: the
-    // exact RNG stream a loop of per-symbol `split` calls consumes, which
-    // is what makes batched output byte-identical under the same seed.
-    for s in 0..secrets.len() {
-        for plane in planes[1..].iter_mut() {
-            rng.fill(&mut plane[cuts[s]..cuts[s + 1]]);
-        }
-    }
-
-    let acc = &mut scratch.acc;
-    acc.clear();
-    acc.resize(total, 0);
-    let mut out: Vec<Vec<Share>> = secrets.iter().map(|_| Vec::with_capacity(m)).collect();
-    for j in 0..m {
-        let x = Gf256::new(j as u8 + 1);
-        // Fused Horner over the concatenated planes: one MulTable per
-        // share point, built once and reused across every Horner step,
-        // instead of one 256-entry row per scale_add_assign call.
-        horner_eval(acc, planes, None, x);
-        for (s, shares) in out.iter_mut().enumerate() {
-            shares.push(Share::new(
-                j as u8 + 1,
-                params.threshold(),
-                acc[cuts[s]..cuts[s + 1]].to_vec(),
-            ));
-        }
-    }
-    Ok(out)
 }
 
 /// Splits one symbol *in place*: share `j`'s evaluation bytes are
@@ -214,80 +109,6 @@ pub fn split_into<R: rand::Rng + ?Sized>(
     Ok(())
 }
 
-/// Whether every symbol's usable prefix presents the same threshold and
-/// abscissa sequence as the first symbol's, enabling one shared set of
-/// Lagrange weights and concatenated-lane kernels.
-fn uniform_pattern(symbols: &[&[Share]], k: usize) -> bool {
-    let pattern = &symbols[0][..k];
-    symbols[1..].iter().all(|shares| {
-        shares.len() >= k
-            && shares[0].threshold() == pattern[0].threshold()
-            && shares[..k].iter().zip(pattern).all(|(a, b)| a.x() == b.x())
-    })
-}
-
-/// Reconstructs every symbol of a batch, byte-identical to mapping
-/// [`reconstruct`] over it.
-///
-/// When the batch is *uniform* — every symbol reconstructs from the same
-/// threshold and abscissa sequence, the common case when one schedule
-/// entry covers a run of symbols — the Lagrange weights are computed
-/// once and the accumulation runs over concatenated share lanes. Mixed
-/// batches fall back to per-symbol reconstruction.
-///
-/// # Errors
-///
-/// The first per-symbol [`ShareError`], as [`reconstruct`] would report
-/// it.
-pub fn reconstruct_batch(
-    symbols: &[&[Share]],
-    scratch: &mut BatchScratch,
-) -> Result<Vec<Vec<u8>>, ShareError> {
-    let _span = mcss_obs::span!("shamir.reconstruct_batch");
-    let Some(first) = symbols.first() else {
-        return Ok(Vec::new());
-    };
-    let k = validate_shares(first)?;
-    if !uniform_pattern(symbols, k) {
-        return symbols.iter().map(|shares| reconstruct(shares)).collect();
-    }
-    // Uniform fast path; still validate every symbol so error behavior
-    // matches the per-symbol loop.
-    let cuts = &mut scratch.cuts;
-    cuts.clear();
-    cuts.push(0);
-    for shares in symbols {
-        validate_shares(shares)?;
-        cuts.push(cuts.last().expect("non-empty") + shares[0].data().len());
-    }
-    let total = *cuts.last().expect("non-empty");
-
-    if scratch.lanes.len() < k {
-        scratch.lanes.resize_with(k, Vec::new);
-    }
-    let lanes = &mut scratch.lanes[..k];
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        lane.clear();
-        lane.reserve(total);
-        for shares in symbols {
-            lane.extend_from_slice(shares[i].data());
-        }
-    }
-
-    let acc = &mut scratch.acc;
-    acc.clear();
-    acc.resize(total, 0);
-    let pattern = &symbols[0][..k];
-    for (i, lane) in lanes.iter().enumerate() {
-        gf_slice::add_scaled_assign(acc, lane, lagrange_weight(pattern, i));
-    }
-    Ok(symbols
-        .iter()
-        .enumerate()
-        .map(|(s, _)| acc[cuts[s]..cuts[s + 1]].to_vec())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,68 +117,6 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(0xba7c4)
-    }
-
-    #[test]
-    fn batch_round_trips() {
-        let mut rng = rng();
-        let mut scratch = BatchScratch::new();
-        let symbols: [&[u8]; 4] = [b"one", b"two symbols", b"", b"four"];
-        let shared =
-            split_batch(&symbols, Params::new(3, 5).unwrap(), &mut rng, &mut scratch).unwrap();
-        assert!(shared.iter().all(|s| s.len() == 5));
-        let received: Vec<&[Share]> = shared.iter().map(|s| &s[2..]).collect();
-        let secrets = reconstruct_batch(&received, &mut scratch).unwrap();
-        for (got, want) in secrets.iter().zip(symbols) {
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn batched_split_matches_per_symbol_stream() {
-        let symbols: [&[u8]; 3] = [b"abcdefg", b"hi", b"0123456789"];
-        let params = Params::new(2, 4).unwrap();
-        let mut scratch = BatchScratch::new();
-        let batched = split_batch(&symbols, params, &mut rng(), &mut scratch).unwrap();
-        let mut serial_rng = rng();
-        for (s, secret) in symbols.iter().enumerate() {
-            let serial = split(secret, params, &mut serial_rng).unwrap();
-            assert_eq!(batched[s], serial, "symbol {s}");
-        }
-    }
-
-    #[test]
-    fn mixed_batch_falls_back_per_symbol() {
-        let mut rng = rng();
-        let mut scratch = BatchScratch::new();
-        // Two symbols reconstructed from different share subsets.
-        let a = split(b"first", Params::new(2, 4).unwrap(), &mut rng).unwrap();
-        let b = split(b"second", Params::new(2, 4).unwrap(), &mut rng).unwrap();
-        let batch: Vec<&[Share]> = vec![&a[..2], &b[2..]];
-        let secrets = reconstruct_batch(&batch, &mut scratch).unwrap();
-        assert_eq!(secrets[0], b"first");
-        assert_eq!(secrets[1], b"second");
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let mut scratch = BatchScratch::new();
-        assert!(reconstruct_batch(&[], &mut scratch).unwrap().is_empty());
-        let shared =
-            split_batch(&[], Params::new(2, 3).unwrap(), &mut rng(), &mut scratch).unwrap();
-        assert!(shared.is_empty());
-    }
-
-    #[test]
-    fn per_symbol_errors_surface() {
-        let mut rng = rng();
-        let mut scratch = BatchScratch::new();
-        let a = split(b"ok", Params::new(3, 4).unwrap(), &mut rng).unwrap();
-        let short: Vec<&[Share]> = vec![&a[..3], &a[..2]];
-        assert_eq!(
-            reconstruct_batch(&short, &mut scratch).unwrap_err(),
-            ShareError::NotEnoughShares { needed: 3, got: 2 }
-        );
     }
 
     #[test]
@@ -416,20 +175,5 @@ mod tests {
             &mut BatchScratch::new(),
             &mut outs,
         );
-    }
-
-    #[test]
-    fn scratch_reuse_across_batches() {
-        let mut rng = rng();
-        let mut scratch = BatchScratch::new();
-        for round in 0..3u8 {
-            let payload = vec![round; 100 * (round as usize + 1)];
-            let symbols: Vec<&[u8]> = payload.chunks(37).collect();
-            let shared =
-                split_batch(&symbols, Params::new(2, 3).unwrap(), &mut rng, &mut scratch).unwrap();
-            let received: Vec<&[Share]> = shared.iter().map(|s| &s[..2]).collect();
-            let secrets = reconstruct_batch(&received, &mut scratch).unwrap();
-            assert_eq!(secrets.concat(), payload);
-        }
     }
 }

@@ -31,13 +31,11 @@
 //! ```
 
 pub mod batch;
-pub mod blakley;
 mod error;
 mod params;
 mod share;
-pub mod stream;
 
-pub use batch::{reconstruct_batch, split_batch, split_into, BatchScratch};
+pub use batch::{split_into, BatchScratch};
 pub use error::ShareError;
 pub use params::Params;
 pub use share::Share;
@@ -61,9 +59,8 @@ pub(crate) const FUSED_MAX_PLANES: usize = 16;
 /// Overwrites `acc` with the Horner evaluation at `x` whose step order
 /// is `planes[n−1], …, planes[0]`, then `tail` if given — so `planes[i]`
 /// is the degree-`i+tail_count` coefficient and `tail` (or `planes[0]`)
-/// the constant term. This is the exact step sequence `split`,
-/// `split_into`, and `split_batch` previously ran as one
-/// `scale_add_assign` per plane. One [`MulTable`] serves every step;
+/// the constant term. This is the step sequence `split` and
+/// `split_into` share. One [`MulTable`] serves every step;
 /// small plane counts additionally fuse all steps into one pass that
 /// keeps the accumulator in registers (see
 /// [`mcss_gf256::slice::horner_into`]).
@@ -100,8 +97,7 @@ pub(crate) fn horner_eval(acc: &mut [u8], planes: &[Vec<u8>], tail: Option<&[u8]
 ///
 /// # Errors
 ///
-/// Never fails for valid [`Params`]; the `Result` exists for forward
-/// compatibility of the trait-object scheme API in [`stream`].
+/// Never fails for valid [`Params`].
 ///
 /// # Examples
 ///
@@ -174,18 +170,22 @@ pub fn reconstruct(shares: &[Share]) -> Result<Vec<u8>, ShareError> {
     let _span = mcss_obs::span!("shamir.reconstruct");
     let k = validate_shares(shares)?;
     let used = &shares[..k];
+    let mut xs = [0u8; MAX_SHARES];
+    for (x, s) in xs.iter_mut().zip(used) {
+        *x = s.x();
+    }
     // Lagrange weights at zero are shared by every byte position, so
     // compute them once and accumulate whole shares with bulk slice ops.
     let mut secret = vec![0u8; shares[0].data().len()];
     for (i, si) in used.iter().enumerate() {
-        gf_slice::add_scaled_assign(&mut secret, si.data(), lagrange_weight(used, i));
+        gf_slice::add_scaled_assign(&mut secret, si.data(), lagrange_weight_xs(&xs[..k], i));
     }
     Ok(secret)
 }
 
 /// Checks a share set's internal consistency (agreeing threshold and
 /// length, distinct abscissae, at least `k` shares) and returns `k`.
-pub(crate) fn validate_shares(shares: &[Share]) -> Result<usize, ShareError> {
+fn validate_shares(shares: &[Share]) -> Result<usize, ShareError> {
     let first = shares.first().ok_or(ShareError::NoShares)?;
     let k = first.threshold() as usize;
     let len = first.data().len();
@@ -217,38 +217,21 @@ pub(crate) fn validate_shares(shares: &[Share]) -> Result<usize, ShareError> {
     Ok(k)
 }
 
-/// The Lagrange basis weight at zero for `used[i]`: `Π_{j≠i} x_j / (x_j
-/// + x_i)`. The denominator is nonzero whenever the abscissae are
-/// distinct (enforced by [`validate_shares`]).
-pub(crate) fn lagrange_weight(used: &[Share], i: usize) -> Gf256 {
-    let xi = Gf256::new(used[i].x());
-    let mut num = Gf256::ONE;
-    let mut den = Gf256::ONE;
-    for (j, sj) in used.iter().enumerate() {
-        if i != j {
-            let xj = Gf256::new(sj.x());
-            num *= xj;
-            den *= xj + xi;
-        }
-    }
-    num / den
-}
-
 /// The Lagrange basis weight at zero for abscissa `xs[i]` against the
 /// abscissa set `xs`, for callers that keep share data outside
 /// [`Share`] objects (e.g. pooled reassembly buffers): the secret is
 /// `Σ_i weight(xs, i) · data_i`, accumulated with
 /// [`mcss_gf256::slice::add_scaled_assign`].
 ///
-/// Identical to the weight [`reconstruct`] uses; exact over GF(2⁸), so
-/// a reconstruction summed this way is byte-identical to
-/// [`reconstruct`] on the same shares.
+/// This is the weight [`reconstruct`] uses; exact over GF(2⁸), so a
+/// reconstruction summed this way is byte-identical to [`reconstruct`]
+/// on the same shares.
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) if abscissae are zero or not distinct —
 /// the caller is expected to have validated the share set, as
-/// [`validate_shares`] does for the `Share`-based API.
+/// [`reconstruct`] does for the `Share`-based API.
 #[must_use]
 pub fn lagrange_weight_xs(xs: &[u8], i: usize) -> Gf256 {
     debug_assert!(xs.iter().all(|&x| x != 0), "abscissae must be nonzero");

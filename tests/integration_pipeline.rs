@@ -98,31 +98,6 @@ fn protocol_tolerates_jitter_reordering() {
     assert!(report.mean_one_way_delay.unwrap() >= SimTime::from_millis(3));
 }
 
-/// Shamir and Blakley agree end to end: the same secret round-trips
-/// through both schemes under the same parameters, and Blakley's shares
-/// are strictly larger (the non-ideal overhead).
-#[test]
-fn shamir_and_blakley_cross_check() {
-    use mcss::shamir::blakley;
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(606);
-    let secret: Vec<u8> = (0..=255).collect();
-    for (k, m) in [(1u8, 1u8), (2, 3), (3, 5), (5, 5)] {
-        let params = Params::new(k, m).unwrap();
-        let sh = split(&secret, params, &mut rng).unwrap();
-        let bl = blakley::split(&secret, params, &mut rng).unwrap();
-        assert_eq!(reconstruct(&sh[(m - k) as usize..]).unwrap(), secret);
-        assert_eq!(
-            blakley::reconstruct(&bl[(m - k) as usize..]).unwrap(),
-            secret
-        );
-        // Ideality comparison: Shamir's share data is exactly secret-sized;
-        // Blakley pays k extra bytes for the hyperplane normal.
-        assert_eq!(sh[0].data().len(), secret.len());
-        assert_eq!(bl[0].len(), secret.len() + k as usize);
-    }
-}
-
 /// The correlated-adversary model composes with protocol schedules: a
 /// schedule tuned for independent risks underestimates exposure when
 /// channels actually share an edge — measurable end to end.
