@@ -7,6 +7,11 @@
 //! always produces the same action stream, which is what makes the
 //! protocol replayable, fuzzable, and transport-agnostic.
 //!
+//! The buffers in the actions belong to a pool: the engine's own, or,
+//! for a hosted [`EngineCore`](crate::engine::EngineCore), the pool its
+//! host lent it — where "give the buffer back" below means a `put` into
+//! that pool, and every `frame` already starts with the host's prefix.
+//!
 //! | Event | Meaning |
 //! |---|---|
 //! | [`Event::Started`] | The driver is running; a paced source arms its first tick (nothing is armed for reassembly until a share is buffered). |
@@ -18,10 +23,10 @@
 //!
 //! | Action | Driver obligation |
 //! |---|---|
-//! | [`Action::SendShare`] | Put `frame` on `channel` from `from`; report the outcome via [`Engine::share_send_ok`](crate::engine::Engine::share_send_ok) / [`share_send_rejected`](crate::engine::Engine::share_send_rejected). |
-//! | [`Action::SendControl`] | Put `frame` on `channel` from `from`; on local drop call [`Engine::control_send_rejected`](crate::engine::Engine::control_send_rejected). |
+//! | [`Action::SendShare`] | Put `frame` on `channel` from `from` as it is; report the outcome via [`share_send_ok`](crate::engine::EngineCore::share_send_ok) / [`share_send_rejected`](crate::engine::Engine::share_send_rejected), and give the buffer back once sent ([`Engine::recycle`](crate::engine::Engine::recycle)). |
+//! | [`Action::SendControl`] | Put `frame` on `channel` from `from`; give the buffer back once sent, or on local drop ([`Engine::control_send_rejected`](crate::engine::Engine::control_send_rejected)). |
 //! | [`Action::SetTimer`] | Fire [`Event::TimerFired`] with `token` at (or after) `at`. Timers are set on demand — an idle engine has none outstanding — so a driver may sleep until the earliest one. |
-//! | [`Action::DeliverSymbol`] | Hand `payload` to the application, then return the buffer with [`Engine::recycle`](crate::engine::Engine::recycle). |
+//! | [`Action::DeliverSymbol`] | Hand `payload` to the application, then give the buffer back ([`Engine::recycle`](crate::engine::Engine::recycle)): it is the one the symbol was reconstructed into. |
 
 use mcss_base::{Endpoint, SimTime};
 
@@ -32,7 +37,7 @@ pub const TIMER_SOURCE: u64 = 0;
 /// Timer token for the reassembly sweep. Demand-armed and grid-aligned:
 /// set only while a reassembly table buffers a partial symbol, never
 /// more than one outstanding, for the first multiple of the table's
-/// [`sweep_period`](crate::reassembly::ReassemblyTable::sweep_period)
+/// [`sweep_period`](crate::reassembly::ReassemblyCore::sweep_period)
 /// strictly after the oldest partial's expiry, and set again after a
 /// sweep only if partials remain.
 pub const TIMER_SWEEP: u64 = 1;
@@ -98,10 +103,10 @@ pub enum Event<'a> {
 /// One output drained from
 /// [`Engine::poll_action`](crate::engine::Engine::poll_action).
 ///
-/// Frame buffers come from the engine's pool; drivers hand them back
-/// (via the send-outcome calls or [`Engine::recycle`]
-/// (crate::engine::Engine::recycle)) to keep the steady state
-/// allocation-free.
+/// Frame buffers come from the engine's pool (a hosted engine's: its
+/// host's); drivers hand them back (via the send-outcome calls or
+/// [`Engine::recycle`](crate::engine::Engine::recycle)) to keep the
+/// steady state allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Transmit an encoded share frame on `channel` from `from`.

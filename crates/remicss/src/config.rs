@@ -287,9 +287,12 @@ mod tests {
         assert_eq!(c.mu(), 1.0);
         assert!(matches!(c.scheduler(), SchedulerKind::Dynamic));
         assert_eq!(c.symbol_bytes(), ProtocolConfig::DEFAULT_SYMBOL_BYTES);
+        // Whatever codec the environment selected frames the share.
+        let codec = c.codec();
         assert_eq!(
             c.share_wire_bytes(),
-            ProtocolConfig::DEFAULT_SYMBOL_BYTES + crate::wire::HEADER_BYTES
+            crate::wire::header_bytes(codec)
+                + codec.share_len(ProtocolConfig::DEFAULT_SYMBOL_BYTES, 1, 1)
         );
         assert!(c.cpu().is_none());
     }

@@ -13,6 +13,14 @@
 //! simulator trace replays bit-identically outside the simulator, and
 //! the protocol runs unchanged over real UDP sockets.
 //!
+//! The engine owns no buffer either, unless asked to. [`EngineCore`] is
+//! the state machine itself: each call that can emit a frame or park a
+//! share borrows the host's [`BufferPool`] and the bytes every frame it
+//! emits must start with, so a host of many sessions (a server shard)
+//! lends all of them one pool and gets frames it can put on the wire as
+//! they are. [`Engine`] is that core next to a pool of its own and an
+//! empty prefix — what a single-session driver wants.
+//!
 //! Two source modes cover the drivers' needs:
 //!
 //! * [`SourceMode::Paced`] — the engine generates its own patterned
@@ -38,7 +46,7 @@ use crate::adaptive::AdaptiveController;
 use crate::config::{ProtocolConfig, SchedulerKind};
 use crate::cpu::CpuClock;
 use crate::metrics::{SessionHistograms, SessionMetrics};
-use crate::reassembly::{AcceptOutcome, ReassemblyStats, ReassemblyTable};
+use crate::reassembly::{AcceptOutcome, ReassemblyCore, ReassemblyStats};
 use crate::scheduler::{
     ChannelState, Choice, DynamicScheduler, RoundRobinScheduler, Scheduler as _, SessionScheduler,
     StaticScheduler,
@@ -228,24 +236,43 @@ fn pattern_matches(seq: u64, payload: &[u8]) -> bool {
         .all(|(i, &b)| b == pattern_byte(seq, i))
 }
 
-/// The sans-I/O protocol state machine for one A↔B session over `n`
-/// channels.
+/// What a call into [`EngineCore`] borrows from its host: the pool every
+/// buffer comes from and goes back to, and the bytes each emitted frame
+/// starts with.
+struct Lent<'a> {
+    pool: &'a mut BufferPool,
+    prefix: &'a [u8],
+}
+
+impl Lent<'_> {
+    /// A pooled buffer holding the host's prefix, ready for a frame.
+    fn take_frame(&mut self) -> Vec<u8> {
+        let mut buf = self.pool.take();
+        buf.extend_from_slice(self.prefix);
+        buf
+    }
+}
+
+/// The protocol state machine without buffers: [`Engine`]'s state and
+/// all of its logic, written against a pool and a frame prefix the host
+/// lends for the duration of a call.
 ///
-/// Drive it with [`handle`](Engine::handle) (or
-/// [`handle_frame`](Engine::handle_frame) for raw wire bytes), drain
-/// [`poll_action`](Engine::poll_action), and report each
-/// [`Action::SendShare`] outcome via
-/// [`share_send_ok`](Engine::share_send_ok) /
-/// [`share_send_rejected`](Engine::share_send_rejected) so queue-drop
-/// accounting and buffer recycling stay exact.
-pub struct Engine {
+/// A host of many sessions keeps one [`BufferPool`] and one core per
+/// session. Every `pool` argument of one core must be the same pool: the
+/// shares its reassembly tables park are slots of it. Frames come out
+/// in [`Action::SendShare`] / [`Action::SendControl`] already starting
+/// with `prefix` (a demux prefix, or nothing), in buffers taken from
+/// `pool`; those buffers and [`Action::DeliverSymbol`] payloads are the
+/// host's to put back once it is done with them. A core at rest holds
+/// no payload buffer at all.
+pub struct EngineCore {
     config: Arc<ProtocolConfig>,
     n: usize,
     source: SourceMode,
     scheduler_a: SessionScheduler,
     scheduler_b: SessionScheduler,
-    table_a: ReassemblyTable,
-    table_b: ReassemblyTable,
+    table_a: ReassemblyCore,
+    table_b: ReassemblyCore,
     pacer: Option<Pacer>,
     /// Whether a `TIMER_SWEEP` is outstanding (never more than one).
     sweep_armed: bool,
@@ -280,15 +307,12 @@ pub struct Engine {
     codec: CodecId,
     split_scratch: CodecScratch,
     tx_bufs: Vec<Vec<u8>>,
-    frames: BufferPool,
-    payload_buf: Vec<u8>,
-    rx_buf: Vec<u8>,
     actions: VecDeque<Action>,
 }
 
-impl core::fmt::Debug for Engine {
+impl core::fmt::Debug for EngineCore {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Engine")
+        f.debug_struct("EngineCore")
             .field("config", &self.config)
             .field("n", &self.n)
             .field("source", &self.source)
@@ -297,26 +321,23 @@ impl core::fmt::Debug for Engine {
     }
 }
 
-impl Engine {
-    /// Builds an engine for `n` channels that records its delay, gap and
-    /// residency distributions into histograms of its own.
-    ///
-    /// # Errors
-    ///
-    /// [`mcss_core::ModelError::InvalidParameters`] if the config's
-    /// `(κ, μ)` are invalid for `n` channels.
-    pub fn new(
-        config: impl Into<Arc<ProtocolConfig>>,
-        n: usize,
-        source: SourceMode,
-    ) -> Result<Self, mcss_core::ModelError> {
-        Engine::with_histograms(config, n, source, Arc::new(SessionHistograms::new(n)))
+/// Appends `counters` to `snap`, keeping its counters sorted by name.
+#[cfg(feature = "telemetry")]
+fn push_counters(snap: &mut MetricsSnapshot, counters: &[(&str, u64)]) {
+    for &(name, value) in counters {
+        snap.counters.push(mcss_obs::CounterSnapshot {
+            name: name.to_string(),
+            value,
+        });
     }
+    snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
+}
 
-    /// Builds an engine for `n` channels that records its distributions
-    /// into `histograms`, which any number of engines over the same
-    /// channels may share (a server shard does). Counters stay per
-    /// engine.
+impl EngineCore {
+    /// Builds a core for `n` channels that records its delay, gap and
+    /// residency distributions into `histograms`, which any number of
+    /// cores over the same channels may share (a server shard's do).
+    /// Counters stay per core.
     ///
     /// # Errors
     ///
@@ -326,7 +347,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `histograms` was not built for `n` channels.
-    pub fn with_histograms(
+    pub fn new(
         config: impl Into<Arc<ProtocolConfig>>,
         n: usize,
         source: SourceMode,
@@ -356,7 +377,7 @@ impl Engine {
             }
         };
         let table = || {
-            ReassemblyTable::new(
+            ReassemblyCore::new(
                 config.reassembly_timeout(),
                 config.reassembly_capacity_bytes(),
             )
@@ -370,7 +391,7 @@ impl Engine {
             )),
             SourceMode::External => None,
         };
-        Ok(Engine {
+        Ok(EngineCore {
             scheduler_a,
             scheduler_b,
             table_a: table(),
@@ -404,9 +425,6 @@ impl Engine {
             codec: config.codec(),
             split_scratch: CodecScratch::new(),
             tx_bufs: Vec::with_capacity(n),
-            frames: BufferPool::new(),
-            payload_buf: Vec::new(),
-            rx_buf: Vec::new(),
             // Allocated with the engine, among the session's other
             // allocations: the first event would allocate it anyway, and
             // left until then, building a fleet is measurably slower
@@ -518,15 +536,10 @@ impl Engine {
         &self.metrics
     }
 
-    /// The frame buffer pool (for hit/miss/grow telemetry).
-    #[must_use]
-    pub fn frame_pool(&self) -> &BufferPool {
-        &self.frames
-    }
-
-    /// Serializable snapshot of the engine's metrics plus the buffer
-    /// pool and reassembly counters, under `remicss.*` names. Empty with
-    /// the `telemetry` feature off.
+    /// Serializable snapshot of the engine's metrics plus the
+    /// reassembly outcome counters, under `remicss.*` names. The pool is
+    /// the host's, and so are its counters. Empty with the `telemetry`
+    /// feature off.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
@@ -534,32 +547,25 @@ impl Engine {
         #[cfg(feature = "telemetry")]
         {
             let stats = self.table_b.stats();
-            for (name, value) in [
-                ("remicss.pool.hits", self.frames.hits()),
-                ("remicss.pool.misses", self.frames.misses()),
-                ("remicss.pool.grows", self.frames.grows()),
-                ("remicss.reassembly.pool_hits", self.table_b.pool_hits()),
-                ("remicss.reassembly.pool_misses", self.table_b.pool_misses()),
-                ("remicss.symbols.resolved", stats.completed),
-                (
-                    "remicss.symbols.expired",
-                    stats.timeout_evictions + stats.memory_evictions,
-                ),
-            ] {
-                snap.counters.push(mcss_obs::CounterSnapshot {
-                    name: name.to_string(),
-                    value,
-                });
-            }
-            snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
+            push_counters(
+                &mut snap,
+                &[
+                    ("remicss.symbols.resolved", stats.completed),
+                    (
+                        "remicss.symbols.expired",
+                        stats.timeout_evictions + stats.memory_evictions,
+                    ),
+                ],
+            );
         }
         snap
     }
 
     /// Takes the next queued [`Action`], if any. Drain after every
-    /// [`handle`](Engine::handle) / [`handle_frame`](Engine::handle_frame)
-    /// call and perform the actions in order — the order reproduces the
-    /// reference simulator's transmit/timer interleaving exactly.
+    /// [`handle`](EngineCore::handle) /
+    /// [`handle_frame`](EngineCore::handle_frame) call and perform the
+    /// actions in order — the order reproduces the reference simulator's
+    /// transmit/timer interleaving exactly.
     pub fn poll_action(&mut self) -> Option<Action> {
         self.actions.pop_front()
     }
@@ -570,31 +576,18 @@ impl Engine {
         self.metrics.record_send(channel);
     }
 
-    /// The driver's local queue rejected an [`Action::SendShare`] frame;
-    /// `frame` returns to the pool and the drop is counted.
-    pub fn share_send_rejected(&mut self, channel: usize, frame: Vec<u8>) {
+    /// The driver's local queue rejected an [`Action::SendShare`] frame:
+    /// the drop is counted (the frame's buffer is the host's to put
+    /// back).
+    pub fn share_send_rejected(&mut self, channel: usize) {
         self.send_queue_drops += 1;
         self.metrics.record_drop(channel);
-        self.frames.put(frame);
-    }
-
-    /// The driver's local queue rejected an [`Action::SendControl`]
-    /// frame. Control drops are deliberate (loss-resilient duplicates,
-    /// not counted), but the buffer still comes back to the pool.
-    pub fn control_send_rejected(&mut self, frame: Vec<u8>) {
-        self.frames.put(frame);
-    }
-
-    /// Returns a buffer to the engine's pool: received wire frames after
-    /// [`handle_frame`](Engine::handle_frame), and
-    /// [`Action::DeliverSymbol`] payloads after the application consumed
-    /// them. Keeps the steady state allocation-free.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        self.frames.put(buf);
     }
 
     /// Feeds one event into the state machine, then queues the resulting
-    /// actions for [`poll_action`](Engine::poll_action).
+    /// actions for [`poll_action`](EngineCore::poll_action). Buffers
+    /// come from and go back to `pool`; every frame emitted starts with
+    /// `prefix`.
     ///
     /// `now` must be monotonically non-decreasing across calls; `rng` is
     /// the session's only randomness source (scheduler draws and Shamir
@@ -605,12 +598,20 @@ impl Engine {
     /// Panics on [`Event::Started`] if the config's `μ` exceeds the
     /// channel count, and on a [`Event::TimerFired`] token the engine
     /// never set.
-    pub fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
+    pub fn handle(
+        &mut self,
+        pool: &mut BufferPool,
+        prefix: &[u8],
+        now: SimTime,
+        event: Event<'_>,
+        rng: &mut StdRng,
+    ) {
+        let lent = &mut Lent { pool, prefix };
         match event {
             Event::Started => self.on_start(),
-            Event::TimerFired { token } => self.on_timer(now, token, rng),
+            Event::TimerFired { token } => self.on_timer(lent, now, token, rng),
             Event::SymbolReady { payload } => {
-                self.offer_symbol(now, payload, rng);
+                self.offer_symbol(lent, now, payload, rng);
             }
             Event::ShareReceived { channel, to, share } => {
                 let now_ns = now.as_nanos();
@@ -620,8 +621,8 @@ impl Engine {
                     now_ns.saturating_sub(share.sent_at_nanos()),
                 );
                 match to {
-                    Endpoint::B => self.on_share_at_b(now, &share, rng),
-                    Endpoint::A => self.on_share_at_a(now, &share),
+                    Endpoint::B => self.on_share_at_b(lent, now, &share, rng),
+                    Endpoint::A => self.on_share_at_a(lent, now, &share),
                 }
             }
             Event::ControlReceived { to, control, .. } => {
@@ -645,20 +646,22 @@ impl Engine {
         }
     }
 
-    /// Decodes one received wire frame and feeds it to
-    /// [`handle`](Engine::handle) as the matching
+    /// Decodes one received wire frame (without any demux prefix) and
+    /// feeds it to [`handle`](EngineCore::handle) as the matching
     /// [`Event::ShareReceived`] / [`Event::ControlReceived`].
     ///
     /// The caller keeps ownership of `bytes` (the engine copies what it
-    /// retains); hand the buffer back with [`recycle`](Engine::recycle)
-    /// once the queued actions are applied.
+    /// retains).
     ///
     /// # Errors
     ///
     /// Returns the decode error for an undecodable frame; the engine
     /// counts it in `wire_errors` and changes no other state.
+    #[allow(clippy::too_many_arguments)]
     pub fn handle_frame(
         &mut self,
+        pool: &mut BufferPool,
+        prefix: &[u8],
         now: SimTime,
         channel: usize,
         to: Endpoint,
@@ -671,19 +674,17 @@ impl Engine {
                 Err(err)
             }
             Ok(MessageRef::Share(share)) => {
-                self.handle(now, Event::ShareReceived { channel, to, share }, rng);
+                let event = Event::ShareReceived { channel, to, share };
+                self.handle(pool, prefix, now, event, rng);
                 Ok(())
             }
             Ok(MessageRef::Control(control)) => {
-                self.handle(
-                    now,
-                    Event::ControlReceived {
-                        channel,
-                        to,
-                        control,
-                    },
-                    rng,
-                );
+                let event = Event::ControlReceived {
+                    channel,
+                    to,
+                    control,
+                };
+                self.handle(pool, prefix, now, event, rng);
                 Ok(())
             }
         }
@@ -709,11 +710,11 @@ impl Engine {
         }
     }
 
-    fn on_timer(&mut self, now: SimTime, token: u64, rng: &mut StdRng) {
+    fn on_timer(&mut self, lent: &mut Lent<'_>, now: SimTime, token: u64, rng: &mut StdRng) {
         match token {
-            TIMER_SOURCE => self.on_source_tick(now, rng),
+            TIMER_SOURCE => self.on_source_tick(lent, now, rng),
             TIMER_FEEDBACK => {
-                self.send_feedback();
+                self.send_feedback(lent);
                 if now < self.duration() {
                     self.actions.push_back(Action::SetTimer {
                         token: TIMER_FEEDBACK,
@@ -723,8 +724,8 @@ impl Engine {
             }
             TIMER_SWEEP => {
                 self.sweep_armed = false;
-                self.table_a.sweep(now);
-                self.table_b.sweep(now);
+                self.table_a.sweep(lent.pool, now);
+                self.table_b.sweep(lent.pool, now);
                 self.arm_sweep();
             }
             other => panic!("unknown timer token {other}"),
@@ -755,11 +756,17 @@ impl Engine {
     /// Offers one symbol payload from host A: counts it, splits it, and
     /// queues the share transmissions. Returns `false` if the CPU model
     /// shed it.
-    fn offer_symbol(&mut self, now: SimTime, payload: &[u8], rng: &mut StdRng) -> bool {
+    fn offer_symbol(
+        &mut self,
+        lent: &mut Lent<'_>,
+        now: SimTime,
+        payload: &[u8],
+        rng: &mut StdRng,
+    ) -> bool {
         self.offered += 1;
         let seq = self.next_seq;
         let stamp = now.as_nanos();
-        if self.transmit(now, Endpoint::A, seq, stamp, payload, rng) {
+        if self.transmit(lent, now, Endpoint::A, seq, stamp, payload, rng) {
             self.next_seq += 1;
             self.sent += 1;
             true
@@ -768,14 +775,14 @@ impl Engine {
         }
     }
 
-    fn on_source_tick(&mut self, now: SimTime, rng: &mut StdRng) {
+    fn on_source_tick(&mut self, lent: &mut Lent<'_>, now: SimTime, rng: &mut StdRng) {
         if now >= self.duration() {
             return;
         }
-        let mut payload = mem::take(&mut self.payload_buf);
+        let mut payload = lent.pool.take();
         pattern_into(self.next_seq, self.config.symbol_bytes(), &mut payload);
-        self.offer_symbol(now, &payload, rng);
-        self.payload_buf = payload;
+        self.offer_symbol(lent, now, &payload, rng);
+        lent.pool.put(payload);
         let pacer = self.pacer.as_mut().expect("paced source has a pacer");
         let next = pacer.next_tick();
         self.actions.push_back(Action::SetTimer {
@@ -789,11 +796,13 @@ impl Engine {
     ///
     /// Steady-state allocation-free: the scheduler writes into a reused
     /// [`Choice`], shares are encoded by the session codec's
-    /// `split_into` directly into pooled wire buffers (header already
-    /// written), and buffers come back to the pool from the driver's
-    /// send-outcome and recycle calls.
+    /// `split_into` directly into pooled wire buffers (host prefix and
+    /// header already written), and the host puts the buffers back once
+    /// the frames are sent. Each share is written exactly once.
+    #[allow(clippy::too_many_arguments)]
     fn transmit(
         &mut self,
+        lent: &mut Lent<'_>,
         now: SimTime,
         from: Endpoint,
         seq: u64,
@@ -834,7 +843,7 @@ impl Engine {
         let mut outs = mem::take(&mut self.tx_bufs);
         for j in 0..m {
             // Share j of a split carries abscissa j + 1.
-            let mut buf = self.frames.take();
+            let mut buf = lent.take_frame();
             wire::put_share_header_for(
                 &mut buf,
                 codec,
@@ -875,91 +884,99 @@ impl Engine {
         true
     }
 
-    fn on_share_at_b(&mut self, now: SimTime, share: &ShareRef<'_>, rng: &mut StdRng) {
+    fn on_share_at_b(
+        &mut self,
+        lent: &mut Lent<'_>,
+        now: SimTime,
+        share: &ShareRef<'_>,
+        rng: &mut StdRng,
+    ) {
         let seq = share.seq();
         let k = share.k() as usize;
         let stamp = share.sent_at_nanos();
-        let mut out = mem::take(&mut self.rx_buf);
-        let outcome = self.table_b.accept_into(share, now, &mut out);
+        let (outcome, payload) = self.table_b.accept(lent.pool, share, now);
         if outcome == AcceptOutcome::Stored {
             self.arm_sweep();
-        } else if outcome == AcceptOutcome::Completed {
-            self.metrics
-                .record_residency(self.table_b.last_completed_residency().as_nanos());
-            let charged = match self.config.cpu() {
-                Some(cpu) => {
-                    let cost = cpu.recv_cost(k, out.len());
-                    // On failure the receiver is saturated: symbol dropped.
-                    self.cpu_b.try_charge(now, cost, cpu)
-                }
-                None => true,
-            };
-            if charged {
-                match self.source {
-                    SourceMode::Paced(workload) => {
-                        if pattern_matches(seq, &out) {
-                            self.delivered_total += 1;
-                            let window = workload.duration();
-                            if now <= window {
-                                self.delivered_window += 1;
-                                self.meter.record(now, (out.len() * 8) as u64);
-                                self.delay.record(now - SimTime::from_nanos(stamp));
-                            }
-                            if matches!(workload, Workload::Echo { .. }) {
-                                // Bounce the symbol back through the protocol,
-                                // keeping the original timestamp so A measures
-                                // full protocol RTT.
-                                self.transmit(now, Endpoint::B, seq, stamp, &out, rng);
-                            }
-                        } else {
-                            self.corrupted += 1;
-                        }
-                    }
-                    SourceMode::External => {
+        }
+        // The reconstruction is in a pooled buffer like any other: it
+        // goes back below unless the symbol is delivered in it.
+        let Some(out) = payload else {
+            return;
+        };
+        self.metrics
+            .record_residency(self.table_b.last_completed_residency().as_nanos());
+        let charged = match self.config.cpu() {
+            Some(cpu) => {
+                let cost = cpu.recv_cost(k, out.len());
+                // On failure the receiver is saturated: symbol dropped.
+                self.cpu_b.try_charge(now, cost, cpu)
+            }
+            None => true,
+        };
+        if charged {
+            match self.source {
+                SourceMode::Paced(workload) => {
+                    if pattern_matches(seq, &out) {
                         self.delivered_total += 1;
-                        self.delivered_window += 1;
-                        self.meter.record(now, (out.len() * 8) as u64);
-                        self.delay.record(now - SimTime::from_nanos(stamp));
-                        // Surface the reconstruction; swap a pooled buffer
-                        // into the scratch slot so the path stays warm.
-                        let payload = mem::replace(&mut out, self.frames.take());
-                        self.actions
-                            .push_back(Action::DeliverSymbol { seq, payload });
+                        let window = workload.duration();
+                        if now <= window {
+                            self.delivered_window += 1;
+                            self.meter.record(now, (out.len() * 8) as u64);
+                            self.delay.record(now - SimTime::from_nanos(stamp));
+                        }
+                        if matches!(workload, Workload::Echo { .. }) {
+                            // Bounce the symbol back through the protocol,
+                            // keeping the original timestamp so A measures
+                            // full protocol RTT.
+                            self.transmit(lent, now, Endpoint::B, seq, stamp, &out, rng);
+                        }
+                    } else {
+                        self.corrupted += 1;
                     }
+                }
+                SourceMode::External => {
+                    self.delivered_total += 1;
+                    self.delivered_window += 1;
+                    self.meter.record(now, (out.len() * 8) as u64);
+                    self.delay.record(now - SimTime::from_nanos(stamp));
+                    self.actions
+                        .push_back(Action::DeliverSymbol { seq, payload: out });
+                    return;
                 }
             }
         }
-        self.rx_buf = out;
+        lent.pool.put(out);
     }
 
-    fn on_share_at_a(&mut self, now: SimTime, share: &ShareRef<'_>) {
+    fn on_share_at_a(&mut self, lent: &mut Lent<'_>, now: SimTime, share: &ShareRef<'_>) {
         let k = share.k() as usize;
         let stamp = share.sent_at_nanos();
-        let mut out = mem::take(&mut self.rx_buf);
-        let outcome = self.table_a.accept_into(share, now, &mut out);
+        let (outcome, payload) = self.table_a.accept(lent.pool, share, now);
         if outcome == AcceptOutcome::Stored {
             self.arm_sweep();
-        } else if outcome == AcceptOutcome::Completed {
-            let charged = match self.config.cpu() {
-                Some(cpu) => {
-                    let cost = cpu.recv_cost(k, out.len());
-                    self.cpu_a.try_charge(now, cost, cpu)
-                }
-                None => true,
-            };
-            if charged {
-                self.rtt.record(now - SimTime::from_nanos(stamp));
-            }
         }
-        self.rx_buf = out;
+        let Some(out) = payload else {
+            return;
+        };
+        let charged = match self.config.cpu() {
+            Some(cpu) => {
+                let cost = cpu.recv_cost(k, out.len());
+                self.cpu_a.try_charge(now, cost, cpu)
+            }
+            None => true,
+        };
+        if charged {
+            self.rtt.record(now - SimTime::from_nanos(stamp));
+        }
+        lent.pool.put(out);
     }
 
-    fn send_feedback(&mut self) {
+    fn send_feedback(&mut self, lent: &mut Lent<'_>) {
         self.feedback_epoch += 1;
         let frame = ControlFrame::new(self.feedback_epoch, self.delivered_total);
         // Tiny frame, sent on every channel for loss resilience.
         for ch in 0..self.n {
-            let mut buf = self.frames.take();
+            let mut buf = lent.take_frame();
             frame.encode_into(&mut buf);
             self.actions.push_back(Action::SendControl {
                 channel: ch,
@@ -991,5 +1008,139 @@ impl Engine {
                     .expect("controller keeps mu within [kappa, n]"),
             );
         }
+    }
+}
+
+/// The sans-I/O protocol state machine for one A↔B session over `n`
+/// channels, with a buffer pool of its own.
+///
+/// Drive it with [`handle`](Engine::handle) (or
+/// [`handle_frame`](Engine::handle_frame) for raw wire bytes), drain
+/// [`poll_action`](Engine::poll_action), and report each
+/// [`Action::SendShare`] outcome via
+/// [`share_send_ok`](Engine::share_send_ok) /
+/// [`share_send_rejected`](Engine::share_send_rejected) so queue-drop
+/// accounting and buffer recycling stay exact. Everything that needs no
+/// buffer (`report`, `metrics`, `codec`, …) is read through the
+/// [`EngineCore`] it dereferences to.
+#[derive(Debug)]
+pub struct Engine {
+    core: EngineCore,
+    pool: BufferPool,
+}
+
+impl Engine {
+    /// Builds an engine for `n` channels that records its delay, gap and
+    /// residency distributions into histograms of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`mcss_core::ModelError::InvalidParameters`] if the config's
+    /// `(κ, μ)` are invalid for `n` channels.
+    pub fn new(
+        config: impl Into<Arc<ProtocolConfig>>,
+        n: usize,
+        source: SourceMode,
+    ) -> Result<Self, mcss_core::ModelError> {
+        Ok(Engine {
+            core: EngineCore::new(config, n, source, Arc::new(SessionHistograms::new(n)))?,
+            pool: BufferPool::new(),
+        })
+    }
+
+    /// The engine's buffer pool (for hit/miss/grow telemetry): frames,
+    /// reconstructions and the shares parked in reassembly all live in
+    /// it.
+    #[must_use]
+    pub fn frame_pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
+    /// The [core's snapshot](EngineCore::metrics_snapshot) plus the
+    /// buffer pool's counters under `remicss.pool.*`. Empty with the
+    /// `telemetry` feature off.
+    #[must_use]
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
+        let mut snap = self.core.metrics_snapshot();
+        #[cfg(feature = "telemetry")]
+        push_counters(
+            &mut snap,
+            &[
+                ("remicss.pool.hits", self.pool.hits()),
+                ("remicss.pool.misses", self.pool.misses()),
+                ("remicss.pool.grows", self.pool.grows()),
+            ],
+        );
+        snap
+    }
+
+    /// [`EngineCore::poll_action`].
+    pub fn poll_action(&mut self) -> Option<Action> {
+        self.core.poll_action()
+    }
+
+    /// [`EngineCore::share_send_ok`].
+    pub fn share_send_ok(&mut self, channel: usize) {
+        self.core.share_send_ok(channel);
+    }
+
+    /// The driver's local queue rejected an [`Action::SendShare`] frame;
+    /// `frame` returns to the pool and the drop is counted.
+    pub fn share_send_rejected(&mut self, channel: usize, frame: Vec<u8>) {
+        self.core.share_send_rejected(channel);
+        self.pool.put(frame);
+    }
+
+    /// The driver's local queue rejected an [`Action::SendControl`]
+    /// frame. Control drops are deliberate (loss-resilient duplicates,
+    /// not counted), but the buffer still comes back to the pool.
+    pub fn control_send_rejected(&mut self, frame: Vec<u8>) {
+        self.pool.put(frame);
+    }
+
+    /// Returns a buffer to the engine's pool: received wire frames after
+    /// [`handle_frame`](Engine::handle_frame), and
+    /// [`Action::DeliverSymbol`] payloads after the application consumed
+    /// them. Keeps the steady state allocation-free.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.pool.put(buf);
+    }
+
+    /// [`EngineCore::handle`] over the engine's own pool, with no frame
+    /// prefix.
+    ///
+    /// # Panics
+    ///
+    /// As [`EngineCore::handle`].
+    pub fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
+        self.core.handle(&mut self.pool, &[], now, event, rng);
+    }
+
+    /// [`EngineCore::handle_frame`] over the engine's own pool, with no
+    /// frame prefix. Hand `bytes`' buffer back with
+    /// [`recycle`](Engine::recycle) once the queued actions are applied.
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineCore::handle_frame`].
+    pub fn handle_frame(
+        &mut self,
+        now: SimTime,
+        channel: usize,
+        to: Endpoint,
+        bytes: &[u8],
+        rng: &mut StdRng,
+    ) -> Result<(), WireError> {
+        self.core
+            .handle_frame(&mut self.pool, &[], now, channel, to, bytes, rng)
+    }
+}
+
+impl core::ops::Deref for Engine {
+    type Target = EngineCore;
+
+    fn deref(&self) -> &EngineCore {
+        &self.core
     }
 }

@@ -227,8 +227,8 @@ impl SessionMetrics {
     }
 
     /// The distributions this session records into. Shared with other
-    /// sessions when the engine was built with
-    /// [`Engine::with_histograms`](crate::Engine::with_histograms).
+    /// sessions when a host built their
+    /// [`EngineCore`](crate::engine::EngineCore)s over one set.
     #[must_use]
     pub fn histograms(&self) -> &Arc<SessionHistograms> {
         &self.histograms

@@ -15,11 +15,18 @@
 //!   evicting oldest-first, so memory stays flat on unbounded runs.
 //!
 //! Share data lives in a [`BufferPool`]: each buffered share occupies a
-//! generation-checked pool slot, reconstruction accumulates directly
-//! into a caller-provided output buffer, and completed or evicted
-//! entries hand their buffers back — the steady-state receive path
-//! performs no heap allocation (see
-//! [`accept_into`](ReassemblyTable::accept_into)).
+//! generation-checked pool slot, the share that completes a symbol has
+//! it reconstructed straight into a buffer of the same pool, and
+//! completed or evicted entries hand their slots back — the
+//! steady-state receive path performs no heap allocation (see
+//! [`accept`](ReassemblyCore::accept)).
+//!
+//! Whose pool that is depends on the host. [`ReassemblyCore`] is the
+//! table with the pool left out: every call that touches share data
+//! borrows one, so the tables of ten thousand sessions can park their
+//! shares in the one pool of the shard that hosts them and hold no
+//! buffer of their own while nothing is pending. [`ReassemblyTable`] is
+//! the same core next to a pool it owns.
 //!
 //! # What a timeout costs
 //!
@@ -30,7 +37,7 @@
 //! [`next_sweep_at`](ReassemblyTable::next_sweep_at) tells a driver the
 //! first instant a sweep can evict anything, so it need not call before.
 //! Resolution records are never swept at all: sweeps belong on the grid
-//! of multiples of [`sweep_period`](ReassemblyTable::sweep_period), a
+//! of multiples of [`sweep_period`](ReassemblyCore::sweep_period), a
 //! record is forgotten at the first grid instant more than `2 × timeout`
 //! after its stamp, and the table applies that rule itself when a share
 //! is offered — the oldest records are dropped from the front of their
@@ -49,7 +56,7 @@ use crate::wire::ShareRef;
 pub enum AcceptOutcome {
     /// The share was buffered; the symbol is still incomplete.
     Stored,
-    /// The share completed its symbol; the payload is in `out`.
+    /// The share completed its symbol; the payload comes with it.
     Completed,
     /// A share with this abscissa was already buffered for this symbol.
     Duplicate,
@@ -109,38 +116,16 @@ const ORDER_SLACK: usize = 8;
 /// normally age out (twice the timeout) first.
 pub const DEFAULT_RESOLVED_CAP: usize = 1 << 20;
 
-/// The share reassembly table.
+/// The reassembly table without its buffers: all of the table's state
+/// and logic, with the [`BufferPool`] that holds the share data lent by
+/// the caller on each call that touches it.
 ///
-/// # Examples
-///
-/// ```
-/// use mcss_base::SimTime;
-/// use mcss_codec::{CodecId, CodecScratch};
-/// use mcss_remicss::reassembly::{AcceptOutcome, ReassemblyTable};
-/// use mcss_remicss::wire::{put_share_header_for, ShareRef};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Sender: three frames of a 2-of-3 symbol, header then share.
-/// let codec = CodecId::from_env();
-/// let mut frames = vec![Vec::new(); 3];
-/// for (j, frame) in frames.iter_mut().enumerate() {
-///     put_share_header_for(frame, codec, 0, 2, 3, j as u8 + 1, 0, codec.share_len(6, 2, 3))?;
-/// }
-/// codec.split_into(b"secret", 2, 3, &mut rand::rng(), &mut CodecScratch::new(), &mut frames)?;
-///
-/// // Receiver: any two of them rebuild it.
-/// let mut table = ReassemblyTable::new(SimTime::from_millis(100), 1 << 20);
-/// let mut payload = Vec::new();
-/// let first = ShareRef::decode(&frames[2])?;
-/// assert_eq!(table.accept_into(&first, SimTime::ZERO, &mut payload), AcceptOutcome::Stored);
-/// let second = ShareRef::decode(&frames[0])?;
-/// assert_eq!(table.accept_into(&second, SimTime::ZERO, &mut payload), AcceptOutcome::Completed);
-/// assert_eq!(payload, b"secret");
-/// # Ok(())
-/// # }
-/// ```
+/// The handles of the buffered shares index the lent pool, so a core
+/// must be lent the same pool every time. With nothing pending it holds
+/// no handle; a core dropped while partials are pending leaves their
+/// slots checked out of that pool.
 #[derive(Debug)]
-pub struct ReassemblyTable {
+pub struct ReassemblyCore {
     timeout: SimTime,
     capacity_bytes: usize,
     resolved_cap: usize,
@@ -177,8 +162,6 @@ pub struct ReassemblyTable {
     forget_at: SimTime,
     /// Latest explicit [`sweep`](Self::sweep).
     last_sweep: SimTime,
-    /// Share-data buffers, recycled across symbols.
-    pool: BufferPool,
     /// Recycled share lists of removed `Pending` entries.
     spare_shares: Vec<Vec<(u8, BufHandle)>>,
     /// Buffering time of the most recently completed symbol.
@@ -186,12 +169,12 @@ pub struct ReassemblyTable {
     stats: ReassemblyStats,
 }
 
-impl ReassemblyTable {
-    /// Creates a table with the given eviction timeout and memory cap
-    /// (and the [`DEFAULT_RESOLVED_CAP`] on resolution records).
+impl ReassemblyCore {
+    /// Creates a table core with the given eviction timeout and memory
+    /// cap (and the [`DEFAULT_RESOLVED_CAP`] on resolution records).
     #[must_use]
     pub fn new(timeout: SimTime, capacity_bytes: usize) -> Self {
-        ReassemblyTable {
+        ReassemblyCore {
             timeout,
             capacity_bytes,
             resolved_cap: DEFAULT_RESOLVED_CAP,
@@ -207,7 +190,6 @@ impl ReassemblyTable {
             evicted_order: VecDeque::new(),
             forget_at: SimTime::MAX,
             last_sweep: SimTime::ZERO,
-            pool: BufferPool::new(),
             spare_shares: Vec::new(),
             last_completed_residency: SimTime::ZERO,
             stats: ReassemblyStats::default(),
@@ -253,19 +235,6 @@ impl ReassemblyTable {
         self.resolved.len()
     }
 
-    /// Buffers allocated by the internal share pool; flat after warmup
-    /// on the steady-state path.
-    #[must_use]
-    pub fn pool_misses(&self) -> u64 {
-        self.pool.misses()
-    }
-
-    /// Buffers served from the internal share pool without allocating.
-    #[must_use]
-    pub fn pool_hits(&self) -> u64 {
-        self.pool.hits()
-    }
-
     /// How long the most recently completed symbol sat in the table
     /// (first share seen to reconstruction; zero for `k = 1` symbols,
     /// which never buffer). Read this right after a `Completed` outcome
@@ -305,17 +274,20 @@ impl ReassemblyTable {
 
     /// Offers an in-place decoded share to the table at time `now`.
     ///
-    /// On [`AcceptOutcome::Completed`], the reconstructed payload is in
-    /// `out` (cleared first). Steady state, this path performs no heap
-    /// allocation: share data goes into pooled buffers, reconstruction
-    /// accumulates into `out`'s existing capacity, and the completed
-    /// symbol's buffers return to the pool.
-    pub fn accept_into(
+    /// With [`AcceptOutcome::Completed`] comes the reconstructed payload,
+    /// in a buffer taken from `pool` that is the caller's to put back;
+    /// with every other outcome, `None` — a share that does not complete
+    /// its symbol costs no buffer beyond the slot it is parked in.
+    /// Steady state, this path performs no heap allocation: share data
+    /// goes into buffers of `pool`, reconstruction accumulates into the
+    /// taken buffer's capacity, and the completed symbol's slots return
+    /// to `pool`.
+    pub fn accept(
         &mut self,
+        pool: &mut BufferPool,
         share: &ShareRef<'_>,
         now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> AcceptOutcome {
+    ) -> (AcceptOutcome, Option<Vec<u8>>) {
         let (seq, codec, k, m, x) = (share.seq(), share.codec(), share.k(), share.m(), share.x());
         let payload = share.payload();
         if now >= self.forget_at {
@@ -324,29 +296,31 @@ impl ReassemblyTable {
         }
         if self.resolved.contains_key(&seq) {
             self.stats.stale += 1;
-            return AcceptOutcome::Stale;
+            return (AcceptOutcome::Stale, None);
         }
         if !self.pending.contains_key(&seq) {
             if k == 1 {
                 // Threshold 1: a single share carries the symbol, and
                 // nothing is buffered. A share the codec cannot decode
                 // (a garbled wrapper) must not resolve the symbol.
+                let mut out = pool.take();
                 if codec
-                    .reconstruct_with(1, m, 1, |_| x, |_| payload, out)
+                    .reconstruct_with(1, m, 1, |_| x, |_| payload, &mut out)
                     .is_err()
                 {
+                    pool.put(out);
                     self.stats.decode_failures += 1;
-                    return AcceptOutcome::Inconsistent;
+                    return (AcceptOutcome::Inconsistent, None);
                 }
                 self.resolve(seq, now, false);
                 self.last_completed_residency = SimTime::ZERO;
                 self.stats.completed += 1;
-                return AcceptOutcome::Completed;
+                return (AcceptOutcome::Completed, Some(out));
             }
             let bytes = payload.len();
-            self.make_room(bytes);
-            let handle = self.pool.acquire();
-            self.pool.get_mut(handle).extend_from_slice(payload);
+            self.make_room(pool, bytes);
+            let handle = pool.acquire();
+            pool.get_mut(handle).extend_from_slice(payload);
             let mut shares = self.spare_shares.pop().unwrap_or_default();
             shares.push((x, handle));
             self.pending.insert(
@@ -364,24 +338,24 @@ impl ReassemblyTable {
             self.order.push_back(seq);
             self.buffered_bytes += bytes;
             Self::reserve_headroom(&mut self.pending, &mut self.pending_full_cap);
-            return AcceptOutcome::Stored;
+            return (AcceptOutcome::Stored, None);
         }
         let p = self.pending.get_mut(&seq).expect("checked above");
-        let first_len = p.shares.first().map(|&(_, h)| self.pool.get(h).len());
+        let first_len = p.shares.first().map(|&(_, h)| pool.get(h).len());
         if p.codec != codec
             || p.k != k
             || p.m != m
             || first_len.is_some_and(|len| len != payload.len())
         {
             self.stats.inconsistent += 1;
-            return AcceptOutcome::Inconsistent;
+            return (AcceptOutcome::Inconsistent, None);
         }
         if p.shares.iter().any(|&(sx, _)| sx == x) {
             self.stats.duplicates += 1;
-            return AcceptOutcome::Duplicate;
+            return (AcceptOutcome::Duplicate, None);
         }
-        let handle = self.pool.acquire();
-        self.pool.get_mut(handle).extend_from_slice(payload);
+        let handle = pool.acquire();
+        pool.get_mut(handle).extend_from_slice(payload);
         let p = self.pending.get_mut(&seq).expect("checked above");
         p.shares.push((x, handle));
         p.bytes += payload.len();
@@ -394,7 +368,8 @@ impl ReassemblyTable {
             // The codec's rebuild over the pooled shares in arrival
             // order; a failure (malformed payloads — Shamir's
             // interpolation is total) is surfaced as a decode failure.
-            let pool = &self.pool;
+            let mut out = pool.take();
+            let parked: &BufferPool = pool;
             let decoded = p
                 .codec
                 .reconstruct_with(
@@ -402,30 +377,31 @@ impl ReassemblyTable {
                     p.m,
                     p.shares.len(),
                     |i| p.shares[i].0,
-                    |i| pool.get(p.shares[i].1),
-                    out,
+                    |i| parked.get(p.shares[i].1),
+                    &mut out,
                 )
                 .is_ok();
             let residency = now.saturating_sub(p.first_seen);
-            self.recycle(p);
+            self.recycle(pool, p);
             if decoded {
                 self.last_completed_residency = residency;
                 self.stats.completed += 1;
-                AcceptOutcome::Completed
+                (AcceptOutcome::Completed, Some(out))
             } else {
+                pool.put(out);
                 self.stats.decode_failures += 1;
-                AcceptOutcome::Inconsistent
+                (AcceptOutcome::Inconsistent, None)
             }
         } else {
-            AcceptOutcome::Stored
+            (AcceptOutcome::Stored, None)
         }
     }
 
     /// Returns a removed entry's buffers to the pool.
-    fn recycle(&mut self, p: Pending) {
+    fn recycle(&mut self, pool: &mut BufferPool, p: Pending) {
         let mut shares = p.shares;
         for &(_, handle) in &shares {
-            self.pool.release(handle);
+            pool.release(handle);
         }
         shares.clear();
         self.spare_shares.push(shares);
@@ -435,7 +411,7 @@ impl ReassemblyTable {
     /// first, and forgets the resolution records older than twice the
     /// timeout. Costs `O(evicted + forgotten)`; nothing is evicted before
     /// [`next_sweep_at`](Self::next_sweep_at).
-    pub fn sweep(&mut self, now: SimTime) {
+    pub fn sweep(&mut self, pool: &mut BufferPool, now: SimTime) {
         // The evictions below meet the resolved cap with the records
         // the grid instants before `now` left, not with those `now`
         // itself is about to drop.
@@ -445,7 +421,7 @@ impl ReassemblyTable {
                 break;
             }
             let p = self.take_oldest(seq);
-            self.recycle(p);
+            self.recycle(pool, p);
             self.resolve(seq, now, false);
             self.stats.timeout_evictions += 1;
         }
@@ -603,16 +579,129 @@ impl ReassemblyTable {
 
     /// Evicts oldest partial symbols until `incoming` more bytes fit
     /// under the cap.
-    fn make_room(&mut self, incoming: usize) {
+    fn make_room(&mut self, pool: &mut BufferPool, incoming: usize) {
         while self.buffered_bytes + incoming > self.capacity_bytes {
             let Some((seq, first_seen)) = self.oldest() else {
                 break;
             };
             let p = self.take_oldest(seq);
-            self.recycle(p);
+            self.recycle(pool, p);
             self.resolve(seq, first_seen, true);
             self.stats.memory_evictions += 1;
         }
+    }
+}
+
+/// The share reassembly table: a [`ReassemblyCore`] and the pool its
+/// share data lives in. Counters and sizes are read through the core
+/// (`table.stats()`, `table.buffered_bytes()`, …).
+///
+/// # Examples
+///
+/// ```
+/// use mcss_base::SimTime;
+/// use mcss_codec::{CodecId, CodecScratch};
+/// use mcss_remicss::reassembly::{AcceptOutcome, ReassemblyTable};
+/// use mcss_remicss::wire::{put_share_header_for, ShareRef};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // Sender: three frames of a 2-of-3 symbol, header then share.
+/// let codec = CodecId::from_env();
+/// let mut frames = vec![Vec::new(); 3];
+/// for (j, frame) in frames.iter_mut().enumerate() {
+///     put_share_header_for(frame, codec, 0, 2, 3, j as u8 + 1, 0, codec.share_len(6, 2, 3))?;
+/// }
+/// codec.split_into(b"secret", 2, 3, &mut rand::rng(), &mut CodecScratch::new(), &mut frames)?;
+///
+/// // Receiver: any two of them rebuild it.
+/// let mut table = ReassemblyTable::new(SimTime::from_millis(100), 1 << 20);
+/// let mut payload = Vec::new();
+/// let first = ShareRef::decode(&frames[2])?;
+/// assert_eq!(table.accept_into(&first, SimTime::ZERO, &mut payload), AcceptOutcome::Stored);
+/// let second = ShareRef::decode(&frames[0])?;
+/// assert_eq!(table.accept_into(&second, SimTime::ZERO, &mut payload), AcceptOutcome::Completed);
+/// assert_eq!(payload, b"secret");
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct ReassemblyTable {
+    core: ReassemblyCore,
+    /// Share-data buffers, recycled across symbols.
+    pool: BufferPool,
+}
+
+impl ReassemblyTable {
+    /// Creates a table with the given eviction timeout and memory cap
+    /// (and the [`DEFAULT_RESOLVED_CAP`] on resolution records).
+    #[must_use]
+    pub fn new(timeout: SimTime, capacity_bytes: usize) -> Self {
+        ReassemblyTable {
+            core: ReassemblyCore::new(timeout, capacity_bytes),
+            pool: BufferPool::new(),
+        }
+    }
+
+    /// Bounds the resolved-symbol memory to `cap` records (see
+    /// [`ReassemblyCore::with_resolved_cap`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    #[must_use]
+    pub fn with_resolved_cap(mut self, cap: usize) -> Self {
+        self.core = self.core.with_resolved_cap(cap);
+        self
+    }
+
+    /// Buffers allocated by the internal share pool; flat after warmup
+    /// on the steady-state path.
+    #[must_use]
+    pub fn pool_misses(&self) -> u64 {
+        self.pool.misses()
+    }
+
+    /// Buffers served from the internal share pool without allocating.
+    #[must_use]
+    pub fn pool_hits(&self) -> u64 {
+        self.pool.hits()
+    }
+
+    /// [`ReassemblyCore::next_sweep_at`].
+    pub fn next_sweep_at(&mut self) -> Option<SimTime> {
+        self.core.next_sweep_at()
+    }
+
+    /// [`ReassemblyCore::accept`] over the table's own pool. On
+    /// [`AcceptOutcome::Completed`] the reconstructed payload is in
+    /// `out`: the buffer it was rebuilt in changes places with the one
+    /// the caller passed, which joins the pool. `out` is left as it was
+    /// otherwise.
+    pub fn accept_into(
+        &mut self,
+        share: &ShareRef<'_>,
+        now: SimTime,
+        out: &mut Vec<u8>,
+    ) -> AcceptOutcome {
+        let (outcome, payload) = self.core.accept(&mut self.pool, share, now);
+        if let Some(mut payload) = payload {
+            std::mem::swap(out, &mut payload);
+            self.pool.put(payload);
+        }
+        outcome
+    }
+
+    /// [`ReassemblyCore::sweep`] over the table's own pool.
+    pub fn sweep(&mut self, now: SimTime) {
+        self.core.sweep(&mut self.pool, now);
+    }
+}
+
+impl core::ops::Deref for ReassemblyTable {
+    type Target = ReassemblyCore;
+
+    fn deref(&self) -> &ReassemblyCore {
+        &self.core
     }
 }
 
@@ -837,9 +926,9 @@ mod tests {
             offer(&mut t, &fs[0], SimTime::from_millis(1));
             assert_eq!(offer(&mut t, &fs[1], SimTime::from_millis(1)).0, Completed);
             assert!(
-                t.order.len() <= 2 + ORDER_SLACK + 1,
+                t.core.order.len() <= 2 + ORDER_SLACK + 1,
                 "ring grew: {}",
-                t.order.len()
+                t.core.order.len()
             );
         }
         // Compaction moved the survivors; they still expire in order.
@@ -855,7 +944,7 @@ mod tests {
         assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(150)));
         t.sweep(SimTime::from_millis(150));
         assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (2, 0));
-        assert!(t.order.is_empty());
+        assert!(t.core.order.is_empty());
     }
 
     #[test]

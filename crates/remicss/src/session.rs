@@ -159,7 +159,8 @@ impl Session {
         self.engine.metrics()
     }
 
-    /// The sender-side frame buffer pool (for hit/miss/grow telemetry).
+    /// The engine's buffer pool — frames, parked shares and
+    /// reconstructions (for hit/miss/grow telemetry).
     #[must_use]
     pub fn frame_pool(&self) -> &BufferPool {
         self.engine.frame_pool()

@@ -197,12 +197,20 @@ mod tests {
         );
     }
 
+    /// Shares of 10 000 bits on the wire. Pinned to Shamir, whatever
+    /// `MCSS_CODEC` says: only its framing (24-byte header, share as
+    /// long as the symbol) makes 1226 bytes come out round.
+    fn round_share_config() -> ProtocolConfig {
+        ProtocolConfig::new(1.0, 1.0)
+            .unwrap()
+            .with_symbol_bytes(1226)
+            .with_codec(mcss_codec::CodecId::Shamir)
+    }
+
     #[test]
     fn share_rate_conversion() {
         let channels = setups::diverse();
-        let config = ProtocolConfig::new(1.0, 1.0)
-            .unwrap()
-            .with_symbol_bytes(1226);
+        let config = round_share_config();
         // Wire share = 1226 + 24 = 1250 bytes = 10_000 bits.
         let sc = share_rate_channels(&channels, &config).unwrap();
         assert!((sc.channel(0).rate() - 500.0).abs() < 1e-9); // 5 Mbit/s
@@ -212,9 +220,7 @@ mod tests {
     #[test]
     fn optimal_symbol_rate_at_mu_one_is_total() {
         let channels = setups::diverse();
-        let config = ProtocolConfig::new(1.0, 1.0)
-            .unwrap()
-            .with_symbol_bytes(1226);
+        let config = round_share_config();
         let r = optimal_symbol_rate(&channels, &config).unwrap();
         // 250 Mbit/s over 10 kbit shares.
         assert!((r - 25_000.0).abs() < 1e-6);

@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use mcss_codec::CodecId;
 use mcss_core::setups;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
 use mcss_remicss::config::ProtocolConfig;
@@ -66,7 +67,10 @@ fn wheel_session_reports_match_heap_bit_for_bit() {
     // Lossy channels at a mildly oversubscribed rate: loss, eviction,
     // and queue-drop paths all exercised.
     let channels = setups::lossy();
-    let config = Arc::new(ProtocolConfig::new(2.0, 3.5).unwrap());
+    // Pinned to Shamir, whatever `MCSS_CODEC` says: that this seed loses
+    // a symbol (asserted below) holds for its draws from the RNG stream.
+    let config = ProtocolConfig::new(2.0, 3.5).unwrap();
+    let config = Arc::new(config.with_codec(CodecId::Shamir));
     let w = Workload::cbr(2_000.0, SimTime::from_millis(400));
     let (heap, heap_events) = run_with(&channels, &config, w, 0xF1C, QueueKind::Heap);
     let (wheel, wheel_events) = run_with(&channels, &config, w, 0xF1C, QueueKind::Wheel);

@@ -15,7 +15,10 @@
 //! network's deliveries too: the session phase measures exactly the
 //! protocol data path (the wheel is pinned bit-identical against the
 //! heap separately, see `engine_pin.rs`). The external-source phase
-//! keeps the engine's timers on the timer wheel, with time moving.
+//! keeps the engine's timers on the timer wheel, with time moving, and
+//! runs twice per codec: on a standalone `Engine`, and on a pool-less
+//! `EngineCore` lent a pool and a demux prefix the way a server shard
+//! hosts it.
 //!
 //! This test builds with the default `telemetry` feature **on**, so it
 //! also proves the `mcss-obs` overhead contract: span timers, session
@@ -31,14 +34,21 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mcss_base::{BufferPool, Endpoint, EventQueue};
 use mcss_codec::CodecId;
 use mcss_core::setups;
 use mcss_gf256::simd::{Backend, MulTable};
 use mcss_gf256::Gf256;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
+use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
+use mcss_remicss::engine::{Engine, EngineCore, SourceMode};
+use mcss_remicss::metrics::SessionHistograms;
 use mcss_remicss::session::{Session, Workload};
 use mcss_remicss::testbed;
+use mcss_remicss::wire::{self, DemuxFrame};
+use rand::rngs::StdRng;
+use rand::SeedableRng as _;
 
 /// Counts allocations made by the measured thread only: the libtest
 /// harness keeps its own main thread alive alongside the test thread,
@@ -93,8 +103,13 @@ fn steady_state_symbol_path_is_allocation_free() {
     split_into_phase();
     xor_codec_phase();
     session_phase();
-    engine_external_phase(CodecId::Shamir);
-    engine_external_phase(CodecId::Xor2d);
+    for codec in CodecId::ALL {
+        engine_external_phase(
+            codec,
+            Engine::new(external(codec), N, SourceMode::External).unwrap(),
+        );
+        engine_external_phase(codec, Hosted::new(external(codec)));
+    }
 }
 
 /// The GF(2⁸) kernels themselves — including the SIMD path and its
@@ -211,10 +226,110 @@ fn xor_codec_phase() {
     );
 }
 
+/// Channels of the external-source phase.
+const N: usize = 5;
+
+/// The external-source phase's protocol, on `codec`.
+fn external(codec: CodecId) -> Arc<ProtocolConfig> {
+    Arc::new(
+        ProtocolConfig::new(2.0, 3.0)
+            .unwrap()
+            .with_symbol_bytes(512)
+            .with_reassembly_timeout(SimTime::from_millis(20))
+            .with_codec(codec),
+    )
+}
+
+/// What the external-source phase drives: an engine that owns its
+/// buffers, or one that borrows them.
+trait Host {
+    const NAME: &'static str;
+    fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng);
+    /// Feeds a frame this host emitted back to it, as host B receives it.
+    fn loop_back(&mut self, now: SimTime, channel: usize, frame: &[u8], rng: &mut StdRng);
+    fn poll_action(&mut self) -> Option<Action>;
+    fn share_send_ok(&mut self, channel: usize);
+    fn recycle(&mut self, buf: Vec<u8>);
+    fn delivered(&self, window: SimTime) -> u64;
+}
+
+impl Host for Engine {
+    const NAME: &'static str = "standalone";
+    fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
+        Engine::handle(self, now, event, rng);
+    }
+    fn loop_back(&mut self, now: SimTime, channel: usize, frame: &[u8], rng: &mut StdRng) {
+        let _ = self.handle_frame(now, channel, Endpoint::B, frame, rng);
+    }
+    fn poll_action(&mut self) -> Option<Action> {
+        Engine::poll_action(self)
+    }
+    fn share_send_ok(&mut self, channel: usize) {
+        Engine::share_send_ok(self, channel);
+    }
+    fn recycle(&mut self, buf: Vec<u8>) {
+        Engine::recycle(self, buf);
+    }
+    fn delivered(&self, window: SimTime) -> u64 {
+        self.report(window).delivered_symbols
+    }
+}
+
+/// A pool-less core hosted as a server shard hosts one: the pool is the
+/// host's, and frames come out behind a connection-ID prefix.
+struct Hosted {
+    core: EngineCore,
+    pool: BufferPool,
+    prefix: Vec<u8>,
+}
+
+impl Hosted {
+    fn new(config: Arc<ProtocolConfig>) -> Self {
+        let histograms = Arc::new(SessionHistograms::new(N));
+        let mut prefix = Vec::new();
+        wire::put_cid_prefix(&mut prefix, 0x00C0_FFEE);
+        Hosted {
+            core: EngineCore::new(config, N, SourceMode::External, histograms).unwrap(),
+            pool: BufferPool::new(),
+            prefix,
+        }
+    }
+}
+
+impl Host for Hosted {
+    const NAME: &'static str = "hosted";
+    fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
+        self.core
+            .handle(&mut self.pool, &self.prefix, now, event, rng);
+    }
+    fn loop_back(&mut self, now: SimTime, channel: usize, frame: &[u8], rng: &mut StdRng) {
+        let Ok(DemuxFrame::Cid { inner, .. }) = wire::demux_frame(frame) else {
+            panic!("a hosted frame starts with the host's prefix");
+        };
+        let (pool, prefix) = (&mut self.pool, &self.prefix);
+        let _ = self
+            .core
+            .handle_frame(pool, prefix, now, channel, Endpoint::B, inner, rng);
+    }
+    fn poll_action(&mut self) -> Option<Action> {
+        self.core.poll_action()
+    }
+    fn share_send_ok(&mut self, channel: usize) {
+        self.core.share_send_ok(channel);
+    }
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.pool.put(buf);
+    }
+    fn delivered(&self, window: SimTime) -> u64 {
+        self.core.report(window).delivered_symbols
+    }
+}
+
 /// The sans-I/O engine in [`SourceMode::External`] — the configuration
-/// the UDP driver runs — is also allocation-free in steady state for
-/// whichever codec the session selects: the action queue, frame pool,
-/// and reassembly scratch all reach their high-water capacity during
+/// the UDP driver and the server shards run — is also allocation-free
+/// in steady state for whichever codec the session selects and
+/// whichever [`Host`] owns the buffers: the action queue, pool, and
+/// reassembly scratch all reach their high-water capacity during
 /// warmup, and offering symbols, draining `SendShare` actions, looping
 /// frames back to host B, and taking `DeliverSymbol` reconstructions
 /// allocate nothing after that. Time moves: the driver keeps the
@@ -223,32 +338,20 @@ fn xor_codec_phase() {
 /// rollovers of the wheel level that turns every 1.07 s — the
 /// demand-armed sweep timer is set and fires throughout, and the wheel
 /// hands the storage of drained buckets to the ones the cursor reaches.
-fn engine_external_phase(codec: CodecId) {
-    use mcss_base::{Endpoint, EventQueue, SimTime as T};
-    use mcss_remicss::actions::{Action, Event};
-    use mcss_remicss::engine::{Engine, SourceMode};
-    use rand::SeedableRng;
-
-    const N: usize = 5;
-    let config = Arc::new(
-        ProtocolConfig::new(2.0, 3.0)
-            .unwrap()
-            .with_symbol_bytes(512)
-            .with_reassembly_timeout(T::from_millis(20))
-            .with_codec(codec),
-    );
+fn engine_external_phase<H: Host>(codec: CodecId, engine: H) {
+    use mcss_base::SimTime as T;
 
     /// The engine, its RNG and clock, and the wheel its timers wait on.
-    struct Driver {
-        engine: Engine,
-        rng: rand::rngs::StdRng,
+    struct Driver<H> {
+        engine: H,
+        rng: StdRng,
         now: T,
         timers: EventQueue<u64>,
         timer_seq: u64,
         fired: u64,
     }
 
-    impl Driver {
+    impl<H: Host> Driver<H> {
         /// Loops every share straight back to host B and recycles all
         /// buffers, exactly as a loopback driver would.
         fn pump(&mut self) {
@@ -256,13 +359,8 @@ fn engine_external_phase(codec: CodecId) {
                 match action {
                     Action::SendShare { channel, frame, .. } => {
                         self.engine.share_send_ok(channel);
-                        let _ = self.engine.handle_frame(
-                            self.now,
-                            channel,
-                            Endpoint::B,
-                            &frame,
-                            &mut self.rng,
-                        );
+                        self.engine
+                            .loop_back(self.now, channel, &frame, &mut self.rng);
                         self.engine.recycle(frame);
                     }
                     Action::SendControl { frame, .. } => self.engine.recycle(frame),
@@ -292,8 +390,8 @@ fn engine_external_phase(codec: CodecId) {
     }
 
     let mut d = Driver {
-        engine: Engine::new(Arc::clone(&config), N, SourceMode::External).unwrap(),
-        rng: rand::rngs::StdRng::seed_from_u64(13),
+        engine,
+        rng: StdRng::seed_from_u64(13),
         now: T::ZERO,
         timers: EventQueue::new(QueueKind::Wheel),
         timer_seq: 0,
@@ -312,15 +410,15 @@ fn engine_external_phase(codec: CodecId) {
         d.step(&payload);
     }
     let during = allocations() - before;
-    let report = d.engine.report(d.now);
-    assert_eq!(report.delivered_symbols, 70_000, "loopback lost symbols");
+    let host = H::NAME;
+    assert_eq!(d.engine.delivered(d.now), 70_000, "loopback lost symbols");
     assert!(
         d.fired - fired_before > 100,
-        "[{codec}] the sweep timer hardly ran in the measured window"
+        "[{codec}, {host}] the sweep timer hardly ran in the measured window"
     );
     assert_eq!(
         during, 0,
-        "external-source engine [{codec}]: {during} allocations in steady state"
+        "external-source engine [{codec}, {host}]: {during} allocations in steady state"
     );
 }
 

@@ -2,6 +2,13 @@
 //! connection-ID space, [`ShardSet`] drives every shard from one thread
 //! with deterministic sequencing.
 //!
+//! A shard owns one [`BufferPool`] and lends it to every session it
+//! hosts: a session is a pool-less [`EngineCore`], so each share is
+//! written once — demux prefix, header, codec output — into a buffer off
+//! the shard's free list and that buffer is the outbound datagram, and
+//! the shares parked in reassembly and the reconstructions delivered sit
+//! in the same pool. A session at rest holds no buffer.
+//!
 //! Routing is static: connection `cid` lives on shard
 //! `cid % num_shards`. A shard that reads a datagram it does not own
 //! copies the inner frame into a buffer from its *own*
@@ -24,21 +31,21 @@ use std::sync::Arc;
 
 use mcss_base::{BufferPool, Endpoint, EventQueue, QueueKind, SimTime};
 use mcss_codec::CodecId;
-use mcss_obs::{GaugeSnapshot, MetricsSnapshot};
+use mcss_obs::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{Engine, SessionReport, SourceMode};
+use mcss_remicss::engine::{EngineCore, SessionReport, SourceMode};
 use mcss_remicss::metrics::SessionHistograms;
-use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError};
+use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError, CID_PREFIX_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
 
 use crate::queue::BoundedQueue;
 use crate::stats::{ShardStats, ShardStatsSnapshot};
 
-/// Largest datagram the server will read: far above any frame the
-/// protocol emits (24-byte header + 16-bit payload length + 7-byte
-/// demux prefix).
+/// Largest datagram the server will read: no frame the protocol emits
+/// is longer (7-byte demux prefix + share header of at most 25 bytes +
+/// a payload whose length is a 16-bit field).
 pub const MAX_DATAGRAM: usize = 65_535;
 
 /// Sizing knobs for a shard set.
@@ -104,9 +111,9 @@ impl From<mcss_core::ModelError> for ServerError {
 }
 
 /// One encoded datagram a shard wants on the wire, demux prefix
-/// included. `bytes` comes from the shard's pool and must go back via
-/// [`Shard::recycle_outbound`] (or [`Shard::drain_outbound`], which
-/// recycles automatically).
+/// included. `bytes` is the pooled buffer the session's engine wrote the
+/// frame into and must go back via [`Shard::recycle_outbound`] (or
+/// [`Shard::drain_outbound`], which recycles automatically).
 #[derive(Debug)]
 pub struct OutboundDatagram {
     /// The sending session's connection ID.
@@ -131,11 +138,14 @@ struct Handoff {
     buf: Vec<u8>,
 }
 
-/// One multiplexed session: the sans-I/O engine plus the per-session
+/// One multiplexed session: the pool-less engine plus the per-session
 /// state a driver owns (RNG, delivery queue, optional action log).
 #[derive(Debug)]
 struct SessionSlot {
-    engine: Engine,
+    engine: EngineCore,
+    /// The demux prefix naming this session, which its engine starts
+    /// every frame with.
+    prefix: [u8; CID_PREFIX_BYTES],
     rng: StdRng,
     record: bool,
     action_log: Vec<Action>,
@@ -151,6 +161,22 @@ struct SessionSlot {
     counted_delivered: u64,
 }
 
+impl SessionSlot {
+    /// Feeds `event` to the engine, lending it the shard's `pool`.
+    fn handle(&mut self, pool: &mut BufferPool, now: SimTime, event: Event<'_>) {
+        self.engine
+            .handle(pool, &self.prefix, now, event, &mut self.rng);
+    }
+
+    /// Puts the session (`cid`) on its shard's `ready` list, once.
+    fn mark_ready(&mut self, cid: u32, ready: &mut Vec<u32>) {
+        if !self.in_ready {
+            self.in_ready = true;
+            ready.push(cid);
+        }
+    }
+}
+
 /// One worker partition: the sessions it owns, their shared buffer
 /// pool, timer wheel and delay distributions, and the queues linking it
 /// to its peers.
@@ -164,6 +190,8 @@ pub struct Shard {
     /// describe the channels, not the sessions, so a session adds none
     /// (a set is 15 KB per histogram, `2n + 1` of them).
     histograms: Vec<Arc<SessionHistograms>>,
+    /// Every buffer of the shard and its sessions: outbound frames,
+    /// shares parked in reassembly, reconstructions, handoff copies.
     pool: BufferPool,
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
@@ -248,8 +276,9 @@ impl Shard {
         &self.histograms
     }
 
-    /// The shard's buffer pool (its hit/miss/grow counters witness the
-    /// zero-allocation steady state).
+    /// The shard's buffer pool, which its sessions' engines borrow (its
+    /// hit/miss/grow counters witness the zero-allocation steady state,
+    /// and what it holds is the shard's buffer memory).
     #[must_use]
     pub fn pool(&self) -> &BufferPool {
         &self.pool
@@ -260,10 +289,20 @@ impl Shard {
         self.sessions.keys().copied()
     }
 
-    fn slot_mut(&mut self, cid: u32) -> &mut SessionSlot {
-        self.sessions
+    /// `cid`'s slot in `sessions` (a parameter, so the shard's other
+    /// fields stay borrowable next to the slot).
+    fn slot_mut(sessions: &mut HashMap<u32, SessionSlot>, cid: u32) -> &mut SessionSlot {
+        sessions
             .get_mut(&cid)
             .unwrap_or_else(|| panic!("no session with connection id {cid}"))
+    }
+
+    /// Feeds `event` to `cid`'s engine and drains what it queued.
+    fn feed(&mut self, now: SimTime, cid: u32, event: Event<'_>) {
+        let slot = Self::slot_mut(&mut self.sessions, cid);
+        slot.handle(&mut self.pool, now, event);
+        slot.mark_ready(cid, &mut self.ready);
+        self.flush_ready(now);
     }
 
     fn add_session(
@@ -287,14 +326,17 @@ impl Shard {
         let histograms = hosted
             .clone()
             .unwrap_or_else(|| Arc::new(SessionHistograms::new(channels)));
-        let engine = Engine::with_histograms(config, channels, source, Arc::clone(&histograms))?;
+        let engine = EngineCore::new(config, channels, source, Arc::clone(&histograms))?;
         if hosted.is_none() {
             self.histograms.push(histograms);
         }
+        let mut prefix = Vec::with_capacity(CID_PREFIX_BYTES);
+        put_cid_prefix(&mut prefix, cid);
         self.sessions.insert(
             cid,
             SessionSlot {
                 engine,
+                prefix: prefix.try_into().expect("a demux prefix is that long"),
                 rng: StdRng::seed_from_u64(seed),
                 record: false,
                 action_log: Vec::new(),
@@ -304,17 +346,6 @@ impl Shard {
             },
         );
         Ok(())
-    }
-
-    /// Puts `cid` on the ready-list (idempotent). Every event-delivery
-    /// path funnels through this; the matching
-    /// [`flush_ready`](Shard::flush_ready) drains the marked engines.
-    fn mark_ready(&mut self, cid: u32) {
-        let slot = self.slot_mut(cid);
-        if !slot.in_ready {
-            slot.in_ready = true;
-            self.ready.push(cid);
-        }
     }
 
     /// Sessions currently on the ready-list.
@@ -335,7 +366,7 @@ impl Shard {
         let mut batch = std::mem::take(&mut self.ready_scratch);
         std::mem::swap(&mut batch, &mut self.ready);
         for &cid in &batch {
-            self.drive(cid, |slot| slot.in_ready = false);
+            self.drive(cid, |slot, _| slot.in_ready = false);
         }
         batch.clear();
         self.ready_scratch = batch;
@@ -344,10 +375,7 @@ impl Shard {
     /// Delivers [`Event::Started`] to `cid` at `now`, arming its
     /// initial timers.
     pub fn start_session(&mut self, now: SimTime, cid: u32) {
-        let slot = self.slot_mut(cid);
-        slot.engine.handle(now, Event::Started, &mut slot.rng);
-        self.mark_ready(cid);
-        self.flush_ready(now);
+        self.feed(now, cid, Event::Started);
     }
 
     /// Fires one timer event directly, bypassing the shard wheel.
@@ -357,12 +385,8 @@ impl Shard {
     /// bit-identical regardless of how the wheel would batch the same
     /// due times.
     pub fn fire_timer(&mut self, now: SimTime, cid: u32, token: u64) {
-        let slot = self.slot_mut(cid);
-        slot.engine
-            .handle(now, Event::TimerFired { token }, &mut slot.rng);
         ShardStats::bump(&self.stats.timers_fired);
-        self.mark_ready(cid);
-        self.flush_ready(now);
+        self.feed(now, cid, Event::TimerFired { token });
     }
 
     /// Updates `cid`'s view of `from`'s send backlog on `channel`.
@@ -374,27 +398,17 @@ impl Shard {
         from: Endpoint,
         backlog: SimTime,
     ) {
-        let slot = self.slot_mut(cid);
-        slot.engine.handle(
-            now,
-            Event::ChannelWritable {
-                channel,
-                from,
-                backlog,
-            },
-            &mut slot.rng,
-        );
-        self.mark_ready(cid);
-        self.flush_ready(now);
+        let event = Event::ChannelWritable {
+            channel,
+            from,
+            backlog,
+        };
+        self.feed(now, cid, event);
     }
 
     /// Offers one symbol payload to an external-source session.
     pub fn offer_symbol(&mut self, now: SimTime, cid: u32, payload: &[u8]) {
-        let slot = self.slot_mut(cid);
-        slot.engine
-            .handle(now, Event::SymbolReady { payload }, &mut slot.rng);
-        self.mark_ready(cid);
-        self.flush_ready(now);
+        self.feed(now, cid, Event::SymbolReady { payload });
     }
 
     /// Handles one datagram read by **this** shard. Own frames are
@@ -466,10 +480,15 @@ impl Shard {
             ShardStats::bump(&self.stats.dropped_unknown_cid);
             return;
         };
-        match slot
-            .engine
-            .handle_frame(now, channel, to, inner, &mut slot.rng)
-        {
+        match slot.engine.handle_frame(
+            &mut self.pool,
+            &slot.prefix,
+            now,
+            channel,
+            to,
+            inner,
+            &mut slot.rng,
+        ) {
             Ok(()) => {}
             // Codec-version skew between peers gets its own counter;
             // the frame is dropped either way, never misrouted.
@@ -478,7 +497,7 @@ impl Shard {
             }
             Err(_) => ShardStats::bump(&self.stats.dropped_bad_frame),
         }
-        self.mark_ready(cid);
+        slot.mark_ready(cid, &mut self.ready);
     }
 
     /// Processes every frame handed off by other shards, then sends
@@ -529,9 +548,8 @@ impl Shard {
         }
         let mut fired = 0;
         for &(cid, token) in &due {
-            let timer = |slot: &mut SessionSlot| {
-                slot.engine
-                    .handle(now, Event::TimerFired { token }, &mut slot.rng);
+            let timer = |slot: &mut SessionSlot, pool: &mut BufferPool| {
+                slot.handle(pool, now, Event::TimerFired { token });
             };
             if self.drive(cid, timer) {
                 ShardStats::bump(&self.stats.timers_fired);
@@ -568,17 +586,18 @@ impl Shard {
         self.outbound.len()
     }
 
-    /// Looks `cid`'s session up once, applies `event` to it, and drains
-    /// its action queue: shares and control frames are prefixed with
-    /// the connection ID into pooled buffers and queued outbound, timers
-    /// go onto the shard wheel, reconstructed symbols park in the
+    /// Looks `cid`'s session up once, applies `event` to it (lending it
+    /// the shard's pool), and drains its action queue: share and control
+    /// frames, which the engine wrote behind the session's demux prefix
+    /// into pooled buffers, move to the outbound queue as they are,
+    /// timers go onto the shard wheel, reconstructed symbols park in the
     /// session's delivery queue. Returns `false` (and does nothing) if
     /// the session is gone.
-    fn drive(&mut self, cid: u32, event: impl FnOnce(&mut SessionSlot)) -> bool {
+    fn drive(&mut self, cid: u32, event: impl FnOnce(&mut SessionSlot, &mut BufferPool)) -> bool {
         let Some(slot) = self.sessions.get_mut(&cid) else {
             return false;
         };
-        event(slot);
+        event(slot, &mut self.pool);
         while let Some(action) = slot.engine.poll_action() {
             if slot.record {
                 slot.action_log.push(action.clone());
@@ -589,19 +608,15 @@ impl Shard {
                     from,
                     frame,
                 } => {
-                    let mut bytes = self.pool.take();
-                    put_cid_prefix(&mut bytes, cid);
-                    bytes.extend_from_slice(&frame);
                     // The frame left the session: enqueueing outbound is
                     // this driver's send. Transport-level drops are
                     // shard-level counters, not session rejections.
                     slot.engine.share_send_ok(channel);
-                    slot.engine.recycle(frame);
                     self.outbound.push_back(OutboundDatagram {
                         cid,
                         channel,
                         from,
-                        bytes,
+                        bytes: frame,
                     });
                     ShardStats::bump(&self.stats.shares_sent);
                 }
@@ -610,15 +625,11 @@ impl Shard {
                     from,
                     frame,
                 } => {
-                    let mut bytes = self.pool.take();
-                    put_cid_prefix(&mut bytes, cid);
-                    bytes.extend_from_slice(&frame);
-                    slot.engine.recycle(frame);
                     self.outbound.push_back(OutboundDatagram {
                         cid,
                         channel,
                         from,
-                        bytes,
+                        bytes: frame,
                     });
                     ShardStats::bump(&self.stats.controls_sent);
                 }
@@ -664,35 +675,41 @@ impl Shard {
         }
     }
 
-    /// Takes every symbol `cid`'s session has reconstructed. Buffers
-    /// may be handed back with
-    /// [`recycle_delivered`](Shard::recycle_delivered) to keep the
-    /// session's pool warm.
+    /// Takes every symbol `cid`'s session has reconstructed. The
+    /// payloads are buffers of the shard's pool: hand them back with
+    /// [`recycle_delivered`](Shard::recycle_delivered).
     pub fn take_delivered(&mut self, cid: u32) -> Vec<(u64, Vec<u8>)> {
-        self.slot_mut(cid).delivered.drain(..).collect()
+        Self::slot_mut(&mut self.sessions, cid)
+            .delivered
+            .drain(..)
+            .collect()
     }
 
     /// Takes the oldest reconstructed symbol from `cid`'s delivery
     /// queue without allocating (unlike
     /// [`take_delivered`](Shard::take_delivered), which collects).
     pub fn pop_delivered(&mut self, cid: u32) -> Option<(u64, Vec<u8>)> {
-        self.slot_mut(cid).delivered.pop_front()
+        Self::slot_mut(&mut self.sessions, cid)
+            .delivered
+            .pop_front()
     }
 
-    /// Returns a delivered payload buffer to `cid`'s engine pool.
-    pub fn recycle_delivered(&mut self, cid: u32, payload: Vec<u8>) {
-        self.slot_mut(cid).engine.recycle(payload);
+    /// Returns a delivered payload buffer to the shard pool it came from
+    /// (whichever of the shard's sessions, `_cid`, delivered it).
+    pub fn recycle_delivered(&mut self, _cid: u32, payload: Vec<u8>) {
+        self.pool.put(payload);
     }
 
-    /// Starts logging every action `cid`'s engine emits (for replay
-    /// pinning; cloning frames is test-only overhead, off by default).
+    /// Starts logging every action `cid`'s engine emits, frames with
+    /// the session's demux prefix as emitted (for replay pinning;
+    /// cloning frames is test-only overhead, off by default).
     pub fn record_actions(&mut self, cid: u32) {
-        self.slot_mut(cid).record = true;
+        Self::slot_mut(&mut self.sessions, cid).record = true;
     }
 
     /// Takes the recorded action log.
     pub fn take_action_log(&mut self, cid: u32) -> Vec<Action> {
-        std::mem::take(&mut self.slot_mut(cid).action_log)
+        std::mem::take(&mut Self::slot_mut(&mut self.sessions, cid).action_log)
     }
 
     /// The session's report over a measurement `window`.
@@ -877,7 +894,9 @@ impl ShardSet {
 
     /// The snapshot endpoint: per-shard counters under
     /// `server.shard{i}.*`, totals under `server.total.*`, session-count
-    /// and timer-wheel-depth gauges, and the per-channel distributions
+    /// and timer-wheel-depth gauges, each shard's buffer pool
+    /// (`.pool_idle`, `.pool_misses`, `.pool_max_capacity`; the total
+    /// takes the largest capacity), and the per-channel distributions
     /// `server.shard{i}.delay.ch{c}`, `.inter_share_gap.ch{c}` and
     /// `.reassembly_residency` (with the `telemetry` feature), merged
     /// across shards under `server.total.*` — ready to merge with
@@ -896,6 +915,7 @@ impl ShardSet {
             .max()
             .unwrap_or(0);
         let total_histograms = SessionHistograms::new(widest);
+        let mut pools = (0, 0, 0);
         for (i, shard) in self.shards.iter().enumerate() {
             let stats = shard.stats.get();
             stats.extend_snapshot(&format!("server.shard{i}"), &mut snapshot);
@@ -921,9 +941,17 @@ impl ShardSet {
                 name: format!("server.shard{i}.datagrams_per_syscall"),
                 value: datagrams_per_syscall(&stats),
             });
+            let pool = (
+                shard.pool.idle(),
+                shard.pool.misses(),
+                shard.pool.max_capacity(),
+            );
+            pool_snapshot(&format!("server.shard{i}"), pool, &mut snapshot);
+            pools = (pools.0 + pool.0, pools.1 + pool.1, pools.2.max(pool.2));
             total.add(&stats);
         }
         total.extend_snapshot("server.total", &mut snapshot);
+        pool_snapshot("server.total", pools, &mut snapshot);
         total_histograms.extend_snapshot("server.total", "reassembly_residency", &mut snapshot);
         snapshot.gauges.push(GaugeSnapshot {
             name: "server.total.sessions".to_string(),
@@ -961,6 +989,26 @@ impl ShardSet {
     pub fn report(&self, cid: u32, window: SimTime) -> SessionReport {
         let owner = self.shard_of(cid);
         self.shards[owner].report(cid, window)
+    }
+}
+
+/// Exports a buffer pool under `prefix`: its idle buffers, the buffers
+/// it ever created, and the largest capacity among them. With one pool
+/// per shard, that is what the server holds in buffers.
+fn pool_snapshot(
+    prefix: &str,
+    (idle, misses, max_capacity): (usize, u64, usize),
+    snapshot: &mut MetricsSnapshot,
+) {
+    snapshot.counters.push(CounterSnapshot {
+        name: format!("{prefix}.pool_misses"),
+        value: misses,
+    });
+    for (name, value) in [("pool_idle", idle), ("pool_max_capacity", max_capacity)] {
+        snapshot.gauges.push(GaugeSnapshot {
+            name: format!("{prefix}.{name}"),
+            value: value as i64,
+        });
     }
 }
 

@@ -7,7 +7,11 @@
 //! round trip — plus the engines' split/frame/reassemble path under it
 //! — must allocate nothing, and no buffer may be stranded on the wrong
 //! shard (`returns_migrated` stays zero, both pools' miss/grow counters
-//! stay flat).
+//! stay flat). The engines have no buffers of their own: frames, the
+//! share parked until its sibling arrives and the buffer the symbol is
+//! reconstructed into all come out of the owner's pool, so each pool
+//! must also end a round with as many idle buffers as it began — every
+//! taken buffer goes back.
 //!
 //! A counting global allocator (filtered to the measured thread, as in
 //! the engine-level `zero_alloc` test) snapshots after a warmup window
@@ -125,9 +129,11 @@ fn cross_shard_handoff_is_allocation_free_in_steady_state() {
         round(&mut set, now, &payload);
     }
     let warm = set.totals();
-    let pool_high_water: Vec<(u64, u64)> = (0..set.num_shards())
-        .map(|i| (set.shard(i).pool().misses(), set.shard(i).pool().grows()))
-        .collect();
+    let pool_state = |set: &ShardSet, i: usize| {
+        let pool = set.shard(i).pool();
+        (pool.misses(), pool.grows(), pool.idle())
+    };
+    let pool_high_water: Vec<_> = (0..set.num_shards()).map(|i| pool_state(&set, i)).collect();
     let before = allocations();
     for _ in 0..MEASURE_ROUNDS {
         now += ROUND;
@@ -158,14 +164,14 @@ fn cross_shard_handoff_is_allocation_free_in_steady_state() {
         "loopback-through-handoff lost symbols"
     );
     // ...and the steady state allocated nothing: shard pools stayed at
-    // their high-water mark and the allocator never fired.
-    for (i, &(misses, grows)) in pool_high_water.iter().enumerate() {
+    // their high-water mark, got every buffer back, and the allocator
+    // never fired.
+    for (i, &warm) in pool_high_water.iter().enumerate() {
         assert_eq!(
-            set.shard(i).pool().misses(),
-            misses,
-            "shard {i} pool missed"
+            pool_state(&set, i),
+            warm,
+            "shard {i} pool (misses, grows, idle)"
         );
-        assert_eq!(set.shard(i).pool().grows(), grows, "shard {i} pool grew");
     }
     assert_eq!(
         during, 0,

@@ -5,10 +5,13 @@
 //! records into eleven of them, so sessions that each owned a set held
 //! 176 KB apiece, nearly all of it histogram buckets no server export
 //! ever read. A shard now builds one set per channel count it hosts and
-//! every engine it builds records into that: a session is its engine,
-//! reassembly tables, frame pool and counters, about 7 KB after traffic
-//! (8.5 KB here, where a thousand sessions divide the shards' own state;
-//! 7.0 KB on the benchmark's 10 000-session `mem_fleet`).
+//! every engine it builds records into that. The buffers went the same
+//! way: frames, parked shares and reconstructions live in the shard's
+//! one pool, which its engines borrow, so a session is its pool-less
+//! engine, reassembly tables and counters, under 7 KB after traffic
+//! (6.8 KB here, where a thousand sessions divide the shards' own state;
+//! 5.5 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
+//! holds what one symbol has in flight, not what every session once had.
 //!
 //! A global allocator counting live bytes (filtered to the measured
 //! thread, as `pool_handoff` counts allocations) gives the footprint;
@@ -66,8 +69,19 @@ const SESSIONS: u32 = 1_000;
 const CHANNELS: usize = 5;
 const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
-/// Measured 8.5 KB; a session that owned its histograms held 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 12 * 1024;
+/// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
+const SHARES_PER_SYMBOL: usize = 3;
+/// Measured 6 825 B (+ 25 %); a session that owned its buffers held
+/// 8.5 KB, one that owned its histograms too 176 KB.
+const BUDGET_BYTES_PER_SESSION: i64 = 8_500;
+
+/// Buffers the shards' pools served warm and had to create, in all.
+fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
+    let pools = (0..set.num_shards()).map(|i| set.shard(i).pool());
+    pools.fold((0, 0), |(hits, misses), pool| {
+        (hits + pool.hits(), misses + pool.misses())
+    })
+}
 
 fn protocol() -> Arc<ProtocolConfig> {
     Arc::new(
@@ -100,20 +114,24 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
     // keeps.
     let payload = [0x5au8; SYMBOL_BYTES];
     let mut now = SimTime::ZERO;
-    for i in 0..SESSIONS * WARMUP_SYMBOLS_PER_SESSION {
-        now += SimTime::from_micros(20);
-        let cid = i % SESSIONS;
-        let owner = set.shard_of(cid);
-        set.offer_symbol(now, cid, &payload);
-        while let Some(datagram) = set.shard_mut(owner).pop_outbound() {
-            set.deliver_datagram(now, datagram.channel, Endpoint::B, &datagram.bytes, owner);
-            set.shard_mut(owner).recycle_outbound(datagram.bytes);
+    let mut symbols = 0..;
+    let mut run = |set: &mut ShardSet, count: u32| {
+        for i in symbols.by_ref().take(count as usize) {
+            now += SimTime::from_micros(20);
+            let cid = i % SESSIONS;
+            let owner = set.shard_of(cid);
+            set.offer_symbol(now, cid, &payload);
+            while let Some(datagram) = set.shard_mut(owner).pop_outbound() {
+                set.deliver_datagram(now, datagram.channel, Endpoint::B, &datagram.bytes, owner);
+                set.shard_mut(owner).recycle_outbound(datagram.bytes);
+            }
+            while let Some((_, symbol)) = set.shard_mut(owner).pop_delivered(cid) {
+                set.shard_mut(owner).recycle_delivered(cid, symbol);
+            }
+            set.poll(now);
         }
-        while let Some((_, symbol)) = set.shard_mut(owner).pop_delivered(cid) {
-            set.shard_mut(owner).recycle_delivered(cid, symbol);
-        }
-        set.poll(now);
-    }
+    };
+    run(&mut set, SESSIONS * WARMUP_SYMBOLS_PER_SESSION);
     let delivered = set.totals().symbols_delivered;
     assert_eq!(
         delivered,
@@ -129,6 +147,26 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
     assert!(
         per_session <= BUDGET_BYTES_PER_SESSION,
         "{per_session} B live per session ({live} B in all)"
+    );
+
+    // The buffers are the shards', not the sessions': at rest a shard
+    // holds what one symbol had in flight at once (its three frames;
+    // the reconstruction reuses the first of them to come back),
+    // however many sessions took turns with them.
+    for i in 0..set.num_shards() {
+        let idle = set.shard(i).pool().idle();
+        assert!(idle <= SHARES_PER_SYMBOL, "shard {i}: {idle} idle");
+    }
+    // One more symbol per session, all from warm pools: three frames
+    // taken, a slot for each of the two shares parked until the
+    // threshold, and one buffer to reconstruct into (the third share,
+    // stale, takes nothing).
+    let (hits, misses) = pool_hits_and_misses(&set);
+    run(&mut set, SESSIONS);
+    let per_symbol = SHARES_PER_SYMBOL as u64 + 2 + 1;
+    assert_eq!(
+        pool_hits_and_misses(&set),
+        (hits + u64::from(SESSIONS) * per_symbol, misses)
     );
 
     // One set of distributions per shard, held by the shard and by each

@@ -9,12 +9,20 @@
 //! prefix and delivered through [`ShardSet::deliver_datagram`] as if a
 //! rotating sequence of shards had read it off the wire. The per-session
 //! action streams and final reports must be bit-identical to the
-//! recorded serial run for shard counts 1, 2, and 8 — sharding, demux,
-//! and cross-shard handoff may not perturb a session by a single byte.
+//! recorded serial run for shard counts 1, 2, and 8 and for both share
+//! codecs — sharding, demux, and cross-shard handoff may not perturb a
+//! session by a single byte.
+//!
+//! A hosted engine writes its frames behind the session's demux prefix,
+//! into the buffer that then *is* the outbound datagram. So "identical"
+//! means: every frame the hosted engine emits, and every datagram the
+//! shard queues, is the connection-ID prefix followed by exactly the
+//! frame the standalone engine emitted at that step.
 
 use std::sync::Arc;
 
-use mcss_base::SimTime;
+use mcss_base::{Endpoint, SimTime};
+use mcss_codec::CodecId;
 use mcss_netsim::Simulator;
 use mcss_remicss::actions::Action;
 use mcss_remicss::config::ProtocolConfig;
@@ -71,11 +79,12 @@ fn record(
     }
 }
 
-/// The three serial pin scenarios, verbatim from `engine_trace.rs`.
-fn recorded_runs() -> Vec<RecordedRun> {
+/// The three serial pin scenarios of `engine_trace.rs`, on `codec`.
+fn recorded_runs(codec: CodecId) -> Vec<RecordedRun> {
     let channels = mcss_core::setups::diverse();
-    let plain = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap());
-    let adaptive = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap().with_adaptive(0.01));
+    let base = ProtocolConfig::new(2.0, 3.0).unwrap().with_codec(codec);
+    let plain = Arc::new(base.clone());
+    let adaptive = Arc::new(base.with_adaptive(0.01));
     let rate = testbed::optimal_symbol_rate(&channels, &plain).unwrap();
     let window = SimTime::from_millis(300);
     vec![
@@ -96,6 +105,19 @@ fn recorded_runs() -> Vec<RecordedRun> {
             9,
         ),
     ]
+}
+
+/// `action` as session `cid`'s hosted engine emits it: frames behind the
+/// session's demux prefix, everything else unchanged.
+fn hosted(action: &Action, cid: u32) -> Action {
+    let mut action = action.clone();
+    if let Action::SendShare { frame, .. } | Action::SendControl { frame, .. } = &mut action {
+        let mut bytes = Vec::new();
+        mcss_remicss::wire::put_cid_prefix(&mut bytes, cid);
+        bytes.extend_from_slice(frame);
+        *frame = bytes;
+    }
+    action
 }
 
 /// Replays every recorded run concurrently on one `ShardSet`,
@@ -125,6 +147,8 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
     let mut next_step = vec![0usize; runs.len()];
     let mut received_on = 0usize;
     let mut datagram = Vec::new();
+    // What each session's shard queued for the wire, in order.
+    let mut outbound: Vec<Vec<(usize, Endpoint, Vec<u8>)>> = vec![Vec::new(); runs.len()];
     loop {
         let mut progressed = false;
         for (s, run) in runs.iter().enumerate() {
@@ -155,6 +179,12 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
                 // logged the engine's actions as they were emitted.
                 TraceStep::Action(_) => {}
             }
+            // One session was driven, so what its shard queued is its.
+            let owner = set.shard_of(cid);
+            while let Some(d) = set.shard_mut(owner).pop_outbound() {
+                assert_eq!(d.cid, cid, "{} (shards={shards})", run.label);
+                outbound[s].push((d.channel, d.from, d.bytes));
+            }
         }
         if !progressed {
             break;
@@ -175,12 +205,12 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
         );
     }
 
-    for (run, &cid) in runs.iter().zip(&cids) {
-        let expected: Vec<&Action> = run
+    for ((run, &cid), outbound) in runs.iter().zip(&cids).zip(outbound) {
+        let expected: Vec<Action> = run
             .trace
             .iter()
             .filter_map(|s| match s {
-                TraceStep::Action(a) => Some(a),
+                TraceStep::Action(a) => Some(hosted(a, cid)),
                 TraceStep::Event { .. } => None,
             })
             .collect();
@@ -193,12 +223,30 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
             run.label
         );
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(
-                g, *e,
-                "{} (shards={shards}): action {i} diverged",
-                run.label
-            );
+            assert_eq!(g, e, "{} (shards={shards}): action {i} diverged", run.label);
         }
+        // The datagrams are those frames, moved and not rewritten.
+        let frames: Vec<(usize, Endpoint, Vec<u8>)> = expected
+            .into_iter()
+            .filter_map(|action| match action {
+                Action::SendShare {
+                    channel,
+                    from,
+                    frame,
+                }
+                | Action::SendControl {
+                    channel,
+                    from,
+                    frame,
+                } => Some((channel, from, frame)),
+                Action::SetTimer { .. } | Action::DeliverSymbol { .. } => None,
+            })
+            .collect();
+        assert!(
+            outbound == frames,
+            "{} (shards={shards}): outbound datagrams diverged",
+            run.label
+        );
         let replayed = set.report(cid, run.workload.duration());
         assert_eq!(
             replayed, run.report,
@@ -210,8 +258,10 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
 
 #[test]
 fn sharded_replay_is_bit_identical_for_1_2_and_8_shards() {
-    let runs = recorded_runs();
-    for shards in [1, 2, 8] {
-        assert_sharded_replay_matches(&runs, shards);
+    for codec in CodecId::ALL {
+        let runs = recorded_runs(codec);
+        for shards in [1, 2, 8] {
+            assert_sharded_replay_matches(&runs, shards);
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! that symbols move, that nothing on the wire misroutes (no
 //! unknown-cid or malformed drops on a clean loopback), and that the
 //! metrics snapshot exports the per-shard and total counter families —
-//! including the new wakeup/syscall amortization counters — and the
-//! per-channel delay distributions its shards recorded. A fleet whose
+//! including the wakeup/syscall amortization counters and the shards'
+//! buffer pools — and the per-channel delay distributions its shards
+//! recorded. A fleet whose
 //! sources have stopped must hold no timer at all.
 
 use std::sync::Arc;
@@ -72,6 +73,9 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
         "server.shard1.wakeups",
         "server.total.syscalls_recv",
         "server.total.syscalls_send",
+        "server.shard0.pool_misses",
+        "server.shard1.pool_misses",
+        "server.total.pool_misses",
     ] {
         assert!(
             snapshot.counters.iter().any(|c| c.name == name),
@@ -105,6 +109,22 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
         text.contains("server_total_datagrams_received"),
         "prometheus text missing server totals:\n{text}"
     );
+    // The shards' pools are the server's buffer memory: after the run
+    // buffers have come back to each, the largest at least a whole frame
+    // (demux prefix, v1 header, 64-byte share).
+    let gauge = |name: &str| snapshot.gauges.iter().find(|g| g.name == name);
+    for scope in ["shard0", "shard1", "total"] {
+        for name in ["pool_idle", "pool_misses", "pool_max_capacity"] {
+            assert!(
+                text.contains(&format!("server_{scope}_{name} ")),
+                "prometheus text missing server.{scope}.{name}:\n{text}"
+            );
+        }
+        let idle = gauge(&format!("server.{scope}.pool_idle")).unwrap().value;
+        let largest = gauge(&format!("server.{scope}.pool_max_capacity")).unwrap();
+        assert!(idle > 0, "{scope}: no buffer came back");
+        assert!(largest.value >= 7 + 24 + 64, "{scope}: {largest:?}");
+    }
 
     // Per-channel delay, from the shards' histograms: the total is the
     // shards merged, and every share an engine was handed is in it (the
