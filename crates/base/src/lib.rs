@@ -5,7 +5,9 @@
 //!
 //! Everything here is pure data and arithmetic — no I/O, no clocks, no
 //! randomness — which is exactly what lets the protocol core run
-//! unchanged under simulated time and under a monotonic wall clock:
+//! unchanged under simulated time and under a monotonic wall clock. (One
+//! exception: [`hash`] draws a per-process seed. It decides only where
+//! keys sit inside a map no code iterates, so no behaviour observes it.)
 //!
 //! * [`SimTime`] — nanosecond timestamps/durations. Despite the name
 //!   (kept from its simulator origin), nothing about it is
@@ -16,6 +18,8 @@
 //! * [`BufferPool`] / [`BufHandle`] — capacity-recycling byte buffers,
 //!   the backbone of the zero-allocation data path.
 //! * [`Pacer`] — drift-free constant-rate tick scheduling.
+//! * [`hash`] — [`IntMap`](hash::IntMap), the hash map for integer keys
+//!   (connection IDs, sequence numbers): one multiply a lookup, seeded.
 //! * [`queue`] — pending-event storage: a reference binary heap and a
 //!   bit-identical hierarchical timer wheel, shared by the simulator's
 //!   event loop and each server shard's session timer multiplexer.
@@ -26,6 +30,7 @@
 //! code keeps compiling unchanged.
 
 pub mod endpoint;
+pub mod hash;
 mod pace;
 pub mod pool;
 pub mod queue;

@@ -4,8 +4,15 @@
 //! with magnitude: 32 linear sub-buckets per power-of-two octave, so
 //! every recorded value is representable with relative error at most
 //! 1/32 ≈ 3.1% (values below 32 are exact). Storage is a fixed
-//! preallocated array of relaxed atomics — recording never allocates
-//! and is safe from any thread.
+//! preallocated array of relaxed atomics, so recording never allocates
+//! and a histogram can be read from any thread while it is written.
+//!
+//! Who may *write* depends on the recorder. [`Histogram::record`] is
+//! safe from any number of threads at once and costs five locked
+//! read-modify-writes. [`Histogram::record_single_writer`] is for a
+//! histogram with one writer at a time (the thread that owns the
+//! structure it describes): plain loads and stores, no locked
+//! instruction, readers still see whole and monotone values.
 
 #[cfg(feature = "telemetry")]
 mod enabled {
@@ -55,6 +62,22 @@ mod enabled {
         }
     }
 
+    /// Replaces `old`, which the caller just loaded from `cell`, by
+    /// `new`. With one writer the plain store is the whole update; a
+    /// debug build proves there was one.
+    #[inline]
+    fn single_writer_store(cell: &AtomicU64, old: u64, new: u64) {
+        if cfg!(debug_assertions) {
+            let swapped = cell.compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed);
+            debug_assert!(
+                swapped.is_ok(),
+                "second writer on a single-writer histogram"
+            );
+        } else {
+            cell.store(new, Ordering::Relaxed);
+        }
+    }
+
     /// A fixed-size concurrent histogram of `u64` samples.
     ///
     /// # Examples
@@ -100,7 +123,8 @@ mod enabled {
             }
         }
 
-        /// Records one sample.
+        /// Records one sample; any number of threads may call this at
+        /// once.
         #[inline]
         pub fn record(&self, v: u64) {
             self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -108,6 +132,36 @@ mod enabled {
             self.sum.fetch_add(v, Ordering::Relaxed);
             self.min.fetch_min(v, Ordering::Relaxed);
             self.max.fetch_max(v, Ordering::Relaxed);
+        }
+
+        /// Records one sample into a histogram that has **one writer at
+        /// a time**: each cell is loaded, changed and stored back with
+        /// no locked instruction, and min and max are stored only when
+        /// exceeded. Any thread may read meanwhile. A second concurrent
+        /// writer (of either recorder) would lose samples; debug builds
+        /// catch one by updating through `compare_exchange`.
+        ///
+        /// # Panics
+        ///
+        /// With `debug_assertions`, if another thread wrote a cell
+        /// between this call's load and store of it.
+        #[inline]
+        pub fn record_single_writer(&self, v: u64) {
+            let add = |cell: &AtomicU64, n: u64| {
+                let old = cell.load(Ordering::Relaxed);
+                single_writer_store(cell, old, old.wrapping_add(n));
+            };
+            add(&self.counts[bucket_index(v)], 1);
+            add(&self.count, 1);
+            add(&self.sum, v);
+            let min = self.min.load(Ordering::Relaxed);
+            if v < min {
+                single_writer_store(&self.min, min, v);
+            }
+            let max = self.max.load(Ordering::Relaxed);
+            if v > max {
+                single_writer_store(&self.max, max, v);
+            }
         }
 
         /// Adds every sample of `other` to this histogram, as if each
@@ -234,6 +288,10 @@ mod disabled {
 
         /// No-op.
         #[inline]
+        pub fn record_single_writer(&self, _v: u64) {}
+
+        /// No-op.
+        #[inline]
         pub fn absorb(&self, _other: &Histogram) {}
 
         /// Always zero.
@@ -310,6 +368,21 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn both_recorders_record_the_same() {
+        let (any, single) = (Histogram::new(), Histogram::new());
+        for v in [7u64, 0, 1_000_000, 31, 32, u64::MAX >> 1, 7] {
+            any.record(v);
+            single.record_single_writer(v);
+        }
+        assert_eq!(single.count(), any.count());
+        assert_eq!((single.min(), single.max()), (any.min(), any.max()));
+        assert_eq!(single.mean(), any.mean());
+        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
+            assert_eq!(single.percentile(q), any.percentile(q), "q {q}");
+        }
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Counters and gauges: relaxed atomics when the `telemetry` feature is
 //! on, zero-sized no-ops when it is off.
+//!
+//! A counter has two recorders. [`Counter::add`] takes `&self` and is one
+//! atomic read-modify-write, for a counter several threads bump.
+//! [`Counter::add_mut`] takes `&mut self` and is a plain add: the borrow
+//! proves no one else is writing, so per-session counters that already
+//! sit behind `&mut` pay nothing for being readable from elsewhere.
 
 #[cfg(feature = "telemetry")]
 mod enabled {
@@ -8,8 +14,8 @@ mod enabled {
     /// A monotonically increasing event count.
     ///
     /// `const`-constructible so it can live in a `static`; recording is
-    /// one relaxed atomic add — safe to share across threads and free of
-    /// heap traffic.
+    /// free of heap traffic, and through `&self` safe to share across
+    /// threads.
     #[derive(Debug, Default)]
     #[repr(transparent)]
     pub struct Counter(AtomicU64);
@@ -31,6 +37,14 @@ mod enabled {
         #[inline]
         pub fn add(&self, n: u64) {
             self.0.fetch_add(n, Ordering::Relaxed);
+        }
+
+        /// Adds `n` through an exclusive borrow: a plain add, no locked
+        /// instruction.
+        #[inline]
+        pub fn add_mut(&mut self, n: u64) {
+            let value = self.0.get_mut();
+            *value = value.wrapping_add(n);
         }
 
         /// Current value.
@@ -96,6 +110,10 @@ mod disabled {
         #[inline]
         pub fn add(&self, _n: u64) {}
 
+        /// No-op.
+        #[inline]
+        pub fn add_mut(&mut self, _n: u64) {}
+
         /// Always zero.
         #[inline]
         #[must_use]
@@ -146,10 +164,11 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn counter_counts() {
-        let c = Counter::new();
+        let mut c = Counter::new();
         c.inc();
         c.add(4);
-        assert_eq!(c.get(), 5);
+        c.add_mut(2);
+        assert_eq!(c.get(), 7);
     }
 
     #[cfg(feature = "telemetry")]
@@ -164,9 +183,10 @@ mod tests {
     #[cfg(not(feature = "telemetry"))]
     #[test]
     fn stubs_are_inert() {
-        let c = Counter::new();
+        let mut c = Counter::new();
         c.inc();
         c.add(4);
+        c.add_mut(2);
         assert_eq!(c.get(), 0);
         let g = Gauge::new();
         g.set(10);

@@ -3,15 +3,21 @@
 //! A [`Recorder`] owns named metrics registered at startup (or lazily at
 //! a [`span!`](crate::span) site's first execution) and snapshots them
 //! on demand. Registered metrics are leaked `&'static` references, so
-//! hot paths hold a direct pointer and recording costs one atomic op —
-//! the registry lock is touched only at registration and snapshot time.
+//! hot paths hold a direct pointer — the registry lock is touched only
+//! at registration and snapshot time.
+//!
+//! Spans sample: a site times one execution in 64 per thread, and an
+//! execution it does not time reads no clock and writes nothing another
+//! thread reads.
 
 use crate::snapshot::MetricsSnapshot;
 
 #[cfg(feature = "telemetry")]
 mod enabled {
+    use std::cell::Cell;
     use std::sync::Mutex;
     use std::sync::OnceLock;
+    use std::thread::LocalKey;
     use std::time::Instant;
 
     use crate::metric::{Counter, Gauge};
@@ -159,34 +165,52 @@ mod enabled {
         }
     }
 
-    /// RAII timer: records wall-clock nanoseconds from
-    /// [`enter`](SpanGuard::enter) to drop into the site's histogram.
+    /// Executions of a `span!` site per timed one, on each thread. A
+    /// constant, not a knob: ×64 turns a span's `count` into executions
+    /// wherever a snapshot is read.
+    pub(crate) const SPAN_SAMPLE_PERIOD: u32 = 64;
+
+    /// RAII timer: for a sampled execution, records wall-clock
+    /// nanoseconds from [`enter`](SpanGuard::enter) to drop into the
+    /// site's histogram; otherwise inert.
     pub struct SpanGuard {
-        hist: &'static Histogram,
-        start: Instant,
+        timed: Option<(&'static Histogram, Instant)>,
     }
 
     impl SpanGuard {
-        /// Starts timing against `site`.
+        /// Counts one execution of `site` on this thread in `tick` (the
+        /// site's own thread-local, declared by the macro) and starts
+        /// timing if it is the first of its 64.
+        #[inline]
         #[must_use]
-        pub fn enter(site: &'static SpanSite) -> Self {
+        pub fn enter(site: &'static SpanSite, tick: &'static LocalKey<Cell<u32>>) -> Self {
+            let executions = tick.get();
+            tick.set(executions.wrapping_add(1));
+            if !executions.is_multiple_of(SPAN_SAMPLE_PERIOD) {
+                return SpanGuard { timed: None };
+            }
             SpanGuard {
-                hist: site.histogram(),
-                start: Instant::now(),
+                timed: Some((site.histogram(), Instant::now())),
             }
         }
     }
 
     impl Drop for SpanGuard {
+        #[inline]
         fn drop(&mut self) {
-            let nanos = self.start.elapsed().as_nanos();
-            self.hist.record(u64::try_from(nanos).unwrap_or(u64::MAX));
+            if let Some((hist, start)) = self.timed {
+                let nanos = start.elapsed().as_nanos();
+                hist.record(u64::try_from(nanos).unwrap_or(u64::MAX));
+            }
         }
     }
 }
 
 #[cfg(not(feature = "telemetry"))]
 mod disabled {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
     use crate::metric::{Counter, Gauge};
     use crate::snapshot::MetricsSnapshot;
     use crate::Histogram;
@@ -251,9 +275,10 @@ mod disabled {
     pub struct SpanGuard;
 
     impl SpanGuard {
-        /// No-op.
+        /// No-op; `_tick` is never read.
+        #[inline]
         #[must_use]
-        pub fn enter(_site: &'static SpanSite) -> Self {
+        pub fn enter(_site: &'static SpanSite, _tick: &'static LocalKey<Cell<u32>>) -> Self {
             SpanGuard
         }
     }

@@ -339,6 +339,14 @@ impl EngineCore {
     /// cores over the same channels may share (a server shard's do).
     /// Counters stay per core.
     ///
+    /// Telemetry is written as plain memory, on the contract of **one
+    /// writer at a time**: the counters through the `&mut EngineCore`
+    /// every recording call already holds, the shared `histograms` by
+    /// whichever single thread drives the cores built over them (a
+    /// shard's thread, holding `&mut Shard`). Cores driven from
+    /// different threads at once need a set each. Any thread may read;
+    /// debug builds assert the contract on every sample.
+    ///
     /// # Errors
     ///
     /// [`mcss_core::ModelError::InvalidParameters`] if the config's

@@ -20,11 +20,18 @@
 //!   among every session it hosts.
 //!
 //! Everything here is built from [`mcss_obs`] primitives, so the whole
-//! structure inherits the crate's overhead contract: recording is
-//! relaxed atomics on storage preallocated before the first symbol (the
-//! zero-allocation steady-state proof holds with telemetry enabled),
-//! and with the `telemetry` feature off every field is a zero-sized
-//! no-op.
+//! structure inherits the crate's overhead contract: recording writes
+//! storage preallocated before the first symbol (the zero-allocation
+//! steady-state proof holds with telemetry enabled), and with the
+//! `telemetry` feature off every field is a zero-sized no-op.
+//!
+//! Recording is plain memory writes — no locked instruction — because
+//! both halves have **one writer at a time**: a session's counters are
+//! written through `&mut SessionMetrics` ([`Counter::add_mut`]), and a
+//! [`SessionHistograms`] is written only by the thread that currently
+//! drives the engines sharing it
+//! ([`Histogram::record_single_writer`]). Other threads may read either
+//! at any time and see whole, monotone values.
 
 use std::sync::Arc;
 
@@ -59,8 +66,12 @@ pub struct ChannelHistograms {
 }
 
 /// The distributions sessions record into: delay and gap per channel,
-/// and reassembly residency. Recording goes through `&self` atomics, so
-/// any number of sessions over the same `n` channels may share one.
+/// and reassembly residency. Recording goes through `&self`, so any
+/// number of sessions over the same `n` channels may share one —
+/// provided they have **one writer at a time**: every engine recording
+/// into a set is driven by the same thread (a server shard's sessions
+/// are, by the thread holding `&mut Shard`). Reading is free for all.
+/// Debug builds assert the contract on every sample.
 #[derive(Debug)]
 pub struct SessionHistograms {
     channels: Vec<ChannelHistograms>,
@@ -238,41 +249,42 @@ impl SessionMetrics {
     pub fn record_choice(&mut self, k: u8, m: usize) {
         let (k, m) = (k as usize, m);
         if k <= self.n && m <= self.n {
-            self.km[k * (self.n + 1) + m].inc();
+            self.km[k * (self.n + 1) + m].add_mut(1);
         }
-        self.sum_k.add(k as u64);
-        self.sum_m.add(m as u64);
-        self.choices.inc();
+        self.sum_k.add_mut(k as u64);
+        self.sum_m.add_mut(m as u64);
+        self.choices.add_mut(1);
     }
 
     /// Records a share frame accepted by `channel`'s send queue.
     pub fn record_send(&mut self, channel: usize) {
-        self.channels[channel].shares_sent.inc();
+        self.channels[channel].shares_sent.add_mut(1);
     }
 
     /// Records a share frame rejected by `channel`'s full send queue.
     pub fn record_drop(&mut self, channel: usize) {
-        self.channels[channel].shares_dropped.inc();
+        self.channels[channel].shares_dropped.add_mut(1);
     }
 
     /// Records a share delivered from `channel` at simulated time
     /// `now_nanos`, `delay_nanos` after it was stamped at the sender.
     pub fn record_receive(&mut self, channel: usize, now_nanos: u64, delay_nanos: u64) {
-        let ch = &self.channels[channel];
-        ch.shares_received.inc();
-        ch.delay_sum_nanos.add(delay_nanos);
+        let ch = &mut self.channels[channel];
+        ch.shares_received.add_mut(1);
+        ch.delay_sum_nanos.add_mut(delay_nanos);
         let hist = &self.histograms.channels[channel];
-        hist.one_way_delay.record(delay_nanos);
+        hist.one_way_delay.record_single_writer(delay_nanos);
         let last = self.last_rx_nanos[channel];
         if last != NO_RX {
-            hist.inter_share_gap.record(now_nanos.saturating_sub(last));
+            hist.inter_share_gap
+                .record_single_writer(now_nanos.saturating_sub(last));
         }
         self.last_rx_nanos[channel] = now_nanos;
     }
 
     /// Records a completed symbol's reassembly residency.
     pub fn record_residency(&mut self, nanos: u64) {
-        self.histograms.residency.record(nanos);
+        self.histograms.residency.record_single_writer(nanos);
     }
 
     /// Number of scheduler draws recorded.

@@ -43,8 +43,9 @@
 //! is offered — the oldest records are dropped from the front of their
 //! ring, amortized `O(1)` a symbol — whether or not anyone swept then.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use mcss_base::hash::IntMap;
 use mcss_base::{BufHandle, BufferPool, SimTime};
 use mcss_codec::CodecId;
 
@@ -130,7 +131,7 @@ pub struct ReassemblyCore {
     capacity_bytes: usize,
     resolved_cap: usize,
     buffered_bytes: usize,
-    pending: HashMap<u64, Pending>,
+    pending: IntMap<u64, Pending>,
     /// Post-rehash capacity high-water of `pending` (see
     /// [`reserve_headroom`](Self::reserve_headroom)).
     pending_full_cap: usize,
@@ -143,7 +144,7 @@ pub struct ReassemblyCore {
     /// Completed or evicted symbols and the instant each is remembered
     /// from. Holds no record the sweep grid has forgotten by the latest
     /// `now` the table was shown.
-    resolved: HashMap<u64, SimTime>,
+    resolved: IntMap<u64, SimTime>,
     /// Post-rehash capacity high-water of `resolved`.
     resolved_full_cap: usize,
     /// Records stamped with the instant they were made, in insertion
@@ -179,11 +180,11 @@ impl ReassemblyCore {
             capacity_bytes,
             resolved_cap: DEFAULT_RESOLVED_CAP,
             buffered_bytes: 0,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             pending_full_cap: 0,
             order: VecDeque::new(),
             order_base: 0,
-            resolved: HashMap::new(),
+            resolved: IntMap::default(),
             resolved_full_cap: 0,
             resolved_order: VecDeque::new(),
             resolved_popped: 0,
@@ -298,7 +299,7 @@ impl ReassemblyCore {
             self.stats.stale += 1;
             return (AcceptOutcome::Stale, None);
         }
-        if !self.pending.contains_key(&seq) {
+        let Some(p) = self.pending.get_mut(&seq) else {
             if k == 1 {
                 // Threshold 1: a single share carries the symbol, and
                 // nothing is buffered. A share the codec cannot decode
@@ -339,8 +340,7 @@ impl ReassemblyCore {
             self.buffered_bytes += bytes;
             Self::reserve_headroom(&mut self.pending, &mut self.pending_full_cap);
             return (AcceptOutcome::Stored, None);
-        }
-        let p = self.pending.get_mut(&seq).expect("checked above");
+        };
         let first_len = p.shares.first().map(|&(_, h)| pool.get(h).len());
         if p.codec != codec
             || p.k != k
@@ -356,7 +356,6 @@ impl ReassemblyCore {
         }
         let handle = pool.acquire();
         pool.get_mut(handle).extend_from_slice(payload);
-        let p = self.pending.get_mut(&seq).expect("checked above");
         p.shares.push((x, handle));
         p.bytes += payload.len();
         self.buffered_bytes += payload.len();
@@ -528,7 +527,7 @@ impl ReassemblyCore {
     /// capacity: `HashMap::capacity()` itself *shrinks* as tombstones
     /// eat free slots, so it cannot be compared against directly — its
     /// running maximum is the real (monotone) table size.
-    fn reserve_headroom<V>(map: &mut HashMap<u64, V>, full_cap: &mut usize) {
+    fn reserve_headroom<V>(map: &mut IntMap<u64, V>, full_cap: &mut usize) {
         *full_cap = (*full_cap).max(map.capacity());
         if (map.len() + 1) * 2 > *full_cap {
             map.reserve(map.len() + 2);

@@ -26,9 +26,10 @@
 //! [`UdpServer`](crate::udp::UdpServer) wraps the same shards in
 //! threads.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
+use mcss_base::hash::IntMap;
 use mcss_base::{BufferPool, Endpoint, EventQueue, QueueKind, SimTime};
 use mcss_codec::CodecId;
 use mcss_obs::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
@@ -142,6 +143,7 @@ struct Handoff {
 /// state a driver owns (RNG, delivery queue, optional action log).
 #[derive(Debug)]
 struct SessionSlot {
+    cid: u32,
     engine: EngineCore,
     /// The demux prefix naming this session, which its engine starts
     /// every frame with.
@@ -168,12 +170,64 @@ impl SessionSlot {
             .handle(pool, &self.prefix, now, event, &mut self.rng);
     }
 
-    /// Puts the session (`cid`) on its shard's `ready` list, once.
-    fn mark_ready(&mut self, cid: u32, ready: &mut Vec<u32>) {
+    /// Puts the session, which sits at `position`, on its shard's
+    /// `ready` list, once.
+    fn mark_ready(&mut self, position: u32, ready: &mut Vec<u32>) {
         if !self.in_ready {
             self.in_ready = true;
-            ready.push(cid);
+            ready.push(position);
         }
+    }
+}
+
+/// Slots per chunk of a [`SessionSlab`]: a power of two (the index
+/// splits by shift and mask) that keeps a chunk of 1.6 KB slots near
+/// 100 KB, a size the allocator recycles rather than maps afresh.
+const CHUNK_SLOTS: usize = 64;
+
+/// A shard's sessions in creation order, found by position.
+///
+/// The slots sit inline in chunks of [`CHUNK_SLOTS`], so neighbours in
+/// creation order are neighbours in memory, and registering a session
+/// never moves one: a single `Vec` of 1.6 KB slots re-copies (and
+/// re-faults) the whole fleet at every doubling — most of the time it
+/// takes to register ten thousand sessions — and holds up to twice
+/// what it uses. Append-only: sessions are never removed, so a position
+/// is for life (close/evict will need a free list and a generation).
+#[derive(Debug, Default)]
+struct SessionSlab {
+    /// Every chunk but the last is full; none grows past its capacity.
+    chunks: Vec<Vec<SessionSlot>>,
+}
+
+impl SessionSlab {
+    fn push(&mut self, slot: SessionSlot) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK_SLOTS => last.push(slot),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_SLOTS);
+                chunk.push(slot);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &SessionSlot> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl std::ops::Index<u32> for SessionSlab {
+    type Output = SessionSlot;
+
+    fn index(&self, position: u32) -> &SessionSlot {
+        &self.chunks[position as usize / CHUNK_SLOTS][position as usize % CHUNK_SLOTS]
+    }
+}
+
+impl std::ops::IndexMut<u32> for SessionSlab {
+    fn index_mut(&mut self, position: u32) -> &mut SessionSlot {
+        &mut self.chunks[position as usize / CHUNK_SLOTS][position as usize % CHUNK_SLOTS]
     }
 }
 
@@ -184,7 +238,14 @@ impl SessionSlot {
 pub struct Shard {
     index: usize,
     num_shards: usize,
-    sessions: HashMap<u32, SessionSlot>,
+    /// The sessions, in creation order. A session is found once per
+    /// event — connection ID to position through `by_cid` — and by
+    /// position from then on: the ready list and the timer wheel carry
+    /// positions.
+    sessions: SessionSlab,
+    /// Position in `sessions` of each connection ID. Nine bytes a
+    /// session, so probing for an unknown cid touches no session state.
+    by_cid: IntMap<u32, u32>,
     /// The delay, gap and residency distributions every session of this
     /// shard records into: one set per channel count hosted. They
     /// describe the channels, not the sessions, so a session adds none
@@ -193,14 +254,16 @@ pub struct Shard {
     /// Every buffer of the shard and its sessions: outbound frames,
     /// shares parked in reassembly, reconstructions, handoff copies.
     pool: BufferPool,
+    /// Pending timers, each the `(position, token)` of its session.
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
-    /// Scratch of [`Shard::poll_timers`]: the `(cid, token)` of the
+    /// Scratch of [`Shard::poll_timers`]: the `(position, token)` of the
     /// timers due this call; retained so polling allocates nothing.
     due: Vec<(u32, u64)>,
     outbound: VecDeque<OutboundDatagram>,
-    /// Sessions with work pending: an event was delivered to their
-    /// engine and its actions have not been drained yet. Together with
+    /// Positions of the sessions with work pending: an event was
+    /// delivered to their engine and its actions have not been drained
+    /// yet. Together with
     /// each slot's `in_ready` flag this is the shard's *ready-set* —
     /// per-iteration work scales with the sessions that actually saw a
     /// datagram, timer, or offered symbol, never with the total
@@ -225,7 +288,8 @@ impl Shard {
         Shard {
             index,
             num_shards: inboxes.len(),
-            sessions: HashMap::new(),
+            sessions: SessionSlab::default(),
+            by_cid: IntMap::default(),
             histograms: Vec::new(),
             pool: BufferPool::new(),
             timers: EventQueue::new(QueueKind::Wheel),
@@ -250,14 +314,14 @@ impl Shard {
     /// Sessions this shard owns.
     #[must_use]
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.by_cid.len()
     }
 
     /// Sessions this shard owns that encode with `codec`.
     #[must_use]
     pub fn codec_session_count(&self, codec: CodecId) -> usize {
         self.sessions
-            .values()
+            .iter()
             .filter(|slot| slot.engine.codec() == codec)
             .count()
     }
@@ -284,24 +348,31 @@ impl Shard {
         &self.pool
     }
 
-    /// Connection IDs owned by this shard, unordered.
+    /// Connection IDs owned by this shard, in the order registered.
     pub fn cids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.sessions.keys().copied()
+        self.sessions.iter().map(|slot| slot.cid)
     }
 
-    /// `cid`'s slot in `sessions` (a parameter, so the shard's other
-    /// fields stay borrowable next to the slot).
-    fn slot_mut(sessions: &mut HashMap<u32, SessionSlot>, cid: u32) -> &mut SessionSlot {
-        sessions
-            .get_mut(&cid)
+    /// Where `cid`'s session sits in `sessions`: the one hash lookup of
+    /// a call that names a session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no session is registered under `cid`.
+    fn position(&self, cid: u32) -> u32 {
+        *self
+            .by_cid
+            .get(&cid)
             .unwrap_or_else(|| panic!("no session with connection id {cid}"))
     }
 
-    /// Feeds `event` to `cid`'s engine and drains what it queued.
+    /// Feeds `event` to `cid`'s engine and drains what it queued (after
+    /// whatever sessions were marked ready before it).
     fn feed(&mut self, now: SimTime, cid: u32, event: Event<'_>) {
-        let slot = Self::slot_mut(&mut self.sessions, cid);
+        let position = self.position(cid);
+        let slot = &mut self.sessions[position];
         slot.handle(&mut self.pool, now, event);
-        slot.mark_ready(cid, &mut self.ready);
+        slot.mark_ready(position, &mut self.ready);
         self.flush_ready(now);
     }
 
@@ -313,7 +384,7 @@ impl Shard {
         source: SourceMode,
         seed: u64,
     ) -> Result<(), ServerError> {
-        if self.sessions.contains_key(&cid) {
+        if self.by_cid.contains_key(&cid) {
             return Err(ServerError::DuplicateCid(cid));
         }
         // The shard's set for this channel count; a new one is kept only
@@ -332,19 +403,19 @@ impl Shard {
         }
         let mut prefix = Vec::with_capacity(CID_PREFIX_BYTES);
         put_cid_prefix(&mut prefix, cid);
-        self.sessions.insert(
+        let position = u32::try_from(self.by_cid.len()).expect("one session per u32 cid");
+        self.by_cid.insert(cid, position);
+        self.sessions.push(SessionSlot {
             cid,
-            SessionSlot {
-                engine,
-                prefix: prefix.try_into().expect("a demux prefix is that long"),
-                rng: StdRng::seed_from_u64(seed),
-                record: false,
-                action_log: Vec::new(),
-                delivered: VecDeque::new(),
-                in_ready: false,
-                counted_delivered: 0,
-            },
-        );
+            engine,
+            prefix: prefix.try_into().expect("a demux prefix is that long"),
+            rng: StdRng::seed_from_u64(seed),
+            record: false,
+            action_log: Vec::new(),
+            delivered: VecDeque::new(),
+            in_ready: false,
+            counted_delivered: 0,
+        });
         Ok(())
     }
 
@@ -365,8 +436,8 @@ impl Shard {
         }
         let mut batch = std::mem::take(&mut self.ready_scratch);
         std::mem::swap(&mut batch, &mut self.ready);
-        for &cid in &batch {
-            self.drive(cid, |slot, _| slot.in_ready = false);
+        for &position in &batch {
+            self.drive(position, |slot, _| slot.in_ready = false);
         }
         batch.clear();
         self.ready_scratch = batch;
@@ -476,10 +547,11 @@ impl Shard {
         to: Endpoint,
         inner: &[u8],
     ) {
-        let Some(slot) = self.sessions.get_mut(&cid) else {
+        let Some(&position) = self.by_cid.get(&cid) else {
             ShardStats::bump(&self.stats.dropped_unknown_cid);
             return;
         };
+        let slot = &mut self.sessions[position];
         match slot.engine.handle_frame(
             &mut self.pool,
             &slot.prefix,
@@ -497,7 +569,7 @@ impl Shard {
             }
             Err(_) => ShardStats::bump(&self.stats.dropped_bad_frame),
         }
-        slot.mark_ready(cid, &mut self.ready);
+        slot.mark_ready(position, &mut self.ready);
     }
 
     /// Processes every frame handed off by other shards, then sends
@@ -534,8 +606,8 @@ impl Shard {
     }
 
     /// Fires every timer due at or before `now` from the shard wheel,
-    /// draining each session as its timer fires (one session lookup per
-    /// timer). The due timers are taken off the wheel first, so one a
+    /// draining each session as its timer fires (found by position, no
+    /// lookup). The due timers are taken off the wheel first, so one a
     /// drain sets — even for an instant already past — waits for the
     /// next call: a source that fell behind catches up a tick a call,
     /// between receive batches, not in one burst. Returns the number of
@@ -546,16 +618,13 @@ impl Shard {
             let (_, _, timer) = self.timers.pop().expect("peeked entry exists");
             due.push(timer);
         }
-        let mut fired = 0;
-        for &(cid, token) in &due {
-            let timer = |slot: &mut SessionSlot, pool: &mut BufferPool| {
+        for &(position, token) in &due {
+            self.drive(position, |slot, pool| {
                 slot.handle(pool, now, Event::TimerFired { token });
-            };
-            if self.drive(cid, timer) {
-                ShardStats::bump(&self.stats.timers_fired);
-                fired += 1;
-            }
+            });
         }
+        let fired = due.len();
+        ShardStats::bump_by(&self.stats.timers_fired, fired as u64);
         due.clear();
         self.due = due;
         fired
@@ -586,17 +655,15 @@ impl Shard {
         self.outbound.len()
     }
 
-    /// Looks `cid`'s session up once, applies `event` to it (lending it
-    /// the shard's pool), and drains its action queue: share and control
+    /// Applies `event` to the session at `position` (lending it the
+    /// shard's pool), and drains its action queue: share and control
     /// frames, which the engine wrote behind the session's demux prefix
     /// into pooled buffers, move to the outbound queue as they are,
     /// timers go onto the shard wheel, reconstructed symbols park in the
-    /// session's delivery queue. Returns `false` (and does nothing) if
-    /// the session is gone.
-    fn drive(&mut self, cid: u32, event: impl FnOnce(&mut SessionSlot, &mut BufferPool)) -> bool {
-        let Some(slot) = self.sessions.get_mut(&cid) else {
-            return false;
-        };
+    /// session's delivery queue.
+    fn drive(&mut self, position: u32, event: impl FnOnce(&mut SessionSlot, &mut BufferPool)) {
+        let slot = &mut self.sessions[position];
+        let cid = slot.cid;
         event(slot, &mut self.pool);
         while let Some(action) = slot.engine.poll_action() {
             if slot.record {
@@ -635,7 +702,7 @@ impl Shard {
                 }
                 Action::SetTimer { token, at } => {
                     self.timer_seq += 1;
-                    self.timers.push(at, self.timer_seq, (cid, token));
+                    self.timers.push(at, self.timer_seq, (position, token));
                 }
                 Action::DeliverSymbol { seq, payload } => {
                     slot.delivered.push_back((seq, payload));
@@ -651,7 +718,6 @@ impl Shard {
             delivered - slot.counted_delivered,
         );
         slot.counted_delivered = delivered;
-        true
     }
 
     /// Takes the oldest queued outbound datagram. Pass `bytes` back via
@@ -679,19 +745,16 @@ impl Shard {
     /// payloads are buffers of the shard's pool: hand them back with
     /// [`recycle_delivered`](Shard::recycle_delivered).
     pub fn take_delivered(&mut self, cid: u32) -> Vec<(u64, Vec<u8>)> {
-        Self::slot_mut(&mut self.sessions, cid)
-            .delivered
-            .drain(..)
-            .collect()
+        let position = self.position(cid);
+        self.sessions[position].delivered.drain(..).collect()
     }
 
     /// Takes the oldest reconstructed symbol from `cid`'s delivery
     /// queue without allocating (unlike
     /// [`take_delivered`](Shard::take_delivered), which collects).
     pub fn pop_delivered(&mut self, cid: u32) -> Option<(u64, Vec<u8>)> {
-        Self::slot_mut(&mut self.sessions, cid)
-            .delivered
-            .pop_front()
+        let position = self.position(cid);
+        self.sessions[position].delivered.pop_front()
     }
 
     /// Returns a delivered payload buffer to the shard pool it came from
@@ -704,22 +767,20 @@ impl Shard {
     /// the session's demux prefix as emitted (for replay pinning;
     /// cloning frames is test-only overhead, off by default).
     pub fn record_actions(&mut self, cid: u32) {
-        Self::slot_mut(&mut self.sessions, cid).record = true;
+        let position = self.position(cid);
+        self.sessions[position].record = true;
     }
 
     /// Takes the recorded action log.
     pub fn take_action_log(&mut self, cid: u32) -> Vec<Action> {
-        std::mem::take(&mut Self::slot_mut(&mut self.sessions, cid).action_log)
+        let position = self.position(cid);
+        std::mem::take(&mut self.sessions[position].action_log)
     }
 
     /// The session's report over a measurement `window`.
     #[must_use]
     pub fn report(&self, cid: u32, window: SimTime) -> SessionReport {
-        self.sessions
-            .get(&cid)
-            .unwrap_or_else(|| panic!("no session with connection id {cid}"))
-            .engine
-            .report(window)
+        self.sessions[self.position(cid)].engine.report(window)
     }
 }
 

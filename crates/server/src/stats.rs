@@ -3,8 +3,13 @@
 //! These are plain [`AtomicU64`]s rather than `mcss-obs` counters so
 //! the demux/handoff invariants they witness stay observable in every
 //! build — the proptests assert on them with telemetry compiled out.
-//! [`ShardStats::snapshot`] bridges them into the `mcss-obs` world as
-//! an always-available [`MetricsSnapshot`] fragment.
+//! [`ShardStatsSnapshot::extend_snapshot`] bridges them into the
+//! `mcss-obs` world as an always-available [`MetricsSnapshot`] fragment.
+//!
+//! They are atomics so that *readers* on other threads (a benchmark's
+//! sampler, a metrics scrape) see whole values, not so that several
+//! threads can write: a shard's counters have one writer, its own
+//! thread, and are bumped with a plain load, add and store.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -17,6 +22,13 @@ macro_rules! shard_stats {
     ($($(#[doc = $doc:literal])+ $field:ident),+ $(,)?) => {
         /// Live per-shard counters, shared between the owning shard
         /// thread and metric aggregators.
+        ///
+        /// **One writer at a time**: the thread that holds the shard's
+        /// `&mut Shard` (its worker thread, or whoever drives the
+        /// [`ShardSet`](crate::ShardSet) before the workers start).
+        /// Any thread may call [`get`](ShardStats::get) meanwhile and
+        /// sees whole, non-decreasing values. Debug builds assert the
+        /// contract on every bump.
         #[derive(Debug, Default)]
         pub struct ShardStats {
             $($(#[doc = $doc])+ pub $field: AtomicU64,)+
@@ -107,16 +119,25 @@ shard_stats! {
 }
 
 impl ShardStats {
-    /// Relaxed increment; counters are monotonic and independently
-    /// read, so no ordering beyond atomicity is needed.
+    /// Adds one to `counter` as its only writer.
+    #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        Self::bump_by(counter, 1);
     }
 
-    /// Relaxed bulk increment for batched syscall accounting.
+    /// Adds `n` to `counter` as its only writer: load, add, store — no
+    /// locked instruction. Counters are monotonic and independently
+    /// read, so no ordering beyond whole values is needed. A debug
+    /// build stores through `compare_exchange` to catch a second writer.
+    #[inline]
     pub(crate) fn bump_by(counter: &AtomicU64, n: u64) {
-        if n > 0 {
-            counter.fetch_add(n, Ordering::Relaxed);
+        let old = counter.load(Ordering::Relaxed);
+        let new = old.wrapping_add(n);
+        if cfg!(debug_assertions) {
+            let swapped = counter.compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed);
+            debug_assert!(swapped.is_ok(), "second writer on a shard's counters");
+        } else {
+            counter.store(new, Ordering::Relaxed);
         }
     }
 }
@@ -145,5 +166,28 @@ mod tests {
             .find(|c| c.name == "server.shard0.datagrams_received")
             .expect("exported");
         assert_eq!(got.value, 4);
+    }
+
+    /// Two threads bumping one counter break the contract; the debug
+    /// build's checked store notices within a few context switches.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "second writer")]
+    fn a_second_writer_trips_the_debug_assertion() {
+        let stats = ShardStats::default();
+        let tripped = std::sync::atomic::AtomicBool::new(false);
+        let hammer = || {
+            while !tripped.load(Ordering::Relaxed) {
+                let bump = || ShardStats::bump(&stats.wakeups);
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(bump)).is_err() {
+                    tripped.store(true, Ordering::Relaxed);
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(hammer);
+            scope.spawn(hammer);
+        });
+        panic!("second writer caught");
     }
 }

@@ -8,41 +8,43 @@
 //! every engine it builds records into that. The buffers went the same
 //! way: frames, parked shares and reconstructions live in the shard's
 //! one pool, which its engines borrow, so a session is its pool-less
-//! engine, reassembly tables and counters, under 7 KB after traffic
-//! (6.8 KB here, where a thousand sessions divide the shards' own state;
-//! 5.5 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
+//! engine, reassembly tables and counters, about 5 KB after traffic
+//! (5.1 KB here, where a thousand sessions divide the shards' own state;
+//! 4.4 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
 //! holds what one symbol has in flight, not what every session once had.
+//! The sessions of a shard sit in a slab in creation order (chunks of 64
+//! slots, so it holds what it uses), found through a connection-ID →
+//! position map, so a sparse ID costs what a dense one does.
 //!
-//! A global allocator counting live bytes (filtered to the measured
-//! thread, as `pool_handoff` counts allocations) gives the footprint;
-//! `Arc::strong_count` shows the sharing itself.
+//! A global allocator counting each thread's live bytes gives the
+//! footprint; `Arc::strong_count` shows the sharing itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use mcss_base::{Endpoint, SimTime};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{Engine, SourceMode};
-use mcss_server::{ServerConfig, ShardSet};
+use mcss_server::{ServerConfig, ServerError, ShardSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
 
 struct LiveBytesAllocator;
 
-/// Bytes allocated and not yet freed by the measured thread.
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
 thread_local! {
-    static ON_MEASURED_THREAD: Cell<bool> = const { Cell::new(false) };
+    /// Bytes this thread allocated and has not freed (tests run on a
+    /// thread each, and a `ShardSet` is driven from one).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn account(delta: i64) {
-    if ON_MEASURED_THREAD.try_with(Cell::get).unwrap_or(false) {
-        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
-    }
+    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + delta));
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for LiveBytesAllocator {
@@ -71,9 +73,10 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 6 825 B (+ 25 %); a session that owned its buffers held
-/// 8.5 KB, one that owned its histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 8_500;
+/// Measured 5 138 B (+ 25 %); a session stored inline in a hash table's
+/// buckets held 6.8 KB, one that owned its buffers 8.5 KB, one that
+/// owned its histograms too 176 KB.
+const BUDGET_BYTES_PER_SESSION: i64 = 6_420;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
@@ -93,8 +96,7 @@ fn protocol() -> Arc<ProtocolConfig> {
 
 #[test]
 fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
-    ON_MEASURED_THREAD.with(|flag| flag.set(true));
-    let baseline = LIVE_BYTES.load(Ordering::Relaxed);
+    let baseline = live_bytes();
 
     let config = protocol();
     let mut set = ShardSet::new(&ServerConfig::with_shards(2));
@@ -122,12 +124,18 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
             let owner = set.shard_of(cid);
             set.offer_symbol(now, cid, &payload);
             while let Some(datagram) = set.shard_mut(owner).pop_outbound() {
+                assert_eq!(datagram.cid, cid);
                 set.deliver_datagram(now, datagram.channel, Endpoint::B, &datagram.bytes, owner);
                 set.shard_mut(owner).recycle_outbound(datagram.bytes);
             }
+            // The symbol comes out of the session it went into: every
+            // position of the slab leads to its own slot.
+            let mut delivered = 0;
             while let Some((_, symbol)) = set.shard_mut(owner).pop_delivered(cid) {
                 set.shard_mut(owner).recycle_delivered(cid, symbol);
+                delivered += 1;
             }
+            assert_eq!(delivered, 1, "cid {cid}");
             set.poll(now);
         }
     };
@@ -141,7 +149,7 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
 
     // The whole set — shards, queues, the shards' histograms — divided
     // among the sessions.
-    let live = LIVE_BYTES.load(Ordering::Relaxed) - baseline;
+    let live = live_bytes() - baseline;
     let per_session = live / i64::from(SESSIONS);
     println!("{per_session} B live per session ({live} B in all)");
     assert!(
@@ -198,6 +206,82 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
             );
         }
     }
+}
+
+/// Hosts one session per connection ID on two shards, puts a symbol
+/// through each, and returns the set with the bytes it holds live.
+fn host(cids: [u32; 3]) -> (ShardSet, i64) {
+    let baseline = live_bytes();
+    let mut set = ShardSet::new(&ServerConfig::with_shards(2));
+    for cid in cids {
+        set.add_session(cid, protocol(), CHANNELS, SourceMode::External, 9)
+            .unwrap();
+        set.start(SimTime::ZERO, cid);
+    }
+    let now = SimTime::from_millis(1);
+    for cid in cids {
+        let owner = set.shard_of(cid);
+        let payload = [cid as u8; SYMBOL_BYTES];
+        set.offer_symbol(now, cid, &payload);
+        while let Some(datagram) = set.shard_mut(owner).pop_outbound() {
+            assert_eq!(datagram.cid, cid);
+            set.deliver_datagram(now, datagram.channel, Endpoint::B, &datagram.bytes, owner);
+            set.shard_mut(owner).recycle_outbound(datagram.bytes);
+        }
+        let (_, symbol) = set.shard_mut(owner).pop_delivered(cid).expect("delivered");
+        assert_eq!(symbol, payload, "cid {cid}");
+        set.shard_mut(owner).recycle_delivered(cid, symbol);
+        assert_eq!(set.shard_mut(owner).pop_delivered(cid), None);
+    }
+    let live = live_bytes() - baseline;
+    (set, live)
+}
+
+/// Connection IDs are looked up, not indexed: IDs scattered over the
+/// whole `u32` range register, route and report like consecutive ones
+/// and hold no more memory.
+#[test]
+fn sparse_connection_ids_cost_what_dense_ones_do() {
+    // Two on shard 0 and one on shard 1, both ways.
+    let sparse_cids = [0, 7, u32::MAX - 1];
+    let (dense, dense_bytes) = host([0, 1, 2]);
+    let (mut sparse, sparse_bytes) = host(sparse_cids);
+    assert!(
+        sparse_bytes <= dense_bytes,
+        "sparse {sparse_bytes} B, dense {dense_bytes} B"
+    );
+    drop(dense);
+
+    for cid in sparse_cids {
+        let report = sparse.report(cid, SimTime::from_millis(1));
+        assert_eq!(
+            (report.offered_symbols, report.delivered_symbols),
+            (1, 1),
+            "cid {cid}"
+        );
+    }
+    // Each shard lists its sessions once, in the order registered.
+    let listed = |set: &ShardSet, shard: usize| set.shard(shard).cids().collect::<Vec<_>>();
+    assert_eq!(listed(&sparse, 0), [0, u32::MAX - 1]);
+    assert_eq!(listed(&sparse, 1), [7]);
+
+    // A taken ID is refused and changes nothing.
+    let taken = sparse.add_session(7, protocol(), CHANNELS, SourceMode::External, 1);
+    assert!(matches!(taken, Err(ServerError::DuplicateCid(7))));
+    assert_eq!(sparse.session_count(), 3);
+    assert_eq!(listed(&sparse, 1), [7]);
+
+    // A datagram for an ID nobody registered is counted and dropped,
+    // on the shard that would own it.
+    sparse.offer_symbol(SimTime::from_millis(2), 7, &[1; SYMBOL_BYTES]);
+    let mut stray = sparse.shard_mut(1).pop_outbound().expect("a share").bytes;
+    stray[3..7].copy_from_slice(&9u32.to_be_bytes());
+    let before = sparse.totals();
+    sparse.deliver_datagram(SimTime::from_millis(2), 0, Endpoint::B, &stray, 0);
+    let after = sparse.totals();
+    assert_eq!(after.dropped_unknown_cid, before.dropped_unknown_cid + 1);
+    assert_eq!(after.handoff_out, before.handoff_out + 1);
+    assert_eq!(after.symbols_delivered, before.symbols_delivered);
 }
 
 /// A shard holds a set per channel count, not per session, and a
