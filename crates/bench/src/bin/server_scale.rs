@@ -16,9 +16,12 @@
 //! load stays within what loopback sockets sustain — the point of the
 //! sweep is multiplexing scale, not socket saturation. Each point
 //! reports `offered_vs_delivered` (delivered ÷ offered over the
-//! window; 1.0 = the server kept up) and the syscall-amortization
+//! window; 1.0 = the server kept up), the syscall-amortization
 //! counters (`wakeups`, `syscalls_recv`, `syscalls_send`,
-//! `datagrams_per_syscall`).
+//! `datagrams_per_syscall`) and the train counters (`messages_sent`,
+//! `messages_received`, `datagrams_per_message`: the mean number of
+//! datagrams a kernel message carried — above 1 where the epoll
+//! backend's GSO/GRO trains form, exactly 1 on busy-poll).
 //!
 //! Human-readable table on stdout; `BENCH_server_scale.json` with the
 //! full point series (the binary enables emission itself, like every
@@ -97,6 +100,10 @@ struct ScalePoint {
     syscalls_recv: u64,
     syscalls_send: u64,
     datagrams_per_syscall: f64,
+    messages_sent: u64,
+    messages_received: u64,
+    /// Mean train length: datagrams per kernel message, both directions.
+    datagrams_per_message: f64,
     handoffs: u64,
     handoff_rejected: u64,
     send_drops: u64,
@@ -208,6 +215,9 @@ fn run_point(
         syscalls_recv: window.syscalls_recv,
         syscalls_send: window.syscalls_send,
         datagrams_per_syscall: window.datagrams_per_syscall(),
+        messages_sent: window.messages_sent,
+        messages_received: window.messages_received,
+        datagrams_per_message: window.datagrams_per_message(),
         handoffs: window.handoffs,
         handoff_rejected: totals.handoff_rejected,
         send_drops: window.send_drops,
@@ -345,14 +355,15 @@ fn main() {
             let p = run_point(sessions, shards, backend, AGGREGATE_OFFERED);
             println!(
                 "{:>8} {:>7} sessions: {:>8.0} sym/s delivered ({:>5.1}% of offered)  \
-                 {:>8} datagrams  {:>5.1} dg/syscall  {:>6} wakeups  {:>7} handoffs  \
-                 {:>5} send drops",
+                 {:>8} datagrams  {:>5.1} dg/syscall  {:>4.1} dg/message  {:>6} wakeups  \
+                 {:>7} handoffs  {:>5} send drops",
                 p.io_backend,
                 p.sessions,
                 p.delivered_per_sec,
                 p.offered_vs_delivered * 100.0,
                 p.datagrams_received,
                 p.datagrams_per_syscall,
+                p.datagrams_per_message,
                 p.wakeups,
                 p.handoffs,
                 p.send_drops

@@ -11,7 +11,7 @@
 //! * [`Backend::Scalar`] — two log/exp table hops per byte, the
 //!   reference implementation.
 //! * [`Backend::Table`] — one 256-entry multiplication-table hop per
-//!   byte; the table lives in a caller-held [`MulTable`].
+//!   byte; the table is the [`MulTable`] the caller passes.
 //! * [`Backend::Simd`] — x86-64 split-nibble `pshufb`
 //!   (`arch/x86.rs`): 16 (SSSE3) or 32 (AVX2) field products per
 //!   shuffle pair.
@@ -39,10 +39,11 @@
 //! warning on stderr, so a test matrix can set `MCSS_GF256_BACKEND`
 //! unconditionally.
 //!
-//! All per-multiplier state lives in the caller-owned [`MulTable`]
-//! (288 bytes, plain `Copy` data, stack- or scratch-resident), so the
-//! kernels perform **zero heap allocations** — a property the workspace
-//! pins with a counting-allocator test.
+//! All per-multiplier state lives in the [`MulTable`] passed in (289
+//! bytes of plain `Copy` data; [`MulTable::of`] borrows the one built at
+//! compile time for each of the 256 multipliers), so the kernels perform
+//! **zero heap allocations** — a property the workspace pins with a
+//! counting-allocator test.
 //!
 //! # Examples
 //!
@@ -50,11 +51,11 @@
 //! use mcss_gf256::simd::{Backend, MulTable};
 //! use mcss_gf256::Gf256;
 //!
-//! let t = MulTable::new(Gf256::new(0x53));
+//! let t = MulTable::of(Gf256::new(0x53));
 //! let mut dst = vec![1u8; 64];
 //! let src = vec![0xaau8; 64];
 //! // dst[i] ← dst[i]·0x53 ⊕ src[i], on the best backend for this host.
-//! Backend::active().scale_add_assign(&mut dst, &src, &t);
+//! Backend::active().scale_add_assign(&mut dst, &src, t);
 //! assert_eq!(dst[0], (Gf256::new(1) * Gf256::new(0x53) + Gf256::new(0xaa)).value());
 //! ```
 
@@ -82,13 +83,13 @@ use crate::arch::neon as neon_impl;
 /// and for ragged tails) and the two 16-entry nibble tables
 /// `LO[n] = n·x`, `HI[n] = (n << 4)·x` used by the split-nibble
 /// shuffle paths (`b·x = LO[b & 0xf] ⊕ HI[b >> 4]`, by linearity of
-/// the field over GF(2)). Building one costs ~256 table lookups;
-/// callers working over large planes or several Horner steps with the
-/// same `x` should build it once and reuse it (see
-/// `mcss_shamir::batch`). The GFNI backend needs none of this state —
-/// the multiplier byte itself is broadcast — but takes the same
-/// argument so every backend shares one signature (and the row still
-/// serves its sub-16-byte tail).
+/// the field over GF(2)). All 256 of them are built at compile time
+/// into one read-only array; [`MulTable::of`] borrows the one for `x`,
+/// which is what [`slice`](crate::slice) and `mcss_shamir` do on every
+/// call. The GFNI backend needs none of this state — the multiplier
+/// byte itself is broadcast — but takes the same argument so every
+/// backend shares one signature (and the row still serves its
+/// sub-16-byte tail).
 #[derive(Debug, Clone, Copy)]
 pub struct MulTable {
     x: Gf256,
@@ -97,31 +98,61 @@ pub struct MulTable {
     pub(crate) hi: [u8; 16],
 }
 
+/// Every multiplier's tables, indexed by the multiplier: 256 × 289 B
+/// ≈ 74 KB of `.rodata`, built by the compiler. A `static`, not a
+/// `const`, so there is one copy and `of` hands out addresses into it.
+static TABLES: [MulTable; 256] = {
+    let mut tables = [MulTable::new(Gf256::ZERO); 256];
+    let mut x = 1;
+    while x < 256 {
+        tables[x] = MulTable::new(Gf256::new(x as u8));
+        x += 1;
+    }
+    tables
+};
+
 impl MulTable {
-    /// Builds the tables for multiplier `x` (any value, including 0
-    /// and 1).
+    /// The tables for multiplier `x`, borrowed from the compile-time
+    /// array: an index, no construction.
+    #[inline]
     #[must_use]
-    pub fn new(x: Gf256) -> MulTable {
+    pub fn of(x: Gf256) -> &'static MulTable {
+        &TABLES[x.value() as usize]
+    }
+
+    /// Builds the tables for multiplier `x` (any value, including 0
+    /// and 1) — 255 log/exp hops. This is what fills the compile-time
+    /// array behind [`of`](MulTable::of); at run time it is for callers
+    /// that want an owned copy (tests that compare against `of`, the
+    /// kernel microbenchmarks).
+    #[must_use]
+    pub const fn new(x: Gf256) -> MulTable {
         let mut row = [0u8; 256];
         match x.value() {
             0 => {}
             1 => {
-                for (b, r) in row.iter_mut().enumerate() {
-                    *r = b as u8;
+                let mut b = 0;
+                while b < 256 {
+                    row[b] = b as u8;
+                    b += 1;
                 }
             }
             v => {
                 let log_x = LOG[v as usize] as usize;
-                for b in 1..256 {
+                let mut b = 1;
+                while b < 256 {
                     row[b] = EXP[LOG[b] as usize + log_x];
+                    b += 1;
                 }
             }
         }
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
-        for n in 0..16 {
+        let mut n = 0;
+        while n < 16 {
             lo[n] = row[n];
             hi[n] = row[n << 4];
+            n += 1;
         }
         MulTable { x, row, lo, hi }
     }
@@ -506,6 +537,20 @@ mod tests {
                     "x={x} b={b}"
                 );
             }
+        }
+    }
+
+    /// The compile-time array holds exactly what `new` builds.
+    #[test]
+    fn of_equals_new_for_every_multiplier() {
+        for x in 0..=255u8 {
+            let x = Gf256::new(x);
+            let (built, stored) = (MulTable::new(x), MulTable::of(x));
+            assert_eq!(stored.x(), x);
+            assert_eq!(stored.x(), built.x());
+            assert_eq!(stored.row, built.row, "x={x}");
+            assert_eq!(stored.lo, built.lo, "x={x}");
+            assert_eq!(stored.hi, built.hi, "x={x}");
         }
     }
 

@@ -8,26 +8,23 @@
 //! one [`scale_add_assign`] per coefficient plane (Horner over planes),
 //! or all planes at once through the fused [`horner_into`].
 //!
-//! Slices below [`DISPATCH_THRESHOLD`] run a scalar log/exp loop with no
-//! setup cost; everything longer builds a [`MulTable`] for the
-//! multiplier and dispatches through [`Backend::for_len`] — the
-//! runtime-detected vector path (GFNI / AVX-512 VBMI / `pshufb` on
-//! x86_64, NEON on aarch64; see [`crate::simd`]), with lengths below the
-//! backend's measured crossover routed to the `table` path. Callers that
-//! reuse one multiplier across several calls should build the
-//! [`MulTable`] themselves and use the `_with` variants, which skip the
-//! per-call table construction but keep the length-aware routing.
+//! Slices below [`DISPATCH_THRESHOLD`] run a scalar log/exp loop that
+//! touches no per-multiplier table; everything longer borrows the
+//! multiplier's compile-time [`MulTable`] ([`MulTable::of`]) and
+//! dispatches through [`Backend::for_len`] — the runtime-detected vector
+//! path (GFNI / AVX-512 VBMI / `pshufb` on x86_64, NEON on aarch64; see
+//! [`crate::simd`]), with lengths below the backend's measured crossover
+//! routed to the `table` path. The `_with` variants take the table from
+//! the caller and keep the length-aware routing.
 
 use crate::arch;
 use crate::simd::{Backend, MulTable};
 use crate::{Gf256, EXP, GROUP_ORDER, LOG};
 
-/// Slice length from which the kernels build a [`MulTable`] and dispatch
-/// to the active [`Backend`] instead of doing two scalar table hops per
-/// byte. The table build costs ~256 lookups and the vector kernels save
-/// several ops per byte, so it pays for itself within ~100 bytes;
-/// protocol symbol planes (1250 B default) and batched (concatenated-
-/// plane) callers sit well above this.
+/// Slice length from which the kernels take the multiplier's
+/// [`MulTable`] and dispatch to the active [`Backend`] instead of doing
+/// two scalar table hops per byte; protocol symbol planes (1250 B
+/// default) sit well above this.
 const DISPATCH_THRESHOLD: usize = 128;
 
 /// `dst[i] ← dst[i] · x  ⊕  src[i]` for every `i` — one Horner step over
@@ -70,13 +67,11 @@ pub fn scale_add_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
         }
         return;
     }
-    let t = MulTable::new(x);
-    Backend::for_len(dst.len()).scale_add_assign(dst, src, &t);
+    Backend::for_len(dst.len()).scale_add_assign(dst, src, MulTable::of(x));
 }
 
-/// [`scale_add_assign`] with a caller-built [`MulTable`], for callers
-/// that reuse one multiplier across many planes (always dispatches via
-/// [`Backend::for_len`]; the threshold only guards table construction).
+/// [`scale_add_assign`] with the caller's [`MulTable`] (always
+/// dispatches via [`Backend::for_len`], whatever the length).
 ///
 /// # Panics
 ///
@@ -119,8 +114,7 @@ pub fn add_scaled_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
         }
         return;
     }
-    let t = MulTable::new(x);
-    Backend::for_len(dst.len()).add_scaled_assign(dst, src, &t);
+    Backend::for_len(dst.len()).add_scaled_assign(dst, src, MulTable::of(x));
 }
 
 /// `dst[i] ← a[i] ⊕ b[i]` for every `i` — fused GF(2⁸) addition of two
@@ -148,7 +142,7 @@ pub fn xor_into(dst: &mut [u8], a: &[u8], b: &[u8]) {
     arch::xor_into(dst, a, b);
 }
 
-/// [`add_scaled_assign`] with a caller-built [`MulTable`].
+/// [`add_scaled_assign`] with the caller's [`MulTable`].
 ///
 /// # Panics
 ///
@@ -185,16 +179,14 @@ pub fn scale_assign(dst: &mut [u8], x: Gf256) {
         }
         return;
     }
-    let t = MulTable::new(x);
-    Backend::for_len(dst.len()).scale_assign(dst, &t);
+    Backend::for_len(dst.len()).scale_assign(dst, MulTable::of(x));
 }
 
 /// Fused multi-plane Horner evaluation: overwrites `acc` with
 /// `Σᵢ planes[i] · x^(n−1−i)` (planes ordered highest coefficient
 /// first) — equivalent to zeroing `acc` and calling
-/// [`scale_add_assign`] once per plane, but with a single [`MulTable`]
-/// build and the accumulator kept in registers across planes. `acc`'s
-/// prior contents are ignored.
+/// [`scale_add_assign`] once per plane, but with the accumulator kept in
+/// registers across planes. `acc`'s prior contents are ignored.
 ///
 /// # Panics
 ///
@@ -212,11 +204,10 @@ pub fn scale_assign(dst: &mut [u8], x: Gf256) {
 /// assert_eq!(acc, [want, want]);
 /// ```
 pub fn horner_into(acc: &mut [u8], planes: &[&[u8]], x: Gf256) {
-    let t = MulTable::new(x);
-    Backend::for_len(acc.len()).horner_into(acc, planes, &t);
+    Backend::for_len(acc.len()).horner_into(acc, planes, MulTable::of(x));
 }
 
-/// [`horner_into`] with a caller-built [`MulTable`].
+/// [`horner_into`] with the caller's [`MulTable`].
 ///
 /// # Panics
 ///

@@ -1002,6 +1002,10 @@ impl ShardSet {
                 name: format!("server.shard{i}.datagrams_per_syscall"),
                 value: datagrams_per_syscall(&stats),
             });
+            snapshot.gauges.push(GaugeSnapshot {
+                name: format!("server.shard{i}.datagrams_per_message"),
+                value: datagrams_per_message(&stats),
+            });
             let pool = (
                 shard.pool.idle(),
                 shard.pool.misses(),
@@ -1042,6 +1046,10 @@ impl ShardSet {
             name: "server.total.datagrams_per_syscall".to_string(),
             value: datagrams_per_syscall(&total),
         });
+        snapshot.gauges.push(GaugeSnapshot {
+            name: "server.total.datagrams_per_message".to_string(),
+            value: datagrams_per_message(&total),
+        });
         snapshot
     }
 
@@ -1080,4 +1088,13 @@ fn datagrams_per_syscall(stats: &ShardStatsSnapshot) -> i64 {
     let datagrams = stats.datagrams_received + stats.datagrams_sent;
     let syscalls = stats.syscalls_recv + stats.syscalls_send;
     datagrams.checked_div(syscalls).unwrap_or(0) as i64
+}
+
+/// Whole datagrams moved per kernel message, rounded down — the mean
+/// train length (1 where no train forms, 0 with no socket at all; the
+/// raw counters keep full precision).
+fn datagrams_per_message(stats: &ShardStatsSnapshot) -> i64 {
+    let datagrams = stats.datagrams_received + stats.datagrams_sent;
+    let messages = stats.messages_received + stats.messages_sent;
+    datagrams.checked_div(messages).unwrap_or(0) as i64
 }

@@ -116,6 +116,21 @@ shard_stats! {
     syscalls_recv,
     /// Send syscalls issued (`sendmmsg` or `send` calls, as above).
     syscalls_send,
+    /// Kernel messages this shard's sockets accepted: on the epoll
+    /// backend each is one datagram or one train of them (a run of
+    /// equal-length datagrams sent as one `UDP_SEGMENT` message), so
+    /// `datagrams_sent ÷ messages_sent` is the mean train length; on
+    /// the busy-poll backend each is one datagram. The in-memory
+    /// [`ShardSet`](crate::ShardSet) has no kernel and leaves it 0.
+    messages_sent,
+    /// Kernel messages read off this shard's sockets: one datagram or
+    /// (epoll backend, `UDP_GRO`) one train, as above.
+    messages_received,
+    /// Trains the kernel refused to segment (no `UDP_SEGMENT`, or a
+    /// socket or path that cannot carry one). Their datagrams went out
+    /// one by one instead; nothing was dropped. Moves once per refused
+    /// length, then the sender stops forming such runs.
+    segmentation_refused,
 }
 
 impl ShardStats {

@@ -26,10 +26,17 @@
 //!   its sockets plus an `eventfd` doorbell peers ring when they hand
 //!   off a frame; the timeout comes from the shard timer wheel's next
 //!   deadline, so an idle shard costs nothing. Datagram I/O is batched
-//!   through `recvmmsg`/`sendmmsg` ([`sys::BATCH`] datagrams per
-//!   syscall).
+//!   through `recvmmsg`/`sendmmsg` ([`sys::BATCH`] messages per
+//!   syscall), and a message is a *train* wherever one forms: every
+//!   share frame of a server has one length (one `ProtocolConfig`), so
+//!   the shares a pass queues on one channel — one from each of many
+//!   sessions — leave as a few `UDP_SEGMENT` messages and, the reading
+//!   sockets having `UDP_GRO` set, arrive as a few (see [`crate::sys`]).
+//!   The kernel's per-packet path then runs once per train, not once
+//!   per share.
 //! * **busypoll** (portable fallback): the original loop — poll every
-//!   socket with nonblocking `recv`, sleep 100 µs when idle.
+//!   socket with nonblocking `recv`, sleep 100 µs when idle. One
+//!   datagram per syscall and per message, no trains.
 //!
 //! Select with [`ServerConfig::io`](crate::shard::ServerConfig) or the
 //! `MCSS_SERVER_IO` environment variable (`epoll` / `busypoll`).
@@ -75,8 +82,8 @@ pub enum IoMode {
 pub enum IoBackend {
     /// Nonblocking `recv`/`send` per datagram, 100 µs idle sleep.
     Busypoll,
-    /// `epoll_wait` wakeups, `recvmmsg`/`sendmmsg` batching, eventfd
-    /// cross-shard doorbells.
+    /// `epoll_wait` wakeups, `recvmmsg`/`sendmmsg` batching of
+    /// GSO/GRO trains, eventfd cross-shard doorbells.
     Epoll,
 }
 
@@ -501,6 +508,7 @@ fn run_shard_busypoll(
                     match ch.recv_sock(to).recv(&mut recv_buf) {
                         Ok(len) => {
                             idle = false;
+                            ShardStats::bump(&shard.stats().messages_received);
                             let now = sim_now(epoch);
                             shard.route_datagram(now, channel, to, &recv_buf[..len]);
                         }
@@ -515,7 +523,10 @@ fn run_shard_busypoll(
             idle = false;
             ShardStats::bump(&shard.stats().syscalls_send);
             match io.channels[datagram.channel].send_from(datagram.from, &datagram.bytes) {
-                Ok(_) => ShardStats::bump(&shard.stats().datagrams_sent),
+                Ok(_) => {
+                    ShardStats::bump(&shard.stats().datagrams_sent);
+                    ShardStats::bump(&shard.stats().messages_sent);
+                }
                 Err(e) if would_drop(&e) => ShardStats::bump(&shard.stats().send_drops),
                 Err(e) => return Err(e),
             }
@@ -533,8 +544,8 @@ fn run_shard_busypoll(
 /// The readiness-driven event loop: sleep in `epoll_wait` until a
 /// socket is readable, a peer rings the doorbell, or the shard timer
 /// wheel's next deadline arrives; then move datagrams in
-/// `recvmmsg`/`sendmmsg` batches and flush the ready-set once for the
-/// whole wakeup.
+/// `recvmmsg`/`sendmmsg` batches — each message a train where one
+/// forms — and flush the ready-set once for the whole wakeup.
 #[cfg(target_os = "linux")]
 fn run_shard_epoll(
     shard: &mut Shard,
@@ -554,6 +565,11 @@ fn run_shard_epoll(
     for (channel, ch) in io.channels.iter().enumerate() {
         epoll.add_readable(ch.a.as_raw_fd(), (channel * 2) as u64)?;
         epoll.add_readable(ch.b.as_raw_fd(), (channel * 2 + 1) as u64)?;
+        // Trains arrive whole on every socket this loop reads. A kernel
+        // that refuses the option cuts them itself, and `RecvBatch`
+        // reads either.
+        sys::enable_udp_gro(&ch.a);
+        sys::enable_udp_gro(&ch.b);
     }
     epoll.add_readable(doorbells[index].fd(), DOORBELL_TOKEN)?;
 
@@ -561,26 +577,36 @@ fn run_shard_epoll(
     let mut rx = sys::RecvBatch::new(MAX_DATAGRAM);
     let mut tx = sys::SendBatch::new();
     // Outbound staging, keyed by channel × originating endpoint so each
-    // sendmmsg batch shares one (socket, destination).
+    // sendmmsg batch shares one (socket, destination) and a queue's
+    // equal-length neighbours can leave as one train.
     let mut stage: Vec<Vec<Vec<u8>>> = (0..io.channels.len() * 2).map(|_| Vec::new()).collect();
     let mut peer_pending = vec![false; doorbells.len()];
     // The first pass scans every socket; afterwards only sockets epoll
     // reported ready are visited.
     let mut ready_tokens: Vec<u64> = (0..(io.channels.len() * 2) as u64).collect();
+    // Whether the doorbell needs clearing: on the first pass (a peer may
+    // have rung before this loop existed) and after every wait that
+    // reported it.
+    let mut rung = true;
 
     loop {
-        // Clear before draining: a raise that slips in between causes
-        // a spurious (cheap) wakeup, never a lost one.
-        doorbells[index].clear();
+        // Ring, then read: the doorbell is read only when it rang. The
+        // epoll registration is level-triggered, so a raised eventfd is
+        // reported by every wait until it is read — a raise is never
+        // missed for not having been looked for. And the clear still
+        // precedes the drain: a raise that slips in between the two
+        // leaves the counter up over an inbox already emptied, which
+        // costs one spurious (cheap) wakeup; a raise can never be
+        // cleared with its handoff left behind.
+        if rung {
+            doorbells[index].clear();
+        }
         let now = sim_now(epoch);
         shard.drain_inbox(now);
         shard.poll_timers(now);
         shard.drain_returns();
 
         for &token in &ready_tokens {
-            if token == DOORBELL_TOKEN {
-                continue;
-            }
             let channel = (token / 2) as usize;
             let to = if token % 2 == 0 {
                 Endpoint::A
@@ -592,12 +618,15 @@ fn run_shard_epoll(
                 match rx.recv(fd) {
                     Ok(n) => {
                         ShardStats::bump(&shard.stats().syscalls_recv);
+                        ShardStats::bump_by(&shard.stats().messages_received, n as u64);
                         let now = sim_now(epoch);
                         for i in 0..n {
-                            if let Some(owner) =
-                                shard.route_datagram(now, channel, to, rx.datagram(i))
-                            {
-                                peer_pending[owner] = true;
+                            for datagram in rx.datagrams(i) {
+                                if let Some(owner) =
+                                    shard.route_datagram(now, channel, to, datagram)
+                                {
+                                    peer_pending[owner] = true;
+                                }
                             }
                         }
                         // A short batch means the socket is likely
@@ -644,6 +673,8 @@ fn run_shard_epoll(
             ShardStats::bump_by(&shard.stats().datagrams_sent, outcome.sent as u64);
             ShardStats::bump_by(&shard.stats().send_drops, outcome.dropped as u64);
             ShardStats::bump_by(&shard.stats().syscalls_send, outcome.syscalls);
+            ShardStats::bump_by(&shard.stats().messages_sent, outcome.messages);
+            ShardStats::bump_by(&shard.stats().segmentation_refused, outcome.refused);
             for buf in bufs.drain(..) {
                 shard.recycle_outbound(buf);
             }
@@ -663,8 +694,13 @@ fn run_shard_epoll(
         ShardStats::bump(&shard.stats().wakeups);
         let n = epoll.wait(&mut events, timeout_ms as i32)?;
         ready_tokens.clear();
+        rung = false;
         for event in &events[..n] {
-            ready_tokens.push(event.data);
+            if event.data == DOORBELL_TOKEN {
+                rung = true;
+            } else {
+                ready_tokens.push(event.data);
+            }
         }
     }
 }
@@ -775,6 +811,11 @@ pub struct WindowStats {
     pub syscalls_recv: u64,
     /// Send syscalls within the window.
     pub syscalls_send: u64,
+    /// Kernel messages (each one datagram or one train) the sockets
+    /// accepted within the window.
+    pub messages_sent: u64,
+    /// Kernel messages read off the sockets within the window.
+    pub messages_received: u64,
     /// Frames handed off between shards within the window.
     pub handoffs: u64,
     /// Outbound datagrams refused within the window.
@@ -792,6 +833,8 @@ impl WindowStats {
             wakeups: after.wakeups - before.wakeups,
             syscalls_recv: after.syscalls_recv - before.syscalls_recv,
             syscalls_send: after.syscalls_send - before.syscalls_send,
+            messages_sent: after.messages_sent - before.messages_sent,
+            messages_received: after.messages_received - before.messages_received,
             handoffs: after.handoff_in - before.handoff_in,
             send_drops: after.send_drops - before.send_drops,
         }
@@ -809,6 +852,15 @@ impl WindowStats {
         let datagrams = self.datagrams_received + self.datagrams_sent;
         let syscalls = (self.syscalls_recv + self.syscalls_send).max(1);
         datagrams as f64 / syscalls as f64
+    }
+
+    /// Mean datagrams per kernel message — the mean train length; 1 on
+    /// the busy-poll backend and wherever no train forms.
+    #[must_use]
+    pub fn datagrams_per_message(&self) -> f64 {
+        let datagrams = self.datagrams_received + self.datagrams_sent;
+        let messages = (self.messages_received + self.messages_sent).max(1);
+        datagrams as f64 / messages as f64
     }
 }
 

@@ -5,10 +5,11 @@
 //! that symbols move, that nothing on the wire misroutes (no
 //! unknown-cid or malformed drops on a clean loopback), and that the
 //! metrics snapshot exports the per-shard and total counter families —
-//! including the wakeup/syscall amortization counters and the shards'
-//! buffer pools — and the per-channel delay distributions its shards
-//! recorded. A fleet whose
-//! sources have stopped must hold no timer at all.
+//! including the wakeup/syscall amortization counters, the message
+//! counters that say whether trains form (epoll: fewer kernel messages
+//! than datagrams; busy-poll: one each) and the shards' buffer pools —
+//! and the per-channel delay distributions its shards recorded. A fleet
+//! whose sources have stopped must hold no timer at all.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,6 +57,23 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
     assert!(totals.wakeups > 0, "{totals:?}");
     assert!(totals.syscalls_recv > 0, "{totals:?}");
     assert!(totals.syscalls_send > 0, "{totals:?}");
+    // A kernel message is one datagram or one train of them; only the
+    // epoll backend forms trains.
+    assert!(totals.messages_sent > 0, "{totals:?}");
+    assert!(totals.messages_received > 0, "{totals:?}");
+    assert!(totals.messages_sent <= totals.datagrams_sent, "{totals:?}");
+    assert!(
+        totals.messages_received <= totals.datagrams_received,
+        "{totals:?}"
+    );
+    if expect == IoBackend::Busypoll {
+        assert_eq!(totals.messages_sent, totals.datagrams_sent, "{totals:?}");
+        assert_eq!(
+            totals.messages_received, totals.datagrams_received,
+            "{totals:?}"
+        );
+        assert_eq!(totals.segmentation_refused, 0, "{totals:?}");
+    }
 
     // Per-session reports are complete and sorted.
     let reports = server.session_reports(SimTime::from_millis(400));
@@ -73,6 +91,11 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
         "server.shard1.wakeups",
         "server.total.syscalls_recv",
         "server.total.syscalls_send",
+        "server.shard0.messages_sent",
+        "server.shard1.messages_received",
+        "server.total.messages_sent",
+        "server.total.messages_received",
+        "server.total.segmentation_refused",
         "server.shard0.pool_misses",
         "server.shard1.pool_misses",
         "server.total.pool_misses",
@@ -96,6 +119,13 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
             .any(|g| g.name == "server.total.datagrams_per_syscall"),
         "snapshot missing amortization gauge"
     );
+    assert!(
+        snapshot
+            .gauges
+            .iter()
+            .any(|g| g.name == "server.total.datagrams_per_message" && g.value >= 1),
+        "snapshot missing train-length gauge"
+    );
     // The sources still tick, so their timers are on the wheels.
     assert!(
         snapshot
@@ -109,6 +139,17 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
         text.contains("server_total_datagrams_received"),
         "prometheus text missing server totals:\n{text}"
     );
+    for name in [
+        "server_total_messages_sent ",
+        "server_total_messages_received ",
+        "server_total_segmentation_refused ",
+        "server_total_datagrams_per_message ",
+    ] {
+        assert!(
+            text.contains(name),
+            "prometheus text missing {name}:\n{text}"
+        );
+    }
     // The shards' pools are the server's buffer memory: after the run
     // buffers have come back to each, the largest at least a whole frame
     // (demux prefix, v1 header, 64-byte share).
@@ -218,8 +259,12 @@ fn idle_fleet_holds_no_timers() {
 }
 
 /// The epoll backend must amortize syscalls: far fewer wakeups than
-/// the busy-poll loop for the same workload, and clearly fewer recv
-/// syscalls than datagrams received (recvmmsg batching at work).
+/// the busy-poll loop for the same workload, clearly fewer recv
+/// syscalls than datagrams received (recvmmsg batching at work), and
+/// fewer kernel messages than datagrams in both directions (trains at
+/// work) — unless this kernel cannot segment or cannot deliver trains
+/// whole, which is reported as `[skip-gso]` / `[skip-gro]`, not passed
+/// over in silence: CI fails on either.
 #[cfg(target_os = "linux")]
 #[test]
 fn epoll_backend_amortizes_wakeups_and_syscalls() {
@@ -249,4 +294,23 @@ fn epoll_backend_amortizes_wakeups_and_syscalls() {
         totals.wakeups < 100_000,
         "epoll loop appears to be spinning: {totals:?}"
     );
+    // 64 sessions ticking every 10 ms put several equal-length shares a
+    // pass on each channel's queue.
+    if totals.segmentation_refused == 0 {
+        assert!(
+            totals.messages_sent < totals.datagrams_sent,
+            "no train formed: {totals:?}"
+        );
+    } else {
+        println!("[skip-gso] this kernel refused to segment: {totals:?}");
+    }
+    let probe = std::net::UdpSocket::bind("127.0.0.1:0").expect("probe socket");
+    if totals.segmentation_refused == 0 && mcss_server::sys::enable_udp_gro(&probe) {
+        assert!(
+            totals.messages_received < totals.datagrams_received,
+            "no train arrived whole: {totals:?}"
+        );
+    } else {
+        println!("[skip-gro] no trains sent, or this kernel has no UDP_GRO");
+    }
 }

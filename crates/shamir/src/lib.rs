@@ -77,13 +77,13 @@ pub(crate) fn horner_eval(acc: &mut [u8], planes: &[Vec<u8>], tail: Option<&[u8]
         gf_slice::horner_into(acc, &refs[..n], x);
         return;
     }
-    let table = MulTable::new(x);
+    let table = MulTable::of(x);
     acc.fill(0);
     for plane in planes.iter().rev() {
-        gf_slice::scale_add_assign_with(acc, plane, &table);
+        gf_slice::scale_add_assign_with(acc, plane, table);
     }
     if let Some(t) = tail {
-        gf_slice::scale_add_assign_with(acc, t, &table);
+        gf_slice::scale_add_assign_with(acc, t, table);
     }
 }
 
