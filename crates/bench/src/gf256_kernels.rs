@@ -25,9 +25,9 @@ use serde::Serialize;
 const TARGET_BYTES: usize = 1 << 25;
 
 /// Plane lengths: two short planes bracketing the vector widths (the
-/// crossover calibration needs them), one below the dispatch threshold,
-/// the protocol's default symbol size neighborhood, and two
-/// cache-resident batch sizes.
+/// crossover calibration needs them; 64 B is also the fleet workloads'
+/// share size), a few vector widths' worth, the protocol's default
+/// symbol size neighborhood, and two cache-resident batch sizes.
 const LENGTHS: [usize; 6] = [16, 64, 256, 1_024, 16_384, 262_144];
 
 /// Planes in the fused Horner measurement (a κ = 4 split).

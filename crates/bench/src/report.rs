@@ -155,7 +155,7 @@ impl BenchReport {
 
 /// Writes `BENCH_<id>.json` for an arbitrary serializable value — the
 /// escape hatch for binaries whose results are not sweep-shaped (the
-/// throughput benchmark reports engine comparisons, not grid points).
+/// kernel matrix and the server scaling sweep).
 /// Honors the same `MCSS_BENCH_EMIT` gate and `MCSS_BENCH_DIR`
 /// destination as [`BenchReport::emit`]; filesystem failures only warn.
 pub fn emit_value(id: &str, value: &impl Serialize) {

@@ -133,8 +133,8 @@ impl CodecScratch {
     }
 }
 
-/// Identifies a coding backend, both on the wire (one byte in the v2
-/// share header) and for dispatch.
+/// Identifies a coding backend, both on the wire (the share header's
+/// format byte) and for dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecId {
     /// Shamir `k`-of-`m` over GF(2⁸): information-theoretic privacy
@@ -151,11 +151,8 @@ impl CodecId {
     /// Every built-in codec, in wire-id order.
     pub const ALL: [CodecId; 2] = [CodecId::Shamir, CodecId::Xor2d];
 
-    /// The byte identifying this codec in the v2 share header.
-    /// Version-1 frames carry no codec byte and decode as [`Shamir`]
-    /// (the only codec that existed when v1 was frozen).
-    ///
-    /// [`Shamir`]: CodecId::Shamir
+    /// The number identifying this codec on the wire: a share header's
+    /// format byte is `1 + wire_id()`.
     #[must_use]
     pub fn wire_id(self) -> u8 {
         match self {

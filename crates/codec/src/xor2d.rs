@@ -311,16 +311,6 @@ pub fn reconstruct_with<'a>(
     Ok(())
 }
 
-/// Slice-of-pairs convenience wrapper over [`reconstruct_with`].
-pub fn reconstruct_into(
-    k: u8,
-    m: u8,
-    shares: &[(u8, &[u8])],
-    out: &mut Vec<u8>,
-) -> Result<(), CodecError> {
-    reconstruct_with(k, m, shares.len(), |i| shares[i].0, |i| shares[i].1, out)
-}
-
 /// Whether an adversary holding exactly the shares in `captured`
 /// (bit `j` = share with abscissa `j + 1`) recovers the **whole**
 /// secret: true iff the set covers every piece. This is the codec's
@@ -393,6 +383,16 @@ mod tests {
         let mut outs: Vec<Vec<u8>> = (0..m).map(|_| Vec::new()).collect();
         split_into(secret, k, m, &mut rng, &mut pad, &mut outs).unwrap();
         outs
+    }
+
+    /// [`reconstruct_with`] over a slice of `(abscissa, payload)` pairs.
+    fn reconstruct_into(
+        k: u8,
+        m: u8,
+        shares: &[(u8, &[u8])],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        reconstruct_with(k, m, shares.len(), |i| shares[i].0, |i| shares[i].1, out)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Channel subsets and the per-subset property formulas of §IV-A.
 //!
 //! A [`Subset`] is a bitmask over channel indices (bit `i` = channel `i`
-//! of a [`ChannelSet`](crate::ChannelSet)). The three formulas here give
+//! of a [`ChannelSet`]). The three formulas here give
 //! the expected privacy risk, loss, and delay of sending one symbol's
 //! shares over a given subset `M` with threshold `k`:
 //!

@@ -1,11 +1,11 @@
 //! Arithmetic in the finite field GF(2⁸), the substrate for Shamir secret
 //! sharing as used by multichannel secret sharing protocols.
 //!
-//! The field is constructed as GF(2)[x] modulo the AES reduction polynomial
+//! The field is constructed as GF(2)\[x\] modulo the AES reduction polynomial
 //! x⁸ + x⁴ + x³ + x + 1 (0x11b). Multiplication and inversion are table
 //! driven; the log/exp tables are computed at compile time from the
 //! generator 0x03, so scalar arithmetic has no runtime initialization and
-//! no `unsafe`. The bulk [`slice`] kernels additionally dispatch to
+//! no `unsafe`. The bulk [`slice`](mod@slice) kernels additionally dispatch to
 //! runtime-detected vector backends (GFNI `gf2p8mulb`, AVX-512 VBMI
 //! `vpermb`, and split-nibble `pshufb` on x86_64; `vqtbl1q_u8` NEON on
 //! aarch64; a 256-entry table row elsewhere) — see [`simd`] for the dispatch
@@ -96,6 +96,10 @@ const fn build_log(exp: &[u8; 512]) -> [u8; 256] {
 
 pub(crate) const EXP: [u8; 512] = build_exp();
 pub(crate) const LOG: [u8; 256] = build_log(&EXP);
+
+/// The doubled EXP table really removes the modular reduction: the
+/// largest reachable index is `2·(GROUP_ORDER − 1)`.
+const _: () = assert!(2 * (GROUP_ORDER - 1) < EXP.len());
 
 /// An element of GF(2⁸).
 ///

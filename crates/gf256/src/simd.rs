@@ -23,13 +23,13 @@
 //!   (`arch/x86_gfni.rs`) at 128/256/512-bit width; no nibble tables
 //!   at all.
 //!
-//! Dispatch is **feature- and length-aware**. [`Backend::detect`] picks
+//! Dispatch is **feature- and length-aware**. `Backend::detect` picks
 //! the best available backend once per process
 //! (`gfni → avx512 → simd` on x86-64, `neon` on aarch64, `table`
 //! otherwise); per call, [`Backend::for_len`] routes lengths below the
 //! selected backend's [`crossover`](Backend::crossover) to the `table`
 //! path, because vector setup only pays for itself on long planes (the
-//! `gf256_kernels` bench measures the crossover per backend and emits
+//! `gf256_kernels` binary measures the crossover per backend and emits
 //! it in `BENCH_gf256_kernels.json`). `MCSS_GF256_BACKEND`
 //! (`scalar` | `table` | `simd` | `neon` | `avx512` | `gfni`)
 //! forces a specific path for testing and benchmarking — a *forced*

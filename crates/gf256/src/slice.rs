@@ -8,24 +8,16 @@
 //! one [`scale_add_assign`] per coefficient plane (Horner over planes),
 //! or all planes at once through the fused [`horner_into`].
 //!
-//! Slices below [`DISPATCH_THRESHOLD`] run a scalar log/exp loop that
-//! touches no per-multiplier table; everything longer borrows the
-//! multiplier's compile-time [`MulTable`] ([`MulTable::of`]) and
-//! dispatches through [`Backend::for_len`] — the runtime-detected vector
+//! Every multiplying op borrows the multiplier's compile-time
+//! [`MulTable`] ([`MulTable::of`], an index) and dispatches through
+//! [`Backend::for_len`] at every length — the runtime-detected vector
 //! path (GFNI / AVX-512 VBMI / `pshufb` on x86_64, NEON on aarch64; see
 //! [`crate::simd`]), with lengths below the backend's measured crossover
-//! routed to the `table` path. The `_with` variants take the table from
-//! the caller and keep the length-aware routing.
+//! routed to the `table` path.
 
 use crate::arch;
 use crate::simd::{Backend, MulTable};
-use crate::{Gf256, EXP, GROUP_ORDER, LOG};
-
-/// Slice length from which the kernels take the multiplier's
-/// [`MulTable`] and dispatch to the active [`Backend`] instead of doing
-/// two scalar table hops per byte; protocol symbol planes (1250 B
-/// default) sit well above this.
-const DISPATCH_THRESHOLD: usize = 128;
+use crate::Gf256;
 
 /// `dst[i] ← dst[i] · x  ⊕  src[i]` for every `i` — one Horner step over
 /// a coefficient plane.
@@ -46,38 +38,7 @@ const DISPATCH_THRESHOLD: usize = 128;
 /// assert_eq!(acc, [0x04 ^ 0x01, 0x06]);
 /// ```
 pub fn scale_add_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
-    assert_eq!(dst.len(), src.len(), "plane lengths must match");
-    if x.is_zero() {
-        dst.copy_from_slice(src);
-        return;
-    }
-    if x == Gf256::ONE {
-        arch::xor_assign(dst, src);
-        return;
-    }
-    if dst.len() < DISPATCH_THRESHOLD {
-        let log_x = LOG[x.value() as usize] as usize;
-        for (d, &s) in dst.iter_mut().zip(src) {
-            let scaled = if *d == 0 {
-                0
-            } else {
-                EXP[LOG[*d as usize] as usize + log_x]
-            };
-            *d = scaled ^ s;
-        }
-        return;
-    }
     Backend::for_len(dst.len()).scale_add_assign(dst, src, MulTable::of(x));
-}
-
-/// [`scale_add_assign`] with the caller's [`MulTable`] (always
-/// dispatches via [`Backend::for_len`], whatever the length).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn scale_add_assign_with(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    Backend::for_len(dst.len()).scale_add_assign(dst, src, t);
 }
 
 /// `dst[i] ← dst[i] ⊕ src[i] · x` for every `i` — the accumulation step
@@ -97,23 +58,6 @@ pub fn scale_add_assign_with(dst: &mut [u8], src: &[u8], t: &MulTable) {
 /// assert_eq!(acc, [0x01 ^ 0x06, 0x06]);
 /// ```
 pub fn add_scaled_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
-    assert_eq!(dst.len(), src.len(), "plane lengths must match");
-    if x.is_zero() {
-        return;
-    }
-    if x == Gf256::ONE {
-        arch::xor_assign(dst, src);
-        return;
-    }
-    if dst.len() < DISPATCH_THRESHOLD {
-        let log_x = LOG[x.value() as usize] as usize;
-        for (d, &s) in dst.iter_mut().zip(src) {
-            if s != 0 {
-                *d ^= EXP[LOG[s as usize] as usize + log_x];
-            }
-        }
-        return;
-    }
     Backend::for_len(dst.len()).add_scaled_assign(dst, src, MulTable::of(x));
 }
 
@@ -142,15 +86,6 @@ pub fn xor_into(dst: &mut [u8], a: &[u8], b: &[u8]) {
     arch::xor_into(dst, a, b);
 }
 
-/// [`add_scaled_assign`] with the caller's [`MulTable`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn add_scaled_assign_with(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    Backend::for_len(dst.len()).add_scaled_assign(dst, src, t);
-}
-
 /// Multiplies every byte in place by the scalar `x`.
 ///
 /// # Examples
@@ -163,22 +98,6 @@ pub fn add_scaled_assign_with(dst: &mut [u8], src: &[u8], t: &MulTable) {
 /// assert_eq!(v, [2, 4, 8]);
 /// ```
 pub fn scale_assign(dst: &mut [u8], x: Gf256) {
-    if x.is_zero() {
-        dst.fill(0);
-        return;
-    }
-    if x == Gf256::ONE {
-        return;
-    }
-    if dst.len() < DISPATCH_THRESHOLD {
-        let log_x = LOG[x.value() as usize] as usize;
-        for d in dst.iter_mut() {
-            if *d != 0 {
-                *d = EXP[LOG[*d as usize] as usize + log_x];
-            }
-        }
-        return;
-    }
     Backend::for_len(dst.len()).scale_assign(dst, MulTable::of(x));
 }
 
@@ -206,20 +125,6 @@ pub fn scale_assign(dst: &mut [u8], x: Gf256) {
 pub fn horner_into(acc: &mut [u8], planes: &[&[u8]], x: Gf256) {
     Backend::for_len(acc.len()).horner_into(acc, planes, MulTable::of(x));
 }
-
-/// [`horner_into`] with the caller's [`MulTable`].
-///
-/// # Panics
-///
-/// Panics if any plane's length differs from `acc`'s.
-pub fn horner_into_with(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    Backend::for_len(acc.len()).horner_into(acc, planes, t);
-}
-
-/// Reference check that the doubled EXP table really removes the modular
-/// reduction: the largest reachable index is `2·(GROUP_ORDER − 1)`.
-#[allow(dead_code)]
-const _: () = assert!(2 * (GROUP_ORDER - 1) < 512);
 
 #[cfg(test)]
 mod tests {
@@ -271,25 +176,28 @@ mod tests {
 
     #[test]
     fn dispatched_path_matches_scalar_path() {
-        // Long slices take the backend fast path; it must agree with the
-        // short-slice double-lookup path byte for byte (including the
-        // ragged 37-byte tail past the last full vector).
-        let dst0: Vec<u8> = (0..DISPATCH_THRESHOLD * 4 + 37)
-            .map(|i| (i * 7) as u8)
-            .collect();
-        let src: Vec<u8> = (0..dst0.len()).map(|i| (i * 13 + 5) as u8).collect();
-        for x in [2u8, 0x53, 0xff] {
-            let x = Gf256::new(x);
-            let mut long = dst0.clone();
-            scale_add_assign(&mut long, &src, x);
-            let mut long2 = dst0.clone();
-            add_scaled_assign(&mut long2, &src, x);
-            let mut long3 = dst0.clone();
-            scale_assign(&mut long3, x);
-            for (i, (&d, &s)) in dst0.iter().zip(&src).enumerate() {
-                assert_eq!(long[i], (Gf256::new(d) * x + Gf256::new(s)).value());
-                assert_eq!(long2[i], (Gf256::new(d) + Gf256::new(s) * x).value());
-                assert_eq!(long3[i], (Gf256::new(d) * x).value());
+        // Every length dispatches, so every short length (empty, below
+        // and across each vector width, ragged tails) and one long
+        // ragged plane must agree with the scalar reference backend.
+        for len in (0..=130).chain([549]) {
+            let dst0: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let src: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
+            for x in [0u8, 1, 2, 0x53, 0xff] {
+                let x = Gf256::new(x);
+                let t = MulTable::of(x);
+                let (mut got, mut want) = (dst0.clone(), dst0.clone());
+                scale_add_assign(&mut got, &src, x);
+                Backend::Scalar.scale_add_assign(&mut want, &src, t);
+                assert_eq!(got, want, "scale_add len={len} x={x}");
+                add_scaled_assign(&mut got, &src, x);
+                Backend::Scalar.add_scaled_assign(&mut want, &src, t);
+                assert_eq!(got, want, "add_scaled len={len} x={x}");
+                scale_assign(&mut got, x);
+                Backend::Scalar.scale_assign(&mut want, t);
+                assert_eq!(got, want, "scale len={len} x={x}");
+                horner_into(&mut got, &[&dst0, &src], x);
+                Backend::Scalar.horner_into(&mut want, &[&dst0, &src], t);
+                assert_eq!(got, want, "horner len={len} x={x}");
             }
         }
     }
@@ -312,22 +220,6 @@ mod tests {
                 assert_eq!(got, want, "len={len} x={x}");
             }
         }
-    }
-
-    #[test]
-    fn with_variants_match_plain_calls() {
-        let dst0: Vec<u8> = (0..600).map(|i| (i * 3) as u8).collect();
-        let src: Vec<u8> = (0..600).map(|i| (i * 5 + 1) as u8).collect();
-        let x = Gf256::new(0x1c);
-        let t = MulTable::new(x);
-        let (mut a, mut b) = (dst0.clone(), dst0.clone());
-        scale_add_assign(&mut a, &src, x);
-        scale_add_assign_with(&mut b, &src, &t);
-        assert_eq!(a, b);
-        let (mut a, mut b) = (dst0.clone(), dst0);
-        add_scaled_assign(&mut a, &src, x);
-        add_scaled_assign_with(&mut b, &src, &t);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -160,6 +160,36 @@ fn all_chunk_boundary_lengths_agree() {
     }
 }
 
+/// The `slice` entry points dispatch at every length, so on a forced
+/// backend the short lengths reach that backend's kernels: each op,
+/// through the plain form, against the scalar reference.
+#[test]
+fn plain_entry_points_agree_at_short_lengths() {
+    use mcss_gf256::slice;
+    let dst0: Vec<u8> = (0..130).map(|i| (i * 37 + 11) as u8).collect();
+    let src: Vec<u8> = (0..130).map(|i| (i * 101 + 3) as u8).collect();
+    for x in [0u8, 1, 2, 0x53, 0xff] {
+        let x = Gf256::new(x);
+        let t = MulTable::of(x);
+        for len in 0..=130usize {
+            let (d0, s) = (&dst0[..len], &src[..len]);
+            let (mut got, mut want) = (d0.to_vec(), d0.to_vec());
+            slice::scale_add_assign(&mut got, s, x);
+            Backend::Scalar.scale_add_assign(&mut want, s, t);
+            assert_eq!(got, want, "scale_add x={x} len={len}");
+            slice::add_scaled_assign(&mut got, s, x);
+            Backend::Scalar.add_scaled_assign(&mut want, s, t);
+            assert_eq!(got, want, "add_scaled x={x} len={len}");
+            slice::scale_assign(&mut got, x);
+            Backend::Scalar.scale_assign(&mut want, t);
+            assert_eq!(got, want, "scale x={x} len={len}");
+            slice::horner_into(&mut got, &[d0, s], x);
+            Backend::Scalar.horner_into(&mut want, &[d0, s], t);
+            assert_eq!(got, want, "horner x={x} len={len}");
+        }
+    }
+}
+
 /// Exhaustive chunk-edge diff for one named backend: every length in
 /// 0..=193 (covering three 64-byte AVX-512/GFNI chunks, the 16-byte
 /// mid-tails, and the scalar table tail, each ±1) crossed with

@@ -149,12 +149,6 @@ impl Problem {
         self.objective.len()
     }
 
-    /// Number of constraint rows added so far.
-    #[must_use]
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Adds the constraint `coeffs · x  rel  rhs`.
     ///
     /// # Errors

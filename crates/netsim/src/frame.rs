@@ -1,18 +1,12 @@
 //! Frames: the unit of transmission on a simulated link.
 
-use std::hash::{Hash, Hasher};
-
-use bytes::Bytes;
-
-/// A datagram in flight.
+/// A datagram in flight: an owned byte buffer.
 ///
-/// The payload is either a shared [`Bytes`] handle (cheap clones, used
-/// by tests and generic traffic sources) or an *owned* `Vec<u8>` from a
-/// [`BufferPool`](crate::BufferPool): owned frames move through the
-/// event queue by value and hand their buffer back for reuse at the
-/// receiver via [`into_vec`](Frame::into_vec), which is what keeps the
-/// protocol data path allocation-free. The two representations compare
-/// and hash by payload contents, indistinguishably.
+/// Frames move through the event queue by value, and the receiver takes
+/// the buffer back with [`into_vec`](Frame::into_vec) — the same
+/// allocation the sender wrapped, so a buffer drawn from a
+/// [`BufferPool`](crate::BufferPool) can return to it. That is what
+/// keeps the protocol data path allocation-free.
 ///
 /// # Examples
 ///
@@ -23,115 +17,55 @@ use bytes::Bytes;
 /// assert_eq!(f.len(), 3);
 /// assert_eq!(f.payload(), &[1, 2, 3][..]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
-    payload: Repr,
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Shared(Bytes),
-    Owned(Vec<u8>),
+    payload: Vec<u8>,
 }
 
 impl Frame {
-    /// Wraps a payload into a shared-representation frame.
+    /// Wraps a payload; a `Vec<u8>` is taken over without copying.
     #[must_use]
-    pub fn new(payload: impl Into<Bytes>) -> Self {
+    pub fn new(payload: impl Into<Vec<u8>>) -> Self {
         Frame {
-            payload: Repr::Shared(payload.into()),
-        }
-    }
-
-    /// Wraps an owned buffer — typically from a
-    /// [`BufferPool`](crate::BufferPool) — without copying it.
-    ///
-    /// Unlike [`new`](Frame::new) with a `Vec` (which copies into a
-    /// shared allocation), the vector itself is the payload and can be
-    /// recovered intact with [`into_vec`](Frame::into_vec).
-    #[must_use]
-    pub fn from_vec(payload: Vec<u8>) -> Self {
-        Frame {
-            payload: Repr::Owned(payload),
+            payload: payload.into(),
         }
     }
 
     /// The payload bytes.
     #[must_use]
     pub fn payload(&self) -> &[u8] {
-        match &self.payload {
-            Repr::Shared(b) => b,
-            Repr::Owned(v) => v,
-        }
+        &self.payload
     }
 
-    /// Consumes the frame, returning the payload as a shared handle
-    /// (copies once if the frame owned its buffer).
-    #[must_use]
-    pub fn into_payload(self) -> Bytes {
-        match self.payload {
-            Repr::Shared(b) => b,
-            Repr::Owned(v) => Bytes::from(v),
-        }
-    }
-
-    /// Consumes the frame, returning the payload as an owned vector —
-    /// without copying when the frame was built by
-    /// [`from_vec`](Frame::from_vec), so the buffer can go back to its
-    /// pool.
+    /// Consumes the frame, returning the buffer it was built from.
     #[must_use]
     pub fn into_vec(self) -> Vec<u8> {
-        match self.payload {
-            Repr::Shared(b) => b.to_vec(),
-            Repr::Owned(v) => v,
-        }
+        self.payload
     }
 
     /// Payload length in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.payload().len()
+        self.payload.len()
     }
 
     /// Whether the payload is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.payload().is_empty()
+        self.payload.is_empty()
     }
 
     /// Payload size in bits (excluding per-link framing overhead, which
     /// the link adds per its [`LinkConfig`](crate::LinkConfig)).
     #[must_use]
     pub fn bits(&self) -> u64 {
-        self.payload().len() as u64 * 8
-    }
-}
-
-impl PartialEq for Frame {
-    fn eq(&self, other: &Self) -> bool {
-        self.payload() == other.payload()
-    }
-}
-
-impl Eq for Frame {}
-
-impl Hash for Frame {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.payload().hash(state);
+        self.payload.len() as u64 * 8
     }
 }
 
 impl From<Vec<u8>> for Frame {
     fn from(v: Vec<u8>) -> Self {
-        Frame::from_vec(v)
-    }
-}
-
-impl From<Bytes> for Frame {
-    fn from(b: Bytes) -> Self {
-        Frame {
-            payload: Repr::Shared(b),
-        }
+        Frame::new(v)
     }
 }
 
@@ -145,7 +79,7 @@ mod tests {
         assert_eq!(f.len(), 100);
         assert_eq!(f.bits(), 800);
         assert!(!f.is_empty());
-        assert_eq!(f.clone().into_payload().len(), 100);
+        assert_eq!(f.clone().into_vec().len(), 100);
     }
 
     #[test]
@@ -158,16 +92,8 @@ mod tests {
     #[test]
     fn conversions() {
         let a: Frame = vec![1u8, 2].into();
-        let b: Frame = Bytes::from_static(&[1u8, 2]).into();
+        let b = Frame::new(&[1u8, 2][..]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn clones_share_payload() {
-        let f = Frame::new(vec![0u8; 1024]);
-        let g = f.clone();
-        // Bytes clones share the same backing allocation.
-        assert_eq!(f.payload().as_ptr(), g.payload().as_ptr());
     }
 
     #[test]
@@ -175,24 +101,10 @@ mod tests {
         let mut v = Vec::with_capacity(2048);
         v.extend_from_slice(&[7u8; 10]);
         let ptr = v.as_ptr();
-        let f = Frame::from_vec(v);
+        let f = Frame::new(v);
         assert_eq!(f.payload(), &[7u8; 10]);
         let back = f.into_vec();
         assert_eq!(back.as_ptr(), ptr);
         assert_eq!(back.capacity(), 2048);
-    }
-
-    #[test]
-    fn owned_and_shared_compare_by_contents() {
-        let owned = Frame::from_vec(vec![1, 2, 3]);
-        let shared = Frame::new(vec![1, 2, 3]);
-        assert_eq!(owned, shared);
-        use std::collections::hash_map::DefaultHasher;
-        let hash = |f: &Frame| {
-            let mut h = DefaultHasher::new();
-            f.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(hash(&owned), hash(&shared));
     }
 }

@@ -6,7 +6,7 @@
 //! channel's rate and `netem` adds loss and delay. This simulator models
 //! exactly that physics:
 //!
-//! * each [`Channel`](network::Channel) is a full-duplex pair of links;
+//! * each [`Channel`] is a full-duplex pair of links;
 //! * each link serializes frames at a configured bit rate behind a
 //!   bounded FIFO (token-bucket semantics, like a single `htb` class);
 //! * each frame independently survives with probability `1 − loss` and,

@@ -46,7 +46,6 @@ pub struct ProtocolConfig {
     symbol_bytes: usize,
     reassembly_timeout: SimTime,
     reassembly_capacity_bytes: usize,
-    reassembly_resolved_cap: usize,
     readiness_threshold: SimTime,
     cpu: Option<CpuModel>,
     adaptive_target: Option<f64>,
@@ -62,10 +61,6 @@ impl ProtocolConfig {
 
     /// Default reassembly memory cap in buffered share bytes.
     pub const DEFAULT_REASSEMBLY_CAPACITY: usize = 8 * 1024 * 1024;
-
-    /// Default bound on the receiver's resolved-symbol records (see
-    /// [`crate::reassembly::DEFAULT_RESOLVED_CAP`]).
-    pub const DEFAULT_REASSEMBLY_RESOLVED_CAP: usize = crate::reassembly::DEFAULT_RESOLVED_CAP;
 
     /// Default backlog threshold below which a channel counts as
     /// "ready for writing".
@@ -94,7 +89,6 @@ impl ProtocolConfig {
             symbol_bytes: Self::DEFAULT_SYMBOL_BYTES,
             reassembly_timeout: Self::DEFAULT_REASSEMBLY_TIMEOUT,
             reassembly_capacity_bytes: Self::DEFAULT_REASSEMBLY_CAPACITY,
-            reassembly_resolved_cap: Self::DEFAULT_REASSEMBLY_RESOLVED_CAP,
             readiness_threshold: Self::DEFAULT_READINESS_THRESHOLD,
             cpu: None,
             adaptive_target: None,
@@ -146,19 +140,6 @@ impl ProtocolConfig {
     #[must_use]
     pub fn with_reassembly_capacity(mut self, bytes: usize) -> Self {
         self.reassembly_capacity_bytes = bytes;
-        self
-    }
-
-    /// Bounds the receiver's memory of completed/evicted symbol ids
-    /// (oldest-first eviction past the cap).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    #[must_use]
-    pub fn with_reassembly_resolved_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "resolved cap must be positive");
-        self.reassembly_resolved_cap = cap;
         self
     }
 
@@ -214,10 +195,11 @@ impl ProtocolConfig {
         self.reassembly_capacity_bytes
     }
 
-    /// Bound on the receiver's resolved-symbol records.
+    /// Bound on the receiver's resolved-symbol records: the one value
+    /// every engine's tables are built with.
     #[must_use]
     pub fn reassembly_resolved_cap(&self) -> usize {
-        self.reassembly_resolved_cap
+        crate::reassembly::DEFAULT_RESOLVED_CAP
     }
 
     /// Readiness backlog threshold.

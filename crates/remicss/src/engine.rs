@@ -4,7 +4,7 @@
 //! splitting, reassembly, adaptive feedback, pacing, metrics — but
 //! performs no I/O, reads no clock, and owns no randomness. A *driver*
 //! (the simulator [`Session`](crate::session::Session) or the real
-//! socket [`UdpDriver`](crate::udp::UdpDriver)) feeds it
+//! socket `udp::UdpDriver`) feeds it
 //! [`Event`]s with explicit timestamps and an explicit RNG, then drains
 //! the queued [`Action`]s and performs them against its transport.
 //!
@@ -389,7 +389,6 @@ impl EngineCore {
                 config.reassembly_timeout(),
                 config.reassembly_capacity_bytes(),
             )
-            .with_resolved_cap(config.reassembly_resolved_cap())
         };
         let pacer = match source {
             SourceMode::Paced(workload) => Some(Pacer::with_phase(

@@ -22,7 +22,7 @@
 //! * [`session`] *(feature `sim`, default)* — the discrete-event
 //!   simulator driver: a thin [`mcss_netsim::Application`] adapter over
 //!   the engine, reporting achieved rate, loss, and delay;
-//! * [`udp`] *(feature `udp`)* — the real-socket driver: one
+//! * `udp` *(feature `udp`)* — the real-socket driver: one
 //!   non-blocking UDP socket pair per channel on loopback, a
 //!   monotonic-clock timer queue, and the same engine unchanged;
 //! * [`cpu`] — an optional endpoint processing-cost model used to

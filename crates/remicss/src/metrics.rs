@@ -158,8 +158,7 @@ impl SessionHistograms {
 /// Protocol counters for one [`Session`](crate::Session).
 ///
 /// The session records into this on its hot paths; benchmarks and
-/// binaries read it back through accessors or [`snapshot`]
-/// (`SessionMetrics::snapshot`).
+/// binaries read it back through accessors or [`snapshot`](SessionMetrics::snapshot).
 #[derive(Debug)]
 pub struct SessionMetrics {
     n: usize,

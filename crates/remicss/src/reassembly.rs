@@ -708,8 +708,8 @@ impl core::ops::Deref for ReassemblyTable {
 mod tests {
     use super::AcceptOutcome::{Completed, Duplicate, Inconsistent, Stale, Stored};
     use super::*;
+    use crate::wire::header_bytes;
     use crate::wire::testutil::share_bytes;
-    use crate::wire::HEADER_BYTES_V2;
     use mcss_codec::CodecScratch;
     use rand::SeedableRng;
 
@@ -869,7 +869,7 @@ mod tests {
         // which reads the prefix off the first buffered share — sees a
         // layout whose share length no longer matches.
         let mut garbled = fs[0].clone();
-        garbled[HEADER_BYTES_V2] ^= 0xFF;
+        garbled[header_bytes(CodecId::Xor2d)] ^= 0xFF;
         assert_eq!(offer(&mut t, &garbled, SimTime::ZERO).0, Stored);
         assert_eq!(offer(&mut t, &fs[1], SimTime::ZERO).0, Inconsistent);
         assert_eq!(t.stats().decode_failures, 1);

@@ -217,7 +217,7 @@ impl Session {
                     channel,
                     from,
                     frame,
-                } => match ctx.try_send(channel, from, Frame::from_vec(frame)) {
+                } => match ctx.try_send(channel, from, Frame::new(frame)) {
                     Ok(()) => self.engine.share_send_ok(channel),
                     Err(rejected) => self
                         .engine
@@ -228,7 +228,7 @@ impl Session {
                     from,
                     frame,
                 } => {
-                    if let Err(rejected) = ctx.try_send(channel, from, Frame::from_vec(frame)) {
+                    if let Err(rejected) = ctx.try_send(channel, from, Frame::new(frame)) {
                         self.engine.control_send_rejected(rejected.into_vec());
                     }
                 }

@@ -1,38 +1,24 @@
 //! The ReMICSS wire format: one share per frame.
 //!
-//! Version-1 share frames (the only version until the codec layer
-//! became pluggable) carry no codec byte and always mean Shamir:
+//! Every share frame has one 24-byte header, whatever codec made the
+//! share:
 //!
 //! ```text
 //!  0      2    3    4    5    6        8                16               24
 //!  +------+----+----+----+----+--------+----------------+----------------+
-//!  | magic| v=1| k  | m  | x  | length | symbol seq     | send timestamp |
+//!  | magic| fmt| k  | m  | x  | length | symbol seq     | send timestamp |
 //!  +------+----+----+----+----+--------+----------------+----------------+
 //!  | share payload (length bytes) …                                      |
 //!  +----------------------------------------------------------------------+
 //! ```
 //!
-//! Version-2 frames insert a one-byte codec id after the abscissa:
-//!
-//! ```text
-//!  0      2    3    4    5    6      7        9                17       25
-//!  +------+----+----+----+----+------+--------+----------------+--------+
-//!  | magic| v=2| k  | m  | x  |codec | length | symbol seq     | stamp  |
-//!  +------+----+----+----+----+------+--------+----------------+--------+
-//!  | share payload (length bytes) …                                     |
-//!  +---------------------------------------------------------------------+
-//! ```
-//!
-//! The Shamir codec keeps emitting v1 byte-for-byte while every other
-//! codec emits v2; which version a codec gets is decided in one place
-//! (`version_for`). Shamir stays on v1 for a measured reason: the codec
-//! byte is one more byte per share, 285 → 288 B per symbol on the
-//! `(2, 3)`, 64 B fleet workload (+1.05 %). Decoders accept both: a v1
-//! frame is implicitly [`CodecId::Shamir`], and a v2 frame with an
-//! unknown codec byte fails with the typed [`WireError::UnknownCodec`]
-//! so the engine and server shards can drop it under its own counter
-//! instead of panicking or misrouting shares into the wrong reassembly
-//! entry.
+//! Byte 2 is the frame's *format byte*, `1 +` [`CodecId::wire_id`]: it
+//! says which codec made the payload, and since nothing else about the
+//! layout depends on the codec it needs no separate codec byte. An
+//! unassigned format byte fails with the typed
+//! [`WireError::UnknownCodec`], so the engine and server shards drop
+//! the frame under its own counter instead of panicking or routing the
+//! share into another codec's reassembly entry.
 //!
 //! Frames are written and read in place: [`put_share_header_for`]
 //! appends a header to a pooled buffer the codec then appends the
@@ -69,47 +55,23 @@
 //! still accepted as [`DemuxFrame::Legacy`], the versioned fallback for
 //! single-session peers that predate the prefix.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use mcss_codec::CodecId;
 
-/// Size of the fixed version-1 frame header in bytes.
+/// Size of the fixed share-frame header in bytes.
 pub const HEADER_BYTES: usize = 24;
-
-/// Size of the version-2 frame header (v1 plus the codec byte).
-pub const HEADER_BYTES_V2: usize = 25;
 
 /// Frame magic, `b"RM"`.
 pub const MAGIC: [u8; 2] = *b"RM";
 
-/// Frame version emitted for Shamir shares (codec-less header).
+/// Version of the control frame this implementation speaks.
 pub const VERSION: u8 = 1;
 
-/// Frame version emitted for shares of any non-Shamir codec.
-pub const VERSION_CODEC: u8 = 2;
-
-/// The codec a version-1 header implies (it has no codec byte).
-const V1_CODEC: CodecId = CodecId::Shamir;
-
-/// The header version shares of `codec` are framed with. With
-/// [`V1_CODEC`], this is the only place outside `mcss-codec` that names
-/// a codec: everything else asks it, or [`header_bytes`].
-fn version_for(codec: CodecId) -> u8 {
-    if codec == V1_CODEC {
-        VERSION
-    } else {
-        VERSION_CODEC
-    }
-}
-
-/// Header size a share of `codec` is framed with: Shamir stays on the
-/// v1 header, everything else pays one extra byte.
+/// Header size a share of `codec` is framed with. Every codec shares
+/// [`HEADER_BYTES`] today; callers that price a share ask per codec so
+/// that they do not have to know that.
 #[must_use]
-pub fn header_bytes(codec: CodecId) -> usize {
-    if version_for(codec) == VERSION {
-        HEADER_BYTES
-    } else {
-        HEADER_BYTES_V2
-    }
+pub fn header_bytes(_codec: CodecId) -> usize {
+    HEADER_BYTES
 }
 
 /// A share frame decoded *in place*: every field is read out of the
@@ -122,7 +84,7 @@ pub fn header_bytes(codec: CodecId) -> usize {
 /// use mcss_remicss::wire::{put_share_header_for, ShareRef};
 ///
 /// let mut frame = Vec::new();
-/// put_share_header_for(&mut frame, CodecId::Shamir, 7, 2, 3, 1, 123456, 16)?;
+/// put_share_header_for(&mut frame, CodecId::from_env(), 7, 2, 3, 1, 123456, 16)?;
 /// frame.extend_from_slice(&[0xaa; 16]);
 /// let share = ShareRef::decode(&frame)?;
 /// assert_eq!((share.seq(), share.k(), share.m(), share.x()), (7, 2, 3, 1));
@@ -141,18 +103,16 @@ pub struct ShareRef<'a> {
 }
 
 impl<'a> ShareRef<'a> {
-    /// Parses a frame without copying the payload. Both header
-    /// versions decode: v1 frames carry no codec byte and are Shamir
-    /// by definition, v2 frames name their codec explicitly.
+    /// Parses a frame without copying the payload; the format byte
+    /// names the codec.
     ///
     /// # Errors
     ///
     /// - [`WireError::Truncated`] if the buffer is shorter than the
     ///   header or the declared payload length.
-    /// - [`WireError::BadMagic`] / [`WireError::BadVersion`] for foreign
-    ///   or future frames.
+    /// - [`WireError::BadMagic`] for foreign frames.
+    /// - [`WireError::UnknownCodec`] for a format byte nobody speaks.
     /// - [`WireError::InvalidShare`] for inconsistent `(k, m, x)`.
-    /// - [`WireError::UnknownCodec`] for a v2 codec byte nobody speaks.
     /// - [`WireError::TrailingBytes`] if the buffer is longer than the
     ///   declared frame.
     pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
@@ -167,34 +127,19 @@ impl<'a> ShareRef<'a> {
                 found: [buf[0], buf[1]],
             });
         }
-        if buf[2] != VERSION && buf[2] != VERSION_CODEC {
-            return Err(WireError::BadVersion { found: buf[2] });
-        }
+        let Some(codec) = buf[2].checked_sub(1).and_then(CodecId::from_wire) else {
+            return Err(WireError::UnknownCodec { found: buf[2] });
+        };
         let k = buf[3];
         let m = buf[4];
         let x = buf[5];
         if k == 0 || k > m || x == 0 || x > m {
             return Err(WireError::InvalidShare { k, m, x });
         }
-        let (codec, header) = if buf[2] == VERSION {
-            (V1_CODEC, HEADER_BYTES)
-        } else {
-            if buf.len() < HEADER_BYTES_V2 {
-                return Err(WireError::Truncated {
-                    have: buf.len(),
-                    need: HEADER_BYTES_V2,
-                });
-            }
-            let Some(codec) = CodecId::from_wire(buf[6]) else {
-                return Err(WireError::UnknownCodec { found: buf[6] });
-            };
-            (codec, HEADER_BYTES_V2)
-        };
-        let at = header - 18; // length field offset: 6 (v1) or 7 (v2)
-        let len = u16::from_be_bytes([buf[at], buf[at + 1]]) as usize;
-        let seq = u64::from_be_bytes(buf[at + 2..at + 10].try_into().expect("8 bytes"));
-        let sent_at_nanos = u64::from_be_bytes(buf[at + 10..at + 18].try_into().expect("8 bytes"));
-        let need = header + len;
+        let len = u16::from_be_bytes([buf[6], buf[7]]) as usize;
+        let seq = u64::from_be_bytes(buf[8..16].try_into().expect("8 bytes"));
+        let sent_at_nanos = u64::from_be_bytes(buf[16..24].try_into().expect("8 bytes"));
+        let need = HEADER_BYTES + len;
         if buf.len() < need {
             return Err(WireError::Truncated {
                 have: buf.len(),
@@ -213,7 +158,7 @@ impl<'a> ShareRef<'a> {
             x,
             codec,
             sent_at_nanos,
-            payload: &buf[header..need],
+            payload: &buf[HEADER_BYTES..need],
         })
     }
 
@@ -241,7 +186,7 @@ impl<'a> ShareRef<'a> {
         self.x
     }
 
-    /// The codec that produced this share (v1 frames are Shamir).
+    /// The codec that produced this share.
     #[must_use]
     pub fn codec(&self) -> CodecId {
         self.codec
@@ -262,9 +207,7 @@ impl<'a> ShareRef<'a> {
 
 /// Appends a share-frame header to `buf`, declaring `payload_len`
 /// payload bytes that the caller writes right after (e.g. via
-/// [`CodecId::split_into`] straight into the same buffer). Emits the v1
-/// header for Shamir and the v2 header, codec byte included, for every
-/// other codec.
+/// [`CodecId::split_into`] straight into the same buffer).
 ///
 /// Writing header and payload into one pooled buffer is what removes
 /// the encode-and-copy step from the sender: the buffer *is* the wire
@@ -291,15 +234,11 @@ pub fn put_share_header_for(
     let Ok(len) = u16::try_from(payload_len) else {
         return Err(WireError::PayloadTooLarge { len: payload_len });
     };
-    let version = version_for(codec);
     buf.extend_from_slice(&MAGIC);
-    buf.push(version);
+    buf.push(1 + codec.wire_id());
     buf.push(k);
     buf.push(m);
     buf.push(x);
-    if version == VERSION_CODEC {
-        buf.push(codec.wire_id());
-    }
     buf.extend_from_slice(&len.to_be_bytes());
     buf.extend_from_slice(&seq.to_be_bytes());
     buf.extend_from_slice(&sent_at_nanos.to_be_bytes());
@@ -322,7 +261,9 @@ pub const CONTROL_BYTES: usize = 2 + 1 + 4 + 8;
 /// use mcss_remicss::wire::ControlFrame;
 ///
 /// let c = ControlFrame::new(3, 1234);
-/// assert_eq!(ControlFrame::decode(&c.encode()).unwrap(), c);
+/// let mut buf = Vec::new();
+/// c.encode_into(&mut buf);
+/// assert_eq!(ControlFrame::decode(&buf).unwrap(), c);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ControlFrame {
@@ -350,19 +291,7 @@ impl ControlFrame {
         self.delivered
     }
 
-    /// Serializes the frame.
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(CONTROL_BYTES);
-        buf.put_slice(&CONTROL_MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u32(self.epoch);
-        buf.put_u64(self.delivered);
-        buf.freeze()
-    }
-
-    /// Appends the encoded frame to `buf` (same bytes as
-    /// [`encode`](ControlFrame::encode), no allocation beyond the
+    /// Appends the encoded frame to `buf` (no allocation beyond the
     /// buffer's own growth).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&CONTROL_MAGIC);
@@ -376,8 +305,7 @@ impl ControlFrame {
     /// # Errors
     ///
     /// [`WireError::Truncated`], [`WireError::BadMagic`],
-    /// [`WireError::BadVersion`], or [`WireError::TrailingBytes`] as for
-    /// [`ShareRef::decode`].
+    /// [`WireError::BadVersion`], or [`WireError::TrailingBytes`].
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         if buf.len() < CONTROL_BYTES {
             return Err(WireError::Truncated {
@@ -542,11 +470,11 @@ pub enum WireError {
         /// Number of surplus bytes.
         extra: usize,
     },
-    /// A v2 share header names a codec this implementation does not
-    /// know. Dropped under its own counter — never guessed at, never
-    /// routed into another codec's reassembly entry.
+    /// A share header's format byte names a codec this implementation
+    /// does not know. Dropped under its own counter — never guessed
+    /// at, never routed into another codec's reassembly entry.
     UnknownCodec {
-        /// The codec byte found.
+        /// The format byte found.
         found: u8,
     },
 }
@@ -571,7 +499,7 @@ impl core::fmt::Display for WireError {
                 write!(f, "{extra} trailing bytes after frame end")
             }
             WireError::UnknownCodec { found } => {
-                write!(f, "unknown codec id {found}")
+                write!(f, "unknown share format byte {found}")
             }
         }
     }
@@ -619,6 +547,12 @@ mod tests {
         share_bytes(CodecId::Xor2d, 0xfeed_f00d, (2, 5, 3), 13_579, &[9u8; 64])
     }
 
+    fn control_bytes(c: ControlFrame) -> Vec<u8> {
+        let mut buf = Vec::new();
+        c.encode_into(&mut buf);
+        buf
+    }
+
     /// The frame layouts of the module docs, byte for byte.
     #[test]
     fn frame_bytes_are_pinned() {
@@ -634,21 +568,21 @@ mod tests {
             ]
         );
         assert_eq!(v1.len(), HEADER_BYTES);
-        let mut v2 = Vec::new();
-        put_share_header_for(&mut v2, CodecId::Xor2d, seq, 2, 5, 3, stamp, 100).unwrap();
+        let mut xor = Vec::new();
+        put_share_header_for(&mut xor, CodecId::Xor2d, seq, 2, 5, 3, stamp, 100).unwrap();
         assert_eq!(
-            v2,
+            xor,
             [
-                b'R', b'M', 2, 2, 5, 3, 1, 0, 100, // …, x, codec, length
+                b'R', b'M', 2, 2, 5, 3, 0, 100, // magic, format, k, m, x, length
                 1, 2, 3, 4, 5, 6, 7, 8, // symbol seq
                 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // send timestamp
             ]
         );
-        assert_eq!(v2.len(), HEADER_BYTES_V2);
         for codec in CodecId::ALL {
             let mut buf = Vec::new();
             put_share_header_for(&mut buf, codec, seq, 2, 5, 3, stamp, 100).unwrap();
-            assert_eq!(buf.len(), header_bytes(codec), "{codec}");
+            assert_eq!(buf.len(), HEADER_BYTES, "{codec}");
+            assert_eq!(header_bytes(codec), HEADER_BYTES, "{codec}");
         }
         let mut control = Vec::new();
         ControlFrame::new(0x0a0b_0c0d, seq).encode_into(&mut control);
@@ -732,11 +666,15 @@ mod tests {
             ShareRef::decode(&enc),
             Err(WireError::BadMagic { .. })
         ));
+        // Byte 2 of a share frame is its format byte, so a value nobody
+        // speaks is an unknown codec; control frames and the CID prefix
+        // keep a version byte (`control_frame_decode_errors`,
+        // `demux_rejects_truncated_and_mutated_prefixes`).
         let mut enc = sample();
         enc[2] = 9;
         assert_eq!(
             ShareRef::decode(&enc).unwrap_err(),
-            WireError::BadVersion { found: 9 }
+            WireError::UnknownCodec { found: 9 }
         );
     }
 
@@ -763,37 +701,30 @@ mod tests {
     #[test]
     fn control_frame_round_trip() {
         let c = ControlFrame::new(u32::MAX, u64::MAX);
-        assert_eq!(ControlFrame::decode(&c.encode()).unwrap(), c);
-        assert_eq!(c.encode().len(), CONTROL_BYTES);
+        let enc = control_bytes(c);
+        assert_eq!(ControlFrame::decode(&enc).unwrap(), c);
+        assert_eq!(enc.len(), CONTROL_BYTES);
     }
 
     #[test]
     fn control_frame_decode_errors() {
-        let enc = ControlFrame::new(1, 2).encode();
+        let enc = control_bytes(ControlFrame::new(1, 2));
         assert!(matches!(
             ControlFrame::decode(&enc[..5]),
             Err(WireError::Truncated { .. })
         ));
-        let mut bad = enc.to_vec();
+        let mut bad = enc.clone();
         bad[2] = 9;
         assert_eq!(
             ControlFrame::decode(&bad).unwrap_err(),
             WireError::BadVersion { found: 9 }
         );
-        let mut long = enc.to_vec();
+        let mut long = enc.clone();
         long.push(0);
         assert!(matches!(
             ControlFrame::decode(&long),
             Err(WireError::TrailingBytes { .. })
         ));
-    }
-
-    #[test]
-    fn control_encode_into_matches_encode() {
-        let c = ControlFrame::new(77, 1 << 40);
-        let mut buf = vec![0xff]; // appends after existing contents
-        c.encode_into(&mut buf);
-        assert_eq!(&buf[1..], &c.encode()[..]);
     }
 
     #[test]
@@ -803,7 +734,7 @@ mod tests {
             MessageRef::Control(_) => panic!("expected share"),
         }
         let ctl = ControlFrame::new(7, 8);
-        match decode_message_ref(&ctl.encode()).unwrap() {
+        match decode_message_ref(&control_bytes(ctl)).unwrap() {
             MessageRef::Control(c) => assert_eq!(c, ctl),
             MessageRef::Share(_) => panic!("expected control"),
         }
@@ -841,7 +772,7 @@ mod tests {
             demux_frame(&share_enc).unwrap(),
             DemuxFrame::Legacy(&share_enc[..])
         );
-        let ctl_enc = ControlFrame::new(1, 2).encode();
+        let ctl_enc = control_bytes(ControlFrame::new(1, 2));
         assert_eq!(
             demux_frame(&ctl_enc).unwrap(),
             DemuxFrame::Legacy(&ctl_enc[..])
@@ -898,9 +829,8 @@ mod tests {
     #[test]
     fn v2_round_trip_preserves_codec() {
         let enc = xor_sample();
-        assert_eq!(enc.len(), HEADER_BYTES_V2 + 64);
-        assert_eq!(enc[2], VERSION_CODEC);
-        assert_eq!(enc[6], CodecId::Xor2d.wire_id());
+        assert_eq!(enc.len(), HEADER_BYTES + 64);
+        assert_eq!(enc[2], 1 + CodecId::Xor2d.wire_id());
         let r = ShareRef::decode(&enc).unwrap();
         assert_eq!(r.codec(), CodecId::Xor2d);
         assert_eq!(
@@ -908,39 +838,35 @@ mod tests {
             (0xfeed_f00d, 2, 5, 3, 13_579)
         );
         assert_eq!(r.payload(), &[9u8; 64]);
-        assert_eq!(r.payload().as_ptr(), enc[HEADER_BYTES_V2..].as_ptr());
+        assert_eq!(r.payload().as_ptr(), enc[HEADER_BYTES..].as_ptr());
     }
 
     #[test]
     fn v1_frames_fall_back_to_shamir() {
         let enc = sample();
-        assert_eq!(enc[2], VERSION);
+        assert_eq!(enc[2], 1);
         assert_eq!(enc.len(), HEADER_BYTES + 100);
         assert_eq!(ShareRef::decode(&enc).unwrap().codec(), CodecId::Shamir);
     }
 
     #[test]
     fn unknown_codec_id_is_a_typed_error() {
-        let mut enc = xor_sample();
-        enc[6] = 0xEE;
-        assert_eq!(
-            ShareRef::decode(&enc).unwrap_err(),
-            WireError::UnknownCodec { found: 0xEE }
-        );
-        // The v1 header has no codec byte to garble: byte 6 is the
-        // length field, and a flipped version byte stays BadVersion.
-        let mut v1 = sample();
-        v1[2] = 9;
-        assert_eq!(
-            ShareRef::decode(&v1).unwrap_err(),
-            WireError::BadVersion { found: 9 }
-        );
+        for base in [sample(), xor_sample()] {
+            for found in [0, 3, 0xEE] {
+                let mut enc = base.clone();
+                enc[2] = found;
+                assert_eq!(
+                    ShareRef::decode(&enc).unwrap_err(),
+                    WireError::UnknownCodec { found }
+                );
+            }
+        }
     }
 
     #[test]
     fn v2_truncation_and_trailing() {
         let enc = xor_sample();
-        for cut in [HEADER_BYTES, HEADER_BYTES_V2 - 1, HEADER_BYTES_V2 + 5] {
+        for cut in [HEADER_BYTES - 1, HEADER_BYTES + 5] {
             assert!(matches!(
                 ShareRef::decode(&enc[..cut]).unwrap_err(),
                 WireError::Truncated { .. }

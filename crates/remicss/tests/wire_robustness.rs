@@ -9,9 +9,16 @@ mod common;
 use common::share_bytes;
 use mcss_codec::CodecId;
 use mcss_remicss::wire::{
-    decode_message_ref, ControlFrame, MessageRef, ShareRef, CONTROL_BYTES, CONTROL_MAGIC,
+    decode_message_ref, ControlFrame, MessageRef, ShareRef, WireError, CONTROL_BYTES, CONTROL_MAGIC,
 };
 use proptest::prelude::*;
+
+/// One encoded control frame.
+fn control_bytes(epoch: u32, delivered: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    ControlFrame::new(epoch, delivered).encode_into(&mut buf);
+    buf
+}
 
 /// Applies byte `mutations` (index modulo the length, new value).
 fn mutate(enc: &mut [u8], mutations: &[(usize, u8)]) {
@@ -35,7 +42,7 @@ fn assert_canonical(enc: &[u8]) {
             );
             assert_eq!(again.as_slice(), enc);
         }
-        Ok(MessageRef::Control(c)) => assert_eq!(c.encode().as_ref(), enc),
+        Ok(MessageRef::Control(c)) => assert_eq!(control_bytes(c.epoch(), c.delivered()), enc),
     }
 }
 
@@ -73,8 +80,9 @@ proptest! {
     #[test]
     fn control_frame_round_trips(epoch in any::<u32>(), delivered in any::<u64>()) {
         let c = ControlFrame::new(epoch, delivered);
-        prop_assert_eq!(ControlFrame::decode(&c.encode()).unwrap(), c);
-        match decode_message_ref(&c.encode()).unwrap() {
+        let enc = control_bytes(epoch, delivered);
+        prop_assert_eq!(ControlFrame::decode(&enc).unwrap(), c);
+        match decode_message_ref(&enc).unwrap() {
             MessageRef::Control(got) => prop_assert_eq!(got, c),
             MessageRef::Share(_) => prop_assert!(false, "misdispatched"),
         }
@@ -113,7 +121,7 @@ proptest! {
         delivered in any::<u64>(),
         mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..8),
     ) {
-        let mut enc = ControlFrame::new(epoch, delivered).encode().to_vec();
+        let mut enc = control_bytes(epoch, delivered);
         mutate(&mut enc, &mutations);
         assert_canonical(&enc);
     }
@@ -131,7 +139,7 @@ proptest! {
     ) {
         let mut share = share_bytes(CodecId::Shamir, 11, (2, 3, 2), 5, &payload);
         mutate(&mut share, &mutations);
-        let mut control = ControlFrame::new(epoch, delivered).encode().to_vec();
+        let mut control = control_bytes(epoch, delivered);
         mutate(&mut control, &mutations);
         control.truncate(cut);
         for enc in [&share, &control] {
@@ -150,7 +158,7 @@ proptest! {
         delivered in any::<u64>(),
         cut in 0usize..CONTROL_BYTES,
     ) {
-        let enc = ControlFrame::new(epoch, delivered).encode();
+        let enc = control_bytes(epoch, delivered);
         prop_assert_eq!(enc.len(), CONTROL_BYTES);
         prop_assert!(ControlFrame::decode(&enc[..cut]).is_err());
         prop_assert!(decode_message_ref(&enc[..cut]).is_err());
@@ -172,10 +180,40 @@ proptest! {
             prop_assert!(decode_message_ref(&share).is_err());
         }
 
-        let mut control = ControlFrame::new(epoch, delivered).encode().to_vec();
+        let mut control = control_bytes(epoch, delivered);
         control.extend_from_slice(&extra);
         prop_assert!(ControlFrame::decode(&control).is_err());
         prop_assert!(decode_message_ref(&control).is_err());
+    }
+
+    /// A frame from a peer that predates the single header layout:
+    /// byte 2 = 2, then a codec byte ahead of the length, 25 bytes in
+    /// all. The length field now reads from one byte earlier, so the
+    /// frame either fails typed or happens to be a canonical XOR frame
+    /// of the new layout; it never decodes as another codec's share.
+    #[test]
+    fn pre_change_xor_frames_fail_typed_or_stay_xor(
+        seq in any::<u64>(),
+        stamp in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let mut enc = vec![b'R', b'M', 2, 2, 3, 1, CodecId::Xor2d.wire_id()];
+        enc.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+        enc.extend_from_slice(&seq.to_be_bytes());
+        enc.extend_from_slice(&stamp.to_be_bytes());
+        enc.extend_from_slice(&payload);
+        match ShareRef::decode(&enc) {
+            Ok(r) => {
+                prop_assert_eq!(r.codec(), CodecId::Xor2d);
+                assert_canonical(&enc);
+            }
+            Err(e) => prop_assert!(matches!(
+                e,
+                WireError::Truncated { .. }
+                    | WireError::TrailingBytes { .. }
+                    | WireError::InvalidShare { .. }
+            )),
+        }
     }
 
     #[test]

@@ -419,12 +419,6 @@ impl Shard {
         Ok(())
     }
 
-    /// Sessions currently on the ready-list.
-    #[must_use]
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Drains the engine of every session marked ready since the last
     /// flush, in marking order. The synchronous [`ShardSet`] API
     /// flushes after every event (preserving the recorded trace
@@ -636,23 +630,11 @@ impl Shard {
         self.timers.len()
     }
 
-    /// When the next shard-wheel timer is due, if any — the epoll
-    /// backend sleeps exactly until this deadline instead of spinning.
-    pub fn next_timer_at(&mut self) -> Option<SimTime> {
-        self.timers.next_at()
-    }
-
     /// Milliseconds the event loop may sleep from `now` before the
     /// next shard timer is due (rounded up, `None` when the wheel is
     /// empty) — the epoll backend's wait timeout.
     pub fn timer_sleep_ms(&mut self, now: SimTime) -> Option<u64> {
         self.timers.millis_until_next(now)
-    }
-
-    /// Outbound datagrams queued and not yet popped.
-    #[must_use]
-    pub fn outbound_len(&self) -> usize {
-        self.outbound.len()
     }
 
     /// Applies `event` to the session at `position` (lending it the
@@ -741,17 +723,9 @@ impl Shard {
         }
     }
 
-    /// Takes every symbol `cid`'s session has reconstructed. The
-    /// payloads are buffers of the shard's pool: hand them back with
-    /// [`recycle_delivered`](Shard::recycle_delivered).
-    pub fn take_delivered(&mut self, cid: u32) -> Vec<(u64, Vec<u8>)> {
-        let position = self.position(cid);
-        self.sessions[position].delivered.drain(..).collect()
-    }
-
     /// Takes the oldest reconstructed symbol from `cid`'s delivery
-    /// queue without allocating (unlike
-    /// [`take_delivered`](Shard::take_delivered), which collects).
+    /// queue. The payload is a buffer of the shard's pool: hand it back
+    /// with [`recycle_delivered`](Shard::recycle_delivered).
     pub fn pop_delivered(&mut self, cid: u32) -> Option<(u64, Vec<u8>)> {
         let position = self.position(cid);
         self.sessions[position].delivered.pop_front()

@@ -7,7 +7,7 @@
 //!
 //! One `mmsghdr` is one kernel *message*, and a message is either one
 //! datagram or a train of them. [`SendBatch::send_all`] turns a queue of
-//! buffers, order kept, into *runs* of one length (see [`next_run`]) and
+//! buffers, order kept, into *runs* of one length (see `next_run`) and
 //! sends each run as one message whose `msg_iov` points at the run's
 //! buffers where they lie, with a `UDP_SEGMENT` control message naming
 //! the length: the kernel walks its send path once for the run and cuts
@@ -525,7 +525,7 @@ fn next_run(lens: impl IntoIterator<Item = usize>, refused_at: usize) -> usize {
 }
 
 /// Reusable scratch for batched sends: turns a queue of datagram
-/// payloads into runs ([`next_run`]), one message each, and flushes them
+/// payloads into runs (`next_run`), one message each, and flushes them
 /// with as few `sendmmsg` syscalls as the kernel allows — [`BATCH`]
 /// messages, so up to `BATCH × 64` datagrams, a call. All scratch is
 /// sized at construction; sending allocates nothing.

@@ -14,7 +14,7 @@
 //! sockets until (nearly) every shard's A socket lands on its own
 //! member — after which share traffic for shard *i*'s sessions arrives
 //! on shard *i*'s socket without crossing a thread boundary. The
-//! bounded handoff queues of [`Shard`](crate::shard::Shard) remain as
+//! bounded handoff queues of [`Shard`] remain as
 //! the rare-path escape hatch (hash collisions the calibration could
 //! not untangle). On non-Linux hosts each "group"
 //! degenerates to a plain per-shard cross-connected loopback pair with

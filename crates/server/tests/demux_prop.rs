@@ -50,8 +50,8 @@ fn collect_datagrams(set: &mut ShardSet, symbols: usize) -> Vec<(u32, usize, Vec
 
 /// Corruption kinds: 0 rewrites the connection ID to an unregistered
 /// one, 1 truncates inside the prefix, 2 mutates the prefix version,
-/// 3 mutates the demux magic, 4 rewrites the inner share header to
-/// claim a codec id this build has never heard of (a peer running a
+/// 3 mutates the demux magic, 4 rewrites the inner share header's
+/// format byte to a codec this build has never heard of (a peer running a
 /// future codec — the datagram routes fine but the share must drop
 /// under its own counter, whatever codec the session itself runs),
 /// 5 strips the prefix, leaving the bare frame a single-session peer
@@ -67,19 +67,8 @@ fn corrupt(datagram: &[u8], kind: usize, fuzz: usize) -> Vec<u8> {
             bytes[1] = fuzz as u8;
         }
         5 => drop(bytes.drain(..CID_PREFIX_BYTES)),
-        _ => {
-            // The v2 header is the v1 header with a codec byte inserted
-            // at inner offset 6; upgrade v1 frames in place the same way
-            // so the codec byte lands where a v2 decoder reads it.
-            let version_at = CID_PREFIX_BYTES + 2;
-            let codec_at = CID_PREFIX_BYTES + 6;
-            if bytes[version_at] == 1 {
-                bytes[version_at] = 2;
-                bytes.insert(codec_at, 0xEE);
-            } else {
-                bytes[codec_at] = 0xEE;
-            }
-        }
+        // Byte 2 of the inner share header is its format byte.
+        _ => bytes[CID_PREFIX_BYTES + 2] = 0xEE,
     }
     bytes
 }

@@ -152,7 +152,7 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
     }
     // The shards' pools are the server's buffer memory: after the run
     // buffers have come back to each, the largest at least a whole frame
-    // (demux prefix, v1 header, 64-byte share).
+    // (demux prefix, share header, 64-byte share).
     let gauge = |name: &str| snapshot.gauges.iter().find(|g| g.name == name);
     for scope in ["shard0", "shard1", "total"] {
         for name in ["pool_idle", "pool_misses", "pool_max_capacity"] {

@@ -40,7 +40,6 @@ pub use error::ShareError;
 pub use params::Params;
 pub use share::Share;
 
-use mcss_gf256::simd::MulTable;
 use mcss_gf256::{slice as gf_slice, Gf256};
 
 /// Maximum number of shares a secret can be split into.
@@ -51,18 +50,15 @@ pub const MAX_SHARES: usize = 255;
 /// Plane count up to which Horner evaluation runs through the fused
 /// multi-plane kernel with a stack array of plane references (no
 /// allocation). The protocol's `k ≤ 8` always fits; larger thresholds
-/// fall back to one dispatched step per plane with a shared
-/// [`MulTable`], which is still table-hoisted, just not
-/// register-fused.
+/// fall back to one dispatched step per plane, not register-fused.
 pub(crate) const FUSED_MAX_PLANES: usize = 16;
 
 /// Overwrites `acc` with the Horner evaluation at `x` whose step order
 /// is `planes[n−1], …, planes[0]`, then `tail` if given — so `planes[i]`
 /// is the degree-`i+tail_count` coefficient and `tail` (or `planes[0]`)
 /// the constant term. This is the step sequence `split` and
-/// `split_into` share. One [`MulTable`] serves every step;
-/// small plane counts additionally fuse all steps into one pass that
-/// keeps the accumulator in registers (see
+/// `split_into` share. Small plane counts fuse all steps into one pass
+/// that keeps the accumulator in registers (see
 /// [`mcss_gf256::slice::horner_into`]).
 pub(crate) fn horner_eval(acc: &mut [u8], planes: &[Vec<u8>], tail: Option<&[u8]>, x: Gf256) {
     let n = planes.len() + usize::from(tail.is_some());
@@ -77,13 +73,12 @@ pub(crate) fn horner_eval(acc: &mut [u8], planes: &[Vec<u8>], tail: Option<&[u8]
         gf_slice::horner_into(acc, &refs[..n], x);
         return;
     }
-    let table = MulTable::of(x);
     acc.fill(0);
     for plane in planes.iter().rev() {
-        gf_slice::scale_add_assign_with(acc, plane, table);
+        gf_slice::scale_add_assign(acc, plane, x);
     }
     if let Some(t) = tail {
-        gf_slice::scale_add_assign_with(acc, t, table);
+        gf_slice::scale_add_assign(acc, t, x);
     }
 }
 
