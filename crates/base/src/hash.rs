@@ -27,6 +27,13 @@
 //! unobservable: no code iterates these maps, so nothing but probe
 //! lengths depends on it.
 //!
+//! One table is not a [`HashMap`] at all: the reassembly table of
+//! `mcss-remicss` probes its own slot array linearly, from a home slot
+//! taken from the low bits of [`IntBuildHasher`]'s hash of the sequence
+//! number. Both properties above are what it relies on, the second
+//! most of all — linear probing degrades to a scan if keys can be
+//! aimed at one cluster.
+//!
 //! # Examples
 //!
 //! ```

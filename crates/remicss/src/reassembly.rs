@@ -42,10 +42,35 @@
 //! after its stamp, and the table applies that rule itself when a share
 //! is offered — the oldest records are dropped from the front of their
 //! ring, amortized `O(1)` a symbol — whether or not anyone swept then.
+//!
+//! # What a share costs
+//!
+//! One probe. Everything a direction knows of a sequence number — that
+//! some of its shares are parked, or since when it has been done with —
+//! is one 16-byte slot of one open-addressed table (`SeqTable`): the
+//! number, and a word that is a resolution stamp or the index of the
+//! partial symbol in a small slab. An arriving share hashes its number
+//! once and walks at most a few neighbouring slots of one block; the
+//! share that completes a symbol, and the sweep or memory cap that
+//! evicts one, turn the word from index into stamp where it stands; and
+//! forgetting a record reads its stamp from the slot it then clears.
+//! Slab entries keep their share lists when they are freed, so parking
+//! a share allocates nothing once the table has seen its peak.
+//!
+//! The table is never more than half full, so linear probing stays
+//! short, and a deleted record leaves no tombstone: the records probing
+//! past it are shifted back over the hole. A table without tombstones
+//! never rehashes to be rid of them, so it allocates exactly when its
+//! occupancy passes a new power of two, never at a moment the
+//! per-process hash seed picks. The home slot comes from
+//! [`mcss_base::hash`]'s seeded hasher: a peer that chooses sequence
+//! numbers cannot aim them at one cluster.
 
 use std::collections::VecDeque;
+use std::hash::BuildHasher as _;
+use std::mem;
 
-use mcss_base::hash::IntMap;
+use mcss_base::hash::IntBuildHasher;
 use mcss_base::{BufHandle, BufferPool, SimTime};
 use mcss_codec::CodecId;
 
@@ -106,7 +131,8 @@ struct Pending {
     /// Position of this symbol's entry in the insertion ring, counted
     /// from the table's creation: an entry that carries the symbol's id
     /// at another position belongs to an earlier, resolved incarnation.
-    slot: u64,
+    /// In a freed slab entry, the index of the next free one.
+    link: u64,
 }
 
 /// Dead entries the insertion ring may carry beyond twice the live
@@ -116,6 +142,157 @@ const ORDER_SLACK: usize = 8;
 /// Default bound on remembered resolutions; high enough that records
 /// normally age out (twice the timeout) first.
 pub const DEFAULT_RESOLVED_CAP: usize = 1 << 20;
+
+/// Ends the free list of a table's slab.
+const NO_PARTIAL: u64 = u64::MAX;
+
+/// What a table knows of a sequence number it holds a slot for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Record {
+    /// Done with (completed or evicted), remembered from this instant.
+    Resolved(SimTime),
+    /// Some shares are parked: the index of the partial in the slab.
+    Partial(usize),
+}
+
+impl Record {
+    /// Words from here up are slab indices; the nonzero ones below are
+    /// stamps, one more than their nanoseconds.
+    const PARTIAL: u64 = 1 << 63;
+
+    /// The slot word for this record. A stamp saturates two nanoseconds
+    /// short of 2⁶³ (292 years on the clock).
+    fn pack(self) -> u64 {
+        match self {
+            Record::Resolved(stamp) => stamp.as_nanos().min(Self::PARTIAL - 2) + 1,
+            Record::Partial(index) => Self::PARTIAL | index as u64,
+        }
+    }
+
+    /// The record a full slot's word stands for.
+    fn unpack(word: u64) -> Self {
+        debug_assert_ne!(word, SeqTable::EMPTY);
+        if word >= Self::PARTIAL {
+            Record::Partial((word ^ Self::PARTIAL) as usize)
+        } else {
+            Record::Resolved(SimTime::from_nanos(word - 1))
+        }
+    }
+}
+
+/// A sequence number and a nonzero word about it, or an empty slot
+/// (word [`SeqTable::EMPTY`]).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    seq: u64,
+    word: u64,
+}
+
+/// An open-addressed map from sequence numbers to nonzero words, the
+/// one keyed store of a [`ReassemblyCore`] (module docs, "What a share
+/// costs"): linear probing over a power-of-two array that is at most
+/// half full and never shrinks. A word is rewritten where it stands,
+/// through its slot's index.
+#[derive(Debug, Default)]
+struct SeqTable {
+    /// Empty until the first insert.
+    slots: Vec<Slot>,
+    len: usize,
+    hasher: IntBuildHasher,
+}
+
+impl SeqTable {
+    const EMPTY: u64 = 0;
+    /// Slots the first insert allocates: one cache line.
+    const FIRST_SLOTS: usize = 4;
+
+    /// Where probing for `seq` starts. All ones over an empty array, an
+    /// index no slot has.
+    #[inline]
+    fn home(&self, seq: u64) -> usize {
+        self.hasher.hash_one(seq) as usize & self.slots.len().wrapping_sub(1)
+    }
+
+    /// The slot holding `seq`'s record, if there is one.
+    #[inline]
+    fn find(&self, seq: u64) -> Option<usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = self.home(seq);
+        // At most half the slots are full, so the walk meets an empty
+        // one; over an empty array the first `get` ends it.
+        loop {
+            let slot = self.slots.get(at)?;
+            if slot.word == Self::EMPTY {
+                return None;
+            }
+            if slot.seq == seq {
+                return Some(at);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// [`find`](Self::find), with the record the slot's word stands for.
+    #[inline]
+    fn get(&self, seq: u64) -> Option<(usize, Record)> {
+        let at = self.find(seq)?;
+        Some((at, Record::unpack(self.slots[at].word)))
+    }
+
+    /// Adds a record for `seq`, which must have none. Doubles the array
+    /// first if the record would leave it more than half full; no other
+    /// operation allocates.
+    fn insert(&mut self, seq: u64, word: u64) {
+        debug_assert!(word != Self::EMPTY && self.find(seq).is_none());
+        if (self.len + 1) * 2 > self.slots.len() {
+            let doubled = (self.slots.len() * 2).max(Self::FIRST_SLOTS);
+            let empty = Slot {
+                seq: 0,
+                word: Self::EMPTY,
+            };
+            let old = mem::replace(&mut self.slots, vec![empty; doubled]);
+            for slot in old.into_iter().filter(|slot| slot.word != Self::EMPTY) {
+                self.place(slot);
+            }
+        }
+        self.place(Slot { seq, word });
+        self.len += 1;
+    }
+
+    /// Writes `slot` into the first empty slot from its home.
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(slot.seq);
+        while self.slots[at].word != Self::EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+
+    /// Deletes the record in slot `at`. Every record between it and the
+    /// cluster's end that probing reaches only across the hole moves
+    /// back into it (and leaves a hole of its own, treated likewise), so
+    /// each stays reachable from its home and no marker is left behind.
+    /// Moves slots: indices obtained before the call are void.
+    fn remove_at(&mut self, at: usize) {
+        debug_assert_ne!(self.slots[at].word, Self::EMPTY);
+        let mask = self.slots.len() - 1;
+        let mut hole = at;
+        let mut next = (hole + 1) & mask;
+        while self.slots[next].word != Self::EMPTY {
+            // Distances walked forward around the array: the record at
+            // `next` may fill the hole unless its home lies past it.
+            let from_home = next.wrapping_sub(self.home(self.slots[next].seq)) & mask;
+            if from_home >= (next.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole].word = Self::EMPTY;
+        self.len -= 1;
+    }
+}
 
 /// The reassembly table without its buffers: all of the table's state
 /// and logic, with the [`BufferPool`] that holds the share data lent by
@@ -131,22 +308,24 @@ pub struct ReassemblyCore {
     capacity_bytes: usize,
     resolved_cap: usize,
     buffered_bytes: usize,
-    pending: IntMap<u64, Pending>,
-    /// Post-rehash capacity high-water of `pending` (see
-    /// [`reserve_headroom`](Self::reserve_headroom)).
-    pending_full_cap: usize,
+    /// A slot per sequence number that is partial or remembered as
+    /// resolved (never both). Holds no resolution record the sweep grid
+    /// has forgotten by the latest `now` the table was shown.
+    table: SeqTable,
+    /// The partial symbols, in a slab the table's slots index. A freed
+    /// entry stays where it is, its share list emptied but not
+    /// deallocated, on a free list threaded through [`Pending::link`].
+    partials: Vec<Pending>,
+    /// The most recently freed entry of `partials` ([`NO_PARTIAL`]
+    /// without one).
+    free_partial: u64,
+    live_partials: usize,
     /// Partial symbols in insertion order, which is deadline order. An
-    /// entry outlives its symbol's completion (see [`Pending::slot`])
+    /// entry outlives its symbol's completion (see [`Pending::link`])
     /// until it reaches the front or the ring is compacted.
     order: VecDeque<u64>,
     /// Ring position of `order`'s front.
     order_base: u64,
-    /// Completed or evicted symbols and the instant each is remembered
-    /// from. Holds no record the sweep grid has forgotten by the latest
-    /// `now` the table was shown.
-    resolved: IntMap<u64, SimTime>,
-    /// Post-rehash capacity high-water of `resolved`.
-    resolved_full_cap: usize,
     /// Records stamped with the instant they were made, in insertion
     /// order, which is the order they are forgotten in.
     resolved_order: VecDeque<u64>,
@@ -163,8 +342,6 @@ pub struct ReassemblyCore {
     forget_at: SimTime,
     /// Latest explicit [`sweep`](Self::sweep).
     last_sweep: SimTime,
-    /// Recycled share lists of removed `Pending` entries.
-    spare_shares: Vec<Vec<(u8, BufHandle)>>,
     /// Buffering time of the most recently completed symbol.
     last_completed_residency: SimTime,
     stats: ReassemblyStats,
@@ -180,18 +357,17 @@ impl ReassemblyCore {
             capacity_bytes,
             resolved_cap: DEFAULT_RESOLVED_CAP,
             buffered_bytes: 0,
-            pending: IntMap::default(),
-            pending_full_cap: 0,
+            table: SeqTable::default(),
+            partials: Vec::new(),
+            free_partial: NO_PARTIAL,
+            live_partials: 0,
             order: VecDeque::new(),
             order_base: 0,
-            resolved: IntMap::default(),
-            resolved_full_cap: 0,
             resolved_order: VecDeque::new(),
             resolved_popped: 0,
             evicted_order: VecDeque::new(),
             forget_at: SimTime::MAX,
             last_sweep: SimTime::ZERO,
-            spare_shares: Vec::new(),
             last_completed_residency: SimTime::ZERO,
             stats: ReassemblyStats::default(),
         }
@@ -221,7 +397,7 @@ impl ReassemblyCore {
     /// Number of partial symbols currently buffered.
     #[must_use]
     pub fn pending_symbols(&self) -> usize {
-        self.pending.len()
+        self.live_partials
     }
 
     /// Buffered share bytes.
@@ -233,7 +409,7 @@ impl ReassemblyCore {
     /// Number of remembered resolutions (bounded by the resolved cap).
     #[must_use]
     pub fn resolved_records(&self) -> usize {
-        self.resolved.len()
+        self.table.len - self.live_partials
     }
 
     /// How long the most recently completed symbol sat in the table
@@ -295,11 +471,7 @@ impl ReassemblyCore {
             // Every sweep-grid instant up to `now` has passed.
             self.forget(self.grid_floor(now));
         }
-        if self.resolved.contains_key(&seq) {
-            self.stats.stale += 1;
-            return (AcceptOutcome::Stale, None);
-        }
-        let Some(p) = self.pending.get_mut(&seq) else {
+        let Some((at, record)) = self.table.get(seq) else {
             if k == 1 {
                 // Threshold 1: a single share carries the symbol, and
                 // nothing is buffered. A share the codec cannot decode
@@ -313,7 +485,8 @@ impl ReassemblyCore {
                     self.stats.decode_failures += 1;
                     return (AcceptOutcome::Inconsistent, None);
                 }
-                self.resolve(seq, now, false);
+                self.table.insert(seq, Record::Resolved(now).pack());
+                self.remember(seq, now, false);
                 self.last_completed_residency = SimTime::ZERO;
                 self.stats.completed += 1;
                 return (AcceptOutcome::Completed, Some(out));
@@ -322,25 +495,39 @@ impl ReassemblyCore {
             self.make_room(pool, bytes);
             let handle = pool.acquire();
             pool.get_mut(handle).extend_from_slice(payload);
-            let mut shares = self.spare_shares.pop().unwrap_or_default();
-            shares.push((x, handle));
-            self.pending.insert(
-                seq,
-                Pending {
-                    codec,
-                    k,
-                    m,
-                    shares,
-                    first_seen: now,
-                    bytes,
-                    slot: self.order_base + self.order.len() as u64,
-                },
-            );
+            let mut fresh = Pending {
+                codec,
+                k,
+                m,
+                shares: Vec::new(),
+                first_seen: now,
+                bytes,
+                link: self.order_base + self.order.len() as u64,
+            };
+            // In a freed slab entry if there is one, with its share list.
+            let partial = if self.free_partial == NO_PARTIAL {
+                self.partials.push(fresh);
+                self.partials.len() - 1
+            } else {
+                let partial = self.free_partial as usize;
+                let freed = &mut self.partials[partial];
+                self.free_partial = freed.link;
+                fresh.shares = mem::take(&mut freed.shares);
+                *freed = fresh;
+                partial
+            };
+            self.partials[partial].shares.push((x, handle));
+            self.live_partials += 1;
+            self.table.insert(seq, Record::Partial(partial).pack());
             self.order.push_back(seq);
             self.buffered_bytes += bytes;
-            Self::reserve_headroom(&mut self.pending, &mut self.pending_full_cap);
             return (AcceptOutcome::Stored, None);
         };
+        let Record::Partial(partial) = record else {
+            self.stats.stale += 1;
+            return (AcceptOutcome::Stale, None);
+        };
+        let p = &mut self.partials[partial];
         let first_len = p.shares.first().map(|&(_, h)| pool.get(h).len());
         if p.codec != codec
             || p.k != k
@@ -359,51 +546,56 @@ impl ReassemblyCore {
         p.shares.push((x, handle));
         p.bytes += payload.len();
         self.buffered_bytes += payload.len();
-        if p.shares.len() >= p.k as usize {
-            let p = self.pending.remove(&seq).expect("just seen");
-            self.buffered_bytes -= p.bytes;
-            self.trim_order();
-            self.resolve(seq, now, false);
-            // The codec's rebuild over the pooled shares in arrival
-            // order; a failure (malformed payloads — Shamir's
-            // interpolation is total) is surfaced as a decode failure.
-            let mut out = pool.take();
-            let parked: &BufferPool = pool;
-            let decoded = p
-                .codec
-                .reconstruct_with(
-                    p.k,
-                    p.m,
-                    p.shares.len(),
-                    |i| p.shares[i].0,
-                    |i| parked.get(p.shares[i].1),
-                    &mut out,
-                )
-                .is_ok();
-            let residency = now.saturating_sub(p.first_seen);
-            self.recycle(pool, p);
-            if decoded {
-                self.last_completed_residency = residency;
-                self.stats.completed += 1;
-                (AcceptOutcome::Completed, Some(out))
-            } else {
-                pool.put(out);
-                self.stats.decode_failures += 1;
-                (AcceptOutcome::Inconsistent, None)
-            }
+        if p.shares.len() < p.k as usize {
+            return (AcceptOutcome::Stored, None);
+        }
+        // The codec's rebuild over the pooled shares in arrival order; a
+        // failure (malformed payloads — Shamir's interpolation is total)
+        // is surfaced as a decode failure.
+        let mut out = pool.take();
+        let parked: &BufferPool = pool;
+        let decoded = p
+            .codec
+            .reconstruct_with(
+                p.k,
+                p.m,
+                p.shares.len(),
+                |i| p.shares[i].0,
+                |i| parked.get(p.shares[i].1),
+                &mut out,
+            )
+            .is_ok();
+        let residency = now.saturating_sub(p.first_seen);
+        // Either way the symbol is done with.
+        self.retire(pool, at, partial, now);
+        self.trim_order();
+        self.remember(seq, now, false);
+        if decoded {
+            self.last_completed_residency = residency;
+            self.stats.completed += 1;
+            (AcceptOutcome::Completed, Some(out))
         } else {
-            (AcceptOutcome::Stored, None)
+            pool.put(out);
+            self.stats.decode_failures += 1;
+            (AcceptOutcome::Inconsistent, None)
         }
     }
 
-    /// Returns a removed entry's buffers to the pool.
-    fn recycle(&mut self, pool: &mut BufferPool, p: Pending) {
-        let mut shares = p.shares;
-        for &(_, handle) in &shares {
+    /// Ends the partial at slab index `partial`, whose slot is `at`: its
+    /// buffers return to the pool, its entry, share list emptied, to the
+    /// slab's free list, and its slot turns from partial to resolved at
+    /// `stamp` where it stands. [`remember`](Self::remember) files the
+    /// record.
+    fn retire(&mut self, pool: &mut BufferPool, at: usize, partial: usize, stamp: SimTime) {
+        let p = &mut self.partials[partial];
+        self.buffered_bytes -= p.bytes;
+        for (_, handle) in p.shares.drain(..) {
             pool.release(handle);
         }
-        shares.clear();
-        self.spare_shares.push(shares);
+        p.link = self.free_partial;
+        self.free_partial = partial as u64;
+        self.live_partials -= 1;
+        self.table.slots[at].word = Record::Resolved(stamp).pack();
     }
 
     /// Evicts the partial symbols older than the timeout at `now`, oldest
@@ -419,9 +611,7 @@ impl ReassemblyCore {
             if now.saturating_sub(first_seen) <= self.timeout {
                 break;
             }
-            let p = self.take_oldest(seq);
-            self.recycle(pool, p);
-            self.resolve(seq, now, false);
+            self.evict(pool, seq, now, false);
             self.stats.timeout_evictions += 1;
         }
         self.last_sweep = self.last_sweep.max(now);
@@ -432,24 +622,28 @@ impl ReassemblyCore {
     /// dropping dead entries off the front of the ring on the way.
     fn oldest(&mut self) -> Option<(u64, SimTime)> {
         while let Some(&seq) = self.order.front() {
-            match self.pending.get(&seq) {
-                Some(p) if p.slot == self.order_base => return Some((seq, p.first_seen)),
-                _ => {
-                    self.order.pop_front();
-                    self.order_base += 1;
+            if let Some((_, Record::Partial(partial))) = self.table.get(seq) {
+                let p = &self.partials[partial];
+                if p.link == self.order_base {
+                    return Some((seq, p.first_seen));
                 }
             }
+            self.order.pop_front();
+            self.order_base += 1;
         }
         None
     }
 
-    /// Removes the partial symbol [`oldest`](Self::oldest) just named.
-    fn take_oldest(&mut self, seq: u64) -> Pending {
+    /// Evicts the partial symbol [`oldest`](Self::oldest) just named,
+    /// remembering it from `stamp` on.
+    fn evict(&mut self, pool: &mut BufferPool, seq: u64, stamp: SimTime, by_memory: bool) {
         self.order.pop_front();
         self.order_base += 1;
-        let p = self.pending.remove(&seq).expect("named by oldest()");
-        self.buffered_bytes -= p.bytes;
-        p
+        let Some((at, Record::Partial(partial))) = self.table.get(seq) else {
+            unreachable!("named by oldest()");
+        };
+        self.retire(pool, at, partial, stamp);
+        self.remember(seq, stamp, by_memory);
     }
 
     /// Bounds the dead entries in the insertion ring after partials
@@ -458,22 +652,32 @@ impl ReassemblyCore {
     /// timeout while completions pile up behind it, so the ring is
     /// compacted once they outnumber the live partials.
     fn trim_order(&mut self) {
-        if self.pending.is_empty() {
+        if self.live_partials == 0 {
             self.order_base += self.order.len() as u64;
             self.order.clear();
-        } else if self.order.len() > 2 * self.pending.len() + ORDER_SLACK {
+        } else if self.order.len() > 2 * self.live_partials + ORDER_SLACK {
             let (base, mut live) = (self.order_base, 0);
             for i in 0..self.order.len() {
                 let seq = self.order[i];
-                if let Some(p) = self.pending.get_mut(&seq) {
-                    if p.slot == base + i as u64 {
-                        p.slot = base + live as u64;
+                if let Some((_, Record::Partial(partial))) = self.table.get(seq) {
+                    let p = &mut self.partials[partial];
+                    if p.link == base + i as u64 {
+                        p.link = base + live as u64;
                         self.order[live] = seq;
                         live += 1;
                     }
                 }
             }
             self.order.truncate(live);
+        }
+    }
+
+    /// The slot and the stamp of the resolution record a ring entry
+    /// stands for.
+    fn record(&self, seq: u64) -> (usize, SimTime) {
+        match self.table.get(seq) {
+            Some((at, Record::Resolved(stamp))) => (at, stamp),
+            _ => unreachable!("a ring entry has its resolution record"),
         }
     }
 
@@ -487,22 +691,22 @@ impl ReassemblyCore {
         let stale = |stamp: SimTime| reference.saturating_sub(stamp) > horizon;
         let mut oldest = SimTime::MAX;
         while let Some(&seq) = self.resolved_order.front() {
-            let stamp = self.resolved[&seq];
+            let (at, stamp) = self.record(seq);
             if !stale(stamp) {
                 oldest = stamp;
                 break;
             }
-            self.resolved.remove(&seq);
+            self.table.remove_at(at);
             self.resolved_order.pop_front();
             self.resolved_popped += 1;
         }
         while let Some(&(seq, _)) = self.evicted_order.front() {
-            let stamp = self.resolved[&seq];
+            let (at, stamp) = self.record(seq);
             if !stale(stamp) {
                 oldest = oldest.min(stamp);
                 break;
             }
-            self.resolved.remove(&seq);
+            self.table.remove_at(at);
             self.evicted_order.pop_front();
         }
         self.forget_at = self.forgotten_at(oldest);
@@ -513,34 +717,12 @@ impl ReassemblyCore {
         self.grid_after(stamp.saturating_add(self.timeout * 2))
     }
 
-    /// Keeps `map` at no more than half its true capacity. Removals
-    /// (`remove`, `retain`) leave tombstones in the table; once they
-    /// exhaust the free slots, the next insert rehashes — in place when
-    /// live occupancy is at most half the capacity, but *reallocating*
-    /// above that, at a point that depends on the per-process hash seed
-    /// (the tombstone distribution). Pinning occupancy to the in-place
-    /// regime means the maps only ever allocate when live occupancy
-    /// reaches a new high-water mark (warmup), never at a seed-dependent
-    /// moment in steady state.
-    ///
-    /// `full_cap` is a caller-held shadow of the map's post-rehash
-    /// capacity: `HashMap::capacity()` itself *shrinks* as tombstones
-    /// eat free slots, so it cannot be compared against directly — its
-    /// running maximum is the real (monotone) table size.
-    fn reserve_headroom<V>(map: &mut IntMap<u64, V>, full_cap: &mut usize) {
-        *full_cap = (*full_cap).max(map.capacity());
-        if (map.len() + 1) * 2 > *full_cap {
-            map.reserve(map.len() + 2);
-            *full_cap = (*full_cap).max(map.capacity());
-        }
-    }
-
-    /// Remembers that `seq` is done with, from `stamp` on. `evicted`
-    /// marks the memory cap's records, whose stamp is the symbol's first
-    /// share (the others carry the current time).
-    fn resolve(&mut self, seq: u64, stamp: SimTime, evicted: bool) {
-        let fresh = self.resolved.insert(seq, stamp).is_none();
-        debug_assert!(fresh, "a symbol is pending or resolved, never both");
+    /// Files the resolution record just written into `seq`'s slot, made
+    /// at `stamp`, in the ring it is forgotten from, and holds the
+    /// records to the resolved cap. `evicted` marks the memory cap's
+    /// records, whose stamp is the symbol's first share (the others
+    /// carry the current time). May move slots.
+    fn remember(&mut self, seq: u64, stamp: SimTime, evicted: bool) {
         let first_of_its_ring = if evicted {
             let before = self.resolved_popped + self.resolved_order.len() as u64;
             self.evicted_order.push_back((seq, before));
@@ -554,11 +736,10 @@ impl ReassemblyCore {
             // sooner, and `forget_at` already covers that one.
             self.forget_at = self.forget_at.min(self.forgotten_at(stamp));
         }
-        Self::reserve_headroom(&mut self.resolved, &mut self.resolved_full_cap);
         // Oldest-first eviction past the cap: an evicted symbol's record
         // is older than the front of the other ring once every record
         // made before it has left that ring.
-        while self.resolved.len() > self.resolved_cap {
+        while self.resolved_records() > self.resolved_cap {
             let old = match self.evicted_order.front() {
                 Some(&(old, before)) if before <= self.resolved_popped => {
                     self.evicted_order.pop_front();
@@ -571,7 +752,8 @@ impl ReassemblyCore {
                         .expect("every record is in one of the rings")
                 }
             };
-            self.resolved.remove(&old);
+            let (at, _) = self.record(old);
+            self.table.remove_at(at);
             self.stats.resolved_evictions += 1;
         }
     }
@@ -583,9 +765,7 @@ impl ReassemblyCore {
             let Some((seq, first_seen)) = self.oldest() else {
                 break;
             };
-            let p = self.take_oldest(seq);
-            self.recycle(pool, p);
-            self.resolve(seq, first_seen, true);
+            self.evict(pool, seq, first_seen, true);
             self.stats.memory_evictions += 1;
         }
     }
@@ -711,7 +891,8 @@ mod tests {
     use crate::wire::header_bytes;
     use crate::wire::testutil::share_bytes;
     use mcss_codec::CodecScratch;
-    use rand::SeedableRng;
+    use rand::{RngExt as _, SeedableRng};
+    use std::collections::HashMap;
 
     /// The `m` encoded share frames of one symbol, in abscissa order.
     fn frames_for(codec: CodecId, seq: u64, k: u8, m: u8, payload: &[u8]) -> Vec<Vec<u8>> {
@@ -744,6 +925,172 @@ mod tests {
 
     fn table() -> ReassemblyTable {
         ReassemblyTable::new(SimTime::from_millis(100), 1 << 20)
+    }
+
+    /// A table grown to `slots` slots and emptied again.
+    fn emptied_table(slots: usize) -> SeqTable {
+        let mut t = SeqTable::default();
+        for seq in 0..slots as u64 / 2 {
+            t.insert(seq, 1);
+        }
+        for seq in 0..slots as u64 / 2 {
+            t.remove_at(t.find(seq).unwrap());
+        }
+        assert_eq!((t.len, t.slots.len()), (0, slots));
+        t
+    }
+
+    /// The first `count` sequence numbers whose home in `t`, at its
+    /// present size and under this process's seed, is `home`.
+    fn homed_at(t: &SeqTable, home: usize, count: usize) -> Vec<u64> {
+        let homed = (0u64..).filter(|&seq| t.home(seq) == home);
+        homed.take(count).collect()
+    }
+
+    fn shuffle(keys: &mut [u64], rng: &mut rand::rngs::StdRng) {
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.random_range(0..=i));
+        }
+    }
+
+    /// `t` holds exactly `model`: each of its records is found, nothing
+    /// in `absent` is, and no slot is full beyond them.
+    fn assert_holds(t: &SeqTable, model: &HashMap<u64, u64>, absent: &[u64]) {
+        assert_eq!(t.len, model.len());
+        for (&seq, &word) in model {
+            let at = t.find(seq).unwrap_or_else(|| panic!("{seq} lost"));
+            assert_eq!(t.slots[at].word, word, "record of {seq}");
+        }
+        for seq in absent.iter().filter(|seq| !model.contains_key(seq)) {
+            assert_eq!(t.find(*seq), None, "{seq} found after its removal");
+        }
+        let full = t.slots.iter().filter(|slot| slot.word != SeqTable::EMPTY);
+        assert_eq!(full.count(), model.len(), "a slot was left behind");
+        assert!(t.len * 2 <= t.slots.len(), "more than half full");
+    }
+
+    #[test]
+    fn seq_table_matches_a_hash_map() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7ab1e);
+        // Dense runs, numbers far apart, numbers equal modulo every
+        // table size, the ends of the range: 256 keys to draw from.
+        let universe: Vec<u64> = (0..64u64)
+            .flat_map(|i| [i, i << 32, i << 12 | 7, u64::MAX - i])
+            .collect();
+        let mut t = SeqTable::default();
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut slots = 0;
+        for step in 0..200_000u64 {
+            let seq = universe[rng.random_range(0..universe.len())];
+            let word = step + 1;
+            // Occupancy drifts up and down between none and all.
+            let filling = (step / 5_000) % 2 == 0;
+            match (t.find(seq), rng.random_range(0..4u32)) {
+                (None, 0 | 1) if filling => {
+                    t.insert(seq, word);
+                    assert_eq!(model.insert(seq, word), None);
+                }
+                (None, _) => assert!(!model.contains_key(&seq), "{seq} lost"),
+                (Some(at), 0) => {
+                    t.slots[at].word = word;
+                    assert!(model.insert(seq, word).is_some());
+                }
+                (Some(at), 1 | 2) if !filling => {
+                    t.remove_at(at);
+                    assert!(model.remove(&seq).is_some());
+                }
+                (Some(at), _) => assert_eq!(Some(&t.slots[at].word), model.get(&seq)),
+            }
+            assert_eq!(t.len, model.len());
+            assert!(t.slots.len() >= slots, "the array shrank");
+            slots = t.slots.len();
+            if step % 997 == 0 {
+                assert_holds(&t, &model, &universe);
+            }
+        }
+        assert_eq!(slots, 512, "256 records at most half fill 512 slots");
+    }
+
+    #[test]
+    fn seq_table_deletes_from_full_clusters_that_wrap() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc1u64);
+        // Clusters that start two slots before the array's end: all of
+        // one home; then several homes interleaved, so that a deletion
+        // meets records that must move back and records that must not.
+        let one_home: &[(usize, usize)] = &[(62, 24)];
+        let mixed: &[(usize, usize)] = &[(62, 6), (63, 5), (0, 1), (1, 6), (5, 4), (9, 3)];
+        for homes in [one_home, mixed] {
+            for round in 0..50 {
+                let mut t = emptied_table(64);
+                let mut keys: Vec<u64> = homes
+                    .iter()
+                    .flat_map(|&(home, count)| homed_at(&t, home, count))
+                    .collect();
+                // Insertion order decides who sits where in the cluster.
+                shuffle(&mut keys, &mut rng);
+                let mut model = HashMap::new();
+                for (i, &seq) in keys.iter().enumerate() {
+                    t.insert(seq, i as u64 + 1);
+                    model.insert(seq, i as u64 + 1);
+                }
+                assert_eq!(t.slots.len(), 64, "the cluster fits the emptied array");
+                assert!(
+                    t.slots[63].word != SeqTable::EMPTY && t.slots[0].word != SeqTable::EMPTY,
+                    "the cluster wraps"
+                );
+                assert_holds(&t, &model, &keys);
+                // First in, last in, or any order.
+                let mut doomed = keys.clone();
+                match round % 3 {
+                    0 => {}
+                    1 => doomed.reverse(),
+                    _ => shuffle(&mut doomed, &mut rng),
+                }
+                for seq in doomed {
+                    t.remove_at(t.find(seq).unwrap());
+                    model.remove(&seq);
+                    assert_holds(&t, &model, &keys);
+                }
+                assert_eq!(t.slots.len(), 64);
+            }
+        }
+    }
+
+    #[test]
+    fn seq_table_keeps_its_size_at_constant_occupancy() {
+        // Seven records and a newcomer, as a lossless flow keeps them:
+        // what `HashMap` needed headroom against its tombstones for.
+        let mut t = SeqTable::default();
+        for seq in 0..7u64 {
+            t.insert(seq, seq + 1);
+        }
+        for seq in 7..1_000_007u64 {
+            t.insert(seq, seq + 1);
+            assert_eq!(t.slots.len(), 16, "at {seq}");
+            t.remove_at(t.find(seq - 7).unwrap());
+            assert_eq!(t.find(seq - 7), None);
+        }
+        assert_eq!(t.len, 7);
+        for seq in 1_000_000..1_000_007u64 {
+            assert_eq!(t.find(seq).map(|at| t.slots[at].word), Some(seq + 1));
+        }
+    }
+
+    #[test]
+    fn records_pack_into_a_word() {
+        for record in [
+            Record::Resolved(SimTime::ZERO),
+            Record::Resolved(SimTime::from_secs(86_400 * 365)),
+            Record::Partial(0),
+            Record::Partial(u32::MAX as usize),
+        ] {
+            assert_ne!(record.pack(), SeqTable::EMPTY);
+            assert_eq!(Record::unpack(record.pack()), record);
+        }
+        // A clock past 2⁶³ ns reads as the last stamp there is, not as a
+        // slab index.
+        let last = Record::unpack(Record::Resolved(SimTime::MAX).pack());
+        assert_eq!(last, Record::Resolved(SimTime::from_nanos((1 << 63) - 2)));
     }
 
     #[test]

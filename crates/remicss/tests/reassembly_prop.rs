@@ -186,6 +186,21 @@ mod periodic {
     }
 }
 
+/// The sequence number of the `index`-th symbol of a flow, for each way
+/// a script spaces its numbers: a dense run from zero; multiples of
+/// 2³² (equal modulo every table size); a run down from `u64::MAX`;
+/// numbers 2¹² apart (equal modulo every table this small); all four
+/// by turns. Distinct indices below 2²⁰ get distinct numbers.
+fn spaced(spacing: u8, index: u64) -> u64 {
+    match spacing {
+        0 => index,
+        1 => index << 32,
+        2 => u64::MAX - index,
+        3 => index << 12 | 0xfff,
+        _ => spaced((index % 4) as u8, index / 4 + (1 << 20)),
+    }
+}
+
 /// A scripted delivery: (symbol index, share index, repeat?).
 type Script = (Vec<(u8, u8, u8)>, Vec<(u8, u8)>);
 
@@ -303,10 +318,13 @@ proptest! {
     /// pressure: whatever
     /// arrives, the table swept only at its own `next_sweep_at` gives
     /// the verdicts and counters of the periodic table swept on every
-    /// grid instant.
+    /// grid instant — for sequence numbers in a dense run and for
+    /// numbers far apart, which land on the table's slots as the hasher
+    /// sends them and probe its clusters.
     #[test]
     fn demand_swept_table_matches_the_periodic_one(
         seed in any::<u64>(),
+        spacing in 0u8..5,
         tight_memory in any::<bool>(),
         tight_records in any::<bool>(),
         brisk in any::<bool>(),
@@ -316,7 +334,8 @@ proptest! {
         const PAYLOAD: usize = 24;
         let mut rng = StdRng::seed_from_u64(seed);
         let symbols: Vec<(Vec<u8>, Vec<Vec<u8>>)> = (0..SYMBOLS)
-            .map(|seq| {
+            .map(|index| {
+                let seq = spaced(spacing, index);
                 // A brisk flow completes most symbols on their second
                 // share, behind the few it starves.
                 let m = rng.random_range(1..=4u8);

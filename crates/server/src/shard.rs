@@ -45,8 +45,8 @@ use crate::queue::BoundedQueue;
 use crate::stats::{ShardStats, ShardStatsSnapshot};
 
 /// Largest datagram the server will read: no frame the protocol emits
-/// is longer (7-byte demux prefix + share header of at most 25 bytes +
-/// a payload whose length is a 16-bit field).
+/// is longer (7-byte demux prefix + 24-byte share header + a payload
+/// whose length is a 16-bit field).
 pub const MAX_DATAGRAM: usize = 65_535;
 
 /// Sizing knobs for a shard set.
@@ -141,17 +141,19 @@ struct Handoff {
 
 /// One multiplexed session: the pool-less engine plus the per-session
 /// state a driver owns (RNG, delivery queue, optional action log).
+///
+/// Laid out as declared: what the shard reads to find, feed and drain a
+/// session comes first, on the cache lines just ahead of the fields its
+/// engine reads first (the `a_slot_leads_with_what_the_shard_reads` test
+/// pins it).
 #[derive(Debug)]
+#[repr(C)]
 struct SessionSlot {
     cid: u32,
-    engine: EngineCore,
     /// The demux prefix naming this session, which its engine starts
     /// every frame with.
     prefix: [u8; CID_PREFIX_BYTES],
-    rng: StdRng,
     record: bool,
-    action_log: Vec<Action>,
-    delivered: VecDeque<(u64, Vec<u8>)>,
     /// Whether this session is on the shard's ready-list (its engine
     /// may hold undrained actions). Intrusive flag: membership is O(1)
     /// to test and the list holds no duplicates.
@@ -161,6 +163,10 @@ struct SessionSlot {
     /// sources reconstruct without emitting `DeliverSymbol`, so the
     /// shard accounts deliveries by counter delta, not by action.
     counted_delivered: u64,
+    delivered: VecDeque<(u64, Vec<u8>)>,
+    rng: StdRng,
+    engine: EngineCore,
+    action_log: Vec<Action>,
 }
 
 impl SessionSlot {
@@ -407,14 +413,14 @@ impl Shard {
         self.by_cid.insert(cid, position);
         self.sessions.push(SessionSlot {
             cid,
-            engine,
             prefix: prefix.try_into().expect("a demux prefix is that long"),
-            rng: StdRng::seed_from_u64(seed),
             record: false,
-            action_log: Vec::new(),
-            delivered: VecDeque::new(),
             in_ready: false,
             counted_delivered: 0,
+            delivered: VecDeque::new(),
+            rng: StdRng::seed_from_u64(seed),
+            engine,
+            action_log: Vec::new(),
         });
         Ok(())
     }
@@ -571,8 +577,7 @@ impl Shard {
     /// migrates the buffer into this shard's pool instead — never a
     /// drop, never an allocation.
     pub fn drain_inbox(&mut self, now: SimTime) {
-        let inbox = Arc::clone(&self.inbox);
-        while let Some(handoff) = inbox.pop() {
+        while let Some(handoff) = self.inbox.pop() {
             ShardStats::bump(&self.stats.handoff_in);
             self.deliver_inner(now, handoff.cid, handoff.channel, handoff.to, &handoff.buf);
             if handoff.origin == self.index {
@@ -593,8 +598,7 @@ impl Shard {
     /// Reclaims buffers other shards finished with into this shard's
     /// pool.
     pub fn drain_returns(&mut self) {
-        let ring = Arc::clone(&self.returns[self.index]);
-        while let Some(buf) = ring.pop() {
+        while let Some(buf) = self.returns[self.index].pop() {
             self.pool.put(buf);
         }
     }
@@ -1071,4 +1075,50 @@ fn datagrams_per_message(stats: &ShardStatsSnapshot) -> i64 {
     let datagrams = stats.datagrams_received + stats.datagrams_sent;
     let messages = stats.messages_received + stats.messages_sent;
     datagrams.checked_div(messages).unwrap_or(0) as i64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use core::mem::{offset_of, size_of};
+
+    /// `SessionSlot` is `#[repr(C)]`: what `feed`, `deliver_inner` and
+    /// `drive` read of a session (its ID and prefix, the flags, the
+    /// delivery accounts, the RNG) lies ahead of the engine, whose own
+    /// first bytes are what every event reads, and the action log no
+    /// production path writes lies behind it. A field declared after
+    /// `engine` is a kilobyte and a half away from the rest.
+    #[test]
+    fn a_slot_leads_with_what_the_shard_reads() {
+        let engine = offset_of!(SessionSlot, engine);
+        for (field, offset) in [
+            ("cid", offset_of!(SessionSlot, cid)),
+            ("prefix", offset_of!(SessionSlot, prefix)),
+            ("record", offset_of!(SessionSlot, record)),
+            ("in_ready", offset_of!(SessionSlot, in_ready)),
+            (
+                "counted_delivered",
+                offset_of!(SessionSlot, counted_delivered),
+            ),
+            ("delivered", offset_of!(SessionSlot, delivered)),
+            ("rng", offset_of!(SessionSlot, rng)),
+        ] {
+            assert!(
+                offset < engine,
+                "`{field}` is read on every visit and belongs before `engine` \
+                 (byte {engine}); it is declared at byte {offset}"
+            );
+        }
+        assert!(
+            engine <= 128,
+            "the shard's own fields take {engine} B, more than two cache lines"
+        );
+        assert!(offset_of!(SessionSlot, action_log) > engine);
+        // 1 584 B before the fields were ordered.
+        assert!(
+            size_of::<SessionSlot>() <= 1584,
+            "`SessionSlot` grew to {} B",
+            size_of::<SessionSlot>()
+        );
+    }
 }

@@ -8,10 +8,13 @@
 //! every engine it builds records into that. The buffers went the same
 //! way: frames, parked shares and reconstructions live in the shard's
 //! one pool, which its engines borrow, so a session is its pool-less
-//! engine, reassembly tables and counters, about 5 KB after traffic
-//! (5.1 KB here, where a thousand sessions divide the shards' own state;
-//! 4.4 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
+//! engine, reassembly tables and counters, about 4 KB after traffic
+//! (4.4 KB here, where a thousand sessions divide the shards' own state;
+//! 3.6 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
 //! holds what one symbol has in flight, not what every session once had.
+//! Each direction's reassembly state is one open-addressed table of
+//! 16-byte slots, where two hash maps with headroom against their own
+//! tombstones held 0.8 KB a session more.
 //! The sessions of a shard sit in a slab in creation order (chunks of 64
 //! slots, so it holds what it uses), found through a connection-ID →
 //! position map, so a sparse ID costs what a dense one does.
@@ -73,10 +76,11 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 5 138 B (+ 25 %); a session stored inline in a hash table's
-/// buckets held 6.8 KB, one that owned its buffers 8.5 KB, one that
-/// owned its histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 6_420;
+/// Measured 4 352 B (+ 25 %; 3 540 B with telemetry compiled out); a
+/// session with two hash maps per direction held 5.1 KB, one stored
+/// inline in a hash table's buckets 6.8 KB, one that owned its buffers
+/// 8.5 KB, one that owned its histograms too 176 KB.
+const BUDGET_BYTES_PER_SESSION: i64 = 5_440;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
