@@ -30,8 +30,21 @@ const TARGET_BYTES: usize = 1 << 25;
 /// symbol size neighborhood, and two cache-resident batch sizes.
 const LENGTHS: [usize; 6] = [16, 64, 256, 1_024, 16_384, 262_144];
 
-/// Planes in the fused Horner measurement (a κ = 4 split).
+/// Planes in the one-output Horner measurement (a κ = 4 split).
 const HORNER_PLANES: usize = 4;
+
+/// `(k, m)` of the `eval{k}x{m}` rows (all `m` shares of a symbol from
+/// its `k` planes in one call) and, by their `k`, of the `combine{k}`
+/// rows (the secret from `k` shares): the fleet workloads' `(2, 3)`,
+/// the bulk workload's `(3, 5)`, and a square `(5, 5)`.
+const SYMBOL_SHAPES: [(usize, usize); 3] = [(2, 3), (3, 5), (5, 5)];
+
+/// Share lengths of those rows: the fleet and the bulk workloads'.
+const SYMBOL_LENGTHS: [usize; 2] = [64, 1_250];
+
+/// Where in its buffer an output of those rows starts: at the front,
+/// and behind a frame's 31 header bytes, where the protocol writes.
+const OUTPUT_HEADS: [usize; 2] = [0, 31];
 
 /// One measured cell of the matrix.
 #[derive(Debug, Clone, Serialize)]
@@ -39,10 +52,14 @@ pub struct KernelRecord {
     /// Backend name (`scalar` | `table` | `simd` | `neon` |
     /// `avx512` | `gfni`).
     pub backend: String,
-    /// Kernel name (`scale_add` | `add_scaled` | `scale` | `horner4`).
+    /// Kernel name (`scale_add` | `add_scaled` | `scale` | `horner4` |
+    /// `eval{k}x{m}` | `combine{k}`).
     pub op: String,
     /// Plane length in bytes.
     pub len: u64,
+    /// Bytes between the start of an output's allocation and its first
+    /// byte: 0, or 31 where a share lies behind its frame header.
+    pub head: u64,
     /// Wall-clock processing rate.
     pub bytes_per_sec: f64,
     /// This cell's rate over the scalar backend's rate for the same
@@ -89,75 +106,101 @@ pub struct KernelReport {
 }
 
 /// A kernel invocation under measurement.
+#[derive(Clone, Copy)]
 enum Op {
     ScaleAdd,
     AddScaled,
     Scale,
     Horner,
+    /// All `m` shares from `k` planes.
+    Eval {
+        k: usize,
+        m: usize,
+    },
+    /// One secret from `k` shares.
+    Combine {
+        k: usize,
+    },
 }
 
 impl Op {
-    fn name(&self) -> &'static str {
+    fn name(self) -> String {
         match self {
-            Op::ScaleAdd => "scale_add",
-            Op::AddScaled => "add_scaled",
-            Op::Scale => "scale",
-            Op::Horner => "horner4",
+            Op::ScaleAdd => "scale_add".to_string(),
+            Op::AddScaled => "add_scaled".to_string(),
+            Op::Scale => "scale".to_string(),
+            Op::Horner => format!("horner{HORNER_PLANES}"),
+            Op::Eval { k, m } => format!("eval{k}x{m}"),
+            Op::Combine { k } => format!("combine{k}"),
         }
     }
 
-    /// Bytes of `dst`/`acc` written per invocation (the rate
-    /// denominator; the fused Horner also reads `HORNER_PLANES` input
-    /// planes per output byte, like the per-plane loop it replaces).
-    fn bytes_per_iter(&self, len: usize) -> usize {
-        len
+    /// Output bytes written per invocation (the rate denominator; the
+    /// Horner, `eval` and `combine` rows also read their `k` input
+    /// planes per output byte, like the per-plane loops they replace).
+    fn bytes_per_iter(self, len: usize) -> usize {
+        match self {
+            Op::Eval { m, .. } => m * len,
+            _ => len,
+        }
+    }
+}
+
+/// The operands of one measurement: `outs[j][head..]` are the outputs,
+/// `planes` the inputs, all `len` bytes long.
+struct Operands {
+    outs: Vec<Vec<u8>>,
+    planes: Vec<Vec<u8>>,
+    head: usize,
+}
+
+impl Operands {
+    fn new(len: usize, head: usize, planes: usize, outs: usize) -> Self {
+        let fill = |salt: usize| (0..len).map(|i| (i * 11 + salt * 3 + 1) as u8).collect();
+        Operands {
+            outs: (0..outs).map(|_| vec![0u8; head + len]).collect(),
+            planes: (0..planes).map(fill).collect(),
+            head,
+        }
     }
 }
 
 /// Runs `op` on `backend` until ~[`TARGET_BYTES`] are processed and
 /// returns bytes/sec. Buffers are caller-provided and reused so the
-/// loop body is exactly the kernel (plus one table build per batch of
-/// iterations — the table is hoisted, as the protocol paths hoist it).
-fn measure(backend: Backend, op: &Op, dst: &mut [u8], src: &[u8], planes: &[&[u8]]) -> f64 {
-    let len = dst.len();
+/// loop body is exactly the kernel.
+fn measure(backend: Backend, op: Op, operands: &mut Operands) -> f64 {
+    let len = operands.planes[0].len();
     let iters = (TARGET_BYTES / op.bytes_per_iter(len).max(1)).max(8);
-    let t = MulTable::new(Gf256::new(0x53));
     // Warm caches and fault pages outside the timed window.
-    run_op(backend, op, dst, src, planes, &t, 2);
+    run_op(backend, op, operands, 2);
     let start = Instant::now();
-    run_op(backend, op, dst, src, planes, &t, iters);
+    run_op(backend, op, operands, iters);
     let wall = start.elapsed().as_secs_f64();
     (iters * op.bytes_per_iter(len)) as f64 / wall
 }
 
-fn run_op(
-    backend: Backend,
-    op: &Op,
-    dst: &mut [u8],
-    src: &[u8],
-    planes: &[&[u8]],
-    t: &MulTable,
-    iters: usize,
-) {
-    match op {
-        Op::ScaleAdd => {
-            for _ in 0..iters {
-                backend.scale_add_assign(dst, src, t);
+fn run_op(backend: Backend, op: Op, operands: &mut Operands, iters: usize) {
+    let t = MulTable::of(Gf256::new(0x53));
+    let head = operands.head;
+    let planes: Vec<&[u8]> = operands.planes.iter().map(Vec::as_slice).collect();
+    let (dst, outs) = operands.outs.split_first_mut().expect("an output");
+    let dst = &mut dst[head..];
+    let src = planes[0];
+    for _ in 0..iters {
+        match op {
+            Op::ScaleAdd => backend.scale_add_assign(dst, src, t),
+            Op::AddScaled => backend.add_scaled_assign(dst, src, t),
+            Op::Scale => backend.scale_assign(dst, t),
+            Op::Horner => backend.horner_into(dst, &planes, t),
+            Op::Eval { .. } => {
+                // Share j at x = j + 1, as a split evaluates them.
+                let shares =
+                    std::iter::once(&mut *dst).chain(outs.iter_mut().map(|o| &mut o[head..]));
+                backend.eval_into(shares.zip(1..).map(|(o, x)| (Gf256::new(x), o)), &planes);
             }
-        }
-        Op::AddScaled => {
-            for _ in 0..iters {
-                backend.add_scaled_assign(dst, src, t);
-            }
-        }
-        Op::Scale => {
-            for _ in 0..iters {
-                backend.scale_assign(dst, t);
-            }
-        }
-        Op::Horner => {
-            for _ in 0..iters {
-                backend.horner_into(dst, planes, t);
+            Op::Combine { .. } => {
+                let weighted = planes.iter().zip(3..).map(|(&s, w)| (Gf256::new(w), s));
+                backend.combine_into(dst, weighted);
             }
         }
     }
@@ -178,44 +221,52 @@ pub fn run() -> KernelReport {
     );
 
     let mut records = Vec::new();
-    for op in [Op::ScaleAdd, Op::AddScaled, Op::Scale, Op::Horner] {
-        for len in LENGTHS {
-            let src: Vec<u8> = (0..len).map(|i| (i * 13 + 7) as u8).collect();
-            let planes: Vec<Vec<u8>> = (0..HORNER_PLANES)
-                .map(|p| (0..len).map(|i| (i * 11 + p * 3 + 1) as u8).collect())
-                .collect();
-            let plane_refs: Vec<&[u8]> = planes.iter().map(Vec::as_slice).collect();
-            let mut dst: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-            let mut scalar_rate = 0.0;
-            for &backend in &available {
-                let rate = measure(backend, &op, &mut dst, &src, &plane_refs);
-                if backend == Backend::Scalar {
-                    scalar_rate = rate;
-                }
-                let speedup = if scalar_rate > 0.0 {
-                    rate / scalar_rate
-                } else {
-                    1.0
-                };
-                println!(
-                    "{:>10} {:>8} B  {:>6}: {:>8.1} MB/s  ({:.2}x scalar)",
-                    op.name(),
-                    len,
-                    backend.name(),
-                    rate / 1e6,
-                    speedup
-                );
-                records.push(KernelRecord {
-                    backend: backend.name().to_string(),
-                    op: op.name().to_string(),
-                    len: len as u64,
-                    bytes_per_sec: rate,
-                    speedup_vs_scalar: speedup,
-                });
+    let one_output = [Op::ScaleAdd, Op::AddScaled, Op::Scale, Op::Horner]
+        .into_iter()
+        .flat_map(|op| LENGTHS.map(|len| (op, len, 0)));
+    let symbols = SYMBOL_SHAPES
+        .into_iter()
+        .flat_map(|(k, m)| [Op::Eval { k, m }, Op::Combine { k }])
+        .flat_map(|op| SYMBOL_LENGTHS.map(|len| (op, len)))
+        .flat_map(|(op, len)| OUTPUT_HEADS.map(|head| (op, len, head)));
+    for (op, len, head) in one_output.chain(symbols) {
+        let (planes, outs) = match op {
+            Op::Eval { k, m } => (k, m),
+            Op::Combine { k } => (k, 1),
+            _ => (HORNER_PLANES, 1),
+        };
+        let mut operands = Operands::new(len, head, planes, outs);
+        let mut scalar_rate = 0.0;
+        for &backend in &available {
+            let rate = measure(backend, op, &mut operands);
+            if backend == Backend::Scalar {
+                scalar_rate = rate;
             }
+            let speedup = if scalar_rate > 0.0 {
+                rate / scalar_rate
+            } else {
+                1.0
+            };
+            println!(
+                "{:>10} {:>8} B +{:<2} {:>6}: {:>8.1} MB/s  ({:.2}x scalar)",
+                op.name(),
+                len,
+                head,
+                backend.name(),
+                rate / 1e6,
+                speedup
+            );
+            records.push(KernelRecord {
+                backend: backend.name().to_string(),
+                op: op.name(),
+                len: len as u64,
+                head: head as u64,
+                bytes_per_sec: rate,
+                speedup_vs_scalar: speedup,
+            });
         }
-        println!();
     }
+    println!();
 
     let crossover = calibrate_crossover(&available, &records);
     println!("crossover calibration (scale_add rate vs table):");

@@ -300,12 +300,9 @@ impl CodecId {
                     }
                     xs[i] = x;
                 }
-                out.clear();
                 out.resize(len, 0);
-                for i in 0..kk {
-                    let w = lagrange_weight_xs(&xs[..kk], i);
-                    mcss_gf256::slice::add_scaled_assign(out, data_of(i), w);
-                }
+                let weighted = (0..kk).map(|i| (lagrange_weight_xs(&xs[..kk], i), data_of(i)));
+                mcss_gf256::slice::combine_into(out, weighted);
                 Ok(())
             }
             CodecId::Xor2d => xor2d::reconstruct_with(k, m, n, x_of, data_of, out),

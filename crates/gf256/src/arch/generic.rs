@@ -36,17 +36,6 @@ pub(crate) mod scalar {
             *d = mul(*d, log_x);
         }
     }
-
-    pub fn horner(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-        let log_x = LOG[t.x().value() as usize] as usize;
-        for (i, a) in acc.iter_mut().enumerate() {
-            let mut v = 0u8;
-            for p in planes {
-                v = mul(v, log_x) ^ p[i];
-            }
-            *a = v;
-        }
-    }
 }
 
 /// One 256-entry table hop per byte, table provided by the caller.
@@ -68,28 +57,6 @@ pub(crate) mod table {
     pub fn scale(dst: &mut [u8], t: &MulTable) {
         for d in dst.iter_mut() {
             *d = t.row[*d as usize];
-        }
-    }
-
-    pub fn horner(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-        for (i, a) in acc.iter_mut().enumerate() {
-            let mut v = 0u8;
-            for p in planes {
-                v = t.row[v as usize] ^ p[i];
-            }
-            *a = v;
-        }
-    }
-
-    /// Table-row tail shared by every vector backend: finishes
-    /// `acc[from..]` of a fused Horner pass byte-by-byte.
-    pub fn horner_tail(acc: &mut [u8], planes: &[&[u8]], t: &MulTable, from: usize) {
-        for (i, a) in acc.iter_mut().enumerate().skip(from) {
-            let mut v = 0u8;
-            for p in planes {
-                v = t.row[v as usize] ^ p[i];
-            }
-            *a = v;
         }
     }
 }

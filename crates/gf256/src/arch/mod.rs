@@ -1,10 +1,17 @@
 //! Per-architecture kernel implementations behind the [`Backend`]
 //! dispatch layer in [`crate::simd`].
 //!
-//! Each submodule implements the same four-kernel contract —
-//! `scale_add`, `add_scaled`, `scale`, and the fused multi-plane
-//! `horner` — over caller-owned byte slices and a caller-built
-//! [`MulTable`](crate::simd::MulTable):
+//! Each submodule implements the three one-multiplier kernels —
+//! `scale_add`, `add_scaled`, `scale` — over caller-owned byte slices
+//! and a caller-built [`MulTable`](crate::simd::MulTable). The two
+//! x86 `pshufb` and `gf2p8mulb` modules add the two many-operand
+//! kernels, generated at each of their widths by `multi_kernels!`:
+//! `eval` (`K` coefficient planes in, one Horner evaluation out per
+//! abscissa, the planes read once) and `combine` (`out = Σ wᵢ·srcᵢ`,
+//! `out` written once). A backend without them, and those two for more
+//! than `MAX_FUSED` operands or fewer than 16 bytes, answer both
+//! through the one-multiplier kernels, one output and one operand at a
+//! time (`Backend::eval_into`, `Backend::combine_into`):
 //!
 //! * [`generic`] — the portable implementations every target gets:
 //!   `scalar` (log/exp reference) and `table` (256-entry row).
@@ -17,12 +24,174 @@
 //!
 //! Every kernel is total over all lengths and alignments: vector main
 //! loops use unaligned loads/stores and finish ragged tails on the
-//! 256-entry table row, so byte-identity across backends holds for
-//! length 0 upward (pinned by `tests/backend_diff.rs`). Modules for
+//! 256-entry table row (the many-operand kernels, which do not read
+//! what they write, on one last overlapping vector), so byte-identity
+//! across backends holds for length 0 upward (pinned by
+//! `tests/backend_diff.rs`). Modules for
 //! other architectures still compile everywhere; on the wrong target
 //! their entry points degrade to the portable table path so the
 //! [`Backend`](crate::simd::Backend) enum stays total without
 //! `cfg`-dependent variants.
+
+/// Operands a many-operand kernel holds in registers at once: the
+/// coefficient planes of `eval`, the sources of `combine` (the kernels
+/// are monomorphised on `1..=MAX_FUSED`, the protocol's range of `k`),
+/// and the outputs of one `eval` call.
+pub(crate) const MAX_FUSED: usize = 8;
+
+/// Generates `eval` and `combine` at one vector width. `$mult` turns a
+/// multiplier into whatever `$mul` wants beside the vector (a broadcast
+/// byte for `gf2p8mulb`, a pair of nibble tables for `pshufb`).
+///
+/// Neither kernel reads what it writes, so bytes past the last whole
+/// vector need no narrower kernel: the last step is one more whole
+/// vector, ending where the operands end and rewriting, to the same
+/// values, some bytes the step before it wrote. The operands must
+/// therefore be at least one vector long; a module's entry point picks
+/// the widest kernel they are, and has none for fewer than 16 bytes.
+#[cfg(target_arch = "x86_64")]
+macro_rules! multi_kernels {
+    (
+        features: $feat:literal, width: $w:literal,
+        load: $load:ident, store: $store:ident, xor: $xor:ident,
+        mult: $mult:ident, mul: $mul:ident,
+        eval: $eval:ident, combine: $combine:ident $(,)?
+    ) => {
+        /// Overwrites each `outs[j]` with the Horner evaluation of
+        /// `planes`, highest coefficient first, at `xs[j]`.
+        ///
+        /// # Safety
+        ///
+        /// Requires the CPU features named on the function; every plane
+        /// and every output has the same length, at least one vector.
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::needless_range_loop)] // iterator adaptors do not inline here
+        unsafe fn $eval<const K: usize>(outs: &mut [&mut [u8]], xs: &[Gf256], planes: &[&[u8]; K]) {
+            let n = outs.len().min(xs.len());
+            let len = planes[0].len();
+            debug_assert!(len >= $w);
+            let mut i = 0;
+            while i < len {
+                // The last vector ends with the planes.
+                i = i.min(len - $w);
+                // SAFETY: i + width ≤ len, the length of every plane
+                // and every output.
+                unsafe {
+                    let mut p = [$load(planes[0].as_ptr().add(i).cast()); K];
+                    for c in 1..K {
+                        p[c] = $load(planes[c].as_ptr().add(i).cast());
+                    }
+                    for j in 0..n {
+                        let m = $mult(xs[j]);
+                        let mut a = p[0];
+                        for c in 1..K {
+                            a = $xor($mul(a, m), p[c]);
+                        }
+                        $store(outs[j].as_mut_ptr().add(i).cast(), a);
+                    }
+                }
+                i += $w;
+            }
+        }
+
+        /// Overwrites `out` with `Σ w·src` over `srcs`.
+        ///
+        /// # Safety
+        ///
+        /// Requires the CPU features named on the function; every
+        /// source is as long as `out`, at least one vector.
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::needless_range_loop)]
+        unsafe fn $combine<const K: usize>(out: &mut [u8], srcs: &[(Gf256, &[u8]); K]) {
+            let len = out.len();
+            debug_assert!(len >= $w);
+            let mut ws = [$mult(srcs[0].0); K];
+            for c in 1..K {
+                ws[c] = $mult(srcs[c].0);
+            }
+            let mut i = 0;
+            while i < len {
+                i = i.min(len - $w);
+                // SAFETY: i + width ≤ len, the length of `out` and of
+                // every source.
+                unsafe {
+                    let mut a = $mul($load(srcs[0].1.as_ptr().add(i).cast()), ws[0]);
+                    for c in 1..K {
+                        a = $xor(a, $mul($load(srcs[c].1.as_ptr().add(i).cast()), ws[c]));
+                    }
+                    $store(out.as_mut_ptr().add(i).cast(), a);
+                }
+                i += $w;
+            }
+        }
+    };
+}
+
+/// Runs `$call` with `$p` bound to `$operands` as an array of its own
+/// length, which picks the kernel's `K`, for the operand counts
+/// `1..=MAX_FUSED` the kernels exist for; whether it was one of them.
+#[cfg(target_arch = "x86_64")]
+macro_rules! with_k {
+    ($operands:expr => $p:ident, $call:expr) => {
+        with_k!(@arms $operands => $p, $call; 1 2 3 4 5 6 7 8)
+    };
+    (@arms $operands:expr => $p:ident, $call:expr; $($k:literal)*) => {
+        match $operands.len() {
+            $($k => {
+                let $p: &[_; $k] = $operands.try_into().expect("the length matched");
+                $call;
+                true
+            })*
+            _ => false,
+        }
+    };
+}
+
+/// Test body shared by the x86 kernel modules: runs each listed
+/// `(width, detected, eval, combine)` the host has at lengths from one
+/// vector up (whole vectors, ragged ends) for every `K`, three outputs,
+/// and compares with the scalar backend's one-operand ops.
+#[cfg(all(test, target_arch = "x86_64"))]
+macro_rules! check_widths {
+    ($(($w:literal, $detected:expr, $eval:ident, $combine:ident)),* $(,)?) => {$(
+        if $detected {
+            for len in [$w, $w + 1, 2 * $w - 1, 2 * $w, 3 * $w + 5, 1250] {
+                let bufs: Vec<Vec<u8>> = (0..$crate::arch::MAX_FUSED)
+                    .map(|c| (0..len).map(|i| (i * 37 + c * 101 + 11) as u8).collect())
+                    .collect();
+                let all: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+                let xs = [1u8, 0x53, 0].map(Gf256::new);
+                for k in 1..=$crate::arch::MAX_FUSED {
+                    let planes = &all[..k];
+                    let mut got = vec![vec![0xa5u8; len]; xs.len()];
+                    let mut outs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                    // SAFETY: the features were detected; every buffer
+                    // is `len ≥ width` bytes.
+                    assert!(unsafe { with_k!(planes => p, $eval(&mut outs, &xs, p)) });
+                    for (got, x) in got.iter().zip(xs) {
+                        let mut want = vec![0u8; len];
+                        Backend::Scalar.horner_into(&mut want, planes, MulTable::of(x));
+                        assert_eq!(got, &want, "eval width {} len={len} k={k} x={x}", $w);
+                    }
+                    let srcs: Vec<(Gf256, &[u8])> =
+                        planes.iter().zip(1..).map(|(&s, w)| (Gf256::new(w), s)).collect();
+                    let srcs = &srcs[..];
+                    let (mut got, mut want) = (vec![0xa5u8; len], vec![0u8; len]);
+                    // SAFETY: as above.
+                    assert!(unsafe { with_k!(srcs => s, $combine(&mut got, s)) });
+                    for &(w, s) in srcs {
+                        Backend::Scalar.add_scaled_assign(&mut want, s, MulTable::of(w));
+                    }
+                    assert_eq!(got, want, "combine width {} len={len} k={k}", $w);
+                }
+            }
+        } else {
+            eprintln!("[skip] no {}-byte vectors on this host", $w);
+        }
+    )*};
+}
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) use check_widths;
 
 pub(crate) mod generic;
 pub(crate) mod neon;

@@ -66,12 +66,6 @@ pub(crate) fn scale(dst: &mut [u8], t: &MulTable) {
     unsafe { scale_neon(dst, t) }
 }
 
-pub(crate) fn horner(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    debug_assert!(available());
-    // SAFETY: available() verified NEON at runtime.
-    unsafe { horner_neon(acc, planes, t) }
-}
-
 #[target_feature(enable = "neon")]
 unsafe fn scale_add_neon(dst: &mut [u8], src: &[u8], t: &MulTable) {
     let (lo, hi, mask) = unsafe { tables(t) };
@@ -122,24 +116,4 @@ unsafe fn scale_neon(dst: &mut [u8], t: &MulTable) {
         i += 16;
     }
     table::scale(&mut dst[main..], t);
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn horner_neon(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    let (lo, hi, mask) = unsafe { tables(t) };
-    let main = acc.len() & !15;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 16 ≤ main ≤ acc.len() == every plane's len.
-        unsafe {
-            let mut a = vdupq_n_u8(0);
-            for p in planes {
-                let pv = vld1q_u8(p.as_ptr().add(i));
-                a = veorq_u8(mul16(a, lo, hi, mask), pv);
-            }
-            vst1q_u8(acc.as_mut_ptr().add(i), a);
-        }
-        i += 16;
-    }
-    table::horner_tail(acc, planes, t, main);
 }

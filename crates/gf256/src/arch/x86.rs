@@ -12,11 +12,12 @@
 
 use crate::arch::generic::table;
 use crate::simd::MulTable;
+use crate::Gf256;
 use core::arch::x86_64::{
     __m128i, __m256i, _mm256_and_si256, _mm256_broadcastsi128_si256, _mm256_loadu_si256,
-    _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi64,
-    _mm256_storeu_si256, _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8,
-    _mm_setzero_si128, _mm_shuffle_epi8, _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
+    _mm256_set1_epi8, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
+    _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8,
+    _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
 };
 use std::sync::OnceLock;
 
@@ -96,8 +97,92 @@ pub(crate) fn scale(dst: &mut [u8], t: &MulTable) {
     dispatch!(scale_avx2, scale_ssse3, dst, t)
 }
 
-pub(crate) fn horner(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    dispatch!(horner_avx2, horner_ssse3, acc, planes, t)
+/// Evaluates `planes` at every `xs[j]` into `outs[j]` when there is a
+/// kernel for that many planes (`1..=MAX_FUSED`) of that length (16
+/// bytes or more); `false`, with nothing written, when there is not.
+///
+/// # Safety
+///
+/// Every plane and every output has the same length.
+pub(crate) unsafe fn eval(outs: &mut [&mut [u8]], xs: &[Gf256], planes: &[&[u8]]) -> bool {
+    let len = planes.first().map_or(0, |p| p.len());
+    // SAFETY: level() verified the feature at runtime, each arm that
+    // the operands are one of its vectors long; the lengths' equality
+    // is the caller's.
+    unsafe {
+        match level().expect("Simd backend requires SSSE3") {
+            _ if len < 16 => false,
+            SimdLevel::Avx2 if len >= 32 => with_k!(planes => p, eval_avx2(outs, xs, p)),
+            _ => with_k!(planes => p, eval_ssse3(outs, xs, p)),
+        }
+    }
+}
+
+/// Writes `Σ w·src` into `out` when there is a kernel for that many
+/// sources (`1..=MAX_FUSED`) of that length (16 bytes or more);
+/// `false`, with nothing written, when there is not.
+///
+/// # Safety
+///
+/// Every source is as long as `out`.
+pub(crate) unsafe fn combine(out: &mut [u8], srcs: &[(Gf256, &[u8])]) -> bool {
+    let len = out.len();
+    // SAFETY: as in `eval`.
+    unsafe {
+        match level().expect("Simd backend requires SSSE3") {
+            _ if len < 16 => false,
+            SimdLevel::Avx2 if len >= 32 => with_k!(srcs => s, combine_avx2(out, s)),
+            _ => with_k!(srcs => s, combine_ssse3(out, s)),
+        }
+    }
+}
+
+/// The nibble tables of multiplier `x`, low then high.
+#[inline]
+#[target_feature(enable = "ssse3")]
+fn nibbles128(x: Gf256) -> (__m128i, __m128i) {
+    // SAFETY: SSSE3 is enabled on this function.
+    let (lo, hi, _) = unsafe { tables128(MulTable::of(x)) };
+    (lo, hi)
+}
+
+/// [`nibbles128`] in both lanes of a 256-bit vector.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn nibbles256(x: Gf256) -> (__m256i, __m256i) {
+    let (lo, hi) = nibbles128(x);
+    (
+        _mm256_broadcastsi128_si256(lo),
+        _mm256_broadcastsi128_si256(hi),
+    )
+}
+
+#[inline]
+#[target_feature(enable = "ssse3")]
+fn mul_by128(v: __m128i, (lo, hi): (__m128i, __m128i)) -> __m128i {
+    // SAFETY: SSSE3 is enabled on this function.
+    unsafe { mul128(v, lo, hi, _mm_set1_epi8(0x0f)) }
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn mul_by256(v: __m256i, (lo, hi): (__m256i, __m256i)) -> __m256i {
+    // SAFETY: AVX2 is enabled on this function.
+    unsafe { mul256(v, lo, hi, _mm256_set1_epi8(0x0f)) }
+}
+
+multi_kernels! {
+    features: "ssse3", width: 16,
+    load: _mm_loadu_si128, store: _mm_storeu_si128, xor: _mm_xor_si128,
+    mult: nibbles128, mul: mul_by128,
+    eval: eval_ssse3, combine: combine_ssse3,
+}
+
+multi_kernels! {
+    features: "avx2", width: 32,
+    load: _mm256_loadu_si256, store: _mm256_storeu_si256, xor: _mm256_xor_si256,
+    mult: nibbles256, mul: mul_by256,
+    eval: eval_avx2, combine: combine_avx2,
 }
 
 /// SSSE3 16-byte mid-tail shared with the wider x86 backends: runs
@@ -167,31 +252,6 @@ pub(crate) unsafe fn scale_tail128(dst: &mut [u8], t: &MulTable, mut i: usize) {
         i += 16;
     }
     table::scale(&mut dst[main..], t);
-}
-
-/// SSSE3 16-byte mid-tail of the fused Horner from offset `i` (see
-/// [`scale_add_tail128`]).
-///
-/// # Safety
-///
-/// Requires SSSE3; every plane's length equals `acc.len()`.
-#[target_feature(enable = "ssse3")]
-pub(crate) unsafe fn horner_tail128(acc: &mut [u8], planes: &[&[u8]], t: &MulTable, mut i: usize) {
-    let (lo, hi, mask) = unsafe { tables128(t) };
-    let main = acc.len() & !15;
-    while i < main {
-        // SAFETY: i + 16 ≤ main ≤ acc.len() == every plane's len.
-        unsafe {
-            let mut a = _mm_setzero_si128();
-            for p in planes {
-                let pv = _mm_loadu_si128(p.as_ptr().add(i).cast());
-                a = _mm_xor_si128(mul128(a, lo, hi, mask), pv);
-            }
-            _mm_storeu_si128(acc.as_mut_ptr().add(i).cast(), a);
-        }
-        i += 16;
-    }
-    table::horner_tail(acc, planes, t, main);
 }
 
 #[target_feature(enable = "ssse3")]
@@ -267,29 +327,19 @@ unsafe fn scale_avx2(dst: &mut [u8], t: &MulTable) {
     table::scale(&mut dst[main..], t);
 }
 
-#[target_feature(enable = "ssse3")]
-unsafe fn horner_ssse3(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    unsafe { horner_tail128(acc, planes, t, 0) }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::simd::Backend;
 
-#[target_feature(enable = "avx2")]
-unsafe fn horner_avx2(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    let lo = unsafe { _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())) };
-    let hi = unsafe { _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())) };
-    let mask = _mm256_set1_epi8(0x0f);
-    let main = acc.len() & !31;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 32 ≤ main ≤ acc.len() == every plane's len.
-        unsafe {
-            let mut a = _mm256_setzero_si256();
-            for p in planes {
-                let pv = _mm256_loadu_si256(p.as_ptr().add(i).cast());
-                a = _mm256_xor_si256(mul256(a, lo, hi, mask), pv);
-            }
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), a);
+    /// Detection settles on one width per host, so the dispatched tests
+    /// never run the `eval` and `combine` kernels of the width it
+    /// passed over: both, called directly, against the scalar backend.
+    #[test]
+    fn many_operand_kernels_agree_at_every_width_the_host_has() {
+        crate::arch::check_widths! {
+            (16, is_x86_feature_detected!("ssse3"), eval_ssse3, combine_ssse3),
+            (32, is_x86_feature_detected!("avx2"), eval_avx2, combine_avx2),
         }
-        i += 32;
     }
-    table::horner_tail(acc, planes, t, main);
 }

@@ -16,8 +16,7 @@ use crate::arch::x86;
 use crate::simd::MulTable;
 use core::arch::x86_64::{
     __m512i, _mm512_and_si512, _mm512_broadcast_i32x4, _mm512_loadu_si512, _mm512_permutexvar_epi8,
-    _mm512_set1_epi8, _mm512_setzero_si512, _mm512_srli_epi64, _mm512_storeu_si512,
-    _mm512_xor_si512, _mm_loadu_si128,
+    _mm512_set1_epi8, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_xor_si512, _mm_loadu_si128,
 };
 use std::sync::OnceLock;
 
@@ -70,12 +69,6 @@ pub(crate) fn scale(dst: &mut [u8], t: &MulTable) {
     debug_assert!(available());
     // SAFETY: available() verified AVX-512BW/VBMI at runtime.
     unsafe { scale_512(dst, t) }
-}
-
-pub(crate) fn horner(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    debug_assert!(available());
-    // SAFETY: available() verified AVX-512BW/VBMI at runtime.
-    unsafe { horner_512(acc, planes, t) }
 }
 
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
@@ -131,25 +124,4 @@ unsafe fn scale_512(dst: &mut [u8], t: &MulTable) {
     }
     // SAFETY: AVX-512 implies SSSE3.
     unsafe { x86::scale_tail128(dst, t, main) }
-}
-
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn horner_512(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    let (lo, hi, mask) = unsafe { tables512(t) };
-    let main = acc.len() & !63;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 64 ≤ main ≤ acc.len() == every plane's len.
-        unsafe {
-            let mut a = _mm512_setzero_si512();
-            for p in planes {
-                let pv = _mm512_loadu_si512(p.as_ptr().add(i).cast());
-                a = _mm512_xor_si512(mul512(a, lo, hi, mask), pv);
-            }
-            _mm512_storeu_si512(acc.as_mut_ptr().add(i).cast(), a);
-        }
-        i += 64;
-    }
-    // SAFETY: AVX-512 implies SSSE3.
-    unsafe { x86::horner_tail128(acc, planes, t, main) }
 }

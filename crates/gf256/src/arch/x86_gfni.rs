@@ -21,12 +21,12 @@
 
 use crate::arch::generic::table;
 use crate::simd::MulTable;
+use crate::Gf256;
 use core::arch::x86_64::{
-    __m128i, _mm256_gf2p8mul_epi8, _mm256_loadu_si256, _mm256_set1_epi8, _mm256_setzero_si256,
+    __m128i, __m256i, __m512i, _mm256_gf2p8mul_epi8, _mm256_loadu_si256, _mm256_set1_epi8,
     _mm256_storeu_si256, _mm256_xor_si256, _mm512_gf2p8mul_epi8, _mm512_loadu_si512,
-    _mm512_set1_epi8, _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512,
-    _mm_gf2p8mul_epi8, _mm_loadu_si128, _mm_set1_epi8, _mm_setzero_si128, _mm_storeu_si128,
-    _mm_xor_si128,
+    _mm512_set1_epi8, _mm512_storeu_si512, _mm512_xor_si512, _mm_gf2p8mul_epi8, _mm_loadu_si128,
+    _mm_set1_epi8, _mm_storeu_si128, _mm_xor_si128,
 };
 use std::sync::OnceLock;
 
@@ -100,15 +100,86 @@ pub(crate) fn scale(dst: &mut [u8], t: &MulTable) {
     dispatch!(scale_512, scale_256, scale_from_128, dst, t)
 }
 
-pub(crate) fn horner(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    dispatch!(horner_512, horner_256, horner_from_128, acc, planes, t)
+/// Evaluates `planes` at every `xs[j]` into `outs[j]` when there is a
+/// kernel for that many planes (`1..=MAX_FUSED`) of that length (16
+/// bytes or more); `false`, with nothing written, when there is not.
+///
+/// # Safety
+///
+/// Every plane and every output has the same length.
+pub(crate) unsafe fn eval(outs: &mut [&mut [u8]], xs: &[Gf256], planes: &[&[u8]]) -> bool {
+    let len = planes.first().map_or(0, |p| p.len());
+    // SAFETY: level() verified the features at runtime, each arm that
+    // the operands are one of its vectors long; the lengths' equality
+    // is the caller's.
+    unsafe {
+        match level().expect("Gfni backend requires GFNI") {
+            _ if len < 16 => false,
+            GfniLevel::G512 if len >= 64 => with_k!(planes => p, eval_512(outs, xs, p)),
+            GfniLevel::G256 if len >= 32 => with_k!(planes => p, eval_256(outs, xs, p)),
+            _ => with_k!(planes => p, eval_128(outs, xs, p)),
+        }
+    }
+}
+
+/// Writes `Σ w·src` into `out` when there is a kernel for that many
+/// sources (`1..=MAX_FUSED`) of that length (16 bytes or more);
+/// `false`, with nothing written, when there is not.
+///
+/// # Safety
+///
+/// Every source is as long as `out`.
+pub(crate) unsafe fn combine(out: &mut [u8], srcs: &[(Gf256, &[u8])]) -> bool {
+    let len = out.len();
+    // SAFETY: as in `eval`.
+    unsafe {
+        match level().expect("Gfni backend requires GFNI") {
+            _ if len < 16 => false,
+            GfniLevel::G512 if len >= 64 => with_k!(srcs => s, combine_512(out, s)),
+            GfniLevel::G256 if len >= 32 => with_k!(srcs => s, combine_256(out, s)),
+            _ => with_k!(srcs => s, combine_128(out, s)),
+        }
+    }
 }
 
 /// The multiplier broadcast to all 16 lanes of a 128-bit vector.
 #[inline]
-fn x128(t: &MulTable) -> __m128i {
+fn mult128(x: Gf256) -> __m128i {
     // SAFETY: _mm_set1_epi8 is sse2, baseline on x86_64.
-    unsafe { _mm_set1_epi8(t.x().value() as i8) }
+    unsafe { _mm_set1_epi8(x.value() as i8) }
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+fn mult256(x: Gf256) -> __m256i {
+    _mm256_set1_epi8(x.value() as i8)
+}
+
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn mult512(x: Gf256) -> __m512i {
+    _mm512_set1_epi8(x.value() as i8)
+}
+
+multi_kernels! {
+    features: "gfni", width: 16,
+    load: _mm_loadu_si128, store: _mm_storeu_si128, xor: _mm_xor_si128,
+    mult: mult128, mul: _mm_gf2p8mul_epi8,
+    eval: eval_128, combine: combine_128,
+}
+
+multi_kernels! {
+    features: "gfni,avx2", width: 32,
+    load: _mm256_loadu_si256, store: _mm256_storeu_si256, xor: _mm256_xor_si256,
+    mult: mult256, mul: _mm256_gf2p8mul_epi8,
+    eval: eval_256, combine: combine_256,
+}
+
+multi_kernels! {
+    features: "gfni,avx512f,avx512bw", width: 64,
+    load: _mm512_loadu_si512, store: _mm512_storeu_si512, xor: _mm512_xor_si512,
+    mult: mult512, mul: _mm512_gf2p8mul_epi8,
+    eval: eval_512, combine: combine_512,
 }
 
 // --- 128-bit (SSE encoding) kernels, from a starting offset so the
@@ -116,7 +187,7 @@ fn x128(t: &MulTable) -> __m128i {
 
 #[target_feature(enable = "gfni")]
 unsafe fn scale_add_from_128(dst: &mut [u8], src: &[u8], t: &MulTable, mut i: usize) {
-    let x = x128(t);
+    let x = mult128(t.x());
     let main = dst.len() & !15;
     while i < main {
         // SAFETY: i + 16 ≤ main ≤ dst.len() == src.len().
@@ -133,7 +204,7 @@ unsafe fn scale_add_from_128(dst: &mut [u8], src: &[u8], t: &MulTable, mut i: us
 
 #[target_feature(enable = "gfni")]
 unsafe fn add_scaled_from_128(dst: &mut [u8], src: &[u8], t: &MulTable, mut i: usize) {
-    let x = x128(t);
+    let x = mult128(t.x());
     let main = dst.len() & !15;
     while i < main {
         // SAFETY: i + 16 ≤ main ≤ dst.len() == src.len().
@@ -150,7 +221,7 @@ unsafe fn add_scaled_from_128(dst: &mut [u8], src: &[u8], t: &MulTable, mut i: u
 
 #[target_feature(enable = "gfni")]
 unsafe fn scale_from_128(dst: &mut [u8], t: &MulTable, mut i: usize) {
-    let x = x128(t);
+    let x = mult128(t.x());
     let main = dst.len() & !15;
     while i < main {
         // SAFETY: i + 16 ≤ main ≤ dst.len().
@@ -161,25 +232,6 @@ unsafe fn scale_from_128(dst: &mut [u8], t: &MulTable, mut i: usize) {
         i += 16;
     }
     table::scale(&mut dst[main..], t);
-}
-
-#[target_feature(enable = "gfni")]
-unsafe fn horner_from_128(acc: &mut [u8], planes: &[&[u8]], t: &MulTable, mut i: usize) {
-    let x = x128(t);
-    let main = acc.len() & !15;
-    while i < main {
-        // SAFETY: i + 16 ≤ main ≤ acc.len() == every plane's len.
-        unsafe {
-            let mut a = _mm_setzero_si128();
-            for p in planes {
-                let pv = _mm_loadu_si128(p.as_ptr().add(i).cast());
-                a = _mm_xor_si128(_mm_gf2p8mul_epi8(a, x), pv);
-            }
-            _mm_storeu_si128(acc.as_mut_ptr().add(i).cast(), a);
-        }
-        i += 16;
-    }
-    table::horner_tail(acc, planes, t, main);
 }
 
 // --- 256-bit (VEX encoding) kernels. --------------------------------
@@ -239,27 +291,6 @@ unsafe fn scale_256(dst: &mut [u8], t: &MulTable) {
     unsafe { scale_from_128(dst, t, main) }
 }
 
-#[target_feature(enable = "gfni,avx2")]
-unsafe fn horner_256(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    let x = _mm256_set1_epi8(t.x().value() as i8);
-    let main = acc.len() & !31;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 32 ≤ main ≤ acc.len() == every plane's len.
-        unsafe {
-            let mut a = _mm256_setzero_si256();
-            for p in planes {
-                let pv = _mm256_loadu_si256(p.as_ptr().add(i).cast());
-                a = _mm256_xor_si256(_mm256_gf2p8mul_epi8(a, x), pv);
-            }
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), a);
-        }
-        i += 32;
-    }
-    // SAFETY: GFNI is active.
-    unsafe { horner_from_128(acc, planes, t, main) }
-}
-
 // --- 512-bit (EVEX encoding) kernels. -------------------------------
 
 #[target_feature(enable = "gfni,avx512f,avx512bw")]
@@ -317,23 +348,25 @@ unsafe fn scale_512(dst: &mut [u8], t: &MulTable) {
     unsafe { scale_from_128(dst, t, main) }
 }
 
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn horner_512(acc: &mut [u8], planes: &[&[u8]], t: &MulTable) {
-    let x = _mm512_set1_epi8(t.x().value() as i8);
-    let main = acc.len() & !63;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 64 ≤ main ≤ acc.len() == every plane's len.
-        unsafe {
-            let mut a = _mm512_setzero_si512();
-            for p in planes {
-                let pv = _mm512_loadu_si512(p.as_ptr().add(i).cast());
-                a = _mm512_xor_si512(_mm512_gf2p8mul_epi8(a, x), pv);
-            }
-            _mm512_storeu_si512(acc.as_mut_ptr().add(i).cast(), a);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::simd::Backend;
+
+    /// Detection settles on one width per host, so the dispatched tests
+    /// never run the `eval` and `combine` kernels of the widths it
+    /// passed over: every width this host has, called directly, against
+    /// the scalar backend.
+    #[test]
+    fn many_operand_kernels_agree_at_every_width_the_host_has() {
+        if !is_x86_feature_detected!("gfni") {
+            eprintln!("[skip] no GFNI on this host");
+            return;
         }
-        i += 64;
+        crate::arch::check_widths! {
+            (16, true, eval_128, combine_128),
+            (32, is_x86_feature_detected!("avx2"), eval_256, combine_256),
+            (64, is_x86_feature_detected!("avx512bw"), eval_512, combine_512),
+        }
     }
-    // SAFETY: GFNI is active.
-    unsafe { horner_from_128(acc, planes, t, main) }
 }

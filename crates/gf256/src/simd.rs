@@ -1,12 +1,17 @@
 //! Runtime-dispatched vector kernels for the bulk GF(2⁸) slice ops.
 //!
-//! The [`slice`](crate::slice) functions — one Horner or Lagrange step
-//! per coefficient plane — are the single hottest loop in the workspace:
-//! every byte a ReMICSS session moves passes through them `k` (split)
-//! or `k²` (reconstruct) times. This module is the **dispatch layer**
-//! over the per-architecture kernels in `crate::arch`; each backend
-//! implements the three slice ops plus a fused multi-plane Horner
-//! kernel, byte-identically:
+//! The [`slice`](crate::slice) functions are the single hottest loop in
+//! the workspace: every byte a ReMICSS session moves passes through
+//! them `k − 1` times per share on the way out and once on the way in.
+//! This module is the **dispatch layer** over the per-architecture
+//! kernels in `crate::arch`. Each backend implements the three
+//! one-multiplier ops (a Horner step, a Lagrange step, a scaling);
+//! `simd` and `gfni` also implement the two many-operand ops a Shamir
+//! symbol is made of — [`eval_into`](Backend::eval_into), all `m`
+//! shares from the `k` coefficient planes in one pass, and
+//! [`combine_into`](Backend::combine_into), the secret from `k` shares
+//! in one — which the other backends answer one output and one operand
+//! at a time through their one-multiplier ops. All of it byte-identical:
 //!
 //! * [`Backend::Scalar`] — two log/exp table hops per byte, the
 //!   reference implementation.
@@ -60,7 +65,7 @@
 //! ```
 
 use crate::arch::generic::{scalar, table};
-use crate::arch::xor_assign;
+use crate::arch::{xor_assign, MAX_FUSED};
 use crate::{Gf256, EXP, LOG};
 use std::sync::OnceLock;
 
@@ -411,16 +416,74 @@ impl Backend {
         }
     }
 
-    /// Fused multi-plane Horner evaluation: overwrites `acc` with
-    /// `Σᵢ planes[i] · x^(n−1−i)` (planes ordered highest coefficient
-    /// first), i.e. the fold `a ← a·x ⊕ planes[i]` starting from zero.
+    /// Evaluates the polynomial whose coefficients are `planes`
+    /// (highest first, one polynomial per byte position) at every `x`
+    /// of `outs`, overwriting the slice paired with it — all the shares
+    /// of a Shamir symbol from its `k` coefficient planes. On the
+    /// `simd` and `gfni` backends with at most 8 planes, each chunk of
+    /// the planes is loaded once for up to 8 outputs at a time; any
+    /// other case runs [`scale_add_assign`](Backend::scale_add_assign)
+    /// per output and plane, to the same bytes. With no planes the
+    /// polynomial is zero. The outputs' prior contents are ignored.
     ///
-    /// Equivalent to zeroing `acc` and applying
-    /// [`scale_add_assign`](Backend::scale_add_assign) once per plane,
-    /// but the accumulator chunk stays in registers across all planes —
-    /// one load per plane chunk and one store per `acc` chunk instead
-    /// of a round trip through `acc` per plane. `acc`'s prior contents
-    /// are ignored.
+    /// # Panics
+    ///
+    /// Panics if the planes and outputs are not all of one length.
+    pub fn eval_into<'a>(
+        self,
+        outs: impl IntoIterator<Item = (Gf256, &'a mut [u8])>,
+        planes: &[&[u8]],
+    ) {
+        let len = planes.first().map_or(0, |p| p.len());
+        for p in planes {
+            assert_eq!(p.len(), len, "plane lengths must match");
+        }
+        let mut batch: [&mut [u8]; MAX_FUSED] = Default::default();
+        let mut xs = [Gf256::ZERO; MAX_FUSED];
+        let mut n = 0;
+        for (x, out) in outs {
+            if planes.is_empty() {
+                out.fill(0);
+                continue;
+            }
+            assert_eq!(out.len(), len, "plane lengths must match");
+            (xs[n], batch[n]) = (x, out);
+            n += 1;
+            if n == MAX_FUSED {
+                self.eval_batch(&mut batch, &xs, planes);
+                n = 0;
+            }
+        }
+        if n > 0 {
+            self.eval_batch(&mut batch[..n], &xs[..n], planes);
+        }
+    }
+
+    /// [`eval_into`](Backend::eval_into) for at most [`MAX_FUSED`]
+    /// outputs and at least one plane, lengths checked.
+    fn eval_batch(self, outs: &mut [&mut [u8]], xs: &[Gf256], planes: &[&[u8]]) {
+        // SAFETY: `eval_into` compared every plane's and every output's
+        // length, and hands over at most MAX_FUSED outputs.
+        let fused = match self {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Simd => unsafe { simd_impl::eval(outs, xs, planes) },
+            #[cfg(target_arch = "x86_64")]
+            Backend::Gfni => unsafe { gfni_impl::eval(outs, xs, planes) },
+            _ => false,
+        };
+        if !fused {
+            for (out, &x) in outs.iter_mut().zip(xs) {
+                out.copy_from_slice(planes[0]);
+                for p in &planes[1..] {
+                    self.scale_add_assign(out, p, MulTable::of(x));
+                }
+            }
+        }
+    }
+
+    /// [`eval_into`](Backend::eval_into) at the one point `t.x()`:
+    /// overwrites `acc` with `Σᵢ planes[i] · x^(n−1−i)`, zero without
+    /// planes.
     ///
     /// # Panics
     ///
@@ -429,29 +492,60 @@ impl Backend {
         for p in planes {
             assert_eq!(acc.len(), p.len(), "plane lengths must match");
         }
-        let Some(last) = planes.last() else {
+        if planes.is_empty() {
             acc.fill(0);
+        } else {
+            self.eval_batch(&mut [acc], &[t.x], planes);
+        }
+    }
+
+    /// Overwrites `out` with `Σ w · src` over `srcs` (zero without
+    /// any) — a Shamir secret from `k` shares and their Lagrange
+    /// weights. On the `simd` and `gfni` backends the first 8 sources
+    /// are combined in one pass that writes `out` once; sources beyond
+    /// them, and every source on the other backends, are added by
+    /// [`add_scaled_assign`](Backend::add_scaled_assign), to the same
+    /// bytes. `out`'s prior contents are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source's length differs from `out`'s.
+    pub fn combine_into<'a>(
+        self,
+        out: &mut [u8],
+        srcs: impl IntoIterator<Item = (Gf256, &'a [u8])>,
+    ) {
+        let len = out.len();
+        let mut srcs = srcs
+            .into_iter()
+            .inspect(|(_, s)| assert_eq!(s.len(), len, "plane lengths must match"));
+        let mut first = [(Gf256::ZERO, &[][..]); MAX_FUSED];
+        let mut n = 0;
+        for src in srcs.by_ref().take(MAX_FUSED) {
+            first[n] = src;
+            n += 1;
+        }
+        let Some((&(w0, s0), rest)) = first[..n].split_first() else {
+            out.fill(0);
             return;
         };
-        if t.x.is_zero() {
-            // a·0 ⊕ p discards everything but the final plane.
-            acc.copy_from_slice(last);
-            return;
-        }
-        if t.x == Gf256::ONE {
-            acc.copy_from_slice(planes[0]);
-            for p in &planes[1..] {
-                xor_assign(acc, p);
+        // SAFETY: every source yielded so far is `out.len()` long.
+        let fused = match self {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Simd => unsafe { simd_impl::combine(out, &first[..n]) },
+            #[cfg(target_arch = "x86_64")]
+            Backend::Gfni => unsafe { gfni_impl::combine(out, &first[..n]) },
+            _ => false,
+        };
+        if !fused {
+            out.copy_from_slice(s0);
+            self.scale_assign(out, MulTable::of(w0));
+            for &(w, s) in rest {
+                self.add_scaled_assign(out, s, MulTable::of(w));
             }
-            return;
         }
-        match self {
-            Backend::Scalar => scalar::horner(acc, planes, t),
-            Backend::Table => table::horner(acc, planes, t),
-            Backend::Simd => simd_impl::horner(acc, planes, t),
-            Backend::Neon => neon_impl::horner(acc, planes, t),
-            Backend::Avx512 => avx512_impl::horner(acc, planes, t),
-            Backend::Gfni => gfni_impl::horner(acc, planes, t),
+        for (w, s) in srcs {
+            self.add_scaled_assign(out, s, MulTable::of(w));
         }
     }
 }

@@ -4,9 +4,11 @@
 //! byte. Doing that byte-by-byte walks the log/exp tables with a data
 //! dependency per step; the slice forms here process whole coefficient
 //! *planes* at once (all bytes' i-th coefficients together).
-//! [`mcss_shamir`](https://docs.rs/mcss-shamir) evaluates shares with
-//! one [`scale_add_assign`] per coefficient plane (Horner over planes),
-//! or all planes at once through the fused [`horner_into`].
+//! [`mcss_shamir`](https://docs.rs/mcss-shamir) evaluates all the
+//! shares of a symbol from its planes in one [`eval_into`] and rebuilds
+//! the secret from `k` shares in one [`combine_into`]; the
+//! one-multiplier steps they are made of ([`scale_add_assign`],
+//! [`add_scaled_assign`], [`scale_assign`]) are here too.
 //!
 //! Every multiplying op borrows the multiplier's compile-time
 //! [`MulTable`] ([`MulTable::of`], an index) and dispatches through
@@ -101,11 +103,38 @@ pub fn scale_assign(dst: &mut [u8], x: Gf256) {
     Backend::for_len(dst.len()).scale_assign(dst, MulTable::of(x));
 }
 
-/// Fused multi-plane Horner evaluation: overwrites `acc` with
+/// Evaluates the polynomial whose coefficients are `planes` (highest
+/// first, one polynomial per byte position) at every `x` of `outs`,
+/// overwriting the slice paired with it: every share of a Shamir symbol
+/// from one pass over its coefficient planes. Equivalent to one
+/// [`horner_into`] per output. The outputs' prior contents are ignored.
+///
+/// # Panics
+///
+/// Panics if the planes and outputs are not all of one length.
+///
+/// # Examples
+///
+/// ```
+/// use mcss_gf256::{slice, Gf256};
+///
+/// // p(y) = 2·y + 3 at y = 1 and y = 4, per byte.
+/// let (mut at1, mut at4) = ([0u8; 2], [0u8; 2]);
+/// let outs = [(Gf256::new(1), &mut at1[..]), (Gf256::new(4), &mut at4[..])];
+/// slice::eval_into(outs, &[&[2, 2], &[3, 3]]);
+/// assert_eq!(at1, [2 ^ 3, 2 ^ 3]);
+/// let want = (Gf256::new(2) * Gf256::new(4) + Gf256::new(3)).value();
+/// assert_eq!(at4, [want, want]);
+/// ```
+pub fn eval_into<'a>(outs: impl IntoIterator<Item = (Gf256, &'a mut [u8])>, planes: &[&[u8]]) {
+    let len = planes.first().map_or(0, |p| p.len());
+    Backend::for_len(len).eval_into(outs, planes);
+}
+
+/// [`eval_into`] at one point: overwrites `acc` with
 /// `Σᵢ planes[i] · x^(n−1−i)` (planes ordered highest coefficient
-/// first) — equivalent to zeroing `acc` and calling
-/// [`scale_add_assign`] once per plane, but with the accumulator kept in
-/// registers across planes. `acc`'s prior contents are ignored.
+/// first) — what zeroing `acc` and calling [`scale_add_assign`] once
+/// per plane leaves in it. `acc`'s prior contents are ignored.
 ///
 /// # Panics
 ///
@@ -124,6 +153,28 @@ pub fn scale_assign(dst: &mut [u8], x: Gf256) {
 /// ```
 pub fn horner_into(acc: &mut [u8], planes: &[&[u8]], x: Gf256) {
     Backend::for_len(acc.len()).horner_into(acc, planes, MulTable::of(x));
+}
+
+/// Overwrites `out` with `Σ w · src` over `srcs`: a Shamir secret from
+/// `k` shares and their Lagrange weights, `out` written once.
+/// Equivalent to zeroing `out` and calling [`add_scaled_assign`] once
+/// per source. `out`'s prior contents are ignored.
+///
+/// # Panics
+///
+/// Panics if a source's length differs from `out`'s.
+///
+/// # Examples
+///
+/// ```
+/// use mcss_gf256::{slice, Gf256};
+///
+/// let mut out = [0xffu8; 2];
+/// slice::combine_into(&mut out, [(Gf256::new(2), &[1, 2][..]), (Gf256::new(3), &[1, 0][..])]);
+/// assert_eq!(out, [2 ^ 3, 4]);
+/// ```
+pub fn combine_into<'a>(out: &mut [u8], srcs: impl IntoIterator<Item = (Gf256, &'a [u8])>) {
+    Backend::for_len(out.len()).combine_into(out, srcs);
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! Every backend available on the host (scalar, table, and the
 //! vector paths — `pshufb`/`vpermb`/`gf2p8mulb` on x86_64, NEON on
 //! aarch64) must produce byte-identical results for all three slice ops
-//! and the fused Horner kernel, for random lengths in 0..4096 including
+//! and the many-operand `eval` and `combine` entry points (and `horner`,
+//! the one-output `eval`), for random lengths in 0..4096 including
 //! misaligned heads (the kernels are run on sub-slices starting at a
 //! random offset, so the vector loads start off any natural alignment)
 //! and ragged tails (lengths that are not a multiple of any vector
@@ -31,6 +32,28 @@ fn plane() -> impl Strategy<Value = (Vec<u8>, usize)> {
 fn sub(buf: &[u8], head: usize, len: usize) -> &[u8] {
     &buf[head.min(buf.len())..][..len]
 }
+
+/// `count` planes of `len` bytes, plane `c` starting `c` bytes into its
+/// allocation so that no two share an alignment.
+fn skewed_planes(count: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
+    (0..count)
+        .map(|c| {
+            (0..c + len)
+                .map(|i| {
+                    let at = (c * 8192 + i) as u64;
+                    (seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(at.wrapping_mul(1442695040888963407))
+                        >> 33) as u8
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Abscissae and weights of the many-operand legs: 1 first (share 1 of
+/// every split), 0 among them, more of them than one kernel call takes.
+const POINTS: [u8; 10] = [1, 2, 3, 4, 5, 0x53, 0xff, 0, 0x8e, 9];
 
 proptest! {
     #[test]
@@ -108,21 +131,8 @@ proptest! {
         // Planes are derived deterministically from the seed; what
         // matters here is the backend diff, not the value distribution.
         let head = head.min(len);
-        let planes: Vec<Vec<u8>> = (0..n_planes)
-            .map(|p| {
-                (0..len)
-                    .map(|i| {
-                        (seed
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(
-                                ((p * 4096 + i) as u64).wrapping_mul(1442695040888963407),
-                            )
-                            >> 33) as u8
-                    })
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = planes.iter().map(|p| &p[head..]).collect();
+        let planes = skewed_planes(n_planes, len, seed);
+        let refs: Vec<&[u8]> = planes.iter().enumerate().map(|(c, p)| &p[c + head..]).collect();
         let t = MulTable::new(Gf256::new(x));
         let mut want = vec![0u8; len - head];
         Backend::Scalar.horner_into(&mut want, &refs, &t);
@@ -135,6 +145,81 @@ proptest! {
                 "backend {} x={} len={} head={} planes={}",
                 backend.name(), x, len - head, head, n_planes
             );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn eval_and_combine_are_backend_independent(
+        len in 0usize..4096,
+        head in 0usize..64,
+        operands in 0usize..=10,
+        outputs in 0usize..=10,
+        seed in any::<u64>(),
+    ) {
+        let bufs = skewed_planes(operands, len, seed);
+        let planes: Vec<&[u8]> = bufs.iter().enumerate().map(|(c, p)| &p[c..]).collect();
+        let xs = || POINTS.iter().map(|&x| Gf256::new(x));
+        let mut want = vec![vec![0u8; len]; outputs];
+        for (out, x) in want.iter_mut().zip(xs()) {
+            Backend::Scalar.horner_into(out, &planes, &MulTable::new(x));
+        }
+        let mut sum = vec![0u8; len];
+        for (&src, w) in planes.iter().zip(xs()) {
+            Backend::Scalar.add_scaled_assign(&mut sum, src, &MulTable::new(w));
+        }
+        for backend in available() {
+            // Pre-poison: prior contents must be ignored, and nothing
+            // before an output's first byte touched.
+            let mut got = vec![vec![0x5au8; head + len]; outputs];
+            backend.eval_into(got.iter_mut().zip(xs()).map(|(o, x)| (x, &mut o[head..])), &planes);
+            for (j, (got, want)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    &got[head..], &want[..],
+                    "eval backend {} len={} head={} planes={} output {} of {}",
+                    backend.name(), len, head, operands, j, outputs
+                );
+                prop_assert!(got[..head].iter().all(|&b| b == 0x5a));
+            }
+            let mut got = vec![0xa5u8; head + len];
+            backend.combine_into(&mut got[head..], planes.iter().copied().zip(xs()).map(|(s, w)| (w, s)));
+            prop_assert_eq!(
+                &got[head..], &sum[..],
+                "combine backend {} len={} head={} sources={}",
+                backend.name(), len, head, operands
+            );
+            prop_assert!(got[..head].iter().all(|&b| b == 0xa5));
+        }
+    }
+}
+
+/// The scalar backend is what every other is compared to: its `eval`
+/// and `combine` against the field's own arithmetic, byte by byte.
+#[test]
+fn scalar_eval_and_combine_match_field_arithmetic() {
+    for len in [0usize, 1, 15, 16, 17, 70] {
+        for operands in 0..=9usize {
+            let bufs = skewed_planes(operands, len, 0x5ca1a);
+            let planes: Vec<&[u8]> = bufs.iter().enumerate().map(|(c, p)| &p[c..]).collect();
+            let xs = POINTS.map(Gf256::new);
+            let mut outs = vec![vec![0xeeu8; len]; xs.len()];
+            let paired = outs.iter_mut().zip(xs);
+            Backend::Scalar.eval_into(paired.map(|(o, x)| (x, &mut o[..])), &planes);
+            let mut sum = vec![0xeeu8; len];
+            let weighted = planes.iter().zip(xs).map(|(&s, w)| (w, s));
+            Backend::Scalar.combine_into(&mut sum, weighted);
+            for i in 0..len {
+                for (out, x) in outs.iter().zip(xs) {
+                    let horner = planes
+                        .iter()
+                        .fold(Gf256::ZERO, |a, p| a * x + Gf256::new(p[i]));
+                    assert_eq!(out[i], horner.value(), "eval len={len} k={operands} x={x}");
+                }
+                let dot = planes.iter().zip(xs).map(|(p, w)| Gf256::new(p[i]) * w);
+                let dot = dot.fold(Gf256::ZERO, |a, b| a + b);
+                assert_eq!(sum[i], dot.value(), "combine len={len} k={operands}");
+            }
         }
     }
 }
@@ -193,7 +278,8 @@ fn plain_entry_points_agree_at_short_lengths() {
 /// Exhaustive chunk-edge diff for one named backend: every length in
 /// 0..=193 (covering three 64-byte AVX-512/GFNI chunks, the 16-byte
 /// mid-tails, and the scalar table tail, each ±1) crossed with
-/// misaligned heads 0..16, for all four ops. Returns `false` — after
+/// misaligned heads 0..16, for the three one-multiplier ops and
+/// `horner`, then [`exhaustive_many_operand`]. Returns `false` — after
 /// printing a loud `[skip]` line — when the backend is unavailable, so
 /// the callers' `assert!(ran || !must_run(..))` keeps CI forced legs
 /// honest without failing on hosts that lack the feature.
@@ -262,7 +348,77 @@ fn exhaustive_boundaries(backend: Backend) -> bool {
             }
         }
     }
+    exhaustive_many_operand(backend);
     true
+}
+
+/// Exhaustive diff of the two many-operand entry points for one named
+/// backend (already known to be available): every length in 0..=193 ×
+/// output heads 0..16 and 31 (where a frame's header leaves a share) ×
+/// every operand and output count in 0..=9 — the register-held
+/// `1..=8`, none, and one more than a kernel call takes — with the
+/// abscissae and weights of [`POINTS`]. Each result is compared to the
+/// scalar backend's and to the same backend's one-operand calls: one
+/// `horner_into` per output, one `add_scaled_assign` per source.
+fn exhaustive_many_operand(backend: Backend) {
+    const MOST: usize = 9;
+    let xs = POINTS.map(Gf256::new);
+    for len in 0..=193usize {
+        let bufs = skewed_planes(MOST, len, len as u64);
+        let planes: Vec<&[u8]> = bufs.iter().enumerate().map(|(c, p)| &p[c..]).collect();
+        for operands in 0..=MOST {
+            let planes = &planes[..operands];
+            // What each output and the sum must be, whatever the head
+            // and however many outputs share the call.
+            let mut want = vec![vec![0u8; len]; MOST];
+            for (out, x) in want.iter_mut().zip(xs) {
+                Backend::Scalar.horner_into(out, planes, MulTable::of(x));
+                let mut single = vec![0xa5u8; len];
+                backend.horner_into(&mut single, planes, MulTable::of(x));
+                assert_eq!(
+                    &single,
+                    out,
+                    "horner backend {} x={x} len={len} planes={operands}",
+                    backend.name()
+                );
+            }
+            let mut sum = vec![0u8; len];
+            let mut stepped = vec![0u8; len];
+            for (&src, w) in planes.iter().zip(xs) {
+                Backend::Scalar.add_scaled_assign(&mut sum, src, MulTable::of(w));
+                backend.add_scaled_assign(&mut stepped, src, MulTable::of(w));
+            }
+            assert_eq!(stepped, sum, "add_scaled backend {}", backend.name());
+
+            for head in (0..16usize).chain([31]) {
+                for outputs in 0..=MOST {
+                    let mut got = vec![vec![0xa5u8; head + len + 1]; outputs];
+                    let paired = got.iter_mut().zip(xs);
+                    backend.eval_into(paired.map(|(o, x)| (x, &mut o[head..head + len])), planes);
+                    for (j, (got, want)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            got[head..head + len] == want[..]
+                                && got[..head].iter().all(|&b| b == 0xa5)
+                                && got[head + len] == 0xa5,
+                            "eval backend {} len={len} head={head} planes={operands} \
+                             output {j} of {outputs}",
+                            backend.name()
+                        );
+                    }
+                }
+                let mut got = vec![0xa5u8; head + len + 1];
+                let weighted = planes.iter().zip(xs).map(|(&s, w)| (w, s));
+                backend.combine_into(&mut got[head..head + len], weighted);
+                assert!(
+                    got[head..head + len] == sum[..]
+                        && got[..head].iter().all(|&b| b == 0xa5)
+                        && got[head + len] == 0xa5,
+                    "combine backend {} len={len} head={head} sources={operands}",
+                    backend.name()
+                );
+            }
+        }
+    }
 }
 
 /// Whether `backend` is forced via `MCSS_GF256_BACKEND` *and* the host

@@ -15,11 +15,12 @@
 //!   evicting oldest-first, so memory stays flat on unbounded runs.
 //!
 //! Share data lives in a [`BufferPool`]: each buffered share occupies a
-//! generation-checked pool slot, the share that completes a symbol has
-//! it reconstructed straight into a buffer of the same pool, and
-//! completed or evicted entries hand their slots back — the
-//! steady-state receive path performs no heap allocation (see
-//! [`accept`](ReassemblyCore::accept)).
+//! generation-checked pool slot; the share that completes a symbol is
+//! never buffered — the symbol is reconstructed from the parked shares
+//! and from that one where its datagram lies, straight into a buffer of
+//! the same pool — and completed or evicted entries hand their slots
+//! back, so the steady-state receive path performs no heap allocation
+//! (see [`accept`](ReassemblyCore::accept)).
 //!
 //! Whose pool that is depends on the host. [`ReassemblyCore`] is the
 //! table with the pool left out: every call that touches share data
@@ -455,10 +456,11 @@ impl ReassemblyCore {
     /// in a buffer taken from `pool` that is the caller's to put back;
     /// with every other outcome, `None` — a share that does not complete
     /// its symbol costs no buffer beyond the slot it is parked in.
-    /// Steady state, this path performs no heap allocation: share data
-    /// goes into buffers of `pool`, reconstruction accumulates into the
-    /// taken buffer's capacity, and the completed symbol's slots return
-    /// to `pool`.
+    /// Steady state, this path performs no heap allocation: the data of
+    /// a share that leaves its symbol incomplete goes into a buffer of
+    /// `pool`, reconstruction reads the completing share in place and
+    /// writes into the taken buffer's capacity, and the completed
+    /// symbol's slots return to `pool`.
     pub fn accept(
         &mut self,
         pool: &mut BufferPool,
@@ -541,27 +543,29 @@ impl ReassemblyCore {
             self.stats.duplicates += 1;
             return (AcceptOutcome::Duplicate, None);
         }
-        let handle = pool.acquire();
-        pool.get_mut(handle).extend_from_slice(payload);
-        p.shares.push((x, handle));
-        p.bytes += payload.len();
-        self.buffered_bytes += payload.len();
-        if p.shares.len() < p.k as usize {
+        let parked = p.shares.len();
+        if parked + 1 < p.k as usize {
+            let handle = pool.acquire();
+            pool.get_mut(handle).extend_from_slice(payload);
+            p.shares.push((x, handle));
+            p.bytes += payload.len();
+            self.buffered_bytes += payload.len();
             return (AcceptOutcome::Stored, None);
         }
-        // The codec's rebuild over the pooled shares in arrival order; a
-        // failure (malformed payloads — Shamir's interpolation is total)
-        // is surfaced as a decode failure.
+        // The codec's rebuild over the pooled shares in arrival order
+        // and then this one, read where the datagram lies: it is never
+        // parked. A failure (malformed payloads — Shamir's interpolation
+        // is total) is surfaced as a decode failure.
         let mut out = pool.take();
-        let parked: &BufferPool = pool;
+        let held: &BufferPool = pool;
         let decoded = p
             .codec
             .reconstruct_with(
                 p.k,
                 p.m,
-                p.shares.len(),
-                |i| p.shares[i].0,
-                |i| parked.get(p.shares[i].1),
+                parked + 1,
+                |i| p.shares.get(i).map_or(x, |&(sx, _)| sx),
+                |i| p.shares.get(i).map_or(payload, |&(_, h)| held.get(h)),
                 &mut out,
             )
             .is_ok();
@@ -1153,6 +1157,60 @@ mod tests {
         assert_eq!(t.stats().inconsistent, 2);
     }
 
+    /// Buffers the table's pool has handed out so far.
+    fn pool_takes(t: &ReassemblyTable) -> u64 {
+        t.pool_hits() + t.pool_misses()
+    }
+
+    #[test]
+    fn completing_share_is_checked_before_it_is_read_in_place() {
+        for codec in CodecId::ALL {
+            let mut t = table();
+            let fs = frames_for(codec, 6, 3, 5, b"read where it lies");
+            let len = ShareRef::decode(&fs[0]).unwrap().payload().len();
+            assert_eq!(offer(&mut t, &fs[0], SimTime::ZERO).0, Stored);
+            assert_eq!(offer(&mut t, &fs[1], SimTime::ZERO).0, Stored);
+            let parked = (t.pending_symbols(), t.buffered_bytes(), pool_takes(&t));
+            assert_eq!(parked, (1, 2 * len, 2), "{codec}");
+
+            // Each of these would be the third share. None is read, none
+            // takes a slot, and the two parked shares stay as they were.
+            let sibling = ShareRef::decode(&fs[2]).unwrap().payload().to_vec();
+            let other = CodecId::ALL[1 - codec.wire_id() as usize];
+            let rejected = [
+                (fs[1].clone(), Duplicate),
+                (
+                    share_bytes(codec, 6, (3, 5, 3), 0, &vec![0; len + 1]),
+                    Inconsistent,
+                ),
+                (share_bytes(codec, 6, (2, 5, 3), 0, &sibling), Inconsistent),
+                (share_bytes(codec, 6, (3, 4, 3), 0, &sibling), Inconsistent),
+                (share_bytes(other, 6, (3, 5, 3), 0, &sibling), Inconsistent),
+            ];
+            for (frame, verdict) in &rejected {
+                assert_eq!(offer(&mut t, frame, SimTime::ZERO).0, *verdict, "{codec}");
+                let now = (t.pending_symbols(), t.buffered_bytes(), pool_takes(&t));
+                assert_eq!(now, parked, "{codec}: a rejected share moved something");
+            }
+            assert_eq!((t.stats().duplicates, t.stats().inconsistent), (1, 4));
+
+            // The real third share completes from where it lies: the
+            // one buffer taken is the one the symbol is rebuilt in.
+            assert_eq!(
+                offer(&mut t, &fs[4], SimTime::ZERO),
+                (Completed, b"read where it lies".to_vec()),
+                "{codec}"
+            );
+            assert_eq!(
+                pool_takes(&t),
+                3,
+                "{codec}: the completing share was parked"
+            );
+            assert_eq!((t.pending_symbols(), t.buffered_bytes()), (0, 0));
+            assert_eq!(t.stats().completed, 1);
+        }
+    }
+
     #[test]
     fn xor_codec_symbols_reassemble() {
         let mut t = table();
@@ -1218,7 +1276,10 @@ mod tests {
         let mut garbled = fs[0].clone();
         garbled[header_bytes(CodecId::Xor2d)] ^= 0xFF;
         assert_eq!(offer(&mut t, &garbled, SimTime::ZERO).0, Stored);
+        // The completing share cannot be decoded with it: counted, the
+        // symbol resolved, and the share itself never parked.
         assert_eq!(offer(&mut t, &fs[1], SimTime::ZERO).0, Inconsistent);
+        assert_eq!(pool_takes(&t), 2, "one parked share, one rebuild buffer");
         assert_eq!(t.stats().decode_failures, 1);
         assert_eq!(t.stats().completed, 0);
         assert_eq!(t.pending_symbols(), 0, "failed symbol is resolved");

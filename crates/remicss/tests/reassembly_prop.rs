@@ -126,11 +126,13 @@ mod periodic {
                 self.stats.duplicates += 1;
                 return AcceptOutcome::Duplicate;
             }
-            p.xs.push(frame.x());
-            self.buffered_bytes += share_len;
-            if p.xs.len() < usize::from(p.k) {
+            if p.xs.len() + 1 < usize::from(p.k) {
+                p.xs.push(frame.x());
+                self.buffered_bytes += share_len;
                 return AcceptOutcome::Stored;
             }
+            // The share that completes a symbol is read where it lies:
+            // it is never buffered, and never counted.
             let p = self.pending.remove(&seq).expect("just seen");
             self.buffered_bytes -= p.bytes();
             self.resolve(seq, now);

@@ -2,9 +2,10 @@
 //! moves a symbol from source → split → frame → link → reassemble →
 //! reconstruct with **zero heap allocations**, for every `k ≤ m ≤ 8` —
 //! and the GF(2⁸) kernel layer underneath (every backend available on
-//! the host, including the SIMD `pshufb` path and the fused Horner
-//! kernel) allocates nothing either: multiplier tables live in the
-//! caller-owned `MulTable`, not per-call heap storage.
+//! the host, including the SIMD `pshufb` path and the many-operand
+//! `eval` and `combine` kernels) allocates nothing either: multiplier
+//! tables live in the caller-owned `MulTable`, not per-call heap
+//! storage.
 //!
 //! A counting global allocator snapshots the allocation count after a
 //! warmup window (pools filling, hash tables and event queues reaching
@@ -112,18 +113,20 @@ fn steady_state_symbol_path_is_allocation_free() {
     }
 }
 
-/// The GF(2⁸) kernels themselves — including the SIMD path and its
-/// fused Horner form — perform zero heap allocations: the nibble and
-/// row tables live in the caller-owned `MulTable` (stack or scratch),
-/// never in per-call heap storage. Checked for every backend available
+/// The GF(2⁸) kernels themselves — including the SIMD path and the
+/// many-operand `eval` and `combine`, register-held (up to 8 operands)
+/// and beyond — perform zero heap allocations: the nibble and row
+/// tables live in the caller-owned `MulTable` (stack or scratch), never
+/// in per-call heap storage. Checked for every backend available
 /// on this host, so on x86_64 CI this covers `simd` explicitly even
 /// when the session phase below happens to run a different active
 /// backend.
 fn gf256_kernels_phase() {
     let mut dst = vec![0x5au8; 4096];
     let src = vec![0xc3u8; 4096];
-    let planes: Vec<Vec<u8>> = (0..4).map(|p| vec![p as u8 + 1; 4096]).collect();
-    let plane_refs: [&[u8]; 4] = [&planes[0], &planes[1], &planes[2], &planes[3]];
+    let planes: Vec<Vec<u8>> = (0..9).map(|p| vec![p as u8 + 1; 4096]).collect();
+    let plane_refs: Vec<&[u8]> = planes.iter().map(Vec::as_slice).collect();
+    let mut outs = vec![vec![0u8; 4096]; 9];
     // Force detection (and any env read) outside the counting window.
     let _ = Backend::active();
     for backend in Backend::ALL {
@@ -136,7 +139,16 @@ fn gf256_kernels_phase() {
             backend.scale_add_assign(&mut dst, &src, &t);
             backend.add_scaled_assign(&mut dst, &src, &t);
             backend.scale_assign(&mut dst, &t);
-            backend.horner_into(&mut dst, &plane_refs, &t);
+            backend.horner_into(&mut dst, &plane_refs[..4], &t);
+        }
+        for operands in [3, 9] {
+            let shares = outs.iter_mut().zip(1..).take(operands);
+            backend.eval_into(
+                shares.map(|(out, x)| (Gf256::new(x), &mut out[..])),
+                &plane_refs[..operands],
+            );
+            let weighted = plane_refs.iter().zip(1..).take(operands);
+            backend.combine_into(&mut dst, weighted.map(|(&src, w)| (Gf256::new(w), src)));
         }
         let during = allocations() - before;
         assert_eq!(

@@ -170,12 +170,15 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
         assert!(idle <= SHARES_PER_SYMBOL, "shard {i}: {idle} idle");
     }
     // One more symbol per session, all from warm pools: three frames
-    // taken, a slot for each of the two shares parked until the
-    // threshold, and one buffer to reconstruct into (the third share,
-    // stale, takes nothing).
+    // taken, a slot for the one share parked below the threshold, and
+    // one buffer to reconstruct into. The second share completes the
+    // symbol and is read where its datagram lies, so it takes no slot
+    // (re-pinned once, from `k` slots a symbol to `k − 1`, when the
+    // completing share stopped being parked); the third, stale, takes
+    // nothing.
     let (hits, misses) = pool_hits_and_misses(&set);
     run(&mut set, SESSIONS);
-    let per_symbol = SHARES_PER_SYMBOL as u64 + 2 + 1;
+    let per_symbol = SHARES_PER_SYMBOL as u64 + 1 + 1;
     assert_eq!(
         pool_hits_and_misses(&set),
         (hits + u64::from(SESSIONS) * per_symbol, misses)

@@ -11,9 +11,7 @@
 //! randomness in exactly the order `split` does, so for the same seeded
 //! RNG the appended bytes are byte-identical to `split`'s share data.
 
-use mcss_gf256::Gf256;
-
-use crate::{horner_eval, Params, ShareError};
+use crate::{eval_shares, Params, ShareError};
 
 /// Reusable working memory for [`split_into`].
 ///
@@ -40,8 +38,8 @@ impl BatchScratch {
 /// This is the zero-copy core of the protocol sender: the caller writes
 /// each share's wire header into a pooled frame buffer, then this
 /// appends the share data directly after it — no intermediate `Share`,
-/// no `data().to_vec()`. The Horner evaluation runs straight into the
-/// output buffer's spare capacity.
+/// no `data().to_vec()`. The evaluation of all `m` shares runs in one
+/// pass over the coefficient planes, straight into the output buffers.
 ///
 /// Draws randomness in exactly the order [`split`](crate::split) does,
 /// so for the same seeded RNG the bytes appended to `outs[j]` are
@@ -90,22 +88,18 @@ pub fn split_into<R: rand::Rng + ?Sized>(
     }
     let planes = &mut scratch.planes[..random];
     for p in planes.iter_mut() {
-        p.clear();
+        // Every byte is about to be drawn: only a change of length
+        // writes anything here.
         p.resize(secret.len(), 0);
         rng.fill(p.as_mut_slice());
     }
 
-    for (j, out) in outs.iter_mut().enumerate() {
-        let x = Gf256::new(j as u8 + 1);
+    let shares = outs.iter_mut().map(|out| {
         let start = out.len();
         out.resize(start + secret.len(), 0);
-        let acc = &mut out[start..];
-        // Fused Horner over planes k-1, …, 1, then the secret (plane
-        // 0), straight into the output buffer: one MulTable and one
-        // accumulator pass for all k steps, no per-plane acc round
-        // trips and no heap allocation.
-        horner_eval(acc, planes, Some(secret), x);
-    }
+        &mut out[start..]
+    });
+    eval_shares(shares, planes, secret);
     Ok(())
 }
 

@@ -47,39 +47,34 @@ use mcss_gf256::{slice as gf_slice, Gf256};
 /// Share abscissae are nonzero elements of GF(2⁸), of which there are 255.
 pub const MAX_SHARES: usize = 255;
 
-/// Plane count up to which Horner evaluation runs through the fused
-/// multi-plane kernel with a stack array of plane references (no
-/// allocation). The protocol's `k ≤ 8` always fits; larger thresholds
-/// fall back to one dispatched step per plane, not register-fused.
-pub(crate) const FUSED_MAX_PLANES: usize = 16;
-
-/// Overwrites `acc` with the Horner evaluation at `x` whose step order
-/// is `planes[n−1], …, planes[0]`, then `tail` if given — so `planes[i]`
-/// is the degree-`i+tail_count` coefficient and `tail` (or `planes[0]`)
-/// the constant term. This is the step sequence `split` and
-/// `split_into` share. Small plane counts fuse all steps into one pass
-/// that keeps the accumulator in registers (see
-/// [`mcss_gf256::slice::horner_into`]).
-pub(crate) fn horner_eval(acc: &mut [u8], planes: &[Vec<u8>], tail: Option<&[u8]>, x: Gf256) {
-    let n = planes.len() + usize::from(tail.is_some());
-    if n <= FUSED_MAX_PLANES {
-        let mut refs: [&[u8]; FUSED_MAX_PLANES] = [&[]; FUSED_MAX_PLANES];
-        for (r, p) in refs.iter_mut().zip(planes.iter().rev()) {
-            *r = p.as_slice();
+/// Writes share `j`'s evaluation into `outs[j]`, for every `j`: the
+/// polynomial whose constant term is `secret` and whose degree-`i`
+/// coefficient is `random[i − 1]`, at `x = j + 1`, all in one pass over
+/// the planes ([`mcss_gf256::slice::eval_into`]). This is the evaluation
+/// `split` and `split_into` share. No allocation for the protocol's
+/// `k ≤ 8`.
+pub(crate) fn eval_shares<'a>(
+    outs: impl IntoIterator<Item = &'a mut [u8]>,
+    random: &[Vec<u8>],
+    secret: &[u8],
+) {
+    // The planes as the kernel wants them: highest coefficient first.
+    let k = random.len() + 1;
+    let mut few: [&[u8]; 8] = [&[]; 8];
+    let mut many = Vec::new();
+    let planes = match few.get_mut(..k) {
+        Some(few) => few,
+        None => {
+            many.resize(k, &[][..]);
+            &mut many[..]
         }
-        if let Some(t) = tail {
-            refs[planes.len()] = t;
-        }
-        gf_slice::horner_into(acc, &refs[..n], x);
-        return;
+    };
+    for (plane, coefficients) in planes.iter_mut().zip(random.iter().rev()) {
+        *plane = coefficients;
     }
-    acc.fill(0);
-    for plane in planes.iter().rev() {
-        gf_slice::scale_add_assign(acc, plane, x);
-    }
-    if let Some(t) = tail {
-        gf_slice::scale_add_assign(acc, t, x);
-    }
+    planes[k - 1] = secret;
+    let outs = outs.into_iter().zip(1..=u8::MAX);
+    gf_slice::eval_into(outs.map(|(out, x)| (Gf256::new(x), out)), planes);
 }
 
 /// Splits `secret` into `params.multiplicity()` shares with threshold
@@ -115,25 +110,21 @@ pub fn split<R: rand::Rng + ?Sized>(
     let _span = mcss_obs::span!("shamir.split");
     let k = params.threshold() as usize;
     let m = params.multiplicity() as usize;
-    // Coefficient *planes*: plane 0 holds every byte's constant term
-    // (the secret), planes 1..k hold every byte's i-th random
-    // coefficient. Each share is then a Horner evaluation over planes,
-    // which runs as tight per-plane slice loops (see mcss_gf256::slice).
-    let mut planes: Vec<Vec<u8>> = Vec::with_capacity(k);
-    planes.push(secret.to_vec());
+    // Coefficient *planes*: the secret holds every byte's constant
+    // term, `random[i − 1]` every byte's i-th random coefficient. Each
+    // share is then a Horner evaluation over whole planes.
+    let mut random: Vec<Vec<u8>> = Vec::with_capacity(k - 1);
     for _ in 1..k {
         let mut plane = vec![0u8; secret.len()];
         rng.fill(plane.as_mut_slice());
-        planes.push(plane);
+        random.push(plane);
     }
-    let mut shares = Vec::with_capacity(m);
-    for j in 0..m {
-        let x = Gf256::new(j as u8 + 1);
-        let mut acc = vec![0u8; secret.len()];
-        horner_eval(&mut acc, &planes, None, x);
-        shares.push(Share::new(j as u8 + 1, params.threshold(), acc));
-    }
-    Ok(shares)
+    let mut data = vec![vec![0u8; secret.len()]; m];
+    eval_shares(data.iter_mut().map(Vec::as_mut_slice), &random, secret);
+    let shares = data.into_iter().zip(1..=u8::MAX);
+    Ok(shares
+        .map(|(data, x)| Share::new(x, params.threshold(), data))
+        .collect())
 }
 
 /// Reconstructs a secret from at least `threshold` shares.
@@ -170,11 +161,13 @@ pub fn reconstruct(shares: &[Share]) -> Result<Vec<u8>, ShareError> {
         *x = s.x();
     }
     // Lagrange weights at zero are shared by every byte position, so
-    // compute them once and accumulate whole shares with bulk slice ops.
+    // compute them once and combine whole shares in one bulk pass.
     let mut secret = vec![0u8; shares[0].data().len()];
-    for (i, si) in used.iter().enumerate() {
-        gf_slice::add_scaled_assign(&mut secret, si.data(), lagrange_weight_xs(&xs[..k], i));
-    }
+    let weighted = used.iter().enumerate();
+    gf_slice::combine_into(
+        &mut secret,
+        weighted.map(|(i, si)| (lagrange_weight_xs(&xs[..k], i), si.data())),
+    );
     Ok(secret)
 }
 
@@ -215,8 +208,8 @@ fn validate_shares(shares: &[Share]) -> Result<usize, ShareError> {
 /// The Lagrange basis weight at zero for abscissa `xs[i]` against the
 /// abscissa set `xs`, for callers that keep share data outside
 /// [`Share`] objects (e.g. pooled reassembly buffers): the secret is
-/// `Σ_i weight(xs, i) · data_i`, accumulated with
-/// [`mcss_gf256::slice::add_scaled_assign`].
+/// `Σ_i weight(xs, i) · data_i`, which
+/// [`mcss_gf256::slice::combine_into`] computes.
 ///
 /// This is the weight [`reconstruct`] uses; exact over GF(2⁸), so a
 /// reconstruction summed this way is byte-identical to [`reconstruct`]
