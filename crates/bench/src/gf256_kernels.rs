@@ -24,10 +24,10 @@ use serde::Serialize;
 /// in CI budget.
 const TARGET_BYTES: usize = 1 << 25;
 
-/// Plane lengths: two short planes bracketing the vector widths (the
-/// crossover calibration needs them; 64 B is also the fleet workloads'
-/// share size), a few vector widths' worth, the protocol's default
-/// symbol size neighborhood, and two cache-resident batch sizes.
+/// Plane lengths: two short planes bracketing the vector widths (64 B
+/// is also the fleet workloads' share size), a few vector widths'
+/// worth, the protocol's default symbol size neighborhood, and two
+/// cache-resident batch sizes.
 const LENGTHS: [usize; 6] = [16, 64, 256, 1_024, 16_384, 262_144];
 
 /// Planes in the one-output Horner measurement (a κ = 4 split).
@@ -49,8 +49,7 @@ const OUTPUT_HEADS: [usize; 2] = [0, 31];
 /// One measured cell of the matrix.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelRecord {
-    /// Backend name (`scalar` | `table` | `simd` | `neon` |
-    /// `avx512` | `gfni`).
+    /// Backend name (`scalar` | `table` | `simd` | `neon` | `gfni`).
     pub backend: String,
     /// Kernel name (`scale_add` | `add_scaled` | `scale` | `horner4` |
     /// `eval{k}x{m}` | `combine{k}`).
@@ -67,42 +66,18 @@ pub struct KernelRecord {
     pub speedup_vs_scalar: f64,
 }
 
-/// Measured vs. compiled-in crossover for one backend: the length
-/// routing contract the dispatch layer applies (see
-/// `Backend::crossover`). `null` means "never ahead of table at any
-/// measured length" (`usize::MAX` in the dispatch table).
-#[derive(Debug, Clone, Serialize)]
-pub struct CrossoverRecord {
-    /// Backend name.
-    pub backend: String,
-    /// Smallest measured length where this backend's `scale_add` rate
-    /// reached the `table` backend's rate on this host, or `null` if it
-    /// never did. Compare with `Backend::crossover` to recalibrate.
-    pub measured: Option<u64>,
-    /// The crossover compiled into the dispatch layer; `null` means the
-    /// backend is never auto-dispatched.
-    pub dispatch: Option<u64>,
-    /// Whether the dispatch crossover is consistent with this run:
-    /// every measured length the dispatch layer would route to this
-    /// backend had `rate ≥ table` here.
-    pub dispatch_consistent: bool,
-}
-
 /// The full `BENCH_gf256_kernels.json` payload.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelReport {
     /// Report identifier (`gf256_kernels`).
     pub id: String,
     /// The backend `Backend::active()` picked on this host (what the
-    /// protocol data path actually runs for long planes).
+    /// protocol data path actually runs).
     pub active_backend: String,
     /// Backends measured (all available on this host).
     pub backends: Vec<String>,
     /// The matrix, grouped by op, then length, then backend.
     pub records: Vec<KernelRecord>,
-    /// Per-backend length-crossover calibration derived from the
-    /// `scale_add` rows, plus the dispatch layer's current contract.
-    pub crossover: Vec<CrossoverRecord>,
 }
 
 /// A kernel invocation under measurement.
@@ -266,86 +241,12 @@ pub fn run() -> KernelReport {
             });
         }
     }
-    println!();
-
-    let crossover = calibrate_crossover(&available, &records);
-    println!("crossover calibration (scale_add rate vs table):");
-    for c in &crossover {
-        let fmt = |v: Option<u64>| v.map_or("never".to_string(), |l| format!("{l}"));
-        println!(
-            "  {:>6}: measured ≥ table from {:>6} B, dispatch routes from {:>6} B{}",
-            c.backend,
-            fmt(c.measured),
-            fmt(c.dispatch),
-            if c.dispatch_consistent {
-                ""
-            } else {
-                "  (INCONSISTENT with this run)"
-            }
-        );
-    }
-
     let report = KernelReport {
         id: "gf256_kernels".to_string(),
         active_backend: active.name().to_string(),
         backends: available.iter().map(|b| b.name().to_string()).collect(),
         records,
-        crossover,
     };
     crate::report::emit_value(&report.id, &report);
     report
-}
-
-/// Derives each backend's measured crossover from the `scale_add` rows:
-/// the smallest measured length at which its rate reached `table`'s
-/// rate, requiring it to *stay* at or above `table` for every larger
-/// measured length (a transient win at one cache-resident size does not
-/// make a crossover). Also reports the dispatch layer's current
-/// crossover and whether it is consistent with this run's rates.
-fn calibrate_crossover(available: &[Backend], records: &[KernelRecord]) -> Vec<CrossoverRecord> {
-    let rate = |backend: Backend, len: usize| -> Option<f64> {
-        records
-            .iter()
-            .find(|r| r.backend == backend.name() && r.op == "scale_add" && r.len == len as u64)
-            .map(|r| r.bytes_per_sec)
-    };
-    available
-        .iter()
-        .map(|&b| {
-            let measured = LENGTHS
-                .iter()
-                .position(|&len| {
-                    // ≥ table here and at every longer measured length.
-                    LENGTHS[LENGTHS.iter().position(|&l| l == len).unwrap()..]
-                        .iter()
-                        .all(|&l| match (rate(b, l), rate(Backend::Table, l)) {
-                            (Some(r), Some(t)) => r >= t,
-                            _ => false,
-                        })
-                })
-                .map(|i| LENGTHS[i] as u64);
-            let dispatch = match b.crossover() {
-                usize::MAX => None,
-                l => Some(l as u64),
-            };
-            // Every measured length the dispatch layer routes to `b`
-            // must not have measured slower than table (with a small
-            // tolerance for run-to-run wobble).
-            let dispatch_consistent = LENGTHS.iter().all(|&len| {
-                if b.route(len) != b {
-                    return true;
-                }
-                match (rate(b, len), rate(Backend::Table, len)) {
-                    (Some(r), Some(t)) => r >= t * 0.9,
-                    _ => true,
-                }
-            });
-            CrossoverRecord {
-                backend: b.name().to_string(),
-                measured,
-                dispatch,
-                dispatch_consistent,
-            }
-        })
-        .collect()
 }

@@ -50,6 +50,18 @@ impl Objective {
             Objective::Delay => cache.delay(k, subset),
         }
     }
+
+    /// The objective as a composite one: all the weight on its own
+    /// property. `0.0 + 1.0·x` is `x` exactly, so the cost vector is the
+    /// one [`Objective::cost_cached`] gives.
+    fn weights(self) -> Weights {
+        let on = |o| if self == o { 1.0 } else { 0.0 };
+        Weights {
+            risk: on(Objective::Privacy),
+            loss: on(Objective::Loss),
+            delay: on(Objective::Delay),
+        }
+    }
 }
 
 impl core::fmt::Display for Objective {
@@ -83,47 +95,42 @@ fn validate_params(n: usize, kappa: f64, mu: f64) -> Result<(), ModelError> {
     Ok(())
 }
 
-fn solve_over_entries(
+/// Both programs, over a composite objective: §IV-B fixes the mean
+/// multiplicity with a `μ` row; §IV-D (`at_max_rate`) replaces it with
+/// one usage row per channel, `Σ_{(k,M): i∈M} p(k,M) = min(rᵢ/R_C, 1)`.
+fn solve(
     channels: &ChannelSet,
     cache: &SubsetMetricCache,
-    entries: &[ScheduleEntry],
-    objective: Objective,
     kappa: f64,
-    mu: Option<f64>,
-    usage: Option<&[f64]>,
+    mu: f64,
+    weights: Weights,
+    at_max_rate: bool,
 ) -> Result<ShareSchedule, ModelError> {
+    assert_eq!(cache.n(), channels.len(), "cache built for a different set");
+    validate_params(channels.len(), kappa, mu)?;
+    weights.validate()?;
+    let entries = all_entries(channels.len());
     let costs: Vec<f64> = entries
         .iter()
-        .map(|e| objective.cost_cached(cache, e.k() as usize, e.subset()))
+        .map(|e| weights.cost_cached(cache, e.k() as usize, e.subset()))
         .collect();
-    solve_lp(channels, entries, &costs, kappa, mu, usage)
-}
-
-fn solve_lp(
-    channels: &ChannelSet,
-    entries: &[ScheduleEntry],
-    costs: &[f64],
-    kappa: f64,
-    mu: Option<f64>,
-    usage: Option<&[f64]>,
-) -> Result<ShareSchedule, ModelError> {
-    let mut lp = Problem::minimize(costs);
+    let mut lp = Problem::minimize(&costs);
     let ones = vec![1.0; entries.len()];
     lp.constraint(&ones, Relation::Eq, 1.0)?;
     let kvec: Vec<f64> = entries.iter().map(|e| f64::from(e.k())).collect();
     lp.constraint(&kvec, Relation::Eq, kappa)?;
-    if let Some(mu) = mu {
-        let mvec: Vec<f64> = entries.iter().map(|e| e.multiplicity() as f64).collect();
-        lp.constraint(&mvec, Relation::Eq, mu)?;
-    }
-    if let Some(usage) = usage {
-        for (i, &u) in usage.iter().enumerate() {
+    if at_max_rate {
+        let rc = optimal::optimal_rate(channels, mu)?;
+        for (i, ch) in channels.iter().enumerate() {
             let row: Vec<f64> = entries
                 .iter()
                 .map(|e| if e.subset().contains(i) { 1.0 } else { 0.0 })
                 .collect();
-            lp.constraint(&row, Relation::Eq, u)?;
+            lp.constraint(&row, Relation::Eq, (ch.rate() / rc).min(1.0))?;
         }
+    } else {
+        let mvec: Vec<f64> = entries.iter().map(|e| e.multiplicity() as f64).collect();
+        lp.constraint(&mvec, Relation::Eq, mu)?;
     }
     let solution = lp.solve()?;
     let mut b = ScheduleBuilder::new(channels.len());
@@ -223,37 +230,8 @@ pub fn optimal_schedule_weighted(
     mu: f64,
     weights: Weights,
 ) -> Result<ShareSchedule, ModelError> {
-    optimal_schedule_weighted_with_cache(
-        channels,
-        &SubsetMetricCache::new(channels),
-        kappa,
-        mu,
-        weights,
-    )
-}
-
-/// [`optimal_schedule_weighted`] with a caller-supplied metric cache, for
-/// sweeps that solve many programs over one channel set.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_schedule_weighted`].
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different channel count.
-pub fn optimal_schedule_weighted_with_cache(
-    channels: &ChannelSet,
-    cache: &SubsetMetricCache,
-    kappa: f64,
-    mu: f64,
-    weights: Weights,
-) -> Result<ShareSchedule, ModelError> {
-    assert_eq!(cache.n(), channels.len(), "cache built for a different set");
-    validate_params(channels.len(), kappa, mu)?;
-    weights.validate()?;
-    let entries = all_entries(channels.len());
-    solve_weighted(channels, cache, &entries, weights, kappa, Some(mu), None)
+    let cache = SubsetMetricCache::new(channels);
+    solve(channels, &cache, kappa, mu, weights, false)
 }
 
 /// The §IV-D program with a composite objective: minimize
@@ -268,66 +246,8 @@ pub fn optimal_schedule_weighted_at_max_rate(
     mu: f64,
     weights: Weights,
 ) -> Result<ShareSchedule, ModelError> {
-    optimal_schedule_weighted_at_max_rate_with_cache(
-        channels,
-        &SubsetMetricCache::new(channels),
-        kappa,
-        mu,
-        weights,
-    )
-}
-
-/// [`optimal_schedule_weighted_at_max_rate`] with a caller-supplied
-/// metric cache.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_schedule_weighted`].
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different channel count.
-pub fn optimal_schedule_weighted_at_max_rate_with_cache(
-    channels: &ChannelSet,
-    cache: &SubsetMetricCache,
-    kappa: f64,
-    mu: f64,
-    weights: Weights,
-) -> Result<ShareSchedule, ModelError> {
-    assert_eq!(cache.n(), channels.len(), "cache built for a different set");
-    validate_params(channels.len(), kappa, mu)?;
-    weights.validate()?;
-    let rc = optimal::optimal_rate(channels, mu)?;
-    let usage: Vec<f64> = channels
-        .iter()
-        .map(|ch| (ch.rate() / rc).min(1.0))
-        .collect();
-    let entries = all_entries(channels.len());
-    solve_weighted(
-        channels,
-        cache,
-        &entries,
-        weights,
-        kappa,
-        None,
-        Some(&usage),
-    )
-}
-
-fn solve_weighted(
-    channels: &ChannelSet,
-    cache: &SubsetMetricCache,
-    entries: &[ScheduleEntry],
-    weights: Weights,
-    kappa: f64,
-    mu: Option<f64>,
-    usage: Option<&[f64]>,
-) -> Result<ShareSchedule, ModelError> {
-    let costs: Vec<f64> = entries
-        .iter()
-        .map(|e| weights.cost_cached(cache, e.k() as usize, e.subset()))
-        .collect();
-    solve_lp(channels, entries, &costs, kappa, mu, usage)
+    let cache = SubsetMetricCache::new(channels);
+    solve(channels, &cache, kappa, mu, weights, true)
 }
 
 /// The §IV-B program: the schedule minimizing `objective` over all
@@ -387,10 +307,7 @@ pub fn optimal_schedule_with_cache(
     mu: f64,
     objective: Objective,
 ) -> Result<ShareSchedule, ModelError> {
-    assert_eq!(cache.n(), channels.len(), "cache built for a different set");
-    validate_params(channels.len(), kappa, mu)?;
-    let entries = all_entries(channels.len());
-    solve_over_entries(channels, cache, &entries, objective, kappa, Some(mu), None)
+    solve(channels, cache, kappa, mu, objective.weights(), false)
 }
 
 /// The §IV-D program: the schedule minimizing `objective` at mean
@@ -450,23 +367,7 @@ pub fn optimal_schedule_at_max_rate_with_cache(
     mu: f64,
     objective: Objective,
 ) -> Result<ShareSchedule, ModelError> {
-    assert_eq!(cache.n(), channels.len(), "cache built for a different set");
-    validate_params(channels.len(), kappa, mu)?;
-    let rc = optimal::optimal_rate(channels, mu)?;
-    let usage: Vec<f64> = channels
-        .iter()
-        .map(|ch| (ch.rate() / rc).min(1.0))
-        .collect();
-    let entries = all_entries(channels.len());
-    solve_over_entries(
-        channels,
-        cache,
-        &entries,
-        objective,
-        kappa,
-        None,
-        Some(&usage),
-    )
+    solve(channels, cache, kappa, mu, objective.weights(), true)
 }
 
 #[cfg(test)]

@@ -1,37 +1,37 @@
 //! Per-architecture kernel implementations behind the [`Backend`]
 //! dispatch layer in [`crate::simd`].
 //!
-//! Each submodule implements the three one-multiplier kernels —
-//! `scale_add`, `add_scaled`, `scale` — over caller-owned byte slices
-//! and a caller-built [`MulTable`](crate::simd::MulTable). The two
-//! x86 `pshufb` and `gf2p8mulb` modules add the two many-operand
-//! kernels, generated at each of their widths by `multi_kernels!`:
-//! `eval` (`K` coefficient planes in, one Horner evaluation out per
-//! abscissa, the planes read once) and `combine` (`out = Σ wᵢ·srcᵢ`,
-//! `out` written once). A backend without them, and those two for more
-//! than `MAX_FUSED` operands or fewer than 16 bytes, answer both
-//! through the one-multiplier kernels, one output and one operand at a
-//! time (`Backend::eval_into`, `Backend::combine_into`):
+//! There are five kernels over caller-owned byte slices. Three take one
+//! multiplier, as a caller-built [`MulTable`](crate::simd::MulTable),
+//! and work in place: `scale_add`, `add_scaled`, `scale`. Two take many
+//! operands and write what they do not read: `eval` (`K` coefficient
+//! planes in, one Horner evaluation out per abscissa, the planes read
+//! once) and `combine` (`out = Σ wᵢ·srcᵢ`, `out` written once). On
+//! x86-64 all five come out of one generator, `multi_kernels!`, once per
+//! vector width; a module there is intrinsic bindings, invocations and
+//! the choice of width. A backend without `eval` and `combine`, and the
+//! x86 ones for more than `MAX_FUSED` operands or fewer than 16 bytes,
+//! answer both through the one-multiplier kernels, one output and one
+//! operand at a time (`Backend::eval_into`, `Backend::combine_into`):
 //!
 //! * [`generic`] — the portable implementations every target gets:
 //!   `scalar` (log/exp reference) and `table` (256-entry row).
 //! * [`x86`] — SSSE3/AVX2 split-nibble `pshufb` (16/32 bytes per step).
-//! * [`x86_avx512`] — AVX-512 VBMI `vpermb` split-nibble (64 bytes per
-//!   step, SSSE3 mid-tail).
 //! * [`x86_gfni`] — GFNI `gf2p8mulb` native GF(2⁸) products at 128-,
 //!   256-, or 512-bit width, whichever the host offers.
-//! * [`neon`] — aarch64 `vqtbl1q_u8` split-nibble (16 bytes per step).
+//! * [`neon`] — aarch64 `vqtbl1q_u8` split-nibble (16 bytes per step),
+//!   the three one-multiplier kernels written out.
 //!
-//! Every kernel is total over all lengths and alignments: vector main
-//! loops use unaligned loads/stores and finish ragged tails on the
-//! 256-entry table row (the many-operand kernels, which do not read
-//! what they write, on one last overlapping vector), so byte-identity
-//! across backends holds for length 0 upward (pinned by
-//! `tests/backend_diff.rs`). Modules for
-//! other architectures still compile everywhere; on the wrong target
-//! their entry points degrade to the portable table path so the
-//! [`Backend`](crate::simd::Backend) enum stays total without
-//! `cfg`-dependent variants.
+//! Every kernel is total over all lengths and alignments: loads and
+//! stores are unaligned, an in-place kernel hands the bytes past its
+//! last whole vector to the next narrower one and the last of them to
+//! the 256-entry table row, and the many-operand kernels, which do not
+//! read what they write, finish on one last overlapping vector; so
+//! byte-identity across backends holds for length 0 upward (pinned by
+//! `tests/backend_diff.rs`). Modules for other architectures still
+//! compile everywhere; on the wrong target their entry points degrade
+//! to the portable table path so the [`Backend`](crate::simd::Backend)
+//! enum stays total without `cfg`-dependent variants.
 
 /// Operands a many-operand kernel holds in registers at once: the
 /// coefficient planes of `eval`, the sources of `combine` (the kernels
@@ -39,89 +39,166 @@
 /// and the outputs of one `eval` call.
 pub(crate) const MAX_FUSED: usize = 8;
 
-/// Generates `eval` and `combine` at one vector width. `$mult` turns a
-/// multiplier into whatever `$mul` wants beside the vector (a broadcast
-/// byte for `gf2p8mulb`, a pair of nibble tables for `pshufb`).
+/// Generates module `$name`: the five kernels at one vector width.
+/// `$mult` turns a multiplier into whatever `$mul` wants beside the
+/// vector; it is handed the multiplier both ways, as the field element
+/// and as its table, and reads the one it needs (`gf2p8mulb` a
+/// broadcast of the element, `pshufb` the table's two nibble rows), so
+/// that neither pays a load to get from one to the other.
 ///
-/// Neither kernel reads what it writes, so bytes past the last whole
-/// vector need no narrower kernel: the last step is one more whole
-/// vector, ending where the operands end and rewriting, to the same
-/// values, some bytes the step before it wrote. The operands must
+/// An in-place kernel runs over the whole vectors of its operands and
+/// hands the rest, less than one vector, to the same kernel of module
+/// `$then`: the next narrower width, whose features this one's include,
+/// or `generic::table`, where every chain ends.
+///
+/// `eval` and `combine` do not read what they write, so bytes past the
+/// last whole vector need no narrower kernel: the last step is one more
+/// whole vector, ending where the operands end and rewriting, to the
+/// same values, some bytes the step before it wrote. The operands must
 /// therefore be at least one vector long; a module's entry point picks
 /// the widest kernel they are, and has none for fewer than 16 bytes.
 #[cfg(target_arch = "x86_64")]
 macro_rules! multi_kernels {
     (
-        features: $feat:literal, width: $w:literal,
+        mod $name:ident, features: $feat:literal, width: $w:literal,
         load: $load:ident, store: $store:ident, xor: $xor:ident,
-        mult: $mult:ident, mul: $mul:ident,
-        eval: $eval:ident, combine: $combine:ident $(,)?
+        mult: $mult:ident, mul: $mul:ident, then: $then:ident $(,)?
     ) => {
-        /// Overwrites each `outs[j]` with the Horner evaluation of
-        /// `planes`, highest coefficient first, at `xs[j]`.
-        ///
-        /// # Safety
-        ///
-        /// Requires the CPU features named on the function; every plane
-        /// and every output has the same length, at least one vector.
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::needless_range_loop)] // iterator adaptors do not inline here
-        unsafe fn $eval<const K: usize>(outs: &mut [&mut [u8]], xs: &[Gf256], planes: &[&[u8]; K]) {
-            let n = outs.len().min(xs.len());
-            let len = planes[0].len();
-            debug_assert!(len >= $w);
-            let mut i = 0;
-            while i < len {
-                // The last vector ends with the planes.
-                i = i.min(len - $w);
-                // SAFETY: i + width ≤ len, the length of every plane
-                // and every output.
-                unsafe {
-                    let mut p = [$load(planes[0].as_ptr().add(i).cast()); K];
-                    for c in 1..K {
-                        p[c] = $load(planes[c].as_ptr().add(i).cast());
-                    }
-                    for j in 0..n {
-                        let m = $mult(xs[j]);
-                        let mut a = p[0];
-                        for c in 1..K {
-                            a = $xor($mul(a, m), p[c]);
-                        }
-                        $store(outs[j].as_mut_ptr().add(i).cast(), a);
-                    }
-                }
-                i += $w;
-            }
-        }
+        mod $name {
+            use super::*;
 
-        /// Overwrites `out` with `Σ w·src` over `srcs`.
-        ///
-        /// # Safety
-        ///
-        /// Requires the CPU features named on the function; every
-        /// source is as long as `out`, at least one vector.
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::needless_range_loop)]
-        unsafe fn $combine<const K: usize>(out: &mut [u8], srcs: &[(Gf256, &[u8]); K]) {
-            let len = out.len();
-            debug_assert!(len >= $w);
-            let mut ws = [$mult(srcs[0].0); K];
-            for c in 1..K {
-                ws[c] = $mult(srcs[c].0);
-            }
-            let mut i = 0;
-            while i < len {
-                i = i.min(len - $w);
-                // SAFETY: i + width ≤ len, the length of `out` and of
-                // every source.
-                unsafe {
-                    let mut a = $mul($load(srcs[0].1.as_ptr().add(i).cast()), ws[0]);
-                    for c in 1..K {
-                        a = $xor(a, $mul($load(srcs[c].1.as_ptr().add(i).cast()), ws[c]));
+            /// Overwrites each `outs[j]` with the Horner evaluation of
+            /// `planes`, highest coefficient first, at `xs[j]`.
+            ///
+            /// # Safety
+            ///
+            /// Requires the CPU features named on the function; every
+            /// plane and every output has the same length, at least one
+            /// vector.
+            #[target_feature(enable = $feat)]
+            #[allow(clippy::needless_range_loop)] // iterator adaptors do not inline here
+            pub(super) unsafe fn eval<const K: usize>(
+                outs: &mut [&mut [u8]],
+                xs: &[Gf256],
+                planes: &[&[u8]; K],
+            ) {
+                let n = outs.len().min(xs.len());
+                let len = planes[0].len();
+                debug_assert!(len >= $w);
+                let mut i = 0;
+                while i < len {
+                    // The last vector ends with the planes.
+                    i = i.min(len - $w);
+                    // SAFETY: i + width ≤ len, the length of every plane
+                    // and every output.
+                    unsafe {
+                        let mut p = [$load(planes[0].as_ptr().add(i).cast()); K];
+                        for c in 1..K {
+                            p[c] = $load(planes[c].as_ptr().add(i).cast());
+                        }
+                        for j in 0..n {
+                            let m = $mult(xs[j], MulTable::of(xs[j]));
+                            let mut a = p[0];
+                            for c in 1..K {
+                                a = $xor($mul(a, m), p[c]);
+                            }
+                            $store(outs[j].as_mut_ptr().add(i).cast(), a);
+                        }
                     }
-                    $store(out.as_mut_ptr().add(i).cast(), a);
+                    i += $w;
                 }
-                i += $w;
+            }
+
+            /// Overwrites `out` with `Σ w·src` over `srcs`.
+            ///
+            /// # Safety
+            ///
+            /// Requires the CPU features named on the function; every
+            /// source is as long as `out`, at least one vector.
+            #[target_feature(enable = $feat)]
+            #[allow(clippy::needless_range_loop)]
+            pub(super) unsafe fn combine<const K: usize>(
+                out: &mut [u8],
+                srcs: &[(Gf256, &[u8]); K],
+            ) {
+                let len = out.len();
+                debug_assert!(len >= $w);
+                let mut ws = [$mult(srcs[0].0, MulTable::of(srcs[0].0)); K];
+                for c in 1..K {
+                    ws[c] = $mult(srcs[c].0, MulTable::of(srcs[c].0));
+                }
+                let mut i = 0;
+                while i < len {
+                    i = i.min(len - $w);
+                    // SAFETY: i + width ≤ len, the length of `out` and
+                    // of every source.
+                    unsafe {
+                        let mut a = $mul($load(srcs[0].1.as_ptr().add(i).cast()), ws[0]);
+                        for c in 1..K {
+                            a = $xor(a, $mul($load(srcs[c].1.as_ptr().add(i).cast()), ws[c]));
+                        }
+                        $store(out.as_mut_ptr().add(i).cast(), a);
+                    }
+                    i += $w;
+                }
+            }
+
+            /// `dst ← dst·x ⊕ src`, one Horner step.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub(super) fn scale_add(dst: &mut [u8], src: &[u8], t: &MulTable) {
+                assert_eq!(dst.len(), src.len(), "plane lengths must match");
+                let m = $mult(t.x(), t);
+                let whole = dst.len() & !($w - 1);
+                let mut i = 0;
+                while i < whole {
+                    // SAFETY: i + width ≤ whole ≤ dst.len() = src.len().
+                    unsafe {
+                        let d = $load(dst.as_ptr().add(i).cast());
+                        let s = $load(src.as_ptr().add(i).cast());
+                        $store(dst.as_mut_ptr().add(i).cast(), $xor($mul(d, m), s));
+                    }
+                    i += $w;
+                }
+                $then::scale_add(&mut dst[whole..], &src[whole..], t)
+            }
+
+            /// `dst ← dst ⊕ src·x`, one Lagrange step.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub(super) fn add_scaled(dst: &mut [u8], src: &[u8], t: &MulTable) {
+                assert_eq!(dst.len(), src.len(), "plane lengths must match");
+                let m = $mult(t.x(), t);
+                let whole = dst.len() & !($w - 1);
+                let mut i = 0;
+                while i < whole {
+                    // SAFETY: i + width ≤ whole ≤ dst.len() = src.len().
+                    unsafe {
+                        let d = $load(dst.as_ptr().add(i).cast());
+                        let s = $load(src.as_ptr().add(i).cast());
+                        $store(dst.as_mut_ptr().add(i).cast(), $xor(d, $mul(s, m)));
+                    }
+                    i += $w;
+                }
+                $then::add_scaled(&mut dst[whole..], &src[whole..], t)
+            }
+
+            /// `dst ← dst·x`.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub(super) fn scale(dst: &mut [u8], t: &MulTable) {
+                let m = $mult(t.x(), t);
+                let whole = dst.len() & !($w - 1);
+                let mut i = 0;
+                while i < whole {
+                    // SAFETY: i + width ≤ whole ≤ dst.len().
+                    unsafe {
+                        let d = $load(dst.as_ptr().add(i).cast());
+                        $store(dst.as_mut_ptr().add(i).cast(), $mul(d, m));
+                    }
+                    i += $w;
+                }
+                $then::scale(&mut dst[whole..], t)
             }
         }
     };
@@ -147,13 +224,18 @@ macro_rules! with_k {
     };
 }
 
-/// Test body shared by the x86 kernel modules: runs each listed
-/// `(width, detected, eval, combine)` the host has at lengths from one
-/// vector up (whole vectors, ragged ends) for every `K`, three outputs,
-/// and compares with the scalar backend's one-operand ops.
+/// Test bodies shared by the x86 kernel modules: call the kernels of
+/// each listed `(width, detected, module)` the host has, directly, and
+/// compare with the scalar backend's one-operand ops. `many_operand`:
+/// `eval` and `combine` at lengths from one vector up (whole vectors,
+/// ragged ends) for every `K` and three outputs. `in_place`: the other
+/// three at every length up to two vectors and a ragged end, so that
+/// each hand-off is seen with nothing and with something left, and at
+/// the multipliers 0 and 1 too, which `Backend` answers without a
+/// kernel.
 #[cfg(all(test, target_arch = "x86_64"))]
 macro_rules! check_widths {
-    ($(($w:literal, $detected:expr, $eval:ident, $combine:ident)),* $(,)?) => {$(
+    (many_operand: $(($w:literal, $detected:expr, $m:ident)),* $(,)?) => {$(
         if $detected {
             for len in [$w, $w + 1, 2 * $w - 1, 2 * $w, 3 * $w + 5, 1250] {
                 let bufs: Vec<Vec<u8>> = (0..$crate::arch::MAX_FUSED)
@@ -167,7 +249,7 @@ macro_rules! check_widths {
                     let mut outs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
                     // SAFETY: the features were detected; every buffer
                     // is `len ≥ width` bytes.
-                    assert!(unsafe { with_k!(planes => p, $eval(&mut outs, &xs, p)) });
+                    assert!(unsafe { with_k!(planes => p, $m::eval(&mut outs, &xs, p)) });
                     for (got, x) in got.iter().zip(xs) {
                         let mut want = vec![0u8; len];
                         Backend::Scalar.horner_into(&mut want, planes, MulTable::of(x));
@@ -178,11 +260,42 @@ macro_rules! check_widths {
                     let srcs = &srcs[..];
                     let (mut got, mut want) = (vec![0xa5u8; len], vec![0u8; len]);
                     // SAFETY: as above.
-                    assert!(unsafe { with_k!(srcs => s, $combine(&mut got, s)) });
+                    assert!(unsafe { with_k!(srcs => s, $m::combine(&mut got, s)) });
                     for &(w, s) in srcs {
                         Backend::Scalar.add_scaled_assign(&mut want, s, MulTable::of(w));
                     }
                     assert_eq!(got, want, "combine width {} len={len} k={k}", $w);
+                }
+            }
+        } else {
+            eprintln!("[skip] no {}-byte vectors on this host", $w);
+        }
+    )*};
+    (in_place: $(($w:literal, $detected:expr, $m:ident)),* $(,)?) => {$(
+        if $detected {
+            for len in 0..=2 * $w + 17 {
+                let dst0: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+                let src: Vec<u8> = (0..len).map(|i| (i * 101 + 3) as u8).collect();
+                for x in [0u8, 1, 0x53] {
+                    let t = MulTable::of(Gf256::new(x));
+                    let mut want = dst0.clone();
+                    Backend::Scalar.scale_add_assign(&mut want, &src, t);
+                    let mut got = dst0.clone();
+                    // SAFETY: the features were detected.
+                    unsafe { $m::scale_add(&mut got, &src, t) };
+                    assert_eq!(got, want, "scale_add width {} len={len} x={x}", $w);
+                    let mut want = dst0.clone();
+                    Backend::Scalar.add_scaled_assign(&mut want, &src, t);
+                    let mut got = dst0.clone();
+                    // SAFETY: as above.
+                    unsafe { $m::add_scaled(&mut got, &src, t) };
+                    assert_eq!(got, want, "add_scaled width {} len={len} x={x}", $w);
+                    let mut want = dst0.clone();
+                    Backend::Scalar.scale_assign(&mut want, t);
+                    let mut got = dst0.clone();
+                    // SAFETY: as above.
+                    unsafe { $m::scale(&mut got, t) };
+                    assert_eq!(got, want, "scale width {} len={len} x={x}", $w);
                 }
             }
         } else {
@@ -196,7 +309,6 @@ pub(crate) use check_widths;
 pub(crate) mod generic;
 pub(crate) mod neon;
 pub(crate) mod x86;
-pub(crate) mod x86_avx512;
 pub(crate) mod x86_gfni;
 
 /// Shared `x = 1` path: `dst ^= src` at the widest vector width the

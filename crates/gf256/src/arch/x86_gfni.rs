@@ -8,14 +8,14 @@
 //! depending on width. (The companion `gf2p8affineqb` applies an
 //! arbitrary 8×8 GF(2) bit-matrix — any *fixed*-multiplier product is
 //! such a linear map — but since the field polynomial matches, the
-//! direct multiply needs no per-multiplier matrix at all; see
-//! DESIGN.md "Field kernels" for the derivation.)
+//! direct multiply needs no per-multiplier matrix at all.)
 //!
 //! Width is chosen once per process: 512-bit with AVX-512BW, 256-bit
-//! with AVX2, else the 128-bit SSE form every GFNI host supports.
-//! Wider kernels step down through the 128-bit GFNI loop before
-//! finishing the last `< 16` bytes on the table row, so all lengths
-//! and alignments are handled.
+//! with AVX2, else the 128-bit SSE form every GFNI host supports. This
+//! file binds the broadcast at each width; the kernels are
+//! `multi_kernels!` output, each in-place one handing what is left of
+//! a plane to the next narrower and the 128-bit one the last `< 16`
+//! bytes to the table row, so all lengths and alignments are handled.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -63,41 +63,28 @@ pub(crate) fn available() -> bool {
     level().is_some()
 }
 
+/// Calls kernel `$op` at the width [`level`] found.
 macro_rules! dispatch {
-    ($f512:ident, $f256:ident, $f128:ident, $($arg:expr),+) => {
+    ($op:ident($($arg:expr),+)) => {
         match level().expect("Gfni backend requires GFNI") {
             // SAFETY: level() verified the features at runtime.
-            GfniLevel::G512 => unsafe { $f512($($arg),+) },
-            GfniLevel::G256 => unsafe { $f256($($arg),+) },
-            GfniLevel::G128 => unsafe { $f128($($arg),+, 0) },
+            GfniLevel::G512 => unsafe { g512::$op($($arg),+) },
+            GfniLevel::G256 => unsafe { g256::$op($($arg),+) },
+            GfniLevel::G128 => unsafe { g128::$op($($arg),+) },
         }
     };
 }
 
 pub(crate) fn scale_add(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    dispatch!(
-        scale_add_512,
-        scale_add_256,
-        scale_add_from_128,
-        dst,
-        src,
-        t
-    )
+    dispatch!(scale_add(dst, src, t))
 }
 
 pub(crate) fn add_scaled(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    dispatch!(
-        add_scaled_512,
-        add_scaled_256,
-        add_scaled_from_128,
-        dst,
-        src,
-        t
-    )
+    dispatch!(add_scaled(dst, src, t))
 }
 
 pub(crate) fn scale(dst: &mut [u8], t: &MulTable) {
-    dispatch!(scale_512, scale_256, scale_from_128, dst, t)
+    dispatch!(scale(dst, t))
 }
 
 /// Evaluates `planes` at every `xs[j]` into `outs[j]` when there is a
@@ -115,9 +102,9 @@ pub(crate) unsafe fn eval(outs: &mut [&mut [u8]], xs: &[Gf256], planes: &[&[u8]]
     unsafe {
         match level().expect("Gfni backend requires GFNI") {
             _ if len < 16 => false,
-            GfniLevel::G512 if len >= 64 => with_k!(planes => p, eval_512(outs, xs, p)),
-            GfniLevel::G256 if len >= 32 => with_k!(planes => p, eval_256(outs, xs, p)),
-            _ => with_k!(planes => p, eval_128(outs, xs, p)),
+            GfniLevel::G512 if len >= 64 => with_k!(planes => p, g512::eval(outs, xs, p)),
+            GfniLevel::G256 if len >= 32 => with_k!(planes => p, g256::eval(outs, xs, p)),
+            _ => with_k!(planes => p, g128::eval(outs, xs, p)),
         }
     }
 }
@@ -135,217 +122,48 @@ pub(crate) unsafe fn combine(out: &mut [u8], srcs: &[(Gf256, &[u8])]) -> bool {
     unsafe {
         match level().expect("Gfni backend requires GFNI") {
             _ if len < 16 => false,
-            GfniLevel::G512 if len >= 64 => with_k!(srcs => s, combine_512(out, s)),
-            GfniLevel::G256 if len >= 32 => with_k!(srcs => s, combine_256(out, s)),
-            _ => with_k!(srcs => s, combine_128(out, s)),
+            GfniLevel::G512 if len >= 64 => with_k!(srcs => s, g512::combine(out, s)),
+            GfniLevel::G256 if len >= 32 => with_k!(srcs => s, g256::combine(out, s)),
+            _ => with_k!(srcs => s, g128::combine(out, s)),
         }
     }
 }
 
 /// The multiplier broadcast to all 16 lanes of a 128-bit vector.
 #[inline]
-fn mult128(x: Gf256) -> __m128i {
-    // SAFETY: _mm_set1_epi8 is sse2, baseline on x86_64.
-    unsafe { _mm_set1_epi8(x.value() as i8) }
+#[target_feature(enable = "gfni")]
+fn mult128(x: Gf256, _: &MulTable) -> __m128i {
+    _mm_set1_epi8(x.value() as i8)
 }
 
 #[inline]
 #[target_feature(enable = "avx2")]
-fn mult256(x: Gf256) -> __m256i {
+fn mult256(x: Gf256, _: &MulTable) -> __m256i {
     _mm256_set1_epi8(x.value() as i8)
 }
 
 #[inline]
 #[target_feature(enable = "avx512f")]
-fn mult512(x: Gf256) -> __m512i {
+fn mult512(x: Gf256, _: &MulTable) -> __m512i {
     _mm512_set1_epi8(x.value() as i8)
 }
 
 multi_kernels! {
-    features: "gfni", width: 16,
+    mod g128, features: "gfni", width: 16,
     load: _mm_loadu_si128, store: _mm_storeu_si128, xor: _mm_xor_si128,
-    mult: mult128, mul: _mm_gf2p8mul_epi8,
-    eval: eval_128, combine: combine_128,
+    mult: mult128, mul: _mm_gf2p8mul_epi8, then: table,
 }
 
 multi_kernels! {
-    features: "gfni,avx2", width: 32,
+    mod g256, features: "gfni,avx2", width: 32,
     load: _mm256_loadu_si256, store: _mm256_storeu_si256, xor: _mm256_xor_si256,
-    mult: mult256, mul: _mm256_gf2p8mul_epi8,
-    eval: eval_256, combine: combine_256,
+    mult: mult256, mul: _mm256_gf2p8mul_epi8, then: g128,
 }
 
 multi_kernels! {
-    features: "gfni,avx512f,avx512bw", width: 64,
+    mod g512, features: "gfni,avx512f,avx512bw", width: 64,
     load: _mm512_loadu_si512, store: _mm512_storeu_si512, xor: _mm512_xor_si512,
-    mult: mult512, mul: _mm512_gf2p8mul_epi8,
-    eval: eval_512, combine: combine_512,
-}
-
-// --- 128-bit (SSE encoding) kernels, from a starting offset so the
-// --- wider widths reuse them as their mid-tail. ---------------------
-
-#[target_feature(enable = "gfni")]
-unsafe fn scale_add_from_128(dst: &mut [u8], src: &[u8], t: &MulTable, mut i: usize) {
-    let x = mult128(t.x());
-    let main = dst.len() & !15;
-    while i < main {
-        // SAFETY: i + 16 ≤ main ≤ dst.len() == src.len().
-        unsafe {
-            let d = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-            let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
-            let v = _mm_xor_si128(_mm_gf2p8mul_epi8(d, x), s);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), v);
-        }
-        i += 16;
-    }
-    table::scale_add(&mut dst[main..], &src[main..], t);
-}
-
-#[target_feature(enable = "gfni")]
-unsafe fn add_scaled_from_128(dst: &mut [u8], src: &[u8], t: &MulTable, mut i: usize) {
-    let x = mult128(t.x());
-    let main = dst.len() & !15;
-    while i < main {
-        // SAFETY: i + 16 ≤ main ≤ dst.len() == src.len().
-        unsafe {
-            let d = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-            let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
-            let v = _mm_xor_si128(d, _mm_gf2p8mul_epi8(s, x));
-            _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), v);
-        }
-        i += 16;
-    }
-    table::add_scaled(&mut dst[main..], &src[main..], t);
-}
-
-#[target_feature(enable = "gfni")]
-unsafe fn scale_from_128(dst: &mut [u8], t: &MulTable, mut i: usize) {
-    let x = mult128(t.x());
-    let main = dst.len() & !15;
-    while i < main {
-        // SAFETY: i + 16 ≤ main ≤ dst.len().
-        unsafe {
-            let d = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-            _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), _mm_gf2p8mul_epi8(d, x));
-        }
-        i += 16;
-    }
-    table::scale(&mut dst[main..], t);
-}
-
-// --- 256-bit (VEX encoding) kernels. --------------------------------
-
-#[target_feature(enable = "gfni,avx2")]
-unsafe fn scale_add_256(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    let x = _mm256_set1_epi8(t.x().value() as i8);
-    let main = dst.len() & !31;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 32 ≤ main ≤ dst.len() == src.len().
-        unsafe {
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            let v = _mm256_xor_si256(_mm256_gf2p8mul_epi8(d, x), s);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), v);
-        }
-        i += 32;
-    }
-    // SAFETY: GFNI is active (the 128-bit form needs nothing wider).
-    unsafe { scale_add_from_128(dst, src, t, main) }
-}
-
-#[target_feature(enable = "gfni,avx2")]
-unsafe fn add_scaled_256(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    let x = _mm256_set1_epi8(t.x().value() as i8);
-    let main = dst.len() & !31;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 32 ≤ main ≤ dst.len() == src.len().
-        unsafe {
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            let v = _mm256_xor_si256(d, _mm256_gf2p8mul_epi8(s, x));
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), v);
-        }
-        i += 32;
-    }
-    // SAFETY: GFNI is active.
-    unsafe { add_scaled_from_128(dst, src, t, main) }
-}
-
-#[target_feature(enable = "gfni,avx2")]
-unsafe fn scale_256(dst: &mut [u8], t: &MulTable) {
-    let x = _mm256_set1_epi8(t.x().value() as i8);
-    let main = dst.len() & !31;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 32 ≤ main ≤ dst.len().
-        unsafe {
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_gf2p8mul_epi8(d, x));
-        }
-        i += 32;
-    }
-    // SAFETY: GFNI is active.
-    unsafe { scale_from_128(dst, t, main) }
-}
-
-// --- 512-bit (EVEX encoding) kernels. -------------------------------
-
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn scale_add_512(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    let x = _mm512_set1_epi8(t.x().value() as i8);
-    let main = dst.len() & !63;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 64 ≤ main ≤ dst.len() == src.len().
-        unsafe {
-            let d = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
-            let v = _mm512_xor_si512(_mm512_gf2p8mul_epi8(d, x), s);
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), v);
-        }
-        i += 64;
-    }
-    // SAFETY: GFNI is active.
-    unsafe { scale_add_from_128(dst, src, t, main) }
-}
-
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn add_scaled_512(dst: &mut [u8], src: &[u8], t: &MulTable) {
-    let x = _mm512_set1_epi8(t.x().value() as i8);
-    let main = dst.len() & !63;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 64 ≤ main ≤ dst.len() == src.len().
-        unsafe {
-            let d = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
-            let v = _mm512_xor_si512(d, _mm512_gf2p8mul_epi8(s, x));
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), v);
-        }
-        i += 64;
-    }
-    // SAFETY: GFNI is active.
-    unsafe { add_scaled_from_128(dst, src, t, main) }
-}
-
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn scale_512(dst: &mut [u8], t: &MulTable) {
-    let x = _mm512_set1_epi8(t.x().value() as i8);
-    let main = dst.len() & !63;
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 64 ≤ main ≤ dst.len().
-        unsafe {
-            let d = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), _mm512_gf2p8mul_epi8(d, x));
-        }
-        i += 64;
-    }
-    // SAFETY: GFNI is active.
-    unsafe { scale_from_128(dst, t, main) }
+    mult: mult512, mul: _mm512_gf2p8mul_epi8, then: g256,
 }
 
 #[cfg(test)]
@@ -363,10 +181,25 @@ mod tests {
             eprintln!("[skip] no GFNI on this host");
             return;
         }
-        crate::arch::check_widths! {
-            (16, true, eval_128, combine_128),
-            (32, is_x86_feature_detected!("avx2"), eval_256, combine_256),
-            (64, is_x86_feature_detected!("avx512bw"), eval_512, combine_512),
+        crate::arch::check_widths! { many_operand:
+            (16, true, g128),
+            (32, is_x86_feature_detected!("avx2"), g256),
+            (64, is_x86_feature_detected!("avx512bw"), g512),
+        }
+    }
+
+    /// Nor the narrower in-place kernels, except on what the widest
+    /// leave over.
+    #[test]
+    fn in_place_kernels_agree_at_every_width_the_host_has() {
+        if !is_x86_feature_detected!("gfni") {
+            eprintln!("[skip] no GFNI on this host");
+            return;
+        }
+        crate::arch::check_widths! { in_place:
+            (16, true, g128),
+            (32, is_x86_feature_detected!("avx2"), g256),
+            (64, is_x86_feature_detected!("avx512bw"), g512),
         }
     }
 }

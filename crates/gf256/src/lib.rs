@@ -6,12 +6,11 @@
 //! driven; the log/exp tables are computed at compile time from the
 //! generator 0x03, so scalar arithmetic has no runtime initialization and
 //! no `unsafe`. The bulk [`slice`](mod@slice) kernels additionally dispatch to
-//! runtime-detected vector backends (GFNI `gf2p8mulb`, AVX-512 VBMI
-//! `vpermb`, and split-nibble `pshufb` on x86_64; `vqtbl1q_u8` NEON on
-//! aarch64; a 256-entry table row elsewhere) — see [`simd`] for the dispatch
-//! layer, the length-aware crossover, and the `MCSS_GF256_BACKEND`
-//! override. The per-architecture kernels themselves live in the
-//! private `arch` module tree.
+//! runtime-detected vector backends (GFNI `gf2p8mulb` and split-nibble
+//! `pshufb` on x86_64; `vqtbl1q_u8` NEON on aarch64; a 256-entry table
+//! row elsewhere) — see [`simd`] for the dispatch layer and the
+//! `MCSS_GF256_BACKEND` override. The per-architecture kernels
+//! themselves live in the private `arch` module tree.
 //!
 //! # Examples
 //!

@@ -6,9 +6,10 @@
 //! This module is the **dispatch layer** over the per-architecture
 //! kernels in `crate::arch`. Each backend implements the three
 //! one-multiplier ops (a Horner step, a Lagrange step, a scaling);
-//! `simd` and `gfni` also implement the two many-operand ops a Shamir
-//! symbol is made of — [`eval_into`](Backend::eval_into), all `m`
-//! shares from the `k` coefficient planes in one pass, and
+//! `simd` and `gfni`, whose kernels one generator writes at every
+//! width, also implement the two many-operand ops a Shamir symbol is
+//! made of — [`eval_into`](Backend::eval_into), all `m` shares from
+//! the `k` coefficient planes in one pass, and
 //! [`combine_into`](Backend::combine_into), the secret from `k` shares
 //! in one — which the other backends answer one output and one operand
 //! at a time through their one-multiplier ops. All of it byte-identical:
@@ -22,26 +23,19 @@
 //!   shuffle pair.
 //! * [`Backend::Neon`] — the same split-nibble algebra on aarch64
 //!   `vqtbl1q_u8` (`arch/neon.rs`), 16 bytes per step.
-//! * [`Backend::Avx512`] — 64-byte split-nibble via AVX-512 VBMI
-//!   `vpermb` (`arch/x86_avx512.rs`).
 //! * [`Backend::Gfni`] — native GF(2⁸) products via `gf2p8mulb`
 //!   (`arch/x86_gfni.rs`) at 128/256/512-bit width; no nibble tables
 //!   at all.
 //!
-//! Dispatch is **feature- and length-aware**. `Backend::detect` picks
-//! the best available backend once per process
-//! (`gfni → avx512 → simd` on x86-64, `neon` on aarch64, `table`
-//! otherwise); per call, [`Backend::for_len`] routes lengths below the
-//! selected backend's [`crossover`](Backend::crossover) to the `table`
-//! path, because vector setup only pays for itself on long planes (the
-//! `gf256_kernels` binary measures the crossover per backend and emits
-//! it in `BENCH_gf256_kernels.json`). `MCSS_GF256_BACKEND`
-//! (`scalar` | `table` | `simd` | `neon` | `avx512` | `gfni`)
-//! forces a specific path for testing and benchmarking — a *forced*
-//! backend is used at every length, bypassing the crossover, so CI
-//! legs exercise the forced kernels on short planes too. Forcing an
-//! unavailable backend falls back to the best available one with a
-//! warning on stderr, so a test matrix can set `MCSS_GF256_BACKEND`
+//! Dispatch is by **host feature** alone. [`Backend::active`] picks the
+//! best available backend once per process (`gfni → simd` on x86-64,
+//! `neon` on aarch64, `table` otherwise) and every length goes to it: a
+//! vector backend's kernels give a plane shorter than one vector to the
+//! table row themselves. `MCSS_GF256_BACKEND`
+//! (`scalar` | `table` | `simd` | `neon` | `gfni`) names the backend
+//! instead, for testing and benchmarking. Naming an unavailable or
+//! unknown one falls back to the best available with a warning on
+//! stderr, so a test matrix can set `MCSS_GF256_BACKEND`
 //! unconditionally.
 //!
 //! All per-multiplier state lives in the [`MulTable`] passed in (289
@@ -70,12 +64,12 @@ use crate::{Gf256, EXP, LOG};
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
-use crate::arch::{x86 as simd_impl, x86_avx512 as avx512_impl, x86_gfni as gfni_impl};
+use crate::arch::{x86 as simd_impl, x86_gfni as gfni_impl};
 // On the wrong architecture a directly-constructed vector variant
 // (never returned by detection) degrades to the portable table path
 // rather than aborting, keeping the enum total without cfg variants.
 #[cfg(not(target_arch = "x86_64"))]
-use crate::arch::generic::{table as avx512_impl, table as gfni_impl, table as simd_impl};
+use crate::arch::generic::{table as gfni_impl, table as simd_impl};
 
 #[cfg(not(target_arch = "aarch64"))]
 use crate::arch::generic::table as neon_impl;
@@ -182,7 +176,7 @@ impl MulTable {
 /// All backends produce byte-identical results for every input length
 /// (pinned by differential property tests); they differ only in speed
 /// and portability. [`Backend::active`] returns the process-wide
-/// selection; [`Backend::for_len`] adds the per-call length routing.
+/// selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Two log/exp lookups per byte — the reference path.
@@ -193,8 +187,6 @@ pub enum Backend {
     Simd,
     /// aarch64 split-nibble `vqtbl1q_u8`, 16 bytes per step.
     Neon,
-    /// x86-64 AVX-512 VBMI `vpermb` split-nibble, 64 bytes per step.
-    Avx512,
     /// x86-64 GFNI `gf2p8mulb` native field products (128/256/512-bit
     /// width, whichever the host offers).
     Gfni,
@@ -203,12 +195,11 @@ pub enum Backend {
 impl Backend {
     /// Every backend, in roughly slowest-first order (portable paths,
     /// then the vector paths by width/generation).
-    pub const ALL: [Backend; 6] = [
+    pub const ALL: [Backend; 5] = [
         Backend::Scalar,
         Backend::Table,
         Backend::Simd,
         Backend::Neon,
-        Backend::Avx512,
         Backend::Gfni,
     ];
 
@@ -220,7 +211,6 @@ impl Backend {
             Backend::Table => "table",
             Backend::Simd => "simd",
             Backend::Neon => "neon",
-            Backend::Avx512 => "avx512",
             Backend::Gfni => "gfni",
         }
     }
@@ -238,114 +228,42 @@ impl Backend {
             Backend::Scalar | Backend::Table => true,
             Backend::Simd => simd_available(),
             Backend::Neon => neon_available(),
-            Backend::Avx512 => avx512_available(),
             Backend::Gfni => gfni_available(),
         }
     }
 
-    /// The process-wide active backend: the `MCSS_GF256_BACKEND`
-    /// override if set and available, else the fastest available path.
-    /// Detected once and cached for the life of the process.
-    ///
-    /// This is the *bulk* selection; length-aware callers should use
-    /// [`Backend::for_len`], which routes short planes to the `table`
-    /// path unless the backend was forced.
+    /// The process-wide active backend, used at every length: the
+    /// `MCSS_GF256_BACKEND` override if set and available, else the
+    /// fastest available path. Detected once and cached for the life of
+    /// the process.
     #[must_use]
     pub fn active() -> Backend {
-        selection().backend
+        static ACTIVE: OnceLock<Backend> = OnceLock::new();
+        *ACTIVE.get_or_init(Backend::detect)
     }
 
-    /// The backend the dispatch layer uses for a plane of `len` bytes:
-    /// the active backend, except that lengths below its
-    /// [`crossover`](Backend::crossover) route to [`Backend::Table`] —
-    /// unless `MCSS_GF256_BACKEND` forced a backend, which is then used
-    /// at every length (so forced test legs exercise the forced
-    /// kernels on short planes too).
-    #[must_use]
-    pub fn for_len(len: usize) -> Backend {
-        let sel = selection();
-        if sel.forced {
-            sel.backend
-        } else {
-            sel.backend.route(len)
+    fn detect() -> Backend {
+        let best = [Backend::Gfni, Backend::Simd, Backend::Neon, Backend::Table]
+            .into_iter()
+            .find(|b| b.is_available())
+            .expect("table is always available");
+        let Ok(name) = std::env::var("MCSS_GF256_BACKEND") else {
+            return best;
+        };
+        match Backend::from_name(&name) {
+            Some(b) if b.is_available() => return b,
+            Some(b) => eprintln!(
+                "[gf256] MCSS_GF256_BACKEND={} unavailable on this host; using {}",
+                b.name(),
+                best.name()
+            ),
+            None => eprintln!(
+                "[gf256] unknown MCSS_GF256_BACKEND={name:?} \
+                 (expected scalar|table|simd|neon|gfni); using {}",
+                best.name()
+            ),
         }
-    }
-
-    /// Length routing for auto-detected dispatch: `self` when `len` has
-    /// reached this backend's [`crossover`](Backend::crossover),
-    /// [`Backend::Table`] below it.
-    #[must_use]
-    pub fn route(self, len: usize) -> Backend {
-        if len < self.crossover() {
-            Backend::Table
-        } else {
-            self
-        }
-    }
-
-    /// The smallest plane length at which this backend is worth
-    /// dispatching to instead of the 256-entry `table` path, per the
-    /// `gf256_kernels` calibration (`BENCH_gf256_kernels.json`,
-    /// `crossover` section). The vector backends run their own kernels
-    /// from one vector width (16 bytes) up — below that their main loop
-    /// is empty and they *are* the table path, minus a few setup
-    /// instructions. `usize::MAX` means the bench never measured the
-    /// backend ahead of `table` at any length (the `scalar` reference),
-    /// so auto-dispatch never selects it.
-    #[must_use]
-    pub const fn crossover(self) -> usize {
-        match self {
-            Backend::Scalar => usize::MAX,
-            Backend::Table => 0,
-            Backend::Simd | Backend::Neon | Backend::Avx512 | Backend::Gfni => 16,
-        }
-    }
-
-    fn detect() -> Selection {
-        let best = [
-            Backend::Gfni,
-            Backend::Avx512,
-            Backend::Simd,
-            Backend::Neon,
-            Backend::Table,
-        ]
-        .into_iter()
-        .find(|b| b.is_available())
-        .expect("table is always available");
-        match std::env::var("MCSS_GF256_BACKEND") {
-            Ok(name) => match Backend::from_name(&name) {
-                Some(b) if b.is_available() => Selection {
-                    backend: b,
-                    forced: true,
-                },
-                Some(b) => {
-                    eprintln!(
-                        "[gf256] MCSS_GF256_BACKEND={} unavailable on this host; using {}",
-                        b.name(),
-                        best.name()
-                    );
-                    Selection {
-                        backend: best,
-                        forced: false,
-                    }
-                }
-                None => {
-                    eprintln!(
-                        "[gf256] unknown MCSS_GF256_BACKEND={name:?} \
-                         (expected scalar|table|simd|neon|avx512|gfni); using {}",
-                        best.name()
-                    );
-                    Selection {
-                        backend: best,
-                        forced: false,
-                    }
-                }
-            },
-            Err(_) => Selection {
-                backend: best,
-                forced: false,
-            },
-        }
+        best
     }
 
     /// `dst[i] ← dst[i] · x ⊕ src[i]` — one Horner step.
@@ -368,7 +286,6 @@ impl Backend {
             Backend::Table => table::scale_add(dst, src, t),
             Backend::Simd => simd_impl::scale_add(dst, src, t),
             Backend::Neon => neon_impl::scale_add(dst, src, t),
-            Backend::Avx512 => avx512_impl::scale_add(dst, src, t),
             Backend::Gfni => gfni_impl::scale_add(dst, src, t),
         }
     }
@@ -392,7 +309,6 @@ impl Backend {
             Backend::Table => table::add_scaled(dst, src, t),
             Backend::Simd => simd_impl::add_scaled(dst, src, t),
             Backend::Neon => neon_impl::add_scaled(dst, src, t),
-            Backend::Avx512 => avx512_impl::add_scaled(dst, src, t),
             Backend::Gfni => gfni_impl::add_scaled(dst, src, t),
         }
     }
@@ -411,7 +327,6 @@ impl Backend {
             Backend::Table => table::scale(dst, t),
             Backend::Simd => simd_impl::scale(dst, t),
             Backend::Neon => neon_impl::scale(dst, t),
-            Backend::Avx512 => avx512_impl::scale(dst, t),
             Backend::Gfni => gfni_impl::scale(dst, t),
         }
     }
@@ -550,35 +465,10 @@ impl Backend {
     }
 }
 
-/// The cached process-wide backend choice.
-#[derive(Debug, Clone, Copy)]
-struct Selection {
-    backend: Backend,
-    /// Whether `MCSS_GF256_BACKEND` forced the choice — a forced
-    /// backend bypasses the length crossover.
-    forced: bool,
-}
-
-fn selection() -> Selection {
-    static SELECTION: OnceLock<Selection> = OnceLock::new();
-    *SELECTION.get_or_init(Backend::detect)
-}
-
 fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         crate::arch::x86::level().is_some()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-fn avx512_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        crate::arch::x86_avx512::available()
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -657,68 +547,24 @@ mod tests {
         // warning in `detect` instead of selecting anything.
         assert_eq!(Backend::from_name("avx9000"), None);
         assert_eq!(Backend::from_name("swar"), None);
+        assert_eq!(Backend::from_name("avx512"), None);
     }
 
     #[test]
     fn active_backend_is_available() {
-        assert!(Backend::active().is_available());
+        let active = Backend::active();
+        assert!(active.is_available());
+        // Detection never settles on the reference; only the
+        // environment can name it.
+        if std::env::var("MCSS_GF256_BACKEND").is_err() {
+            assert_ne!(active, Backend::Scalar);
+        }
     }
 
     #[test]
     fn portable_backends_always_available() {
         assert!(Backend::Scalar.is_available());
         assert!(Backend::Table.is_available());
-    }
-
-    /// Auto-dispatch routes every backend's sub-crossover lengths to
-    /// `table`, and the `scalar` reference at every length.
-    #[test]
-    fn crossover_routes_small_lengths_to_table() {
-        assert_eq!(Backend::Scalar.route(1 << 20), Backend::Table);
-        // Vector backends: table below one vector width, themselves
-        // from the crossover up.
-        for b in [Backend::Simd, Backend::Neon, Backend::Avx512, Backend::Gfni] {
-            assert_eq!(b.route(0), Backend::Table, "{}", b.name());
-            assert_eq!(b.route(15), Backend::Table, "{}", b.name());
-            assert_eq!(b.route(16), b, "{}", b.name());
-            assert_eq!(b.route(1024), b, "{}", b.name());
-        }
-        // Table routes to itself everywhere.
-        assert_eq!(Backend::Table.route(0), Backend::Table);
-        assert_eq!(Backend::Table.route(1 << 20), Backend::Table);
-    }
-
-    /// `for_len` honors the crossover when the backend was
-    /// auto-detected and bypasses it when forced via the environment —
-    /// whichever mode this test process runs in, the contract holds.
-    #[test]
-    fn for_len_respects_selection_mode() {
-        let forced = std::env::var("MCSS_GF256_BACKEND")
-            .ok()
-            .and_then(|n| Backend::from_name(&n))
-            .is_some_and(Backend::is_available);
-        let active = Backend::active();
-        if forced {
-            assert_eq!(Backend::for_len(1), active);
-            assert_eq!(Backend::for_len(1 << 20), active);
-        } else {
-            assert_eq!(Backend::for_len(1), active.route(1));
-            assert_eq!(Backend::for_len(1 << 20), active.route(1 << 20));
-        }
-    }
-
-    #[test]
-    fn auto_detection_never_picks_a_sub_table_backend() {
-        // The detection preference list only contains backends whose
-        // crossover is finite (i.e. the bench measured them ahead of
-        // table somewhere); scalar must not appear.
-        let forced = std::env::var("MCSS_GF256_BACKEND")
-            .ok()
-            .and_then(|n| Backend::from_name(&n))
-            .is_some_and(Backend::is_available);
-        if !forced {
-            assert_ne!(Backend::active(), Backend::Scalar);
-        }
     }
 
     #[test]

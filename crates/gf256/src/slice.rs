@@ -11,11 +11,10 @@
 //! [`add_scaled_assign`], [`scale_assign`]) are here too.
 //!
 //! Every multiplying op borrows the multiplier's compile-time
-//! [`MulTable`] ([`MulTable::of`], an index) and dispatches through
-//! [`Backend::for_len`] at every length — the runtime-detected vector
-//! path (GFNI / AVX-512 VBMI / `pshufb` on x86_64, NEON on aarch64; see
-//! [`crate::simd`]), with lengths below the backend's measured crossover
-//! routed to the `table` path.
+//! [`MulTable`] ([`MulTable::of`], an index) and goes to
+//! [`Backend::active`] at every length — the runtime-detected vector
+//! path (GFNI / `pshufb` on x86_64, NEON on aarch64; see
+//! [`crate::simd`]), or the one `MCSS_GF256_BACKEND` names.
 
 use crate::arch;
 use crate::simd::{Backend, MulTable};
@@ -40,7 +39,7 @@ use crate::Gf256;
 /// assert_eq!(acc, [0x04 ^ 0x01, 0x06]);
 /// ```
 pub fn scale_add_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
-    Backend::for_len(dst.len()).scale_add_assign(dst, src, MulTable::of(x));
+    Backend::active().scale_add_assign(dst, src, MulTable::of(x));
 }
 
 /// `dst[i] ← dst[i] ⊕ src[i] · x` for every `i` — the accumulation step
@@ -60,7 +59,7 @@ pub fn scale_add_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
 /// assert_eq!(acc, [0x01 ^ 0x06, 0x06]);
 /// ```
 pub fn add_scaled_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
-    Backend::for_len(dst.len()).add_scaled_assign(dst, src, MulTable::of(x));
+    Backend::active().add_scaled_assign(dst, src, MulTable::of(x));
 }
 
 /// `dst[i] ← a[i] ⊕ b[i]` for every `i` — fused GF(2⁸) addition of two
@@ -100,7 +99,7 @@ pub fn xor_into(dst: &mut [u8], a: &[u8], b: &[u8]) {
 /// assert_eq!(v, [2, 4, 8]);
 /// ```
 pub fn scale_assign(dst: &mut [u8], x: Gf256) {
-    Backend::for_len(dst.len()).scale_assign(dst, MulTable::of(x));
+    Backend::active().scale_assign(dst, MulTable::of(x));
 }
 
 /// Evaluates the polynomial whose coefficients are `planes` (highest
@@ -127,8 +126,7 @@ pub fn scale_assign(dst: &mut [u8], x: Gf256) {
 /// assert_eq!(at4, [want, want]);
 /// ```
 pub fn eval_into<'a>(outs: impl IntoIterator<Item = (Gf256, &'a mut [u8])>, planes: &[&[u8]]) {
-    let len = planes.first().map_or(0, |p| p.len());
-    Backend::for_len(len).eval_into(outs, planes);
+    Backend::active().eval_into(outs, planes);
 }
 
 /// [`eval_into`] at one point: overwrites `acc` with
@@ -152,7 +150,7 @@ pub fn eval_into<'a>(outs: impl IntoIterator<Item = (Gf256, &'a mut [u8])>, plan
 /// assert_eq!(acc, [want, want]);
 /// ```
 pub fn horner_into(acc: &mut [u8], planes: &[&[u8]], x: Gf256) {
-    Backend::for_len(acc.len()).horner_into(acc, planes, MulTable::of(x));
+    Backend::active().horner_into(acc, planes, MulTable::of(x));
 }
 
 /// Overwrites `out` with `Σ w · src` over `srcs`: a Shamir secret from
@@ -174,7 +172,7 @@ pub fn horner_into(acc: &mut [u8], planes: &[&[u8]], x: Gf256) {
 /// assert_eq!(out, [2 ^ 3, 4]);
 /// ```
 pub fn combine_into<'a>(out: &mut [u8], srcs: impl IntoIterator<Item = (Gf256, &'a [u8])>) {
-    Backend::for_len(out.len()).combine_into(out, srcs);
+    Backend::active().combine_into(out, srcs);
 }
 
 #[cfg(test)]

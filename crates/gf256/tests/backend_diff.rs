@@ -1,7 +1,7 @@
 //! Differential property tests for the GF(2⁸) kernel backends.
 //!
 //! Every backend available on the host (scalar, table, and the
-//! vector paths — `pshufb`/`vpermb`/`gf2p8mulb` on x86_64, NEON on
+//! vector paths — `pshufb`/`gf2p8mulb` on x86_64, NEON on
 //! aarch64) must produce byte-identical results for all three slice ops
 //! and the many-operand `eval` and `combine` entry points (and `horner`,
 //! the one-output `eval`), for random lengths in 0..4096 including
@@ -424,7 +424,7 @@ fn exhaustive_many_operand(backend: Backend) {
 /// Whether `backend` is forced via `MCSS_GF256_BACKEND` *and* the host
 /// can actually run it — only then must its exhaustive diff run rather
 /// than skip. CI runner pools are a hardware lottery (not every host
-/// has GFNI or AVX-512 VBMI, and NEON never exists on x86-64), so a
+/// has GFNI, and NEON never exists on x86-64), so a
 /// forced-but-unavailable backend mirrors the dispatch layer's fallback:
 /// it skips loudly with a distinct `[skip-forced]` marker instead of
 /// failing the leg.
@@ -451,12 +451,6 @@ fn simd_exhaustive_boundaries() {
 fn gfni_exhaustive_boundaries() {
     let ran = exhaustive_boundaries(Backend::Gfni);
     assert!(ran || !must_run(Backend::Gfni));
-}
-
-#[test]
-fn avx512_exhaustive_boundaries() {
-    let ran = exhaustive_boundaries(Backend::Avx512);
-    assert!(ran || !must_run(Backend::Avx512));
 }
 
 #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# AddressSanitizer over the field and Shamir crates: every load and
-# store of the vector kernels (raw-pointer code behind `unsafe`) is
-# checked against the bounds of the slices it was handed, once under
-# each kernel backend this host can force.
+# AddressSanitizer over the field, Shamir and codec crates: every load
+# and store of the vector kernels (raw-pointer code behind `unsafe`) is
+# checked against the bounds of the slices it was handed, by their own
+# tests and as both codecs drive them, once under each kernel backend
+# this host can force.
 #
 # Needs a nightly toolchain (`-Zsanitizer`); nothing is downloaded
 # (`--offline`, and the sanitizer runtime ships with the toolchain).
@@ -17,13 +18,13 @@ cd "$(dirname "$0")/.."
 
 backends=("$@")
 if [ ${#backends[@]} -eq 0 ]; then
-  backends=(scalar table simd avx512 gfni)
+  backends=(scalar table simd gfni)
 fi
 target=$(rustc +nightly -vV | sed -n 's/^host: //p')
 
 for backend in "${backends[@]}"; do
   echo "== AddressSanitizer, MCSS_GF256_BACKEND=$backend"
   MCSS_GF256_BACKEND=$backend RUSTFLAGS=-Zsanitizer=address \
-    cargo +nightly test --offline -q -p mcss-gf256 -p mcss-shamir \
+    cargo +nightly test --offline -q -p mcss-gf256 -p mcss-shamir -p mcss-codec \
     --target "$target" --lib --tests
 done
