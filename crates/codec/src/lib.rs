@@ -18,8 +18,9 @@
 //!   verbatim: RNG consumption, share bytes, and scratch behaviour are
 //!   byte-identical to calling `mcss_shamir::split_into` directly, so
 //!   every engine-trace and RNG-stream pin made before this crate
-//!   existed still holds. Reconstruction is Lagrange interpolation,
-//!   byte-identical to `mcss_shamir::reconstruct` over the same shares.
+//!   existed still holds. Reconstruction validates here, in this crate's
+//!   error type, and combines in `mcss_shamir::reconstruct_with` — the
+//!   routine `mcss_shamir::reconstruct` runs over the same shares.
 //! * [`CodecId::Xor2d`] ([`xor2d`]) — an XOR/2D-layered codec in the spirit of Chan & Chou's
 //!   two-dimensional XOR schemes: near-memcpy encode speed in exchange
 //!   for a *weaker, combinatorial* privacy guarantee (see the module
@@ -42,7 +43,7 @@ use std::sync::OnceLock;
 
 use rand::Rng;
 
-use mcss_shamir::{lagrange_weight_xs, BatchScratch, Params};
+use mcss_shamir::{BatchScratch, Params};
 
 /// Hard cap on shares per symbol, shared with `mcss-shamir`.
 pub const MAX_SHARES: usize = mcss_shamir::MAX_SHARES;
@@ -301,8 +302,7 @@ impl CodecId {
                     xs[i] = x;
                 }
                 out.resize(len, 0);
-                let weighted = (0..kk).map(|i| (lagrange_weight_xs(&xs[..kk], i), data_of(i)));
-                mcss_gf256::slice::combine_into(out, weighted);
+                mcss_shamir::reconstruct_with(&xs[..kk], data_of, out);
                 Ok(())
             }
             CodecId::Xor2d => xor2d::reconstruct_with(k, m, n, x_of, data_of, out),
@@ -348,38 +348,47 @@ mod tests {
 
     #[test]
     fn shamir_codec_matches_direct_split_byte_for_byte() {
+        // The seam guard: `CodecId::Shamir` must stay `mcss-shamir`'s
+        // split — its bytes and its RNG draws, as recorded from a direct
+        // `mcss_shamir::split_into` call (FNV-1a 64 of each share; the
+        // 32 bytes drawn next).
+        const SHARES: [u64; 5] = [
+            0xbbbd_968a_c667_4561,
+            0xc0e6_c494_1a72_550e,
+            0xacdb_6200_ebd7_8443,
+            0xea2f_72ce_9438_4c71,
+            0xa11f_1e7f_8dca_51e8,
+        ];
+        const NEXT: [u8; 32] = [
+            0xc7, 0xb7, 0xb6, 0x83, 0xa6, 0xe1, 0xa9, 0x29, 0x23, 0xf5, 0x7e, 0x35, 0xf9, 0x1d,
+            0x99, 0x2e, 0x81, 0xa6, 0x72, 0x75, 0xed, 0xe8, 0xfa, 0xf1, 0x7f, 0x0f, 0x61, 0xfc,
+            0x53, 0x12, 0x1c, 0x54,
+        ];
+        let fnv64 = |bytes: &[u8]| {
+            let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
+        };
         let secret: Vec<u8> = (0..1250u32).map(|i| (i * 7 + 3) as u8).collect();
         let (k, m) = (3u8, 5u8);
 
-        let mut direct_rng = StdRng::seed_from_u64(42);
-        let mut direct_scratch = BatchScratch::new();
-        let mut direct: Vec<Vec<u8>> = (0..m).map(|_| b"hdr".to_vec()).collect();
-        mcss_shamir::split_into(
-            &secret,
-            Params::new(k, m).unwrap(),
-            &mut direct_rng,
-            &mut direct_scratch,
-            &mut direct,
-        )
-        .unwrap();
-
-        let mut codec_rng = StdRng::seed_from_u64(42);
+        let mut rng = StdRng::seed_from_u64(42);
         let mut scratch = CodecScratch::new();
         let mut via_codec: Vec<Vec<u8>> = (0..m).map(|_| b"hdr".to_vec()).collect();
         CodecId::Shamir
-            .split_into(&secret, k, m, &mut codec_rng, &mut scratch, &mut via_codec)
+            .split_into(&secret, k, m, &mut rng, &mut scratch, &mut via_codec)
             .unwrap();
 
-        assert_eq!(
-            direct, via_codec,
-            "CodecId::Shamir diverged from mcss-shamir"
-        );
-        // The RNG streams must have advanced identically too.
-        let mut a = [0u8; 32];
-        let mut b = [0u8; 32];
-        rand::RngExt::fill(&mut direct_rng, &mut a);
-        rand::RngExt::fill(&mut codec_rng, &mut b);
-        assert_eq!(a, b, "RNG stream diverged after split");
+        for (j, out) in via_codec.iter().enumerate() {
+            assert_eq!(&out[..3], b"hdr", "header clobbered, share {j}");
+            assert_eq!(
+                fnv64(&out[3..]),
+                SHARES[j],
+                "CodecId::Shamir diverged from mcss-shamir, share {j}"
+            );
+        }
+        let mut next = [0u8; 32];
+        rand::RngExt::fill(&mut rng, &mut next);
+        assert_eq!(next, NEXT, "RNG stream diverged after split");
     }
 
     #[test]

@@ -1,255 +1,80 @@
-//! Precomputed subset-metric tables.
-//!
-//! Every optimization layer above the §IV-A formulas — schedule
-//! expectations `Z(p)`, `L(p)`, `D(p)`, the §IV-B/§IV-D LP cost vectors,
-//! and `(κ, μ)` tradeoff surfaces — evaluates `z(k, M)`, `l(k, M)`, and
-//! `d(k, M)` over and over for the *same* channel set. A
-//! [`SubsetMetricCache`] runs each dynamic program once per admissible
-//! `(k, M)` pair up front and serves every later evaluation as a table
-//! lookup keyed by the subset's `u16` bitmask.
-//!
-//! Construction costs `O(n² · 2ⁿ)` time and stores `3 · n · 2ⁿ⁻¹`
-//! doubles — instantaneous for the paper's `n = 5` setups (240 entries)
-//! and ~25 ms / 12 MiB at the crate's `n = 16` ceiling. The risk and
-//! loss tables are built by the same [`subset::poisson_binomial_pmf`]
-//! routine the per-call path uses, on the same operand order, so cached
-//! and uncached values are bit-identical; the delay table uses an
-//! algebraically exact reformulation (see [`SubsetMetricCache::delay`])
-//! that agrees to floating-point rounding (≪ 1e-12).
+//! The subset-metric table: every mask's [`MetricRows`] run, computed
+//! once and looked up by bitmask, for callers that price the whole entry
+//! set of one channel set — an LP cost vector, a `(κ, μ)` grid. It is the
+//! per-call formulas' own routine run `2ⁿ − 1` times, so a looked-up value
+//! is the per-call value bit for bit (`n · 2ⁿ⁻¹` entries per metric).
 
 use crate::channel::ChannelSet;
-use crate::subset::{self, Subset};
+use crate::subset::{MetricRows, Subset};
 
-/// Precomputed `z/l/d(k, M)` tables for one [`ChannelSet`].
-///
-/// Tables are indexed by the subset bitmask and threshold; the accessors
-/// mirror the conventions of the corresponding [`subset`] functions,
-/// including their out-of-range behavior.
-///
-/// # Examples
-///
-/// ```
-/// use mcss_core::{setups, subset, Subset, SubsetMetricCache};
-///
-/// let channels = setups::lossy();
-/// let cache = SubsetMetricCache::new(&channels);
-/// let m = Subset::from_indices(&[0, 2, 4]);
-/// assert_eq!(cache.risk(2, m), subset::risk(&channels, 2, m));
-/// assert_eq!(cache.loss(2, m), subset::loss(&channels, 2, m));
-/// assert!((cache.delay(2, m) - subset::delay(&channels, 2, m)).abs() < 1e-12);
-/// ```
+/// `z/l/d(k, M)` of one [`ChannelSet`] for every `1 ≤ k ≤ |M|`.
 #[derive(Debug, Clone)]
-pub struct SubsetMetricCache {
-    n: usize,
-    /// Start of each mask's `k`-run in the metric tables: mask `M`'s
-    /// values for `k = 1..=|M|` live at `offsets[M]..offsets[M] + |M|`.
+pub(crate) struct SubsetMetricCache {
+    /// Mask `M`'s values for `k = 1..=|M|` live at
+    /// `offsets[M]..offsets[M] + |M|` of each metric.
     offsets: Vec<u32>,
-    risk: Vec<f64>,
-    loss: Vec<f64>,
-    delay: Vec<f64>,
+    rows: MetricRows,
 }
 
 impl SubsetMetricCache {
-    /// Builds the full `z/l/d` tables for `channels`.
-    #[must_use]
-    pub fn new(channels: &ChannelSet) -> Self {
+    pub(crate) fn new(channels: &ChannelSet) -> Self {
         let n = channels.len();
-        let masks = 1usize << n;
-
-        let mut offsets = Vec::with_capacity(masks);
+        let mut offsets = Vec::with_capacity(1 << n);
         let mut next = 0u32;
-        for mask in 0..masks {
+        for mask in 0..1u32 << n {
             offsets.push(next);
             next += mask.count_ones();
         }
-        let entries = next as usize; // n · 2^(n−1)
-
-        let mut risk = Vec::with_capacity(entries);
-        let mut loss = Vec::with_capacity(entries);
-        let mut delay = Vec::with_capacity(entries);
-
-        let mut risk_probs: Vec<f64> = Vec::with_capacity(n);
-        let mut arrive_probs: Vec<f64> = Vec::with_capacity(n);
-        let mut by_delay: Vec<usize> = Vec::with_capacity(n);
-        for mask in 0..masks {
-            let m = Subset::from_bits(mask as u16);
-            let size = m.len();
-            if size == 0 {
-                continue;
-            }
-
-            // z and l: identical inputs and code path as subset::risk /
-            // subset::loss, hence bit-identical outputs.
-            risk_probs.clear();
-            arrive_probs.clear();
-            for i in m.iter() {
-                risk_probs.push(channels.channel(i).risk());
-                arrive_probs.push(1.0 - channels.channel(i).loss());
-            }
-            let risk_pmf = subset::poisson_binomial_pmf(&risk_probs);
-            let arrive_pmf = subset::poisson_binomial_pmf(&arrive_probs);
-            for k in 1..=size {
-                risk.push(risk_pmf[k..].iter().sum::<f64>().clamp(0.0, 1.0));
-                loss.push(1.0 - arrive_pmf[k..].iter().sum::<f64>().clamp(0.0, 1.0));
-            }
-
-            // d(k, M) for every k in one pass. Partition the §IV-A sum
-            // over arrival patterns K by which channel is the k-th
-            // fastest survivor: walking channels in ascending delay
-            // order with an arrival-count DP over the processed prefix,
-            //   Σ_{|K|≥k} w(K)·δ_K(k)
-            //     = Σ_j δ_j·(1−l_j)·P[exactly k−1 of the j−1 faster
-            //       channels arrive],
-            // an exact algebraic identity that replaces the exponential
-            // submask walk with O(|M|²) work.
-            by_delay.clear();
-            by_delay.extend(m.iter());
-            by_delay.sort_by(|&a, &b| {
-                channels
-                    .channel(a)
-                    .delay()
-                    .partial_cmp(&channels.channel(b).delay())
-                    .expect("delays are finite")
-            });
-            let base = loss.len() - size;
-            let mut acc = vec![0.0f64; size];
-            let mut prefix_pmf = vec![0.0f64; size + 1];
-            prefix_pmf[0] = 1.0;
-            for (j, &i) in by_delay.iter().enumerate() {
-                let d_i = channels.channel(i).delay();
-                let p_i = 1.0 - channels.channel(i).loss();
-                for (k0, slot) in acc.iter_mut().enumerate().take(j + 1) {
-                    *slot += d_i * p_i * prefix_pmf[k0];
-                }
-                for c in (0..=j).rev() {
-                    let stay = prefix_pmf[c] * (1.0 - p_i);
-                    prefix_pmf[c + 1] += prefix_pmf[c] * p_i;
-                    prefix_pmf[c] = stay;
-                }
-            }
-            for (k0, numerator) in acc.into_iter().enumerate() {
-                // loss < 1 per channel, so the divisor is positive.
-                delay.push(numerator / (1.0 - loss[base + k0]));
-            }
+        let mut rows = MetricRows::with_capacity(next as usize);
+        for m in Subset::all_nonempty(n) {
+            rows.push(channels, m);
         }
-
-        SubsetMetricCache {
-            n,
-            offsets,
-            risk,
-            loss,
-            delay,
-        }
+        SubsetMetricCache { offsets, rows }
     }
 
-    /// The number of channels the tables cover.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
+    fn slot(&self, k: usize, subset: Subset) -> usize {
+        // A neighbouring mask's value must not answer for a bad threshold.
+        assert!(k >= 1 && k <= subset.len(), "threshold out of range");
+        self.offsets[subset.bits() as usize] as usize + (k - 1)
     }
 
-    fn slot(&self, k: usize, subset: Subset) -> Option<usize> {
-        let size = subset.len();
-        if k == 0 || k > size {
-            return None;
-        }
-        debug_assert!(
-            (subset.bits() as usize) < self.offsets.len(),
-            "subset spans more channels than the cache covers"
-        );
-        Some(self.offsets[subset.bits() as usize] as usize + (k - 1))
+    pub(crate) fn risk(&self, k: usize, subset: Subset) -> f64 {
+        self.rows.risk[self.slot(k, subset)]
     }
 
-    /// Cached `z(k, M)`; agrees bit-for-bit with [`subset::risk`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset` references channels beyond the cached set.
-    #[must_use]
-    pub fn risk(&self, k: usize, subset: Subset) -> f64 {
-        match self.slot(k, subset) {
-            Some(i) => self.risk[i],
-            None if k == 0 => 1.0,
-            None => 0.0,
-        }
+    pub(crate) fn loss(&self, k: usize, subset: Subset) -> f64 {
+        self.rows.loss[self.slot(k, subset)]
     }
 
-    /// Cached `l(k, M)`; agrees bit-for-bit with [`subset::loss`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset` references channels beyond the cached set.
-    #[must_use]
-    pub fn loss(&self, k: usize, subset: Subset) -> f64 {
-        match self.slot(k, subset) {
-            Some(i) => self.loss[i],
-            None if k == 0 => 0.0,
-            None => 1.0,
-        }
-    }
-
-    /// Cached `d(k, M)`; agrees with [`subset::delay`] to floating-point
-    /// rounding (well under 1e-12).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or greater than `|M|` (as [`subset::delay`]
-    /// does), or if `subset` references channels beyond the cached set.
-    #[must_use]
-    pub fn delay(&self, k: usize, subset: Subset) -> f64 {
-        let i = self.slot(k, subset).expect("threshold out of range");
-        self.delay[i]
+    pub(crate) fn delay(&self, k: usize, subset: Subset) -> f64 {
+        self.rows.delay[self.slot(k, subset)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setups;
-
-    fn check_against_direct(channels: &ChannelSet) {
-        let cache = SubsetMetricCache::new(channels);
-        let n = channels.len();
-        for m in Subset::all_nonempty(n) {
-            for k in 1..=m.len() {
-                assert_eq!(
-                    cache.risk(k, m),
-                    subset::risk(channels, k, m),
-                    "risk k={k} m={m}"
-                );
-                assert_eq!(
-                    cache.loss(k, m),
-                    subset::loss(channels, k, m),
-                    "loss k={k} m={m}"
-                );
-                let want = subset::delay(channels, k, m);
-                let got = cache.delay(k, m);
-                assert!(
-                    (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                    "delay k={k} m={m}: cached {got} direct {want}"
-                );
-            }
-        }
-    }
+    use crate::{setups, subset};
 
     #[test]
     fn matches_direct_on_paper_setups() {
-        check_against_direct(&setups::diverse());
-        check_against_direct(&setups::lossy());
-        check_against_direct(&setups::delayed());
-        check_against_direct(&setups::identical(100.0));
-        check_against_direct(&setups::diverse_with_risk(&[0.1, 0.9, 0.33, 0.5, 0.71]));
-    }
-
-    #[test]
-    fn out_of_range_thresholds_match_subset_conventions() {
-        let channels = setups::lossy();
-        let cache = SubsetMetricCache::new(&channels);
-        let m = Subset::from_indices(&[1, 3]);
-        assert_eq!(cache.risk(0, m), 1.0);
-        assert_eq!(cache.risk(3, m), 0.0);
-        assert_eq!(cache.loss(0, m), 0.0);
-        assert_eq!(cache.loss(3, m), 1.0);
+        // Table row == per-call value, bit for bit, all three metrics.
+        for channels in [
+            setups::diverse(),
+            setups::lossy(),
+            setups::delayed(),
+            setups::identical(100.0),
+            setups::diverse_with_risk(&[0.1, 0.9, 0.33, 0.5, 0.71]),
+        ] {
+            let cache = SubsetMetricCache::new(&channels);
+            for m in Subset::all_nonempty(channels.len()) {
+                for k in 1..=m.len() {
+                    assert_eq!(cache.risk(k, m), subset::risk(&channels, k, m), "{k} {m}");
+                    assert_eq!(cache.loss(k, m), subset::loss(&channels, k, m), "{k} {m}");
+                    assert_eq!(cache.delay(k, m), subset::delay(&channels, k, m), "{k} {m}");
+                }
+            }
+        }
     }
 
     #[test]

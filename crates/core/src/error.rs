@@ -73,8 +73,8 @@ pub enum ModelError {
         kappa: f64,
         /// Requested mean multiplicity.
         mu: f64,
-        /// Number of channels.
-        n: usize,
+        /// Number of channels, where the caller knew one.
+        n: Option<usize>,
     },
     /// A schedule entry violates `1 ≤ k ≤ |M|` or references channels
     /// outside the set.
@@ -99,9 +99,17 @@ impl core::fmt::Display for ModelError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ModelError::Channel(e) => write!(f, "invalid channel: {e}"),
-            ModelError::InvalidParameters { kappa, mu, n } => write!(
+            ModelError::InvalidParameters {
+                kappa,
+                mu,
+                n: Some(n),
+            } => write!(
                 f,
                 "parameters violate 1 <= kappa <= mu <= n: kappa={kappa}, mu={mu}, n={n}"
+            ),
+            ModelError::InvalidParameters { kappa, mu, n: None } => write!(
+                f,
+                "parameters violate 1 <= kappa <= mu: kappa={kappa}, mu={mu}"
             ),
             ModelError::InvalidEntry { k, subset_len } => write!(
                 f,
@@ -114,6 +122,31 @@ impl core::fmt::Display for ModelError {
             ModelError::Lp(e) => write!(f, "schedule linear program failed: {e}"),
         }
     }
+}
+
+/// The admissibility rule of the fractional parameters (§III-C):
+/// `1 ≤ κ ≤ μ ≤ n`, both finite. With `n` not yet known (`None`) the
+/// `μ ≤ n` half is left to whoever learns the channel count.
+///
+/// # Errors
+///
+/// [`ModelError::InvalidParameters`] carrying the three arguments.
+///
+/// # Examples
+///
+/// ```
+/// use mcss_core::check_params;
+///
+/// assert!(check_params(2.0, 3.5, Some(5)).is_ok());
+/// assert!(check_params(2.0, 5.5, Some(5)).is_err());
+/// assert!(check_params(2.0, 5.5, None).is_ok());
+/// ```
+pub fn check_params(kappa: f64, mu: f64, n: Option<usize>) -> Result<(), ModelError> {
+    let finite = kappa.is_finite() && mu.is_finite();
+    if !finite || kappa < 1.0 || kappa > mu || n.is_some_and(|n| mu > n as f64) {
+        return Err(ModelError::InvalidParameters { kappa, mu, n });
+    }
+    Ok(())
 }
 
 impl std::error::Error for ModelError {
@@ -149,7 +182,7 @@ mod tests {
             ModelError::InvalidParameters {
                 kappa: 2.0,
                 mu: 1.0,
-                n: 5,
+                n: Some(5),
             },
             ModelError::InvalidEntry {
                 k: 3,

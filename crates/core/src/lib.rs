@@ -53,7 +53,7 @@
 //! ```
 
 pub mod adversary;
-pub mod cache;
+mod cache;
 mod channel;
 mod error;
 pub mod lp_schedule;
@@ -64,8 +64,7 @@ mod schedule;
 pub mod setups;
 pub mod subset;
 
-pub use cache::SubsetMetricCache;
 pub use channel::{Channel, ChannelSet, MAX_CHANNELS};
-pub use error::{ChannelError, ModelError};
+pub use error::{check_params, ChannelError, ModelError};
 pub use schedule::{ScheduleBuilder, ScheduleEntry, ShareSchedule};
 pub use subset::Subset;

@@ -14,7 +14,7 @@ use mcss_lp::{Problem, Relation};
 
 use crate::cache::SubsetMetricCache;
 use crate::channel::ChannelSet;
-use crate::error::ModelError;
+use crate::error::{check_params, ModelError};
 use crate::optimal;
 use crate::schedule::{ScheduleBuilder, ScheduleEntry, ShareSchedule};
 use crate::subset::{self, Subset};
@@ -41,20 +41,10 @@ impl Objective {
         }
     }
 
-    /// [`Objective::cost`] served from precomputed tables.
-    #[must_use]
-    pub fn cost_cached(self, cache: &SubsetMetricCache, k: usize, subset: Subset) -> f64 {
-        match self {
-            Objective::Privacy => cache.risk(k, subset),
-            Objective::Loss => cache.loss(k, subset),
-            Objective::Delay => cache.delay(k, subset),
-        }
-    }
-
     /// The objective as a composite one: all the weight on its own
     /// property. `0.0 + 1.0·x` is `x` exactly, so the cost vector is the
-    /// one [`Objective::cost_cached`] gives.
-    fn weights(self) -> Weights {
+    /// one [`Objective::cost`] gives.
+    pub(crate) fn weights(self) -> Weights {
         let on = |o| if self == o { 1.0 } else { 0.0 };
         Weights {
             risk: on(Objective::Privacy),
@@ -87,32 +77,25 @@ pub fn all_entries(n: usize) -> Vec<ScheduleEntry> {
     out
 }
 
-fn validate_params(n: usize, kappa: f64, mu: f64) -> Result<(), ModelError> {
-    let nf = n as f64;
-    if !(kappa.is_finite() && mu.is_finite()) || kappa < 1.0 || kappa > mu || mu > nf {
-        return Err(ModelError::InvalidParameters { kappa, mu, n });
-    }
-    Ok(())
-}
-
-/// Both programs, over a composite objective: §IV-B fixes the mean
-/// multiplicity with a `μ` row; §IV-D (`at_max_rate`) replaces it with
-/// one usage row per channel, `Σ_{(k,M): i∈M} p(k,M) = min(rᵢ/R_C, 1)`.
-fn solve(
+/// Both programs, over a composite objective and the entry set `entries`
+/// (all of `𝓜`, or §IV-E's `𝓜'`), priced from `cache`, the table of
+/// `channels`: §IV-B fixes the mean multiplicity with a `μ` row; §IV-D
+/// (`at_max_rate`) replaces it with one usage row per channel,
+/// `Σ_{(k,M): i∈M} p(k,M) = min(rᵢ/R_C, 1)`.
+pub(crate) fn solve(
     channels: &ChannelSet,
     cache: &SubsetMetricCache,
+    entries: &[ScheduleEntry],
     kappa: f64,
     mu: f64,
     weights: Weights,
     at_max_rate: bool,
 ) -> Result<ShareSchedule, ModelError> {
-    assert_eq!(cache.n(), channels.len(), "cache built for a different set");
-    validate_params(channels.len(), kappa, mu)?;
+    check_params(kappa, mu, Some(channels.len()))?;
     weights.validate()?;
-    let entries = all_entries(channels.len());
     let costs: Vec<f64> = entries
         .iter()
-        .map(|e| weights.cost_cached(cache, e.k() as usize, e.subset()))
+        .map(|e| weights.cost(cache, e.k() as usize, e.subset()))
         .collect();
     let mut lp = Problem::minimize(&costs);
     let ones = vec![1.0; entries.len()];
@@ -140,6 +123,19 @@ fn solve(
         }
     }
     b.build_with_tolerance(1e-6)
+}
+
+/// [`solve`] over all of `𝓜`, on a table built for this one call.
+fn solve_over_all(
+    channels: &ChannelSet,
+    kappa: f64,
+    mu: f64,
+    weights: Weights,
+    at_max_rate: bool,
+) -> Result<ShareSchedule, ModelError> {
+    let cache = SubsetMetricCache::new(channels);
+    let entries = all_entries(channels.len());
+    solve(channels, &cache, &entries, kappa, mu, weights, at_max_rate)
 }
 
 /// Relative weights for a composite objective `w_z·Z(p) + w_l·L(p) +
@@ -191,7 +187,9 @@ impl Weights {
         Ok(())
     }
 
-    fn cost_cached(&self, cache: &SubsetMetricCache, k: usize, m: Subset) -> f64 {
+    /// The composite cost of entry `(k, M)`: the one place a schedule
+    /// property enters an LP cost vector.
+    pub(crate) fn cost(&self, cache: &SubsetMetricCache, k: usize, m: Subset) -> f64 {
         let mut c = 0.0;
         if self.risk > 0.0 {
             c += self.risk * cache.risk(k, m);
@@ -230,8 +228,7 @@ pub fn optimal_schedule_weighted(
     mu: f64,
     weights: Weights,
 ) -> Result<ShareSchedule, ModelError> {
-    let cache = SubsetMetricCache::new(channels);
-    solve(channels, &cache, kappa, mu, weights, false)
+    solve_over_all(channels, kappa, mu, weights, false)
 }
 
 /// The §IV-D program with a composite objective: minimize
@@ -246,8 +243,7 @@ pub fn optimal_schedule_weighted_at_max_rate(
     mu: f64,
     weights: Weights,
 ) -> Result<ShareSchedule, ModelError> {
-    let cache = SubsetMetricCache::new(channels);
-    solve(channels, &cache, kappa, mu, weights, true)
+    solve_over_all(channels, kappa, mu, weights, true)
 }
 
 /// The §IV-B program: the schedule minimizing `objective` over all
@@ -281,33 +277,7 @@ pub fn optimal_schedule(
     mu: f64,
     objective: Objective,
 ) -> Result<ShareSchedule, ModelError> {
-    optimal_schedule_with_cache(
-        channels,
-        &SubsetMetricCache::new(channels),
-        kappa,
-        mu,
-        objective,
-    )
-}
-
-/// [`optimal_schedule`] with a caller-supplied metric cache, for sweeps
-/// that solve many programs over one channel set.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_schedule`].
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different channel count.
-pub fn optimal_schedule_with_cache(
-    channels: &ChannelSet,
-    cache: &SubsetMetricCache,
-    kappa: f64,
-    mu: f64,
-    objective: Objective,
-) -> Result<ShareSchedule, ModelError> {
-    solve(channels, cache, kappa, mu, objective.weights(), false)
+    solve_over_all(channels, kappa, mu, objective.weights(), false)
 }
 
 /// The §IV-D program: the schedule minimizing `objective` at mean
@@ -342,32 +312,7 @@ pub fn optimal_schedule_at_max_rate(
     mu: f64,
     objective: Objective,
 ) -> Result<ShareSchedule, ModelError> {
-    optimal_schedule_at_max_rate_with_cache(
-        channels,
-        &SubsetMetricCache::new(channels),
-        kappa,
-        mu,
-        objective,
-    )
-}
-
-/// [`optimal_schedule_at_max_rate`] with a caller-supplied metric cache.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_schedule_at_max_rate`].
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different channel count.
-pub fn optimal_schedule_at_max_rate_with_cache(
-    channels: &ChannelSet,
-    cache: &SubsetMetricCache,
-    kappa: f64,
-    mu: f64,
-    objective: Objective,
-) -> Result<ShareSchedule, ModelError> {
-    solve(channels, cache, kappa, mu, objective.weights(), true)
+    solve_over_all(channels, kappa, mu, objective.weights(), true)
 }
 
 #[cfg(test)]
@@ -633,36 +578,6 @@ mod tests {
             }
             kappa += 0.7;
         }
-    }
-
-    #[test]
-    fn cached_costs_match_direct() {
-        let c = setups::delayed();
-        let cache = SubsetMetricCache::new(&c);
-        for e in all_entries(5) {
-            let (k, m) = (e.k() as usize, e.subset());
-            for obj in [Objective::Privacy, Objective::Loss, Objective::Delay] {
-                let direct = obj.cost(&c, k, m);
-                let cached = obj.cost_cached(&cache, k, m);
-                assert!(
-                    (cached - direct).abs() <= 1e-12 * direct.abs().max(1.0),
-                    "{obj} k={k} m={m}: cached {cached} direct {direct}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn with_cache_matches_fresh_solution() {
-        let c = setups::lossy();
-        let cache = SubsetMetricCache::new(&c);
-        let fresh = optimal_schedule(&c, 2.0, 3.0, Objective::Privacy).unwrap();
-        let cached = optimal_schedule_with_cache(&c, &cache, 2.0, 3.0, Objective::Privacy).unwrap();
-        assert_eq!(fresh.entries(), cached.entries());
-        let fresh = optimal_schedule_at_max_rate(&c, 2.0, 3.0, Objective::Loss).unwrap();
-        let cached =
-            optimal_schedule_at_max_rate_with_cache(&c, &cache, 2.0, 3.0, Objective::Loss).unwrap();
-        assert_eq!(fresh.entries(), cached.entries());
     }
 
     #[test]

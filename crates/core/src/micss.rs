@@ -14,8 +14,9 @@
 //! counterexample shows optimal privacy/loss/delay may be strictly worse;
 //! [`optimal_limited_schedule`] lets you measure that gap.
 
+use crate::cache::SubsetMetricCache;
 use crate::channel::ChannelSet;
-use crate::error::ModelError;
+use crate::error::{check_params, ModelError};
 use crate::lp_schedule::{self, Objective};
 use crate::schedule::{ScheduleBuilder, ScheduleEntry, ShareSchedule};
 use crate::subset::Subset;
@@ -37,20 +38,13 @@ use crate::subset::Subset;
 /// # Ok::<(), mcss_core::ModelError>(())
 /// ```
 pub fn limited_entries(n: usize, kappa: f64, mu: f64) -> Result<Vec<ScheduleEntry>, ModelError> {
-    validate(n, kappa, mu)?;
+    check_params(kappa, mu, Some(n))?;
     let kf = kappa.floor() as u8;
     let mf = mu.floor() as usize;
     Ok(lp_schedule::all_entries(n)
         .into_iter()
         .filter(|e| e.k() >= kf && e.multiplicity() >= mf)
         .collect())
-}
-
-fn validate(n: usize, kappa: f64, mu: f64) -> Result<(), ModelError> {
-    if !(kappa.is_finite() && mu.is_finite()) || kappa < 1.0 || kappa > mu || mu > n as f64 {
-        return Err(ModelError::InvalidParameters { kappa, mu, n });
-    }
-    Ok(())
 }
 
 /// The Theorem 5 construction: a valid limited schedule over `𝓜'` with
@@ -79,7 +73,7 @@ fn validate(n: usize, kappa: f64, mu: f64) -> Result<(), ModelError> {
 /// # Ok::<(), mcss_core::ModelError>(())
 /// ```
 pub fn theorem5_schedule(n: usize, kappa: f64, mu: f64) -> Result<ShareSchedule, ModelError> {
-    validate(n, kappa, mu)?;
+    check_params(kappa, mu, Some(n))?;
     let kf = kappa.floor() as u8;
     let a = kappa - f64::from(kf); // P[k = kf + 1]
     let mf = mu.floor() as usize;
@@ -131,25 +125,9 @@ pub fn optimal_limited_schedule(
     objective: Objective,
 ) -> Result<ShareSchedule, ModelError> {
     let entries = limited_entries(channels.len(), kappa, mu)?;
-    let costs: Vec<f64> = entries
-        .iter()
-        .map(|e| objective.cost(channels, e.k() as usize, e.subset()))
-        .collect();
-    let mut lp = mcss_lp::Problem::minimize(&costs);
-    let ones = vec![1.0; entries.len()];
-    lp.constraint(&ones, mcss_lp::Relation::Eq, 1.0)?;
-    let kvec: Vec<f64> = entries.iter().map(|e| f64::from(e.k())).collect();
-    lp.constraint(&kvec, mcss_lp::Relation::Eq, kappa)?;
-    let mvec: Vec<f64> = entries.iter().map(|e| e.multiplicity() as f64).collect();
-    lp.constraint(&mvec, mcss_lp::Relation::Eq, mu)?;
-    let solution = lp.solve()?;
-    let mut b = ScheduleBuilder::new(channels.len());
-    for (e, &p) in entries.iter().zip(solution.values()) {
-        if p > 1e-12 {
-            b.push(e.k(), e.subset(), p)?;
-        }
-    }
-    b.build_with_tolerance(1e-6)
+    let cache = SubsetMetricCache::new(channels);
+    let weights = objective.weights();
+    lp_schedule::solve(channels, &cache, &entries, kappa, mu, weights, false)
 }
 
 #[cfg(test)]
@@ -257,6 +235,25 @@ mod tests {
                     vl >= vf - 1e-9,
                     "limited beat unrestricted for {obj} at ({kappa}, {mu})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn unlimited_limit_is_the_unrestricted_program() {
+        // At κ = μ = 1 the limited set 𝓜' is all of 𝓜: the two entry
+        // points are one call and must reach one optimum.
+        for c in [setups::lossy(), setups::delayed()] {
+            for obj in [Objective::Privacy, Objective::Loss, Objective::Delay] {
+                let lim = optimal_limited_schedule(&c, 1.0, 1.0, obj).unwrap();
+                let free = optimal_schedule(&c, 1.0, 1.0, obj).unwrap();
+                let value = |p: &ShareSchedule| match obj {
+                    Objective::Privacy => p.risk(&c),
+                    Objective::Loss => p.loss(&c),
+                    Objective::Delay => p.delay(&c),
+                };
+                let (vl, vf) = (value(&lim), value(&free));
+                assert!((vl - vf).abs() <= 1e-12 * vf.abs().max(1.0), "{obj}");
             }
         }
     }

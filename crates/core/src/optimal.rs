@@ -2,7 +2,7 @@
 //! theorems (Theorems 1–4).
 
 use crate::channel::ChannelSet;
-use crate::error::ModelError;
+use crate::error::{check_params, ModelError};
 use crate::subset::Subset;
 
 /// The fully optimized overall risk `Z_C = Π zᵢ` (§IV-B), achieved by the
@@ -80,12 +80,9 @@ pub fn best_rate(channels: &ChannelSet) -> f64 {
     channels.total_rate()
 }
 
+/// `1 ≤ μ ≤ n`: the parameter rule with the threshold out of the picture.
 fn validate_mu(channels: &ChannelSet, mu: f64) -> Result<(), ModelError> {
-    let n = channels.len();
-    if !mu.is_finite() || mu < 1.0 || mu > n as f64 {
-        return Err(ModelError::InvalidParameters { kappa: 1.0, mu, n });
-    }
-    Ok(())
+    check_params(1.0, mu, Some(channels.len()))
 }
 
 /// Theorem 1: a lower bound on the optimal multichannel rate — the rate

@@ -28,6 +28,7 @@ use crate::channel::ChannelSet;
 use crate::error::ModelError;
 use crate::lp_schedule::{self, Objective};
 use crate::optimal;
+use crate::schedule::ScheduleEntry;
 
 /// One evaluated operating point: the parameters and the best value of
 /// each property achievable at the Theorem 4 maximum rate.
@@ -82,19 +83,26 @@ pub fn surface(
         return Err(ModelError::InvalidParameters {
             kappa: kappa_step,
             mu: mu_step,
-            n: channels.len(),
+            n: Some(channels.len()),
         });
     }
     let n = channels.len() as f64;
-    // One table build amortized over the whole grid: every LP cost vector
-    // and every schedule-property evaluation below is a lookup.
+    // One table and one entry set for the whole grid: every LP cost
+    // vector and every schedule-property evaluation below is a lookup.
     let cache = SubsetMetricCache::new(channels);
+    let entries = lp_schedule::all_entries(channels.len());
     let mut points = Vec::new();
     let mut kappa = 1.0;
     while kappa <= n + 1e-9 {
         let mut mu = kappa;
         while mu <= n + 1e-9 {
-            points.push(point_with_cache(channels, &cache, kappa.min(n), mu.min(n))?);
+            points.push(point_on(
+                channels,
+                &cache,
+                &entries,
+                kappa.min(n),
+                mu.min(n),
+            )?);
             mu += mu_step;
         }
         kappa += kappa_step;
@@ -108,57 +116,31 @@ pub fn surface(
 ///
 /// [`ModelError::InvalidParameters`] unless `1 ≤ κ ≤ μ ≤ n`.
 pub fn point(channels: &ChannelSet, kappa: f64, mu: f64) -> Result<TradeoffPoint, ModelError> {
-    point_with_cache(channels, &SubsetMetricCache::new(channels), kappa, mu)
+    let cache = SubsetMetricCache::new(channels);
+    let entries = lp_schedule::all_entries(channels.len());
+    point_on(channels, &cache, &entries, kappa, mu)
 }
 
-/// [`point`] with a caller-supplied metric cache, for sweeps evaluating
-/// many operating points of one channel set.
-///
-/// # Errors
-///
-/// [`ModelError::InvalidParameters`] unless `1 ≤ κ ≤ μ ≤ n`.
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different channel count.
-pub fn point_with_cache(
+fn point_on(
     channels: &ChannelSet,
     cache: &SubsetMetricCache,
+    entries: &[ScheduleEntry],
     kappa: f64,
     mu: f64,
 ) -> Result<TradeoffPoint, ModelError> {
-    let rate = optimal::optimal_rate(channels, mu)?;
-    let risk = lp_schedule::optimal_schedule_at_max_rate_with_cache(
-        channels,
-        cache,
-        kappa,
-        mu,
-        Objective::Privacy,
-    )?
-    .risk_cached(cache);
-    let loss = lp_schedule::optimal_schedule_at_max_rate_with_cache(
-        channels,
-        cache,
-        kappa,
-        mu,
-        Objective::Loss,
-    )?
-    .loss_cached(cache);
-    let delay = lp_schedule::optimal_schedule_at_max_rate_with_cache(
-        channels,
-        cache,
-        kappa,
-        mu,
-        Objective::Delay,
-    )?
-    .delay_cached(cache);
+    // The §IV-D optimum of one property, and that property of it.
+    let best = |objective: Objective| {
+        let w = objective.weights();
+        lp_schedule::solve(channels, cache, entries, kappa, mu, w, true)
+            .map(|p| p.expect(channels.len(), |k, m| w.cost(cache, k, m)))
+    };
     Ok(TradeoffPoint {
         kappa,
         mu,
-        rate,
-        risk,
-        loss,
-        delay,
+        rate: optimal::optimal_rate(channels, mu)?,
+        risk: best(Objective::Privacy)?,
+        loss: best(Objective::Loss)?,
+        delay: best(Objective::Delay)?,
     })
 }
 

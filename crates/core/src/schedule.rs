@@ -4,7 +4,6 @@
 use rand::Rng;
 use rand::RngExt as _;
 
-use crate::cache::SubsetMetricCache;
 use crate::channel::ChannelSet;
 use crate::error::ModelError;
 use crate::subset::{self, Subset};
@@ -335,7 +334,7 @@ impl ShareSchedule {
     /// Panics if the schedule references channels outside `channels`.
     #[must_use]
     pub fn risk(&self, channels: &ChannelSet) -> f64 {
-        self.expect(channels, subset::risk)
+        self.expect(channels.len(), |k, m| subset::risk(channels, k, m))
     }
 
     /// Schedule loss `L(p) = Σ p(k,M)·l(k,M)`.
@@ -345,7 +344,7 @@ impl ShareSchedule {
     /// Panics if the schedule references channels outside `channels`.
     #[must_use]
     pub fn loss(&self, channels: &ChannelSet) -> f64 {
-        self.expect(channels, subset::loss)
+        self.expect(channels.len(), |k, m| subset::loss(channels, k, m))
     }
 
     /// Schedule delay `D(p) = Σ p(k,M)·d(k,M)`.
@@ -355,63 +354,19 @@ impl ShareSchedule {
     /// Panics if the schedule references channels outside `channels`.
     #[must_use]
     pub fn delay(&self, channels: &ChannelSet) -> f64 {
-        self.expect(channels, subset::delay)
+        self.expect(channels.len(), |k, m| subset::delay(channels, k, m))
     }
 
-    fn expect(&self, channels: &ChannelSet, f: fn(&ChannelSet, usize, Subset) -> f64) -> f64 {
+    /// The expectation `Σ p(k,M)·f(k, M)` of a per-entry value defined
+    /// over `n` channels.
+    pub(crate) fn expect(&self, n: usize, f: impl Fn(usize, Subset) -> f64) -> f64 {
         assert!(
-            self.n <= channels.len(),
+            self.n <= n,
             "schedule spans more channels than the set provides"
         );
         self.entries
             .iter()
-            .map(|(e, p)| p * f(channels, e.k() as usize, e.subset()))
-            .sum()
-    }
-
-    /// [`ShareSchedule::risk`] served from precomputed tables; identical
-    /// value, no per-entry dynamic program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule references channels outside the cached set.
-    #[must_use]
-    pub fn risk_cached(&self, cache: &SubsetMetricCache) -> f64 {
-        self.expect_cached(cache, SubsetMetricCache::risk)
-    }
-
-    /// [`ShareSchedule::loss`] served from precomputed tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule references channels outside the cached set.
-    #[must_use]
-    pub fn loss_cached(&self, cache: &SubsetMetricCache) -> f64 {
-        self.expect_cached(cache, SubsetMetricCache::loss)
-    }
-
-    /// [`ShareSchedule::delay`] served from precomputed tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule references channels outside the cached set.
-    #[must_use]
-    pub fn delay_cached(&self, cache: &SubsetMetricCache) -> f64 {
-        self.expect_cached(cache, SubsetMetricCache::delay)
-    }
-
-    fn expect_cached(
-        &self,
-        cache: &SubsetMetricCache,
-        f: fn(&SubsetMetricCache, usize, Subset) -> f64,
-    ) -> f64 {
-        assert!(
-            self.n <= cache.n(),
-            "schedule spans more channels than the cache covers"
-        );
-        self.entries
-            .iter()
-            .map(|(e, p)| p * f(cache, e.k() as usize, e.subset()))
+            .map(|(e, p)| p * f(e.k() as usize, e.subset()))
             .sum()
     }
 

@@ -252,6 +252,85 @@ impl Iterator for Subsets {
     }
 }
 
+/// `z(k, M)`, `l(k, M)` and `d(k, M)` for every admissible threshold of
+/// the masks pushed so far: each [`push`](MetricRows::push) appends `|M|`
+/// values to each vector, entry `k − 1` of the run belonging to `k`.
+///
+/// The one place the §IV-A formulas are evaluated: [`risk`], [`loss`]
+/// and [`delay`] push a single mask, the crate's table pushes them all.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MetricRows {
+    pub(crate) risk: Vec<f64>,
+    pub(crate) loss: Vec<f64>,
+    pub(crate) delay: Vec<f64>,
+}
+
+impl MetricRows {
+    pub(crate) fn with_capacity(entries: usize) -> Self {
+        MetricRows {
+            risk: Vec::with_capacity(entries),
+            loss: Vec::with_capacity(entries),
+            delay: Vec::with_capacity(entries),
+        }
+    }
+
+    pub(crate) fn push(&mut self, channels: &ChannelSet, subset: Subset) {
+        let size = subset.len();
+        let base = self.loss.len();
+
+        // z and l: upper tails of the Poisson-binomial distributions of
+        // observed and of arriving shares.
+        let observed = poisson_binomial_pmf(subset.iter().map(|i| channels.channel(i).risk()));
+        let arrived = poisson_binomial_pmf(subset.iter().map(|i| 1.0 - channels.channel(i).loss()));
+        let tail = |pmf: &[f64], k: usize| pmf[k..].iter().sum::<f64>().clamp(0.0, 1.0);
+        self.risk.extend((1..=size).map(|k| tail(&observed, k)));
+        self.loss
+            .extend((1..=size).map(|k| 1.0 - tail(&arrived, k)));
+
+        // d(k, M) for every k in one pass. Partition the §IV-A sum over
+        // arrival patterns K by which channel is the k-th fastest
+        // survivor: walking channels in ascending delay order with an
+        // arrival-count DP over the processed prefix,
+        //   Σ_{|K|≥k} w(K)·δ_K(k)
+        //     = Σ_j δ_j·(1−l_j)·P[exactly k−1 of the j−1 faster
+        //       channels arrive],
+        // an exact algebraic identity that replaces the exponential
+        // submask walk of `delay_by_enumeration` with O(|M|²) work.
+        let mut by_delay: Vec<usize> = subset.iter().collect();
+        by_delay.sort_by(|&a, &b| {
+            let (a, b) = (channels.channel(a).delay(), channels.channel(b).delay());
+            a.partial_cmp(&b).expect("delays are finite")
+        });
+        self.delay.resize(base + size, 0.0);
+        let acc = &mut self.delay[base..];
+        let mut prefix_pmf = vec![0.0f64; size + 1];
+        prefix_pmf[0] = 1.0;
+        for (j, &i) in by_delay.iter().enumerate() {
+            let d_i = channels.channel(i).delay();
+            let p_i = 1.0 - channels.channel(i).loss();
+            for (k0, slot) in acc.iter_mut().enumerate().take(j + 1) {
+                *slot += d_i * p_i * prefix_pmf[k0];
+            }
+            for c in (0..=j).rev() {
+                let stay = prefix_pmf[c] * (1.0 - p_i);
+                prefix_pmf[c + 1] += prefix_pmf[c] * p_i;
+                prefix_pmf[c] = stay;
+            }
+        }
+        for (numerator, l_km) in acc.iter_mut().zip(&self.loss[base..]) {
+            // loss < 1 per channel, so the divisor is positive.
+            *numerator /= 1.0 - l_km;
+        }
+    }
+}
+
+/// The single-mask row behind the per-call formulas.
+fn row(channels: &ChannelSet, subset: Subset) -> MetricRows {
+    let mut rows = MetricRows::default();
+    rows.push(channels, subset);
+    rows
+}
+
 /// Subset risk `z(k, M)`: probability that an adversary observes at least
 /// `k` of the shares sent over `M` — the upper tail of the
 /// Poisson-binomial distribution with success probabilities `zᵢ, i ∈ M`.
@@ -272,13 +351,16 @@ impl Iterator for Subsets {
 /// ```
 #[must_use]
 pub fn risk(channels: &ChannelSet, k: usize, subset: Subset) -> f64 {
-    let probs: Vec<f64> = subset.iter().map(|i| channels.channel(i).risk()).collect();
-    poisson_binomial_tail(&probs, k)
+    match k {
+        0 => 1.0,
+        k if k > subset.len() => 0.0,
+        k => row(channels, subset).risk[k - 1],
+    }
 }
 
 /// Subset loss `l(k, M)`: probability that fewer than `k` shares arrive,
 /// i.e. the lower tail (at `k − 1`) of the Poisson-binomial distribution
-/// with success probabilities `1 − lᵢ`.
+/// with success probabilities `1 − lᵢ`. 0 for `k = 0`, 1 for `k > |M|`.
 ///
 /// # Examples
 ///
@@ -291,38 +373,49 @@ pub fn risk(channels: &ChannelSet, k: usize, subset: Subset) -> f64 {
 /// ```
 #[must_use]
 pub fn loss(channels: &ChannelSet, k: usize, subset: Subset) -> f64 {
-    let probs: Vec<f64> = subset
-        .iter()
-        .map(|i| 1.0 - channels.channel(i).loss())
-        .collect();
-    1.0 - poisson_binomial_tail(&probs, k)
+    match k {
+        0 => 0.0,
+        k if k > subset.len() => 1.0,
+        k => row(channels, subset).loss[k - 1],
+    }
 }
 
-/// Upper tail `P[X ≥ k]` of a Poisson-binomial distribution with the
-/// given success probabilities, by dynamic programming.
+/// Subset delay `d(k, M)`: the expected time from sending a symbol's
+/// shares to its reconstruction, conditioned on the symbol being
+/// delivered (i.e. at least `k` shares arriving): the §IV-A average of
+/// `δ_K(k)` over arrival patterns, normalized by `1 − l(k, M)`, summed
+/// channel by channel in delay order instead of pattern by pattern (see
+/// [`delay_by_enumeration`] for the sum as the paper writes it). With
+/// all `lᵢ = 0` this collapses to `δ_M(k)`.
+///
+/// # Panics
+///
+/// Panics if `k` is 0 or greater than `|M|`.
+///
+/// # Examples
+///
+/// ```
+/// use mcss_core::{setups, subset, Subset};
+///
+/// let c = setups::delayed();
+/// let m = Subset::from_indices(&[0, 1, 4]);
+/// // Lossless: d(2, M) is the 2nd smallest delay (0.5 ms).
+/// assert!((subset::delay(&c, 2, m) - 0.5e-3).abs() < 1e-12);
+/// ```
 #[must_use]
-pub fn poisson_binomial_tail(probs: &[f64], k: usize) -> f64 {
-    if k == 0 {
-        return 1.0;
-    }
-    if k > probs.len() {
-        return 0.0;
-    }
-    let dp = poisson_binomial_pmf(probs);
-    dp[k..].iter().sum::<f64>().clamp(0.0, 1.0)
+pub fn delay(channels: &ChannelSet, k: usize, subset: Subset) -> f64 {
+    assert!(k >= 1 && k <= subset.len(), "threshold out of range");
+    row(channels, subset).delay[k - 1]
 }
 
-/// The full Poisson-binomial probability mass function: entry `j` is
+/// The Poisson-binomial probability mass function: entry `j` is
 /// `P[X = j]` successes among independent trials with the given success
-/// probabilities. Shared by [`poisson_binomial_tail`] and the
-/// [`crate::SubsetMetricCache`] table builder, so cached and per-call
-/// values come from the identical float-operation sequence.
-#[must_use]
-pub fn poisson_binomial_pmf(probs: &[f64]) -> Vec<f64> {
+/// probabilities, by dynamic programming over the trials.
+fn poisson_binomial_pmf(probs: impl ExactSizeIterator<Item = f64>) -> Vec<f64> {
     // dp[j] = P[j successes so far]
     let mut dp = vec![0.0f64; probs.len() + 1];
     dp[0] = 1.0;
-    for (seen, &p) in probs.iter().enumerate() {
+    for (seen, p) in probs.enumerate() {
         for j in (0..=seen).rev() {
             let stay = dp[j] * (1.0 - p);
             dp[j + 1] += dp[j] * p;
@@ -391,32 +484,18 @@ pub fn delay_order_statistic(channels: &ChannelSet, k: usize, subset: Subset) ->
     delays[k - 1]
 }
 
-/// Subset delay `d(k, M)`: the expected time from sending a symbol's
-/// shares to its reconstruction, conditioned on the symbol being
-/// delivered (i.e. at least `k` shares arriving).
+/// Reference implementation of `d(k, M)` exactly as written in §IV-A: a
+/// weighted average of `δ_K(k)` over every arrival pattern `K ⊆ M` with
+/// `|K| ≥ k`, each weighted by the probability that `K` is exactly the
+/// set of surviving shares, normalized by `1 − l(k, M)`.
 ///
-/// Implemented exactly as in §IV-A: a weighted average of `δ_K(k)` over
-/// every arrival pattern `K ⊆ M` with `|K| ≥ k`, each weighted by the
-/// probability that `K` is exactly the set of surviving shares,
-/// normalized by `1 − l(k, M)`. With all `lᵢ = 0` this collapses to
-/// `δ_M(k)`. Exponential in `|M|` (fine for `|M| ≤ 16`).
+/// Exponential in `|M|`; used to cross-check [`delay`].
 ///
 /// # Panics
 ///
 /// Panics if `k` is 0 or greater than `|M|`.
-///
-/// # Examples
-///
-/// ```
-/// use mcss_core::{setups, subset, Subset};
-///
-/// let c = setups::delayed();
-/// let m = Subset::from_indices(&[0, 1, 4]);
-/// // Lossless: d(2, M) is the 2nd smallest delay (0.5 ms).
-/// assert!((subset::delay(&c, 2, m) - 0.5e-3).abs() < 1e-12);
-/// ```
 #[must_use]
-pub fn delay(channels: &ChannelSet, k: usize, subset: Subset) -> f64 {
+pub fn delay_by_enumeration(channels: &ChannelSet, k: usize, subset: Subset) -> f64 {
     assert!(k >= 1 && k <= subset.len(), "threshold out of range");
     let l_km = loss(channels, k, subset);
     let mut acc = 0.0;
@@ -513,11 +592,18 @@ mod tests {
 
     #[test]
     fn tail_edge_cases() {
-        assert_eq!(poisson_binomial_tail(&[], 0), 1.0);
-        assert_eq!(poisson_binomial_tail(&[], 1), 0.0);
-        assert_eq!(poisson_binomial_tail(&[0.3], 0), 1.0);
-        assert!((poisson_binomial_tail(&[0.3], 1) - 0.3).abs() < 1e-15);
-        assert_eq!(poisson_binomial_tail(&[0.3], 2), 0.0);
+        let c = set(&[(0.3, 0.3, 0.0, 1.0)]);
+        assert_eq!(risk(&c, 0, Subset::EMPTY), 1.0);
+        assert_eq!(risk(&c, 1, Subset::EMPTY), 0.0);
+        assert_eq!(loss(&c, 0, Subset::EMPTY), 0.0);
+        assert_eq!(loss(&c, 1, Subset::EMPTY), 1.0);
+        let m = Subset::singleton(0);
+        assert_eq!(risk(&c, 0, m), 1.0);
+        assert!((risk(&c, 1, m) - 0.3).abs() < 1e-15);
+        assert_eq!(risk(&c, 2, m), 0.0);
+        assert_eq!(loss(&c, 0, m), 0.0);
+        assert!((loss(&c, 1, m) - 0.3).abs() < 1e-15);
+        assert_eq!(loss(&c, 2, m), 1.0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use mcss_core::{
         lp_schedule::{self, Objective},
         micss, optimal, setups, subset, Channel, ChannelSet, ModelError, ScheduleBuilder,
-        ScheduleEntry, ShareSchedule, Subset, SubsetMetricCache,
+        ScheduleEntry, ShareSchedule, Subset,
     };
     pub use mcss_netsim::{SimTime, Simulator};
     pub use mcss_obs::{global_snapshot, MetricsSnapshot};

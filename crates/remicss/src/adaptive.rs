@@ -64,20 +64,14 @@ impl AdaptiveController {
         n: usize,
         target_loss: f64,
     ) -> Result<Self, ModelError> {
-        if !(kappa.is_finite() && initial_mu.is_finite())
-            || kappa < 1.0
-            || kappa > initial_mu
-            || initial_mu > n as f64
-            || !target_loss.is_finite()
-            || !(0.0..1.0).contains(&target_loss)
-            || target_loss == 0.0
-        {
+        if !(0.0..1.0).contains(&target_loss) || target_loss == 0.0 {
             return Err(ModelError::InvalidParameters {
                 kappa,
                 mu: initial_mu,
-                n,
+                n: Some(n),
             });
         }
+        mcss_core::check_params(kappa, initial_mu, Some(n))?;
         Ok(AdaptiveController {
             kappa,
             n,

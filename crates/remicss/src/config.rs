@@ -75,13 +75,7 @@ impl ProtocolConfig {
     /// [`ModelError::InvalidParameters`] unless `1 ≤ κ ≤ μ` (the `μ ≤ n`
     /// half is checked when the session is built, since it needs `n`).
     pub fn new(kappa: f64, mu: f64) -> Result<Self, ModelError> {
-        if !(kappa.is_finite() && mu.is_finite()) || kappa < 1.0 || kappa > mu {
-            return Err(ModelError::InvalidParameters {
-                kappa,
-                mu,
-                n: usize::MAX,
-            });
-        }
+        mcss_core::check_params(kappa, mu, None)?;
         Ok(ProtocolConfig {
             kappa,
             mu,
@@ -284,6 +278,11 @@ mod tests {
         assert!(ProtocolConfig::new(0.5, 2.0).is_err());
         assert!(ProtocolConfig::new(2.0, 1.5).is_err());
         assert!(ProtocolConfig::new(f64::NAN, 2.0).is_err());
+        // No channel count exists yet, so the message names none.
+        assert_eq!(
+            ProtocolConfig::new(3.0, 2.0).unwrap_err().to_string(),
+            "parameters violate 1 <= kappa <= mu: kappa=3, mu=2"
+        );
     }
 
     #[test]

@@ -387,10 +387,11 @@ impl EngineCore {
                 if !matches!(config.scheduler(), SchedulerKind::Dynamic) {
                     // Adaptation rewrites the dynamic sampler's mu; it is
                     // meaningless for externally fixed schedules.
+                    // FIXME(item 5d): (κ, μ, n) are valid here; saying so needs a ModelError variant.
                     return Err(mcss_core::ModelError::InvalidParameters {
                         kappa: config.kappa(),
                         mu: config.mu(),
-                        n,
+                        n: Some(n),
                     });
                 }
                 Some(AdaptiveController::new(

@@ -146,9 +146,7 @@ impl ParamSampler {
     ///
     /// [`mcss_core::ModelError::InvalidParameters`] on violation.
     pub fn new(kappa: f64, mu: f64, n: usize) -> Result<Self, mcss_core::ModelError> {
-        if !(kappa.is_finite() && mu.is_finite()) || kappa < 1.0 || kappa > mu || mu > n as f64 {
-            return Err(mcss_core::ModelError::InvalidParameters { kappa, mu, n });
-        }
+        mcss_core::check_params(kappa, mu, Some(n))?;
         Ok(ParamSampler { kappa, mu })
     }
 

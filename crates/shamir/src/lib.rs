@@ -50,9 +50,8 @@ pub const MAX_SHARES: usize = 255;
 /// Writes share `j`'s evaluation into `outs[j]`, for every `j`: the
 /// polynomial whose constant term is `secret` and whose degree-`i`
 /// coefficient is `random[i − 1]`, at `x = j + 1`, all in one pass over
-/// the planes ([`mcss_gf256::slice::eval_into`]). This is the evaluation
-/// `split` and `split_into` share. No allocation for the protocol's
-/// `k ≤ 8`.
+/// the planes ([`mcss_gf256::slice::eval_into`]). No allocation for the
+/// protocol's `k ≤ 8`.
 pub(crate) fn eval_shares<'a>(
     outs: impl IntoIterator<Item = &'a mut [u8]>,
     random: &[Vec<u8>],
@@ -106,21 +105,10 @@ pub fn split<R: rand::Rng + ?Sized>(
     params: Params,
     rng: &mut R,
 ) -> Result<Vec<Share>, ShareError> {
-    use rand::RngExt as _;
-    let _span = mcss_obs::span!("shamir.split");
-    let k = params.threshold() as usize;
+    // `split_into` over fresh buffers: one plane draw, one evaluation.
     let m = params.multiplicity() as usize;
-    // Coefficient *planes*: the secret holds every byte's constant
-    // term, `random[i − 1]` every byte's i-th random coefficient. Each
-    // share is then a Horner evaluation over whole planes.
-    let mut random: Vec<Vec<u8>> = Vec::with_capacity(k - 1);
-    for _ in 1..k {
-        let mut plane = vec![0u8; secret.len()];
-        rng.fill(plane.as_mut_slice());
-        random.push(plane);
-    }
-    let mut data = vec![vec![0u8; secret.len()]; m];
-    eval_shares(data.iter_mut().map(Vec::as_mut_slice), &random, secret);
+    let mut data: Vec<Vec<u8>> = (0..m).map(|_| Vec::with_capacity(secret.len())).collect();
+    split_into(secret, params, rng, &mut BatchScratch::new(), &mut data)?;
     let shares = data.into_iter().zip(1..=u8::MAX);
     Ok(shares
         .map(|(data, x)| Share::new(x, params.threshold(), data))
@@ -155,20 +143,34 @@ pub fn split<R: rand::Rng + ?Sized>(
 pub fn reconstruct(shares: &[Share]) -> Result<Vec<u8>, ShareError> {
     let _span = mcss_obs::span!("shamir.reconstruct");
     let k = validate_shares(shares)?;
-    let used = &shares[..k];
     let mut xs = [0u8; MAX_SHARES];
-    for (x, s) in xs.iter_mut().zip(used) {
+    for (x, s) in xs.iter_mut().zip(&shares[..k]) {
         *x = s.x();
     }
-    // Lagrange weights at zero are shared by every byte position, so
-    // compute them once and combine whole shares in one bulk pass.
     let mut secret = vec![0u8; shares[0].data().len()];
-    let weighted = used.iter().enumerate();
-    gf_slice::combine_into(
-        &mut secret,
-        weighted.map(|(i, si)| (lagrange_weight_xs(&xs[..k], i), si.data())),
-    );
+    reconstruct_with(&xs[..k], |i| shares[i].data(), &mut secret);
     Ok(secret)
+}
+
+/// Lagrange reconstruction at zero from shares kept outside [`Share`]
+/// objects (e.g. pooled reassembly buffers): share `i` has abscissa
+/// `xs[i]` and data `data_of(i)`, and `out` receives the secret,
+/// `Σ_i weight(xs, i) · data_i`. The weights are shared by every byte
+/// position, so they are computed once and whole shares are combined in
+/// one bulk pass ([`mcss_gf256::slice::combine_into`]).
+///
+/// This is the routine [`reconstruct`] runs on its first `k` shares, and
+/// it is exact over GF(2⁸): the same shares give the same bytes either
+/// way. It validates nothing — that is the caller's, in its own error
+/// type, as [`reconstruct`] does for the `Share`-based API.
+///
+/// # Panics
+///
+/// Panics if a share's length differs from `out`'s or two abscissae are
+/// equal, and (in debug builds) if an abscissa is zero.
+pub fn reconstruct_with<'a>(xs: &[u8], data_of: impl Fn(usize) -> &'a [u8], out: &mut [u8]) {
+    let weighted = (0..xs.len()).map(|i| (lagrange_weight(xs, i), data_of(i)));
+    gf_slice::combine_into(out, weighted);
 }
 
 /// Checks a share set's internal consistency (agreeing threshold and
@@ -206,22 +208,8 @@ fn validate_shares(shares: &[Share]) -> Result<usize, ShareError> {
 }
 
 /// The Lagrange basis weight at zero for abscissa `xs[i]` against the
-/// abscissa set `xs`, for callers that keep share data outside
-/// [`Share`] objects (e.g. pooled reassembly buffers): the secret is
-/// `Σ_i weight(xs, i) · data_i`, which
-/// [`mcss_gf256::slice::combine_into`] computes.
-///
-/// This is the weight [`reconstruct`] uses; exact over GF(2⁸), so a
-/// reconstruction summed this way is byte-identical to [`reconstruct`]
-/// on the same shares.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if abscissae are zero or not distinct —
-/// the caller is expected to have validated the share set, as
-/// [`reconstruct`] does for the `Share`-based API.
-#[must_use]
-pub fn lagrange_weight_xs(xs: &[u8], i: usize) -> Gf256 {
+/// abscissa set `xs`.
+fn lagrange_weight(xs: &[u8], i: usize) -> Gf256 {
     debug_assert!(xs.iter().all(|&x| x != 0), "abscissae must be nonzero");
     debug_assert!(
         xs.iter().enumerate().all(|(a, x)| !xs[..a].contains(x)),
