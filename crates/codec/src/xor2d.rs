@@ -212,7 +212,7 @@ pub fn split_into<R: Rng + ?Sized>(
         } else {
             // The last fragment may start at or beyond the secret's
             // end when `len < k·L`; its missing (zero) tail XORs to
-            // the bare pad. One fused wide-XOR pass — the split's hot
+            // the bare pad. One fused XOR pass — the split's hot
             // loop — instead of copy-then-XOR.
             let f0 = (p * l).min(secret.len());
             let f1 = (f0 + l).min(secret.len());

@@ -4,18 +4,19 @@
 //! this crate's field — GF(2)[x] mod x⁸ + x⁴ + x³ + x + 1 (0x11B, the
 //! AES/Rijndael polynomial) — so one `_mm_gf2p8mul_epi8` against a
 //! broadcast multiplier replaces the whole split-nibble dance: no
-//! nibble tables, no shuffles, one instruction per 16/32/64 bytes
+//! nibble tables, no shuffles, one instruction per 16 or 32 bytes
 //! depending on width. (The companion `gf2p8affineqb` applies an
 //! arbitrary 8×8 GF(2) bit-matrix — any *fixed*-multiplier product is
 //! such a linear map — but since the field polynomial matches, the
 //! direct multiply needs no per-multiplier matrix at all.)
 //!
-//! Width is chosen once per process: 512-bit with AVX-512BW, 256-bit
-//! with AVX2, else the 128-bit SSE form every GFNI host supports. This
-//! file binds the broadcast at each width; the kernels are
-//! `multi_kernels!` output, each in-place one handing what is left of
-//! a plane to the next narrower and the 128-bit one the last `< 16`
-//! bytes to the table row, so all lengths and alignments are handled.
+//! Width is chosen once per process: 256-bit with AVX2, else the
+//! 128-bit SSE form every GFNI host supports. No wider: a width stays
+//! when it wins on the five `BENCHMARK.json` workloads in alternated
+//! pairs, and the 512-bit one read higher on all of them. This file
+//! binds the broadcast at each width; the kernels are `multi_kernels!`
+//! output, the 256-bit in-place ones handing what is left of a plane to
+//! the 128-bit ones and those the last `< 16` bytes to the table row.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -23,10 +24,9 @@ use crate::arch::generic::table;
 use crate::simd::MulTable;
 use crate::Gf256;
 use core::arch::x86_64::{
-    __m128i, __m256i, __m512i, _mm256_gf2p8mul_epi8, _mm256_loadu_si256, _mm256_set1_epi8,
-    _mm256_storeu_si256, _mm256_xor_si256, _mm512_gf2p8mul_epi8, _mm512_loadu_si512,
-    _mm512_set1_epi8, _mm512_storeu_si512, _mm512_xor_si512, _mm_gf2p8mul_epi8, _mm_loadu_si128,
-    _mm_set1_epi8, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, __m256i, _mm256_gf2p8mul_epi8, _mm256_loadu_si256, _mm256_set1_epi8,
+    _mm256_storeu_si256, _mm256_xor_si256, _mm_gf2p8mul_epi8, _mm_loadu_si128, _mm_set1_epi8,
+    _mm_storeu_si128, _mm_xor_si128,
 };
 use std::sync::OnceLock;
 
@@ -37,8 +37,6 @@ enum GfniLevel {
     G128,
     /// VEX encoding (AVX2 host), 32 bytes.
     G256,
-    /// EVEX encoding (AVX-512BW host), 64 bytes.
-    G512,
 }
 
 /// Detects (once) whether the host has GFNI, and at which width.
@@ -48,8 +46,6 @@ fn level() -> Option<GfniLevel> {
     *LEVEL.get_or_init(|| {
         if !is_x86_feature_detected!("gfni") {
             None
-        } else if is_x86_feature_detected!("avx512bw") {
-            Some(GfniLevel::G512)
         } else if is_x86_feature_detected!("avx2") {
             Some(GfniLevel::G256)
         } else {
@@ -68,7 +64,6 @@ macro_rules! dispatch {
     ($op:ident($($arg:expr),+)) => {
         match level().expect("Gfni backend requires GFNI") {
             // SAFETY: level() verified the features at runtime.
-            GfniLevel::G512 => unsafe { g512::$op($($arg),+) },
             GfniLevel::G256 => unsafe { g256::$op($($arg),+) },
             GfniLevel::G128 => unsafe { g128::$op($($arg),+) },
         }
@@ -102,7 +97,6 @@ pub(crate) unsafe fn eval(outs: &mut [&mut [u8]], xs: &[Gf256], planes: &[&[u8]]
     unsafe {
         match level().expect("Gfni backend requires GFNI") {
             _ if len < 16 => false,
-            GfniLevel::G512 if len >= 64 => with_k!(planes => p, g512::eval(outs, xs, p)),
             GfniLevel::G256 if len >= 32 => with_k!(planes => p, g256::eval(outs, xs, p)),
             _ => with_k!(planes => p, g128::eval(outs, xs, p)),
         }
@@ -122,7 +116,6 @@ pub(crate) unsafe fn combine(out: &mut [u8], srcs: &[(Gf256, &[u8])]) -> bool {
     unsafe {
         match level().expect("Gfni backend requires GFNI") {
             _ if len < 16 => false,
-            GfniLevel::G512 if len >= 64 => with_k!(srcs => s, g512::combine(out, s)),
             GfniLevel::G256 if len >= 32 => with_k!(srcs => s, g256::combine(out, s)),
             _ => with_k!(srcs => s, g128::combine(out, s)),
         }
@@ -142,12 +135,6 @@ fn mult256(x: Gf256, _: &MulTable) -> __m256i {
     _mm256_set1_epi8(x.value() as i8)
 }
 
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn mult512(x: Gf256, _: &MulTable) -> __m512i {
-    _mm512_set1_epi8(x.value() as i8)
-}
-
 multi_kernels! {
     mod g128, features: "gfni", width: 16,
     load: _mm_loadu_si128, store: _mm_storeu_si128, xor: _mm_xor_si128,
@@ -158,12 +145,6 @@ multi_kernels! {
     mod g256, features: "gfni,avx2", width: 32,
     load: _mm256_loadu_si256, store: _mm256_storeu_si256, xor: _mm256_xor_si256,
     mult: mult256, mul: _mm256_gf2p8mul_epi8, then: g128,
-}
-
-multi_kernels! {
-    mod g512, features: "gfni,avx512f,avx512bw", width: 64,
-    load: _mm512_loadu_si512, store: _mm512_storeu_si512, xor: _mm512_xor_si512,
-    mult: mult512, mul: _mm512_gf2p8mul_epi8, then: g256,
 }
 
 #[cfg(test)]
@@ -184,7 +165,6 @@ mod tests {
         crate::arch::check_widths! { many_operand:
             (16, true, g128),
             (32, is_x86_feature_detected!("avx2"), g256),
-            (64, is_x86_feature_detected!("avx512bw"), g512),
         }
     }
 
@@ -199,7 +179,6 @@ mod tests {
         crate::arch::check_widths! { in_place:
             (16, true, g128),
             (32, is_x86_feature_detected!("avx2"), g256),
-            (64, is_x86_feature_detected!("avx512bw"), g512),
         }
     }
 }

@@ -24,8 +24,8 @@
 //! * [`Backend::Neon`] — the same split-nibble algebra on aarch64
 //!   `vqtbl1q_u8` (`arch/neon.rs`), 16 bytes per step.
 //! * [`Backend::Gfni`] — native GF(2⁸) products via `gf2p8mulb`
-//!   (`arch/x86_gfni.rs`) at 128/256/512-bit width; no nibble tables
-//!   at all.
+//!   (`arch/x86_gfni.rs`), 256-bit with AVX2, else 128-bit; no nibble
+//!   tables at all.
 //!
 //! Dispatch is by **host feature** alone. [`Backend::active`] picks the
 //! best available backend once per process (`gfni → simd` on x86-64,
@@ -187,8 +187,8 @@ pub enum Backend {
     Simd,
     /// aarch64 split-nibble `vqtbl1q_u8`, 16 bytes per step.
     Neon,
-    /// x86-64 GFNI `gf2p8mulb` native field products (128/256/512-bit
-    /// width, whichever the host offers).
+    /// x86-64 GFNI `gf2p8mulb` native field products (256-bit with
+    /// AVX2, else 128-bit).
     Gfni,
 }
 
@@ -547,7 +547,6 @@ mod tests {
         // warning in `detect` instead of selecting anything.
         assert_eq!(Backend::from_name("avx9000"), None);
         assert_eq!(Backend::from_name("swar"), None);
-        assert_eq!(Backend::from_name("avx512"), None);
     }
 
     #[test]

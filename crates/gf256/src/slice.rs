@@ -63,10 +63,9 @@ pub fn add_scaled_assign(dst: &mut [u8], src: &[u8], x: Gf256) {
 }
 
 /// `dst[i] ← a[i] ⊕ b[i]` for every `i` — fused GF(2⁸) addition of two
-/// planes into a third, at the widest XOR the host offers (AVX-512 /
-/// AVX2 on x86-64, the auto-vectorized portable loop elsewhere). One
-/// pass instead of copy-then-[`add_scaled_assign`] with
-/// [`Gf256::ONE`]; the XOR codec's encode is built from this.
+/// planes into a third: one pass of the plain auto-vectorised loop
+/// instead of copy-then-[`add_scaled_assign`] with [`Gf256::ONE`]; the
+/// XOR codec's encode is built from this.
 ///
 /// # Panics
 ///

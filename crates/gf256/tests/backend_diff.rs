@@ -276,7 +276,7 @@ fn plain_entry_points_agree_at_short_lengths() {
 }
 
 /// Exhaustive chunk-edge diff for one named backend: every length in
-/// 0..=193 (covering three 64-byte AVX-512/GFNI chunks, the 16-byte
+/// 0..=193 (covering six 32-byte AVX2/GFNI vectors, the 16-byte
 /// mid-tails, and the scalar table tail, each ±1) crossed with
 /// misaligned heads 0..16, for the three one-multiplier ops and
 /// `horner`, then [`exhaustive_many_operand`]. Returns `false` — after

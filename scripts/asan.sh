@@ -12,19 +12,33 @@
 # host lacks falls back with a warning and its exhaustive tests print
 # `[skip-forced]`, as in the `gf256-backends` CI job.
 #
-# usage: scripts/asan.sh [backend ...]    (default: every backend)
+# The leg `remicss` runs the protocol crate (`--features sim`, lib and
+# integration tests) on the default backend: the engine, reassembly and
+# wire code that hands those kernels their slices. No test is skipped:
+# the slowest under ASan are `zero_alloc` (≈ 25 s; its counting
+# `#[global_allocator]` wraps `System`, which ASan intercepts) and the
+# 1M-symbol `reassembly_bound` (≈ 6 s), ≈ 70 s for the leg.
+#
+# usage: scripts/asan.sh [backend ... | remicss]    (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-backends=("$@")
-if [ ${#backends[@]} -eq 0 ]; then
-  backends=(scalar table simd gfni)
+legs=("$@")
+if [ ${#legs[@]} -eq 0 ]; then
+  legs=(scalar table simd gfni remicss)
 fi
 target=$(rustc +nightly -vV | sed -n 's/^host: //p')
 
-for backend in "${backends[@]}"; do
-  echo "== AddressSanitizer, MCSS_GF256_BACKEND=$backend"
-  MCSS_GF256_BACKEND=$backend RUSTFLAGS=-Zsanitizer=address \
-    cargo +nightly test --offline -q -p mcss-gf256 -p mcss-shamir -p mcss-codec \
-    --target "$target" --lib --tests
+for leg in "${legs[@]}"; do
+  if [ "$leg" = remicss ]; then
+    echo "== AddressSanitizer, mcss-remicss on the default backend"
+    RUSTFLAGS=-Zsanitizer=address \
+      cargo +nightly test --offline -q -p mcss-remicss --features sim \
+      --target "$target" --lib --tests
+  else
+    echo "== AddressSanitizer, MCSS_GF256_BACKEND=$leg"
+    MCSS_GF256_BACKEND=$leg RUSTFLAGS=-Zsanitizer=address \
+      cargo +nightly test --offline -q -p mcss-gf256 -p mcss-shamir -p mcss-codec \
+      --target "$target" --lib --tests
+  fi
 done
