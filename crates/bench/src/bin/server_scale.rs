@@ -1,15 +1,15 @@
 //! Server scaling benchmark: one sharded [`UdpServer`] multiplexing an
 //! increasing number of concurrent sessions over loopback sockets,
 //! measuring aggregate reconstructed-symbol throughput and the cost of
-//! the demux/handoff machinery as the session count grows four orders
+//! the demux machinery as the session count grows four orders
 //! of magnitude — under **each** I/O backend the host supports, so the
 //! readiness-driven epoll loop and the portable busy-poll loop are
 //! directly comparable per point.
 //!
 //! Each point registers `sessions` CBR sources behind one server
 //! (shard count capped at the host's parallelism) and runs three
-//! wall-clock phases: a warmup (excluded — session start, pool warm-up
-//! and reuseport calibration settle), the measured window proper
+//! wall-clock phases: a warmup (excluded — session start and pool
+//! warm-up settle), the measured window proper
 //! (counter deltas sampled at its exact edges), and a drain tail so
 //! in-flight datagrams land before the threads exit. The per-session
 //! offered rate shrinks as the fleet grows so the aggregate offered

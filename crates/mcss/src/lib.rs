@@ -18,8 +18,8 @@
 //!
 //! Telemetry is on by default and compiles to nothing under
 //! `--no-default-features` (see the `mcss-obs` crate docs for the
-//! overhead contract). Binaries print snapshots when `MCSS_TELEMETRY=1`
-//! is set; try `cargo run --example mcss-obs-dump`.
+//! overhead contract). `cargo run --example mcss-obs-dump` prints one
+//! session's snapshot.
 //!
 //! # Examples
 //!

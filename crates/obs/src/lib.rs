@@ -90,55 +90,8 @@ macro_rules! span {
     }};
 }
 
-#[cfg(feature = "telemetry")]
-mod runtime {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::OnceLock;
-
-    static FORCED: AtomicBool = AtomicBool::new(false);
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-
-    /// Whether verbose telemetry output was requested at runtime, via
-    /// `MCSS_TELEMETRY=1` (or `true`) or [`force_enable`]. Recording is
-    /// always on when the feature is compiled in (it is too cheap to
-    /// gate); this flag is for binaries deciding whether to *print*
-    /// snapshots.
-    #[must_use]
-    pub fn runtime_enabled() -> bool {
-        FORCED.load(Ordering::Relaxed)
-            || *FROM_ENV.get_or_init(|| {
-                matches!(
-                    std::env::var("MCSS_TELEMETRY").as_deref(),
-                    Ok("1") | Ok("true")
-                )
-            })
-    }
-
-    /// Turns [`runtime_enabled`] on programmatically (benchmark binaries
-    /// call this so their emitted reports always carry telemetry).
-    pub fn force_enable() {
-        FORCED.store(true, Ordering::Relaxed);
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-mod runtime {
-    /// Always `false` without the `telemetry` feature.
-    #[must_use]
-    pub fn runtime_enabled() -> bool {
-        false
-    }
-
-    /// No-op without the `telemetry` feature.
-    pub fn force_enable() {}
-}
-
-pub use runtime::{force_enable, runtime_enabled};
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn span_macro_compiles_and_guards() {
         let _span = span!("obs.test.span");
@@ -148,7 +101,7 @@ mod tests {
     /// Samples recorded so far under the span named `name`.
     #[cfg(feature = "telemetry")]
     fn samples(name: &'static str) -> u64 {
-        global().histogram(name).count()
+        crate::global().histogram(name).count()
     }
 
     #[cfg(feature = "telemetry")]
@@ -201,19 +154,5 @@ mod tests {
         assert_eq!(samples("obs.test.per_thread"), 1);
         std::thread::spawn(run).join().expect("span thread");
         assert_eq!(samples("obs.test.per_thread"), 2);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn force_enable_wins() {
-        force_enable();
-        assert!(runtime_enabled());
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn runtime_disabled_without_feature() {
-        force_enable();
-        assert!(!runtime_enabled());
     }
 }

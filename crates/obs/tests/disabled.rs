@@ -31,12 +31,6 @@ fn recording_leaves_no_trace_in_snapshots() {
 }
 
 #[test]
-fn runtime_flag_is_pinned_off() {
-    mcss_obs::force_enable();
-    assert!(!mcss_obs::runtime_enabled());
-}
-
-#[test]
 fn snapshot_machinery_still_serializes() {
     // Report emitters serialize snapshots unconditionally; the empty
     // snapshot must round-trip even without the feature.

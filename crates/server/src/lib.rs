@@ -13,12 +13,12 @@
 //!   synchronously with explicit timestamps and per-session seeded
 //!   RNGs. The test layer lives here: trace-replay determinism pins,
 //!   demux isolation proptests, and the eavesdropper soak all drive
-//!   this type.
-//! * [`UdpServer`] — the same shards on real threads, each with its
-//!   own per-channel sockets arranged as calibrated `SO_REUSEPORT`
-//!   groups so the kernel routes most datagrams straight to the owning
-//!   shard; frames that still land elsewhere cross over through
-//!   bounded handoff queues. Two event-loop backends ([`IoBackend`]):
+//!   this type. A frame delivered to a shard that does not own its
+//!   session crosses over through a bounded handoff queue.
+//! * [`UdpServer`] — the same shards on real threads, each owning one
+//!   connected loopback socket pair per channel, so every datagram a
+//!   shard reads is its own and nothing is handed off. Two event-loop
+//!   backends ([`IoBackend`]):
 //!   readiness-driven epoll with `recvmmsg`/`sendmmsg` batching
 //!   (Linux, default) and a portable busy-poll fallback, selected via
 //!   [`ServerConfig::io`] or `MCSS_SERVER_IO`.

@@ -24,10 +24,9 @@ use std::sync::{Mutex, MutexGuard};
 /// `is_empty` read the mirror first. A push that lands between that
 /// read and the caller's return is not seen by this call, exactly as
 /// one that lands just after a locked `pop` found nothing. Nothing is
-/// lost by that: the item stays queued, the producer rings the owner's
-/// doorbell after pushing (or the owner polls, on the backends without
-/// one), and the owner's next pass reads a mirror at least as new as
-/// the push — the `Release` store under the lock pairs with the
+/// lost by that: the item stays queued, the owner drains its inbox on
+/// every pass, and the owner's next pass reads a mirror at least as new
+/// as the push — the `Release` store under the lock pairs with the
 /// `Acquire` load here, so whatever told the consumer of the push also
 /// shows it the length. The lock alone still orders the items.
 #[derive(Debug)]

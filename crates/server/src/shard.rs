@@ -487,8 +487,9 @@ impl Shard {
     /// [`flush_ready`](Shard::flush_ready) after the batch); frames
     /// owned elsewhere are copied into a pooled buffer and pushed to
     /// the owner's inbox. Returns the owner index when a handoff was
-    /// enqueued (so a synchronous driver can pump it immediately, and
-    /// the threaded driver can ring the owner's doorbell).
+    /// enqueued, so a synchronous driver can pump it immediately.
+    /// [`UdpServer`](crate::UdpServer)'s shards read only their own
+    /// sessions' frames and never hand off.
     pub fn route_datagram(
         &mut self,
         now: SimTime,

@@ -1,7 +1,6 @@
 //! Hand-rolled Linux syscall bindings for the readiness-driven event
-//! loop: `epoll`, `eventfd`, batched datagram I/O (`recvmmsg` /
-//! `sendmmsg`) that moves **trains** (UDP GSO/GRO), and `SO_REUSEPORT`
-//! socket-group creation.
+//! loop: `epoll`, batched datagram I/O (`recvmmsg` / `sendmmsg`) that
+//! moves **trains** (UDP GSO/GRO), and socket options.
 //!
 //! # Trains
 //!
@@ -28,14 +27,14 @@
 //! portable busy-poll backend never touches this module.
 //!
 //! All `unsafe` in the server crate lives in this file, wrapped in
-//! owned types ([`Epoll`], [`EventFd`], [`RecvBatch`], [`SendBatch`])
+//! owned types ([`Epoll`], [`RecvBatch`], [`SendBatch`])
 //! whose public APIs are safe: file descriptors are closed on drop,
 //! and the batch types own their buffers, so the pointers handed to
 //! the kernel stay valid for exactly the duration of each call.
 
 use std::io;
-use std::net::{SocketAddrV4, UdpSocket};
-use std::os::fd::{FromRawFd, RawFd};
+use std::net::UdpSocket;
+use std::os::fd::RawFd;
 
 use std::os::raw::{c_int, c_uint, c_void};
 
@@ -44,17 +43,9 @@ const EPOLL_CTL_ADD: c_int = 1;
 /// Readable-readiness interest (level-triggered, the epoll default).
 pub const EPOLLIN: u32 = 0x001;
 
-const EFD_CLOEXEC: c_int = 0o2000000;
-const EFD_NONBLOCK: c_int = 0o4000;
-
-const AF_INET: c_int = 2;
-const SOCK_DGRAM: c_int = 2;
-const SOCK_NONBLOCK: c_int = 0o4000;
-const SOCK_CLOEXEC: c_int = 0o2000000;
 const SOL_SOCKET: c_int = 1;
 const SO_SNDBUF: c_int = 7;
 const SO_RCVBUF: c_int = 8;
-const SO_REUSEPORT: c_int = 15;
 const SOL_UDP: c_int = 17;
 /// Send side: a control message (or socket option) giving the length
 /// at which the kernel cuts a message into datagrams. Linux 4.18.
@@ -135,38 +126,11 @@ type SegmentCmsg = Cmsg<u16>;
 /// `int`.
 type GroCmsg = Cmsg<c_int>;
 
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct SockAddrIn {
-    sin_family: u16,
-    /// Big-endian port.
-    sin_port: u16,
-    /// Big-endian IPv4 address.
-    sin_addr: u32,
-    sin_zero: [u8; 8],
-}
-
-impl SockAddrIn {
-    fn from_v4(addr: SocketAddrV4) -> Self {
-        SockAddrIn {
-            sin_family: AF_INET as u16,
-            sin_port: addr.port().to_be(),
-            sin_addr: u32::from_be_bytes(addr.ip().octets()).to_be(),
-            sin_zero: [0; 8],
-        }
-    }
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn bind(fd: c_int, addr: *const SockAddrIn, addrlen: u32) -> c_int;
     fn setsockopt(
         fd: c_int,
         level: c_int,
@@ -261,62 +225,6 @@ impl Drop for Epoll {
     fn drop(&mut self) {
         unsafe { close(self.fd) };
     }
-}
-
-/// A nonblocking `eventfd`: the cross-shard doorbell. A shard that
-/// pushes a handoff onto a sleeping peer's inbox raises the peer's
-/// doorbell, which the peer has registered in its epoll set.
-#[derive(Debug)]
-pub struct EventFd {
-    fd: RawFd,
-}
-
-impl EventFd {
-    /// Creates a nonblocking, close-on-exec eventfd with counter 0.
-    pub fn new() -> io::Result<Self> {
-        let fd = cvt(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
-        Ok(EventFd { fd })
-    }
-
-    /// The raw descriptor (for epoll registration).
-    #[must_use]
-    pub fn fd(&self) -> RawFd {
-        self.fd
-    }
-
-    /// Adds 1 to the counter, waking any epoll waiter. A full counter
-    /// (`EAGAIN`) already guarantees a pending wakeup, so it is not an
-    /// error.
-    pub fn raise(&self) {
-        let one: u64 = 1;
-        unsafe { write(self.fd, (&raw const one).cast(), 8) };
-    }
-
-    /// Consumes the counter so the next [`raise`](EventFd::raise) wakes
-    /// again. `EAGAIN` (already clear) is fine.
-    pub fn clear(&self) {
-        let mut buf: u64 = 0;
-        unsafe { read(self.fd, (&raw mut buf).cast(), 8) };
-    }
-}
-
-impl Drop for EventFd {
-    fn drop(&mut self) {
-        unsafe { close(self.fd) };
-    }
-}
-
-/// Binds a nonblocking IPv4 UDP socket with `SO_REUSEPORT` set *before*
-/// the bind, so several sockets can share one port as a kernel
-/// load-balancing group. Returns it as a std [`UdpSocket`].
-pub fn reuseport_udp_bind(addr: SocketAddrV4) -> io::Result<UdpSocket> {
-    let fd = cvt(unsafe { socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
-    // From here the fd must not leak: wrap immediately so errors drop it.
-    let sock = unsafe { UdpSocket::from_raw_fd(fd) };
-    cvt(set_int_sockopt(fd, SOL_SOCKET, SO_REUSEPORT, 1))?;
-    let raw = SockAddrIn::from_v4(addr);
-    cvt(unsafe { bind(fd, &raw, size_of::<SockAddrIn>() as u32) })?;
-    Ok(sock)
 }
 
 /// Best-effort enlargement of a socket's kernel send and receive
@@ -536,9 +444,6 @@ pub struct SendBatch {
     /// Message `i`'s `UDP_SEGMENT` control message, attached when its
     /// run is longer than one buffer.
     cmsgs: Vec<SegmentCmsg>,
-    /// Destination storage kept alive across the call (one shared
-    /// address for the whole batch, or none for connected sockets).
-    dest: Option<SockAddrIn>,
     /// Runs form only below this segment length: the shortest the
     /// kernel has refused to segment, `usize::MAX` until it refuses one.
     /// A kernel without `UDP_SEGMENT` refuses the first run and so
@@ -592,34 +497,23 @@ impl SendBatch {
             iovecs: Vec::with_capacity(BATCH * MAX_RUN_BUFFERS),
             hdrs: Vec::with_capacity(BATCH),
             cmsgs: vec![segment; BATCH],
-            dest: None,
             refused_at: usize::MAX,
         }
     }
 
-    /// Sends every payload in `bufs` on `fd` (all to `dest`, or to the
-    /// socket's connected peer when `dest` is `None`) as the same
-    /// datagrams in the same order, each run of them one message,
-    /// resuming at the first unsent run after a partial batch. A run
-    /// the kernel refuses to segment is sent again unsegmented. Transient
-    /// refusals (`would_drop`) drop the remaining tail and are tallied,
-    /// any other error is returned.
+    /// Sends every payload in `bufs` on `fd`, a connected socket, to its
+    /// peer as the same datagrams in the same order, each run of them
+    /// one message, resuming at the first unsent run after a partial
+    /// batch. A run the kernel refuses to segment is sent again
+    /// unsegmented. Transient refusals (`would_drop`) drop the remaining
+    /// tail and are tallied, any other error is returned.
     pub fn send_all(
         &mut self,
         fd: RawFd,
         bufs: &[Vec<u8>],
-        dest: Option<SocketAddrV4>,
         would_drop: impl Fn(&io::Error) -> bool,
     ) -> io::Result<SendOutcome> {
         let mut outcome = SendOutcome::default();
-        self.dest = dest.map(SockAddrIn::from_v4);
-        let (name, name_len) = match &mut self.dest {
-            Some(addr) => (
-                std::ptr::from_mut(addr).cast::<c_void>(),
-                size_of::<SockAddrIn>() as u32,
-            ),
-            None => (std::ptr::null_mut(), 0),
-        };
         let mut off = 0;
         while off < bufs.len() {
             self.iovecs.clear();
@@ -646,8 +540,8 @@ impl SendBatch {
                 };
                 self.hdrs.push(MMsgHdr {
                     msg_hdr: MsgHdr {
-                        msg_name: name,
-                        msg_namelen: name_len,
+                        msg_name: std::ptr::null_mut(),
+                        msg_namelen: 0,
                         // Both pointers are set below, once every iovec
                         // and control message is in place.
                         msg_iov: std::ptr::null_mut(),
@@ -674,8 +568,8 @@ impl SendBatch {
             }
             // SAFETY: each header points at `msg_iovlen` iovecs of
             // `self.iovecs`, each of which covers one buffer of `bufs`;
-            // at an element of `self.cmsgs` of the stated size, or
-            // none; and at `self.dest`, or none. All of these are
+            // and at an element of `self.cmsgs` of the stated size, or
+            // none. All of these are
             // borrowed for the whole call and not touched during it.
             let n = unsafe {
                 sendmmsg(
@@ -733,7 +627,6 @@ impl Default for SendBatch {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::net::Ipv4Addr;
     use std::os::fd::AsRawFd;
 
     const SO_NO_CHECK: c_int = 11;
@@ -796,41 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn eventfd_raises_and_clears() {
-        let efd = EventFd::new().unwrap();
-        efd.raise();
-        efd.raise();
-        efd.clear();
-        // Cleared: a fresh raise must still wake an epoll waiter.
-        let ep = Epoll::new().unwrap();
-        ep.add_readable(efd.fd(), 7).unwrap();
-        let mut events = [EpollEvent { events: 0, data: 0 }; 4];
-        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "counter not clear");
-        efd.raise();
-        let n = ep.wait(&mut events, 1000).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!({ events[0].data }, 7);
-    }
-
-    /// What lets the event loop read its doorbell only when a wait
-    /// reported it: the registration is level-triggered, so a raised
-    /// doorbell is reported by every wait until it is cleared.
-    #[test]
-    fn raised_doorbell_is_reported_until_cleared() {
-        let efd = EventFd::new().unwrap();
-        let ep = Epoll::new().unwrap();
-        ep.add_readable(efd.fd(), 7).unwrap();
-        let mut events = [EpollEvent { events: 0, data: 0 }; 4];
-        efd.raise();
-        for pass in 0..2 {
-            assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1, "wait {pass}");
-            assert_eq!({ events[0].data }, 7);
-        }
-        efd.clear();
-        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "cleared, still up");
-    }
-
-    #[test]
     fn epoll_wakes_on_datagram_and_times_out_idle() {
         let (a, b) = loopback_pair();
         let ep = Epoll::new().unwrap();
@@ -850,9 +708,7 @@ mod tests {
         let (a, b) = loopback_pair();
         let payloads: Vec<Vec<u8>> = (0..BATCH + 3).map(|i| vec![i as u8; 16 + i % 7]).collect();
         let mut tx = SendBatch::new();
-        let outcome = tx
-            .send_all(a.as_raw_fd(), &payloads, None, |_| false)
-            .unwrap();
+        let outcome = tx.send_all(a.as_raw_fd(), &payloads, |_| false).unwrap();
         assert_eq!(outcome.sent, payloads.len());
         assert!(
             outcome.syscalls <= 2 + outcome.refused,
@@ -862,26 +718,6 @@ mod tests {
         );
         let (got, _) = drain_batched(&b);
         assert_eq!(got, payloads, "datagrams lost or reordered on loopback");
-    }
-
-    #[test]
-    fn send_all_to_explicit_destination() {
-        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        b.set_nonblocking(true).unwrap();
-        let dest = match b.local_addr().unwrap() {
-            std::net::SocketAddr::V4(v4) => v4,
-            _ => unreachable!(),
-        };
-        let mut tx = SendBatch::new();
-        let bufs = vec![b"hello".to_vec(), b"world".to_vec()];
-        let outcome = tx
-            .send_all(a.as_raw_fd(), &bufs, Some(dest), |_| false)
-            .unwrap();
-        assert_eq!(outcome.sent, 2);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let (got, _) = drain_batched(&b);
-        assert_eq!(got, bufs);
     }
 
     /// A queue with every shape `next_run` distinguishes: runs, a short
@@ -913,7 +749,7 @@ mod tests {
             let (a, b) = loopback_pair();
             assert!(!gro || enable_udp_gro(&b), "this kernel has no UDP_GRO");
             let mut tx = SendBatch::new();
-            let outcome = tx.send_all(a.as_raw_fd(), &queue, None, |_| false).unwrap();
+            let outcome = tx.send_all(a.as_raw_fd(), &queue, |_| false).unwrap();
             assert_eq!(outcome.sent, queue.len(), "sent counts datagrams");
             assert_eq!(outcome.dropped, 0);
             if outcome.refused == 0 {
@@ -949,13 +785,13 @@ mod tests {
         let ret = set_int_sockopt(a.as_raw_fd(), SOL_SOCKET, SO_NO_CHECK, 1);
         assert_eq!(ret, 0, "SO_NO_CHECK");
         let mut tx = SendBatch::new();
-        let first = tx.send_all(a.as_raw_fd(), &queue, None, |_| false).unwrap();
+        let first = tx.send_all(a.as_raw_fd(), &queue, |_| false).unwrap();
         assert!(first.refused >= 1, "{first:?}");
         assert_eq!((first.sent, first.dropped), (queue.len(), 0), "{first:?}");
         assert_eq!(drain_plain(&b), queue, "first flush");
         // The queue's shortest run length is 1 byte, so after the first
         // flush no run forms at all: every message is one datagram.
-        let second = tx.send_all(a.as_raw_fd(), &queue, None, |_| false).unwrap();
+        let second = tx.send_all(a.as_raw_fd(), &queue, |_| false).unwrap();
         assert_eq!(second.refused, 0, "{second:?}");
         assert_eq!(second.messages, queue.len() as u64, "{second:?}");
         assert_eq!(
@@ -975,23 +811,6 @@ mod tests {
         a.send(&[]).unwrap();
         let (got, messages) = drain_batched(&b);
         assert_eq!((got, messages), (vec![Vec::new()], 1));
-    }
-
-    #[test]
-    fn reuseport_group_shares_one_port() {
-        let any = SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0);
-        let first = reuseport_udp_bind(any).unwrap();
-        let port = match first.local_addr().unwrap() {
-            std::net::SocketAddr::V4(v4) => v4.port(),
-            _ => unreachable!(),
-        };
-        let again = reuseport_udp_bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port))
-            .expect("second member joins the same port");
-        assert_eq!(
-            again.local_addr().unwrap().port(),
-            port,
-            "group members must share the port"
-        );
     }
 
     proptest! {

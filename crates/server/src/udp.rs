@@ -1,31 +1,22 @@
 //! The socket-facing server: every shard runs on its own thread with
-//! its **own** per-channel sockets, organized as `SO_REUSEPORT`
-//! groups so the kernel delivers most datagrams straight to the shard
-//! that owns the connection.
+//! its **own** per-channel sockets.
 //!
 //! # Socket topology
 //!
-//! Each protocol channel is one `SO_REUSEPORT` group: every shard
-//! contributes a B-side member socket bound to the channel's shared
-//! port, and owns an A-side socket connected to that port. Linux
-//! routes an inbound datagram to a group member by hashing the source
-//! address, so a given A socket maps to one *stable* member. At
-//! startup the server probes that mapping and rebinds colliding A
-//! sockets until (nearly) every shard's A socket lands on its own
-//! member — after which share traffic for shard *i*'s sessions arrives
-//! on shard *i*'s socket without crossing a thread boundary. The
-//! bounded handoff queues of [`Shard`] remain as
-//! the rare-path escape hatch (hash collisions the calibration could
-//! not untangle). On non-Linux hosts each "group"
-//! degenerates to a plain per-shard cross-connected loopback pair with
-//! the same ownership layout.
+//! Each shard owns one cross-connected loopback pair per protocol
+//! channel — the paper's testbed in miniature, where every channel is
+//! its own point-to-point path. Shard *i*'s A socket sends only shard
+//! *i*'s sessions' frames, and its B socket accepts datagrams from that
+//! A socket alone, so every datagram a shard reads belongs to one of
+//! its own sessions and no frame crosses a thread boundary. The same
+//! layout is built on every OS.
 //!
 //! # Event loop backends
 //!
 //! * **epoll** (Linux, default): each shard sleeps in `epoll_wait` on
-//!   its sockets plus an `eventfd` doorbell peers ring when they hand
-//!   off a frame; the timeout comes from the shard timer wheel's next
-//!   deadline, so an idle shard costs nothing. Datagram I/O is batched
+//!   its sockets; the timeout comes from the shard timer wheel's next
+//!   deadline (capped at 25 ms, which bounds how late the stop flag is
+//!   seen), so an idle shard costs nothing. Datagram I/O is batched
 //!   through `recvmmsg`/`sendmmsg` ([`sys::BATCH`] messages per
 //!   syscall), and a message is a *train* wherever one forms: every
 //!   share frame of a server has one length (one `ProtocolConfig`), so
@@ -45,7 +36,7 @@
 //! purely operational.
 
 use std::io;
-use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -83,7 +74,7 @@ pub enum IoBackend {
     /// Nonblocking `recv`/`send` per datagram, 100 µs idle sleep.
     Busypoll,
     /// `epoll_wait` wakeups, `recvmmsg`/`sendmmsg` batching of
-    /// GSO/GRO trains, eventfd cross-shard doorbells.
+    /// GSO/GRO trains.
     Epoll,
 }
 
@@ -151,35 +142,21 @@ impl IoMode {
     }
 }
 
-/// One shard's endpoint sockets for one protocol channel.
+/// One shard's sockets for one protocol channel: a loopback pair
+/// connected to each other, so each socket both sends its endpoint's
+/// datagrams and receives the other endpoint's.
 #[derive(Debug)]
 struct ShardChannel {
-    /// A-side socket, connected to the channel's B destination.
     a: UdpSocket,
-    /// The B-group member this shard reads (shares arrive here).
     b: UdpSocket,
-    /// Where control sent *from* B goes: this shard's own A socket.
-    a_addr: SocketAddrV4,
-    /// Whether `b` is connected (plain pair fallback) or a reuseport
-    /// group member that must `send_to` explicitly.
-    b_connected: bool,
 }
 
 impl ShardChannel {
-    /// The socket inbound traffic *to* `endpoint` arrives on.
-    fn recv_sock(&self, to: Endpoint) -> &UdpSocket {
-        match to {
+    /// The socket `endpoint` sends from and receives on.
+    fn sock(&self, endpoint: Endpoint) -> &UdpSocket {
+        match endpoint {
             Endpoint::A => &self.a,
             Endpoint::B => &self.b,
-        }
-    }
-
-    /// Sends one datagram originated by `from`.
-    fn send_from(&self, from: Endpoint, bytes: &[u8]) -> io::Result<usize> {
-        match from {
-            Endpoint::A => self.a.send(bytes),
-            Endpoint::B if self.b_connected => self.b.send(bytes),
-            Endpoint::B => self.b.send_to(bytes, self.a_addr),
         }
     }
 }
@@ -189,20 +166,6 @@ impl ShardChannel {
 #[derive(Debug)]
 struct ShardIo {
     channels: Vec<ShardChannel>,
-}
-
-fn v4(addr: SocketAddr) -> SocketAddrV4 {
-    match addr {
-        SocketAddr::V4(a) => a,
-        SocketAddr::V6(_) => unreachable!("server sockets are IPv4 loopback"),
-    }
-}
-
-fn endpoint_idx(e: Endpoint) -> usize {
-    match e {
-        Endpoint::A => 0,
-        Endpoint::B => 1,
-    }
 }
 
 /// Kernel buffer size requested per socket. A fleet of thousands of
@@ -219,9 +182,8 @@ fn tune_socket(sock: &UdpSocket) {
     let _ = sock;
 }
 
-/// Portable topology: independent cross-connected loopback pairs, one
-/// per (shard, channel), so the owner alignment is exact by
-/// construction.
+/// The socket layout: one cross-connected loopback pair per (shard,
+/// channel), so a shard reads only datagrams its own sockets sent.
 fn paired_topology(shards: usize, channels: usize) -> io::Result<Vec<ShardIo>> {
     let mut ios = Vec::with_capacity(shards);
     for _ in 0..shards {
@@ -235,246 +197,13 @@ fn paired_topology(shards: usize, channels: usize) -> io::Result<Vec<ShardIo>> {
             b.set_nonblocking(true)?;
             tune_socket(&a);
             tune_socket(&b);
-            let a_addr = v4(a.local_addr()?);
-            per_channel.push(ShardChannel {
-                a,
-                b,
-                a_addr,
-                b_connected: true,
-            });
+            per_channel.push(ShardChannel { a, b });
         }
         ios.push(ShardIo {
             channels: per_channel,
         });
     }
     Ok(ios)
-}
-
-/// Builds the per-shard socket layout: reuseport groups with probed
-/// owner alignment on Linux, plain pairs elsewhere (or when group
-/// setup fails, e.g. under a kernel that forbids `SO_REUSEPORT`).
-fn build_topology(shards: usize, channels: usize) -> io::Result<Vec<ShardIo>> {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(ios) = reuseport_topology(shards, channels) {
-            return Ok(ios);
-        }
-    }
-    paired_topology(shards, channels)
-}
-
-#[cfg(target_os = "linux")]
-fn reuseport_topology(shards: usize, channels: usize) -> io::Result<Vec<ShardIo>> {
-    let mut per_shard: Vec<Vec<ShardChannel>> =
-        (0..shards).map(|_| Vec::with_capacity(channels)).collect();
-    for _ in 0..channels {
-        for (i, (a, b, a_addr)) in reuseport::channel_group(shards)?.into_iter().enumerate() {
-            per_shard[i].push(ShardChannel {
-                a,
-                b,
-                a_addr,
-                b_connected: false,
-            });
-        }
-    }
-    Ok(per_shard
-        .into_iter()
-        .map(|channels| ShardIo { channels })
-        .collect())
-}
-
-/// Reuseport group construction and hash calibration.
-#[cfg(target_os = "linux")]
-mod reuseport {
-    use super::*;
-    use std::net::Ipv4Addr;
-
-    const PROBE_MAGIC: &[u8; 6] = b"MCSSPR";
-    const PROBE_LEN: usize = PROBE_MAGIC.len() + 8;
-    /// Rebind attempts per shard while calibrating the kernel's
-    /// source-hash → member mapping.
-    const MAX_REBINDS: usize = 16;
-
-    fn probe_payload(tag: u64) -> [u8; PROBE_LEN] {
-        let mut p = [0u8; PROBE_LEN];
-        p[..PROBE_MAGIC.len()].copy_from_slice(PROBE_MAGIC);
-        p[PROBE_MAGIC.len()..].copy_from_slice(&tag.to_le_bytes());
-        p
-    }
-
-    /// Sends one tagged probe from `a` and reports which group member
-    /// the kernel delivered it to. Stale datagrams from earlier
-    /// attempts are consumed and ignored.
-    fn probe_member(
-        a: &UdpSocket,
-        members: &[Option<UdpSocket>],
-        tag: u64,
-    ) -> io::Result<Option<usize>> {
-        let payload = probe_payload(tag);
-        a.send(&payload)?;
-        let mut buf = [0u8; 64];
-        let deadline = Instant::now() + Duration::from_millis(100);
-        loop {
-            for (j, member) in members.iter().enumerate() {
-                let Some(member) = member.as_ref() else {
-                    continue;
-                };
-                loop {
-                    match member.recv(&mut buf) {
-                        Ok(len) => {
-                            if len == PROBE_LEN && buf[..PROBE_LEN] == payload {
-                                return Ok(Some(j));
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-
-    fn drain_members(members: &[Option<UdpSocket>]) -> io::Result<()> {
-        let mut buf = [0u8; 64];
-        for member in members.iter().flatten() {
-            loop {
-                match member.recv(&mut buf) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn bind_connected_a(group: SocketAddrV4) -> io::Result<UdpSocket> {
-        let a = UdpSocket::bind("127.0.0.1:0")?;
-        a.connect(group)?;
-        a.set_nonblocking(true)?;
-        super::tune_socket(&a);
-        Ok(a)
-    }
-
-    /// One channel's group: `shards` member sockets on a shared port
-    /// plus one calibrated A socket per shard, returned as
-    /// `(a, member, a_addr)` per shard.
-    ///
-    /// The kernel picks a member by hashing the sender's address, so
-    /// each candidate A socket maps to one stable member. A shard
-    /// whose A socket hashes onto an already-claimed member is rebound
-    /// (fresh ephemeral port → fresh hash) up to [`MAX_REBINDS`]
-    /// times; the rare shard that never finds a free member keeps its
-    /// last socket and leans on the cross-shard handoff path instead.
-    pub(super) fn channel_group(
-        shards: usize,
-    ) -> io::Result<Vec<(UdpSocket, UdpSocket, SocketAddrV4)>> {
-        let first = sys::reuseport_udp_bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))?;
-        super::tune_socket(&first);
-        let group = v4(first.local_addr()?);
-        let mut members: Vec<Option<UdpSocket>> = vec![Some(first)];
-        for _ in 1..shards {
-            let member = sys::reuseport_udp_bind(group)?;
-            super::tune_socket(&member);
-            members.push(Some(member));
-        }
-
-        let mut assigned: Vec<Option<usize>> = vec![None; shards];
-        let mut claimed = vec![false; shards];
-        let mut a_socks: Vec<UdpSocket> = Vec::with_capacity(shards);
-        let mut tag = 0u64;
-        for (i, slot) in assigned.iter_mut().enumerate() {
-            let mut kept: Option<UdpSocket> = None;
-            for _ in 0..MAX_REBINDS {
-                let a = bind_connected_a(group)?;
-                tag += 1;
-                match probe_member(&a, &members, tag)? {
-                    Some(j) if !claimed[j] => {
-                        claimed[j] = true;
-                        *slot = Some(j);
-                        kept = Some(a);
-                        break;
-                    }
-                    Some(_) => {
-                        // Collision: rebinding changes the source port
-                        // and thus the hash. Keep the socket in case
-                        // every attempt collides.
-                        kept = Some(a);
-                    }
-                    None => {
-                        // A probe that never arrives means the group
-                        // is not delivering at all; bail so the caller
-                        // falls back to plain pairs.
-                        if i == 0 {
-                            return Err(io::Error::other("reuseport probe undelivered"));
-                        }
-                        kept = Some(a);
-                        break;
-                    }
-                }
-            }
-            a_socks.push(kept.expect("at least one bind attempt ran"));
-        }
-        // Shards the calibration could not align take the unclaimed
-        // members in order; their traffic rides the handoff queues.
-        let mut unclaimed = (0..shards).filter(|&j| !claimed[j]);
-        for slot in &mut assigned {
-            if slot.is_none() {
-                *slot = Some(
-                    unclaimed
-                        .next()
-                        .expect("one free member per unassigned shard"),
-                );
-            }
-        }
-        drain_members(&members)?;
-
-        let mut out = Vec::with_capacity(shards);
-        for (i, a) in a_socks.into_iter().enumerate() {
-            let j = assigned[i].expect("every shard assigned");
-            let b = members[j].take().expect("members assigned exactly once");
-            let a_addr = v4(a.local_addr()?);
-            out.push((a, b, a_addr));
-        }
-        Ok(out)
-    }
-}
-
-/// Cross-shard wakeup doorbells: one eventfd per shard on the epoll
-/// backend, nothing elsewhere (busy-polling shards re-check their
-/// inboxes every iteration anyway).
-#[derive(Debug, Default)]
-struct Doorbells {
-    #[cfg(target_os = "linux")]
-    fds: Vec<sys::EventFd>,
-}
-
-impl Doorbells {
-    fn for_backend(backend: IoBackend, shards: usize) -> io::Result<Self> {
-        #[cfg(target_os = "linux")]
-        {
-            if backend == IoBackend::Epoll {
-                let fds = (0..shards)
-                    .map(|_| sys::EventFd::new())
-                    .collect::<io::Result<Vec<_>>>()?;
-                return Ok(Doorbells { fds });
-            }
-        }
-        let _ = (backend, shards);
-        Ok(Doorbells::default())
-    }
-
-    /// Wakes every sleeping shard (fatal-error path).
-    fn ring_all(&self) {
-        #[cfg(target_os = "linux")]
-        for fd in &self.fds {
-            fd.raise();
-        }
-    }
 }
 
 fn sim_now(epoch: Instant) -> SimTime {
@@ -505,7 +234,7 @@ fn run_shard_busypoll(
             for to in [Endpoint::B, Endpoint::A] {
                 loop {
                     ShardStats::bump(&shard.stats().syscalls_recv);
-                    match ch.recv_sock(to).recv(&mut recv_buf) {
+                    match ch.sock(to).recv(&mut recv_buf) {
                         Ok(len) => {
                             idle = false;
                             ShardStats::bump(&shard.stats().messages_received);
@@ -522,7 +251,10 @@ fn run_shard_busypoll(
         while let Some(datagram) = shard.pop_outbound() {
             idle = false;
             ShardStats::bump(&shard.stats().syscalls_send);
-            match io.channels[datagram.channel].send_from(datagram.from, &datagram.bytes) {
+            match io.channels[datagram.channel]
+                .sock(datagram.from)
+                .send(&datagram.bytes)
+            {
                 Ok(_) => {
                     ShardStats::bump(&shard.stats().datagrams_sent);
                     ShardStats::bump(&shard.stats().messages_sent);
@@ -541,11 +273,31 @@ fn run_shard_busypoll(
     }
 }
 
+/// A shard's socket as one number, `2 × channel` for A's and
+/// `2 × channel + 1` for B's: the epoll token it is registered under
+/// and the staging queue of what it sends.
+#[cfg(target_os = "linux")]
+fn socket_key(channel: usize, endpoint: Endpoint) -> usize {
+    match endpoint {
+        Endpoint::A => channel * 2,
+        Endpoint::B => channel * 2 + 1,
+    }
+}
+
+/// The (channel, endpoint) of a [`socket_key`].
+#[cfg(target_os = "linux")]
+fn key_socket(key: usize) -> (usize, Endpoint) {
+    match key % 2 {
+        0 => (key / 2, Endpoint::A),
+        _ => (key / 2, Endpoint::B),
+    }
+}
+
 /// The readiness-driven event loop: sleep in `epoll_wait` until a
-/// socket is readable, a peer rings the doorbell, or the shard timer
-/// wheel's next deadline arrives; then move datagrams in
-/// `recvmmsg`/`sendmmsg` batches — each message a train where one
-/// forms — and flush the ready-set once for the whole wakeup.
+/// socket is readable or the shard timer wheel's next deadline
+/// arrives; then move datagrams in `recvmmsg`/`sendmmsg` batches — each
+/// message a train where one forms — and flush the ready-set once for
+/// the whole wakeup.
 #[cfg(target_os = "linux")]
 fn run_shard_epoll(
     shard: &mut Shard,
@@ -553,67 +305,42 @@ fn run_shard_epoll(
     epoch: Instant,
     deadline: Instant,
     stop: &AtomicBool,
-    doorbells: &[sys::EventFd],
 ) -> io::Result<()> {
-    const DOORBELL_TOKEN: u64 = u64::MAX;
-    /// Sleep cap: the stop flag, wall deadline, and any doorbell edge
-    /// lost to a race are all observed within this bound.
+    /// Sleep cap: the stop flag and the wall deadline are observed
+    /// within this bound.
     const MAX_SLEEP_MS: u64 = 25;
 
-    let index = shard.index();
+    let sockets = io.channels.len() * 2;
     let epoll = sys::Epoll::new()?;
-    for (channel, ch) in io.channels.iter().enumerate() {
-        epoll.add_readable(ch.a.as_raw_fd(), (channel * 2) as u64)?;
-        epoll.add_readable(ch.b.as_raw_fd(), (channel * 2 + 1) as u64)?;
+    for key in 0..sockets {
+        let (channel, endpoint) = key_socket(key);
+        let sock = io.channels[channel].sock(endpoint);
+        epoll.add_readable(sock.as_raw_fd(), key as u64)?;
         // Trains arrive whole on every socket this loop reads. A kernel
         // that refuses the option cuts them itself, and `RecvBatch`
         // reads either.
-        sys::enable_udp_gro(&ch.a);
-        sys::enable_udp_gro(&ch.b);
+        sys::enable_udp_gro(sock);
     }
-    epoll.add_readable(doorbells[index].fd(), DOORBELL_TOKEN)?;
 
-    let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; io.channels.len() * 2 + 1];
+    let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; sockets];
     let mut rx = sys::RecvBatch::new(MAX_DATAGRAM);
     let mut tx = sys::SendBatch::new();
-    // Outbound staging, keyed by channel × originating endpoint so each
-    // sendmmsg batch shares one (socket, destination) and a queue's
+    // Outbound staging, one queue per sending socket, so a queue's
     // equal-length neighbours can leave as one train.
-    let mut stage: Vec<Vec<Vec<u8>>> = (0..io.channels.len() * 2).map(|_| Vec::new()).collect();
-    let mut peer_pending = vec![false; doorbells.len()];
+    let mut stage: Vec<Vec<Vec<u8>>> = (0..sockets).map(|_| Vec::new()).collect();
     // The first pass scans every socket; afterwards only sockets epoll
     // reported ready are visited.
-    let mut ready_tokens: Vec<u64> = (0..(io.channels.len() * 2) as u64).collect();
-    // Whether the doorbell needs clearing: on the first pass (a peer may
-    // have rung before this loop existed) and after every wait that
-    // reported it.
-    let mut rung = true;
+    let mut ready: Vec<usize> = (0..sockets).collect();
 
     loop {
-        // Ring, then read: the doorbell is read only when it rang. The
-        // epoll registration is level-triggered, so a raised eventfd is
-        // reported by every wait until it is read — a raise is never
-        // missed for not having been looked for. And the clear still
-        // precedes the drain: a raise that slips in between the two
-        // leaves the counter up over an inbox already emptied, which
-        // costs one spurious (cheap) wakeup; a raise can never be
-        // cleared with its handoff left behind.
-        if rung {
-            doorbells[index].clear();
-        }
         let now = sim_now(epoch);
         shard.drain_inbox(now);
         shard.poll_timers(now);
         shard.drain_returns();
 
-        for &token in &ready_tokens {
-            let channel = (token / 2) as usize;
-            let to = if token % 2 == 0 {
-                Endpoint::A
-            } else {
-                Endpoint::B
-            };
-            let fd = io.channels[channel].recv_sock(to).as_raw_fd();
+        for &key in &ready {
+            let (channel, to) = key_socket(key);
+            let fd = io.channels[channel].sock(to).as_raw_fd();
             loop {
                 match rx.recv(fd) {
                     Ok(n) => {
@@ -622,11 +349,7 @@ fn run_shard_epoll(
                         let now = sim_now(epoch);
                         for i in 0..n {
                             for datagram in rx.datagrams(i) {
-                                if let Some(owner) =
-                                    shard.route_datagram(now, channel, to, datagram)
-                                {
-                                    peer_pending[owner] = true;
-                                }
+                                shard.route_datagram(now, channel, to, datagram);
                             }
                         }
                         // A short batch means the socket is likely
@@ -645,31 +368,17 @@ fn run_shard_epoll(
             }
         }
         shard.flush_ready(sim_now(epoch));
-        for (owner, pending) in peer_pending.iter_mut().enumerate() {
-            if *pending {
-                *pending = false;
-                if owner != index {
-                    doorbells[owner].raise();
-                }
-            }
-        }
 
         while let Some(datagram) = shard.pop_outbound() {
-            stage[datagram.channel * 2 + endpoint_idx(datagram.from)].push(datagram.bytes);
+            stage[socket_key(datagram.channel, datagram.from)].push(datagram.bytes);
         }
         for (key, bufs) in stage.iter_mut().enumerate() {
             if bufs.is_empty() {
                 continue;
             }
-            let ch = &io.channels[key / 2];
-            let (fd, dest) = if key % 2 == 0 {
-                (ch.a.as_raw_fd(), None)
-            } else if ch.b_connected {
-                (ch.b.as_raw_fd(), None)
-            } else {
-                (ch.b.as_raw_fd(), Some(ch.a_addr))
-            };
-            let outcome = tx.send_all(fd, bufs, dest, would_drop)?;
+            let (channel, from) = key_socket(key);
+            let fd = io.channels[channel].sock(from).as_raw_fd();
+            let outcome = tx.send_all(fd, bufs, would_drop)?;
             ShardStats::bump_by(&shard.stats().datagrams_sent, outcome.sent as u64);
             ShardStats::bump_by(&shard.stats().send_drops, outcome.dropped as u64);
             ShardStats::bump_by(&shard.stats().syscalls_send, outcome.syscalls);
@@ -693,15 +402,8 @@ fn run_shard_epoll(
 
         ShardStats::bump(&shard.stats().wakeups);
         let n = epoll.wait(&mut events, timeout_ms as i32)?;
-        ready_tokens.clear();
-        rung = false;
-        for event in &events[..n] {
-            if event.data == DOORBELL_TOKEN {
-                rung = true;
-            } else {
-                ready_tokens.push(event.data);
-            }
-        }
+        ready.clear();
+        ready.extend(events[..n].iter().map(|event| event.data as usize));
     }
 }
 
@@ -712,17 +414,13 @@ fn run_shard(
     epoch: Instant,
     deadline: Instant,
     stop: &AtomicBool,
-    doorbells: &Doorbells,
 ) -> io::Result<()> {
     match backend {
-        IoBackend::Busypoll => {
-            let _ = doorbells;
-            run_shard_busypoll(shard, io, epoch, deadline, stop)
-        }
+        IoBackend::Busypoll => run_shard_busypoll(shard, io, epoch, deadline, stop),
         IoBackend::Epoll => {
             #[cfg(target_os = "linux")]
             {
-                run_shard_epoll(shard, io, epoch, deadline, stop, &doorbells.fds)
+                run_shard_epoll(shard, io, epoch, deadline, stop)
             }
             #[cfg(not(target_os = "linux"))]
             {
@@ -765,7 +463,7 @@ impl ServerSummary {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPhases {
     /// Ramp-up excluded from the measured window (sessions start,
-    /// pools warm, reuseport routing settles).
+    /// pools warm).
     pub warmup: Duration,
     /// The measured window proper.
     pub measure: Duration,
@@ -928,7 +626,7 @@ impl UdpServer {
     ) -> io::Result<Self> {
         let backend = config.io.resolve()?;
         let set = ShardSet::new(&config);
-        let topology = build_topology(set.num_shards(), channels)?;
+        let topology = paired_topology(set.num_shards(), channels)?;
         Ok(UdpServer {
             set,
             protocol: protocol.into(),
@@ -1036,7 +734,6 @@ impl UdpServer {
         let stats: Vec<Arc<ShardStats>> = (0..self.set.num_shards())
             .map(|i| Arc::clone(self.set.shard(i).stats()))
             .collect();
-        let doorbells = Doorbells::for_backend(backend, self.set.num_shards())?;
         let stop = AtomicBool::new(false);
         let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
         let deadline = Instant::now() + phases.total();
@@ -1044,16 +741,13 @@ impl UdpServer {
         let topology = &self.topology;
         let mut window = WindowStats::default();
         std::thread::scope(|scope| {
-            let doorbells = &doorbells;
             let stop = &stop;
             let first_error = &first_error;
             for (shard, io) in set.shards_mut().iter_mut().zip(topology.iter()) {
                 scope.spawn(move || {
-                    if let Err(e) = run_shard(backend, shard, io, epoch, deadline, stop, doorbells)
-                    {
+                    if let Err(e) = run_shard(backend, shard, io, epoch, deadline, stop) {
                         first_error.lock().unwrap().get_or_insert(e);
                         stop.store(true, Ordering::Relaxed);
-                        doorbells.ring_all();
                     }
                 });
             }
@@ -1135,46 +829,5 @@ mod tests {
         for backend in IoBackend::available() {
             assert!(matches!(backend.name(), "epoll" | "busypoll"));
         }
-    }
-
-    /// The calibrated reuseport topology must deliver each shard's
-    /// A-originated traffic to that shard's own member socket.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reuseport_topology_routes_to_owner() {
-        let shards = 4;
-        let Ok(ios) = reuseport_topology(shards, 1) else {
-            // Kernel without usable SO_REUSEPORT: the server falls
-            // back to pairs; nothing to assert here.
-            return;
-        };
-        let mut buf = [0u8; 64];
-        let mut aligned = 0;
-        for (i, io_i) in ios.iter().enumerate() {
-            let ch = &io_i.channels[0];
-            ch.a.send(b"ownership-probe").unwrap();
-            std::thread::sleep(Duration::from_millis(5));
-            let mut got_own = false;
-            for io_j in &ios {
-                let other = &io_j.channels[0];
-                while let Ok(len) = other.b.recv(&mut buf) {
-                    if &buf[..len] == b"ownership-probe" {
-                        got_own = std::ptr::eq(other, ch);
-                    }
-                }
-            }
-            if got_own {
-                aligned += 1;
-            } else {
-                // Calibration tolerates residual collisions; they ride
-                // the handoff path.
-                eprintln!("shard {i} not aligned (handoff path)");
-            }
-        }
-        assert!(
-            aligned >= shards - 1,
-            "calibration left {} of {shards} shards unaligned",
-            shards - aligned
-        );
     }
 }

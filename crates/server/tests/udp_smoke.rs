@@ -1,9 +1,10 @@
 //! End-to-end smoke of the threaded [`UdpServer`]: real loopback
-//! sockets, one thread per shard with its own socket group. Runs the
+//! sockets, one thread per shard with its own socket pairs. Runs the
 //! same small multi-session workload under **every** I/O backend the
 //! host supports (busypoll everywhere, epoll on Linux) and verifies
 //! that symbols move, that nothing on the wire misroutes (no
-//! unknown-cid or malformed drops on a clean loopback), and that the
+//! unknown-cid or malformed drops on a clean loopback, and no frame
+//! read by a shard that does not own it), and that the
 //! metrics snapshot exports the per-shard and total counter families —
 //! including the wakeup/syscall amortization counters, the message
 //! counters that say whether trains form (epoll: fewer kernel messages
@@ -17,7 +18,7 @@ use std::time::Duration;
 use mcss_base::SimTime;
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::Workload;
-use mcss_server::{IoBackend, IoMode, ServerConfig, UdpServer};
+use mcss_server::{IoBackend, IoMode, ServerConfig, ShardStatsSnapshot, UdpServer};
 
 fn run_smoke(io: IoMode, expect: IoBackend) {
     let protocol = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap().with_symbol_bytes(64));
@@ -51,6 +52,7 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
     assert_eq!(totals.dropped_unknown_cid, 0, "{totals:?}");
     assert_eq!(totals.dropped_malformed, 0, "{totals:?}");
     assert_eq!(totals.dropped_legacy, 0, "{totals:?}");
+    assert_no_handoff(&totals);
     // Buffers never leak across pools: full return rings would count.
     assert_eq!(totals.returns_migrated, 0, "{totals:?}");
     // Every backend accounts its event loop.
@@ -169,8 +171,8 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
 
     // Per-channel delay, from the shards' histograms: the total is the
     // shards merged, and every share an engine was handed is in it (the
-    // loopback is clean and carries no control frames, so that is every
-    // datagram read, less the handoffs still queued when the run ended).
+    // loopback is clean, carries no control frames and hands nothing
+    // off, so that is every datagram read).
     if !cfg!(feature = "telemetry") {
         assert!(snapshot.histograms.is_empty());
         return;
@@ -198,15 +200,24 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
         );
         recorded += total;
     }
-    assert_eq!(
-        recorded,
-        totals.datagrams_received - totals.handoff_out - totals.handoff_rejected
-            + totals.handoff_in,
-        "{totals:?}"
-    );
+    assert_eq!(recorded, totals.datagrams_received, "{totals:?}");
     assert_eq!(
         count("server.total.reassembly_residency".to_string()),
         totals.symbols_delivered,
+        "{totals:?}"
+    );
+}
+
+/// Each shard owns a connected socket pair per channel, so it reads only
+/// its own sessions' frames: nothing crosses to another shard.
+fn assert_no_handoff(totals: &ShardStatsSnapshot) {
+    assert_eq!(
+        (
+            totals.handoff_in,
+            totals.handoff_out,
+            totals.handoff_rejected
+        ),
+        (0, 0, 0),
         "{totals:?}"
     );
 }
@@ -281,6 +292,7 @@ fn epoll_backend_amortizes_wakeups_and_syscalls() {
     let summary = server.run_for(Duration::from_millis(400)).expect("run");
     assert!(summary.delivered_symbols > 0, "{summary:?}");
     let totals = server.shards().totals();
+    assert_no_handoff(&totals);
     // The busy-poll loop would record one recv syscall per socket per
     // iteration (~10 sockets × thousands of iterations); readiness +
     // batching must come in far below one syscall per datagram pair.

@@ -8,13 +8,18 @@
 //! injected datagram loss on one channel the whole way. With
 //! `(κ = 2, μ = 4)` each symbol needs any 2 of its ~4 shares, so a
 //! single bad channel costs nothing: the file arrives bit-exact with
-//! zero retransmissions.
+//! zero retransmissions. The run finishes by printing the engine's
+//! telemetry snapshot and writing it to `METRICS_file_transfer.json`
+//! for dashboards or CI artifacts.
 //!
 //! Run with:
 //!
 //! ```sh
 //! cargo run -p mcss-remicss --release --features udp --example file_transfer
 //! ```
+//!
+//! (Also builds with `--no-default-features --features udp,telemetry`:
+//! the driver never touches the simulator.)
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -46,9 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut driver = UdpDriver::new(config, CHANNELS, 7)?;
     driver.set_loss(LOSSY_CHANNEL, LOSS);
 
+    let start = Instant::now();
     let mut received: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for chunk in file.chunks(SYMBOL_BYTES) {
         driver.send_symbol(chunk)?;
+        // Drain sockets as we go so kernel buffers never overflow.
         driver.poll()?;
         while let Some((seq, payload)) = driver.next_symbol() {
             received.insert(seq, payload);
@@ -62,13 +69,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             received.insert(seq, payload);
         }
     }
+    let elapsed = start.elapsed();
 
     let report = driver.report(driver.now());
     println!(
-        "sent {} symbols; receiver reconstructed {} ({} bytes)",
+        "sent {} symbols; receiver reconstructed {}/{symbols} in {elapsed:.2?} ({:.1} MiB/s)",
         report.sent_symbols,
         received.len(),
-        received.values().map(Vec::len).sum::<usize>()
+        file.len() as f64 / (1 << 20) as f64 / elapsed.as_secs_f64()
     );
     println!(
         "reassembly: {} completed, {} timed out, {} stale shares, {} local send drops",
@@ -96,5 +104,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          single channel at p = {LOSS}",
         report.mean_m - report.mean_k
     );
+
+    // Export the engine's telemetry snapshot: Prometheus text to stdout,
+    // JSON to disk for CI artifact upload.
+    let snapshot = driver.engine().metrics_snapshot();
+    println!(
+        "\ntelemetry snapshot ({} counters):",
+        snapshot.counters.len()
+    );
+    print!("{}", snapshot.to_prometheus());
+    let json = serde_json::to_string_pretty(&snapshot)?;
+    std::fs::write("METRICS_file_transfer.json", &json)?;
+    println!("\nwrote METRICS_file_transfer.json ({} bytes)", json.len());
     Ok(())
 }

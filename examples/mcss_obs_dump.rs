@@ -9,7 +9,7 @@
 //! Run with:
 //!
 //! ```sh
-//! MCSS_TELEMETRY=1 cargo run -p mcss --example mcss-obs-dump
+//! cargo run -p mcss --example mcss-obs-dump
 //! ```
 //!
 //! The snapshot is also written to `METRICS_mcss_obs_dump.json` (in
@@ -27,13 +27,6 @@ use mcss::remicss::session::{Session, Workload};
 use mcss::remicss::testbed;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // `MCSS_TELEMETRY=1` is the usual opt-in for binaries; this example
-    // exists to show the telemetry, so it opts in programmatically too.
-    if !obs::runtime_enabled() {
-        obs::force_enable();
-        println!("(MCSS_TELEMETRY not set; enabling telemetry programmatically)\n");
-    }
-
     // One second of protocol traffic at half the model-optimal rate over
     // the paper's Lossy setup, κ = 2, μ = 3.
     let channels = setups::lossy();
