@@ -5,8 +5,10 @@
 /// Frames move through the event queue by value, and the receiver takes
 /// the buffer back with [`into_vec`](Frame::into_vec) — the same
 /// allocation the sender wrapped, so a buffer drawn from a
-/// [`BufferPool`](crate::BufferPool) can return to it. That is what
-/// keeps the protocol data path allocation-free.
+/// [`BufferPool`](crate::BufferPool) can return to it. A frame a link
+/// loses in flight comes back to the sender instead, emptied, through
+/// [`Context::take_lost`](crate::Context::take_lost). That is what keeps
+/// the protocol data path allocation-free, lossy links included.
 ///
 /// # Examples
 ///

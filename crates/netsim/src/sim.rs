@@ -65,6 +65,7 @@ pub struct Context<'a> {
     seq: &'a mut u64,
     rng: &'a mut StdRng,
     trace: &'a mut Option<Trace>,
+    lost: &'a mut Vec<Vec<u8>>,
 }
 
 impl Context<'_> {
@@ -83,7 +84,8 @@ impl Context<'_> {
     /// Sends `frame` from endpoint `from` over `channel`.
     ///
     /// Returns [`SendOutcome::Dropped`] if the local queue is full;
-    /// random in-flight loss is *not* observable at the sender.
+    /// random in-flight loss does *not* show in the outcome (only as an
+    /// emptied buffer from [`take_lost`](Context::take_lost)).
     ///
     /// # Panics
     ///
@@ -99,10 +101,13 @@ impl Context<'_> {
     /// local queue drop so a pooled payload buffer can be recycled
     /// instead of freed.
     ///
-    /// Only *locally observable* rejection returns the frame: random
-    /// in-flight loss still consumes it, exactly as a real socket write
-    /// succeeds on frames the network later loses. `Err` therefore
-    /// reveals nothing [`send`](Context::send) doesn't.
+    /// Only *locally observable* rejection returns the frame: on random
+    /// in-flight loss the call succeeds, exactly as a real socket write
+    /// succeeds on frames the network later loses, and the frame's
+    /// buffer comes back emptied through
+    /// [`take_lost`](Context::take_lost), which does not say which frame
+    /// it carried. `Err` therefore reveals nothing
+    /// [`send`](Context::send) doesn't.
     ///
     /// # Errors
     ///
@@ -122,7 +127,12 @@ impl Context<'_> {
         let link = self.network.channel_mut(channel).link_from(from);
         let result = match link.admit(self.now, &frame, self.rng) {
             Admit::Dropped => Err(frame),
-            Admit::Lost => Ok(()),
+            Admit::Lost => {
+                let mut buf = frame.into_vec();
+                buf.clear();
+                self.lost.push(buf);
+                Ok(())
+            }
             Admit::Deliver { at } => {
                 let seq = *self.seq;
                 *self.seq += 1;
@@ -155,6 +165,15 @@ impl Context<'_> {
             );
         }
         result
+    }
+
+    /// Takes back the buffer of a frame a link lost in flight during this
+    /// callback, so a pooled payload buffer can be recycled instead of
+    /// freed. The buffer is empty: like a real network, the simulator
+    /// does not tell the sender which frame it lost. Buffers not taken
+    /// before the callback returns are freed.
+    pub fn take_lost(&mut self) -> Option<Vec<u8>> {
+        self.lost.pop()
     }
 
     /// Serialization backlog of `channel` in the direction out of `from`.
@@ -212,6 +231,9 @@ pub struct Simulator<A> {
     events: u64,
     rng: StdRng,
     trace: Option<Trace>,
+    /// Buffers of the frames lost during the current callback
+    /// ([`Context::take_lost`]); emptied after every callback.
+    lost: Vec<Vec<u8>>,
 }
 
 impl<A: Application> Simulator<A> {
@@ -237,6 +259,7 @@ impl<A: Application> Simulator<A> {
             events: 0,
             rng: StdRng::seed_from_u64(seed),
             trace: None,
+            lost: Vec::new(),
         };
         let mut ctx = Context {
             now: sim.now,
@@ -245,8 +268,10 @@ impl<A: Application> Simulator<A> {
             seq: &mut sim.seq,
             rng: &mut sim.rng,
             trace: &mut sim.trace,
+            lost: &mut sim.lost,
         };
         sim.app.on_start(&mut ctx);
+        sim.lost.clear();
         sim
     }
 
@@ -348,6 +373,7 @@ impl<A: Application> Simulator<A> {
                     seq: &mut self.seq,
                     rng: &mut self.rng,
                     trace: &mut self.trace,
+                    lost: &mut self.lost,
                 };
                 self.app.on_deliver(&mut ctx, channel, to, frame);
             }
@@ -362,10 +388,12 @@ impl<A: Application> Simulator<A> {
                     seq: &mut self.seq,
                     rng: &mut self.rng,
                     trace: &mut self.trace,
+                    lost: &mut self.lost,
                 };
                 self.app.on_timer(&mut ctx, token);
             }
         }
+        self.lost.clear();
         true
     }
 
@@ -644,6 +672,54 @@ mod tests {
         assert_eq!(run(42), run(42));
         // Different seeds draw different loss patterns (overwhelmingly).
         assert_ne!(run(42).1, run(43).1);
+    }
+
+    /// Every frame a link loses comes back to the sender's callback as an
+    /// empty buffer with its capacity, and only to that callback.
+    #[test]
+    fn lost_frames_come_back_emptied() {
+        struct Lose {
+            sent: usize,
+            back: Vec<Vec<u8>>,
+            later: Option<Vec<u8>>,
+        }
+        impl Application for Lose {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                for len in 1..=self.sent {
+                    assert_eq!(
+                        ctx.try_send(0, Endpoint::A, Frame::new(vec![7u8; len])),
+                        Ok(())
+                    );
+                }
+                self.back.extend(std::iter::from_fn(|| ctx.take_lost()));
+                let _ = ctx.send(0, Endpoint::A, Frame::new(vec![7u8; 100]));
+                ctx.set_timer(SimTime::from_millis(1), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+                self.later = ctx.take_lost();
+            }
+        }
+        let mut b = NetworkBuilder::new();
+        b.channel(LinkConfig::new(1e9).with_loss(0.5));
+        let app = Lose {
+            sent: 200,
+            back: Vec::new(),
+            later: None,
+        };
+        let mut sim = Simulator::new(b.build(), app, 3);
+        sim.run_to_completion();
+        let lost = sim.network().channel(0).forward().stats().lost_frames;
+        let app = sim.app();
+        assert!(lost > 50, "loss 0.5 over 201 frames lost only {lost}");
+        assert!(app.later.is_none(), "a lost buffer outlived its callback");
+        assert!(app.back.iter().all(Vec::is_empty));
+        let mut capacities: Vec<usize> = app.back.iter().map(Vec::capacity).collect();
+        capacities.sort_unstable();
+        capacities.dedup();
+        assert_eq!(capacities.len(), app.back.len(), "a buffer came back twice");
+        assert!(capacities.iter().all(|&c| (1..=app.sent).contains(&c)));
+        // The frame sent after the drain may have been lost as well.
+        assert!((0..=1).contains(&(lost - app.back.len() as u64)));
     }
 
     #[test]

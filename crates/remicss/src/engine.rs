@@ -218,22 +218,49 @@ fn build_scheduler(
     })
 }
 
-/// Deterministic payload pattern, verified at the receiver.
+/// Deterministic payload pattern, verified at the receiver: byte `i` of
+/// symbol `seq`. Each byte is the one before plus one, mod 256, so a
+/// symbol's pattern is the byte ramp 0, 1, …, 255 started at
+/// `pattern_byte(seq, 0)` and repeated every 256 bytes, which is how
+/// [`pattern_into`] writes it and [`pattern_matches`] checks it.
 #[inline]
 fn pattern_byte(seq: u64, i: usize) -> u8 {
     (seq.wrapping_mul(31).wrapping_add(i as u64) & 0xff) as u8
 }
 
-fn pattern_into(seq: u64, len: usize, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend((0..len).map(|i| pattern_byte(seq, i)));
+/// Two turns of the byte ramp: `RAMP[b..b + 256]` is 256 bytes of the
+/// pattern of every symbol whose first byte is `b`.
+static RAMP: [u8; 512] = {
+    let mut ramp = [0; 512];
+    let mut i = 0;
+    while i < ramp.len() {
+        ramp[i] = i as u8;
+        i += 1;
+    }
+    ramp
+};
+
+/// One period of symbol `seq`'s pattern.
+fn pattern_period(seq: u64) -> &'static [u8] {
+    &RAMP[usize::from(pattern_byte(seq, 0))..][..256]
 }
 
+/// Writes the first `len` bytes of symbol `seq`'s pattern into `out`.
+fn pattern_into(seq: u64, len: usize, out: &mut Vec<u8>) {
+    let period = pattern_period(seq);
+    out.clear();
+    out.reserve(len);
+    for start in (0..len).step_by(period.len()) {
+        out.extend_from_slice(&period[..(len - start).min(period.len())]);
+    }
+}
+
+/// Whether `payload` is the start of symbol `seq`'s pattern.
 fn pattern_matches(seq: u64, payload: &[u8]) -> bool {
+    let period = pattern_period(seq);
     payload
-        .iter()
-        .enumerate()
-        .all(|(i, &b)| b == pattern_byte(seq, i))
+        .chunks(period.len())
+        .all(|chunk| chunk == &period[..chunk.len()])
 }
 
 /// What a call into [`EngineCore`] borrows from its host: the pool every
@@ -1179,6 +1206,7 @@ impl core::ops::Deref for Engine {
 mod tests {
     use super::*;
     use core::mem::{offset_of, size_of};
+    use rand::SeedableRng as _;
 
     /// The offset of each named field of [`EngineCore`], with its name.
     macro_rules! offsets {
@@ -1297,5 +1325,101 @@ mod tests {
             "`EngineCore` grew to {} B",
             size_of::<EngineCore>()
         );
+    }
+
+    /// The ramp copy and the chunked comparison are `pattern_byte`, byte
+    /// for byte, from every start value and across every period edge.
+    #[test]
+    fn pattern_ramp_is_pattern_byte() {
+        // 31 is odd, so sequence numbers 0..256 start the pattern at
+        // every byte value.
+        let starts: std::collections::BTreeSet<u8> =
+            (0..256).map(|seq| pattern_byte(seq, 0)).collect();
+        assert_eq!(starts.len(), 256);
+        let mut out = Vec::new();
+        for seq in 0..256 {
+            for len in [0, 1, 63, 64, 255, 256, 257, 511, 512, 1_250, 1_500] {
+                let expect: Vec<u8> = (0..len).map(|i| pattern_byte(seq, i)).collect();
+                pattern_into(seq, len, &mut out);
+                assert_eq!(out, expect, "seq {seq}, {len} B");
+                assert!(pattern_matches(seq, &expect), "seq {seq}, {len} B");
+                let flips = if len == 0 {
+                    vec![]
+                } else {
+                    vec![0, len / 2, len - 1]
+                };
+                for at in flips {
+                    out[at] ^= 1;
+                    assert!(!pattern_matches(seq, &out), "seq {seq}, {len} B, byte {at}");
+                    out[at] ^= 1;
+                }
+            }
+        }
+    }
+
+    /// Runs a paced `(2, 2)` engine for four 1 250 B symbols, every share
+    /// looped straight to B; with `flip`, the byte at that offset of
+    /// symbol 1's first share is flipped on the way.
+    fn paced_run(flip: Option<usize>) -> SessionReport {
+        // Shamir: a share is as long as its symbol, and byte `i` of one
+        // share reaches byte `i` of the reconstruction alone, so the
+        // flip lands on the symbol offset it names.
+        let config = ProtocolConfig::new(2.0, 2.0)
+            .unwrap()
+            .with_codec(CodecId::Shamir);
+        assert_eq!(config.symbol_bytes(), 1_250);
+        let window = SimTime::from_millis(4);
+        let workload = Workload::cbr(1_000.0, window);
+        let mut engine = Engine::new(config, 2, SourceMode::Paced(workload)).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut timers: Vec<(SimTime, u64)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut shares = 0;
+        engine.handle(now, Event::Started, &mut rng);
+        loop {
+            while let Some(action) = engine.poll_action() {
+                match action {
+                    Action::SendShare {
+                        channel, mut frame, ..
+                    } => {
+                        engine.share_send_ok(channel);
+                        if let (2, Some(at)) = (shares, flip) {
+                            frame[wire::HEADER_BYTES + at] ^= 0x40;
+                        }
+                        shares += 1;
+                        engine
+                            .handle_frame(now, channel, Endpoint::B, &frame, &mut rng)
+                            .unwrap();
+                        engine.recycle(frame);
+                    }
+                    Action::SetTimer { token, at } => timers.push((at, token)),
+                    other => panic!("a paced CBR session emitted {other:?}"),
+                }
+            }
+            let Some(next) = (0..timers.len()).min_by_key(|&i| timers[i]) else {
+                break;
+            };
+            let (at, token) = timers.swap_remove(next);
+            now = at;
+            engine.handle(now, Event::TimerFired { token }, &mut rng);
+        }
+        assert_eq!(shares, 8);
+        engine.report(window)
+    }
+
+    /// The receiver's pattern check catches a single flipped byte at
+    /// either end of the symbol and on both sides of a period edge.
+    #[test]
+    fn pattern_check_counts_a_flipped_byte() {
+        let clean = paced_run(None);
+        assert_eq!((clean.delivered_symbols, clean.corrupted_symbols), (4, 0));
+        for at in [0, 255, 256, 1_249] {
+            let report = paced_run(Some(at));
+            assert_eq!(
+                (report.delivered_symbols, report.corrupted_symbols),
+                (3, 1),
+                "flipped byte {at}"
+            );
+        }
     }
 }

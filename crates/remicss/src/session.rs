@@ -206,7 +206,9 @@ impl Session {
     /// transmissions first report their queue outcome back to the
     /// engine, timers go to the event queue. The in-order drain keeps
     /// the simulator's event/RNG interleaving identical to the
-    /// pre-sans-I/O session.
+    /// pre-sans-I/O session. Then the buffers of the frames the links
+    /// lost go back to the pool, emptied and after the whole batch: the
+    /// engine learns nothing of which share was lost.
     fn apply_actions(&mut self, ctx: &mut Context<'_>) {
         while let Some(action) = self.engine.poll_action() {
             if let Some(trace) = self.trace.as_mut() {
@@ -237,6 +239,9 @@ impl Session {
                     unreachable!("paced sessions deliver internally")
                 }
             }
+        }
+        while let Some(buf) = ctx.take_lost() {
+            self.engine.recycle(buf);
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Proves the zero-allocation claims: in steady state, a ReMICSS session
 //! moves a symbol from source → split → frame → link → reassemble →
-//! reconstruct with **zero heap allocations**, for every `k ≤ m ≤ 8` —
-//! and the GF(2⁸) kernel layer underneath (every backend available on
-//! the host, including the SIMD `pshufb` path and the many-operand
-//! `eval` and `combine` kernels) allocates nothing either: multiplier
-//! tables live in the caller-owned `MulTable`, not per-call heap
-//! storage.
+//! reconstruct with **zero heap allocations**, for every `k ≤ m ≤ 8` and
+//! over links that lose shares — and the GF(2⁸) kernel layer underneath
+//! (every backend available on the host, including the SIMD `pshufb`
+//! path and the many-operand `eval` and `combine` kernels) allocates
+//! nothing either: multiplier tables live in the caller-owned `MulTable`,
+//! not per-call heap storage.
 //!
 //! A counting global allocator snapshots the allocation count after a
 //! warmup window (pools filling, hash tables and event queues reaching
@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use mcss_base::{BufferPool, Endpoint, EventQueue};
 use mcss_codec::CodecId;
-use mcss_core::setups;
+use mcss_core::{setups, ChannelSet};
 use mcss_gf256::simd::{Backend, MulTable};
 use mcss_gf256::Gf256;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
@@ -94,7 +94,7 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// The allocation counter is shared, so the three checks run as phases
+/// The allocation counter is shared, so the checks run as phases
 /// of a single `#[test]` — concurrent test threads would both count
 /// into the same windows.
 #[test]
@@ -434,45 +434,69 @@ fn engine_external_phase<H: Host>(codec: CodecId, engine: H) {
     );
 }
 
+/// One steady-state window per case. Clean channels run every
+/// `k ≤ m ≤ 8`; the Lossy case shows that loss costs no allocation
+/// either.
 fn session_phase() {
     // 8 clean channels so every (k, m) with m ≤ 8 is schedulable.
-    let channels = setups::identical_n(8, 10.0);
+    let clean = setups::identical_n(8, 10.0);
+    // (channels, κ, μ, offered share of R_C, fewest shares the measured
+    // window must lose).
+    let mut cases: Vec<(&ChannelSet, f64, f64, f64, u64)> = Vec::new();
+    for m in 1..=8u8 {
+        for k in 1..=m {
+            // Integer (κ, μ) = (k, m) makes every draw exactly (k, m).
+            cases.push((&clean, f64::from(k), f64::from(m), 0.3, 0));
+        }
+    }
+    // The paper's Lossy setup (0.5–3 % loss per link): a share the link
+    // loses hands its buffer back to the session's pool
+    // (`Context::take_lost`), and the partial symbols it leaves behind
+    // time out of a table already at its high-water mark.
+    let lossy = setups::lossy();
+    cases.push((&lossy, 2.0, 3.0, 0.8, 50));
     // The warmup must outlast every slow-converging high-water mark:
     // the resolved map's occupancy peaks only once the source period has
     // drifted through all phases of the 5 ms sweep timer.
     let warmup = SimTime::from_millis(700);
     let measure = SimTime::from_millis(300);
-    for m in 1..=8u8 {
-        for k in 1..=m {
-            // Integer (κ, μ) = (k, m) makes every draw exactly (k, m).
-            let config = Arc::new(
-                ProtocolConfig::new(f64::from(k), f64::from(m))
-                    .unwrap()
-                    // Short timeout so the resolved map's pruning horizon
-                    // (2× timeout) is well inside the warmup window.
-                    .with_reassembly_timeout(SimTime::from_millis(20)),
-            );
-            let rate = 0.3 * testbed::optimal_symbol_rate(&channels, &config).unwrap();
-            let workload = Workload::cbr(rate, warmup + measure + SimTime::from_millis(100));
-            let net = testbed::network_for(&channels, &config);
-            let session = Session::new(Arc::clone(&config), channels.len(), workload).unwrap();
-            let mut sim = Simulator::with_queue_kind(net, session, 42, QueueKind::Heap);
-            sim.run_until(warmup);
-            let before = allocations();
-            sim.run_until(warmup + measure);
-            let during = allocations() - before;
-            let report = sim.app().report(warmup + measure);
-            assert!(
-                report.delivered_symbols > 100,
-                "(k={k}, m={m}) too few symbols delivered: {}",
-                report.delivered_symbols
-            );
-            assert_eq!(
-                during, 0,
-                "(k={k}, m={m}): {during} allocations in steady state \
-                 over {} delivered symbols",
-                report.delivered_symbols
-            );
-        }
+    let lost = |sim: &Simulator<Session>| -> u64 {
+        let links = sim.network().channels();
+        links.map(|c| c.forward().stats().lost_frames).sum()
+    };
+    for (channels, kappa, mu, load, min_lost) in cases {
+        let config = Arc::new(
+            ProtocolConfig::new(kappa, mu)
+                .unwrap()
+                // Short timeout so the resolved map's pruning horizon
+                // (2× timeout) is well inside the warmup window.
+                .with_reassembly_timeout(SimTime::from_millis(20)),
+        );
+        let rate = load * testbed::optimal_symbol_rate(channels, &config).unwrap();
+        let workload = Workload::cbr(rate, warmup + measure + SimTime::from_millis(100));
+        let net = testbed::network_for(channels, &config);
+        let session = Session::new(Arc::clone(&config), channels.len(), workload).unwrap();
+        let mut sim = Simulator::with_queue_kind(net, session, 42, QueueKind::Heap);
+        sim.run_until(warmup);
+        let (before, lost_before) = (allocations(), lost(&sim));
+        sim.run_until(warmup + measure);
+        let during = allocations() - before;
+        let lost_during = lost(&sim) - lost_before;
+        let report = sim.app().report(warmup + measure);
+        assert!(
+            report.delivered_symbols > 100,
+            "(κ={kappa}, μ={mu}) too few symbols delivered: {}",
+            report.delivered_symbols
+        );
+        assert!(
+            lost_during >= min_lost,
+            "(κ={kappa}, μ={mu}) only {lost_during} shares lost in the measured window"
+        );
+        assert_eq!(
+            during, 0,
+            "(κ={kappa}, μ={mu}): {during} allocations in steady state \
+             over {} delivered symbols and {lost_during} lost shares",
+            report.delivered_symbols
+        );
     }
 }
