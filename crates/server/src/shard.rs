@@ -611,6 +611,12 @@ impl Shard {
     /// next call: a source that fell behind catches up a tick a call,
     /// between receive batches, not in one burst. Returns the number of
     /// timers fired.
+    ///
+    /// The shard fires whatever is due whenever it is called. When to
+    /// call it is the driver's choice: the UDP server's epoll loop calls
+    /// it on a millisecond grid (see [`crate::udp`]), while the
+    /// busy-poll loop and the in-memory drivers call it every pass and
+    /// are unaffected by that grid.
     pub fn poll_timers(&mut self, now: SimTime) -> usize {
         let mut due = std::mem::take(&mut self.due);
         while matches!(self.timers.next_at(), Some(at) if at <= now) {
@@ -636,8 +642,11 @@ impl Shard {
     }
 
     /// Milliseconds the event loop may sleep from `now` before the
-    /// next shard timer is due (rounded up, `None` when the wheel is
-    /// empty) — the epoll backend's wait timeout.
+    /// next shard timer is due (rounded up, 0 when one is due at or
+    /// before `now`, `None` when the wheel is empty). The epoll backend
+    /// waits the larger of this and the time to its next millisecond
+    /// grid instant, and reads a 0 right after a timer pass as a source
+    /// catching up; in-memory drivers never sleep on it.
     pub fn timer_sleep_ms(&mut self, now: SimTime) -> Option<u64> {
         self.timers.millis_until_next(now)
     }

@@ -16,15 +16,21 @@
 //! * **epoll** (Linux, default): each shard sleeps in `epoll_wait` on
 //!   its sockets; the timeout comes from the shard timer wheel's next
 //!   deadline (capped at 25 ms, which bounds how late the stop flag is
-//!   seen), so an idle shard costs nothing. Datagram I/O is batched
-//!   through `recvmmsg`/`sendmmsg` ([`sys::BATCH`] messages per
-//!   syscall), and a message is a *train* wherever one forms: every
-//!   share frame of a server has one length (one `ProtocolConfig`), so
-//!   the shares a pass queues on one channel — one from each of many
-//!   sessions — leave as a few `UDP_SEGMENT` messages and, the reading
-//!   sockets having `UDP_GRO` set, arrive as a few (see [`crate::sys`]).
-//!   The kernel's per-packet path then runs once per train, not once
-//!   per share.
+//!   seen), so an idle shard costs nothing. Timers fire on the
+//!   millisecond grid `epoll_wait` sleeps in: a timer pass is followed
+//!   by the next one at the first whole millisecond after it, so each
+//!   pass sends a millisecond of shares at once, and a wakeup by
+//!   readability in between only receives and sends. A source above
+//!   1 000 sym/s that is behind keeps catching up a tick a pass, between
+//!   receive batches, as [`Shard::poll_timers`] describes. Datagram
+//!   I/O is batched through `recvmmsg`/`sendmmsg` ([`sys::BATCH`]
+//!   messages per syscall), and a message is a *train* wherever one
+//!   forms: every share frame of a server has one length (one
+//!   `ProtocolConfig`), so the shares a pass queues on one channel —
+//!   one from each of many sessions — leave as a few `UDP_SEGMENT`
+//!   messages and, the reading sockets having `UDP_GRO` set, arrive as
+//!   a few (see [`crate::sys`]). The kernel's per-packet path then runs
+//!   once per train, not once per share.
 //! * **busypoll** (portable fallback): the original loop — poll every
 //!   socket with nonblocking `recv`, sleep 100 µs when idle. One
 //!   datagram per syscall and per message, no trains.
@@ -293,11 +299,82 @@ fn key_socket(key: usize) -> (usize, Endpoint) {
     }
 }
 
+/// Sleep cap of the epoll loop: the stop flag and the wall deadline are
+/// observed within this bound.
+#[cfg(target_os = "linux")]
+const MAX_SLEEP_MS: u64 = 25;
+
+#[cfg(target_os = "linux")]
+const NANOS_PER_MS: u64 = 1_000_000;
+
+/// When the epoll loop's next timer pass is due, and how long it may
+/// sleep until then.
+///
+/// A pass at `t` makes the next one wait for the first whole
+/// millisecond after `t` — the resolution `epoll_wait` sleeps in — so
+/// each pass fires a millisecond of ticks and its trains carry a
+/// millisecond of shares. The one exception: a pass that leaves a timer
+/// due at or before `t` (a source above 1 000 sym/s catching up a tick
+/// a pass, see [`Shard::poll_timers`]) keeps the next pass due at once,
+/// after the next receive batch.
+#[cfg(target_os = "linux")]
+#[derive(Debug, Clone, Copy)]
+struct TimerGrid {
+    next_pass: SimTime,
+}
+
+#[cfg(target_os = "linux")]
+impl TimerGrid {
+    /// The first pass is due at once.
+    fn new() -> Self {
+        TimerGrid {
+            next_pass: SimTime::ZERO,
+        }
+    }
+
+    /// Whether a pass at `now` fires the shard's due timers.
+    fn due(self, now: SimTime) -> bool {
+        now >= self.next_pass
+    }
+
+    /// Records a timer pass at `t` that left the wheel's next timer
+    /// `timer_ms` away ([`Shard::timer_sleep_ms`] at `t`: 0 when one is
+    /// still due).
+    fn passed(&mut self, t: SimTime, timer_ms: Option<u64>) {
+        self.next_pass = if timer_ms == Some(0) {
+            t
+        } else {
+            SimTime::from_nanos((t.as_nanos() / NANOS_PER_MS + 1) * NANOS_PER_MS)
+        };
+    }
+
+    /// Milliseconds `epoll_wait` may sleep at `now`, with the wheel's
+    /// next timer `timer_ms` away and the run's deadline
+    /// `until_deadline` away: `min(25 ms, deadline, max(timer, next
+    /// pass))`, every term rounded up, so no wait ends before what it
+    /// waits for and none is 0 while all three lie ahead.
+    fn wait_ms(self, now: SimTime, timer_ms: Option<u64>, until_deadline: Duration) -> u64 {
+        let pass_ms = self
+            .next_pass
+            .saturating_sub(now)
+            .as_nanos()
+            .div_ceil(NANOS_PER_MS);
+        let deadline_ms = (until_deadline.as_nanos() as u64).div_ceil(NANOS_PER_MS);
+        let timer_ms = timer_ms.unwrap_or(u64::MAX).max(pass_ms);
+        MAX_SLEEP_MS.min(deadline_ms).min(timer_ms)
+    }
+}
+
 /// The readiness-driven event loop: sleep in `epoll_wait` until a
-/// socket is readable or the shard timer wheel's next deadline
-/// arrives; then move datagrams in `recvmmsg`/`sendmmsg` batches — each
-/// message a train where one forms — and flush the ready-set once for
-/// the whole wakeup.
+/// socket is readable or the next timer pass is due; then move
+/// datagrams in `recvmmsg`/`sendmmsg` batches — each message a train
+/// where one forms — and flush the ready-set once for the whole wakeup.
+///
+/// Timer passes run on the millisecond grid of [`TimerGrid`]: a pass
+/// woken by readability before the next grid instant receives, routes
+/// and sends, but fires no timer early. The shard itself is unaware of
+/// the grid; the busy-poll loop and the in-process drivers fire timers
+/// whenever they poll.
 #[cfg(target_os = "linux")]
 fn run_shard_epoll(
     shard: &mut Shard,
@@ -306,10 +383,6 @@ fn run_shard_epoll(
     deadline: Instant,
     stop: &AtomicBool,
 ) -> io::Result<()> {
-    /// Sleep cap: the stop flag and the wall deadline are observed
-    /// within this bound.
-    const MAX_SLEEP_MS: u64 = 25;
-
     let sockets = io.channels.len() * 2;
     let epoll = sys::Epoll::new()?;
     for key in 0..sockets {
@@ -331,11 +404,15 @@ fn run_shard_epoll(
     // The first pass scans every socket; afterwards only sockets epoll
     // reported ready are visited.
     let mut ready: Vec<usize> = (0..sockets).collect();
+    let mut grid = TimerGrid::new();
 
     loop {
         let now = sim_now(epoch);
         shard.drain_inbox(now);
-        shard.poll_timers(now);
+        if grid.due(now) {
+            shard.poll_timers(now);
+            grid.passed(now, shard.timer_sleep_ms(now));
+        }
         shard.drain_returns();
 
         for &key in &ready {
@@ -396,9 +473,8 @@ fn run_shard_epoll(
         if wall >= deadline {
             return Ok(());
         }
-        let remaining_ms = (deadline - wall).as_millis() as u64;
-        let timer_ms = shard.timer_sleep_ms(sim_now(epoch)).unwrap_or(u64::MAX);
-        let timeout_ms = MAX_SLEEP_MS.min(remaining_ms).min(timer_ms);
+        let now = sim_now(epoch);
+        let timeout_ms = grid.wait_ms(now, shard.timer_sleep_ms(now), deadline - wall);
 
         ShardStats::bump(&shard.stats().wakeups);
         let n = epoll.wait(&mut events, timeout_ms as i32)?;
@@ -828,6 +904,78 @@ mod tests {
     fn backend_names_round_trip() {
         for backend in IoBackend::available() {
             assert!(matches!(backend.name(), "epoll" | "busypoll"));
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    mod timer_grid {
+        use super::super::*;
+
+        const FAR: Duration = Duration::from_secs(1);
+
+        #[test]
+        fn on_time_pass_waits_for_the_next_whole_millisecond() {
+            let mut grid = TimerGrid::new();
+            assert!(grid.due(SimTime::ZERO), "the first pass is due at once");
+            let t = SimTime::from_micros(3_400);
+            grid.passed(t, Some(2));
+            assert_eq!(grid.next_pass, SimTime::from_millis(4));
+            assert!(!grid.due(SimTime::from_micros(3_999)));
+            assert!(grid.due(SimTime::from_millis(4)));
+            // A pass exactly on the grid waits a whole millisecond.
+            grid.passed(SimTime::from_millis(4), None);
+            assert_eq!(grid.next_pass, SimTime::from_millis(5));
+        }
+
+        #[test]
+        fn pass_that_left_a_tick_due_is_followed_at_once() {
+            let mut grid = TimerGrid::new();
+            let t = SimTime::from_micros(3_400);
+            grid.passed(t, Some(0));
+            assert_eq!(grid.next_pass, t);
+            assert!(grid.due(t));
+            assert_eq!(grid.wait_ms(t, Some(0), FAR), 0);
+        }
+
+        #[test]
+        fn wait_rounds_up() {
+            let mut grid = TimerGrid::new();
+            grid.passed(SimTime::from_micros(3_400), Some(1));
+            // The grid instant is 0.6 ms away: one whole millisecond.
+            assert_eq!(grid.wait_ms(SimTime::from_micros(3_400), Some(1), FAR), 1);
+            // A timer beyond the grid instant sets the wait.
+            assert_eq!(grid.wait_ms(SimTime::from_micros(3_400), Some(7), FAR), 7);
+            // A timer already due waits for the grid instant.
+            assert_eq!(grid.wait_ms(SimTime::from_micros(3_900), Some(0), FAR), 1);
+            // No timer at all: the 25 ms cap.
+            assert_eq!(grid.wait_ms(SimTime::from_micros(3_400), None, FAR), 25);
+            // A deadline 0.3 ms away is slept to, not spun towards.
+            let near = Duration::from_micros(300);
+            assert_eq!(grid.wait_ms(SimTime::from_micros(3_400), None, near), 1);
+            assert_eq!(grid.wait_ms(SimTime::from_millis(4), Some(0), near), 0);
+        }
+
+        #[test]
+        fn wait_is_never_zero_while_everything_lies_ahead() {
+            let mut grid = TimerGrid::new();
+            for pass_us in (0..5_000).step_by(37) {
+                let t = SimTime::from_micros(pass_us);
+                grid.passed(t, Some(1));
+                for later_us in [0, 1, 250, 999] {
+                    let now = SimTime::from_micros(pass_us + later_us);
+                    if grid.due(now) {
+                        continue;
+                    }
+                    for timer_ms in [None, Some(1), Some(2), Some(30)] {
+                        for deadline_us in [1, 999, 1_000, 1_001, 60_000] {
+                            let until = Duration::from_micros(deadline_us);
+                            let wait = grid.wait_ms(now, timer_ms, until);
+                            assert!(wait > 0, "{now:?} {timer_ms:?} {until:?}");
+                            assert!(wait <= MAX_SLEEP_MS);
+                        }
+                    }
+                }
+            }
         }
     }
 }

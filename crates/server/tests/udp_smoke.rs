@@ -10,7 +10,9 @@
 //! counters that say whether trains form (epoll: fewer kernel messages
 //! than datagrams; busy-poll: one each) and the shards' buffer pools —
 //! and the per-channel delay distributions its shards recorded. A fleet
-//! whose sources have stopped must hold no timer at all.
+//! whose sources have stopped must hold no timer at all. On epoll, idle
+//! shards sleep to the run's deadline instead of spinning, and sources
+//! faster than the loop's millisecond timer grid keep their rate.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -325,4 +327,57 @@ fn epoll_backend_amortizes_wakeups_and_syscalls() {
     } else {
         println!("[skip-gro] no trains sent, or this kernel has no UDP_GRO");
     }
+}
+
+/// An idle epoll shard sleeps its 25 ms waits to the end: the last wait
+/// before the deadline rounds up, not down to a spin of
+/// `epoll_wait(0)`. Two shards over 1 s need about 81 wakeups (40 waits
+/// of 25 ms each, plus a few timers of the one slow session).
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_epoll_shards_do_not_spin_before_the_deadline() {
+    let protocol = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap().with_symbol_bytes(64));
+    let mut config = ServerConfig::with_shards(2);
+    config.io = IoMode::Epoll;
+    let mut server = UdpServer::new(config, protocol, 5).expect("sockets bind");
+    server
+        .add_session(0, Workload::cbr(1.0, SimTime::from_secs(30)), 1)
+        .unwrap();
+    server.run_for(Duration::from_secs(1)).expect("run");
+    let totals = server.shards().totals();
+    assert!(totals.wakeups <= 100, "{totals:?}");
+}
+
+/// Timer passes run on the millisecond grid, but a source faster than
+/// one tick a millisecond catches up between receive batches, so it
+/// keeps its rate: 4 000 sym/s is four ticks a grid step. Held to one
+/// tick a step, it would send a quarter of its schedule; a quiet host
+/// reads above 0.998, and the bound leaves room for a shared host
+/// stalling the run for tens of milliseconds.
+#[cfg(target_os = "linux")]
+#[test]
+fn sources_faster_than_the_timer_grid_keep_their_rate() {
+    const RATE: f64 = 4_000.0;
+    const SESSIONS: u32 = 2;
+    let protocol = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap().with_symbol_bytes(64));
+    let mut config = ServerConfig::with_shards(2);
+    config.io = IoMode::Epoll;
+    let mut server = UdpServer::new(config, protocol, 5).expect("sockets bind");
+    for cid in 0..SESSIONS {
+        let workload = Workload::cbr(RATE, SimTime::from_secs(30));
+        server
+            .add_session(cid, workload, 1 + u64::from(cid))
+            .unwrap();
+    }
+    let summary = server.run_for(Duration::from_secs(1)).expect("run");
+    let scheduled = RATE * f64::from(SESSIONS) * summary.elapsed.as_secs_f64();
+    let sent = summary.sent_symbols as f64;
+    assert!(
+        sent >= 0.95 * scheduled,
+        "sent {sent} of {scheduled:.0} scheduled: {summary:?}"
+    );
+    assert!(
+        summary.delivered_symbols as f64 >= 0.99 * sent,
+        "{summary:?}"
+    );
 }

@@ -19,13 +19,18 @@
 # `#[global_allocator]` wraps `System`, which ASan intercepts) and the
 # 1M-symbol `reassembly_bound` (≈ 6 s), ≈ 70 s for the leg.
 #
-# usage: scripts/asan.sh [backend ... | remicss]    (default: all)
+# The leg `server` runs the server crate (lib and integration tests,
+# `udp_smoke` included): the event loops over real loopback sockets and
+# `sys.rs`'s `recvmmsg` / `sendmmsg`, cmsg parsing and GSO marshalling,
+# whose `unsafe` reads lengths the kernel hands back (≈ 95 s).
+#
+# usage: scripts/asan.sh [backend ... | remicss | server]    (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 legs=("$@")
 if [ ${#legs[@]} -eq 0 ]; then
-  legs=(scalar table simd gfni remicss)
+  legs=(scalar table simd gfni remicss server)
 fi
 target=$(rustc +nightly -vV | sed -n 's/^host: //p')
 
@@ -34,6 +39,11 @@ for leg in "${legs[@]}"; do
     echo "== AddressSanitizer, mcss-remicss on the default backend"
     RUSTFLAGS=-Zsanitizer=address \
       cargo +nightly test --offline -q -p mcss-remicss --features sim \
+      --target "$target" --lib --tests
+  elif [ "$leg" = server ]; then
+    echo "== AddressSanitizer, mcss-server on the default backend"
+    RUSTFLAGS=-Zsanitizer=address \
+      cargo +nightly test --offline -q -p mcss-server \
       --target "$target" --lib --tests
   else
     echo "== AddressSanitizer, MCSS_GF256_BACKEND=$leg"
