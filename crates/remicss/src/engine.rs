@@ -37,6 +37,7 @@ use std::sync::Arc;
 use mcss_base::stats::{DelaySummary, ThroughputMeter};
 use mcss_base::{BufferPool, Endpoint, Pacer, SimTime};
 use mcss_codec::{CodecId, CodecScratch};
+use mcss_core::{ChannelError, MAX_CHANNELS};
 use rand::rngs::StdRng;
 
 use mcss_obs::MetricsSnapshot;
@@ -192,6 +193,9 @@ pub struct SessionReport {
     pub receiver_cpu_shed: u64,
     /// Undecodable frames received (must be zero in the simulator).
     pub wire_errors: u64,
+    /// Share and control frames that arrived at A of a session that
+    /// sends nothing back (neither an echo nor adaptive), dropped unread.
+    pub misdirected_frames: u64,
     /// Receiver reassembly-table counters.
     pub reassembly: ReassemblyStats,
     /// Final operating `μ` of the adaptive controller, if enabled.
@@ -293,6 +297,12 @@ impl Lent<'_> {
 /// host's to put back once it is done with them. A core at rest holds
 /// no payload buffer at all.
 ///
+/// A core holds the state of the B→A direction only if its traffic uses
+/// it: an [`Workload::Echo`] source or an adaptive target builds it,
+/// boxed, with the core. Any other session never sends from B, so it
+/// ignores B's channel readiness and drops what arrives at A, counting
+/// it in [`SessionReport::misdirected_frames`].
+///
 /// The fields are laid out as declared, in the order a symbol reads
 /// them (the `layout_follows_the_symbol_path` test pins the groups): a
 /// hosted session is visited once among thousands of others, so every
@@ -324,7 +334,6 @@ pub struct EngineCore {
     // data path allocation-free once warm (see `transmit`).
     choice: Choice,
     split_scratch: CodecScratch,
-    tx_bufs: Vec<Vec<u8>>,
     pacer: Option<Pacer>,
     metrics: SessionMetrics,
 
@@ -336,22 +345,31 @@ pub struct EngineCore {
     delay: DelaySummary,
     table_b: ReassemblyCore,
 
-    // What a constant-rate session never reads: the echo direction, the
-    // CPU model, adaptation and its feedback, the error counters.
+    // What a constant-rate session never reads: the return path, the
+    // CPU model, the error counters.
+    return_path: Option<Box<ReturnPath>>,
+    cpu_a: CpuClock,
+    cpu_b: CpuClock,
+    corrupted: u64,
+    send_queue_drops: u64,
+    wire_errors: u64,
+    misdirected_frames: u64,
+}
+
+/// Everything only the B→A direction reads: the echo's way back and the
+/// adaptive loop's feedback. Built by [`EngineCore::new`] for an
+/// [`Workload::Echo`] source or an adaptive target, and for no other
+/// session, which sends nothing from B.
+struct ReturnPath {
     table_a: ReassemblyCore,
     scheduler_b: SessionScheduler,
     backlogs_b: Vec<SimTime>,
-    cpu_a: CpuClock,
-    cpu_b: CpuClock,
     rtt: DelaySummary,
     adaptive: Option<AdaptiveController>,
     feedback_epoch: u32,
     last_epoch_seen: Option<u32>,
     last_feedback_delivered: u64,
     last_feedback_sent: u64,
-    corrupted: u64,
-    send_queue_drops: u64,
-    wire_errors: u64,
 }
 
 impl core::fmt::Debug for EngineCore {
@@ -394,7 +412,9 @@ impl EngineCore {
     /// # Errors
     ///
     /// [`mcss_core::ModelError::InvalidParameters`] if the config's
-    /// `(κ, μ)` are invalid for `n` channels.
+    /// `(κ, μ)` are invalid for `n` channels, and
+    /// [`mcss_core::ChannelError::TooMany`] for more than
+    /// [`mcss_core::MAX_CHANNELS`] channels.
     ///
     /// # Panics
     ///
@@ -405,9 +425,11 @@ impl EngineCore {
         source: SourceMode,
         histograms: Arc<SessionHistograms>,
     ) -> Result<Self, mcss_core::ModelError> {
+        if n > MAX_CHANNELS {
+            return Err(ChannelError::TooMany { count: n }.into());
+        }
         let config: Arc<ProtocolConfig> = config.into();
         let scheduler_a = build_scheduler(config.scheduler(), config.kappa(), config.mu(), n)?;
-        let scheduler_b = build_scheduler(config.scheduler(), config.kappa(), config.mu(), n)?;
         let adaptive = match config.adaptive_target() {
             None => None,
             Some(target) => {
@@ -435,6 +457,22 @@ impl EngineCore {
                 config.reassembly_capacity_bytes(),
             )
         };
+        let echo = matches!(source, SourceMode::Paced(Workload::Echo { .. }));
+        let return_path = if echo || adaptive.is_some() {
+            Some(Box::new(ReturnPath {
+                table_a: table(),
+                scheduler_b: build_scheduler(config.scheduler(), config.kappa(), config.mu(), n)?,
+                backlogs_b: vec![SimTime::ZERO; n],
+                rtt: DelaySummary::new(),
+                adaptive,
+                feedback_epoch: 0,
+                last_epoch_seen: None,
+                last_feedback_delivered: 0,
+                last_feedback_sent: 0,
+            }))
+        } else {
+            None
+        };
         let pacer = match source {
             SourceMode::Paced(workload) => Some(Pacer::with_phase(
                 workload.symbol_rate(),
@@ -450,8 +488,7 @@ impl EngineCore {
         // `mem_fleet` read slower in 8 of 10 pairs, by some 5 %.
         Ok(EngineCore {
             scheduler_a,
-            scheduler_b,
-            table_a: table(),
+            return_path,
             table_b: table(),
             pacer,
             sweep_armed: false,
@@ -464,24 +501,17 @@ impl EngineCore {
             delivered_window: 0,
             delivered_total: 0,
             delay: DelaySummary::new(),
-            rtt: DelaySummary::new(),
             corrupted: 0,
             send_queue_drops: 0,
             wire_errors: 0,
+            misdirected_frames: 0,
             cpu_a: CpuClock::new(),
             cpu_b: CpuClock::new(),
             metrics: SessionMetrics::with_histograms(n, histograms),
-            adaptive,
-            feedback_epoch: 0,
-            last_epoch_seen: None,
-            last_feedback_delivered: 0,
-            last_feedback_sent: 0,
             backlogs_a: vec![SimTime::ZERO; n],
-            backlogs_b: vec![SimTime::ZERO; n],
             choice: Choice::default(),
             codec: config.codec(),
             split_scratch: CodecScratch::new(),
-            tx_bufs: Vec::with_capacity(n),
             // Allocated with the engine, among the session's other
             // allocations: the first event would allocate it anyway, and
             // left until then, building a fleet is measurably slower
@@ -555,7 +585,7 @@ impl EngineCore {
                 1.0 - self.delivered_total as f64 / self.sent as f64
             },
             mean_one_way_delay: self.delay.mean(),
-            mean_rtt: self.rtt.mean(),
+            mean_rtt: self.return_path.as_ref().and_then(|back| back.rtt.mean()),
             mean_k: if self.sent == 0 {
                 0.0
             } else {
@@ -570,19 +600,17 @@ impl EngineCore {
             sender_cpu_shed: self.cpu_a.shed(),
             receiver_cpu_shed: self.cpu_b.shed(),
             wire_errors: self.wire_errors,
+            misdirected_frames: self.misdirected_frames,
             reassembly: self.table_b.stats(),
-            adaptive_final_mu: self.adaptive.as_ref().map(AdaptiveController::mu),
-            adaptive_adjustments: self
-                .adaptive
-                .as_ref()
-                .map_or(0, AdaptiveController::adjustments),
+            adaptive_final_mu: self.adaptive().map(AdaptiveController::mu),
+            adaptive_adjustments: self.adaptive().map_or(0, AdaptiveController::adjustments),
         }
     }
 
     /// The adaptive controller's state, if adaptation is enabled.
     #[must_use]
     pub fn adaptive(&self) -> Option<&AdaptiveController> {
-        self.adaptive.as_ref()
+        self.return_path.as_ref()?.adaptive.as_ref()
     }
 
     /// The engine's protocol metrics (per-channel share traffic,
@@ -671,6 +699,10 @@ impl EngineCore {
                 self.offer_symbol(lent, now, payload, rng);
             }
             Event::ShareReceived { channel, to, share } => {
+                if to == Endpoint::A && self.return_path.is_none() {
+                    self.misdirected_frames += 1;
+                    return;
+                }
                 let now_ns = now.as_nanos();
                 self.metrics.record_receive(
                     channel,
@@ -684,7 +716,11 @@ impl EngineCore {
             }
             Event::ControlReceived { to, control, .. } => {
                 if to == Endpoint::A {
-                    self.on_control_at_a(control);
+                    if self.return_path.is_some() {
+                        self.on_control_at_a(control);
+                    } else {
+                        self.misdirected_frames += 1;
+                    }
                 }
                 // Control frames arriving at B (echo of our own order)
                 // cannot occur: B only ever sends them.
@@ -693,13 +729,12 @@ impl EngineCore {
                 channel,
                 from,
                 backlog,
-            } => {
-                let backlogs = match from {
-                    Endpoint::A => &mut self.backlogs_a,
-                    Endpoint::B => &mut self.backlogs_b,
-                };
-                backlogs[channel] = backlog;
-            }
+            } => match (from, self.return_path.as_deref_mut()) {
+                (Endpoint::A, _) => self.backlogs_a[channel] = backlog,
+                (Endpoint::B, Some(back)) => back.backlogs_b[channel] = backlog,
+                // Nothing is ever sent from B.
+                (Endpoint::B, None) => {}
+            },
         }
     }
 
@@ -759,7 +794,7 @@ impl EngineCore {
                 at: first,
             });
         }
-        if self.adaptive.is_some() {
+        if self.adaptive().is_some() {
             self.actions.push_back(Action::SetTimer {
                 token: TIMER_FEEDBACK,
                 at: FEEDBACK_PERIOD,
@@ -781,7 +816,9 @@ impl EngineCore {
             }
             TIMER_SWEEP => {
                 self.sweep_armed = false;
-                self.table_a.sweep(lent.pool, now);
+                if let Some(back) = self.return_path.as_deref_mut() {
+                    back.table_a.sweep(lent.pool, now);
+                }
                 self.table_b.sweep(lent.pool, now);
                 self.arm_sweep();
             }
@@ -799,7 +836,12 @@ impl EngineCore {
         if self.sweep_armed {
             return;
         }
-        let due = [self.table_a.next_sweep_at(), self.table_b.next_sweep_at()];
+        let due = [
+            self.return_path
+                .as_deref_mut()
+                .and_then(|back| back.table_a.next_sweep_at()),
+            self.table_b.next_sweep_at(),
+        ];
         let Some(at) = due.into_iter().flatten().min() else {
             return;
         };
@@ -869,15 +911,17 @@ impl EngineCore {
     ) -> bool {
         let mut choice = mem::take(&mut self.choice);
         {
-            let backlogs = match from {
-                Endpoint::A => &self.backlogs_a,
-                Endpoint::B => &self.backlogs_b,
+            let (scheduler, backlogs) = match from {
+                Endpoint::A => (&mut self.scheduler_a, &self.backlogs_a),
+                Endpoint::B => {
+                    let back = self
+                        .return_path
+                        .as_deref_mut()
+                        .expect("only a session with a return path sends from B");
+                    (&mut back.scheduler_b, &back.backlogs_b)
+                }
             };
             let state = ChannelState::new(backlogs, self.config.readiness_threshold());
-            let scheduler = match from {
-                Endpoint::A => &mut self.scheduler_a,
-                Endpoint::B => &mut self.scheduler_b,
-            };
             scheduler.choose_into(&state, rng, &mut choice);
         }
         let m = choice.channels.len();
@@ -897,12 +941,14 @@ impl EngineCore {
         // itself; XOR: prefix + replica slots) and uniform across the
         // m shares, so every header can be written before the split.
         let share_len = codec.share_len(payload.len(), choice.k, m as u8);
-        let mut outs = mem::take(&mut self.tx_bufs);
-        for j in 0..m {
+        // `m ≤ n ≤ MAX_CHANNELS`, which `new` checked.
+        let mut outs = [const { Vec::new() }; MAX_CHANNELS];
+        let outs = &mut outs[..m];
+        for (j, buf) in outs.iter_mut().enumerate() {
             // Share j of a split carries abscissa j + 1.
-            let mut buf = lent.take_frame();
+            *buf = lent.take_frame();
             wire::put_share_header_for(
-                &mut buf,
+                buf,
                 codec,
                 seq,
                 choice.k,
@@ -912,7 +958,6 @@ impl EngineCore {
                 share_len,
             )
             .expect("share parameters validated");
-            outs.push(buf);
         }
         codec
             .split_into(
@@ -921,7 +966,7 @@ impl EngineCore {
                 m as u8,
                 rng,
                 &mut self.split_scratch,
-                &mut outs,
+                outs,
             )
             .expect("split cannot fail");
         if from == Endpoint::A {
@@ -929,14 +974,13 @@ impl EngineCore {
             self.sum_m += m as u64;
             self.metrics.record_choice(choice.k, m);
         }
-        for (buf, &channel) in outs.drain(..).zip(&choice.channels) {
+        for (buf, &channel) in outs.iter_mut().zip(&choice.channels) {
             self.actions.push_back(Action::SendShare {
                 channel,
                 from,
-                frame: buf,
+                frame: mem::take(buf),
             });
         }
-        self.tx_bufs = outs;
         self.choice = choice;
         true
     }
@@ -1008,29 +1052,35 @@ impl EngineCore {
     fn on_share_at_a(&mut self, lent: &mut Lent<'_>, now: SimTime, share: &ShareRef<'_>) {
         let k = share.k() as usize;
         let stamp = share.sent_at_nanos();
-        let (outcome, payload) = self.table_a.accept(lent.pool, share, now);
-        if outcome == AcceptOutcome::Stored {
+        let back = self
+            .return_path
+            .as_deref_mut()
+            .expect("`handle` drops shares at A without a return path");
+        let (outcome, payload) = back.table_a.accept(lent.pool, share, now);
+        if let Some(out) = payload {
+            let charged = match self.config.cpu() {
+                Some(cpu) => {
+                    let cost = cpu.recv_cost(k, out.len());
+                    self.cpu_a.try_charge(now, cost, cpu)
+                }
+                None => true,
+            };
+            if charged {
+                back.rtt.record(now - SimTime::from_nanos(stamp));
+            }
+            lent.pool.put(out);
+        } else if outcome == AcceptOutcome::Stored {
             self.arm_sweep();
         }
-        let Some(out) = payload else {
-            return;
-        };
-        let charged = match self.config.cpu() {
-            Some(cpu) => {
-                let cost = cpu.recv_cost(k, out.len());
-                self.cpu_a.try_charge(now, cost, cpu)
-            }
-            None => true,
-        };
-        if charged {
-            self.rtt.record(now - SimTime::from_nanos(stamp));
-        }
-        lent.pool.put(out);
     }
 
     fn send_feedback(&mut self, lent: &mut Lent<'_>) {
-        self.feedback_epoch += 1;
-        let frame = ControlFrame::new(self.feedback_epoch, self.delivered_total);
+        let back = self
+            .return_path
+            .as_deref_mut()
+            .expect("feedback is armed only with a return path");
+        back.feedback_epoch += 1;
+        let frame = ControlFrame::new(back.feedback_epoch, self.delivered_total);
         // Tiny frame, sent on every channel for loss resilience.
         for ch in 0..self.n {
             let mut buf = lent.take_frame();
@@ -1044,17 +1094,21 @@ impl EngineCore {
     }
 
     fn on_control_at_a(&mut self, frame: ControlFrame) {
-        if self.last_epoch_seen.is_some_and(|e| frame.epoch() <= e) {
+        let back = self
+            .return_path
+            .as_deref_mut()
+            .expect("`handle` drops control frames at A without a return path");
+        if back.last_epoch_seen.is_some_and(|e| frame.epoch() <= e) {
             return; // duplicate copy from another channel
         }
-        self.last_epoch_seen = Some(frame.epoch());
+        back.last_epoch_seen = Some(frame.epoch());
         let delivered = frame
             .delivered()
-            .saturating_sub(self.last_feedback_delivered);
-        let sent = self.sent.saturating_sub(self.last_feedback_sent);
-        self.last_feedback_delivered = frame.delivered();
-        self.last_feedback_sent = self.sent;
-        let Some(ctl) = self.adaptive.as_mut() else {
+            .saturating_sub(back.last_feedback_delivered);
+        let sent = self.sent.saturating_sub(back.last_feedback_sent);
+        back.last_feedback_delivered = frame.delivered();
+        back.last_feedback_sent = self.sent;
+        let Some(ctl) = back.adaptive.as_mut() else {
             return;
         };
         let old_mu = ctl.mu();
@@ -1254,7 +1308,6 @@ mod tests {
             backlogs_a,
             choice,
             split_scratch,
-            tx_bufs,
             pacer,
             metrics
         );
@@ -1294,21 +1347,16 @@ mod tests {
                 );
             }
         }
+        // The B→A direction is one pointer, null unless the session
+        // echoes or adapts.
         let cold = offsets!(
-            table_a,
-            scheduler_b,
-            backlogs_b,
+            return_path,
             cpu_a,
             cpu_b,
-            rtt,
-            adaptive,
-            feedback_epoch,
-            last_epoch_seen,
-            last_feedback_delivered,
-            last_feedback_sent,
             corrupted,
             send_queue_drops,
-            wire_errors
+            wire_errors,
+            misdirected_frames
         );
         let cold_start = receive_end + size_of::<ReassemblyCore>();
         for (field, offset) in cold {
@@ -1319,12 +1367,56 @@ mod tests {
             );
         }
         // 1 472 B before the fields were ordered and the reassembly maps
-        // merged; declaration order must not cost padding.
+        // merged, 1 400 B before the return path was boxed and the
+        // transmit frames moved to the stack; declaration order must not
+        // cost padding.
         assert!(
-            size_of::<EngineCore>() <= 1472,
+            size_of::<EngineCore>() <= 872,
             "`EngineCore` grew to {} B",
             size_of::<EngineCore>()
         );
+    }
+
+    /// Only an echo or an adaptive session builds the B→A direction.
+    #[test]
+    fn only_traffic_that_comes_back_builds_a_return_path() {
+        let cbr = SourceMode::Paced(Workload::cbr(1_000.0, SimTime::from_secs(1)));
+        let echo = SourceMode::Paced(Workload::echo(1_000.0, SimTime::from_secs(1)));
+        let plain = ProtocolConfig::new(2.0, 3.0).unwrap();
+        let adaptive = ProtocolConfig::new(2.0, 3.0).unwrap().with_adaptive(0.01);
+        for (config, source, built) in [
+            (&plain, cbr, false),
+            (&plain, SourceMode::External, false),
+            (&plain, echo, true),
+            (&adaptive, cbr, true),
+            (&adaptive, SourceMode::External, true),
+        ] {
+            let engine = Engine::new(config.clone(), 3, source).unwrap();
+            assert_eq!(
+                engine.return_path.is_some(),
+                built,
+                "{source:?}, adaptive target {:?}",
+                config.adaptive_target()
+            );
+            assert_eq!(
+                engine.adaptive().is_some(),
+                config.adaptive_target().is_some()
+            );
+        }
+    }
+
+    /// More channels than a symbol's frames fit on the stack are refused.
+    #[test]
+    fn more_than_max_channels_are_refused() {
+        let config = ProtocolConfig::new(1.0, 1.0).unwrap();
+        let err = Engine::new(config.clone(), MAX_CHANNELS + 1, SourceMode::External).unwrap_err();
+        assert_eq!(
+            err,
+            mcss_core::ModelError::Channel(ChannelError::TooMany {
+                count: MAX_CHANNELS + 1
+            })
+        );
+        assert!(Engine::new(config, MAX_CHANNELS, SourceMode::External).is_ok());
     }
 
     /// The ramp copy and the chunked comparison are `pattern_byte`, byte

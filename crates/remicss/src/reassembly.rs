@@ -497,25 +497,33 @@ impl ReassemblyCore {
             self.make_room(pool, bytes);
             let handle = pool.acquire();
             pool.get_mut(handle).extend_from_slice(payload);
-            let mut fresh = Pending {
+            let link = self.order_base + self.order.len() as u64;
+            let fresh = move |shares| Pending {
                 codec,
                 k,
                 m,
-                shares: Vec::new(),
+                shares,
                 first_seen: now,
                 bytes,
-                link: self.order_base + self.order.len() as u64,
+                link,
             };
             // In a freed slab entry if there is one, with its share list.
+            // Otherwise the slab's first entry and each new list reserve
+            // what their first use needs, one partial and `k − 1` shares
+            // (a lossless flow never holds more), and grow as vectors do
+            // from there.
             let partial = if self.free_partial == NO_PARTIAL {
-                self.partials.push(fresh);
+                if self.partials.capacity() == 0 {
+                    self.partials.reserve_exact(1);
+                }
+                self.partials
+                    .push(fresh(Vec::with_capacity(usize::from(k) - 1)));
                 self.partials.len() - 1
             } else {
                 let partial = self.free_partial as usize;
                 let freed = &mut self.partials[partial];
                 self.free_partial = freed.link;
-                fresh.shares = mem::take(&mut freed.shares);
-                *freed = fresh;
+                *freed = fresh(mem::take(&mut freed.shares));
                 partial
             };
             self.partials[partial].shares.push((x, handle));

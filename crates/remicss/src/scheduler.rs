@@ -202,15 +202,19 @@ impl DynamicScheduler {
 impl Scheduler for DynamicScheduler {
     fn choose_into(&mut self, channels: &ChannelState<'_>, rng: &mut StdRng, choice: &mut Choice) {
         let (k, m) = self.sampler.draw(rng);
-        // Ready channels first (in index order, like epoll's ready list),
-        // then the least-backlogged busy channels. The sort key is unique
-        // (it ends in the index), so the unstable sort is deterministic.
+        // Ready channels first, then busy ones, each by backlog and ties
+        // by index. The sort key is unique (it ends in the index), so the
+        // unstable sort is deterministic. Backlogs already in index order
+        // (all equal, as when no host reports readiness) put the ready
+        // ones first too, so the sort would leave `0..n` as it is.
         choice.k = k;
         choice.channels.clear();
         choice.channels.extend(0..channels.len());
-        choice
-            .channels
-            .sort_unstable_by_key(|&i| (!channels.is_ready(i), channels.backlog(i).as_nanos(), i));
+        if !channels.backlogs.is_sorted() {
+            choice.channels.sort_unstable_by_key(|&i| {
+                (!channels.is_ready(i), channels.backlog(i).as_nanos(), i)
+            });
+        }
         choice.channels.truncate(m);
     }
 }
@@ -371,6 +375,49 @@ mod tests {
         let s = ChannelState::new(&b, SimTime::ZERO); // nothing ready
         let c = sched.choose(&s, &mut rng());
         assert_eq!(c.channels, vec![3, 1, 2, 0]);
+    }
+
+    /// The keyed sort the scheduler would make, for comparison.
+    fn sorted_by_key(s: &ChannelState<'_>) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..s.len()).collect();
+        order.sort_by_key(|&i| (!s.is_ready(i), s.backlog(i), i));
+        order
+    }
+
+    /// Skipping the sort for backlogs in index order picks what the
+    /// keyed sort picks: over random backlogs from a few values (so ties
+    /// abound) on both sides of the threshold, sorted or not, and every
+    /// draw of `m`.
+    #[test]
+    fn dynamic_without_a_sort_matches_the_keyed_sort() {
+        let mut r = rng();
+        let threshold = SimTime::from_micros(100);
+        let mut sorted_cases = 0;
+        for case in 0..20_000 {
+            let n = r.random_range(1..=8usize);
+            let values = [0, 50, 100, 101, 5_000];
+            let mut backlogs: Vec<SimTime> = (0..n)
+                .map(|_| SimTime::from_micros(values[r.random_range(0..values.len())]))
+                .collect();
+            if case % 2 == 0 {
+                backlogs.sort();
+            }
+            sorted_cases += usize::from(backlogs.is_sorted());
+            let s = ChannelState::new(&backlogs, threshold);
+            let expect = sorted_by_key(&s);
+            let mu = r.random_range(1..=n) as f64;
+            let mut sched = DynamicScheduler::new(1.0, mu, n).unwrap();
+            let c = sched.choose(&s, &mut r);
+            assert_eq!(
+                c.channels,
+                expect[..c.channels.len()],
+                "{backlogs:?}, m {mu}"
+            );
+        }
+        assert!(
+            sorted_cases > 10_000,
+            "the fast path ran {sorted_cases} times"
+        );
     }
 
     #[test]

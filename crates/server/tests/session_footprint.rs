@@ -8,13 +8,17 @@
 //! every engine it builds records into that. The buffers went the same
 //! way: frames, parked shares and reconstructions live in the shard's
 //! one pool, which its engines borrow, so a session is its pool-less
-//! engine, reassembly tables and counters, about 4 KB after traffic
-//! (4.4 KB here, where a thousand sessions divide the shards' own state;
-//! 3.6 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
+//! engine, reassembly table and counters, about 3 KB after traffic
+//! (3.4 KB here, where a thousand sessions divide the shards' own state;
+//! 2.6 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
 //! holds what one symbol has in flight, not what every session once had.
 //! Each direction's reassembly state is one open-addressed table of
 //! 16-byte slots, where two hash maps with headroom against their own
-//! tombstones held 0.8 KB a session more.
+//! tombstones held 0.8 KB a session more. A session that sends nothing
+//! back, like these, builds no B→A direction at all (no table A, no
+//! second scheduler, no feedback state), and the blocks it allocates at
+//! first use reserve what that use needs; before both it held 1.0 KB
+//! more here.
 //! The sessions of a shard sit in a slab in creation order (chunks of 64
 //! slots, so it holds what it uses), found through a connection-ID →
 //! position map, so a sparse ID costs what a dense one does.
@@ -29,7 +33,8 @@ use std::sync::Arc;
 use mcss_base::{Endpoint, SimTime};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{Engine, SourceMode};
+use mcss_remicss::engine::{Engine, SourceMode, Workload};
+use mcss_remicss::wire::{put_cid_prefix, ControlFrame};
 use mcss_server::{ServerConfig, ServerError, ShardSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
@@ -76,11 +81,13 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 4 352 B (+ 25 %; 3 540 B with telemetry compiled out); a
-/// session with two hash maps per direction held 5.1 KB, one stored
-/// inline in a hash table's buckets 6.8 KB, one that owned its buffers
-/// 8.5 KB, one that owned its histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 5_440;
+/// Measured 3 382 B (+ 25 %; 2 540 B with telemetry compiled out); a
+/// session that built the B→A
+/// direction whether or not its traffic used it held 4.4 KB, one with
+/// two hash maps per direction 5.1 KB, one stored inline in a hash
+/// table's buckets 6.8 KB, one that owned its buffers 8.5 KB, one that
+/// owned its histograms too 176 KB.
+const BUDGET_BYTES_PER_SESSION: i64 = 4_230;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
@@ -289,6 +296,60 @@ fn sparse_connection_ids_cost_what_dense_ones_do() {
     assert_eq!(after.dropped_unknown_cid, before.dropped_unknown_cid + 1);
     assert_eq!(after.handoff_out, before.handoff_out + 1);
     assert_eq!(after.symbols_delivered, before.symbols_delivered);
+}
+
+/// A constant-rate session sends nothing back, so it holds no state for
+/// frames arriving at A: a valid share and a control frame routed there
+/// are counted and dropped, parking nothing, taking no pool slot and
+/// allocating nothing.
+#[test]
+fn frames_at_a_of_a_one_way_session_are_dropped_and_counted() {
+    let mut set = ShardSet::new(&ServerConfig::with_shards(1));
+    let cbr = Workload::cbr(1_000.0, SimTime::from_secs(1));
+    set.add_session(3, protocol(), CHANNELS, SourceMode::Paced(cbr), 1)
+        .unwrap();
+    set.start(SimTime::ZERO, 3);
+    set.poll(SimTime::ZERO);
+    let shard = set.shard_mut(0);
+    let share = shard.pop_outbound().expect("the first symbol's shares");
+    let mut control = Vec::new();
+    put_cid_prefix(&mut control, 3);
+    ControlFrame::new(1, 1).encode_into(&mut control);
+
+    let pool = |set: &ShardSet| {
+        let pool = set.shard(0).pool();
+        (pool.hits(), pool.misses(), pool.idle())
+    };
+    let route = |set: &mut ShardSet, frame: &[u8]| {
+        let shard = set.shard_mut(0);
+        assert_eq!(
+            shard.route_datagram(SimTime::ZERO, 0, Endpoint::A, frame),
+            None
+        );
+        shard.flush_ready(SimTime::ZERO);
+    };
+    // The first routed datagram grows the shard's ready list.
+    route(&mut set, &control);
+    let before = (set.totals(), set.shard(0).timers_pending(), pool(&set));
+    let baseline = live_bytes();
+    route(&mut set, &share.bytes);
+    route(&mut set, &control);
+    assert_eq!(live_bytes(), baseline, "a dropped frame allocated");
+    let after = set.totals();
+    assert_eq!(after.datagrams_received, before.0.datagrams_received + 2);
+    let dropped = |t: &mcss_server::ShardStatsSnapshot| {
+        t.dropped_bad_frame + t.dropped_malformed + t.dropped_unknown_cid
+    };
+    assert_eq!(dropped(&after), dropped(&before.0), "the frames were valid");
+    assert_eq!(after.symbols_delivered, before.0.symbols_delivered);
+    // No sweep timer armed for a parked share, no buffer taken.
+    assert_eq!(set.shard(0).timers_pending(), before.1);
+    assert_eq!(pool(&set), before.2);
+    let report = set.report(3, SimTime::from_secs(1));
+    assert_eq!(report.misdirected_frames, 3);
+    assert_eq!(report.wire_errors, 0);
+    assert_eq!(report.mean_rtt, None);
+    set.shard_mut(0).recycle_outbound(share.bytes);
 }
 
 /// A shard holds a set per channel count, not per session, and a
