@@ -7,6 +7,13 @@
 //! `MCSS_BENCH_EMIT=1` — set by the binary itself, like every figure
 //! binary — the results land in `BENCH_gf256_kernels.json`.
 //!
+//! The `keystream` rows are the AES-128 counter-mode fill every split
+//! draws its coefficients from, at the fleet and bulk share lengths: on
+//! AES-NI (`simd`), VAES (`gfni`) or the ARMv8 instructions (`neon`)
+//! where the host has them, else, and on `scalar` and `table` always,
+//! the portable constant-time cipher, which is measured over fewer
+//! bytes.
+//!
 //! Rates are wall-clock bytes/sec of this host and are meant for
 //! before/after comparison on the same machine. The `speedup_vs_scalar`
 //! column divides same-run rates, so it is robust to absolute load but,
@@ -15,6 +22,7 @@
 
 use std::time::Instant;
 
+use mcss::gf256::aes::Aes128;
 use mcss::gf256::simd::{Backend, MulTable};
 use mcss::gf256::Gf256;
 use serde::Serialize;
@@ -42,6 +50,10 @@ const SYMBOL_SHAPES: [(usize, usize); 3] = [(2, 3), (3, 5), (5, 5)];
 /// Share lengths of those rows: the fleet and the bulk workloads'.
 const SYMBOL_LENGTHS: [usize; 2] = [64, 1_250];
 
+/// Bytes per `keystream` measurement on the portable cipher, some
+/// thousand times slower than the AES instructions.
+const PORTABLE_KEYSTREAM_BYTES: usize = 1 << 17;
+
 /// Where in its buffer an output of those rows starts: at the front,
 /// and behind a frame's 31 header bytes, where the protocol writes.
 const OUTPUT_HEADS: [usize; 2] = [0, 31];
@@ -52,7 +64,7 @@ pub struct KernelRecord {
     /// Backend name (`scalar` | `table` | `simd` | `neon` | `gfni`).
     pub backend: String,
     /// Kernel name (`scale_add` | `add_scaled` | `scale` | `horner4` |
-    /// `eval{k}x{m}` | `combine{k}`).
+    /// `eval{k}x{m}` | `combine{k}` | `keystream`).
     pub op: String,
     /// Plane length in bytes.
     pub len: u64,
@@ -96,6 +108,8 @@ enum Op {
     Combine {
         k: usize,
     },
+    /// One symbol's coefficient plane of share-stream keystream.
+    Keystream,
 }
 
 impl Op {
@@ -107,6 +121,7 @@ impl Op {
             Op::Horner => format!("horner{HORNER_PLANES}"),
             Op::Eval { k, m } => format!("eval{k}x{m}"),
             Op::Combine { k } => format!("combine{k}"),
+            Op::Keystream => "keystream".to_string(),
         }
     }
 
@@ -145,7 +160,11 @@ impl Operands {
 /// loop body is exactly the kernel.
 fn measure(backend: Backend, op: Op, operands: &mut Operands) -> f64 {
     let len = operands.planes[0].len();
-    let iters = (TARGET_BYTES / op.bytes_per_iter(len).max(1)).max(8);
+    let target = match op {
+        Op::Keystream if !backend.has_aes() => PORTABLE_KEYSTREAM_BYTES,
+        _ => TARGET_BYTES,
+    };
+    let iters = (target / op.bytes_per_iter(len).max(1)).max(8);
     // Warm caches and fault pages outside the timed window.
     run_op(backend, op, operands, 2);
     let start = Instant::now();
@@ -161,7 +180,8 @@ fn run_op(backend: Backend, op: Op, operands: &mut Operands, iters: usize) {
     let (dst, outs) = operands.outs.split_first_mut().expect("an output");
     let dst = &mut dst[head..];
     let src = planes[0];
-    for _ in 0..iters {
+    let aes = Aes128::new(&[0x2b; 16]);
+    for i in 0..iters {
         match op {
             Op::ScaleAdd => backend.scale_add_assign(dst, src, t),
             Op::AddScaled => backend.add_scaled_assign(dst, src, t),
@@ -177,6 +197,7 @@ fn run_op(backend: Backend, op: Op, operands: &mut Operands, iters: usize) {
                 let weighted = planes.iter().zip(3..).map(|(&s, w)| (Gf256::new(w), s));
                 backend.combine_into(dst, weighted);
             }
+            Op::Keystream => backend.keystream(&aes, &[7; 12], i as u32, dst),
         }
     }
     std::hint::black_box(&dst[..]);
@@ -204,7 +225,8 @@ pub fn run() -> KernelReport {
         .flat_map(|(k, m)| [Op::Eval { k, m }, Op::Combine { k }])
         .flat_map(|op| SYMBOL_LENGTHS.map(|len| (op, len)))
         .flat_map(|(op, len)| OUTPUT_HEADS.map(|head| (op, len, head)));
-    for (op, len, head) in one_output.chain(symbols) {
+    let keystream = SYMBOL_LENGTHS.map(|len| (Op::Keystream, len, 0));
+    for (op, len, head) in one_output.chain(symbols).chain(keystream) {
         let (planes, outs) = match op {
             Op::Eval { k, m } => (k, m),
             Op::Combine { k } => (k, 1),

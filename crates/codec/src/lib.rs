@@ -33,10 +33,38 @@
 //! The engine reads its default from [`CodecId::from_env`]: set
 //! `MCSS_CODEC=shamir|xor` (mirroring `MCSS_GF256_BACKEND`) or override
 //! per-session via `ProtocolConfig::with_codec`.
+//!
+//! # Where the randomness comes from
+//!
+//! [`split_into`](CodecId::split_into) draws every coefficient and pad
+//! from the [`Rng`] it is given, and the guarantees above hold only if
+//! those bytes are unpredictable. Give it a [`ShareStream`]: AES-128 in
+//! counter mode under a host's secret [`ShareKey`], one stream per
+//! split (see [`stream`](mod@stream)). A seeded `rand` generator
+//! is for tests and known-answer pins only: whoever knows its seed
+//! reads every share.
+//!
+//! ```
+//! use mcss_codec::{CodecId, CodecScratch, ShareKey};
+//!
+//! let key = ShareKey::generate();
+//! let mut outs = vec![Vec::new(); 3];
+//! let mut stream = key.stream(0, false, 0); // session 0, A to B, symbol 0
+//! CodecId::Shamir
+//!     .split_into(b"attack at dawn", 2, 3, &mut stream, &mut CodecScratch::new(), &mut outs)
+//!     .unwrap();
+//! let mut secret = Vec::new();
+//! let shares = [(1, outs[0].as_slice()), (3, outs[2].as_slice())];
+//! CodecId::Shamir.reconstruct_into(2, 3, &shares, &mut secret).unwrap();
+//! assert_eq!(secret, b"attack at dawn");
+//! ```
 
 #![forbid(unsafe_code)]
 
+pub mod stream;
 pub mod xor2d;
+
+pub use stream::{ShareKey, ShareStream};
 
 use std::fmt;
 use std::sync::OnceLock;

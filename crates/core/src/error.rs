@@ -91,6 +91,10 @@ pub enum ModelError {
     },
     /// A schedule with no entries.
     EmptySchedule,
+    /// An adaptive target on a scheduler other than the dynamic one:
+    /// adaptation rewrites the dynamic sampler's `μ`, which a fixed
+    /// schedule does not have. `(κ, μ, n)` may well be valid.
+    AdaptiveNeedsDynamicScheduler,
     /// The underlying linear program failed.
     Lp(mcss_lp::LpError),
 }
@@ -119,6 +123,10 @@ impl core::fmt::Display for ModelError {
                 write!(f, "schedule probabilities sum to {sum}, expected 1")
             }
             ModelError::EmptySchedule => write!(f, "schedule has no entries"),
+            ModelError::AdaptiveNeedsDynamicScheduler => write!(
+                f,
+                "an adaptive target needs the dynamic scheduler, whose mu it rewrites"
+            ),
             ModelError::Lp(e) => write!(f, "schedule linear program failed: {e}"),
         }
     }

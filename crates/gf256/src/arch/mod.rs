@@ -20,7 +20,11 @@
 //! * [`x86_gfni`] — GFNI `gf2p8mulb` native GF(2⁸) products, 256-bit
 //!   with AVX2, else 128-bit.
 //! * [`neon`] — aarch64 `vqtbl1q_u8` split-nibble (16 bytes per step),
-//!   the three one-multiplier kernels written out.
+//!   the three one-multiplier kernels written out, and the ARMv8 AES
+//!   keystream.
+//! * [`x86_aes`] — the AES-128 counter-mode keystream on AES-NI and
+//!   VAES, one kernel body at both widths (`Backend::keystream`; the
+//!   portable cipher is [`crate::aes`]).
 //!
 //! Every kernel is total over all lengths and alignments: loads and
 //! stores are unaligned, an in-place kernel hands the bytes past its
@@ -309,6 +313,7 @@ pub(crate) use check_widths;
 pub(crate) mod generic;
 pub(crate) mod neon;
 pub(crate) mod x86;
+pub(crate) mod x86_aes;
 pub(crate) mod x86_gfni;
 
 /// Shared `x = 1` path: `dst ^= src`, the XOR codec's whole

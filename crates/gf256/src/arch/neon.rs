@@ -9,13 +9,19 @@
 //! masked below 16, so the out-of-range-yields-zero semantics of
 //! `TBL` never fire). 16 bytes per step; ragged tails finish on the
 //! 256-entry table row, so all lengths and alignments are handled.
+//!
+//! The AES-128 counter-mode keystream runs here too, on the ARMv8 AES
+//! instructions (`AESE` + `AESMC`), eight blocks in flight; a short
+//! tail is one more group of eight.
 
 #![cfg(target_arch = "aarch64")]
 
+use crate::aes::{counter_block, Aes128, BLOCK};
 use crate::arch::generic::table;
 use crate::simd::MulTable;
 use core::arch::aarch64::{
-    uint8x16_t, vandq_u8, vdupq_n_u8, veorq_u8, vld1q_u8, vqtbl1q_u8, vshrq_n_u8, vst1q_u8,
+    uint8x16_t, vaeseq_u8, vaesmcq_u8, vandq_u8, vdupq_n_u8, veorq_u8, vld1q_u8, vqtbl1q_u8,
+    vshrq_n_u8, vst1q_u8,
 };
 use std::sync::OnceLock;
 
@@ -116,4 +122,52 @@ unsafe fn scale_neon(dst: &mut [u8], t: &MulTable) {
         i += 16;
     }
     table::scale(&mut dst[main..], t);
+}
+
+/// Whether the host has the ARMv8 AES instructions, cached.
+pub(crate) fn aes_available() -> bool {
+    static AES: OnceLock<bool> = OnceLock::new();
+    *AES.get_or_init(|| std::arch::is_aarch64_feature_detected!("aes"))
+}
+
+/// `out` ← the AES-128 keystream from block `first` on.
+pub(crate) fn keystream(aes: &Aes128, nonce: &[u8; 12], first: u32, out: &mut [u8]) {
+    assert!(aes_available());
+    // SAFETY: the assertion above checked the features at runtime.
+    unsafe { keystream_aes(aes, nonce, first, out) }
+}
+
+/// Blocks in flight.
+const AES_LANES: usize = 8;
+
+#[target_feature(enable = "neon,aes")]
+fn keystream_aes(aes: &Aes128, nonce: &[u8; 12], first: u32, out: &mut [u8]) {
+    let mut keys = [vdupq_n_u8(0); 11];
+    for (v, key) in keys.iter_mut().zip(aes.round_keys()) {
+        // SAFETY: a round key is 16 bytes.
+        *v = unsafe { vld1q_u8(key.as_ptr()) };
+    }
+    let mut counter = first;
+    for group in out.chunks_mut(AES_LANES * BLOCK) {
+        let mut bytes = [[0u8; BLOCK]; AES_LANES];
+        let mut s = [vdupq_n_u8(0); AES_LANES];
+        for (v, b) in s.iter_mut().zip(&mut bytes) {
+            *b = counter_block(nonce, counter);
+            counter = counter.wrapping_add(1);
+            // SAFETY: a block is 16 bytes.
+            *v = unsafe { vld1q_u8(b.as_ptr()) };
+        }
+        for key in &keys[..9] {
+            for v in &mut s {
+                *v = vaesmcq_u8(vaeseq_u8(*v, *key));
+            }
+        }
+        for (v, b) in s.iter().zip(&mut bytes) {
+            // SAFETY: a block is 16 bytes.
+            unsafe { vst1q_u8(b.as_mut_ptr(), veorq_u8(vaeseq_u8(*v, keys[9]), keys[10])) };
+        }
+        for (chunk, b) in group.chunks_mut(BLOCK).zip(&bytes) {
+            chunk.copy_from_slice(&b[..chunk.len()]);
+        }
+    }
 }

@@ -10,7 +10,9 @@
 //! `pshufb` on x86_64; `vqtbl1q_u8` NEON on aarch64; a 256-entry table
 //! row elsewhere) — see [`simd`] for the dispatch layer and the
 //! `MCSS_GF256_BACKEND` override. The per-architecture kernels
-//! themselves live in the private `arch` module tree.
+//! themselves live in the private `arch` module tree. The same dispatch
+//! runs the AES-128 counter-mode keystream secret shares draw from
+//! ([`aes`], [`Backend::keystream`](simd::Backend::keystream)).
 //!
 //! # Examples
 //!
@@ -24,6 +26,7 @@
 //! assert_eq!(a + a, Gf256::ZERO); // characteristic 2
 //! ```
 
+pub mod aes;
 mod arch;
 pub mod poly;
 pub mod simd;

@@ -58,6 +58,7 @@
 //! assert_eq!(dst[0], (Gf256::new(1) * Gf256::new(0x53) + Gf256::new(0xaa)).value());
 //! ```
 
+use crate::aes::Aes128;
 use crate::arch::generic::{scalar, table};
 use crate::arch::{xor_assign, MAX_FUSED};
 use crate::{Gf256, EXP, LOG};
@@ -461,6 +462,47 @@ impl Backend {
         }
         for (w, s) in srcs {
             self.add_scaled_assign(out, s, MulTable::of(w));
+        }
+    }
+
+    /// Overwrites `out` with the AES-128 counter-mode keystream under
+    /// `aes`: `E(nonce ‖ first)`, `E(nonce ‖ first + 1)`, … (the block
+    /// counter big-endian, modulo 2³²), truncated to `out`'s length.
+    /// Where the host has the instructions, `simd` runs it on AES-NI,
+    /// `gfni` on VAES (AES-NI without), and `neon` on the ARMv8 AES
+    /// instructions ([`has_aes`](Backend::has_aes)); every other case
+    /// runs the portable constant-time cipher of [`aes`](crate::aes).
+    /// The bytes are the same either way.
+    pub fn keystream(self, aes: &Aes128, nonce: &[u8; 12], first: u32, out: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use crate::arch::x86_aes::{self, AesLevel};
+            let width = match (self, x86_aes::level()) {
+                (Backend::Simd, Some(_)) => Some(AesLevel::Ni),
+                (Backend::Gfni, found) => found,
+                _ => None,
+            };
+            if let Some(width) = width {
+                return x86_aes::keystream(width, aes, nonce, first, out);
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        if self == Backend::Neon && crate::arch::neon::aes_available() {
+            return crate::arch::neon::keystream(aes, nonce, first, out);
+        }
+        crate::aes::keystream(aes, nonce, first, out);
+    }
+
+    /// Whether [`keystream`](Backend::keystream) runs on AES
+    /// instructions on this host, rather than on the portable cipher.
+    #[must_use]
+    pub fn has_aes(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Simd | Backend::Gfni => crate::arch::x86_aes::level().is_some(),
+            #[cfg(target_arch = "aarch64")]
+            Backend::Neon => crate::arch::neon::aes_available(),
+            _ => false,
         }
     }
 }

@@ -14,7 +14,15 @@
 //! (an `[skip]` line on stderr) rather than silently pass when the host
 //! lacks the feature, so a green run on a non-GFNI host is
 //! distinguishable from actual coverage.
+//!
+//! The AES-128 counter-mode keystream is pinned the same way: known
+//! answers from FIPS-197 and NIST SP 800-38A on every backend, and each
+//! backend against the portable cipher at every length up to 300 from
+//! every head below 16, guard bytes checked. `simd` runs it at AES-NI's
+//! width and `gfni` at VAES's, so both widths are diffed on a host that
+//! has both.
 
+use mcss_gf256::aes::Aes128;
 use mcss_gf256::simd::{Backend, MulTable};
 use mcss_gf256::Gf256;
 use proptest::prelude::*;
@@ -462,4 +470,111 @@ fn neon_exhaustive_boundaries() {
 #[test]
 fn table_exhaustive_boundaries() {
     assert!(exhaustive_boundaries(Backend::Table));
+}
+
+/// A hex string's bytes.
+fn hex<const N: usize>(s: &str) -> [u8; N] {
+    core::array::from_fn(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("hex"))
+}
+
+/// FIPS-197 Appendix C.1 (one block: the keystream of a counter block
+/// is its encryption) and NIST SP 800-38A F.5.1, CTR-AES128.Encrypt
+/// (four blocks from one initial counter), on every backend the host
+/// runs.
+#[test]
+fn keystream_known_answers() {
+    let fips = Aes128::new(&hex("000102030405060708090a0b0c0d0e0f"));
+    let plain: [u8; 16] = hex("00112233445566778899aabbccddeeff");
+    let cipher: [u8; 16] = hex("69c4e0d86a7b0430d8cdb78070b4c55a");
+    let nonce: [u8; 12] = plain[..12].try_into().unwrap();
+    let counter = u32::from_be_bytes(plain[12..].try_into().unwrap());
+
+    let ctr = Aes128::new(&hex("2b7e151628aed2a6abf7158809cf4f3c"));
+    let initial: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+    let message: [u8; 64] = hex(concat!(
+        "6bc1bee22e409f96e93d7e117393172a",
+        "ae2d8a571e03ac9c9eb76fac45af8e51",
+        "30c81c46a35ce411e5fbc1191a0a52ef",
+        "f69f2445df4f9b17ad2b417be66c3710",
+    ));
+    let encrypted: [u8; 64] = hex(concat!(
+        "874d6191b620e3261bef6864990db6ce",
+        "9806f66b7970fdff8617187bb9fffdff",
+        "5ae4df3edbd5d35e5b4f09020db03eab",
+        "1e031dda2fbe03d1792170a0f3009cee",
+    ));
+    let ctr_nonce: [u8; 12] = initial[..12].try_into().unwrap();
+    let ctr_first = u32::from_be_bytes(initial[12..].try_into().unwrap());
+
+    for backend in available() {
+        let mut block = [0u8; 16];
+        backend.keystream(&fips, &nonce, counter, &mut block);
+        assert_eq!(block, cipher, "FIPS-197 C.1 on {}", backend.name());
+
+        let mut stream = [0u8; 64];
+        backend.keystream(&ctr, &ctr_nonce, ctr_first, &mut stream);
+        for (s, m) in stream.iter_mut().zip(message) {
+            *s ^= m;
+        }
+        assert_eq!(stream, encrypted, "SP 800-38A F.5.1 on {}", backend.name());
+    }
+}
+
+/// `backend`'s keystream against the portable cipher's (the scalar
+/// backend's) at every length 0..=300 from every head 0..16 of a
+/// guarded buffer: the bytes in range equal, every guard byte intact.
+/// The counter starts close enough to 2³² to wrap on the longer runs.
+/// Returns `false`, after a loud `[skip]` line, when the backend is
+/// unavailable.
+fn keystream_diff(backend: Backend) -> bool {
+    if !backend.is_available() {
+        eprintln!(
+            "[skip] backend `{}` unavailable on this host; keystream diff not run",
+            backend.name()
+        );
+        return false;
+    }
+    const GUARD: u8 = 0xa5;
+    let aes = Aes128::new(&hex("000102030405060708090a0b0c0d0e0f"));
+    let nonce = hex("a0a1a2a3a4a5a6a7a8a9aaab");
+    let first = u32::MAX - 9;
+    for len in 0..=300usize {
+        let mut want = vec![0u8; len];
+        Backend::Scalar.keystream(&aes, &nonce, first, &mut want);
+        for head in 0..16usize {
+            let mut buf = vec![GUARD; head + len + 16];
+            backend.keystream(&aes, &nonce, first, &mut buf[head..head + len]);
+            let (name, (lead, rest)) = (backend.name(), buf.split_at(head));
+            let (got, trail) = rest.split_at(len);
+            assert_eq!(got, want, "{name} len={len} head={head}");
+            assert!(
+                lead.iter().chain(trail).all(|&b| b == GUARD),
+                "{name} wrote outside"
+            );
+        }
+    }
+    true
+}
+
+#[test]
+fn simd_keystream_matches_portable() {
+    let ran = keystream_diff(Backend::Simd);
+    assert!(ran || !must_run(Backend::Simd));
+}
+
+#[test]
+fn gfni_keystream_matches_portable() {
+    let ran = keystream_diff(Backend::Gfni);
+    assert!(ran || !must_run(Backend::Gfni));
+}
+
+#[test]
+fn neon_keystream_matches_portable() {
+    let ran = keystream_diff(Backend::Neon);
+    assert!(ran || !must_run(Backend::Neon));
+}
+
+#[test]
+fn table_keystream_matches_portable() {
+    assert!(keystream_diff(Backend::Table));
 }

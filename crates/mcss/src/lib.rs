@@ -52,7 +52,7 @@ pub use mcss_shamir as shamir;
 
 /// The most common imports, for examples and quick experiments.
 pub mod prelude {
-    pub use mcss_codec::CodecId;
+    pub use mcss_codec::{CodecId, ShareKey};
     pub use mcss_core::{
         lp_schedule::{self, Objective},
         micss, optimal, setups, subset, Channel, ChannelSet, ModelError, ScheduleBuilder,

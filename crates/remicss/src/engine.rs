@@ -8,18 +8,27 @@
 //! [`Event`]s with explicit timestamps and an explicit RNG, then drains
 //! the queued [`Action`]s and performs them against its transport.
 //!
-//! Because the engine is a pure function of `(event stream, RNG seed)`,
-//! the same inputs always yield the same action stream: a recorded
-//! simulator trace replays bit-identically outside the simulator, and
-//! the protocol runs unchanged over real UDP sockets.
+//! Randomness comes in two streams. The driver's seeded RNG is the
+//! *model stream*: schedule draws, and nothing that must stay secret.
+//! Every share's coefficients and pads come from the *share stream*,
+//! AES-128 in counter mode under the host's [`ShareKey`], one run of
+//! counter blocks per split ([`ShareKey::stream`]), so a share below
+//! threshold reveals nothing to someone who knows the seed.
+//!
+//! Because the engine is a pure function of `(event stream, RNG seed,
+//! share key)`, the same inputs always yield the same action stream: a
+//! recorded simulator trace replays bit-identically outside the
+//! simulator, and the protocol runs unchanged over real UDP sockets.
 //!
 //! The engine owns no buffer either, unless asked to. [`EngineCore`] is
 //! the state machine itself: each call that can emit a frame or park a
-//! share borrows the host's [`BufferPool`] and the bytes every frame it
-//! emits must start with, so a host of many sessions (a server shard)
-//! lends all of them one pool and gets frames it can put on the wire as
-//! they are. [`Engine`] is that core next to a pool of its own and an
-//! empty prefix — what a single-session driver wants.
+//! share borrows from its host a [`Lent`]: the [`BufferPool`], the bytes
+//! every frame it emits must start with, and the share key with the
+//! session's stream id. So a host of many sessions (a server shard)
+//! lends all of them one pool and one key and gets frames it can put on
+//! the wire as they are. [`Engine`] is that core next to a pool and a
+//! key of its own and an empty prefix — what a single-session driver
+//! wants.
 //!
 //! Two source modes cover the drivers' needs:
 //!
@@ -36,7 +45,7 @@ use std::sync::Arc;
 
 use mcss_base::stats::{DelaySummary, ThroughputMeter};
 use mcss_base::{BufferPool, Endpoint, Pacer, SimTime};
-use mcss_codec::{CodecId, CodecScratch};
+use mcss_codec::{CodecId, CodecScratch, ShareKey};
 use mcss_core::{ChannelError, MAX_CHANNELS};
 use rand::rngs::StdRng;
 
@@ -267,12 +276,21 @@ fn pattern_matches(seq: u64, payload: &[u8]) -> bool {
         .all(|chunk| chunk == &period[..chunk.len()])
 }
 
-/// What a call into [`EngineCore`] borrows from its host: the pool every
-/// buffer comes from and goes back to, and the bytes each emitted frame
-/// starts with.
-struct Lent<'a> {
-    pool: &'a mut BufferPool,
-    prefix: &'a [u8],
+/// What a call into [`EngineCore`] borrows from its host.
+#[derive(Debug)]
+pub struct Lent<'a> {
+    /// The pool every buffer comes from and goes back to; the same pool
+    /// on every call into one core.
+    pub pool: &'a mut BufferPool,
+    /// The bytes each emitted frame starts with (a demux prefix, or
+    /// nothing).
+    pub prefix: &'a [u8],
+    /// The host's share key, which every share's randomness is drawn
+    /// under.
+    pub key: &'a ShareKey,
+    /// The session's stream id under `key`, unique among the host's
+    /// sessions: the connection ID on a server, 0 on a host of one.
+    pub stream: u32,
 }
 
 impl Lent<'_> {
@@ -285,17 +303,21 @@ impl Lent<'_> {
 }
 
 /// The protocol state machine without buffers: [`Engine`]'s state and
-/// all of its logic, written against a pool and a frame prefix the host
-/// lends for the duration of a call.
+/// all of its logic, written against the pool, frame prefix and share
+/// key the host lends for the duration of a call ([`Lent`]).
 ///
-/// A host of many sessions keeps one [`BufferPool`] and one core per
-/// session. Every `pool` argument of one core must be the same pool: the
-/// shares its reassembly tables park are slots of it. Frames come out
-/// in [`Action::SendShare`] / [`Action::SendControl`] already starting
-/// with `prefix` (a demux prefix, or nothing), in buffers taken from
-/// `pool`; those buffers and [`Action::DeliverSymbol`] payloads are the
-/// host's to put back once it is done with them. A core at rest holds
-/// no payload buffer at all.
+/// A host of many sessions keeps one [`BufferPool`], one [`ShareKey`]
+/// and one core per session. Every `pool` lent to one core must be the
+/// same pool: the shares its reassembly tables park are slots of it.
+/// Every `(key, stream)` lent to one core must be the same too, and no
+/// other core on the host may be lent it: the core splits each symbol
+/// of a direction once, on the stream named by the direction and the
+/// symbol's number among that direction's splits, so no keystream byte
+/// is used twice. Frames come out in [`Action::SendShare`] /
+/// [`Action::SendControl`] already starting with `prefix` (a demux
+/// prefix, or nothing), in buffers taken from `pool`; those buffers and
+/// [`Action::DeliverSymbol`] payloads are the host's to put back once
+/// it is done with them. A core at rest holds no payload buffer at all.
 ///
 /// A core holds the state of the B→A direction only if its traffic uses
 /// it: an [`Workload::Echo`] source or an adaptive target builds it,
@@ -366,6 +388,8 @@ struct ReturnPath {
     backlogs_b: Vec<SimTime>,
     rtt: DelaySummary,
     adaptive: Option<AdaptiveController>,
+    /// Symbols B has split: the next echo's share stream.
+    echoes: u64,
     feedback_epoch: u32,
     last_epoch_seen: Option<u32>,
     last_feedback_delivered: u64,
@@ -412,7 +436,9 @@ impl EngineCore {
     /// # Errors
     ///
     /// [`mcss_core::ModelError::InvalidParameters`] if the config's
-    /// `(κ, μ)` are invalid for `n` channels, and
+    /// `(κ, μ)` are invalid for `n` channels,
+    /// [`mcss_core::ModelError::AdaptiveNeedsDynamicScheduler`] for an
+    /// adaptive target on any other scheduler, and
     /// [`mcss_core::ChannelError::TooMany`] for more than
     /// [`mcss_core::MAX_CHANNELS`] channels.
     ///
@@ -436,12 +462,7 @@ impl EngineCore {
                 if !matches!(config.scheduler(), SchedulerKind::Dynamic) {
                     // Adaptation rewrites the dynamic sampler's mu; it is
                     // meaningless for externally fixed schedules.
-                    // FIXME(item 5d): (κ, μ, n) are valid here; saying so needs a ModelError variant.
-                    return Err(mcss_core::ModelError::InvalidParameters {
-                        kappa: config.kappa(),
-                        mu: config.mu(),
-                        n: Some(n),
-                    });
+                    return Err(mcss_core::ModelError::AdaptiveNeedsDynamicScheduler);
                 }
                 Some(AdaptiveController::new(
                     config.kappa(),
@@ -465,6 +486,7 @@ impl EngineCore {
                 backlogs_b: vec![SimTime::ZERO; n],
                 rtt: DelaySummary::new(),
                 adaptive,
+                echoes: 0,
                 feedback_epoch: 0,
                 last_epoch_seen: None,
                 last_feedback_delivered: 0,
@@ -671,12 +693,12 @@ impl EngineCore {
 
     /// Feeds one event into the state machine, then queues the resulting
     /// actions for [`poll_action`](EngineCore::poll_action). Buffers
-    /// come from and go back to `pool`; every frame emitted starts with
-    /// `prefix`.
+    /// come from and go back to `lent.pool`; every frame emitted starts
+    /// with `lent.prefix`; share randomness is drawn under `lent.key`.
     ///
     /// `now` must be monotonically non-decreasing across calls; `rng` is
-    /// the session's only randomness source (scheduler draws and Shamir
-    /// coefficients), so seeding it identically replays identically.
+    /// the session's model stream (scheduler draws), so seeding it
+    /// identically, under the same key, replays identically.
     ///
     /// # Panics
     ///
@@ -685,13 +707,11 @@ impl EngineCore {
     /// never set.
     pub fn handle(
         &mut self,
-        pool: &mut BufferPool,
-        prefix: &[u8],
+        lent: &mut Lent<'_>,
         now: SimTime,
         event: Event<'_>,
         rng: &mut StdRng,
     ) {
-        let lent = &mut Lent { pool, prefix };
         match event {
             Event::Started => self.on_start(),
             Event::TimerFired { token } => self.on_timer(lent, now, token, rng),
@@ -749,11 +769,9 @@ impl EngineCore {
     ///
     /// Returns the decode error for an undecodable frame; the engine
     /// counts it in `wire_errors` and changes no other state.
-    #[allow(clippy::too_many_arguments)]
     pub fn handle_frame(
         &mut self,
-        pool: &mut BufferPool,
-        prefix: &[u8],
+        lent: &mut Lent<'_>,
         now: SimTime,
         channel: usize,
         to: Endpoint,
@@ -767,7 +785,7 @@ impl EngineCore {
             }
             Ok(MessageRef::Share(share)) => {
                 let event = Event::ShareReceived { channel, to, share };
-                self.handle(pool, prefix, now, event, rng);
+                self.handle(lent, now, event, rng);
                 Ok(())
             }
             Ok(MessageRef::Control(control)) => {
@@ -776,7 +794,7 @@ impl EngineCore {
                     to,
                     control,
                 };
-                self.handle(pool, prefix, now, event, rng);
+                self.handle(lent, now, event, rng);
                 Ok(())
             }
         }
@@ -898,6 +916,12 @@ impl EngineCore {
     /// `split_into` directly into pooled wire buffers (host prefix and
     /// header already written), and the host puts the buffers back once
     /// the frames are sent. Each share is written exactly once.
+    ///
+    /// The split draws from the share stream of `(from, split)`, where
+    /// `split` counts the symbols `from` split before: at A that is
+    /// `seq` itself (a symbol the CPU model sheds keeps its number and
+    /// was never split), at B the echo count, because a replayed or
+    /// late share can complete the same `seq` at B twice.
     #[allow(clippy::too_many_arguments)]
     fn transmit(
         &mut self,
@@ -936,6 +960,18 @@ impl EngineCore {
                 return false;
             }
         }
+        let split = match from {
+            Endpoint::A => seq,
+            Endpoint::B => {
+                let back = self
+                    .return_path
+                    .as_deref_mut()
+                    .expect("only a session with a return path sends from B");
+                back.echoes += 1;
+                back.echoes - 1
+            }
+        };
+        let mut stream = lent.key.stream(lent.stream, from == Endpoint::B, split);
         let codec = self.codec;
         // Per-share payload size is codec-defined (Shamir: the symbol
         // itself; XOR: prefix + replica slots) and uniform across the
@@ -964,7 +1000,7 @@ impl EngineCore {
                 payload,
                 choice.k,
                 m as u8,
-                rng,
+                &mut stream,
                 &mut self.split_scratch,
                 outs,
             )
@@ -1138,11 +1174,13 @@ impl EngineCore {
 pub struct Engine {
     core: EngineCore,
     pool: BufferPool,
+    key: ShareKey,
 }
 
 impl Engine {
     /// Builds an engine for `n` channels that records its delay, gap and
-    /// residency distributions into histograms of its own.
+    /// residency distributions into histograms of its own, and draws its
+    /// shares under a fresh secret key ([`ShareKey::generate`]).
     ///
     /// # Errors
     ///
@@ -1156,7 +1194,17 @@ impl Engine {
         Ok(Engine {
             core: EngineCore::new(config, n, source, Arc::new(SessionHistograms::new(n)))?,
             pool: BufferPool::new(),
+            key: ShareKey::generate(),
         })
+    }
+
+    /// The engine with its shares drawn under `key` instead: for tests
+    /// and pinned traces, which replay share bytes under
+    /// [`ShareKey::insecure_from_seed`]. Set it before the first event.
+    #[must_use]
+    pub fn with_share_key(mut self, key: ShareKey) -> Self {
+        self.key = key;
+        self
     }
 
     /// The engine's buffer pool (for hit/miss/grow telemetry): frames,
@@ -1218,17 +1266,25 @@ impl Engine {
         self.pool.put(buf);
     }
 
-    /// [`EngineCore::handle`] over the engine's own pool, with no frame
-    /// prefix.
+    /// [`EngineCore::handle`] over the engine's own pool and key, with no
+    /// frame prefix, as stream 0.
     ///
     /// # Panics
     ///
     /// As [`EngineCore::handle`].
     pub fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
-        self.core.handle(&mut self.pool, &[], now, event, rng);
+        let lent = &mut Lent {
+            pool: &mut self.pool,
+            prefix: &[],
+            key: &self.key,
+            // The one session of its host.
+            stream: 0,
+        };
+        self.core.handle(lent, now, event, rng);
     }
 
-    /// [`EngineCore::handle_frame`] over the engine's own pool, with no
+    /// [`EngineCore::handle_frame`] over the engine's own pool and key,
+    /// as stream 0, with no
     /// frame prefix. Hand `bytes`' buffer back with
     /// [`recycle`](Engine::recycle) once the queued actions are applied.
     ///
@@ -1243,8 +1299,13 @@ impl Engine {
         bytes: &[u8],
         rng: &mut StdRng,
     ) -> Result<(), WireError> {
-        self.core
-            .handle_frame(&mut self.pool, &[], now, channel, to, bytes, rng)
+        let lent = &mut Lent {
+            pool: &mut self.pool,
+            prefix: &[],
+            key: &self.key,
+            stream: 0,
+        };
+        self.core.handle_frame(lent, now, channel, to, bytes, rng)
     }
 }
 
@@ -1261,6 +1322,27 @@ mod tests {
     use super::*;
     use core::mem::{offset_of, size_of};
     use rand::SeedableRng as _;
+
+    /// Adaptation rewrites the dynamic sampler's `μ`: on any other
+    /// scheduler the error says so, not that valid `(κ, μ, n)` are
+    /// invalid.
+    #[test]
+    fn an_adaptive_target_needs_the_dynamic_scheduler() {
+        for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::Dynamic] {
+            let config = ProtocolConfig::new(2.0, 3.0)
+                .unwrap()
+                .with_scheduler(scheduler.clone())
+                .with_adaptive(0.01);
+            let built = Engine::new(config, 5, SourceMode::External);
+            match scheduler {
+                SchedulerKind::Dynamic => assert!(built.is_ok()),
+                _ => assert_eq!(
+                    built.unwrap_err(),
+                    mcss_core::ModelError::AdaptiveNeedsDynamicScheduler
+                ),
+            }
+        }
+    }
 
     /// The offset of each named field of [`EngineCore`], with its name.
     macro_rules! offsets {

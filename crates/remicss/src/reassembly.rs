@@ -791,7 +791,7 @@ impl ReassemblyCore {
 ///
 /// ```
 /// use mcss_base::SimTime;
-/// use mcss_codec::{CodecId, CodecScratch};
+/// use mcss_codec::{CodecId, CodecScratch, ShareKey};
 /// use mcss_remicss::reassembly::{AcceptOutcome, ReassemblyTable};
 /// use mcss_remicss::wire::{put_share_header_for, ShareRef};
 ///
@@ -802,7 +802,9 @@ impl ReassemblyCore {
 /// for (j, frame) in frames.iter_mut().enumerate() {
 ///     put_share_header_for(frame, codec, 0, 2, 3, j as u8 + 1, 0, codec.share_len(6, 2, 3))?;
 /// }
-/// codec.split_into(b"secret", 2, 3, &mut rand::rng(), &mut CodecScratch::new(), &mut frames)?;
+/// let key = ShareKey::generate();
+/// let mut stream = key.stream(0, false, 0);
+/// codec.split_into(b"secret", 2, 3, &mut stream, &mut CodecScratch::new(), &mut frames)?;
 ///
 /// // Receiver: any two of them rebuild it.
 /// let mut table = ReassemblyTable::new(SimTime::from_millis(100), 1 << 20);

@@ -17,12 +17,16 @@
 //!
 //! With [`Session::record_trace`] enabled, the driver logs every event
 //! it feeds and every action it drains; replaying the event log into a
-//! fresh [`Engine`] with the same seed reproduces the exact action
-//! stream (see `tests/engine_trace.rs`), which is the property that
-//! pins the refactor to the pre-sans-I/O behaviour.
+//! fresh [`Engine`] with the same seed and share key reproduces the
+//! exact action stream (see `tests/engine_trace.rs`), which is the
+//! property that pins the refactor to the pre-sans-I/O behaviour. The
+//! simulator's seed drives the model stream only (schedule draws, link
+//! loss): shares are drawn under the session's own secret key unless a
+//! test sets one ([`Session::with_share_key`]).
 
 use std::sync::Arc;
 
+use mcss_codec::ShareKey;
 use mcss_netsim::{Application, BufferPool, ChannelId, Context, Endpoint, Frame, SimTime};
 
 use mcss_obs::MetricsSnapshot;
@@ -101,7 +105,8 @@ impl core::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Builds a session for `n` channels.
+    /// Builds a session for `n` channels, drawing its shares under a
+    /// fresh secret key.
     ///
     /// # Errors
     ///
@@ -119,6 +124,14 @@ impl Session {
             echo: matches!(workload, Workload::Echo { .. }),
             trace: None,
         })
+    }
+
+    /// The session with its shares drawn under `key` instead
+    /// ([`Engine::with_share_key`]).
+    #[must_use]
+    pub fn with_share_key(mut self, key: ShareKey) -> Self {
+        self.engine = self.engine.with_share_key(key);
+        self
     }
 
     /// Starts recording every event fed to the engine and every action

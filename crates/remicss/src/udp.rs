@@ -6,8 +6,10 @@
 //! where every channel is an independent UDP path. The driver supplies
 //! exactly what the engine cannot have: a monotonic clock (an [`Instant`]
 //! epoch mapped to [`SimTime`]), a timer queue, socket sends/receives,
-//! and a seeded RNG. Every protocol decision — scheduling, splitting,
-//! reassembly, adaptation — is the *same code* the simulator runs.
+//! and a seeded RNG for the model stream (its engine draws shares
+//! under a secret key of its own). Every protocol decision —
+//! scheduling, splitting, reassembly, adaptation — is the *same code*
+//! the simulator runs.
 //!
 //! The driver runs the engine in [`SourceMode::External`]: the
 //! application offers payloads with [`UdpDriver::send_symbol`] and takes
@@ -98,7 +100,8 @@ pub struct UdpDriver {
 
 impl UdpDriver {
     /// Binds `n` loopback socket pairs and starts an external-source
-    /// engine with the given RNG `seed`.
+    /// engine with the given model-stream RNG `seed`, drawing shares
+    /// under a fresh secret key.
     ///
     /// # Errors
     ///

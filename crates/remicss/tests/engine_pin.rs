@@ -6,13 +6,14 @@
 //!
 //! This holds because the wheel preserves the heap's exact `(time, seq)`
 //! pop order (see `mcss_netsim::queue`), so the two runs consume the
-//! same RNG stream and visit the same states.
+//! same model stream and visit the same states. Both draw their shares
+//! under the same seeded key, so they send the same bytes too.
 
 #![cfg(feature = "sim")]
 
 use std::sync::Arc;
 
-use mcss_codec::CodecId;
+use mcss_codec::{CodecId, ShareKey};
 use mcss_core::setups;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
 use mcss_remicss::config::ProtocolConfig;
@@ -28,7 +29,9 @@ fn run_with(
 ) -> (SessionReport, u64) {
     let window = workload.duration();
     let net = testbed::network_for(channels, config);
-    let session = Session::new(Arc::clone(config), channels.len(), workload).unwrap();
+    let session = Session::new(Arc::clone(config), channels.len(), workload)
+        .unwrap()
+        .with_share_key(ShareKey::insecure_from_seed(seed));
     let mut sim = Simulator::with_queue_kind(net, session, seed, kind);
     sim.run_until(window + SimTime::from_secs(1));
     let events = sim.events_processed();
@@ -68,12 +71,13 @@ fn wheel_session_reports_match_heap_bit_for_bit() {
     // and queue-drop paths all exercised.
     let channels = setups::lossy();
     // Pinned to Shamir, whatever `MCSS_CODEC` says: that this seed loses
-    // a symbol (asserted below) holds for its draws from the RNG stream.
+    // a symbol (asserted below) holds for its draws from the model
+    // stream.
     let config = ProtocolConfig::new(2.0, 3.5).unwrap();
     let config = Arc::new(config.with_codec(CodecId::Shamir));
     let w = Workload::cbr(2_000.0, SimTime::from_millis(400));
-    let (heap, heap_events) = run_with(&channels, &config, w, 0xF1C, QueueKind::Heap);
-    let (wheel, wheel_events) = run_with(&channels, &config, w, 0xF1C, QueueKind::Wheel);
+    let (heap, heap_events) = run_with(&channels, &config, w, 0xF1D, QueueKind::Heap);
+    let (wheel, wheel_events) = run_with(&channels, &config, w, 0xF1D, QueueKind::Wheel);
     assert!(heap.sent_symbols > 300, "workload should be non-trivial");
     assert!(heap.loss_fraction > 0.0, "lossy setup should lose symbols");
     assert_eq!(heap_events, wheel_events, "event counts diverged");

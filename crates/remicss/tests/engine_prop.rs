@@ -1,8 +1,8 @@
 //! Determinism properties of the sans-I/O engine, driven by a scripted
 //! in-memory harness (no simulator, no sockets):
 //!
-//! * the same event sequence and seed always produce the identical
-//!   action stream and report;
+//! * the same event sequence, seed and share key always produce the
+//!   identical action stream and report;
 //! * permuting the order of `ChannelWritable` updates (same final
 //!   backlog values) changes nothing;
 //! * permuting the backlog *values* across channels changes only which
@@ -13,6 +13,7 @@
 use std::collections::VecDeque;
 
 use mcss_base::{Endpoint, SimTime};
+use mcss_codec::ShareKey;
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{Engine, SourceMode};
@@ -64,7 +65,9 @@ fn run(ops: &[Op], seed: u64, backlogs: &[SimTime; N], feed_order: &[usize; N]) 
     let config = ProtocolConfig::new(2.0, 3.0)
         .unwrap()
         .with_symbol_bytes(SYMBOL_BYTES);
-    let mut engine = Engine::new(config, N, SourceMode::External).unwrap();
+    let mut engine = Engine::new(config, N, SourceMode::External)
+        .unwrap()
+        .with_share_key(ShareKey::insecure_from_seed(seed));
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut now = SimTime::ZERO;

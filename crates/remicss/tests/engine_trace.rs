@@ -1,18 +1,22 @@
 //! Serial event-trace equality: the sans-I/O [`Engine`], replayed from
-//! a recorded simulator event log with a fresh same-seeded RNG, must
-//! reproduce the simulator session's exact action stream and final
-//! report. This pins the engine extraction to the pre-refactor
-//! behaviour bit-for-bit.
+//! a recorded simulator event log with a fresh same-seeded RNG and the
+//! same share key, must reproduce the simulator session's exact action
+//! stream and final report. This pins the engine extraction to the
+//! pre-refactor behaviour bit-for-bit.
 //!
 //! The recorded runs use loss-free, jitter-free networks, where the
 //! simulator's links draw no randomness at all — so the session RNG's
-//! entire stream belongs to the engine (scheduler draws and Shamir
-//! coefficients) and a standalone replay consumes it identically.
+//! entire stream (the model stream) belongs to the engine's scheduler
+//! draws, and a standalone replay consumes it identically. The Shamir
+//! coefficients come from the share stream instead: both sides draw
+//! them under `ShareKey::insecure_from_seed(seed)`, so the frames match
+//! byte for byte.
 
 #![cfg(feature = "sim")]
 
 use std::sync::Arc;
 
+use mcss_codec::ShareKey;
 use mcss_netsim::{SimTime, Simulator};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
@@ -31,7 +35,9 @@ fn run_sim(
 ) -> (SessionReport, Vec<TraceStep>) {
     let window = workload.duration();
     let net = testbed::network_for(channels, config);
-    let mut session = Session::new(Arc::clone(config), channels.len(), workload).unwrap();
+    let mut session = Session::new(Arc::clone(config), channels.len(), workload)
+        .unwrap()
+        .with_share_key(ShareKey::insecure_from_seed(seed));
     if trace {
         session.record_trace();
     }
@@ -42,7 +48,8 @@ fn run_sim(
 }
 
 /// Replays the recorded event log into a fresh engine with a fresh
-/// same-seeded RNG, asserting the action stream matches step for step.
+/// same-seeded RNG and the same key, asserting the action stream
+/// matches step for step.
 fn replay(
     config: &Arc<ProtocolConfig>,
     n: usize,
@@ -50,7 +57,9 @@ fn replay(
     seed: u64,
     trace: &[TraceStep],
 ) -> SessionReport {
-    let mut engine = Engine::new(Arc::clone(config), n, SourceMode::Paced(workload)).unwrap();
+    let mut engine = Engine::new(Arc::clone(config), n, SourceMode::Paced(workload))
+        .unwrap()
+        .with_share_key(ShareKey::insecure_from_seed(seed));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pending: Vec<Action> = Vec::new();
     for (step_no, step) in trace.iter().enumerate() {

@@ -18,8 +18,10 @@
 //! heap separately, see `engine_pin.rs`). The external-source phase
 //! keeps the engine's timers on the timer wheel, with time moving, and
 //! runs twice per codec: on a standalone `Engine`, and on a pool-less
-//! `EngineCore` lent a pool and a demux prefix the way a server shard
-//! hosts it.
+//! `EngineCore` lent a pool, a demux prefix and a share key the way a
+//! server shard hosts it. Every split draws from a fresh share stream
+//! (AES-128 in counter mode), as a host's do; the split phases below
+//! open one per symbol too.
 //!
 //! This test builds with the default `telemetry` feature **on**, so it
 //! also proves the `mcss-obs` overhead contract: span timers, session
@@ -36,14 +38,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mcss_base::{BufferPool, Endpoint, EventQueue};
-use mcss_codec::CodecId;
+use mcss_codec::{CodecId, ShareKey};
 use mcss_core::{setups, ChannelSet};
 use mcss_gf256::simd::{Backend, MulTable};
 use mcss_gf256::Gf256;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{Engine, EngineCore, SourceMode};
+use mcss_remicss::engine::{Engine, EngineCore, Lent, SourceMode};
 use mcss_remicss::metrics::SessionHistograms;
 use mcss_remicss::session::{Session, Workload};
 use mcss_remicss::testbed;
@@ -161,33 +163,30 @@ fn gf256_kernels_phase() {
 }
 
 /// `split_into` stays allocation-free per symbol on the dispatched
-/// (vector) kernel path: warm scratch and output buffers, then
+/// (vector) kernel path, drawing from a share stream opened per symbol
+/// as a host opens them: warm scratch and output buffers, then
 /// thousands of symbols with zero allocator traffic.
 fn split_into_phase() {
     use mcss_shamir::{split_into, BatchScratch, Params};
-    use rand::SeedableRng;
 
     let params = Params::new(3, 5).unwrap();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let key = ShareKey::insecure_from_seed(7);
     let mut scratch = BatchScratch::new();
     let payload = vec![0xabu8; 1_250];
     let mut outs: Vec<Vec<u8>> = (0..5).map(|_| Vec::with_capacity(2_048)).collect();
-    let warm =
-        |outs: &mut Vec<Vec<u8>>, rng: &mut rand::rngs::StdRng, scratch: &mut BatchScratch| {
-            for _ in 0..16 {
-                for o in outs.iter_mut() {
-                    o.clear();
-                }
-                split_into(&payload, params, rng, scratch, outs).unwrap();
-            }
-        };
-    warm(&mut outs, &mut rng, &mut scratch);
-    let before = allocations();
-    for _ in 0..1_000 {
+    let mut split = |seq: u64, outs: &mut Vec<Vec<u8>>| {
         for o in outs.iter_mut() {
             o.clear();
         }
-        split_into(&payload, params, &mut rng, &mut scratch, &mut outs).unwrap();
+        let mut stream = key.stream(7, false, seq);
+        split_into(&payload, params, &mut stream, &mut scratch, outs).unwrap();
+    };
+    for seq in 0..16 {
+        split(seq, &mut outs);
+    }
+    let before = allocations();
+    for seq in 16..1_016 {
+        split(seq, &mut outs);
     }
     let during = allocations() - before;
     assert_eq!(
@@ -204,32 +203,29 @@ fn split_into_phase() {
 /// reuses a warm output vector, so the whole round trip is measured.
 fn xor_codec_phase() {
     use mcss_codec::xor2d;
-    use rand::SeedableRng;
 
     let (k, m) = (3u8, 5u8);
     let payload = vec![0xabu8; 1_250];
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let key = ShareKey::insecure_from_seed(7);
     let mut pad = Vec::new();
     let mut outs: Vec<Vec<u8>> = (0..m as usize).map(|_| Vec::with_capacity(2_048)).collect();
     let mut secret = Vec::with_capacity(2_048);
-    let round = |outs: &mut Vec<Vec<u8>>,
-                 rng: &mut rand::rngs::StdRng,
-                 pad: &mut Vec<u8>,
-                 secret: &mut Vec<u8>| {
+    let round = |seq: u64, outs: &mut Vec<Vec<u8>>, pad: &mut Vec<u8>, secret: &mut Vec<u8>| {
         for o in outs.iter_mut() {
             o.clear();
         }
-        xor2d::split_into(&payload, k, m, rng, pad, outs).unwrap();
+        let mut stream = key.stream(7, false, seq);
+        xor2d::split_into(&payload, k, m, &mut stream, pad, outs).unwrap();
         let shares: [(u8, &[u8]); 3] = [(1, &outs[0]), (3, &outs[2]), (5, &outs[4])];
         xor2d::reconstruct_with(k, m, 3, |i| shares[i].0, |i| shares[i].1, secret).unwrap();
         assert_eq!(secret.as_slice(), payload.as_slice());
     };
-    for _ in 0..16 {
-        round(&mut outs, &mut rng, &mut pad, &mut secret);
+    for seq in 0..16 {
+        round(seq, &mut outs, &mut pad, &mut secret);
     }
     let before = allocations();
-    for _ in 0..1_000 {
-        round(&mut outs, &mut rng, &mut pad, &mut secret);
+    for seq in 16..1_016 {
+        round(seq, &mut outs, &mut pad, &mut secret);
     }
     let during = allocations() - before;
     assert_eq!(
@@ -287,22 +283,28 @@ impl Host for Engine {
     }
 }
 
-/// A pool-less core hosted as a server shard hosts one: the pool is the
-/// host's, and frames come out behind a connection-ID prefix.
+/// A pool-less core hosted as a server shard hosts one: the pool and
+/// the share key are the host's, frames come out behind a
+/// connection-ID prefix, and shares are drawn on that ID's stream.
 struct Hosted {
     core: EngineCore,
     pool: BufferPool,
+    key: ShareKey,
     prefix: Vec<u8>,
 }
+
+/// The hosted session's connection ID.
+const HOSTED_CID: u32 = 0x00C0_FFEE;
 
 impl Hosted {
     fn new(config: Arc<ProtocolConfig>) -> Self {
         let histograms = Arc::new(SessionHistograms::new(N));
         let mut prefix = Vec::new();
-        wire::put_cid_prefix(&mut prefix, 0x00C0_FFEE);
+        wire::put_cid_prefix(&mut prefix, HOSTED_CID);
         Hosted {
             core: EngineCore::new(config, N, SourceMode::External, histograms).unwrap(),
             pool: BufferPool::new(),
+            key: ShareKey::generate(),
             prefix,
         }
     }
@@ -311,17 +313,27 @@ impl Hosted {
 impl Host for Hosted {
     const NAME: &'static str = "hosted";
     fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
-        self.core
-            .handle(&mut self.pool, &self.prefix, now, event, rng);
+        let lent = &mut Lent {
+            pool: &mut self.pool,
+            prefix: &self.prefix,
+            key: &self.key,
+            stream: HOSTED_CID,
+        };
+        self.core.handle(lent, now, event, rng);
     }
     fn loop_back(&mut self, now: SimTime, channel: usize, frame: &[u8], rng: &mut StdRng) {
         let Ok(DemuxFrame::Cid { inner, .. }) = wire::demux_frame(frame) else {
             panic!("a hosted frame starts with the host's prefix");
         };
-        let (pool, prefix) = (&mut self.pool, &self.prefix);
+        let lent = &mut Lent {
+            pool: &mut self.pool,
+            prefix: &self.prefix,
+            key: &self.key,
+            stream: HOSTED_CID,
+        };
         let _ = self
             .core
-            .handle_frame(pool, prefix, now, channel, Endpoint::B, inner, rng);
+            .handle_frame(lent, now, channel, Endpoint::B, inner, rng);
     }
     fn poll_action(&mut self) -> Option<Action> {
         self.core.poll_action()

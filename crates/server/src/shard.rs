@@ -19,23 +19,25 @@
 //! `pool_handoff` regression test).
 //!
 //! [`ShardSet`] is the sans-I/O core of the server: events carry
-//! explicit [`SimTime`] stamps and each session draws from its own
-//! seeded RNG, so the same event sequence replays bit-identically —
-//! the determinism pin replays recorded single-session traces through
-//! this demux path and compares action streams. The socket-facing
-//! [`UdpServer`](crate::udp::UdpServer) wraps the same shards in
-//! threads.
+//! explicit [`SimTime`] stamps and each session draws its schedule from
+//! its own seeded RNG (the model stream) and its shares from the set's
+//! one secret [`ShareKey`] under its connection ID (the share stream),
+//! so the same event sequence under the same key replays
+//! bit-identically — the determinism pin replays recorded
+//! single-session traces through this demux path and compares action
+//! streams. The socket-facing [`UdpServer`](crate::udp::UdpServer)
+//! wraps the same shards in threads.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mcss_base::hash::IntMap;
 use mcss_base::{BufferPool, Endpoint, EventQueue, QueueKind, SimTime};
-use mcss_codec::CodecId;
+use mcss_codec::{CodecId, ShareKey};
 use mcss_obs::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{EngineCore, SessionReport, SourceMode};
+use mcss_remicss::engine::{EngineCore, Lent, SessionReport, SourceMode};
 use mcss_remicss::metrics::SessionHistograms;
 use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError, CID_PREFIX_BYTES};
 use rand::rngs::StdRng;
@@ -170,10 +172,17 @@ struct SessionSlot {
 }
 
 impl SessionSlot {
-    /// Feeds `event` to the engine, lending it the shard's `pool`.
-    fn handle(&mut self, pool: &mut BufferPool, now: SimTime, event: Event<'_>) {
-        self.engine
-            .handle(pool, &self.prefix, now, event, &mut self.rng);
+    /// Feeds `event` to the engine, lending it the shard's `pool` and
+    /// `key`, with this session's prefix and, for its stream id, its
+    /// connection ID.
+    fn handle(&mut self, pool: &mut BufferPool, key: &ShareKey, now: SimTime, event: Event<'_>) {
+        let lent = &mut Lent {
+            pool,
+            prefix: &self.prefix,
+            key,
+            stream: self.cid,
+        };
+        self.engine.handle(lent, now, event, &mut self.rng);
     }
 
     /// Puts the session, which sits at `position`, on its shard's
@@ -260,6 +269,9 @@ pub struct Shard {
     /// Every buffer of the shard and its sessions: outbound frames,
     /// shares parked in reassembly, reconstructions, handoff copies.
     pool: BufferPool,
+    /// The key every session's shares are drawn under, each on the
+    /// stream of its connection ID: the set's one key.
+    key: ShareKey,
     /// Pending timers, each the `(position, token)` of its session.
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
@@ -290,6 +302,7 @@ impl Shard {
         inboxes: Vec<Arc<BoundedQueue<Handoff>>>,
         returns: Vec<Arc<BoundedQueue<Vec<u8>>>>,
         stats: Arc<ShardStats>,
+        key: ShareKey,
     ) -> Self {
         Shard {
             index,
@@ -298,6 +311,7 @@ impl Shard {
             by_cid: IntMap::default(),
             histograms: Vec::new(),
             pool: BufferPool::new(),
+            key,
             timers: EventQueue::new(QueueKind::Wheel),
             timer_seq: 0,
             due: Vec::new(),
@@ -377,7 +391,7 @@ impl Shard {
     fn feed(&mut self, now: SimTime, cid: u32, event: Event<'_>) {
         let position = self.position(cid);
         let slot = &mut self.sessions[position];
-        slot.handle(&mut self.pool, now, event);
+        slot.handle(&mut self.pool, &self.key, now, event);
         slot.mark_ready(position, &mut self.ready);
         self.flush_ready(now);
     }
@@ -437,7 +451,7 @@ impl Shard {
         let mut batch = std::mem::take(&mut self.ready_scratch);
         std::mem::swap(&mut batch, &mut self.ready);
         for &position in &batch {
-            self.drive(position, |slot, _| slot.in_ready = false);
+            self.drive(position, |slot, _, _| slot.in_ready = false);
         }
         batch.clear();
         self.ready_scratch = batch;
@@ -553,15 +567,16 @@ impl Shard {
             return;
         };
         let slot = &mut self.sessions[position];
-        match slot.engine.handle_frame(
-            &mut self.pool,
-            &slot.prefix,
-            now,
-            channel,
-            to,
-            inner,
-            &mut slot.rng,
-        ) {
+        let lent = &mut Lent {
+            pool: &mut self.pool,
+            prefix: &slot.prefix,
+            key: &self.key,
+            stream: slot.cid,
+        };
+        match slot
+            .engine
+            .handle_frame(lent, now, channel, to, inner, &mut slot.rng)
+        {
             Ok(()) => {}
             // Codec-version skew between peers gets its own counter;
             // the frame is dropped either way, never misrouted.
@@ -624,8 +639,8 @@ impl Shard {
             due.push(timer);
         }
         for &(position, token) in &due {
-            self.drive(position, |slot, pool| {
-                slot.handle(pool, now, Event::TimerFired { token });
+            self.drive(position, |slot, pool, key| {
+                slot.handle(pool, key, now, Event::TimerFired { token });
             });
         }
         let fired = due.len();
@@ -657,10 +672,14 @@ impl Shard {
     /// into pooled buffers, move to the outbound queue as they are,
     /// timers go onto the shard wheel, reconstructed symbols park in the
     /// session's delivery queue.
-    fn drive(&mut self, position: u32, event: impl FnOnce(&mut SessionSlot, &mut BufferPool)) {
+    fn drive(
+        &mut self,
+        position: u32,
+        event: impl FnOnce(&mut SessionSlot, &mut BufferPool, &ShareKey),
+    ) {
         let slot = &mut self.sessions[position];
         let cid = slot.cid;
-        event(slot, &mut self.pool);
+        event(slot, &mut self.pool, &self.key);
         while let Some(action) = slot.engine.poll_action() {
             if slot.record {
                 slot.action_log.push(action.clone());
@@ -791,9 +810,11 @@ pub struct ShardSet {
 
 impl ShardSet {
     /// Builds `config.shards` empty shards with their cross-shard
-    /// queues wired up.
+    /// queues wired up, and one fresh secret [`ShareKey`] they all draw
+    /// shares under.
     #[must_use]
     pub fn new(config: &ServerConfig) -> Self {
+        let key = ShareKey::generate();
         let n = config.shards.max(1);
         let inboxes: Vec<_> = (0..n)
             .map(|_| Arc::new(BoundedQueue::new(config.handoff_capacity)))
@@ -808,10 +829,22 @@ impl ShardSet {
                     inboxes.clone(),
                     returns.clone(),
                     Arc::new(ShardStats::default()),
+                    key.clone(),
                 )
             })
             .collect();
         ShardSet { shards }
+    }
+
+    /// The set with every session's shares drawn under `key` instead:
+    /// for tests and pinned traces, which replay share bytes under
+    /// [`ShareKey::insecure_from_seed`]. Set it before the first event.
+    #[must_use]
+    pub fn with_share_key(mut self, key: ShareKey) -> Self {
+        for shard in &mut self.shards {
+            shard.key = key.clone();
+        }
+        self
     }
 
     /// Number of shards.

@@ -666,6 +666,9 @@ pub struct PhasedSummary {
 /// let mut server = UdpServer::new(ServerConfig::with_shards(4), protocol, 5)?;
 /// for cid in 0..100u32 {
 ///     let workload = Workload::cbr(50.0, SimTime::from_secs(10));
+///     // The seed drives the model stream only (schedule draws): the
+///     // shares come from the server's own secret key, so a seed anyone
+///     // can guess, like the connection ID, exposes no share.
 ///     server.add_session(cid, workload, u64::from(cid))?;
 /// }
 /// let summary = server.run_for(Duration::from_millis(500))?;

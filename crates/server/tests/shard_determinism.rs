@@ -14,20 +14,25 @@
 //! session by a single byte.
 //!
 //! A hosted engine writes its frames behind the session's demux prefix,
-//! into the buffer that then *is* the outbound datagram. So "identical"
-//! means: every frame the hosted engine emits, and every datagram the
-//! shard queues, is the connection-ID prefix followed by exactly the
-//! frame the standalone engine emitted at that step.
+//! into the buffer that then *is* the outbound datagram, and draws its
+//! shares under the set's key on the stream of its connection ID, where
+//! the standalone engine drew them under its own key on stream 0. So
+//! "identical" means: every frame the hosted engine emits, and every
+//! datagram the shard queues, is the connection-ID prefix followed by
+//! the frame the standalone engine emitted at that step, except that
+//! each split's share payloads are that same symbol split again, by the
+//! same codec, on the hosted session's share stream.
 
 use std::sync::Arc;
 
 use mcss_base::{Endpoint, SimTime};
-use mcss_codec::CodecId;
+use mcss_codec::{CodecId, CodecScratch, ShareKey};
 use mcss_netsim::Simulator;
 use mcss_remicss::actions::Action;
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::SourceMode;
 use mcss_remicss::session::{Session, TraceEvent, TraceStep};
+use mcss_remicss::wire::{self, MessageRef, ShareRef};
 use mcss_remicss::{testbed, SessionReport, Workload};
 use mcss_server::{ServerConfig, ShardSet};
 
@@ -50,7 +55,9 @@ fn record(
 ) -> RecordedRun {
     let channels = mcss_core::setups::diverse();
     let net = testbed::network_for(&channels, &config);
-    let mut session = Session::new(Arc::clone(&config), channels.len(), workload).unwrap();
+    let mut session = Session::new(Arc::clone(&config), channels.len(), workload)
+        .unwrap()
+        .with_share_key(ShareKey::insecure_from_seed(seed));
     session.record_trace();
     let mut sim = Simulator::new(net, session, seed);
     sim.run_until(workload.duration() + SimTime::from_secs(2));
@@ -107,17 +114,101 @@ fn recorded_runs(codec: CodecId) -> Vec<RecordedRun> {
     ]
 }
 
-/// `action` as session `cid`'s hosted engine emits it: frames behind the
-/// session's demux prefix, everything else unchanged.
-fn hosted(action: &Action, cid: u32) -> Action {
-    let mut action = action.clone();
-    if let Action::SendShare { frame, .. } | Action::SendControl { frame, .. } = &mut action {
-        let mut bytes = Vec::new();
-        mcss_remicss::wire::put_cid_prefix(&mut bytes, cid);
-        bytes.extend_from_slice(frame);
-        *frame = bytes;
+/// The key the sharded replay draws shares under.
+fn set_key() -> ShareKey {
+    ShareKey::insecure_from_seed(0x5e7)
+}
+
+/// `frame` behind session `cid`'s demux prefix.
+fn prefixed(cid: u32, frame: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    wire::put_cid_prefix(&mut bytes, cid);
+    bytes.extend_from_slice(frame);
+    bytes
+}
+
+/// The share a `SendShare` frame holds.
+fn share_of(frame: &[u8]) -> ShareRef<'_> {
+    let Ok(MessageRef::Share(share)) = wire::decode_message_ref(frame) else {
+        panic!("a SendShare frame holds a share");
+    };
+    share
+}
+
+/// The serial run's `actions` as session `cid` of a set keyed
+/// [`set_key`] emits them: frames behind the session's demux prefix,
+/// and each split's share payloads redrawn from the same symbol on the
+/// session's share stream, its header bytes kept. A split is the `m`
+/// consecutive `SendShare` actions one transmit queues; its stream is
+/// `(cid, direction, split index)`, the index being `seq` from A and
+/// the number of splits B made before from B.
+fn hosted(actions: &[Action], cid: u32) -> Vec<Action> {
+    let key = set_key();
+    let mut echoes = 0;
+    let mut out = Vec::with_capacity(actions.len());
+    let mut rest = actions;
+    while let Some(action) = rest.first() {
+        let Action::SendShare { from, frame, .. } = action else {
+            let mut action = action.clone();
+            if let Action::SendControl { frame, .. } = &mut action {
+                *frame = prefixed(cid, frame);
+            }
+            out.push(action);
+            rest = &rest[1..];
+            continue;
+        };
+        let first = share_of(frame);
+        let (k, m, codec) = (first.k(), first.m(), first.codec());
+        let (split, after) = rest.split_at(usize::from(m));
+        rest = after;
+        let frames: Vec<&[u8]> = split
+            .iter()
+            .map(|action| match action {
+                Action::SendShare { frame, .. } => frame.as_slice(),
+                other => panic!("a split's shares are queued together, found {other:?}"),
+            })
+            .collect();
+        let pairs: Vec<(u8, &[u8])> = frames
+            .iter()
+            .map(|frame| (share_of(frame).x(), share_of(frame).payload()))
+            .collect();
+        let mut symbol = Vec::new();
+        codec.reconstruct_into(k, m, &pairs, &mut symbol).unwrap();
+        let index = match from {
+            Endpoint::A => first.seq(),
+            Endpoint::B => {
+                echoes += 1;
+                echoes - 1
+            }
+        };
+        let mut stream = key.stream(cid, *from == Endpoint::B, index);
+        let mut payloads = vec![Vec::new(); usize::from(m)];
+        codec
+            .split_into(
+                &symbol,
+                k,
+                m,
+                &mut stream,
+                &mut CodecScratch::new(),
+                &mut payloads,
+            )
+            .unwrap();
+        for (action, frame) in split.iter().zip(frames) {
+            let Action::SendShare { channel, from, .. } = action else {
+                unreachable!("matched above");
+            };
+            let share = share_of(frame);
+            let header = &frame[..frame.len() - share.payload().len()];
+            let mut redrawn = header.to_vec();
+            redrawn.extend_from_slice(&payloads[usize::from(share.x()) - 1]);
+            out.push(Action::SendShare {
+                channel: *channel,
+                from: *from,
+                frame: prefixed(cid, &redrawn),
+            });
+        }
     }
-    action
+    out
 }
 
 /// Replays every recorded run concurrently on one `ShardSet`,
@@ -125,7 +216,7 @@ fn hosted(action: &Action, cid: u32) -> Action {
 /// "reads" each inbound frame, then asserts per-session bit-equality
 /// with the serial recording.
 fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
-    let mut set = ShardSet::new(&ServerConfig::with_shards(shards));
+    let mut set = ShardSet::new(&ServerConfig::with_shards(shards)).with_share_key(set_key());
     // Consecutive cids spread the sessions across shards (for any of
     // the pinned shard counts these cover several distinct owners).
     let cids: Vec<u32> = (0..runs.len() as u32).map(|i| 101 + i).collect();
@@ -206,14 +297,15 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
     }
 
     for ((run, &cid), outbound) in runs.iter().zip(&cids).zip(outbound) {
-        let expected: Vec<Action> = run
+        let serial: Vec<Action> = run
             .trace
             .iter()
             .filter_map(|s| match s {
-                TraceStep::Action(a) => Some(hosted(a, cid)),
+                TraceStep::Action(a) => Some(a.clone()),
                 TraceStep::Event { .. } => None,
             })
             .collect();
+        let expected = hosted(&serial, cid);
         let owner = set.shard_of(cid);
         let got = set.shard_mut(owner).take_action_log(cid);
         assert_eq!(

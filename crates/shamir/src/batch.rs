@@ -61,7 +61,9 @@ impl BatchScratch {
 /// # fn main() -> Result<(), mcss_shamir::ShareError> {
 /// let mut outs = vec![b"hdr0".to_vec(), b"hdr1".to_vec(), b"hdr2".to_vec()];
 /// let mut scratch = BatchScratch::new();
-/// split_into(b"secret", Params::new(2, 3)?, &mut rand::rng(), &mut scratch, &mut outs)?;
+/// let key = mcss_codec::ShareKey::generate();
+/// let mut stream = key.stream(0, false, 0);
+/// split_into(b"secret", Params::new(2, 3)?, &mut stream, &mut scratch, &mut outs)?;
 /// assert!(outs.iter().all(|o| o.len() == 4 + 6)); // header + share
 /// # Ok(())
 /// # }

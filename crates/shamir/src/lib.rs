@@ -7,6 +7,14 @@
 //! polynomial of degree `k − 1`; share `j` carries the evaluations at the
 //! nonzero field point `x_j`.
 //!
+//! Secrecy holds only if the coefficients are unpredictable to whoever
+//! holds the shares: [`split`] and [`split_into`] draw them from the
+//! [`rand::Rng`] they are given, which should be a keyed stream such as
+//! `mcss_codec::ShareStream`. A seeded generator (the vendored
+//! `StdRng`, `rand::rng()`) is for tests: its seed, or a few of its
+//! outputs, give the coefficients away, and one share then reveals the
+//! secret.
+//!
 //! This is the secret sharing scheme underlying the multichannel protocol
 //! model of Pohly & McDaniel (DSN 2016): the protocol sends one share per
 //! channel, so an adversary must eavesdrop at least `k` channels to learn
@@ -20,8 +28,10 @@
 //!
 //! # fn main() -> Result<(), mcss_shamir::ShareError> {
 //! let params = Params::new(3, 5)?; // threshold 3 of 5 shares
-//! let mut rng = rand::rng();
-//! let shares = split(b"attack at dawn", params, &mut rng)?;
+//! // The coefficients must be unpredictable: draw them from a share
+//! // stream under a secret key, not from a seeded generator.
+//! let key = mcss_codec::ShareKey::generate();
+//! let shares = split(b"attack at dawn", params, &mut key.stream(0, false, 0))?;
 //!
 //! // Any 3 shares suffice; drop two of them.
 //! let secret = reconstruct(&shares[1..4])?;
@@ -94,7 +104,8 @@ pub(crate) fn eval_shares<'a>(
 /// use mcss_shamir::{split, Params};
 ///
 /// # fn main() -> Result<(), mcss_shamir::ShareError> {
-/// let shares = split(b"hi", Params::new(2, 3)?, &mut rand::rng())?;
+/// let key = mcss_codec::ShareKey::generate();
+/// let shares = split(b"hi", Params::new(2, 3)?, &mut key.stream(0, false, 0))?;
 /// assert_eq!(shares.len(), 3);
 /// assert!(shares.iter().all(|s| s.data().len() == 2));
 /// # Ok(())
@@ -135,7 +146,8 @@ pub fn split<R: rand::Rng + ?Sized>(
 /// use mcss_shamir::{split, reconstruct, Params};
 ///
 /// # fn main() -> Result<(), mcss_shamir::ShareError> {
-/// let shares = split(&[1, 2, 3], Params::new(2, 4)?, &mut rand::rng())?;
+/// let key = mcss_codec::ShareKey::generate();
+/// let shares = split(&[1, 2, 3], Params::new(2, 4)?, &mut key.stream(0, false, 0))?;
 /// assert_eq!(reconstruct(&shares[2..])?, vec![1, 2, 3]);
 /// # Ok(())
 /// # }

@@ -12,11 +12,14 @@ use mcss::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Shamir secret sharing -------------------------------------
     // Split a secret into 5 shares, any 3 of which reconstruct it; an
-    // adversary holding 2 learns nothing (information-theoretically).
+    // adversary holding 2 learns nothing (information-theoretically), as
+    // long as the coefficients are unpredictable to it. They come from a
+    // share stream, AES-128 in counter mode under a fresh secret key,
+    // never from a seeded generator such as `rand::rng()`.
     let secret = b"meet at the old bridge, midnight";
     let params = Params::new(3, 5)?;
-    let mut rng = rand::rng();
-    let shares = split(secret, params, &mut rng)?;
+    let key = ShareKey::generate();
+    let shares = split(secret, params, &mut key.stream(0, false, 0))?;
     println!(
         "split {} bytes into {} shares (threshold 3)",
         secret.len(),
