@@ -75,8 +75,7 @@ pub struct BenchReport {
     /// The full point series, in grid order.
     pub points: Vec<PointRecord>,
     /// Global telemetry snapshot (span timings, registered counters)
-    /// taken when the report was assembled. Empty when the workspace is
-    /// built without the `telemetry` feature.
+    /// taken when the report was assembled.
     pub telemetry: MetricsSnapshot,
 }
 

@@ -16,8 +16,7 @@
 //! | [`server`] | `mcss-server` | sharded multi-session server over the sans-I/O engine |
 //! | [`obs`] | `mcss-obs` | telemetry: counters, histograms, span timers, snapshots |
 //!
-//! Telemetry is on by default and compiles to nothing under
-//! `--no-default-features` (see the `mcss-obs` crate docs for the
+//! Telemetry is always on (see the `mcss-obs` crate docs for the
 //! overhead contract). `cargo run --example mcss-obs-dump` prints one
 //! session's snapshot.
 //!

@@ -11,31 +11,28 @@
 //!
 //! # Overhead contract
 //!
-//! * **Feature off** (`--no-default-features`): every type here is a
-//!   zero-sized stub and every recording method an empty body — the
-//!   instrumentation compiles to nothing. The API surface is identical,
-//!   so instrumented crates build unchanged either way.
-//! * **Feature on**: recording writes preallocated storage — no heap
-//!   allocation on any record path, so the zero-allocation steady-state
-//!   proof of the ReMICSS data path (`mcss-remicss/tests/zero_alloc.rs`)
-//!   holds *with telemetry enabled*. Registration (first use of a
-//!   [`span!`] site, building a [`Histogram`]) may allocate; hot loops
-//!   only ever record. What a record costs depends on who may write:
-//!   * a metric **any thread** may write ([`Counter::add`],
-//!     [`Histogram::record`], the global span registry) pays one locked
-//!     read-modify-write per cell — five for a histogram sample;
-//!   * a metric with **one writer at a time** — per-session counters
-//!     behind `&mut` ([`Counter::add_mut`]), a shard's histograms
-//!     ([`Histogram::record_single_writer`]) — is written with plain
-//!     loads and stores. Readers on other threads still see whole,
-//!     monotone values; debug builds assert there was no second writer.
-//!   * a [`span!`] site times **every 64th execution per thread** and
-//!     costs a thread-local increment otherwise, so a span histogram's
-//!     `count` is a number of *samples* (× 64 ≈ executions; exact event
-//!     counts are counters, e.g. `remicss.scheduler.choices`). The tick
-//!     is per site *and* per thread: one shared tick would alias — of
-//!     two sites that alternate, one would never be sampled — and a
-//!     per-thread one keeps the unsampled path off shared cache lines.
+//! Recording writes preallocated storage — no heap allocation on any
+//! record path, so the zero-allocation steady-state proof of the ReMICSS
+//! data path (`mcss-remicss/tests/zero_alloc.rs`) holds with every
+//! metric recording. Registration (first use of a [`span!`] site,
+//! building a [`Histogram`]) may allocate; hot loops only ever record.
+//! What a record costs depends on who may write:
+//! * a metric **any thread** may write ([`Counter::add`],
+//!   [`Histogram::record`], the global span registry) pays one locked
+//!   read-modify-write per cell — five for a histogram sample;
+//! * a metric with **one writer at a time** — a host's protocol
+//!   counters and distributions, written by the thread that drives its
+//!   sessions ([`Counter::add_single_writer`],
+//!   [`Histogram::record_single_writer`]) — is written with plain
+//!   loads and stores. Readers on other threads still see whole,
+//!   monotone values; debug builds assert there was no second writer.
+//! * a [`span!`] site times **every 64th execution per thread** and
+//!   costs a thread-local increment otherwise, so a span histogram's
+//!   `count` is a number of *samples* (× 64 ≈ executions; exact event
+//!   counts are counters, e.g. `remicss.scheduler.choices`). The tick
+//!   is per site *and* per thread: one shared tick would alias — of
+//!   two sites that alternate, one would never be sampled — and a
+//!   per-thread one keeps the unsampled path off shared cache lines.
 //!
 //! # Examples
 //!
@@ -51,7 +48,6 @@
 //!
 //! deliver();
 //! let snapshot = mcss_obs::global().snapshot();
-//! # #[cfg(feature = "telemetry")]
 //! assert!(snapshot.histograms.iter().any(|h| h.name == "example.deliver"));
 //! ```
 
@@ -60,9 +56,7 @@ mod metric;
 mod recorder;
 mod snapshot;
 
-pub use hist::Histogram;
-#[cfg(feature = "telemetry")]
-pub use hist::{bucket_bounds, bucket_index, BUCKETS, SUB_BUCKETS};
+pub use hist::{bucket_bounds, bucket_index, Histogram, BUCKETS, SUB_BUCKETS};
 pub use metric::{Counter, Gauge};
 pub use recorder::{global, global_snapshot, Recorder, SpanGuard, SpanSite};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
@@ -76,8 +70,7 @@ pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSna
 /// 65th, 129th, … on that thread: two monotonic clock reads and one
 /// atomic histogram record, into a histogram the site resolves once and
 /// caches. Every other execution is a thread-local increment — no clock,
-/// no atomic, no shared cache line. With the `telemetry` feature off the
-/// guard is a zero-sized no-op and the tick is never touched.
+/// no atomic, no shared cache line.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {{
@@ -95,16 +88,14 @@ mod tests {
     #[test]
     fn span_macro_compiles_and_guards() {
         let _span = span!("obs.test.span");
-        // Dropping the guard must not panic in either feature mode.
+        // Dropping the guard must not panic.
     }
 
     /// Samples recorded so far under the span named `name`.
-    #[cfg(feature = "telemetry")]
     fn samples(name: &'static str) -> u64 {
         crate::global().histogram(name).count()
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn a_site_times_the_first_execution_of_every_64() {
         let run = || {
@@ -129,7 +120,6 @@ mod tests {
 
     /// One tick shared by all sites would give every sample to the site
     /// that runs on even ticks.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn interleaved_sites_are_both_sampled() {
         for _ in 0..640 {
@@ -142,7 +132,6 @@ mod tests {
         assert_eq!(samples("obs.test.interleaved.b"), 10);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn each_thread_samples_its_own_first_execution() {
         let run = || {

@@ -1,10 +1,9 @@
 //! Point-in-time metric snapshots and their export encodings.
 //!
-//! [`MetricsSnapshot`] is plain serializable data (always compiled, in
-//! both feature modes): JSON via serde, Prometheus text exposition via
-//! [`MetricsSnapshot::to_prometheus`]. Snapshots from several sources
-//! (the global span registry, a session's [`SessionMetrics`-style]
-//! per-protocol metrics) compose with [`MetricsSnapshot::merge`].
+//! [`MetricsSnapshot`] is plain serializable data: JSON via serde,
+//! Prometheus text exposition via [`MetricsSnapshot::to_prometheus`].
+//! Snapshots from several sources (the global span registry, a host's
+//! protocol metrics) compose with [`MetricsSnapshot::merge`].
 
 use serde::Serialize;
 
@@ -36,6 +35,8 @@ pub struct HistogramSnapshot {
     pub name: String,
     /// Number of samples.
     pub count: u64,
+    /// Exact sum of the samples.
+    pub sum: u64,
     /// Exact smallest sample (0 when empty).
     pub min: u64,
     /// Exact largest sample (0 when empty).
@@ -59,6 +60,7 @@ impl HistogramSnapshot {
         HistogramSnapshot {
             name: name.to_string(),
             count: hist.count(),
+            sum: hist.sum(),
             min: hist.min(),
             max: hist.max(),
             mean: hist.mean(),
@@ -105,8 +107,8 @@ impl MetricsSnapshot {
     }
 
     /// Prometheus text exposition format: counters and gauges as-is,
-    /// histograms as summaries with `quantile` labels plus `_count` and
-    /// `_max` series.
+    /// histograms as summaries with `quantile` labels plus `_sum`,
+    /// `_count` and `_max` series.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -129,7 +131,10 @@ impl MetricsSnapshot {
             ] {
                 out.push_str(&format!("{n}{{quantile=\"{q}\"}} {v}\n"));
             }
-            out.push_str(&format!("{n}_count {}\n{n}_max {}\n", h.count, h.max));
+            out.push_str(&format!(
+                "{n}_sum {}\n{n}_count {}\n{n}_max {}\n",
+                h.sum, h.count, h.max
+            ));
         }
         out
     }
@@ -167,6 +172,7 @@ mod tests {
         s.histograms.push(HistogramSnapshot {
             name: "shamir.split".into(),
             count: 3,
+            sum: 12,
             min: 1,
             max: 9,
             mean: 4.0,
@@ -179,10 +185,27 @@ mod tests {
         assert!(text.contains("# TYPE remicss_shares_sent_ch0 counter"));
         assert!(text.contains("remicss_shares_sent_ch0 7"));
         assert!(text.contains("shamir_split{quantile=\"0.99\"} 9"));
+        assert!(text.contains("shamir_split_sum 12"));
         assert!(text.contains("shamir_split_count 3"));
+        // A summary family without `_sum` cannot give a mean rate
+        // (`rate(_sum) / rate(_count)`): every one carries both.
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .filter_map(|rest| rest.strip_suffix(" summary"))
+            .collect();
+        assert_eq!(families, ["shamir_split"]);
+        for family in families {
+            for series in ["_sum", "_count"] {
+                let prefix = format!("{family}{series} ");
+                assert!(
+                    text.lines().any(|line| line.starts_with(&prefix)),
+                    "{family} has no {series}"
+                );
+            }
+        }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn histogram_snapshot_summarizes() {
         let h = Histogram::new();
@@ -191,6 +214,7 @@ mod tests {
         }
         let s = HistogramSnapshot::of("t", &h);
         assert_eq!(s.count, 1000);
+        assert_eq!(s.sum, 500_500);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 1000);
         assert!((s.mean - 500.5).abs() < 1.0);

@@ -1,8 +1,6 @@
 //! Exhaustive bucket-boundary checks and a randomized percentile
 //! comparison against a sorted-vector reference quantile.
 
-#![cfg(feature = "telemetry")]
-
 use mcss_obs::{bucket_bounds, bucket_index, Histogram, BUCKETS, SUB_BUCKETS};
 use proptest::prelude::*;
 

@@ -55,7 +55,7 @@ use crate::actions::{Action, Event, TIMER_FEEDBACK, TIMER_SOURCE, TIMER_SWEEP};
 use crate::adaptive::AdaptiveController;
 use crate::config::{ProtocolConfig, SchedulerKind};
 use crate::cpu::CpuClock;
-use crate::metrics::{SessionHistograms, SessionMetrics};
+use crate::metrics::HostMetrics;
 use crate::reassembly::{AcceptOutcome, ReassemblyCore, ReassemblyStats};
 use crate::scheduler::{
     ChannelState, Choice, DynamicScheduler, RoundRobinScheduler, Scheduler as _, SessionScheduler,
@@ -342,7 +342,7 @@ pub struct EngineCore {
     actions: VecDeque<Action>,
 
     // Transmit at A: what an offered symbol or a source tick reads, down
-    // to the counters `metrics` keeps of the choice and of each send.
+    // to the host's `metrics`, which count the choice and each send.
     next_seq: u64,
     offered: u64,
     sent: u64,
@@ -357,7 +357,7 @@ pub struct EngineCore {
     choice: Choice,
     split_scratch: CodecScratch,
     pacer: Option<Pacer>,
-    metrics: SessionMetrics,
+    metrics: Arc<HostMetrics>,
 
     // Receive at B: a share meets `metrics` above, then the table; the
     // one that completes its symbol updates the counters before it.
@@ -408,7 +408,6 @@ impl core::fmt::Debug for EngineCore {
 }
 
 /// Appends `counters` to `snap`, keeping its counters sorted by name.
-#[cfg(feature = "telemetry")]
 fn push_counters(snap: &mut MetricsSnapshot, counters: &[(&str, u64)]) {
     for &(name, value) in counters {
         snap.counters.push(mcss_obs::CounterSnapshot {
@@ -420,18 +419,16 @@ fn push_counters(snap: &mut MetricsSnapshot, counters: &[(&str, u64)]) {
 }
 
 impl EngineCore {
-    /// Builds a core for `n` channels that records its delay, gap and
-    /// residency distributions into `histograms`, which any number of
-    /// cores over the same channels may share (a server shard's do).
-    /// Counters stay per core.
+    /// Builds a core for `n` channels that records its protocol counters
+    /// and distributions into its host's `metrics`, which any number of
+    /// cores over the same channels may share (a server shard's do). The
+    /// core itself keeps only what its [`SessionReport`] reads.
     ///
-    /// Telemetry is written as plain memory, on the contract of **one
-    /// writer at a time**: the counters through the `&mut EngineCore`
-    /// every recording call already holds, the shared `histograms` by
-    /// whichever single thread drives the cores built over them (a
-    /// shard's thread, holding `&mut Shard`). Cores driven from
-    /// different threads at once need a set each. Any thread may read;
-    /// debug builds assert the contract on every sample.
+    /// The metrics are written as plain memory, on the contract of **one
+    /// writer at a time**: whichever single thread drives the cores
+    /// built over them (a shard's thread, holding `&mut Shard`). Cores
+    /// driven from different threads at once need a set each. Any thread
+    /// may read; debug builds assert the contract on every record.
     ///
     /// # Errors
     ///
@@ -444,13 +441,18 @@ impl EngineCore {
     ///
     /// # Panics
     ///
-    /// Panics if `histograms` was not built for `n` channels.
+    /// Panics if `metrics` was not built for `n` channels.
     pub fn new(
         config: impl Into<Arc<ProtocolConfig>>,
         n: usize,
         source: SourceMode,
-        histograms: Arc<SessionHistograms>,
+        metrics: Arc<HostMetrics>,
     ) -> Result<Self, mcss_core::ModelError> {
+        assert_eq!(
+            metrics.channel_count(),
+            n,
+            "host metrics built for another channel count"
+        );
         if n > MAX_CHANNELS {
             return Err(ChannelError::TooMany { count: n }.into());
         }
@@ -529,7 +531,7 @@ impl EngineCore {
             misdirected_frames: 0,
             cpu_a: CpuClock::new(),
             cpu_b: CpuClock::new(),
-            metrics: SessionMetrics::with_histograms(n, histograms),
+            metrics,
             backlogs_a: vec![SimTime::ZERO; n],
             choice: Choice::default(),
             codec: config.codec(),
@@ -635,36 +637,34 @@ impl EngineCore {
         self.return_path.as_ref()?.adaptive.as_ref()
     }
 
-    /// The engine's protocol metrics (per-channel share traffic,
-    /// realized `(k, m)` frequencies, and the delay, gap and residency
-    /// histograms it records into).
+    /// The protocol metrics of the engine's host, which it records into
+    /// (per-channel share traffic and delay and gap distributions,
+    /// realized `(k, m)` frequencies, reassembly residency). Shared with
+    /// the host's other sessions, if it has any.
     #[must_use]
-    pub fn metrics(&self) -> &SessionMetrics {
+    pub fn metrics(&self) -> &Arc<HostMetrics> {
         &self.metrics
     }
 
-    /// Serializable snapshot of the engine's metrics plus the
+    /// Serializable snapshot of the host's metrics plus this engine's
     /// reassembly outcome counters, under `remicss.*` names. The pool is
-    /// the host's, and so are its counters. Empty with the `telemetry`
-    /// feature off.
+    /// the host's, and so are its counters.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
-        let mut snap = self.metrics.snapshot();
-        #[cfg(feature = "telemetry")]
-        {
-            let stats = self.table_b.stats();
-            push_counters(
-                &mut snap,
-                &[
-                    ("remicss.symbols.resolved", stats.completed),
-                    (
-                        "remicss.symbols.expired",
-                        stats.timeout_evictions + stats.memory_evictions,
-                    ),
-                ],
-            );
-        }
+        let mut snap = MetricsSnapshot::default();
+        self.metrics
+            .extend_snapshot("remicss", "reassembly.residency", &mut snap);
+        let stats = self.table_b.stats();
+        push_counters(
+            &mut snap,
+            &[
+                ("remicss.symbols.resolved", stats.completed),
+                (
+                    "remicss.symbols.expired",
+                    stats.timeout_evictions + stats.memory_evictions,
+                ),
+            ],
+        );
         snap
     }
 
@@ -1178,9 +1178,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine for `n` channels that records its delay, gap and
-    /// residency distributions into histograms of its own, and draws its
-    /// shares under a fresh secret key ([`ShareKey::generate`]).
+    /// Builds an engine for `n` channels, the one session of its host: it
+    /// records into [`HostMetrics`] of its own and draws its shares under
+    /// a fresh secret key ([`ShareKey::generate`]).
     ///
     /// # Errors
     ///
@@ -1192,7 +1192,7 @@ impl Engine {
         source: SourceMode,
     ) -> Result<Self, mcss_core::ModelError> {
         Ok(Engine {
-            core: EngineCore::new(config, n, source, Arc::new(SessionHistograms::new(n)))?,
+            core: EngineCore::new(config, n, source, Arc::new(HostMetrics::new(n)))?,
             pool: BufferPool::new(),
             key: ShareKey::generate(),
         })
@@ -1216,13 +1216,10 @@ impl Engine {
     }
 
     /// The [core's snapshot](EngineCore::metrics_snapshot) plus the
-    /// buffer pool's counters under `remicss.pool.*`. Empty with the
-    /// `telemetry` feature off.
+    /// buffer pool's counters under `remicss.pool.*`.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
         let mut snap = self.core.metrics_snapshot();
-        #[cfg(feature = "telemetry")]
         push_counters(
             &mut snap,
             &[
@@ -1369,12 +1366,12 @@ mod tests {
             "what every event reads ends at byte {shared_end}, past two cache lines"
         );
         // Transmit at A (`offer_symbol` / `on_source_tick` → `transmit`
-        // → `share_send_ok`), from the sequence number to the counters
-        // `metrics` keeps of the choice and of each send. `metrics`
+        // → `share_send_ok`), from the sequence number to the host's
+        // `metrics`, which count the choice and each send. `metrics`
         // closes the group because a received share reads it first
         // (`record_receive`), on its way to the group below.
         let transmit_start = offset_of!(EngineCore, next_seq);
-        let transmit_end = offset_of!(EngineCore, metrics) + size_of::<SessionMetrics>();
+        let transmit_end = offset_of!(EngineCore, metrics) + size_of::<Arc<HostMetrics>>();
         assert!(
             transmit_end - transmit_start <= 384,
             "the transmit group spans {} B, more than six cache lines",

@@ -35,7 +35,7 @@ use crate::actions::{Action, Event, TIMER_SOURCE};
 use crate::adaptive::AdaptiveController;
 use crate::config::ProtocolConfig;
 use crate::engine::{Engine, SourceMode};
-use crate::metrics::SessionMetrics;
+use crate::metrics::HostMetrics;
 
 pub use crate::engine::{SessionReport, Workload};
 
@@ -165,10 +165,11 @@ impl Session {
         self.engine.adaptive()
     }
 
-    /// The session's protocol metrics (per-channel share traffic, delay
-    /// and gap histograms, realized `(k, m)` frequencies).
+    /// The protocol metrics of the session's host, a host of one
+    /// (per-channel share traffic, delay and gap histograms, realized
+    /// `(k, m)` frequencies).
     #[must_use]
-    pub fn metrics(&self) -> &SessionMetrics {
+    pub fn metrics(&self) -> &Arc<HostMetrics> {
         self.engine.metrics()
     }
 
@@ -180,8 +181,7 @@ impl Session {
     }
 
     /// Serializable snapshot of the session's metrics plus the buffer
-    /// pool and reassembly counters, under `remicss.*` names. Empty with
-    /// the `telemetry` feature off.
+    /// pool and reassembly counters, under `remicss.*` names.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.engine.metrics_snapshot()

@@ -1,14 +1,20 @@
-//! Statistical check on [`SessionMetrics`]: the empirical `(κ, μ)`
+//! Statistical check on [`HostMetrics`]: the empirical `(κ, μ)`
 //! recovered from the realized `(k, m)` frequency matrix must converge
 //! to the configured protocol parameters — the telemetry layer reports
-//! what the scheduler actually does.
+//! what the scheduler actually does, for one session and for a fleet
+//! whose hosts pool their sessions' draws.
 
 #![cfg(feature = "sim")]
-#![cfg(feature = "telemetry")]
 
+use std::sync::Arc;
+
+use mcss_base::BufferPool;
+use mcss_codec::ShareKey;
 use mcss_netsim::SimTime;
+use mcss_remicss::actions::{Action, Event};
+use mcss_remicss::engine::{EngineCore, Lent, SourceMode};
 use mcss_remicss::scheduler::{ChannelState, DynamicScheduler, Scheduler as _};
-use mcss_remicss::SessionMetrics;
+use mcss_remicss::{HostMetrics, ProtocolConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,7 +24,7 @@ const SYMBOLS: u64 = 100_000;
 /// and checks the metrics-side empirical means against the configuration.
 fn check_convergence(kappa: f64, mu: f64, n: usize, seed: u64) {
     let mut sched = DynamicScheduler::new(kappa, mu, n).expect("valid (kappa, mu)");
-    let mut metrics = SessionMetrics::new(n);
+    let metrics = HostMetrics::new(n);
     let mut rng = StdRng::seed_from_u64(seed);
     let backlogs = vec![SimTime::ZERO; n];
     let state = ChannelState::new(&backlogs, SimTime::from_millis(1));
@@ -27,7 +33,14 @@ fn check_convergence(kappa: f64, mu: f64, n: usize, seed: u64) {
         sched.choose_into(&state, &mut rng, &mut choice);
         metrics.record_choice(choice.k, choice.channels.len());
     }
-    assert_eq!(metrics.choices(), SYMBOLS);
+    assert_converged(&metrics, kappa, mu, SYMBOLS);
+}
+
+/// `metrics` holds `draws` draws whose means are within 1 % of
+/// `(kappa, mu)`, and its `(k, m)` matrix agrees with them.
+fn assert_converged(metrics: &HostMetrics, kappa: f64, mu: f64, draws: u64) {
+    let n = metrics.channel_count();
+    assert_eq!(metrics.choices(), draws);
     let ek = metrics.empirical_kappa();
     let em = metrics.empirical_mu();
     assert!(
@@ -49,7 +62,7 @@ fn check_convergence(kappa: f64, mu: f64, n: usize, seed: u64) {
             total += c;
         }
     }
-    assert_eq!(total, SYMBOLS, "every draw lands in the (k, m) matrix");
+    assert_eq!(total, draws, "every draw lands in the (k, m) matrix");
     assert!((sum_k as f64 / total as f64 - ek).abs() < 1e-9);
     assert!((sum_m as f64 / total as f64 - em).abs() < 1e-9);
 }
@@ -67,7 +80,7 @@ fn integral_parameters_are_exact() {
     // empirical means are exact, and a single matrix cell holds
     // every draw.
     let n = 5;
-    let mut metrics = SessionMetrics::new(n);
+    let metrics = HostMetrics::new(n);
     let mut sched = DynamicScheduler::new(2.0, 3.0, n).expect("valid");
     let mut rng = StdRng::seed_from_u64(7);
     let backlogs = vec![SimTime::ZERO; n];
@@ -88,15 +101,76 @@ fn near_boundary_parameters_converge() {
     check_convergence(1.2, 4.8, 5, 23);
 }
 
-/// The per-session delay estimator that survives without a per-session
-/// histogram: on each channel `delay_sum_nanos / shares_received` is
-/// the mean of the very samples the channel's delay histogram holds,
+/// A fleet of 16 sessions hosted on two shards, as a server hosts them:
+/// every engine records its draws into its shard's one set. Each shard's
+/// draws, and the two sets merged, converge as one session's do.
+#[test]
+fn a_hosted_fleet_converges_within_one_percent() {
+    const SHARDS: usize = 2;
+    const SESSIONS: usize = 16;
+    let (kappa, mu, n) = (2.4, 3.3, 5);
+    let config = Arc::new(
+        ProtocolConfig::new(kappa, mu)
+            .expect("valid (kappa, mu)")
+            .with_symbol_bytes(16),
+    );
+    let key = ShareKey::insecure_from_seed(1);
+    let mut shards: Vec<(Arc<HostMetrics>, BufferPool)> = (0..SHARDS)
+        .map(|_| (Arc::new(HostMetrics::new(n)), BufferPool::new()))
+        .collect();
+    let mut sessions: Vec<(EngineCore, StdRng)> = (0..SESSIONS)
+        .map(|cid| {
+            let metrics = Arc::clone(&shards[cid % SHARDS].0);
+            let engine = EngineCore::new(Arc::clone(&config), n, SourceMode::External, metrics)
+                .expect("valid config");
+            (engine, StdRng::seed_from_u64(cid as u64))
+        })
+        .collect();
+    let payload = [0x3cu8; 16];
+    for symbol in 0..SYMBOLS {
+        let cid = symbol as usize % SESSIONS;
+        let (engine, rng) = &mut sessions[cid];
+        let pool = &mut shards[cid % SHARDS].1;
+        let lent = &mut Lent {
+            pool,
+            prefix: &[],
+            key: &key,
+            stream: cid as u32,
+        };
+        let now = SimTime::from_micros(symbol);
+        if symbol < SESSIONS as u64 {
+            engine.handle(lent, now, Event::Started, rng);
+        }
+        engine.handle(lent, now, Event::SymbolReady { payload: &payload }, rng);
+        while let Some(action) = engine.poll_action() {
+            if let Action::SendShare { channel, frame, .. } = action {
+                engine.share_send_ok(channel);
+                lent.pool.put(frame);
+            }
+        }
+    }
+    let fleet = HostMetrics::new(n);
+    for (metrics, _) in &shards {
+        assert_converged(metrics, kappa, mu, SYMBOLS / SHARDS as u64);
+        fleet.absorb(metrics);
+    }
+    assert_converged(&fleet, kappa, mu, SYMBOLS);
+    let sent: u64 = sessions
+        .iter()
+        .map(|(engine, _)| engine.report(SimTime::from_secs(1)).sent_symbols)
+        .sum();
+    assert_eq!(sent, SYMBOLS);
+}
+
+/// The per-channel delay estimator: on each channel
+/// `delay_sum_nanos / shares_received` is the mean of the very samples
+/// the channel's delay histogram holds,
 /// and over the Delayed setup it recovers each channel's configured
 /// one-way delay plus the share's serialization time (and, at 0.3 of
 /// the optimal rate, a little queueing).
 #[test]
 fn per_channel_delay_sum_recovers_the_channel_delay() {
-    use mcss_remicss::{testbed, ProtocolConfig, Session, Workload};
+    use mcss_remicss::{testbed, Session, Workload};
 
     let channels = mcss_core::setups::delayed();
     let config = ProtocolConfig::new(2.0, 3.0).expect("valid (kappa, mu)");
@@ -113,7 +187,7 @@ fn per_channel_delay_sum_recovers_the_channel_delay() {
     let mut received = 0;
     for (i, channel) in channels.iter().enumerate() {
         let counters = metrics.channel(i);
-        let histogram = &metrics.histograms().channel(i).one_way_delay;
+        let histogram = &counters.one_way_delay;
         let shares = counters.shares_received.get();
         assert_eq!(shares, histogram.count(), "channel {i}");
         if shares == 0 {

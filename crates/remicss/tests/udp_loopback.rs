@@ -64,17 +64,12 @@ fn one_mebibyte_crosses_four_loopback_channels() {
 
     // The telemetry snapshot reports the run under `remicss.*` names.
     let snap = driver.engine().metrics_snapshot();
-    #[cfg(feature = "telemetry")]
-    {
-        let resolved = snap
-            .counters
-            .iter()
-            .find(|c| c.name == "remicss.symbols.resolved")
-            .expect("resolved counter present");
-        assert_eq!(resolved.value, SYMBOLS as u64);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = snap;
+    let resolved = snap
+        .counters
+        .iter()
+        .find(|c| c.name == "remicss.symbols.resolved")
+        .expect("resolved counter present");
+    assert_eq!(resolved.value, SYMBOLS as u64);
 }
 
 #[test]

@@ -23,10 +23,9 @@
 //! (AES-128 in counter mode), as a host's do; the split phases below
 //! open one per symbol too.
 //!
-//! This test builds with the default `telemetry` feature **on**, so it
-//! also proves the `mcss-obs` overhead contract: span timers, session
-//! counters, and delay/gap/residency histograms all record on the data
-//! path, and none of them allocate in steady state. Telemetry
+//! It also proves the `mcss-obs` overhead contract: span timers, the
+//! host's protocol counters, and delay/gap/residency histograms all
+//! record on the data path, and none of them allocate in steady state. Telemetry
 //! registration (span-site resolution, histogram bucket storage) happens
 //! at session build and during the warmup window, never after.
 
@@ -46,7 +45,7 @@ use mcss_netsim::{QueueKind, SimTime, Simulator};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{Engine, EngineCore, Lent, SourceMode};
-use mcss_remicss::metrics::SessionHistograms;
+use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::session::{Session, Workload};
 use mcss_remicss::testbed;
 use mcss_remicss::wire::{self, DemuxFrame};
@@ -298,11 +297,11 @@ const HOSTED_CID: u32 = 0x00C0_FFEE;
 
 impl Hosted {
     fn new(config: Arc<ProtocolConfig>) -> Self {
-        let histograms = Arc::new(SessionHistograms::new(N));
+        let metrics = Arc::new(HostMetrics::new(N));
         let mut prefix = Vec::new();
         wire::put_cid_prefix(&mut prefix, HOSTED_CID);
         Hosted {
-            core: EngineCore::new(config, N, SourceMode::External, histograms).unwrap(),
+            core: EngineCore::new(config, N, SourceMode::External, metrics).unwrap(),
             pool: BufferPool::new(),
             key: ShareKey::generate(),
             prefix,

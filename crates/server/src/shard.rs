@@ -38,7 +38,7 @@ use mcss_obs::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{EngineCore, Lent, SessionReport, SourceMode};
-use mcss_remicss::metrics::SessionHistograms;
+use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError, CID_PREFIX_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
@@ -247,8 +247,8 @@ impl std::ops::IndexMut<u32> for SessionSlab {
 }
 
 /// One worker partition: the sessions it owns, their shared buffer
-/// pool, timer wheel and delay distributions, and the queues linking it
-/// to its peers.
+/// pool, timer wheel and protocol metrics, and the queues linking it to
+/// its peers.
 #[derive(Debug)]
 pub struct Shard {
     index: usize,
@@ -261,11 +261,11 @@ pub struct Shard {
     /// Position in `sessions` of each connection ID. Nine bytes a
     /// session, so probing for an unknown cid touches no session state.
     by_cid: IntMap<u32, u32>,
-    /// The delay, gap and residency distributions every session of this
+    /// The protocol counters and distributions every session of this
     /// shard records into: one set per channel count hosted. They
     /// describe the channels, not the sessions, so a session adds none
     /// (a set is 15 KB per histogram, `2n + 1` of them).
-    histograms: Vec<Arc<SessionHistograms>>,
+    metrics: Vec<Arc<HostMetrics>>,
     /// Every buffer of the shard and its sessions: outbound frames,
     /// shares parked in reassembly, reconstructions, handoff copies.
     pool: BufferPool,
@@ -309,7 +309,7 @@ impl Shard {
             num_shards: inboxes.len(),
             sessions: SessionSlab::default(),
             by_cid: IntMap::default(),
-            histograms: Vec::new(),
+            metrics: Vec::new(),
             pool: BufferPool::new(),
             key,
             timers: EventQueue::new(QueueKind::Wheel),
@@ -352,12 +352,12 @@ impl Shard {
         &self.stats
     }
 
-    /// The distributions this shard's sessions record into, one set per
-    /// channel count hosted, in the order first hosted (shared with
+    /// The protocol metrics this shard's sessions record into, one set
+    /// per channel count hosted, in the order first hosted (shared with
     /// metric aggregators, like [`stats`](Shard::stats)).
     #[must_use]
-    pub fn histograms(&self) -> &[Arc<SessionHistograms>] {
-        &self.histograms
+    pub fn metrics(&self) -> &[Arc<HostMetrics>] {
+        &self.metrics
     }
 
     /// The shard's buffer pool, which its sessions' engines borrow (its
@@ -410,16 +410,16 @@ impl Shard {
         // The shard's set for this channel count; a new one is kept only
         // once the engine accepted the parameters.
         let hosted = self
-            .histograms
+            .metrics
             .iter()
             .find(|set| set.channel_count() == channels)
             .cloned();
-        let histograms = hosted
+        let metrics = hosted
             .clone()
-            .unwrap_or_else(|| Arc::new(SessionHistograms::new(channels)));
-        let engine = EngineCore::new(config, channels, source, Arc::clone(&histograms))?;
+            .unwrap_or_else(|| Arc::new(HostMetrics::new(channels)));
+        let engine = EngineCore::new(config, channels, source, Arc::clone(&metrics))?;
         if hosted.is_none() {
-            self.histograms.push(histograms);
+            self.metrics.push(metrics);
         }
         let mut prefix = Vec::with_capacity(CID_PREFIX_BYTES);
         put_cid_prefix(&mut prefix, cid);
@@ -470,7 +470,7 @@ impl Shard {
     /// bit-identical regardless of how the wheel would batch the same
     /// due times.
     pub fn fire_timer(&mut self, now: SimTime, cid: u32, token: u64) {
-        ShardStats::bump(&self.stats.timers_fired);
+        self.stats.timers_fired.add_single_writer(1);
         self.feed(now, cid, Event::TimerFired { token });
     }
 
@@ -511,16 +511,16 @@ impl Shard {
         to: Endpoint,
         datagram: &[u8],
     ) -> Option<usize> {
-        ShardStats::bump(&self.stats.datagrams_received);
+        self.stats.datagrams_received.add_single_writer(1);
         let (cid, inner) = match demux_frame(datagram) {
             Ok(DemuxFrame::Cid { cid, inner }) => (cid, inner),
             // A bare frame names no session, and a shard serves many.
             Ok(DemuxFrame::Legacy(_)) => {
-                ShardStats::bump(&self.stats.dropped_legacy);
+                self.stats.dropped_legacy.add_single_writer(1);
                 return None;
             }
             Err(_) => {
-                ShardStats::bump(&self.stats.dropped_malformed);
+                self.stats.dropped_malformed.add_single_writer(1);
                 return None;
             }
         };
@@ -540,13 +540,13 @@ impl Shard {
         };
         match self.inboxes[owner].push(handoff) {
             Ok(()) => {
-                ShardStats::bump(&self.stats.handoff_out);
+                self.stats.handoff_out.add_single_writer(1);
                 Some(owner)
             }
             Err(rejected) => {
                 // Inbox full: shed the frame (UDP semantics) but keep
                 // the buffer — it is ours.
-                ShardStats::bump(&self.stats.handoff_rejected);
+                self.stats.handoff_rejected.add_single_writer(1);
                 self.pool.put(rejected.buf);
                 None
             }
@@ -563,7 +563,7 @@ impl Shard {
         inner: &[u8],
     ) {
         let Some(&position) = self.by_cid.get(&cid) else {
-            ShardStats::bump(&self.stats.dropped_unknown_cid);
+            self.stats.dropped_unknown_cid.add_single_writer(1);
             return;
         };
         let slot = &mut self.sessions[position];
@@ -581,9 +581,9 @@ impl Shard {
             // Codec-version skew between peers gets its own counter;
             // the frame is dropped either way, never misrouted.
             Err(WireError::UnknownCodec { .. }) => {
-                ShardStats::bump(&self.stats.dropped_unknown_codec);
+                self.stats.dropped_unknown_codec.add_single_writer(1);
             }
-            Err(_) => ShardStats::bump(&self.stats.dropped_bad_frame),
+            Err(_) => self.stats.dropped_bad_frame.add_single_writer(1),
         }
         slot.mark_ready(position, &mut self.ready);
     }
@@ -594,7 +594,7 @@ impl Shard {
     /// drop, never an allocation.
     pub fn drain_inbox(&mut self, now: SimTime) {
         while let Some(handoff) = self.inbox.pop() {
-            ShardStats::bump(&self.stats.handoff_in);
+            self.stats.handoff_in.add_single_writer(1);
             self.deliver_inner(now, handoff.cid, handoff.channel, handoff.to, &handoff.buf);
             if handoff.origin == self.index {
                 self.pool.put(handoff.buf);
@@ -603,7 +603,7 @@ impl Shard {
             match self.returns[handoff.origin].push(handoff.buf) {
                 Ok(()) => {}
                 Err(buf) => {
-                    ShardStats::bump(&self.stats.returns_migrated);
+                    self.stats.returns_migrated.add_single_writer(1);
                     self.pool.put(buf);
                 }
             }
@@ -644,7 +644,7 @@ impl Shard {
             });
         }
         let fired = due.len();
-        ShardStats::bump_by(&self.stats.timers_fired, fired as u64);
+        self.stats.timers_fired.add_single_writer(fired as u64);
         due.clear();
         self.due = due;
         fired
@@ -700,7 +700,7 @@ impl Shard {
                         from,
                         bytes: frame,
                     });
-                    ShardStats::bump(&self.stats.shares_sent);
+                    self.stats.shares_sent.add_single_writer(1);
                 }
                 Action::SendControl {
                     channel,
@@ -713,7 +713,7 @@ impl Shard {
                         from,
                         bytes: frame,
                     });
-                    ShardStats::bump(&self.stats.controls_sent);
+                    self.stats.controls_sent.add_single_writer(1);
                 }
                 Action::SetTimer { token, at } => {
                     self.timer_seq += 1;
@@ -733,10 +733,9 @@ impl Shard {
         // DeliverSymbol action), so delivery accounting reads the
         // engine counter's delta — covering both source modes once.
         let delivered = slot.engine.delivered_total();
-        ShardStats::bump_by(
-            &self.stats.symbols_delivered,
-            delivered - slot.counted_delivered,
-        );
+        self.stats
+            .symbols_delivered
+            .add_single_writer(delivered - slot.counted_delivered);
         slot.counted_delivered = delivered;
     }
 
@@ -755,7 +754,7 @@ impl Shard {
     /// afterwards, counting them as sent.
     pub fn drain_outbound(&mut self, mut visit: impl FnMut(&OutboundDatagram)) {
         while let Some(datagram) = self.outbound.pop_front() {
-            ShardStats::bump(&self.stats.datagrams_sent);
+            self.stats.datagrams_sent.add_single_writer(1);
             visit(&datagram);
             self.pool.put(datagram.bytes);
         }
@@ -983,11 +982,14 @@ impl ShardSet {
     /// `server.shard{i}.*`, totals under `server.total.*`, session-count
     /// and timer-wheel-depth gauges, each shard's buffer pool
     /// (`.pool_idle`, `.pool_misses`, `.pool_max_capacity`; the total
-    /// takes the largest capacity), and the per-channel distributions
-    /// `server.shard{i}.delay.ch{c}`, `.inter_share_gap.ch{c}` and
-    /// `.reassembly_residency` (with the `telemetry` feature), merged
-    /// across shards under `server.total.*` — ready to merge with
-    /// engine metrics or export as Prometheus text.
+    /// takes the largest capacity), and its sessions' protocol metrics:
+    /// the counters `server.shard{i}.shares_{sent,dropped,received}.ch{c}`,
+    /// `.scheduler.choices` and `.scheduler.km.{k}_{m}`, and the
+    /// distributions `.delay.ch{c}`, `.inter_share_gap.ch{c}` (the
+    /// channel's delivery inter-arrival time at the shard) and
+    /// `.reassembly_residency`, merged across shards under
+    /// `server.total.*` — ready to merge with engine metrics or export
+    /// as Prometheus text.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = MetricsSnapshot::default();
@@ -997,17 +999,17 @@ impl ShardSet {
         let widest = self
             .shards
             .iter()
-            .flat_map(|shard| &shard.histograms)
+            .flat_map(|shard| &shard.metrics)
             .map(|set| set.channel_count())
             .max()
             .unwrap_or(0);
-        let total_histograms = SessionHistograms::new(widest);
+        let total_metrics = HostMetrics::new(widest);
         let mut pools = (0, 0, 0);
         for (i, shard) in self.shards.iter().enumerate() {
             let stats = shard.stats.get();
             stats.extend_snapshot(&format!("server.shard{i}"), &mut snapshot);
-            let merged = SessionHistograms::new(widest);
-            for set in &shard.histograms {
+            let merged = HostMetrics::new(widest);
+            for set in &shard.metrics {
                 merged.absorb(set);
             }
             merged.extend_snapshot(
@@ -1015,7 +1017,7 @@ impl ShardSet {
                 "reassembly_residency",
                 &mut snapshot,
             );
-            total_histograms.absorb(&merged);
+            total_metrics.absorb(&merged);
             snapshot.gauges.push(GaugeSnapshot {
                 name: format!("server.shard{i}.sessions"),
                 value: shard.session_count() as i64,
@@ -1043,7 +1045,7 @@ impl ShardSet {
         }
         total.extend_snapshot("server.total", &mut snapshot);
         pool_snapshot("server.total", pools, &mut snapshot);
-        total_histograms.extend_snapshot("server.total", "reassembly_residency", &mut snapshot);
+        total_metrics.extend_snapshot("server.total", "reassembly_residency", &mut snapshot);
         snapshot.gauges.push(GaugeSnapshot {
             name: "server.total.sessions".to_string(),
             value: self.session_count() as i64,
@@ -1163,9 +1165,10 @@ mod tests {
         );
         assert!(offset_of!(SessionSlot, action_log) > engine);
         // 1 584 B before the fields were ordered, 1 512 B before the
-        // engine's return path was boxed.
+        // engine's return path was boxed, 984 B before its protocol
+        // counters moved to the shard.
         assert!(
-            size_of::<SessionSlot>() <= 984,
+            size_of::<SessionSlot>() <= 880,
             "`SessionSlot` grew to {} B",
             size_of::<SessionSlot>()
         );

@@ -1,19 +1,16 @@
 //! Per-shard operational counters.
 //!
-//! These are plain [`AtomicU64`]s rather than `mcss-obs` counters so
-//! the demux/handoff invariants they witness stay observable in every
-//! build — the proptests assert on them with telemetry compiled out.
-//! [`ShardStatsSnapshot::extend_snapshot`] bridges them into the
-//! `mcss-obs` world as an always-available [`MetricsSnapshot`] fragment.
+//! One [`Counter`] per demux, handoff and I/O event a shard counts;
+//! [`ShardStatsSnapshot::extend_snapshot`] bridges them into a
+//! [`MetricsSnapshot`] fragment.
 //!
 //! They are atomics so that *readers* on other threads (a benchmark's
 //! sampler, a metrics scrape) see whole values, not so that several
 //! threads can write: a shard's counters have one writer, its own
-//! thread, and are bumped with a plain load, add and store.
+//! thread, and are bumped with [`Counter::add_single_writer`], a plain
+//! load, add and store.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use mcss_obs::{CounterSnapshot, MetricsSnapshot};
+use mcss_obs::{Counter, CounterSnapshot, MetricsSnapshot};
 
 /// Declares the atomic counter struct, its plain-data snapshot twin,
 /// and the name table the metrics export walks — one source of truth
@@ -31,7 +28,7 @@ macro_rules! shard_stats {
         /// contract on every bump.
         #[derive(Debug, Default)]
         pub struct ShardStats {
-            $($(#[doc = $doc])+ pub $field: AtomicU64,)+
+            $($(#[doc = $doc])+ pub $field: Counter,)+
         }
 
         /// A [`ShardStats`] value frozen at one instant.
@@ -45,7 +42,7 @@ macro_rules! shard_stats {
             #[must_use]
             pub fn get(&self) -> ShardStatsSnapshot {
                 ShardStatsSnapshot {
-                    $($field: self.$field.load(Ordering::Relaxed),)+
+                    $($field: self.$field.get(),)+
                 }
             }
         }
@@ -133,30 +130,6 @@ shard_stats! {
     segmentation_refused,
 }
 
-impl ShardStats {
-    /// Adds one to `counter` as its only writer.
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        Self::bump_by(counter, 1);
-    }
-
-    /// Adds `n` to `counter` as its only writer: load, add, store — no
-    /// locked instruction. Counters are monotonic and independently
-    /// read, so no ordering beyond whole values is needed. A debug
-    /// build stores through `compare_exchange` to catch a second writer.
-    #[inline]
-    pub(crate) fn bump_by(counter: &AtomicU64, n: u64) {
-        let old = counter.load(Ordering::Relaxed);
-        let new = old.wrapping_add(n);
-        if cfg!(debug_assertions) {
-            let swapped = counter.compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed);
-            debug_assert!(swapped.is_ok(), "second writer on a shard's counters");
-        } else {
-            counter.store(new, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,9 +137,8 @@ mod tests {
     #[test]
     fn snapshot_add_and_export() {
         let stats = ShardStats::default();
-        ShardStats::bump(&stats.datagrams_received);
-        ShardStats::bump(&stats.datagrams_received);
-        ShardStats::bump(&stats.handoff_out);
+        stats.datagrams_received.add_single_writer(2);
+        stats.handoff_out.add_single_writer(1);
         let mut total = stats.get();
         assert_eq!(total.datagrams_received, 2);
         assert_eq!(total.handoff_out, 1);
@@ -189,11 +161,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "second writer")]
     fn a_second_writer_trips_the_debug_assertion() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let stats = ShardStats::default();
-        let tripped = std::sync::atomic::AtomicBool::new(false);
+        let tripped = AtomicBool::new(false);
         let hammer = || {
             while !tripped.load(Ordering::Relaxed) {
-                let bump = || ShardStats::bump(&stats.wakeups);
+                let bump = || stats.wakeups.add_single_writer(1);
                 if std::panic::catch_unwind(std::panic::AssertUnwindSafe(bump)).is_err() {
                     tripped.store(true, Ordering::Relaxed);
                 }

@@ -228,7 +228,7 @@ fn run_shard_busypoll(
 ) -> io::Result<()> {
     let mut recv_buf = vec![0u8; MAX_DATAGRAM];
     loop {
-        ShardStats::bump(&shard.stats().wakeups);
+        shard.stats().wakeups.add_single_writer(1);
         let now = sim_now(epoch);
         shard.drain_inbox(now);
         shard.poll_timers(now);
@@ -239,11 +239,11 @@ fn run_shard_busypoll(
             // (received on A's).
             for to in [Endpoint::B, Endpoint::A] {
                 loop {
-                    ShardStats::bump(&shard.stats().syscalls_recv);
+                    shard.stats().syscalls_recv.add_single_writer(1);
                     match ch.sock(to).recv(&mut recv_buf) {
                         Ok(len) => {
                             idle = false;
-                            ShardStats::bump(&shard.stats().messages_received);
+                            shard.stats().messages_received.add_single_writer(1);
                             let now = sim_now(epoch);
                             shard.route_datagram(now, channel, to, &recv_buf[..len]);
                         }
@@ -256,16 +256,16 @@ fn run_shard_busypoll(
         shard.flush_ready(sim_now(epoch));
         while let Some(datagram) = shard.pop_outbound() {
             idle = false;
-            ShardStats::bump(&shard.stats().syscalls_send);
+            shard.stats().syscalls_send.add_single_writer(1);
             match io.channels[datagram.channel]
                 .sock(datagram.from)
                 .send(&datagram.bytes)
             {
                 Ok(_) => {
-                    ShardStats::bump(&shard.stats().datagrams_sent);
-                    ShardStats::bump(&shard.stats().messages_sent);
+                    shard.stats().datagrams_sent.add_single_writer(1);
+                    shard.stats().messages_sent.add_single_writer(1);
                 }
-                Err(e) if would_drop(&e) => ShardStats::bump(&shard.stats().send_drops),
+                Err(e) if would_drop(&e) => shard.stats().send_drops.add_single_writer(1),
                 Err(e) => return Err(e),
             }
             shard.recycle_outbound(datagram.bytes);
@@ -421,8 +421,8 @@ fn run_shard_epoll(
             loop {
                 match rx.recv(fd) {
                     Ok(n) => {
-                        ShardStats::bump(&shard.stats().syscalls_recv);
-                        ShardStats::bump_by(&shard.stats().messages_received, n as u64);
+                        shard.stats().syscalls_recv.add_single_writer(1);
+                        shard.stats().messages_received.add_single_writer(n as u64);
                         let now = sim_now(epoch);
                         for i in 0..n {
                             for datagram in rx.datagrams(i) {
@@ -437,7 +437,7 @@ fn run_shard_epoll(
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        ShardStats::bump(&shard.stats().syscalls_recv);
+                        shard.stats().syscalls_recv.add_single_writer(1);
                         break;
                     }
                     Err(e) => return Err(e),
@@ -456,11 +456,26 @@ fn run_shard_epoll(
             let (channel, from) = key_socket(key);
             let fd = io.channels[channel].sock(from).as_raw_fd();
             let outcome = tx.send_all(fd, bufs, would_drop)?;
-            ShardStats::bump_by(&shard.stats().datagrams_sent, outcome.sent as u64);
-            ShardStats::bump_by(&shard.stats().send_drops, outcome.dropped as u64);
-            ShardStats::bump_by(&shard.stats().syscalls_send, outcome.syscalls);
-            ShardStats::bump_by(&shard.stats().messages_sent, outcome.messages);
-            ShardStats::bump_by(&shard.stats().segmentation_refused, outcome.refused);
+            shard
+                .stats()
+                .datagrams_sent
+                .add_single_writer(outcome.sent as u64);
+            shard
+                .stats()
+                .send_drops
+                .add_single_writer(outcome.dropped as u64);
+            shard
+                .stats()
+                .syscalls_send
+                .add_single_writer(outcome.syscalls);
+            shard
+                .stats()
+                .messages_sent
+                .add_single_writer(outcome.messages);
+            shard
+                .stats()
+                .segmentation_refused
+                .add_single_writer(outcome.refused);
             for buf in bufs.drain(..) {
                 shard.recycle_outbound(buf);
             }
@@ -476,7 +491,7 @@ fn run_shard_epoll(
         let now = sim_now(epoch);
         let timeout_ms = grid.wait_ms(now, shard.timer_sleep_ms(now), deadline - wall);
 
-        ShardStats::bump(&shard.stats().wakeups);
+        shard.stats().wakeups.add_single_writer(1);
         let n = epoll.wait(&mut events, timeout_ms as i32)?;
         ready.clear();
         ready.extend(events[..n].iter().map(|event| event.data as usize));

@@ -1,17 +1,20 @@
-//! What a session costs a shard in memory, now that the delay, gap and
-//! residency distributions belong to the shard.
+//! What a session costs a shard in memory, now that the protocol
+//! counters and the delay, gap and residency distributions belong to
+//! the shard.
 //!
 //! A full-range histogram is 15 KB and an engine over five channels
 //! records into eleven of them, so sessions that each owned a set held
 //! 176 KB apiece, nearly all of it histogram buckets no server export
 //! ever read. A shard now builds one set per channel count it hosts and
-//! every engine it builds records into that. The buffers went the same
-//! way: frames, parked shares and reconstructions live in the shard's
-//! one pool, which its engines borrow, so a session is its pool-less
-//! engine, reassembly table and counters, about 3 KB after traffic
-//! (3.4 KB here, where a thousand sessions divide the shards' own state;
-//! 2.6 KB on the benchmark's 10 000-session `mem_fleet`), and the pool
-//! holds what one symbol has in flight, not what every session once had.
+//! every engine it builds records into that; since the per-channel
+//! share counters and the `(k, m)` matrix joined the set, a session
+//! holds no metric at all. The buffers went the same way: frames, parked
+//! shares and reconstructions live in the shard's one pool, which its
+//! engines borrow, so a session is its pool-less engine and reassembly
+//! table, under 3 KB after traffic (2.8 KB here, where a thousand
+//! sessions divide the shards' own state; 2.0 KB on the benchmark's
+//! 10 000-session `mem_fleet`), and the pool holds what one symbol has
+//! in flight, not what every session once had.
 //! Each direction's reassembly state is one open-addressed table of
 //! 16-byte slots, where two hash maps with headroom against their own
 //! tombstones held 0.8 KB a session more. A session that sends nothing
@@ -33,7 +36,8 @@ use std::sync::Arc;
 use mcss_base::{Endpoint, SimTime};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{Engine, SourceMode, Workload};
+use mcss_remicss::engine::{Engine, SessionReport, SourceMode, Workload};
+use mcss_remicss::metrics::ChannelMetrics;
 use mcss_remicss::wire::{put_cid_prefix, ControlFrame};
 use mcss_server::{ServerConfig, ServerError, ShardSet};
 use rand::rngs::StdRng;
@@ -81,13 +85,12 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 3 382 B (+ 25 %; 2 540 B with telemetry compiled out); a
-/// session that built the B→A
-/// direction whether or not its traffic used it held 4.4 KB, one with
-/// two hash maps per direction 5.1 KB, one stored inline in a hash
-/// table's buckets 6.8 KB, one that owned its buffers 8.5 KB, one that
-/// owned its histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 4_230;
+/// Measured 2 789 B (+ 25 %); a session that kept its own protocol
+/// counters held 3.4 KB, one that built the B→A direction whether or
+/// not its traffic used it 4.4 KB, one with two hash maps per direction
+/// 5.1 KB, one stored inline in a hash table's buckets 6.8 KB, one that
+/// owned its buffers 8.5 KB, one that owned its histograms too 176 KB.
+const BUDGET_BYTES_PER_SESSION: i64 = 3_490;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
@@ -191,34 +194,53 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
         (hits + u64::from(SESSIONS) * per_symbol, misses)
     );
 
-    // One set of distributions per shard, held by the shard and by each
-    // of its engines: the second session onwards built none.
+    // One set of metrics per shard, held by the shard and by each of
+    // its engines: the second session onwards built none. It accounts
+    // for every share and every draw of the shard's sessions.
+    let window = SimTime::from_secs(1);
     for i in 0..set.num_shards() {
         let shard = set.shard(i);
-        let [histograms] = shard.histograms() else {
+        let [metrics] = shard.metrics() else {
             panic!(
                 "shard {i} hosts one channel count, holds {} sets",
-                shard.histograms().len()
+                shard.metrics().len()
             );
         };
-        assert_eq!(histograms.channel_count(), CHANNELS);
+        assert_eq!(metrics.channel_count(), CHANNELS);
         assert_eq!(
-            Arc::strong_count(histograms),
+            Arc::strong_count(metrics),
             shard.session_count() + 1,
             "shard {i}"
         );
-        if cfg!(feature = "telemetry") {
-            let recorded: u64 = histograms
-                .channels()
-                .iter()
-                .map(|ch| ch.one_way_delay.count())
-                .sum();
-            assert_eq!(
-                recorded,
-                set.stats(i).datagrams_received,
-                "shard {i} records every share it was delivered"
-            );
-        }
+        let stats = set.stats(i);
+        let channels = metrics.channels();
+        let sum = |count: fn(&ChannelMetrics) -> u64| channels.iter().map(count).sum::<u64>();
+        assert_eq!(
+            sum(|ch| ch.shares_sent.get()),
+            stats.shares_sent,
+            "shard {i}"
+        );
+        assert_eq!(sum(|ch| ch.shares_dropped.get()), 0, "shard {i}");
+        let delays = sum(|ch| ch.one_way_delay.count());
+        assert_eq!(sum(|ch| ch.shares_received.get()), delays, "shard {i}");
+        assert_eq!(
+            delays, stats.datagrams_received,
+            "shard {i} records every share it was delivered"
+        );
+        let reports: Vec<_> = shard.cids().map(|cid| shard.report(cid, window)).collect();
+        let sent: u64 = reports.iter().map(|r| r.sent_symbols).sum();
+        let km: u64 = (0..=CHANNELS)
+            .flat_map(|k| (0..=CHANNELS).map(move |m| (k, m)))
+            .map(|(k, m)| metrics.km_count(k, m))
+            .sum();
+        assert_eq!(km, sent, "shard {i}: a draw per symbol sent");
+        assert_eq!(metrics.choices(), sent, "shard {i}");
+        let total = |mean: fn(&SessionReport) -> f64| -> u64 {
+            let exact = |r: &SessionReport| (mean(r) * r.sent_symbols as f64).round() as u64;
+            reports.iter().map(exact).sum()
+        };
+        assert_eq!(metrics.sum_k(), total(|r| r.mean_k), "shard {i}");
+        assert_eq!(metrics.sum_m(), total(|r| r.mean_m), "shard {i}");
     }
 }
 
@@ -367,19 +389,19 @@ fn a_shard_holds_one_set_per_channel_count() {
         .is_err());
     let hosted: Vec<(usize, usize)> = set
         .shard(0)
-        .histograms()
+        .metrics()
         .iter()
         .map(|h| (h.channel_count(), Arc::strong_count(h)))
         .collect();
     assert_eq!(hosted, [(3, 3), (5, 3), (4, 2)]);
 }
 
-/// `Engine::new` is unchanged: a standalone engine owns its
-/// distributions and reports them under the `remicss.*` names.
+/// `Engine::new` is unchanged: a standalone engine is a host of one,
+/// owns its metrics and reports them under the `remicss.*` names.
 #[test]
 fn a_standalone_engine_reports_its_own_distributions() {
     let mut engine = Engine::new(protocol(), CHANNELS, SourceMode::External).unwrap();
-    assert_eq!(Arc::strong_count(engine.metrics().histograms()), 1);
+    assert_eq!(Arc::strong_count(engine.metrics()), 1);
     let mut rng = StdRng::seed_from_u64(3);
     engine.handle(SimTime::ZERO, Event::Started, &mut rng);
     let mut used = [false; CHANNELS];
@@ -407,10 +429,6 @@ fn a_standalone_engine_reports_its_own_distributions() {
                 .unwrap();
             engine.recycle(frame);
         }
-    }
-    if !cfg!(feature = "telemetry") {
-        assert!(engine.metrics_snapshot().is_empty());
-        return;
     }
     let snapshot = engine.metrics_snapshot();
     for (channel, used) in used.into_iter().enumerate() {

@@ -1,13 +1,14 @@
 //! The single-writer telemetry contract, from both sides.
 //!
 //! A shard's counters ([`ShardStats`](mcss_server::ShardStats)) and the
-//! distributions its sessions record into (`SessionHistograms`) are
-//! written with plain loads and stores by one thread at a time — the one
-//! holding `&mut Shard` — and read by anyone. The first test is the
-//! reader's half: polling from another thread while the owner works, it
-//! sees whole values that never go down, and every sample is there at
-//! the end. The second is the writer's half: two threads recording into
-//! one histogram break the contract, and a debug build says so.
+//! protocol counters and distributions its sessions record into
+//! (`HostMetrics`) are written with plain loads and stores by one thread
+//! at a time — the one holding `&mut Shard` — and read by anyone. The
+//! first test is the reader's half: polling from another thread while
+//! the owner works, it sees whole values that never go down, and every
+//! share and sample is there at the end. The others are the writer's
+//! half: two threads recording into one histogram, or bumping one
+//! counter, break the contract, and a debug build says so.
 //!
 //! CI runs this file in debug and in `--release`: the plain store and
 //! the checked one are different code.
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use mcss_base::{Endpoint, SimTime};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::SourceMode;
-use mcss_remicss::metrics::SessionHistograms;
+use mcss_remicss::metrics::HostMetrics;
 use mcss_server::{ServerConfig, ShardSet};
 
 const CHANNELS: usize = 5;
@@ -27,14 +28,20 @@ const SYMBOLS: u64 = 20_000;
 /// `(κ, μ) = (2, 3)`.
 const SHARES_PER_SYMBOL: u64 = 3;
 
-/// Samples recorded in `histograms`: delays over all channels, and
-/// residencies.
-fn recorded(histograms: &SessionHistograms) -> (u64, u64) {
-    let delays = histograms.channels().iter();
-    (
-        delays.map(|ch| ch.one_way_delay.count()).sum(),
-        histograms.residency.count(),
-    )
+/// What `metrics` recorded, every value monotone: delay samples over
+/// all channels, residencies, draws, then each channel's shares sent
+/// and received.
+fn recorded(metrics: &HostMetrics) -> Vec<u64> {
+    let channels = metrics.channels();
+    let mut values = vec![
+        channels.iter().map(|ch| ch.one_way_delay.count()).sum(),
+        metrics.residency.count(),
+        metrics.choices(),
+    ];
+    for ch in channels {
+        values.extend([ch.shares_sent.get(), ch.shares_received.get()]);
+    }
+    values
 }
 
 #[test]
@@ -47,21 +54,22 @@ fn a_reader_sees_monotone_values_and_every_sample_at_the_end() {
         .unwrap();
     set.start(SimTime::ZERO, 0);
     let stats = Arc::clone(set.shard(0).stats());
-    let histograms = Arc::clone(&set.shard(0).histograms()[0]);
+    let metrics = Arc::clone(&set.shard(0).metrics()[0]);
 
     let done = AtomicBool::new(false);
     let polls = AtomicU64::new(0);
     std::thread::scope(|scope| {
         let reader = scope.spawn(|| {
-            let mut last = (stats.get(), recorded(&histograms));
+            let mut last = (stats.get(), recorded(&metrics));
             while !done.load(Ordering::Acquire) {
-                let now = (stats.get(), recorded(&histograms));
+                let now = (stats.get(), recorded(&metrics));
                 let (was, is) = (&last.0, &now.0);
                 assert!(is.symbols_delivered <= SYMBOLS, "{is:?}");
                 assert!(is.symbols_delivered >= was.symbols_delivered);
                 assert!(is.shares_sent >= was.shares_sent);
                 assert!(is.datagrams_received >= was.datagrams_received);
-                assert!(now.1 .0 >= last.1 .0 && now.1 .1 >= last.1 .1);
+                let monotone = now.1.iter().zip(&last.1).all(|(is, was)| is >= was);
+                assert!(monotone, "{:?} after {:?}", now.1, last.1);
                 last = now;
                 polls.fetch_add(1, Ordering::Release);
             }
@@ -94,27 +102,19 @@ fn a_reader_sees_monotone_values_and_every_sample_at_the_end() {
     assert_eq!(totals.symbols_delivered, SYMBOLS);
     assert_eq!(totals.shares_sent, SYMBOLS * SHARES_PER_SYMBOL);
     assert_eq!(totals.datagrams_received, SYMBOLS * SHARES_PER_SYMBOL);
-    if cfg!(feature = "telemetry") {
-        assert_eq!(
-            recorded(&histograms),
-            (SYMBOLS * SHARES_PER_SYMBOL, SYMBOLS)
-        );
-    }
+    let values = recorded(&metrics);
+    let shares = SYMBOLS * SHARES_PER_SYMBOL;
+    assert_eq!(values[..3], [shares, SYMBOLS, SYMBOLS]);
+    let per_channel = |side: usize| values[3 + side..].iter().step_by(2).sum::<u64>();
+    assert_eq!((per_channel(0), per_channel(1)), (shares, shares));
 }
 
-/// Two threads recording into one set at once lose samples in release;
-/// in debug the checked store of whichever loses a race panics, within
-/// a few context switches of starting.
-#[cfg(all(debug_assertions, feature = "telemetry"))]
-#[test]
-#[should_panic(expected = "second writer")]
-fn a_second_writer_trips_the_debug_assertion() {
-    let histograms = SessionHistograms::new(1);
+/// Runs `record` on two threads at once until one of them panics.
+fn two_writers(record: impl Fn() + Sync) {
     let tripped = AtomicBool::new(false);
     let hammer = || {
         while !tripped.load(Ordering::Relaxed) {
-            let record = || histograms.residency.record_single_writer(7);
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(record)).is_err() {
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(&record)).is_err() {
                 tripped.store(true, Ordering::Relaxed);
             }
         }
@@ -123,5 +123,26 @@ fn a_second_writer_trips_the_debug_assertion() {
         scope.spawn(hammer);
         scope.spawn(hammer);
     });
+}
+
+/// Two threads recording into one set at once lose samples in release;
+/// in debug the checked store of whichever loses a race panics, within
+/// a few context switches of starting.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "second writer")]
+fn a_second_writer_trips_the_debug_assertion() {
+    let metrics = HostMetrics::new(1);
+    two_writers(|| metrics.residency.record_single_writer(7));
+    panic!("second writer caught");
+}
+
+/// The same for a counter: two threads bumping one channel's count.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "second writer")]
+fn a_second_counter_writer_trips_the_debug_assertion() {
+    let metrics = HostMetrics::new(1);
+    two_writers(|| metrics.record_send(0));
     panic!("second writer caught");
 }

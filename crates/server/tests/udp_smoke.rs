@@ -174,18 +174,24 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
     // Per-channel delay, from the shards' histograms: the total is the
     // shards merged, and every share an engine was handed is in it (the
     // loopback is clean, carries no control frames and hands nothing
-    // off, so that is every datagram read).
-    if !cfg!(feature = "telemetry") {
-        assert!(snapshot.histograms.is_empty());
-        return;
-    }
+    // off, so that is every datagram read). The channel's received
+    // counter says the same.
     let count = |name: String| {
         let found = snapshot.histograms.iter().find(|h| h.name == name);
         found.map_or(0, |h| h.count)
     };
+    let counter = |name: String| {
+        let found = snapshot.counters.iter().find(|c| c.name == name);
+        found.map(|c| c.value)
+    };
     let mut recorded = 0;
     for channel in 0..5 {
         let total = count(format!("server.total.delay.ch{channel}"));
+        assert_eq!(
+            counter(format!("server.total.shares_received.ch{channel}")),
+            Some(total),
+            "channel {channel}"
+        );
         // Three shares a symbol over idle channels: the scheduler may
         // leave the last two unused, and an empty histogram is absent.
         if total == 0 {

@@ -18,8 +18,8 @@
 //! cargo run -p mcss-remicss --release --features udp --example file_transfer
 //! ```
 //!
-//! (Also builds with `--no-default-features --features udp,telemetry`:
-//! the driver never touches the simulator.)
+//! (Also builds with `--no-default-features --features udp`: the
+//! driver never touches the simulator.)
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

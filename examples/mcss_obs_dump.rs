@@ -1,8 +1,9 @@
 //! Telemetry introspection: run one second of ReMICSS traffic over the
 //! paper's Lossy setup and dump everything the `mcss-obs` layer saw —
-//! session protocol metrics (per-channel share counters, one-way delay
-//! and inter-share-gap histograms, empirical `(κ, μ)`, reassembly
-//! residency, pool hit rates) plus the global span registry (Shamir
+//! the protocol metrics of the session's host, a host of one
+//! (per-channel share counters, one-way delay and inter-share-gap
+//! histograms, empirical `(κ, μ)`, reassembly residency, pool hit
+//! rates) plus the global span registry (Shamir
 //! kernel, event-queue, and scheduler timings) — as pretty JSON and
 //! Prometheus text exposition.
 //!
@@ -13,9 +14,7 @@
 //! ```
 //!
 //! The snapshot is also written to `METRICS_mcss_obs_dump.json` (in
-//! `MCSS_BENCH_DIR` if set, else the current directory). Building the
-//! workspace with `--no-default-features` compiles all of this to
-//! no-ops: the dump still runs, and every section is empty.
+//! `MCSS_BENCH_DIR` if set, else the current directory).
 
 use std::sync::Arc;
 
