@@ -105,7 +105,6 @@ struct ScalePoint {
     /// Mean train length: datagrams per kernel message, both directions.
     datagrams_per_message: f64,
     handoffs: u64,
-    handoff_rejected: u64,
     send_drops: u64,
 }
 
@@ -196,7 +195,6 @@ fn run_point(
         })
         .expect("run completes");
     let window = phased.window;
-    let totals = server.shards().totals();
     ScalePoint {
         sessions,
         shards,
@@ -219,7 +217,6 @@ fn run_point(
         messages_received: window.messages_received,
         datagrams_per_message: window.datagrams_per_message(),
         handoffs: window.handoffs,
-        handoff_rejected: totals.handoff_rejected,
         send_drops: window.send_drops,
     }
 }

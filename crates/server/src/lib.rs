@@ -14,7 +14,8 @@
 //!   RNGs. The test layer lives here: trace-replay determinism pins,
 //!   demux isolation proptests, and the eavesdropper soak all drive
 //!   this type. A frame delivered to a shard that does not own its
-//!   session crosses over through a bounded handoff queue.
+//!   session is handed to the owner in place: the set owns every shard,
+//!   so the owner reads the very bytes the reader was given.
 //! * [`UdpServer`] — the same shards on real threads, each owning one
 //!   connected loopback socket pair per channel, so every datagram a
 //!   shard reads is its own and nothing is handed off. Two event-loop
@@ -23,9 +24,10 @@
 //!   (Linux, default) and a portable busy-poll fallback, selected via
 //!   [`ServerConfig::io`] or `MCSS_SERVER_IO`.
 //! * Each shard owns a [`BufferPool`](mcss_base::BufferPool) and a
-//!   hierarchical timer wheel ([`mcss_base::queue`]); handed-off
-//!   buffers travel home through per-shard return rings, keeping the
-//!   steady state allocation-free across shard boundaries.
+//!   hierarchical timer wheel ([`mcss_base::queue`]), and shares no
+//!   mutable state with another: a frame read by the wrong shard takes
+//!   nothing from the reader, so the steady state is allocation-free
+//!   whichever shard reads.
 //! * Each shard also owns the protocol counters and the delay, gap and
 //!   residency histograms its sessions record into
 //!   ([`HostMetrics`](mcss_remicss::metrics::HostMetrics), one set per
@@ -60,23 +62,22 @@
 //! set.shard_mut(1).drain_outbound(|d| datagrams.push((d.channel, d.bytes.clone())));
 //! assert!(!datagrams.is_empty());
 //! // Deliver them back through the demux path, as read by the *other*
-//! // shard: they hand off to shard 1 and reassemble there.
+//! // shard: it routes each to shard 1, which reassembles it there.
 //! for (channel, bytes) in &datagrams {
 //!     set.deliver_datagram(now, *channel, Endpoint::B, bytes, 0);
 //! }
-//! assert_eq!(set.totals().handoff_in, datagrams.len() as u64);
+//! assert_eq!(set.stats(0).handoff_out, datagrams.len() as u64);
+//! assert_eq!(set.stats(1).handoff_in, datagrams.len() as u64);
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod queue;
 pub mod shard;
 pub mod stats;
 #[cfg(target_os = "linux")]
 pub mod sys;
 pub mod udp;
 
-pub use queue::BoundedQueue;
 pub use shard::{OutboundDatagram, ServerConfig, ServerError, Shard, ShardSet, MAX_DATAGRAM};
 pub use stats::{ShardStats, ShardStatsSnapshot};
 pub use udp::{IoBackend, IoMode, PhasedSummary, RunPhases, ServerSummary, UdpServer, WindowStats};

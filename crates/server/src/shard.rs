@@ -11,12 +11,11 @@
 //!
 //! Routing is static: connection `cid` lives on shard
 //! `cid % num_shards`. A shard that reads a datagram it does not own
-//! copies the inner frame into a buffer from its *own*
-//! [`BufferPool`] and pushes it onto the owner's bounded inbox; after
-//! processing, the owner sends the buffer home through the origin
-//! shard's return ring, so every pool's working set stays closed under
-//! cross-shard traffic (the steady state allocates nothing — see the
-//! `pool_handoff` regression test).
+//! counts it and names the owner, and takes nothing from its pool;
+//! [`ShardSet`], which owns every shard, hands the owner the same
+//! borrowed bytes. Shards share no mutable state, so the steady state
+//! allocates nothing whichever shard reads (see the `wrong_shard_zero_alloc`
+//! regression test).
 //!
 //! [`ShardSet`] is the sans-I/O core of the server: events carry
 //! explicit [`SimTime`] stamps and each session draws its schedule from
@@ -43,7 +42,6 @@ use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError, CID
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
 
-use crate::queue::BoundedQueue;
 use crate::stats::{ShardStats, ShardStatsSnapshot};
 
 /// Largest datagram the server will read: no frame the protocol emits
@@ -56,8 +54,6 @@ pub const MAX_DATAGRAM: usize = 65_535;
 pub struct ServerConfig {
     /// Number of shards (worker partitions). Clamped to at least 1.
     pub shards: usize,
-    /// Bound on each shard's handoff inbox and return ring.
-    pub handoff_capacity: usize,
     /// I/O backend for the socket-facing driver ([`UdpServer`]); the
     /// deterministic [`ShardSet`] core never performs I/O and ignores
     /// it.
@@ -70,14 +66,13 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             shards: 1,
-            handoff_capacity: 4096,
             io: crate::udp::IoMode::Auto,
         }
     }
 }
 
 impl ServerConfig {
-    /// A config with `shards` shards and default queue bounds.
+    /// A config with `shards` shards and the default I/O backend.
     #[must_use]
     pub fn with_shards(shards: usize) -> Self {
         ServerConfig {
@@ -127,18 +122,6 @@ pub struct OutboundDatagram {
     pub from: Endpoint,
     /// The full datagram: `"RX"` prefix + inner frame.
     pub bytes: Vec<u8>,
-}
-
-/// A frame owned by another shard, in flight between shard threads.
-#[derive(Debug)]
-struct Handoff {
-    cid: u32,
-    channel: usize,
-    to: Endpoint,
-    /// Shard whose pool `buf` came from (and returns to).
-    origin: usize,
-    /// The inner frame, demux prefix already stripped.
-    buf: Vec<u8>,
 }
 
 /// One multiplexed session: the pool-less engine plus the per-session
@@ -246,9 +229,9 @@ impl std::ops::IndexMut<u32> for SessionSlab {
     }
 }
 
-/// One worker partition: the sessions it owns, their shared buffer
-/// pool, timer wheel and protocol metrics, and the queues linking it to
-/// its peers.
+/// One worker partition: the sessions it owns and their shared buffer
+/// pool, timer wheel and protocol metrics. It shares no mutable state
+/// with its peers.
 #[derive(Debug)]
 pub struct Shard {
     index: usize,
@@ -267,7 +250,7 @@ pub struct Shard {
     /// (a set is 15 KB per histogram, `2n + 1` of them).
     metrics: Vec<Arc<HostMetrics>>,
     /// Every buffer of the shard and its sessions: outbound frames,
-    /// shares parked in reassembly, reconstructions, handoff copies.
+    /// shares parked in reassembly, reconstructions.
     pool: BufferPool,
     /// The key every session's shares are drawn under, each on the
     /// stream of its connection ID: the set's one key.
@@ -291,22 +274,13 @@ pub struct Shard {
     /// itself allocates nothing in steady state.
     ready_scratch: Vec<u32>,
     stats: Arc<ShardStats>,
-    inbox: Arc<BoundedQueue<Handoff>>,
-    inboxes: Vec<Arc<BoundedQueue<Handoff>>>,
-    returns: Vec<Arc<BoundedQueue<Vec<u8>>>>,
 }
 
 impl Shard {
-    fn new(
-        index: usize,
-        inboxes: Vec<Arc<BoundedQueue<Handoff>>>,
-        returns: Vec<Arc<BoundedQueue<Vec<u8>>>>,
-        stats: Arc<ShardStats>,
-        key: ShareKey,
-    ) -> Self {
+    fn new(index: usize, num_shards: usize, key: ShareKey) -> Self {
         Shard {
             index,
-            num_shards: inboxes.len(),
+            num_shards,
             sessions: SessionSlab::default(),
             by_cid: IntMap::default(),
             metrics: Vec::new(),
@@ -318,10 +292,7 @@ impl Shard {
             outbound: VecDeque::new(),
             ready: Vec::new(),
             ready_scratch: Vec::new(),
-            stats: Arc::clone(&stats),
-            inbox: Arc::clone(&inboxes[index]),
-            inboxes,
-            returns,
+            stats: Arc::default(),
         }
     }
 
@@ -498,12 +469,12 @@ impl Shard {
 
     /// Handles one datagram read by **this** shard. Own frames are
     /// processed in place (the session is marked ready; call
-    /// [`flush_ready`](Shard::flush_ready) after the batch); frames
-    /// owned elsewhere are copied into a pooled buffer and pushed to
-    /// the owner's inbox. Returns the owner index when a handoff was
-    /// enqueued, so a synchronous driver can pump it immediately.
-    /// [`UdpServer`](crate::UdpServer)'s shards read only their own
-    /// sessions' frames and never hand off.
+    /// [`flush_ready`](Shard::flush_ready) after the batch). A frame
+    /// owned elsewhere is counted as `handoff_out`, takes nothing from
+    /// this shard, and its owner's index is returned:
+    /// [`ShardSet::deliver_datagram`] hands the same bytes to that
+    /// shard. [`UdpServer`](crate::UdpServer)'s shards read only their
+    /// own sessions' frames, so none is ever returned there.
     pub fn route_datagram(
         &mut self,
         now: SimTime,
@@ -529,28 +500,18 @@ impl Shard {
             self.deliver_inner(now, cid, channel, to, inner);
             return None;
         }
-        let mut buf = self.pool.take();
-        buf.extend_from_slice(inner);
-        let handoff = Handoff {
-            cid,
-            channel,
-            to,
-            origin: self.index,
-            buf,
-        };
-        match self.inboxes[owner].push(handoff) {
-            Ok(()) => {
-                self.stats.handoff_out.add_single_writer(1);
-                Some(owner)
-            }
-            Err(rejected) => {
-                // Inbox full: shed the frame (UDP semantics) but keep
-                // the buffer — it is ours.
-                self.stats.handoff_rejected.add_single_writer(1);
-                self.pool.put(rejected.buf);
-                None
-            }
+        self.stats.handoff_out.add_single_writer(1);
+        Some(owner)
+    }
+
+    /// Processes a datagram another shard read and
+    /// [routed](Shard::route_datagram) here, and drains what it queued.
+    fn accept_handoff(&mut self, now: SimTime, channel: usize, to: Endpoint, datagram: &[u8]) {
+        self.stats.handoff_in.add_single_writer(1);
+        if let Ok(DemuxFrame::Cid { cid, inner }) = demux_frame(datagram) {
+            self.deliver_inner(now, cid, channel, to, inner);
         }
+        self.flush_ready(now);
     }
 
     /// Feeds one demuxed inner frame to the owning session.
@@ -586,37 +547,6 @@ impl Shard {
             Err(_) => self.stats.dropped_bad_frame.add_single_writer(1),
         }
         slot.mark_ready(position, &mut self.ready);
-    }
-
-    /// Processes every frame handed off by other shards, then sends
-    /// each buffer home through its origin's return ring. A full ring
-    /// migrates the buffer into this shard's pool instead — never a
-    /// drop, never an allocation.
-    pub fn drain_inbox(&mut self, now: SimTime) {
-        while let Some(handoff) = self.inbox.pop() {
-            self.stats.handoff_in.add_single_writer(1);
-            self.deliver_inner(now, handoff.cid, handoff.channel, handoff.to, &handoff.buf);
-            if handoff.origin == self.index {
-                self.pool.put(handoff.buf);
-                continue;
-            }
-            match self.returns[handoff.origin].push(handoff.buf) {
-                Ok(()) => {}
-                Err(buf) => {
-                    self.stats.returns_migrated.add_single_writer(1);
-                    self.pool.put(buf);
-                }
-            }
-        }
-        self.flush_ready(now);
-    }
-
-    /// Reclaims buffers other shards finished with into this shard's
-    /// pool.
-    pub fn drain_returns(&mut self) {
-        while let Some(buf) = self.returns[self.index].pop() {
-            self.pool.put(buf);
-        }
     }
 
     /// Fires every timer due at or before `now` from the shard wheel,
@@ -797,8 +727,8 @@ impl Shard {
 
 /// Every shard of the server, driven synchronously from one thread.
 ///
-/// All sequencing is explicit — time comes from the caller, handoffs
-/// are pumped to completion inside
+/// All sequencing is explicit — time comes from the caller, and a
+/// frame read by the wrong shard is processed by its owner inside
 /// [`deliver_datagram`](ShardSet::deliver_datagram) — so a given call
 /// sequence produces bit-identical session behaviour on any shard
 /// count.
@@ -808,30 +738,13 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// Builds `config.shards` empty shards with their cross-shard
-    /// queues wired up, and one fresh secret [`ShareKey`] they all draw
-    /// shares under.
+    /// Builds `config.shards` empty shards and one fresh secret
+    /// [`ShareKey`] they all draw shares under.
     #[must_use]
     pub fn new(config: &ServerConfig) -> Self {
         let key = ShareKey::generate();
         let n = config.shards.max(1);
-        let inboxes: Vec<_> = (0..n)
-            .map(|_| Arc::new(BoundedQueue::new(config.handoff_capacity)))
-            .collect();
-        let returns: Vec<_> = (0..n)
-            .map(|_| Arc::new(BoundedQueue::new(config.handoff_capacity)))
-            .collect();
-        let shards = (0..n)
-            .map(|i| {
-                Shard::new(
-                    i,
-                    inboxes.clone(),
-                    returns.clone(),
-                    Arc::new(ShardStats::default()),
-                    key.clone(),
-                )
-            })
-            .collect();
+        let shards = (0..n).map(|i| Shard::new(i, n, key.clone())).collect();
         ShardSet { shards }
     }
 
@@ -929,9 +842,9 @@ impl ShardSet {
         self.shards[owner].offer_symbol(now, cid, payload);
     }
 
-    /// Delivers one datagram as read by shard `received_on`, pumping
-    /// any cross-shard handoff (and the buffer's trip home) to
-    /// completion before returning.
+    /// Delivers one datagram as read by shard `received_on`. A frame
+    /// that shard does not own is processed by its owner before this
+    /// returns, from the same borrowed bytes.
     pub fn deliver_datagram(
         &mut self,
         now: SimTime,
@@ -941,8 +854,7 @@ impl ShardSet {
         received_on: usize,
     ) {
         if let Some(owner) = self.shards[received_on].route_datagram(now, channel, to, datagram) {
-            self.shards[owner].drain_inbox(now);
-            self.shards[received_on].drain_returns();
+            self.shards[owner].accept_handoff(now, channel, to, datagram);
         }
         // Frames processed in place only marked their session ready;
         // flushing here keeps the synchronous API's
@@ -950,15 +862,10 @@ impl ShardSet {
         self.shards[received_on].flush_ready(now);
     }
 
-    /// One duty cycle over every shard: drain handoffs, fire due
-    /// timers, reclaim returned buffers.
+    /// One duty cycle over every shard: fire due timers.
     pub fn poll(&mut self, now: SimTime) {
         for shard in &mut self.shards {
-            shard.drain_inbox(now);
             shard.poll_timers(now);
-        }
-        for shard in &mut self.shards {
-            shard.drain_returns();
         }
     }
 

@@ -78,15 +78,10 @@ shard_stats! {
     symbols_delivered,
     /// Session timers fired from the shard wheel.
     timers_fired,
-    /// Frames received here but owned elsewhere, handed off.
+    /// Frames read here but owned by another shard, routed to it.
     handoff_out,
-    /// Frames processed here that another shard received.
+    /// Frames processed here that another shard read.
     handoff_in,
-    /// Handoffs dropped because the owner's inbox was full.
-    handoff_rejected,
-    /// Handoff buffers adopted locally because the origin's
-    /// return ring was full.
-    returns_migrated,
     /// Prefixed frames whose connection ID matched no session.
     dropped_unknown_cid,
     /// Datagrams with no recognizable framing (bad demux magic,

@@ -9,7 +9,9 @@
 //! *i*'s sessions' frames, and its B socket accepts datagrams from that
 //! A socket alone, so every datagram a shard reads belongs to one of
 //! its own sessions and no frame crosses a thread boundary. The same
-//! layout is built on every OS.
+//! layout is built on every OS. A shard has no way to reach another, so
+//! a frame it did not own would be counted as `handoff_out` and dropped;
+//! the connected pairs leave no path for one to arrive.
 //!
 //! # Event loop backends
 //!
@@ -229,10 +231,7 @@ fn run_shard_busypoll(
     let mut recv_buf = vec![0u8; MAX_DATAGRAM];
     loop {
         shard.stats().wakeups.add_single_writer(1);
-        let now = sim_now(epoch);
-        shard.drain_inbox(now);
-        shard.poll_timers(now);
-        shard.drain_returns();
+        shard.poll_timers(sim_now(epoch));
         let mut idle = true;
         for (channel, ch) in io.channels.iter().enumerate() {
             // Shares travel A→B (received on B's socket), control B→A
@@ -408,12 +407,10 @@ fn run_shard_epoll(
 
     loop {
         let now = sim_now(epoch);
-        shard.drain_inbox(now);
         if grid.due(now) {
             shard.poll_timers(now);
             grid.passed(now, shard.timer_sleep_ms(now));
         }
-        shard.drain_returns();
 
         for &key in &ready {
             let (channel, to) = key_socket(key);
@@ -521,7 +518,8 @@ fn run_shard(
     }
 }
 
-/// Aggregate outcome of one [`UdpServer::run_for`] window.
+/// Aggregate outcome of one [`UdpServer::run_for`] window: every count
+/// is this run's own, not the server's lifetime total.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSummary {
     /// Wall-clock time the shard threads ran.
@@ -536,8 +534,6 @@ pub struct ServerSummary {
     pub shares_sent: u64,
     /// Datagrams read off the sockets across all shards.
     pub datagrams_received: u64,
-    /// Frames handed off between shards.
-    pub handoffs: u64,
     /// Outbound datagrams the kernel refused (socket backpressure).
     pub send_drops: u64,
 }
@@ -698,9 +694,17 @@ pub struct UdpServer {
     topology: Vec<ShardIo>,
     num_channels: usize,
     backend: IoBackend,
-    /// Wall→engine time origin; reset at each run so `Started` lands
-    /// near time zero, where the engines arm their initial timers.
-    epoch: Instant,
+    /// Engine time when the last run's shard threads stopped (zero
+    /// before the first run). The next run resumes from it, so the
+    /// timers on the wheels stay due when they were, however long the
+    /// server sat idle in between.
+    resume: SimTime,
+    /// How many of each shard's sessions, in registration order, have
+    /// been started: a run starts the rest.
+    started: Vec<usize>,
+    /// Lifetime symbols sent and reconstructed, and lifetime shard
+    /// counters, as the last run ended: each summary counts from there.
+    counted: (u64, u64, ShardStatsSnapshot),
 }
 
 impl UdpServer {
@@ -721,13 +725,16 @@ impl UdpServer {
         let backend = config.io.resolve()?;
         let set = ShardSet::new(&config);
         let topology = paired_topology(set.num_shards(), channels)?;
+        let started = vec![0; set.num_shards()];
         Ok(UdpServer {
             set,
             protocol: protocol.into(),
             topology,
             num_channels: channels,
             backend,
-            epoch: Instant::now(),
+            resume: SimTime::ZERO,
+            started,
+            counted: (0, 0, ShardStatsSnapshot::default()),
         })
     }
 
@@ -789,8 +796,9 @@ impl UdpServer {
         reports
     }
 
-    /// Starts every session and runs one shard thread per shard for
-    /// `wall` of wall-clock time.
+    /// Starts every session not yet started and runs one shard thread
+    /// per shard for `wall` of wall-clock time. A later call resumes
+    /// engine time where this one stopped.
     ///
     /// # Errors
     ///
@@ -810,18 +818,20 @@ impl UdpServer {
     ///
     /// As [`run_for`](UdpServer::run_for).
     pub fn run_phases(&mut self, phases: RunPhases) -> io::Result<PhasedSummary> {
-        self.epoch = Instant::now();
-        let epoch = self.epoch;
-        let started = Instant::now();
-        // Start sessions before the threads exist: Started arms timers
-        // near t=0 and the wheels fire them once the threads spin up.
+        let begun = Instant::now();
+        // Wall→engine time origin: engine time `resume` is now.
+        let epoch = begun - Duration::from_nanos(self.resume.as_nanos());
+        // Start new sessions before the threads exist: Started arms
+        // timers at engine time `now` and the wheels fire them once the
+        // threads spin up.
         let now = sim_now(epoch);
-        for i in 0..self.set.num_shards() {
+        for (i, started) in self.started.iter_mut().enumerate() {
             let shard = self.set.shard_mut(i);
-            let cids: Vec<u32> = shard.cids().collect();
+            let cids: Vec<u32> = shard.cids().skip(*started).collect();
             for cid in cids {
                 shard.start_session(now, cid);
             }
+            *started = shard.session_count();
         }
 
         let backend = self.backend;
@@ -856,11 +866,12 @@ impl UdpServer {
             // The scope joins the shard threads, which exit on their
             // own once the drain phase runs out the deadline.
         });
+        self.resume = sim_now(epoch);
         if let Some(e) = first_error.lock().unwrap().take() {
             return Err(e);
         }
 
-        let elapsed = started.elapsed();
+        let elapsed = begun.elapsed();
         let report_window = SimTime::from_nanos(elapsed.as_nanos() as u64);
         let mut sent_symbols = 0;
         let mut delivered_symbols = 0;
@@ -869,16 +880,17 @@ impl UdpServer {
             delivered_symbols += report.delivered_symbols;
         }
         let totals = self.set.totals();
+        let (sent_before, delivered_before, before) =
+            std::mem::replace(&mut self.counted, (sent_symbols, delivered_symbols, totals));
         Ok(PhasedSummary {
             run: ServerSummary {
                 elapsed,
                 sessions: self.set.session_count(),
-                sent_symbols,
-                delivered_symbols,
-                shares_sent: totals.shares_sent,
-                datagrams_received: totals.datagrams_received,
-                handoffs: totals.handoff_in,
-                send_drops: totals.send_drops,
+                sent_symbols: sent_symbols - sent_before,
+                delivered_symbols: delivered_symbols - delivered_before,
+                shares_sent: totals.shares_sent - before.shares_sent,
+                datagrams_received: totals.datagrams_received - before.datagrams_received,
+                send_drops: totals.send_drops - before.send_drops,
             },
             window,
         })

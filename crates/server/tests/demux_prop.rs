@@ -7,14 +7,16 @@
 //! are tagged with their connection ID, scatters the resulting share
 //! datagrams across shards in a case-dependent order (mixed with
 //! corrupted variants), and then asserts payload purity per session
-//! plus exact drop accounting.
+//! plus exact drop accounting. A frame read by a shard that does not
+//! own its connection ID is processed by the owner, and takes nothing
+//! from the reader.
 
 use std::sync::Arc;
 
 use mcss_base::{Endpoint, SimTime};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::SourceMode;
-use mcss_remicss::wire::CID_PREFIX_BYTES;
+use mcss_remicss::wire::{demux_frame, DemuxFrame, CID_PREFIX_BYTES};
 use mcss_server::{ServerConfig, ShardSet};
 use proptest::prelude::*;
 
@@ -120,8 +122,19 @@ proptest! {
         }
         let rotation = (order_seed as usize) % wire.len().max(1);
         wire.rotate_left(rotation);
+        // Frames each shard reads for another, and processes for
+        // another: a frame names its owner by the ID in its prefix.
+        let mut expect_out = vec![0u64; shards];
+        let mut expect_in = vec![0u64; shards];
         for (i, (channel, bytes)) in wire.iter().enumerate() {
             let received_on = (order_seed as usize + i * 7) % shards;
+            if let Ok(DemuxFrame::Cid { cid, .. }) = demux_frame(bytes) {
+                let owner = set.shard_of(cid);
+                if owner != received_on {
+                    expect_out[received_on] += 1;
+                    expect_in[owner] += 1;
+                }
+            }
             let now = SimTime::from_millis(1) + SimTime::from_micros(i as u64);
             set.deliver_datagram(now, *channel, Endpoint::B, bytes, received_on);
         }
@@ -146,7 +159,55 @@ proptest! {
         prop_assert_eq!(totals.dropped_unknown_codec, expect_unknown_codec);
         prop_assert_eq!(totals.dropped_bad_frame, 0);
         prop_assert_eq!(totals.dropped_legacy, expect_legacy);
-        prop_assert_eq!(totals.handoff_rejected, 0);
         prop_assert_eq!(totals.datagrams_received, wire.len() as u64);
+        // Whichever shard read it, every detoured frame reached its
+        // owner and nowhere else.
+        prop_assert_eq!(totals.handoff_in, totals.handoff_out);
+        for shard in 0..shards {
+            let stats = set.stats(shard);
+            prop_assert_eq!(stats.handoff_out, expect_out[shard], "shard {}", shard);
+            prop_assert_eq!(stats.handoff_in, expect_in[shard], "shard {}", shard);
+        }
+    }
+
+    /// A shard that hosts no session and reads every frame routes each to
+    /// its owner and takes nothing from its own pool doing so.
+    #[test]
+    fn a_reader_without_sessions_detours_without_touching_its_pool(
+        symbols in 1usize..=32,
+    ) {
+        let config = Arc::new(
+            ProtocolConfig::new(2.0, 3.0)
+                .unwrap()
+                .with_symbol_bytes(SYMBOL_BYTES),
+        );
+        // Two shards; every session is odd, so shard 0 hosts none.
+        const ODD: [u32; 3] = [1, 3, 5];
+        let mut set = ShardSet::new(&ServerConfig::with_shards(2));
+        for &cid in &ODD {
+            set.add_session(cid, Arc::clone(&config), 5, SourceMode::External, u64::from(cid))
+                .unwrap();
+            set.start(SimTime::ZERO, cid);
+        }
+        let mut detoured = 0u64;
+        for round in 0..symbols {
+            let now = SimTime::from_micros(round as u64 * 10);
+            for &cid in &ODD {
+                set.offer_symbol(now, cid, &tag(cid));
+                while let Some(d) = set.shard_mut(1).pop_outbound() {
+                    set.deliver_datagram(now, d.channel, Endpoint::B, &d.bytes, 0);
+                    set.shard_mut(1).recycle_outbound(d.bytes);
+                    detoured += 1;
+                }
+                let (_, payload) = set.shard_mut(1).pop_delivered(cid).expect("reconstructed");
+                prop_assert_eq!(&payload[..], &tag(cid)[..]);
+                set.shard_mut(1).recycle_delivered(cid, payload);
+            }
+        }
+        let reader = set.shard(0).pool();
+        prop_assert_eq!(reader.hits() + reader.misses(), 0);
+        prop_assert_eq!(set.stats(0).handoff_out, detoured);
+        prop_assert_eq!(set.stats(1).handoff_in, detoured);
+        prop_assert_eq!(set.totals().symbols_delivered, (symbols * ODD.len()) as u64);
     }
 }

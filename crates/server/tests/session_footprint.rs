@@ -11,7 +11,7 @@
 //! holds no metric at all. The buffers went the same way: frames, parked
 //! shares and reconstructions live in the shard's one pool, which its
 //! engines borrow, so a session is its pool-less engine and reassembly
-//! table, under 3 KB after traffic (2.8 KB here, where a thousand
+//! table, under 3 KB after traffic (2.2 KB here, where a thousand
 //! sessions divide the shards' own state; 2.0 KB on the benchmark's
 //! 10 000-session `mem_fleet`), and the pool holds what one symbol has
 //! in flight, not what every session once had.
@@ -85,12 +85,14 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 2 789 B (+ 25 %); a session that kept its own protocol
-/// counters held 3.4 KB, one that built the B→A direction whether or
-/// not its traffic used it 4.4 KB, one with two hash maps per direction
-/// 5.1 KB, one stored inline in a hash table's buckets 6.8 KB, one that
-/// owned its buffers 8.5 KB, one that owned its histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 3_490;
+/// Measured 2 168 B (+ 25 %); beside shards that kept cross-shard
+/// handoff queues (0.6 KB a session here) a session held 2.8 KB, one
+/// that kept its own protocol counters 3.4 KB, one that built the B→A
+/// direction whether or not its traffic used it 4.4 KB, one with two
+/// hash maps per direction 5.1 KB, one stored inline in a hash table's
+/// buckets 6.8 KB, one that owned its buffers 8.5 KB, one that owned its
+/// histograms too 176 KB.
+const BUDGET_BYTES_PER_SESSION: i64 = 2_710;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
@@ -161,7 +163,7 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
         "the warm-up is lossless"
     );
 
-    // The whole set — shards, queues, the shards' histograms — divided
+    // The whole set — shards, sessions, the shards' histograms — divided
     // among the sessions.
     let live = live_bytes() - baseline;
     let per_session = live / i64::from(SESSIONS);

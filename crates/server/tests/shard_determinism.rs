@@ -286,10 +286,9 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
     assert_eq!(totals.dropped_unknown_cid, 0, "shards={shards}");
     assert_eq!(totals.dropped_malformed, 0, "shards={shards}");
     assert_eq!(totals.dropped_bad_frame, 0, "shards={shards}");
-    assert_eq!(totals.handoff_rejected, 0, "shards={shards}");
     if shards > 1 {
         // The rotating reader guarantees frames regularly land on
-        // non-owning shards, so the handoff path really ran.
+        // non-owning shards, so the detour to the owner really ran.
         assert!(
             totals.handoff_in > 0,
             "shards={shards}: replay never exercised cross-shard handoff"

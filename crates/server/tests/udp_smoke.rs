@@ -12,7 +12,9 @@
 //! and the per-channel delay distributions its shards recorded. A fleet
 //! whose sources have stopped must hold no timer at all. On epoll, idle
 //! shards sleep to the run's deadline instead of spinning, and sources
-//! faster than the loop's millisecond timer grid keep their rate.
+//! faster than the loop's millisecond timer grid keep their rate. A
+//! server run several times in a row resumes where it stopped: each
+//! run sends at the sources' rate and reports only its own traffic.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,8 +57,6 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
     assert_eq!(totals.dropped_malformed, 0, "{totals:?}");
     assert_eq!(totals.dropped_legacy, 0, "{totals:?}");
     assert_no_handoff(&totals);
-    // Buffers never leak across pools: full return rings would count.
-    assert_eq!(totals.returns_migrated, 0, "{totals:?}");
     // Every backend accounts its event loop.
     assert!(totals.wakeups > 0, "{totals:?}");
     assert!(totals.syscalls_recv > 0, "{totals:?}");
@@ -220,12 +220,8 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
 /// its own sessions' frames: nothing crosses to another shard.
 fn assert_no_handoff(totals: &ShardStatsSnapshot) {
     assert_eq!(
-        (
-            totals.handoff_in,
-            totals.handoff_out,
-            totals.handoff_rejected
-        ),
-        (0, 0, 0),
+        (totals.handoff_in, totals.handoff_out),
+        (0, 0),
         "{totals:?}"
     );
 }
@@ -386,4 +382,54 @@ fn sources_faster_than_the_timer_grid_keep_their_rate() {
         summary.delivered_symbols as f64 >= 0.99 * sent,
         "{summary:?}"
     );
+}
+
+/// Consecutive runs of one server continue one another: engine time
+/// resumes where the last run stopped and no session is started twice,
+/// so every run delivers at the sources' rate, each summary counts only
+/// its own run, and the wheels hold a source timer a session and at most
+/// one sweep timer beside it — not one more source chain a run.
+#[test]
+fn consecutive_runs_keep_the_rate_and_start_each_session_once() {
+    const RATE: f64 = 500.0;
+    const SESSIONS: u32 = 20;
+    let protocol = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap().with_symbol_bytes(64));
+    for &backend in IoBackend::available() {
+        let mut config = ServerConfig::with_shards(2);
+        config.io = match backend {
+            IoBackend::Busypoll => IoMode::Busypoll,
+            IoBackend::Epoll => IoMode::Epoll,
+        };
+        let mut server = UdpServer::new(config, Arc::clone(&protocol), 5).expect("sockets bind");
+        for cid in 0..SESSIONS {
+            let workload = Workload::cbr(RATE, SimTime::from_secs(30));
+            server
+                .add_session(cid, workload, 1 + u64::from(cid))
+                .unwrap();
+        }
+        let mut delivered = 0;
+        for run in 0..3 {
+            let summary = server.run_for(Duration::from_millis(300)).expect("run");
+            let expected = RATE * f64::from(SESSIONS) * summary.elapsed.as_secs_f64();
+            let got = summary.delivered_symbols as f64;
+            assert!(
+                (0.8 * expected..=1.2 * expected).contains(&got),
+                "{backend:?} run {run}: {got} delivered, {expected:.0} expected: {summary:?}"
+            );
+            delivered += summary.delivered_symbols;
+            assert_eq!(
+                server.shards().totals().symbols_delivered,
+                delivered,
+                "{backend:?} run {run}: summaries add up to the lifetime total"
+            );
+            let pending: usize = (0..2)
+                .map(|i| server.shards().shard(i).timers_pending())
+                .sum();
+            let sessions = SESSIONS as usize;
+            assert!(
+                (sessions..=2 * sessions).contains(&pending),
+                "{backend:?} run {run}: {pending} timers pending"
+            );
+        }
+    }
 }

@@ -1,13 +1,12 @@
-//! Zero-allocation regression for the cross-shard buffer handoff.
+//! Zero-allocation regression for a [`ShardSet`] whose every frame
+//! arrives at the wrong shard.
 //!
-//! Every datagram in this test is read by the *wrong* shard: the reader
-//! copies the inner frame into a buffer from its own pool, hands it to
-//! the owner through the bounded inbox, and the owner sends the buffer
-//! home through the reader's return ring. In steady state that whole
-//! round trip — plus the engines' split/frame/reassemble path under it
-//! — must allocate nothing, and no buffer may be stranded on the wrong
-//! shard (`returns_migrated` stays zero, both pools' miss/grow counters
-//! stay flat). The engines have no buffers of their own: frames, the
+//! Every datagram in this test is read by the shard that does not own
+//! its session: the reader counts it and names the owner, and the owner
+//! processes the same borrowed bytes. In steady state that detour —
+//! plus the engines' split/frame/reassemble path under it — must
+//! allocate nothing, and both pools' miss/grow counters must stay flat.
+//! The engines have no buffers of their own: frames, the
 //! share parked until its sibling arrives and the buffer the symbol is
 //! reconstructed into all come out of the owner's pool, so each pool
 //! must also end a round with as many idle buffers as it began — every
@@ -15,7 +14,7 @@
 //!
 //! A counting global allocator (filtered to the measured thread, as in
 //! the engine-level `zero_alloc` test) snapshots after a warmup window
-//! long enough for every pool, ring, and reassembly table to reach its
+//! long enough for every pool and reassembly table to reach its
 //! high-water mark. Time moves throughout: every round polls the shard
 //! timer wheels, the sessions' demand-armed sweep timers fire and are
 //! set again, and the measured window spans several rollovers of the
@@ -81,7 +80,7 @@ const CIDS: [u32; 2] = [0, 1];
 
 /// One duty cycle: offer a symbol to each session, deliver every
 /// produced datagram to the session's *non-owning* shard so the frame
-/// always crosses the handoff queues, then fire the timers now due.
+/// always detours to its owner, then fire the timers now due.
 fn round(set: &mut ShardSet, now: SimTime, payload: &[u8]) {
     for &cid in &CIDS {
         set.offer_symbol(now, cid, payload);
@@ -101,7 +100,7 @@ fn round(set: &mut ShardSet, now: SimTime, payload: &[u8]) {
 }
 
 #[test]
-fn cross_shard_handoff_is_allocation_free_in_steady_state() {
+fn every_frame_on_the_wrong_shard_allocates_nothing_in_steady_state() {
     ON_MEASURED_THREAD.with(|flag| flag.set(true));
     let config = Arc::new(
         ProtocolConfig::new(2.0, 3.0)
@@ -142,26 +141,20 @@ fn cross_shard_handoff_is_allocation_free_in_steady_state() {
     let during = allocations() - before;
     let totals = set.totals();
 
-    // The handoff path and the timers genuinely ran during measurement...
+    // The detour and the timers genuinely ran during measurement...
     assert!(
         totals.handoff_in > warm.handoff_in,
-        "measurement window saw no cross-shard handoffs"
+        "measurement window saw no frame on the wrong shard"
     );
     assert!(
         totals.timers_fired > warm.timers_fired,
         "measurement window fired no timers"
     );
-    assert_eq!(
-        totals.handoff_rejected, warm.handoff_rejected,
-        "inbox overflowed"
-    );
-    // ...every buffer made it home rather than migrating pools...
-    assert_eq!(totals.returns_migrated, 0, "return ring overflowed");
-    // ...no session lost a symbol crossing shards...
+    // ...no session lost a symbol on the wrong shard...
     assert_eq!(
         totals.symbols_delivered,
         CIDS.len() as u64 * (WARMUP_ROUNDS + MEASURE_ROUNDS),
-        "loopback-through-handoff lost symbols"
+        "loopback through the wrong shard lost symbols"
     );
     // ...and the steady state allocated nothing: shard pools stayed at
     // their high-water mark, got every buffer back, and the allocator
@@ -175,6 +168,6 @@ fn cross_shard_handoff_is_allocation_free_in_steady_state() {
     }
     assert_eq!(
         during, 0,
-        "{during} allocations during {MEASURE_ROUNDS} steady-state handoff rounds"
+        "{during} allocations during {MEASURE_ROUNDS} steady-state wrong-shard rounds"
     );
 }
