@@ -6,8 +6,9 @@
 //! readiness-driven epoll loop and the portable busy-poll loop are
 //! directly comparable per point.
 //!
-//! Each point registers `sessions` CBR sources behind one server
-//! (shard count capped at the host's parallelism) and runs three
+//! Each point registers `sessions` CBR sources behind one server, on
+//! one shard and on the host's shard count (its parallelism, clamped to
+//! 2..=8) — the 1 → n step is the scaling the shards buy — and runs three
 //! wall-clock phases: a warmup (excluded — session start and pool
 //! warm-up settle), the measured window proper
 //! (counter deltas sampled at its exact edges), and a drain tail so
@@ -31,9 +32,10 @@
 //!   `smoke` = 10/100/1k (the CI smoke job), `full` = default + 100k.
 //! * `MCSS_SERVER_IO`: when set, only that backend is swept (the CI
 //!   forced-backend matrix); otherwise every available backend runs.
-//! * `MCSS_SERVER_SCALE_ASSERT=1`: exit nonzero unless each swept
-//!   backend's 1k-session `delivered_per_sec` is within 25% of its
-//!   100-session point (the CI scaling regression gate).
+//! * `MCSS_SERVER_SCALE_ASSERT=1`: exit nonzero unless, for each swept
+//!   backend and shard count, the 1k-session `delivered_per_sec` is
+//!   within 25% of the 100-session point (the CI scaling regression
+//!   gate).
 //! * `MCSS_SERVER_KNEE=0`: skip the per-point offered-load escalation
 //!   (it is also skipped in `smoke` mode, which feeds the CI gate and
 //!   only needs the base-load points).
@@ -43,7 +45,7 @@
 //! drops below [`KNEE_THRESHOLD`] — the *knee*, the offered load at
 //! which the server stops keeping up. The `knee` section of the JSON
 //! records every escalation level plus the highest sustained load per
-//! (backend, sessions) point, so throughput headroom is measured
+//! (backend, shards, sessions) point, so throughput headroom is measured
 //! rather than inferred from the fixed base load.
 
 use std::sync::Arc;
@@ -116,10 +118,11 @@ struct KneeLevel {
     offered_vs_delivered: f64,
 }
 
-/// The offered-load knee for one (backend, sessions) point.
+/// The offered-load knee for one (backend, shards, sessions) point.
 #[derive(Serialize)]
 struct KneePoint {
     io_backend: &'static str,
+    shards: usize,
     sessions: usize,
     /// Highest offered load (sym/s) the server sustained with
     /// `offered_vs_delivered ≥ KNEE_THRESHOLD`.
@@ -148,11 +151,14 @@ struct ScaleReport {
     knee: Vec<KneePoint>,
 }
 
-fn shard_count() -> usize {
-    std::thread::available_parallelism()
+/// The shard counts swept: one, and the host's parallelism clamped to
+/// 2..=8.
+fn shard_counts() -> [usize; 2] {
+    let host = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(2)
-        .clamp(2, 8)
+        .clamp(2, 8);
+    [1, host]
 }
 
 fn run_point(
@@ -246,11 +252,11 @@ fn knee_enabled() -> bool {
         && std::env::var("MCSS_SERVER_KNEE").as_deref() != Ok("0")
 }
 
-/// Escalates the offered load for one (backend, sessions) point in ×2
-/// steps from the already-measured base point until the server stops
-/// keeping up ([`KNEE_THRESHOLD`]) or the cap is hit, and summarizes
-/// the knee.
-fn knee_sweep(base: &ScalePoint, shards: usize, backend: IoBackend) -> KneePoint {
+/// Escalates the offered load for one (backend, shards, sessions) point
+/// in ×2 steps from the already-measured base point until the server
+/// stops keeping up ([`KNEE_THRESHOLD`]) or the cap is hit, and
+/// summarizes the knee.
+fn knee_sweep(base: &ScalePoint, backend: IoBackend) -> KneePoint {
     let level = |p: &ScalePoint| KneeLevel {
         offered_aggregate: p.offered_aggregate,
         delivered_per_sec: p.delivered_per_sec,
@@ -267,13 +273,14 @@ fn knee_sweep(base: &ScalePoint, shards: usize, backend: IoBackend) -> KneePoint
         // the global constant would produce levels below the base.
         let p = run_point(
             base.sessions,
-            shards,
+            base.shards,
             backend,
             base.offered_aggregate * mult,
         );
         println!(
-            "{:>8} {:>7} sessions @ {:>7.0} sym/s offered: {:>8.0} delivered ({:>5.1}%)",
+            "{:>8} {} shards {:>7} sessions @ {:>7.0} sym/s offered: {:>8.0} delivered ({:>5.1}%)",
             p.io_backend,
+            p.shards,
             p.sessions,
             p.offered_aggregate,
             p.delivered_per_sec,
@@ -296,6 +303,7 @@ fn knee_sweep(base: &ScalePoint, shards: usize, backend: IoBackend) -> KneePoint
         .fold(0.0, f64::max);
     KneePoint {
         io_backend: base.io_backend,
+        shards: base.shards,
         sessions: base.sessions,
         sustained_offered,
         knee_offered: knee.map(|l| l.offered_aggregate),
@@ -306,18 +314,19 @@ fn knee_sweep(base: &ScalePoint, shards: usize, backend: IoBackend) -> KneePoint
 }
 
 /// The CI scaling gate: 1k-session throughput within `tolerance` of
-/// the 100-session point, per backend. Returns the failures.
+/// the 100-session point, per backend and shard count. Returns the
+/// failures.
 fn scaling_regressions(points: &[ScalePoint], tolerance: f64) -> Vec<String> {
     let mut failures = Vec::new();
-    for backend in points
+    for (backend, shards) in points
         .iter()
-        .map(|p| p.io_backend)
+        .map(|p| (p.io_backend, p.shards))
         .collect::<std::collections::BTreeSet<_>>()
     {
         let at = |sessions: usize| {
             points
                 .iter()
-                .find(|p| p.io_backend == backend && p.sessions == sessions)
+                .find(|p| p.io_backend == backend && p.shards == shards && p.sessions == sessions)
                 .map(|p| p.delivered_per_sec)
         };
         let (Some(base), Some(scaled)) = (at(100), at(1_000)) else {
@@ -325,7 +334,7 @@ fn scaling_regressions(points: &[ScalePoint], tolerance: f64) -> Vec<String> {
         };
         if (scaled - base).abs() > tolerance * base {
             failures.push(format!(
-                "{backend}: 1k-session {scaled:.0} sym/s deviates more than \
+                "{backend}, {shards} shards: 1k-session {scaled:.0} sym/s deviates more than \
                  {:.0}% from the 100-session {base:.0} sym/s",
                 tolerance * 100.0
             ));
@@ -336,9 +345,9 @@ fn scaling_regressions(points: &[ScalePoint], tolerance: f64) -> Vec<String> {
 
 fn main() {
     mcss_bench::report::enable_emission();
-    let shards = shard_count();
+    let [one, host] = shard_counts();
     println!(
-        "server scaling: {shards} shards, {CHANNELS} channels, \
+        "server scaling: {one} and {host} shards, {CHANNELS} channels, \
          {AGGREGATE_OFFERED:.0} sym/s aggregate offered, \
          {:.0} ms warmup + {:.0} ms window + {:.0} ms drain\n",
         WARMUP.as_secs_f64() * 1e3,
@@ -348,39 +357,43 @@ fn main() {
     let mut points = Vec::new();
     let mut knee = Vec::new();
     for backend in backends() {
-        for sessions in session_counts() {
-            let p = run_point(sessions, shards, backend, AGGREGATE_OFFERED);
-            println!(
-                "{:>8} {:>7} sessions: {:>8.0} sym/s delivered ({:>5.1}% of offered)  \
-                 {:>8} datagrams  {:>5.1} dg/syscall  {:>4.1} dg/message  {:>6} wakeups  \
-                 {:>7} handoffs  {:>5} send drops",
-                p.io_backend,
-                p.sessions,
-                p.delivered_per_sec,
-                p.offered_vs_delivered * 100.0,
-                p.datagrams_received,
-                p.datagrams_per_syscall,
-                p.datagrams_per_message,
-                p.wakeups,
-                p.handoffs,
-                p.send_drops
-            );
-            if knee_enabled() {
-                let k = knee_sweep(&p, shards, backend);
+        for shards in [one, host] {
+            for sessions in session_counts() {
+                let p = run_point(sessions, shards, backend, AGGREGATE_OFFERED);
                 println!(
-                    "{:>8} {:>7} sessions: knee {} (sustained {:.0} sym/s, peak {:.0} sym/s)",
-                    k.io_backend,
-                    k.sessions,
-                    k.knee_offered
-                        .map_or("not reached at cap".to_string(), |o| format!(
-                            "at {o:.0} sym/s offered"
-                        )),
-                    k.sustained_offered,
-                    k.peak_delivered_per_sec
+                    "{:>8} {} shards {:>7} sessions: {:>8.0} sym/s delivered ({:>5.1}% of offered)  \
+                     {:>8} datagrams  {:>5.1} dg/syscall  {:>4.1} dg/message  {:>6} wakeups  \
+                     {:>7} handoffs  {:>5} send drops",
+                    p.io_backend,
+                    p.shards,
+                    p.sessions,
+                    p.delivered_per_sec,
+                    p.offered_vs_delivered * 100.0,
+                    p.datagrams_received,
+                    p.datagrams_per_syscall,
+                    p.datagrams_per_message,
+                    p.wakeups,
+                    p.handoffs,
+                    p.send_drops
                 );
-                knee.push(k);
+                if knee_enabled() {
+                    let k = knee_sweep(&p, backend);
+                    println!(
+                        "{:>8} {} shards {:>7} sessions: knee {} (sustained {:.0} sym/s, peak {:.0} sym/s)",
+                        k.io_backend,
+                        k.shards,
+                        k.sessions,
+                        k.knee_offered
+                            .map_or("not reached at cap".to_string(), |o| format!(
+                                "at {o:.0} sym/s offered"
+                            )),
+                        k.sustained_offered,
+                        k.peak_delivered_per_sec
+                    );
+                    knee.push(k);
+                }
+                points.push(p);
             }
-            points.push(p);
         }
     }
     let failures = scaling_regressions(&points, 0.25);

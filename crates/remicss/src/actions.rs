@@ -11,6 +11,10 @@
 //! for a hosted [`EngineCore`](crate::engine::EngineCore), the pool its
 //! host lent it — where "give the buffer back" below means a `put` into
 //! that pool, and every `frame` already starts with the host's prefix.
+//! A host drains a core's actions after each call into it, as a server
+//! shard does while the session is still in cache; nothing queued
+//! borrows from the [`Scratch`](crate::engine::Scratch) the host lent,
+//! which the next session's call overwrites.
 //!
 //! | Event | Meaning |
 //! |---|---|

@@ -23,12 +23,13 @@
 //! The engine owns no buffer either, unless asked to. [`EngineCore`] is
 //! the state machine itself: each call that can emit a frame or park a
 //! share borrows from its host a [`Lent`]: the [`BufferPool`], the bytes
-//! every frame it emits must start with, and the share key with the
-//! session's stream id. So a host of many sessions (a server shard)
-//! lends all of them one pool and one key and gets frames it can put on
-//! the wire as they are. [`Engine`] is that core next to a pool and a
-//! key of its own and an empty prefix — what a single-session driver
-//! wants.
+//! every frame it emits must start with, the share key with the
+//! session's stream id, and the [`Scratch`] a symbol is drawn and split
+//! in. So a host of many sessions (a server shard) lends all of them one
+//! pool, one key and one scratch and gets frames it can put on the wire
+//! as they are. [`Engine`] is that core next to a pool, a key and a
+//! scratch of its own and an empty prefix — what a single-session
+//! driver wants.
 //!
 //! Two source modes cover the drivers' needs:
 //!
@@ -276,6 +277,19 @@ fn pattern_matches(seq: u64, payload: &[u8]) -> bool {
         .all(|chunk| chunk == &period[..chunk.len()])
 }
 
+/// What one symbol's transmit writes before any other event can read
+/// it: the scheduler's [`Choice`] and the codec's coefficient planes and
+/// pad. Every scheduler writes the whole choice, and every split refills
+/// each plane and pad byte it reads from the share stream, so a host
+/// lends one scratch to all of its sessions in turn and nothing of one
+/// session's symbol reaches another's. It grows to the largest split it
+/// has served and never shrinks: warm, a split allocates nothing.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    choice: Choice,
+    codec: CodecScratch,
+}
+
 /// What a call into [`EngineCore`] borrows from its host.
 #[derive(Debug)]
 pub struct Lent<'a> {
@@ -291,6 +305,9 @@ pub struct Lent<'a> {
     /// The session's stream id under `key`, unique among the host's
     /// sessions: the connection ID on a server, 0 on a host of one.
     pub stream: u32,
+    /// The host's scratch, which a symbol is scheduled and split in: one
+    /// per host, lent to each of its sessions in turn.
+    pub scratch: &'a mut Scratch,
 }
 
 impl Lent<'_> {
@@ -303,12 +320,14 @@ impl Lent<'_> {
 }
 
 /// The protocol state machine without buffers: [`Engine`]'s state and
-/// all of its logic, written against the pool, frame prefix and share
-/// key the host lends for the duration of a call ([`Lent`]).
+/// all of its logic, written against the pool, frame prefix, share key
+/// and scratch the host lends for the duration of a call ([`Lent`]).
+/// A core keeps only what outlives an event.
 ///
-/// A host of many sessions keeps one [`BufferPool`], one [`ShareKey`]
-/// and one core per session. Every `pool` lent to one core must be the
-/// same pool: the shares its reassembly tables park are slots of it.
+/// A host of many sessions keeps one [`BufferPool`], one [`ShareKey`],
+/// one [`Scratch`] and one core per session. Every `pool` lent to one
+/// core must be the same pool: the shares its reassembly tables park are
+/// slots of it.
 /// Every `(key, stream)` lent to one core must be the same too, and no
 /// other core on the host may be lent it: the core splits each symbol
 /// of a direction once, on the stream named by the direction and the
@@ -352,10 +371,6 @@ pub struct EngineCore {
     // Channel readiness as last reported by the driver via
     // `Event::ChannelWritable`.
     backlogs_a: Vec<SimTime>,
-    // Steady-state scratch: these persistent buffers make the per-symbol
-    // data path allocation-free once warm (see `transmit`).
-    choice: Choice,
-    split_scratch: CodecScratch,
     pacer: Option<Pacer>,
     metrics: Arc<HostMetrics>,
 
@@ -533,9 +548,7 @@ impl EngineCore {
             cpu_b: CpuClock::new(),
             metrics,
             backlogs_a: vec![SimTime::ZERO; n],
-            choice: Choice::default(),
             codec: config.codec(),
-            split_scratch: CodecScratch::new(),
             // Allocated with the engine, among the session's other
             // allocations: the first event would allocate it anyway, and
             // left until then, building a fleet is measurably slower
@@ -694,7 +707,8 @@ impl EngineCore {
     /// Feeds one event into the state machine, then queues the resulting
     /// actions for [`poll_action`](EngineCore::poll_action). Buffers
     /// come from and go back to `lent.pool`; every frame emitted starts
-    /// with `lent.prefix`; share randomness is drawn under `lent.key`.
+    /// with `lent.prefix`; share randomness is drawn under `lent.key`; a
+    /// symbol is scheduled and split in `lent.scratch`.
     ///
     /// `now` must be monotonically non-decreasing across calls; `rng` is
     /// the session's model stream (scheduler draws), so seeding it
@@ -911,11 +925,12 @@ impl EngineCore {
     /// Splits and queues one symbol's shares from `from`. Returns `false`
     /// if the symbol was shed by the CPU model before transmission.
     ///
-    /// Steady-state allocation-free: the scheduler writes into a reused
-    /// [`Choice`], shares are encoded by the session codec's
-    /// `split_into` directly into pooled wire buffers (host prefix and
-    /// header already written), and the host puts the buffers back once
-    /// the frames are sent. Each share is written exactly once.
+    /// Steady-state allocation-free: the scheduler writes into the lent
+    /// [`Scratch`]'s [`Choice`], shares are encoded by the session
+    /// codec's `split_into` over its planes directly into pooled wire
+    /// buffers (host prefix and header already written), and the host
+    /// puts the buffers back once the frames are sent. Each share is
+    /// written exactly once.
     ///
     /// The split draws from the share stream of `(from, split)`, where
     /// `split` counts the symbols `from` split before: at A that is
@@ -933,7 +948,6 @@ impl EngineCore {
         payload: &[u8],
         rng: &mut StdRng,
     ) -> bool {
-        let mut choice = mem::take(&mut self.choice);
         {
             let (scheduler, backlogs) = match from {
                 Endpoint::A => (&mut self.scheduler_a, &self.backlogs_a),
@@ -946,9 +960,9 @@ impl EngineCore {
                 }
             };
             let state = ChannelState::new(backlogs, self.config.readiness_threshold());
-            scheduler.choose_into(&state, rng, &mut choice);
+            scheduler.choose_into(&state, rng, &mut lent.scratch.choice);
         }
-        let m = choice.channels.len();
+        let (k, m) = (lent.scratch.choice.k, lent.scratch.choice.channels.len());
         if let Some(cpu) = self.config.cpu() {
             let cost = cpu.send_cost(m, payload.len());
             let clock = match from {
@@ -956,7 +970,6 @@ impl EngineCore {
                 Endpoint::B => &mut self.cpu_b,
             };
             if !clock.try_charge(now, cost, cpu) {
-                self.choice = choice;
                 return false;
             }
         }
@@ -976,48 +989,38 @@ impl EngineCore {
         // Per-share payload size is codec-defined (Shamir: the symbol
         // itself; XOR: prefix + replica slots) and uniform across the
         // m shares, so every header can be written before the split.
-        let share_len = codec.share_len(payload.len(), choice.k, m as u8);
+        let share_len = codec.share_len(payload.len(), k, m as u8);
         // `m ≤ n ≤ MAX_CHANNELS`, which `new` checked.
         let mut outs = [const { Vec::new() }; MAX_CHANNELS];
         let outs = &mut outs[..m];
         for (j, buf) in outs.iter_mut().enumerate() {
             // Share j of a split carries abscissa j + 1.
             *buf = lent.take_frame();
-            wire::put_share_header_for(
-                buf,
-                codec,
-                seq,
-                choice.k,
-                m as u8,
-                j as u8 + 1,
-                stamp,
-                share_len,
-            )
-            .expect("share parameters validated");
+            wire::put_share_header_for(buf, codec, seq, k, m as u8, j as u8 + 1, stamp, share_len)
+                .expect("share parameters validated");
         }
         codec
             .split_into(
                 payload,
-                choice.k,
+                k,
                 m as u8,
                 &mut stream,
-                &mut self.split_scratch,
+                &mut lent.scratch.codec,
                 outs,
             )
             .expect("split cannot fail");
         if from == Endpoint::A {
-            self.sum_k += u64::from(choice.k);
+            self.sum_k += u64::from(k);
             self.sum_m += m as u64;
-            self.metrics.record_choice(choice.k, m);
+            self.metrics.record_choice(k, m);
         }
-        for (buf, &channel) in outs.iter_mut().zip(&choice.channels) {
+        for (buf, &channel) in outs.iter_mut().zip(&lent.scratch.choice.channels) {
             self.actions.push_back(Action::SendShare {
                 channel,
                 from,
                 frame: mem::take(buf),
             });
         }
-        self.choice = choice;
         true
     }
 
@@ -1175,6 +1178,7 @@ pub struct Engine {
     core: EngineCore,
     pool: BufferPool,
     key: ShareKey,
+    scratch: Scratch,
 }
 
 impl Engine {
@@ -1195,6 +1199,7 @@ impl Engine {
             core: EngineCore::new(config, n, source, Arc::new(HostMetrics::new(n)))?,
             pool: BufferPool::new(),
             key: ShareKey::generate(),
+            scratch: Scratch::default(),
         })
     }
 
@@ -1263,8 +1268,8 @@ impl Engine {
         self.pool.put(buf);
     }
 
-    /// [`EngineCore::handle`] over the engine's own pool and key, with no
-    /// frame prefix, as stream 0.
+    /// [`EngineCore::handle`] over the engine's own pool, key and scratch,
+    /// with no frame prefix, as stream 0.
     ///
     /// # Panics
     ///
@@ -1276,14 +1281,15 @@ impl Engine {
             key: &self.key,
             // The one session of its host.
             stream: 0,
+            scratch: &mut self.scratch,
         };
         self.core.handle(lent, now, event, rng);
     }
 
-    /// [`EngineCore::handle_frame`] over the engine's own pool and key,
-    /// as stream 0, with no
-    /// frame prefix. Hand `bytes`' buffer back with
-    /// [`recycle`](Engine::recycle) once the queued actions are applied.
+    /// [`EngineCore::handle_frame`] over the engine's own pool, key and
+    /// scratch, as stream 0, with no frame prefix. Hand `bytes`' buffer
+    /// back with [`recycle`](Engine::recycle) once the queued actions are
+    /// applied.
     ///
     /// # Errors
     ///
@@ -1301,6 +1307,7 @@ impl Engine {
             prefix: &[],
             key: &self.key,
             stream: 0,
+            scratch: &mut self.scratch,
         };
         self.core.handle_frame(lent, now, channel, to, bytes, rng)
     }
@@ -1369,12 +1376,14 @@ mod tests {
         // → `share_send_ok`), from the sequence number to the host's
         // `metrics`, which count the choice and each send. `metrics`
         // closes the group because a received share reads it first
-        // (`record_receive`), on its way to the group below.
+        // (`record_receive`), on its way to the group below. The choice
+        // and the split planes a symbol is drawn in are the host's
+        // (`Scratch`).
         let transmit_start = offset_of!(EngineCore, next_seq);
         let transmit_end = offset_of!(EngineCore, metrics) + size_of::<Arc<HostMetrics>>();
         assert!(
-            transmit_end - transmit_start <= 384,
-            "the transmit group spans {} B, more than six cache lines",
+            transmit_end - transmit_start <= 128,
+            "the transmit group spans {} B, more than two cache lines",
             transmit_end - transmit_start
         );
         let transmit = offsets!(
@@ -1385,8 +1394,6 @@ mod tests {
             sum_m,
             scheduler_a,
             backlogs_a,
-            choice,
-            split_scratch,
             pacer,
             metrics
         );
@@ -1447,10 +1454,11 @@ mod tests {
         }
         // 1 472 B before the fields were ordered and the reassembly maps
         // merged, 1 400 B before the return path was boxed and the
-        // transmit frames moved to the stack; declaration order must not
+        // transmit frames moved to the stack, 768 B before the choice and
+        // the split planes moved to the host; declaration order must not
         // cost padding.
         assert!(
-            size_of::<EngineCore>() <= 872,
+            size_of::<EngineCore>() <= 688,
             "`EngineCore` grew to {} B",
             size_of::<EngineCore>()
         );

@@ -12,7 +12,7 @@ use mcss_base::BufferPool;
 use mcss_codec::ShareKey;
 use mcss_netsim::SimTime;
 use mcss_remicss::actions::{Action, Event};
-use mcss_remicss::engine::{EngineCore, Lent, SourceMode};
+use mcss_remicss::engine::{EngineCore, Lent, Scratch, SourceMode};
 use mcss_remicss::scheduler::{ChannelState, DynamicScheduler, Scheduler as _};
 use mcss_remicss::{HostMetrics, ProtocolConfig};
 use rand::rngs::StdRng;
@@ -102,8 +102,9 @@ fn near_boundary_parameters_converge() {
 }
 
 /// A fleet of 16 sessions hosted on two shards, as a server hosts them:
-/// every engine records its draws into its shard's one set. Each shard's
-/// draws, and the two sets merged, converge as one session's do.
+/// every engine records its draws into its shard's one set and is lent
+/// its shard's one scratch. Each shard's draws, and the two sets merged,
+/// converge as one session's do.
 #[test]
 fn a_hosted_fleet_converges_within_one_percent() {
     const SHARDS: usize = 2;
@@ -115,8 +116,11 @@ fn a_hosted_fleet_converges_within_one_percent() {
             .with_symbol_bytes(16),
     );
     let key = ShareKey::insecure_from_seed(1);
-    let mut shards: Vec<(Arc<HostMetrics>, BufferPool)> = (0..SHARDS)
-        .map(|_| (Arc::new(HostMetrics::new(n)), BufferPool::new()))
+    let mut shards: Vec<(Arc<HostMetrics>, BufferPool, Scratch)> = (0..SHARDS)
+        .map(|_| {
+            let metrics = Arc::new(HostMetrics::new(n));
+            (metrics, BufferPool::new(), Scratch::default())
+        })
         .collect();
     let mut sessions: Vec<(EngineCore, StdRng)> = (0..SESSIONS)
         .map(|cid| {
@@ -130,12 +134,13 @@ fn a_hosted_fleet_converges_within_one_percent() {
     for symbol in 0..SYMBOLS {
         let cid = symbol as usize % SESSIONS;
         let (engine, rng) = &mut sessions[cid];
-        let pool = &mut shards[cid % SHARDS].1;
+        let (_, pool, scratch) = &mut shards[cid % SHARDS];
         let lent = &mut Lent {
             pool,
             prefix: &[],
             key: &key,
             stream: cid as u32,
+            scratch,
         };
         let now = SimTime::from_micros(symbol);
         if symbol < SESSIONS as u64 {
@@ -150,7 +155,7 @@ fn a_hosted_fleet_converges_within_one_percent() {
         }
     }
     let fleet = HostMetrics::new(n);
-    for (metrics, _) in &shards {
+    for (metrics, ..) in &shards {
         assert_converged(metrics, kappa, mu, SYMBOLS / SHARDS as u64);
         fleet.absorb(metrics);
     }

@@ -18,10 +18,10 @@
 //! heap separately, see `engine_pin.rs`). The external-source phase
 //! keeps the engine's timers on the timer wheel, with time moving, and
 //! runs twice per codec: on a standalone `Engine`, and on a pool-less
-//! `EngineCore` lent a pool, a demux prefix and a share key the way a
-//! server shard hosts it. Every split draws from a fresh share stream
-//! (AES-128 in counter mode), as a host's do; the split phases below
-//! open one per symbol too.
+//! `EngineCore` lent a pool, a demux prefix, a share key and a scratch
+//! the way a server shard hosts it. Every split draws from a fresh
+//! share stream (AES-128 in counter mode), as a host's do; the split
+//! phases below open one per symbol too.
 //!
 //! It also proves the `mcss-obs` overhead contract: span timers, the
 //! host's protocol counters, and delay/gap/residency histograms all
@@ -44,7 +44,7 @@ use mcss_gf256::Gf256;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{Engine, EngineCore, Lent, SourceMode};
+use mcss_remicss::engine::{Engine, EngineCore, Lent, Scratch, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::session::{Session, Workload};
 use mcss_remicss::testbed;
@@ -290,6 +290,7 @@ struct Hosted {
     pool: BufferPool,
     key: ShareKey,
     prefix: Vec<u8>,
+    scratch: Scratch,
 }
 
 /// The hosted session's connection ID.
@@ -305,6 +306,7 @@ impl Hosted {
             pool: BufferPool::new(),
             key: ShareKey::generate(),
             prefix,
+            scratch: Scratch::default(),
         }
     }
 }
@@ -317,6 +319,7 @@ impl Host for Hosted {
             prefix: &self.prefix,
             key: &self.key,
             stream: HOSTED_CID,
+            scratch: &mut self.scratch,
         };
         self.core.handle(lent, now, event, rng);
     }
@@ -329,6 +332,7 @@ impl Host for Hosted {
             prefix: &self.prefix,
             key: &self.key,
             stream: HOSTED_CID,
+            scratch: &mut self.scratch,
         };
         let _ = self
             .core

@@ -2,8 +2,9 @@
 //! connection-ID space, [`ShardSet`] drives every shard from one thread
 //! with deterministic sequencing.
 //!
-//! A shard owns one [`BufferPool`] and lends it to every session it
-//! hosts: a session is a pool-less [`EngineCore`], so each share is
+//! A shard owns one [`BufferPool`] and one [`Scratch`] and lends them to
+//! every session it hosts: a session is a pool-less [`EngineCore`],
+//! drained the moment an event has run, so each share is
 //! written once — demux prefix, header, codec output — into a buffer off
 //! the shard's free list and that buffer is the outbound datagram, and
 //! the shares parked in reassembly and the reconstructions delivered sit
@@ -36,7 +37,7 @@ use mcss_codec::{CodecId, ShareKey};
 use mcss_obs::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{EngineCore, Lent, SessionReport, SourceMode};
+use mcss_remicss::engine::{EngineCore, Lent, Scratch, SessionReport, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError, CID_PREFIX_BYTES};
 use rand::rngs::StdRng;
@@ -139,10 +140,6 @@ struct SessionSlot {
     /// every frame with.
     prefix: [u8; CID_PREFIX_BYTES],
     record: bool,
-    /// Whether this session is on the shard's ready-list (its engine
-    /// may hold undrained actions). Intrusive flag: membership is O(1)
-    /// to test and the list holds no duplicates.
-    in_ready: bool,
     /// High-water mark of the engine's `delivered_total` already
     /// charged to the shard's `symbols_delivered` counter. Paced
     /// sources reconstruct without emitting `DeliverSymbol`, so the
@@ -152,30 +149,6 @@ struct SessionSlot {
     rng: StdRng,
     engine: EngineCore,
     action_log: Vec<Action>,
-}
-
-impl SessionSlot {
-    /// Feeds `event` to the engine, lending it the shard's `pool` and
-    /// `key`, with this session's prefix and, for its stream id, its
-    /// connection ID.
-    fn handle(&mut self, pool: &mut BufferPool, key: &ShareKey, now: SimTime, event: Event<'_>) {
-        let lent = &mut Lent {
-            pool,
-            prefix: &self.prefix,
-            key,
-            stream: self.cid,
-        };
-        self.engine.handle(lent, now, event, &mut self.rng);
-    }
-
-    /// Puts the session, which sits at `position`, on its shard's
-    /// `ready` list, once.
-    fn mark_ready(&mut self, position: u32, ready: &mut Vec<u32>) {
-        if !self.in_ready {
-            self.in_ready = true;
-            ready.push(position);
-        }
-    }
 }
 
 /// Slots per chunk of a [`SessionSlab`]: a power of two (the index
@@ -230,16 +203,15 @@ impl std::ops::IndexMut<u32> for SessionSlab {
 }
 
 /// One worker partition: the sessions it owns and their shared buffer
-/// pool, timer wheel and protocol metrics. It shares no mutable state
-/// with its peers.
+/// pool, scratch, timer wheel and protocol metrics. It shares no mutable
+/// state with its peers.
 #[derive(Debug)]
 pub struct Shard {
     index: usize,
     num_shards: usize,
     /// The sessions, in creation order. A session is found once per
     /// event — connection ID to position through `by_cid` — and by
-    /// position from then on: the ready list and the timer wheel carry
-    /// positions.
+    /// position from then on: the timer wheel carries positions.
     sessions: SessionSlab,
     /// Position in `sessions` of each connection ID. Nine bytes a
     /// session, so probing for an unknown cid touches no session state.
@@ -255,6 +227,9 @@ pub struct Shard {
     /// The key every session's shares are drawn under, each on the
     /// stream of its connection ID: the set's one key.
     key: ShareKey,
+    /// What a symbol is scheduled and split in, lent to whichever
+    /// session is transmitting.
+    scratch: Scratch,
     /// Pending timers, each the `(position, token)` of its session.
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
@@ -262,17 +237,6 @@ pub struct Shard {
     /// timers due this call; retained so polling allocates nothing.
     due: Vec<(u32, u64)>,
     outbound: VecDeque<OutboundDatagram>,
-    /// Positions of the sessions with work pending: an event was
-    /// delivered to their engine and its actions have not been drained
-    /// yet. Together with
-    /// each slot's `in_ready` flag this is the shard's *ready-set* —
-    /// per-iteration work scales with the sessions that actually saw a
-    /// datagram, timer, or offered symbol, never with the total
-    /// session count.
-    ready: Vec<u32>,
-    /// Swap target for [`Shard::flush_ready`]; retained so the flush
-    /// itself allocates nothing in steady state.
-    ready_scratch: Vec<u32>,
     stats: Arc<ShardStats>,
 }
 
@@ -286,12 +250,11 @@ impl Shard {
             metrics: Vec::new(),
             pool: BufferPool::new(),
             key,
+            scratch: Scratch::default(),
             timers: EventQueue::new(QueueKind::Wheel),
             timer_seq: 0,
             due: Vec::new(),
             outbound: VecDeque::new(),
-            ready: Vec::new(),
-            ready_scratch: Vec::new(),
             stats: Arc::default(),
         }
     }
@@ -357,14 +320,12 @@ impl Shard {
             .unwrap_or_else(|| panic!("no session with connection id {cid}"))
     }
 
-    /// Feeds `event` to `cid`'s engine and drains what it queued (after
-    /// whatever sessions were marked ready before it).
+    /// Feeds `event` to `cid`'s engine and drains what it queued.
     fn feed(&mut self, now: SimTime, cid: u32, event: Event<'_>) {
         let position = self.position(cid);
-        let slot = &mut self.sessions[position];
-        slot.handle(&mut self.pool, &self.key, now, event);
-        slot.mark_ready(position, &mut self.ready);
-        self.flush_ready(now);
+        self.drive(position, |engine, lent, rng| {
+            engine.handle(lent, now, event, rng);
+        });
     }
 
     fn add_session(
@@ -400,7 +361,6 @@ impl Shard {
             cid,
             prefix: prefix.try_into().expect("a demux prefix is that long"),
             record: false,
-            in_ready: false,
             counted_delivered: 0,
             delivered: VecDeque::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -408,24 +368,6 @@ impl Shard {
             action_log: Vec::new(),
         });
         Ok(())
-    }
-
-    /// Drains the engine of every session marked ready since the last
-    /// flush, in marking order. The synchronous [`ShardSet`] API
-    /// flushes after every event (preserving the recorded trace
-    /// semantics exactly); the socket driver flushes once per wakeup,
-    /// amortizing the drain across a whole receive batch.
-    pub fn flush_ready(&mut self, _now: SimTime) {
-        if self.ready.is_empty() {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.ready_scratch);
-        std::mem::swap(&mut batch, &mut self.ready);
-        for &position in &batch {
-            self.drive(position, |slot, _, _| slot.in_ready = false);
-        }
-        batch.clear();
-        self.ready_scratch = batch;
     }
 
     /// Delivers [`Event::Started`] to `cid` at `now`, arming its
@@ -468,10 +410,9 @@ impl Shard {
     }
 
     /// Handles one datagram read by **this** shard. Own frames are
-    /// processed in place (the session is marked ready; call
-    /// [`flush_ready`](Shard::flush_ready) after the batch). A frame
-    /// owned elsewhere is counted as `handoff_out`, takes nothing from
-    /// this shard, and its owner's index is returned:
+    /// processed in place and the session's actions drained at once. A
+    /// frame owned elsewhere is counted as `handoff_out`, takes nothing
+    /// from this shard, and its owner's index is returned:
     /// [`ShardSet::deliver_datagram`] hands the same bytes to that
     /// shard. [`UdpServer`](crate::UdpServer)'s shards read only their
     /// own sessions' frames, so none is ever returned there.
@@ -511,10 +452,10 @@ impl Shard {
         if let Ok(DemuxFrame::Cid { cid, inner }) = demux_frame(datagram) {
             self.deliver_inner(now, cid, channel, to, inner);
         }
-        self.flush_ready(now);
     }
 
-    /// Feeds one demuxed inner frame to the owning session.
+    /// Feeds one demuxed inner frame to the owning session and drains
+    /// what it queued.
     fn deliver_inner(
         &mut self,
         now: SimTime,
@@ -527,17 +468,10 @@ impl Shard {
             self.stats.dropped_unknown_cid.add_single_writer(1);
             return;
         };
-        let slot = &mut self.sessions[position];
-        let lent = &mut Lent {
-            pool: &mut self.pool,
-            prefix: &slot.prefix,
-            key: &self.key,
-            stream: slot.cid,
-        };
-        match slot
-            .engine
-            .handle_frame(lent, now, channel, to, inner, &mut slot.rng)
-        {
+        let handled = self.drive(position, |engine, lent, rng| {
+            engine.handle_frame(lent, now, channel, to, inner, rng)
+        });
+        match handled {
             Ok(()) => {}
             // Codec-version skew between peers gets its own counter;
             // the frame is dropped either way, never misrouted.
@@ -546,7 +480,6 @@ impl Shard {
             }
             Err(_) => self.stats.dropped_bad_frame.add_single_writer(1),
         }
-        slot.mark_ready(position, &mut self.ready);
     }
 
     /// Fires every timer due at or before `now` from the shard wheel,
@@ -569,8 +502,8 @@ impl Shard {
             due.push(timer);
         }
         for &(position, token) in &due {
-            self.drive(position, |slot, pool, key| {
-                slot.handle(pool, key, now, Event::TimerFired { token });
+            self.drive(position, |engine, lent, rng| {
+                engine.handle(lent, now, Event::TimerFired { token }, rng);
             });
         }
         let fired = due.len();
@@ -596,20 +529,29 @@ impl Shard {
         self.timers.millis_until_next(now)
     }
 
-    /// Applies `event` to the session at `position` (lending it the
-    /// shard's pool), and drains its action queue: share and control
+    /// Applies `event` to the engine of the session at `position`,
+    /// lending it the shard's pool, key and scratch with the session's
+    /// prefix and, for its stream id, its connection ID; then drains its
+    /// action queue while the slot is still in cache: share and control
     /// frames, which the engine wrote behind the session's demux prefix
     /// into pooled buffers, move to the outbound queue as they are,
     /// timers go onto the shard wheel, reconstructed symbols park in the
-    /// session's delivery queue.
-    fn drive(
+    /// session's delivery queue. Returns what `event` returned.
+    fn drive<R>(
         &mut self,
         position: u32,
-        event: impl FnOnce(&mut SessionSlot, &mut BufferPool, &ShareKey),
-    ) {
+        event: impl FnOnce(&mut EngineCore, &mut Lent<'_>, &mut StdRng) -> R,
+    ) -> R {
         let slot = &mut self.sessions[position];
         let cid = slot.cid;
-        event(slot, &mut self.pool, &self.key);
+        let lent = &mut Lent {
+            pool: &mut self.pool,
+            prefix: &slot.prefix,
+            key: &self.key,
+            stream: cid,
+            scratch: &mut self.scratch,
+        };
+        let result = event(&mut slot.engine, lent, &mut slot.rng);
         while let Some(action) = slot.engine.poll_action() {
             if slot.record {
                 slot.action_log.push(action.clone());
@@ -667,6 +609,7 @@ impl Shard {
             .symbols_delivered
             .add_single_writer(delivered - slot.counted_delivered);
         slot.counted_delivered = delivered;
+        result
     }
 
     /// Takes the oldest queued outbound datagram. Pass `bytes` back via
@@ -856,10 +799,6 @@ impl ShardSet {
         if let Some(owner) = self.shards[received_on].route_datagram(now, channel, to, datagram) {
             self.shards[owner].accept_handoff(now, channel, to, datagram);
         }
-        // Frames processed in place only marked their session ready;
-        // flushing here keeps the synchronous API's
-        // one-event-one-drain semantics (the trace pins rely on it).
-        self.shards[received_on].flush_ready(now);
     }
 
     /// One duty cycle over every shard: fire due timers.
@@ -1040,7 +979,7 @@ mod tests {
     use core::mem::{offset_of, size_of};
 
     /// `SessionSlot` is `#[repr(C)]`: what `feed`, `deliver_inner` and
-    /// `drive` read of a session (its ID and prefix, the flags, the
+    /// `drive` read of a session (its ID and prefix, the flag, the
     /// delivery accounts, the RNG) lies ahead of the engine, whose own
     /// first bytes are what every event reads, and the action log no
     /// production path writes lies behind it. A field declared after
@@ -1052,7 +991,6 @@ mod tests {
             ("cid", offset_of!(SessionSlot, cid)),
             ("prefix", offset_of!(SessionSlot, prefix)),
             ("record", offset_of!(SessionSlot, record)),
-            ("in_ready", offset_of!(SessionSlot, in_ready)),
             (
                 "counted_delivered",
                 offset_of!(SessionSlot, counted_delivered),
@@ -1073,9 +1011,10 @@ mod tests {
         assert!(offset_of!(SessionSlot, action_log) > engine);
         // 1 584 B before the fields were ordered, 1 512 B before the
         // engine's return path was boxed, 984 B before its protocol
-        // counters moved to the shard.
+        // counters moved to the shard, 880 B before its choice and split
+        // planes did.
         assert!(
-            size_of::<SessionSlot>() <= 880,
+            size_of::<SessionSlot>() <= 800,
             "`SessionSlot` grew to {} B",
             size_of::<SessionSlot>()
         );

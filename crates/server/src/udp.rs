@@ -252,7 +252,6 @@ fn run_shard_busypoll(
                 }
             }
         }
-        shard.flush_ready(sim_now(epoch));
         while let Some(datagram) = shard.pop_outbound() {
             idle = false;
             shard.stats().syscalls_send.add_single_writer(1);
@@ -367,7 +366,7 @@ impl TimerGrid {
 /// The readiness-driven event loop: sleep in `epoll_wait` until a
 /// socket is readable or the next timer pass is due; then move
 /// datagrams in `recvmmsg`/`sendmmsg` batches — each message a train
-/// where one forms — and flush the ready-set once for the whole wakeup.
+/// where one forms — each session drained as its frame is routed.
 ///
 /// Timer passes run on the millisecond grid of [`TimerGrid`]: a pass
 /// woken by readability before the next grid instant receives, routes
@@ -441,8 +440,6 @@ fn run_shard_epoll(
                 }
             }
         }
-        shard.flush_ready(sim_now(epoch));
-
         while let Some(datagram) = shard.pop_outbound() {
             stage[socket_key(datagram.channel, datagram.from)].push(datagram.bytes);
         }

@@ -10,11 +10,12 @@
 //! share counters and the `(k, m)` matrix joined the set, a session
 //! holds no metric at all. The buffers went the same way: frames, parked
 //! shares and reconstructions live in the shard's one pool, which its
-//! engines borrow, so a session is its pool-less engine and reassembly
-//! table, under 3 KB after traffic (2.2 KB here, where a thousand
-//! sessions divide the shards' own state; 2.0 KB on the benchmark's
-//! 10 000-session `mem_fleet`), and the pool holds what one symbol has
-//! in flight, not what every session once had.
+//! engines borrow, and so do the scheduler choice and split planes a
+//! symbol is drawn in, so a session is its pool-less engine and
+//! reassembly table, under 2 KB after traffic (1.9 KB here, where a
+//! thousand sessions divide the shards' own state; 1.7 KB on the
+//! benchmark's 10 000-session `mem_fleet`), and the pool holds what one
+//! symbol has in flight, not what every session once had.
 //! Each direction's reassembly state is one open-addressed table of
 //! 16-byte slots, where two hash maps with headroom against their own
 //! tombstones held 0.8 KB a session more. A session that sends nothing
@@ -85,14 +86,15 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 2 168 B (+ 25 %); beside shards that kept cross-shard
-/// handoff queues (0.6 KB a session here) a session held 2.8 KB, one
-/// that kept its own protocol counters 3.4 KB, one that built the B→A
+/// Measured 1 886 B (+ 25 %); a session that kept its own scheduler
+/// choice and split planes held 2.2 KB, one beside shards that kept
+/// cross-shard handoff queues (0.6 KB a session here) 2.8 KB, one that
+/// kept its own protocol counters 3.4 KB, one that built the B→A
 /// direction whether or not its traffic used it 4.4 KB, one with two
 /// hash maps per direction 5.1 KB, one stored inline in a hash table's
 /// buckets 6.8 KB, one that owned its buffers 8.5 KB, one that owned its
 /// histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 2_710;
+const BUDGET_BYTES_PER_SESSION: i64 = 2_358;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
@@ -350,10 +352,7 @@ fn frames_at_a_of_a_one_way_session_are_dropped_and_counted() {
             shard.route_datagram(SimTime::ZERO, 0, Endpoint::A, frame),
             None
         );
-        shard.flush_ready(SimTime::ZERO);
     };
-    // The first routed datagram grows the shard's ready list.
-    route(&mut set, &control);
     let before = (set.totals(), set.shard(0).timers_pending(), pool(&set));
     let baseline = live_bytes();
     route(&mut set, &share.bytes);
@@ -370,7 +369,7 @@ fn frames_at_a_of_a_one_way_session_are_dropped_and_counted() {
     assert_eq!(set.shard(0).timers_pending(), before.1);
     assert_eq!(pool(&set), before.2);
     let report = set.report(3, SimTime::from_secs(1));
-    assert_eq!(report.misdirected_frames, 3);
+    assert_eq!(report.misdirected_frames, 2);
     assert_eq!(report.wire_errors, 0);
     assert_eq!(report.mean_rtt, None);
     set.shard_mut(0).recycle_outbound(share.bytes);
