@@ -22,14 +22,15 @@
 //!
 //! The engine owns no buffer either, unless asked to. [`EngineCore`] is
 //! the state machine itself: each call that can emit a frame or park a
-//! share borrows from its host a [`Lent`]: the [`BufferPool`], the bytes
-//! every frame it emits must start with, the share key with the
+//! share borrows from its host a [`Lent`]: the [`BufferPool`], the
+//! [`Partials`] slab its reassembly tables park partial symbols in, the
+//! bytes every frame it emits must start with, the share key with the
 //! session's stream id, and the [`Scratch`] a symbol is drawn and split
 //! in. So a host of many sessions (a server shard) lends all of them one
-//! pool, one key and one scratch and gets frames it can put on the wire
-//! as they are. [`Engine`] is that core next to a pool, a key and a
-//! scratch of its own and an empty prefix — what a single-session
-//! driver wants.
+//! pool, one slab, one key and one scratch and gets frames it can put on
+//! the wire as they are. [`Engine`] is that core next to a pool, a slab,
+//! a key and a scratch of its own and an empty prefix — what a
+//! single-session driver wants.
 //!
 //! Two source modes cover the drivers' needs:
 //!
@@ -57,7 +58,7 @@ use crate::adaptive::AdaptiveController;
 use crate::config::{ProtocolConfig, SchedulerKind};
 use crate::cpu::CpuClock;
 use crate::metrics::HostMetrics;
-use crate::reassembly::{AcceptOutcome, ReassemblyCore, ReassemblyStats};
+use crate::reassembly::{AcceptOutcome, Partials, ReassemblyCore, ReassemblyStats};
 use crate::scheduler::{
     ChannelState, Choice, DynamicScheduler, RoundRobinScheduler, Scheduler as _, SessionScheduler,
     StaticScheduler,
@@ -296,6 +297,9 @@ pub struct Lent<'a> {
     /// The pool every buffer comes from and goes back to; the same pool
     /// on every call into one core.
     pub pool: &'a mut BufferPool,
+    /// The slab the core's reassembly tables keep their partial symbols
+    /// in: one per host, lent to every core on every call, like `pool`.
+    pub partials: &'a mut Partials,
     /// The bytes each emitted frame starts with (a demux prefix, or
     /// nothing).
     pub prefix: &'a [u8],
@@ -320,14 +324,15 @@ impl Lent<'_> {
 }
 
 /// The protocol state machine without buffers: [`Engine`]'s state and
-/// all of its logic, written against the pool, frame prefix, share key
-/// and scratch the host lends for the duration of a call ([`Lent`]).
-/// A core keeps only what outlives an event.
+/// all of its logic, written against the pool, partial slab, frame
+/// prefix, share key and scratch the host lends for the duration of a
+/// call ([`Lent`]). A core keeps only what outlives an event.
 ///
-/// A host of many sessions keeps one [`BufferPool`], one [`ShareKey`],
-/// one [`Scratch`] and one core per session. Every `pool` lent to one
-/// core must be the same pool: the shares its reassembly tables park are
-/// slots of it.
+/// A host of many sessions keeps one [`BufferPool`], one [`Partials`]
+/// slab, one [`ShareKey`], one [`Scratch`] and one core per session.
+/// Every `pool` lent to one core must be the same pool, and every
+/// `partials` the same slab: the shares its reassembly tables park are
+/// slots of the one, their partial symbols entries of the other.
 /// Every `(key, stream)` lent to one core must be the same too, and no
 /// other core on the host may be lent it: the core splits each symbol
 /// of a direction once, on the stream named by the direction and the
@@ -706,9 +711,10 @@ impl EngineCore {
 
     /// Feeds one event into the state machine, then queues the resulting
     /// actions for [`poll_action`](EngineCore::poll_action). Buffers
-    /// come from and go back to `lent.pool`; every frame emitted starts
-    /// with `lent.prefix`; share randomness is drawn under `lent.key`; a
-    /// symbol is scheduled and split in `lent.scratch`.
+    /// come from and go back to `lent.pool`, and partial symbols park in
+    /// `lent.partials`; every frame emitted starts with `lent.prefix`;
+    /// share randomness is drawn under `lent.key`; a symbol is scheduled
+    /// and split in `lent.scratch`.
     ///
     /// `now` must be monotonically non-decreasing across calls; `rng` is
     /// the session's model stream (scheduler draws), so seeding it
@@ -849,10 +855,10 @@ impl EngineCore {
             TIMER_SWEEP => {
                 self.sweep_armed = false;
                 if let Some(back) = self.return_path.as_deref_mut() {
-                    back.table_a.sweep(lent.pool, now);
+                    back.table_a.sweep(lent.pool, lent.partials, now);
                 }
-                self.table_b.sweep(lent.pool, now);
-                self.arm_sweep();
+                self.table_b.sweep(lent.pool, lent.partials, now);
+                self.arm_sweep(lent.partials);
             }
             other => panic!("unknown timer token {other}"),
         }
@@ -864,15 +870,15 @@ impl EngineCore {
     /// its first partial and after every sweep, so a timer is pending
     /// exactly while something can expire and each partial is evicted at
     /// the grid instant a sweep on every grid instant would evict it.
-    fn arm_sweep(&mut self) {
+    fn arm_sweep(&mut self, partials: &Partials) {
         if self.sweep_armed {
             return;
         }
         let due = [
             self.return_path
-                .as_deref_mut()
-                .and_then(|back| back.table_a.next_sweep_at()),
-            self.table_b.next_sweep_at(),
+                .as_deref()
+                .and_then(|back| back.table_a.next_sweep_at(partials)),
+            self.table_b.next_sweep_at(partials),
         ];
         let Some(at) = due.into_iter().flatten().min() else {
             return;
@@ -1034,9 +1040,9 @@ impl EngineCore {
         let seq = share.seq();
         let k = share.k() as usize;
         let stamp = share.sent_at_nanos();
-        let (outcome, payload) = self.table_b.accept(lent.pool, share, now);
+        let (outcome, payload) = self.table_b.accept(lent.pool, lent.partials, share, now);
         if outcome == AcceptOutcome::Stored {
-            self.arm_sweep();
+            self.arm_sweep(lent.partials);
         }
         // The reconstruction is in a pooled buffer like any other: it
         // goes back below unless the symbol is delivered in it.
@@ -1095,7 +1101,7 @@ impl EngineCore {
             .return_path
             .as_deref_mut()
             .expect("`handle` drops shares at A without a return path");
-        let (outcome, payload) = back.table_a.accept(lent.pool, share, now);
+        let (outcome, payload) = back.table_a.accept(lent.pool, lent.partials, share, now);
         if let Some(out) = payload {
             let charged = match self.config.cpu() {
                 Some(cpu) => {
@@ -1109,7 +1115,7 @@ impl EngineCore {
             }
             lent.pool.put(out);
         } else if outcome == AcceptOutcome::Stored {
-            self.arm_sweep();
+            self.arm_sweep(lent.partials);
         }
     }
 
@@ -1177,6 +1183,7 @@ impl EngineCore {
 pub struct Engine {
     core: EngineCore,
     pool: BufferPool,
+    partials: Partials,
     key: ShareKey,
     scratch: Scratch,
 }
@@ -1198,6 +1205,7 @@ impl Engine {
         Ok(Engine {
             core: EngineCore::new(config, n, source, Arc::new(HostMetrics::new(n)))?,
             pool: BufferPool::new(),
+            partials: Partials::default(),
             key: ShareKey::generate(),
             scratch: Scratch::default(),
         })
@@ -1268,8 +1276,8 @@ impl Engine {
         self.pool.put(buf);
     }
 
-    /// [`EngineCore::handle`] over the engine's own pool, key and scratch,
-    /// with no frame prefix, as stream 0.
+    /// [`EngineCore::handle`] over the engine's own pool, slab, key and
+    /// scratch, with no frame prefix, as stream 0.
     ///
     /// # Panics
     ///
@@ -1277,6 +1285,7 @@ impl Engine {
     pub fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
         let lent = &mut Lent {
             pool: &mut self.pool,
+            partials: &mut self.partials,
             prefix: &[],
             key: &self.key,
             // The one session of its host.
@@ -1286,8 +1295,8 @@ impl Engine {
         self.core.handle(lent, now, event, rng);
     }
 
-    /// [`EngineCore::handle_frame`] over the engine's own pool, key and
-    /// scratch, as stream 0, with no frame prefix. Hand `bytes`' buffer
+    /// [`EngineCore::handle_frame`] over the engine's own pool, slab, key
+    /// and scratch, as stream 0, with no frame prefix. Hand `bytes`' buffer
     /// back with [`recycle`](Engine::recycle) once the queued actions are
     /// applied.
     ///
@@ -1304,6 +1313,7 @@ impl Engine {
     ) -> Result<(), WireError> {
         let lent = &mut Lent {
             pool: &mut self.pool,
+            partials: &mut self.partials,
             prefix: &[],
             key: &self.key,
             stream: 0,
@@ -1455,10 +1465,10 @@ mod tests {
         // 1 472 B before the fields were ordered and the reassembly maps
         // merged, 1 400 B before the return path was boxed and the
         // transmit frames moved to the stack, 768 B before the choice and
-        // the split planes moved to the host; declaration order must not
-        // cost padding.
+        // the split planes moved to the host, 688 B before the partial
+        // symbols did; declaration order must not cost padding.
         assert!(
-            size_of::<EngineCore>() <= 688,
+            size_of::<EngineCore>() <= 624,
             "`EngineCore` grew to {} B",
             size_of::<EngineCore>()
         );

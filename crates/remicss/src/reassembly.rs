@@ -23,18 +23,22 @@
 //! (see [`accept`](ReassemblyCore::accept)).
 //!
 //! Whose pool that is depends on the host. [`ReassemblyCore`] is the
-//! table with the pool left out: every call that touches share data
-//! borrows one, so the tables of ten thousand sessions can park their
-//! shares in the one pool of the shard that hosts them and hold no
-//! buffer of their own while nothing is pending. [`ReassemblyTable`] is
-//! the same core next to a pool it owns.
+//! table with the pool and the partial symbols left out: every call
+//! that touches share data borrows a pool and a [`Partials`] slab, so
+//! the tables of ten thousand sessions park their shares in the one
+//! pool of the shard that hosts them and their partial symbols in its
+//! one slab, and hold no buffer of their own while nothing is pending.
+//! [`ReassemblyTable`] is the same core next to a pool and a slab it
+//! owns.
 //!
 //! # What a timeout costs
 //!
 //! The timeout is one value per table, so deadline order is insertion
-//! order and nothing here scans. [`sweep`](ReassemblyTable::sweep) pops
-//! expired partials off the front of the insertion ring — `O(evicted)`,
-//! `O(1)` when nothing expired — and
+//! order and nothing here scans. Each table links its own entries of
+//! the slab into a list in that order, and a symbol that completes
+//! leaves the list at once. [`sweep`](ReassemblyTable::sweep) pops
+//! expired partials off the front of the list — `O(evicted)`, `O(1)`
+//! when nothing expired — and
 //! [`next_sweep_at`](ReassemblyTable::next_sweep_at) tells a driver the
 //! first instant a sweep can evict anything, so it need not call before.
 //! Resolution records are never swept at all: sweeps belong on the grid
@@ -50,13 +54,13 @@
 //! some of its shares are parked, or since when it has been done with —
 //! is one 16-byte slot of one open-addressed table (`SeqTable`): the
 //! number, and a word that is a resolution stamp or the index of the
-//! partial symbol in a small slab. An arriving share hashes its number
-//! once and walks at most a few neighbouring slots of one block; the
-//! share that completes a symbol, and the sweep or memory cap that
+//! partial symbol in the host's slab. An arriving share hashes its
+//! number once and walks at most a few neighbouring slots of one block;
+//! the share that completes a symbol, and the sweep or memory cap that
 //! evicts one, turn the word from index into stamp where it stands; and
 //! forgetting a record reads its stamp from the slot it then clears.
 //! Slab entries keep their share lists when they are freed, so parking
-//! a share allocates nothing once the table has seen its peak.
+//! a share allocates nothing once the host has seen its peak.
 //!
 //! The table is never more than half full, so linear probing stays
 //! short, and a deleted record leaves no tombstone: the records probing
@@ -120,6 +124,8 @@ pub struct ReassemblyStats {
     pub decode_failures: u64,
 }
 
+/// A partial symbol: the shares parked so far, and its place in the
+/// list of its table's partials.
 #[derive(Debug)]
 struct Pending {
     codec: CodecId,
@@ -128,24 +134,116 @@ struct Pending {
     /// `(abscissa, pooled share data)` in arrival order.
     shares: Vec<(u8, BufHandle)>,
     first_seen: SimTime,
-    bytes: usize,
-    /// Position of this symbol's entry in the insertion ring, counted
-    /// from the table's creation: an entry that carries the symbol's id
-    /// at another position belongs to an earlier, resolved incarnation.
-    /// In a freed slab entry, the index of the next free one.
-    link: u64,
+    /// The symbol's sequence number, which names its table slot.
+    seq: u64,
+    /// Parked share bytes: at most 255 shares of a 16-bit length.
+    bytes: u32,
+    /// The neighbours in the table's list, oldest first ([`NO_PARTIAL`]
+    /// past either end). In a freed entry, `next` is the next free one.
+    prev: u32,
+    next: u32,
 }
 
-/// Dead entries the insertion ring may carry beyond twice the live
-/// partials before it is compacted.
-const ORDER_SLACK: usize = 8;
+/// The partial symbols of every table a host keeps: one slab of
+/// entries with a free list, in which each table links its own entries
+/// in deadline order. A freed entry keeps its share list's capacity, so
+/// parking a share allocates nothing once the slab has seen the host's
+/// peak of partials at once.
+///
+/// A host lends one slab to all of its tables, beside the
+/// [`BufferPool`] their shares are parked in and under the same
+/// contract: a table must be lent the same slab on every call, and a
+/// table dropped while partials are pending leaves their entries taken.
+#[derive(Debug)]
+pub struct Partials {
+    entries: Vec<Pending>,
+    /// The most recently freed entry ([`NO_PARTIAL`] without one); the
+    /// free list runs on through [`Pending::next`].
+    free: u32,
+}
+
+impl Default for Partials {
+    fn default() -> Self {
+        Partials {
+            entries: Vec::new(),
+            free: NO_PARTIAL,
+        }
+    }
+}
+
+impl Partials {
+    fn get(&self, index: u32) -> &Pending {
+        &self.entries[index as usize]
+    }
+
+    fn get_mut(&mut self, index: u32) -> &mut Pending {
+        &mut self.entries[index as usize]
+    }
+
+    /// Files `entry`, whose share list is empty, at the newest end of
+    /// `list`: in a freed entry with that entry's share list, or else in
+    /// a new one whose list reserves the `k − 1` shares a lossless flow
+    /// parks. Returns its index.
+    fn insert(&mut self, list: &mut List, mut entry: Pending) -> u32 {
+        (entry.prev, entry.next) = (list.newest, NO_PARTIAL);
+        let index = if self.free == NO_PARTIAL {
+            entry.shares.reserve_exact(usize::from(entry.k) - 1);
+            self.entries.push(entry);
+            u32::try_from(self.entries.len() - 1).expect("fewer than 2³² partials")
+        } else {
+            let index = self.free;
+            let freed = self.get_mut(index);
+            entry.shares = mem::take(&mut freed.shares);
+            self.free = mem::replace(freed, entry).next;
+            index
+        };
+        match list.newest {
+            NO_PARTIAL => list.oldest = index,
+            newest => self.get_mut(newest).next = index,
+        }
+        list.newest = index;
+        index
+    }
+
+    /// Takes the entry at `index` out of `list`, releases its shares
+    /// into `pool` and returns it, its share list emptied, to the free
+    /// list. Returns the bytes it had parked.
+    fn remove(&mut self, list: &mut List, index: u32, pool: &mut BufferPool) -> usize {
+        let free = self.free;
+        let entry = self.get_mut(index);
+        for (_, handle) in entry.shares.drain(..) {
+            pool.release(handle);
+        }
+        let (prev, next) = (entry.prev, mem::replace(&mut entry.next, free));
+        let bytes = entry.bytes as usize;
+        self.free = index;
+        match prev {
+            NO_PARTIAL => list.oldest = next,
+            prev => self.get_mut(prev).next = next,
+        }
+        match next {
+            NO_PARTIAL => list.newest = prev,
+            next => self.get_mut(next).prev = prev,
+        }
+        bytes
+    }
+}
+
+/// The ends of one table's list of entries in a [`Partials`] slab,
+/// linked in insertion order, which is deadline order ([`NO_PARTIAL`]
+/// while none is pending).
+#[derive(Debug)]
+struct List {
+    oldest: u32,
+    newest: u32,
+}
 
 /// Default bound on remembered resolutions; high enough that records
 /// normally age out (twice the timeout) first.
 pub const DEFAULT_RESOLVED_CAP: usize = 1 << 20;
 
-/// Ends the free list of a table's slab.
-const NO_PARTIAL: u64 = u64::MAX;
+/// Ends a table's list of partials and the slab's free list.
+const NO_PARTIAL: u32 = u32::MAX;
 
 /// What a table knows of a sequence number it holds a slot for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +251,7 @@ enum Record {
     /// Done with (completed or evicted), remembered from this instant.
     Resolved(SimTime),
     /// Some shares are parked: the index of the partial in the slab.
-    Partial(usize),
+    Partial(u32),
 }
 
 impl Record {
@@ -166,7 +264,7 @@ impl Record {
     fn pack(self) -> u64 {
         match self {
             Record::Resolved(stamp) => stamp.as_nanos().min(Self::PARTIAL - 2) + 1,
-            Record::Partial(index) => Self::PARTIAL | index as u64,
+            Record::Partial(index) => Self::PARTIAL | u64::from(index),
         }
     }
 
@@ -174,7 +272,7 @@ impl Record {
     fn unpack(word: u64) -> Self {
         debug_assert_ne!(word, SeqTable::EMPTY);
         if word >= Self::PARTIAL {
-            Record::Partial((word ^ Self::PARTIAL) as usize)
+            Record::Partial((word ^ Self::PARTIAL) as u32)
         } else {
             Record::Resolved(SimTime::from_nanos(word - 1))
         }
@@ -296,13 +394,16 @@ impl SeqTable {
 }
 
 /// The reassembly table without its buffers: all of the table's state
-/// and logic, with the [`BufferPool`] that holds the share data lent by
-/// the caller on each call that touches it.
+/// and logic, with the [`BufferPool`] that holds the share data and the
+/// [`Partials`] slab that holds the partial symbols lent by the caller
+/// on each call that touches them.
 ///
-/// The handles of the buffered shares index the lent pool, so a core
-/// must be lent the same pool every time. With nothing pending it holds
-/// no handle; a core dropped while partials are pending leaves their
-/// slots checked out of that pool.
+/// The handles of the buffered shares index the lent pool, and the
+/// table's slots and list index the lent slab, so a core must be lent
+/// the same pool and the same slab every time. With nothing pending it
+/// holds neither a handle nor an entry; a core dropped while partials
+/// are pending leaves their slots checked out of that pool and their
+/// entries taken in that slab.
 #[derive(Debug)]
 pub struct ReassemblyCore {
     timeout: SimTime,
@@ -313,20 +414,9 @@ pub struct ReassemblyCore {
     /// resolved (never both). Holds no resolution record the sweep grid
     /// has forgotten by the latest `now` the table was shown.
     table: SeqTable,
-    /// The partial symbols, in a slab the table's slots index. A freed
-    /// entry stays where it is, its share list emptied but not
-    /// deallocated, on a free list threaded through [`Pending::link`].
-    partials: Vec<Pending>,
-    /// The most recently freed entry of `partials` ([`NO_PARTIAL`]
-    /// without one).
-    free_partial: u64,
     live_partials: usize,
-    /// Partial symbols in insertion order, which is deadline order. An
-    /// entry outlives its symbol's completion (see [`Pending::link`])
-    /// until it reaches the front or the ring is compacted.
-    order: VecDeque<u64>,
-    /// Ring position of `order`'s front.
-    order_base: u64,
+    /// This table's entries in the lent slab.
+    list: List,
     /// Records stamped with the instant they were made, in insertion
     /// order, which is the order they are forgotten in.
     resolved_order: VecDeque<u64>,
@@ -359,11 +449,11 @@ impl ReassemblyCore {
             resolved_cap: DEFAULT_RESOLVED_CAP,
             buffered_bytes: 0,
             table: SeqTable::default(),
-            partials: Vec::new(),
-            free_partial: NO_PARTIAL,
             live_partials: 0,
-            order: VecDeque::new(),
-            order_base: 0,
+            list: List {
+                oldest: NO_PARTIAL,
+                newest: NO_PARTIAL,
+            },
             resolved_order: VecDeque::new(),
             resolved_popped: 0,
             evicted_order: VecDeque::new(),
@@ -434,9 +524,13 @@ impl ReassemblyCore {
     /// The first instant on the sweep grid at which
     /// [`sweep`](Self::sweep) evicts the oldest partial symbol; `None`
     /// while nothing is buffered, when no sweep is needed at all.
-    pub fn next_sweep_at(&mut self) -> Option<SimTime> {
-        self.oldest()
-            .map(|(_, first_seen)| self.grid_after(first_seen.saturating_add(self.timeout)))
+    /// `partials` is the slab the table is lent.
+    #[must_use]
+    pub fn next_sweep_at(&self, partials: &Partials) -> Option<SimTime> {
+        (self.list.oldest != NO_PARTIAL).then(|| {
+            let first_seen = partials.get(self.list.oldest).first_seen;
+            self.grid_after(first_seen.saturating_add(self.timeout))
+        })
     }
 
     /// The last multiple of the sweep period at or before `t`.
@@ -450,7 +544,9 @@ impl ReassemblyCore {
         self.grid_floor(t).saturating_add(self.sweep_period())
     }
 
-    /// Offers an in-place decoded share to the table at time `now`.
+    /// Offers an in-place decoded share to the table at time `now`,
+    /// with its share data parked in `pool` and its partial symbols in
+    /// `partials`.
     ///
     /// With [`AcceptOutcome::Completed`] comes the reconstructed payload,
     /// in a buffer taken from `pool` that is the caller's to put back;
@@ -460,10 +556,17 @@ impl ReassemblyCore {
     /// a share that leaves its symbol incomplete goes into a buffer of
     /// `pool`, reconstruction reads the completing share in place and
     /// writes into the taken buffer's capacity, and the completed
-    /// symbol's slots return to `pool`.
+    /// symbol's slots return to `pool` and its entry to `partials`.
+    ///
+    /// Before a share is parked, the oldest other partials are evicted
+    /// until it fits under the memory cap. A later share of a symbol
+    /// that cannot fit even alone evicts that symbol too (a memory
+    /// eviction) and reads as [`AcceptOutcome::Stale`], as its
+    /// siblings will.
     pub fn accept(
         &mut self,
         pool: &mut BufferPool,
+        partials: &mut Partials,
         share: &ShareRef<'_>,
         now: SimTime,
     ) -> (AcceptOutcome, Option<Vec<u8>>) {
@@ -493,51 +596,33 @@ impl ReassemblyCore {
                 self.stats.completed += 1;
                 return (AcceptOutcome::Completed, Some(out));
             }
-            let bytes = payload.len();
-            self.make_room(pool, bytes);
-            let handle = pool.acquire();
-            pool.get_mut(handle).extend_from_slice(payload);
-            let link = self.order_base + self.order.len() as u64;
-            let fresh = move |shares| Pending {
-                codec,
-                k,
-                m,
-                shares,
-                first_seen: now,
-                bytes,
-                link,
-            };
-            // In a freed slab entry if there is one, with its share list.
-            // Otherwise the slab's first entry and each new list reserve
-            // what their first use needs, one partial and `k − 1` shares
-            // (a lossless flow never holds more), and grow as vectors do
-            // from there.
-            let partial = if self.free_partial == NO_PARTIAL {
-                if self.partials.capacity() == 0 {
-                    self.partials.reserve_exact(1);
-                }
-                self.partials
-                    .push(fresh(Vec::with_capacity(usize::from(k) - 1)));
-                self.partials.len() - 1
-            } else {
-                let partial = self.free_partial as usize;
-                let freed = &mut self.partials[partial];
-                self.free_partial = freed.link;
-                *freed = fresh(mem::take(&mut freed.shares));
-                partial
-            };
-            self.partials[partial].shares.push((x, handle));
+            // A share larger than the cap is parked all the same, in an
+            // otherwise empty table.
+            self.make_room(pool, partials, payload.len(), NO_PARTIAL);
+            let partial = partials.insert(
+                &mut self.list,
+                Pending {
+                    codec,
+                    k,
+                    m,
+                    shares: Vec::new(),
+                    first_seen: now,
+                    seq,
+                    bytes: 0,
+                    prev: NO_PARTIAL,
+                    next: NO_PARTIAL,
+                },
+            );
+            self.park(pool, partials, partial, x, payload);
             self.live_partials += 1;
             self.table.insert(seq, Record::Partial(partial).pack());
-            self.order.push_back(seq);
-            self.buffered_bytes += bytes;
             return (AcceptOutcome::Stored, None);
         };
         let Record::Partial(partial) = record else {
             self.stats.stale += 1;
             return (AcceptOutcome::Stale, None);
         };
-        let p = &mut self.partials[partial];
+        let p = partials.get(partial);
         let first_len = p.shares.first().map(|&(_, h)| pool.get(h).len());
         if p.codec != codec
             || p.k != k
@@ -553,11 +638,13 @@ impl ReassemblyCore {
         }
         let parked = p.shares.len();
         if parked + 1 < p.k as usize {
-            let handle = pool.acquire();
-            pool.get_mut(handle).extend_from_slice(payload);
-            p.shares.push((x, handle));
-            p.bytes += payload.len();
-            self.buffered_bytes += payload.len();
+            let first_seen = p.first_seen;
+            if !self.make_room(pool, partials, payload.len(), partial) {
+                self.evict(pool, partials, partial, first_seen, true);
+                self.stats.memory_evictions += 1;
+                return (AcceptOutcome::Stale, None);
+            }
+            self.park(pool, partials, partial, x, payload);
             return (AcceptOutcome::Stored, None);
         }
         // The codec's rebuild over the pooled shares in arrival order
@@ -579,8 +666,7 @@ impl ReassemblyCore {
             .is_ok();
         let residency = now.saturating_sub(p.first_seen);
         // Either way the symbol is done with.
-        self.retire(pool, at, partial, now);
-        self.trim_order();
+        self.retire(pool, partials, at, partial, now);
         self.remember(seq, now, false);
         if decoded {
             self.last_completed_residency = residency;
@@ -593,19 +679,38 @@ impl ReassemblyCore {
         }
     }
 
-    /// Ends the partial at slab index `partial`, whose slot is `at`: its
-    /// buffers return to the pool, its entry, share list emptied, to the
-    /// slab's free list, and its slot turns from partial to resolved at
-    /// `stamp` where it stands. [`remember`](Self::remember) files the
-    /// record.
-    fn retire(&mut self, pool: &mut BufferPool, at: usize, partial: usize, stamp: SimTime) {
-        let p = &mut self.partials[partial];
-        self.buffered_bytes -= p.bytes;
-        for (_, handle) in p.shares.drain(..) {
-            pool.release(handle);
-        }
-        p.link = self.free_partial;
-        self.free_partial = partial as u64;
+    /// Parks share `x`'s `payload` with the partial at slab index
+    /// `partial`, in a buffer of `pool`.
+    fn park(
+        &mut self,
+        pool: &mut BufferPool,
+        partials: &mut Partials,
+        partial: u32,
+        x: u8,
+        payload: &[u8],
+    ) {
+        let handle = pool.acquire();
+        pool.get_mut(handle).extend_from_slice(payload);
+        let p = partials.get_mut(partial);
+        p.shares.push((x, handle));
+        p.bytes += u32::try_from(payload.len()).expect("a share's length is a 16-bit field");
+        self.buffered_bytes += payload.len();
+    }
+
+    /// Ends the partial at slab index `partial`, whose slot is `at`: it
+    /// leaves the table's list, its buffers return to the pool, its
+    /// entry, share list emptied, to the slab's free list, and its slot
+    /// turns from partial to resolved at `stamp` where it stands.
+    /// [`remember`](Self::remember) files the record.
+    fn retire(
+        &mut self,
+        pool: &mut BufferPool,
+        partials: &mut Partials,
+        at: usize,
+        partial: u32,
+        stamp: SimTime,
+    ) {
+        self.buffered_bytes -= partials.remove(&mut self.list, partial, pool);
         self.live_partials -= 1;
         self.table.slots[at].word = Record::Resolved(stamp).pack();
     }
@@ -613,75 +718,40 @@ impl ReassemblyCore {
     /// Evicts the partial symbols older than the timeout at `now`, oldest
     /// first, and forgets the resolution records older than twice the
     /// timeout. Costs `O(evicted + forgotten)`; nothing is evicted before
-    /// [`next_sweep_at`](Self::next_sweep_at).
-    pub fn sweep(&mut self, pool: &mut BufferPool, now: SimTime) {
+    /// [`next_sweep_at`](Self::next_sweep_at). `pool` and `partials` are
+    /// the pool and the slab the table is lent.
+    pub fn sweep(&mut self, pool: &mut BufferPool, partials: &mut Partials, now: SimTime) {
         // The evictions below meet the resolved cap with the records
         // the grid instants before `now` left, not with those `now`
         // itself is about to drop.
         self.forget(self.grid_floor(now.saturating_sub(SimTime::from_nanos(1))));
-        while let Some((seq, first_seen)) = self.oldest() {
-            if now.saturating_sub(first_seen) <= self.timeout {
+        while self.list.oldest != NO_PARTIAL {
+            if now.saturating_sub(partials.get(self.list.oldest).first_seen) <= self.timeout {
                 break;
             }
-            self.evict(pool, seq, now, false);
+            self.evict(pool, partials, self.list.oldest, now, false);
             self.stats.timeout_evictions += 1;
         }
         self.last_sweep = self.last_sweep.max(now);
         self.forget(now);
     }
 
-    /// The oldest partial symbol and when its first share arrived,
-    /// dropping dead entries off the front of the ring on the way.
-    fn oldest(&mut self) -> Option<(u64, SimTime)> {
-        while let Some(&seq) = self.order.front() {
-            if let Some((_, Record::Partial(partial))) = self.table.get(seq) {
-                let p = &self.partials[partial];
-                if p.link == self.order_base {
-                    return Some((seq, p.first_seen));
-                }
-            }
-            self.order.pop_front();
-            self.order_base += 1;
-        }
-        None
-    }
-
-    /// Evicts the partial symbol [`oldest`](Self::oldest) just named,
-    /// remembering it from `stamp` on.
-    fn evict(&mut self, pool: &mut BufferPool, seq: u64, stamp: SimTime, by_memory: bool) {
-        self.order.pop_front();
-        self.order_base += 1;
-        let Some((at, Record::Partial(partial))) = self.table.get(seq) else {
-            unreachable!("named by oldest()");
+    /// Evicts the partial at slab index `partial`, remembering it from
+    /// `stamp` on.
+    fn evict(
+        &mut self,
+        pool: &mut BufferPool,
+        partials: &mut Partials,
+        partial: u32,
+        stamp: SimTime,
+        by_memory: bool,
+    ) {
+        let seq = partials.get(partial).seq;
+        let Some((at, Record::Partial(_))) = self.table.get(seq) else {
+            unreachable!("a listed partial has its slot");
         };
-        self.retire(pool, at, partial, stamp);
+        self.retire(pool, partials, at, partial, stamp);
         self.remember(seq, stamp, by_memory);
-    }
-
-    /// Bounds the dead entries in the insertion ring after partials
-    /// left the table. A flow that loses nothing empties the ring every
-    /// symbol; a lossy one parks a live partial at the front for a whole
-    /// timeout while completions pile up behind it, so the ring is
-    /// compacted once they outnumber the live partials.
-    fn trim_order(&mut self) {
-        if self.live_partials == 0 {
-            self.order_base += self.order.len() as u64;
-            self.order.clear();
-        } else if self.order.len() > 2 * self.live_partials + ORDER_SLACK {
-            let (base, mut live) = (self.order_base, 0);
-            for i in 0..self.order.len() {
-                let seq = self.order[i];
-                if let Some((_, Record::Partial(partial))) = self.table.get(seq) {
-                    let p = &mut self.partials[partial];
-                    if p.link == base + i as u64 {
-                        p.link = base + live as u64;
-                        self.order[live] = seq;
-                        live += 1;
-                    }
-                }
-            }
-            self.order.truncate(live);
-        }
     }
 
     /// The slot and the stamp of the resolution record a ring entry
@@ -696,7 +766,7 @@ impl ReassemblyCore {
     /// Drops the resolution records older than twice the timeout at
     /// `reference` (a sweep-grid instant, or an explicit sweep's `now`)
     /// or at the latest explicit sweep: no share of theirs can still
-    /// arrive. Both rings are in stamp order, so only fronts are read.
+    /// arrive. Stamps order `resolved_order`, so only its front is read.
     fn forget(&mut self, reference: SimTime) {
         let reference = reference.max(self.last_sweep);
         let horizon = self.timeout * 2;
@@ -712,15 +782,23 @@ impl ReassemblyCore {
             self.resolved_order.pop_front();
             self.resolved_popped += 1;
         }
-        while let Some(&(seq, _)) = self.evicted_order.front() {
-            let (at, stamp) = self.record(seq);
-            if !stale(stamp) {
-                oldest = oldest.min(stamp);
-                break;
+        // The memory cap spares the symbol a share extends, which may be
+        // older than the partials it evicts, so the memory cap's ring is
+        // in the order its records were made but not always in stamp
+        // order: each of its records is read. It is empty unless the cap
+        // evicted something within twice the timeout.
+        let table = &mut self.table;
+        self.evicted_order.retain(|&(seq, _)| match table.get(seq) {
+            Some((at, Record::Resolved(stamp))) if stale(stamp) => {
+                table.remove_at(at);
+                false
             }
-            self.table.remove_at(at);
-            self.evicted_order.pop_front();
-        }
+            Some((_, Record::Resolved(stamp))) => {
+                oldest = oldest.min(stamp);
+                true
+            }
+            _ => unreachable!("a ring entry has its resolution record"),
+        });
         self.forget_at = self.forgotten_at(oldest);
     }
 
@@ -735,15 +813,16 @@ impl ReassemblyCore {
     /// records, whose stamp is the symbol's first share (the others
     /// carry the current time). May move slots.
     fn remember(&mut self, seq: u64, stamp: SimTime, evicted: bool) {
-        let first_of_its_ring = if evicted {
+        let may_be_oldest = if evicted {
             let before = self.resolved_popped + self.resolved_order.len() as u64;
             self.evicted_order.push_back((seq, before));
-            self.evicted_order.len() == 1
+            // Its ring is not always in stamp order (see `forget`).
+            true
         } else {
             self.resolved_order.push_back(seq);
             self.resolved_order.len() == 1
         };
-        if first_of_its_ring {
+        if may_be_oldest {
             // Behind an older record of its ring it is forgotten no
             // sooner, and `forget_at` already covers that one.
             self.forget_at = self.forget_at.min(self.forgotten_at(stamp));
@@ -770,22 +849,38 @@ impl ReassemblyCore {
         }
     }
 
-    /// Evicts oldest partial symbols until `incoming` more bytes fit
-    /// under the cap.
-    fn make_room(&mut self, pool: &mut BufferPool, incoming: usize) {
+    /// Evicts the oldest partial symbols but the one at slab index
+    /// `keep` until `incoming` more bytes fit under the cap; whether
+    /// they now do.
+    fn make_room(
+        &mut self,
+        pool: &mut BufferPool,
+        partials: &mut Partials,
+        incoming: usize,
+        keep: u32,
+    ) -> bool {
+        let mut victim = self.list.oldest;
         while self.buffered_bytes + incoming > self.capacity_bytes {
-            let Some((seq, first_seen)) = self.oldest() else {
-                break;
-            };
-            self.evict(pool, seq, first_seen, true);
-            self.stats.memory_evictions += 1;
+            if victim == NO_PARTIAL {
+                return false;
+            }
+            let Pending {
+                next, first_seen, ..
+            } = *partials.get(victim);
+            if victim != keep {
+                self.evict(pool, partials, victim, first_seen, true);
+                self.stats.memory_evictions += 1;
+            }
+            victim = next;
         }
+        true
     }
 }
 
-/// The share reassembly table: a [`ReassemblyCore`] and the pool its
-/// share data lives in. Counters and sizes are read through the core
-/// (`table.stats()`, `table.buffered_bytes()`, …).
+/// The share reassembly table: a [`ReassemblyCore`], the pool its share
+/// data lives in and the slab its partial symbols live in. Counters and
+/// sizes are read through the core (`table.stats()`,
+/// `table.buffered_bytes()`, …).
 ///
 /// # Examples
 ///
@@ -822,6 +917,8 @@ pub struct ReassemblyTable {
     core: ReassemblyCore,
     /// Share-data buffers, recycled across symbols.
     pool: BufferPool,
+    /// Partial symbols, their entries recycled likewise.
+    partials: Partials,
 }
 
 impl ReassemblyTable {
@@ -832,6 +929,7 @@ impl ReassemblyTable {
         ReassemblyTable {
             core: ReassemblyCore::new(timeout, capacity_bytes),
             pool: BufferPool::new(),
+            partials: Partials::default(),
         }
     }
 
@@ -862,10 +960,10 @@ impl ReassemblyTable {
 
     /// [`ReassemblyCore::next_sweep_at`].
     pub fn next_sweep_at(&mut self) -> Option<SimTime> {
-        self.core.next_sweep_at()
+        self.core.next_sweep_at(&self.partials)
     }
 
-    /// [`ReassemblyCore::accept`] over the table's own pool. On
+    /// [`ReassemblyCore::accept`] over the table's own pool and slab. On
     /// [`AcceptOutcome::Completed`] the reconstructed payload is in
     /// `out`: the buffer it was rebuilt in changes places with the one
     /// the caller passed, which joins the pool. `out` is left as it was
@@ -876,7 +974,9 @@ impl ReassemblyTable {
         now: SimTime,
         out: &mut Vec<u8>,
     ) -> AcceptOutcome {
-        let (outcome, payload) = self.core.accept(&mut self.pool, share, now);
+        let (outcome, payload) = self
+            .core
+            .accept(&mut self.pool, &mut self.partials, share, now);
         if let Some(mut payload) = payload {
             std::mem::swap(out, &mut payload);
             self.pool.put(payload);
@@ -884,9 +984,9 @@ impl ReassemblyTable {
         outcome
     }
 
-    /// [`ReassemblyCore::sweep`] over the table's own pool.
+    /// [`ReassemblyCore::sweep`] over the table's own pool and slab.
     pub fn sweep(&mut self, now: SimTime) {
-        self.core.sweep(&mut self.pool, now);
+        self.core.sweep(&mut self.pool, &mut self.partials, now);
     }
 }
 
@@ -1096,7 +1196,7 @@ mod tests {
             Record::Resolved(SimTime::ZERO),
             Record::Resolved(SimTime::from_secs(86_400 * 365)),
             Record::Partial(0),
-            Record::Partial(u32::MAX as usize),
+            Record::Partial(u32::MAX),
         ] {
             assert_ne!(record.pack(), SeqTable::EMPTY);
             assert_eq!(Record::unpack(record.pack()), record);
@@ -1332,36 +1432,60 @@ mod tests {
         assert_eq!(t.next_sweep_at(), None);
     }
 
+    /// The sequence numbers on `t`'s list, oldest first, after checking
+    /// that its links agree both ways.
+    fn listed(t: &ReassemblyTable) -> Vec<u64> {
+        let (mut seqs, mut prev, mut at) = (Vec::new(), NO_PARTIAL, t.core.list.oldest);
+        while at != NO_PARTIAL {
+            let p = t.partials.get(at);
+            assert_eq!(p.prev, prev, "links of {}", p.seq);
+            seqs.push(p.seq);
+            (prev, at) = (at, p.next);
+        }
+        assert_eq!(t.core.list.newest, prev);
+        assert_eq!(seqs.len(), t.pending_symbols());
+        seqs
+    }
+
     #[test]
-    fn ring_compacts_behind_a_parked_partial() {
+    fn a_completed_partial_leaves_its_list_at_once() {
         let mut t = table();
         let parked = frames(0, 2, 3, b"parked");
         offer(&mut t, &parked[0], SimTime::ZERO);
-        // A thousand symbols complete behind the starved one.
+        // A thousand symbols complete behind the starved one, each
+        // leaving the list as it completes, and two entries serve them
+        // all.
         for seq in 1..=1000 {
             let fs = frames(seq, 2, 3, b"flow");
             offer(&mut t, &fs[0], SimTime::from_millis(1));
+            assert_eq!(listed(&t), [0, seq]);
             assert_eq!(offer(&mut t, &fs[1], SimTime::from_millis(1)).0, Completed);
-            assert!(
-                t.core.order.len() <= 2 + ORDER_SLACK + 1,
-                "ring grew: {}",
-                t.core.order.len()
-            );
+            assert_eq!(listed(&t), [0]);
         }
-        // Compaction moved the survivors; they still expire in order.
-        let late = frames(2000, 2, 3, b"late");
+        assert_eq!(t.partials.entries.len(), 2);
+        // A completion from the middle of the list keeps the rest in
+        // deadline order.
+        let (mid, late) = (frames(2000, 2, 3, b"mid"), frames(2001, 2, 3, b"late"));
+        offer(&mut t, &mid[0], SimTime::from_millis(20));
         offer(&mut t, &late[0], SimTime::from_millis(30));
+        assert_eq!(listed(&t), [0, 2000, 2001]);
+        assert_eq!(
+            offer(&mut t, &mid[1], SimTime::from_millis(40)).0,
+            Completed
+        );
+        assert_eq!(listed(&t), [0, 2001]);
+        // The sweeps evict what is left, oldest first.
         assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(125)));
         t.sweep(SimTime::from_millis(125));
-        assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (1, 1));
+        assert_eq!((t.stats().timeout_evictions, listed(&t)), (1, vec![2001]));
         assert_eq!(
             offer(&mut t, &parked[1], SimTime::from_millis(126)).0,
             Stale
         );
         assert_eq!(t.next_sweep_at(), Some(SimTime::from_millis(150)));
         t.sweep(SimTime::from_millis(150));
-        assert_eq!((t.stats().timeout_evictions, t.pending_symbols()), (2, 0));
-        assert!(t.core.order.is_empty());
+        assert_eq!((t.stats().timeout_evictions, listed(&t)), (2, vec![]));
+        assert_eq!(t.next_sweep_at(), None);
     }
 
     #[test]
@@ -1382,6 +1506,35 @@ mod tests {
         // Symbols 11 and 12 still complete.
         assert_eq!(offer(&mut t, &b[1], SimTime::from_nanos(4)).0, Completed);
         assert_eq!(offer(&mut t, &c[1], SimTime::from_nanos(5)).0, Completed);
+    }
+
+    #[test]
+    fn memory_cap_holds_for_every_parked_share() {
+        // Cap of 100 bytes; 40-byte shares of 3-of-3 symbols.
+        let mut t = ReassemblyTable::new(SimTime::from_secs(1), 100);
+        let a = frames(10, 3, 3, &[1u8; 40]);
+        let b = frames(11, 3, 3, &[2u8; 40]);
+        offer(&mut t, &a[0], SimTime::ZERO);
+        offer(&mut t, &b[0], SimTime::from_nanos(1));
+        // A's second share evicts B, the oldest partial but A itself.
+        assert_eq!(offer(&mut t, &a[1], SimTime::from_nanos(2)).0, Stored);
+        assert_eq!(t.stats().memory_evictions, 1);
+        assert_eq!(t.buffered_bytes(), 80);
+        assert_eq!(offer(&mut t, &b[1], SimTime::from_nanos(3)).0, Stale);
+        assert_eq!(
+            offer(&mut t, &a[2], SimTime::from_nanos(4)),
+            (Completed, vec![1u8; 40])
+        );
+
+        // Under a cap of 60 bytes no symbol parks two shares: the
+        // second evicts its own symbol.
+        let mut t = ReassemblyTable::new(SimTime::from_secs(1), 60);
+        assert_eq!(offer(&mut t, &a[0], SimTime::ZERO).0, Stored);
+        assert_eq!(offer(&mut t, &a[1], SimTime::ZERO).0, Stale);
+        assert_eq!(t.stats().memory_evictions, 1);
+        assert_eq!((t.pending_symbols(), t.buffered_bytes()), (0, 0));
+        assert_eq!(offer(&mut t, &a[2], SimTime::ZERO).0, Stale);
+        assert_eq!(t.stats().stale, 1);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use mcss_codec::ShareKey;
 use mcss_netsim::SimTime;
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::engine::{EngineCore, Lent, Scratch, SourceMode};
+use mcss_remicss::reassembly::Partials;
 use mcss_remicss::scheduler::{ChannelState, DynamicScheduler, Scheduler as _};
 use mcss_remicss::{HostMetrics, ProtocolConfig};
 use rand::rngs::StdRng;
@@ -116,10 +117,15 @@ fn a_hosted_fleet_converges_within_one_percent() {
             .with_symbol_bytes(16),
     );
     let key = ShareKey::insecure_from_seed(1);
-    let mut shards: Vec<(Arc<HostMetrics>, BufferPool, Scratch)> = (0..SHARDS)
+    let mut shards: Vec<(Arc<HostMetrics>, BufferPool, Partials, Scratch)> = (0..SHARDS)
         .map(|_| {
             let metrics = Arc::new(HostMetrics::new(n));
-            (metrics, BufferPool::new(), Scratch::default())
+            (
+                metrics,
+                BufferPool::new(),
+                Partials::default(),
+                Scratch::default(),
+            )
         })
         .collect();
     let mut sessions: Vec<(EngineCore, StdRng)> = (0..SESSIONS)
@@ -134,9 +140,10 @@ fn a_hosted_fleet_converges_within_one_percent() {
     for symbol in 0..SYMBOLS {
         let cid = symbol as usize % SESSIONS;
         let (engine, rng) = &mut sessions[cid];
-        let (_, pool, scratch) = &mut shards[cid % SHARDS];
+        let (_, pool, partials, scratch) = &mut shards[cid % SHARDS];
         let lent = &mut Lent {
             pool,
+            partials,
             prefix: &[],
             key: &key,
             stream: cid as u32,

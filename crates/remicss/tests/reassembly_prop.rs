@@ -21,8 +21,10 @@ use rand::{RngExt as _, SeedableRng};
 /// memory cap looks through all partials for the oldest. Kept as the
 /// reference the demand-swept table is compared against. It stores no
 /// share data (the caller knows what a completed symbol must decode
-/// to), and it evicts the partials one sweep finds expired in arrival
-/// order, where the old table followed its hash map's.
+/// to), it evicts the partials one sweep finds expired in arrival
+/// order, where the old table followed its hash map's, and it makes
+/// room under the memory cap before parking any share, where the old
+/// table did so for a symbol's first share only.
 mod periodic {
     use std::collections::{HashMap, VecDeque};
 
@@ -100,7 +102,7 @@ mod periodic {
                     self.stats.completed += 1;
                     return AcceptOutcome::Completed;
                 }
-                self.make_room(share_len);
+                self.make_room(share_len, None);
                 self.tickets += 1;
                 self.pending.insert(
                     seq,
@@ -127,6 +129,16 @@ mod periodic {
                 return AcceptOutcome::Duplicate;
             }
             if p.xs.len() + 1 < usize::from(p.k) {
+                // Room is made among the other partials; a symbol that
+                // cannot fit even alone is evicted itself.
+                if !self.make_room(share_len, Some(seq)) {
+                    let p = self.pending.remove(&seq).expect("just seen");
+                    self.buffered_bytes -= p.bytes();
+                    self.resolve(seq, p.first_seen);
+                    self.stats.memory_evictions += 1;
+                    return AcceptOutcome::Stale;
+                }
+                let p = self.pending.get_mut(&seq).expect("kept");
                 p.xs.push(frame.x());
                 self.buffered_bytes += share_len;
                 return AcceptOutcome::Stored;
@@ -174,16 +186,24 @@ mod periodic {
             }
         }
 
-        fn make_room(&mut self, incoming: usize) {
+        /// Evicts the oldest partials but `keep` until `incoming` more
+        /// bytes fit under the cap; whether they now do.
+        fn make_room(&mut self, incoming: usize, keep: Option<u64>) -> bool {
             while self.buffered_bytes + incoming > self.capacity_bytes {
-                let Some((&seq, _)) = self.pending.iter().min_by_key(|(_, p)| p.ticket) else {
-                    break;
+                let Some((&seq, _)) = self
+                    .pending
+                    .iter()
+                    .filter(|&(&seq, _)| Some(seq) != keep)
+                    .min_by_key(|(_, p)| p.ticket)
+                else {
+                    return false;
                 };
                 let p = self.pending.remove(&seq).expect("just found");
                 self.buffered_bytes -= p.bytes();
                 self.resolve(seq, p.first_seen);
                 self.stats.memory_evictions += 1;
             }
+            true
         }
     }
 }
@@ -293,19 +313,22 @@ proptest! {
     }
 
     /// The memory cap is a hard invariant under adversarial arrival
-    /// patterns: buffered bytes never exceed capacity.
+    /// patterns: buffered bytes never exceed capacity, whichever share
+    /// of its symbol a share is.
     #[test]
     fn memory_cap_is_hard(
-        arrivals in proptest::collection::vec((0u16..500, 0u8..2), 1..200),
+        k in 2u8..=3,
+        arrivals in proptest::collection::vec((0u16..500, 0u8..3), 1..200),
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let cap = 1000usize; // 31 shares of 32 bytes
         let mut table = ReassemblyTable::new(SimTime::from_secs(10), cap);
         let mut out = Vec::new();
         for (i, (seq, xi)) in arrivals.iter().enumerate() {
-            // k = 2, m = 2: each first share is stored, second completes.
-            let frames = symbol_frames(CodecId::Shamir, u64::from(*seq), (2, 2), &[0u8; 32], &mut rng);
-            let share = ShareRef::decode(&frames[(*xi % 2) as usize]).unwrap();
+            // m = k: every share but the last of a symbol is stored,
+            // the last completes it.
+            let frames = symbol_frames(CodecId::Shamir, u64::from(*seq), (k, k), &[0u8; 32], &mut rng);
+            let share = ShareRef::decode(&frames[usize::from(*xi % k)]).unwrap();
             let _ = table.accept_into(&share, SimTime::from_nanos(i as u64), &mut out);
             prop_assert!(
                 table.buffered_bytes() <= cap,

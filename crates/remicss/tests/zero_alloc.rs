@@ -18,8 +18,8 @@
 //! heap separately, see `engine_pin.rs`). The external-source phase
 //! keeps the engine's timers on the timer wheel, with time moving, and
 //! runs twice per codec: on a standalone `Engine`, and on a pool-less
-//! `EngineCore` lent a pool, a demux prefix, a share key and a scratch
-//! the way a server shard hosts it. Every split draws from a fresh
+//! `EngineCore` lent a pool, a partial slab, a demux prefix, a share key
+//! and a scratch the way a server shard hosts it. Every split draws from a fresh
 //! share stream (AES-128 in counter mode), as a host's do; the split
 //! phases below open one per symbol too.
 //!
@@ -46,6 +46,7 @@ use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{Engine, EngineCore, Lent, Scratch, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
+use mcss_remicss::reassembly::Partials;
 use mcss_remicss::session::{Session, Workload};
 use mcss_remicss::testbed;
 use mcss_remicss::wire::{self, DemuxFrame};
@@ -282,12 +283,13 @@ impl Host for Engine {
     }
 }
 
-/// A pool-less core hosted as a server shard hosts one: the pool and
-/// the share key are the host's, frames come out behind a
+/// A pool-less core hosted as a server shard hosts one: the pool, the
+/// partial slab and the share key are the host's, frames come out behind a
 /// connection-ID prefix, and shares are drawn on that ID's stream.
 struct Hosted {
     core: EngineCore,
     pool: BufferPool,
+    partials: Partials,
     key: ShareKey,
     prefix: Vec<u8>,
     scratch: Scratch,
@@ -304,6 +306,7 @@ impl Hosted {
         Hosted {
             core: EngineCore::new(config, N, SourceMode::External, metrics).unwrap(),
             pool: BufferPool::new(),
+            partials: Partials::default(),
             key: ShareKey::generate(),
             prefix,
             scratch: Scratch::default(),
@@ -316,6 +319,7 @@ impl Host for Hosted {
     fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
         let lent = &mut Lent {
             pool: &mut self.pool,
+            partials: &mut self.partials,
             prefix: &self.prefix,
             key: &self.key,
             stream: HOSTED_CID,
@@ -329,6 +333,7 @@ impl Host for Hosted {
         };
         let lent = &mut Lent {
             pool: &mut self.pool,
+            partials: &mut self.partials,
             prefix: &self.prefix,
             key: &self.key,
             stream: HOSTED_CID,

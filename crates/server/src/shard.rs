@@ -2,13 +2,15 @@
 //! connection-ID space, [`ShardSet`] drives every shard from one thread
 //! with deterministic sequencing.
 //!
-//! A shard owns one [`BufferPool`] and one [`Scratch`] and lends them to
-//! every session it hosts: a session is a pool-less [`EngineCore`],
-//! drained the moment an event has run, so each share is
-//! written once — demux prefix, header, codec output — into a buffer off
-//! the shard's free list and that buffer is the outbound datagram, and
-//! the shares parked in reassembly and the reconstructions delivered sit
-//! in the same pool. A session at rest holds no buffer.
+//! A shard owns one [`BufferPool`], one [`Partials`] slab and one
+//! [`Scratch`] and lends them to every session it hosts: a session is a
+//! pool-less [`EngineCore`], drained the moment an event has run, so
+//! each share is written once — demux prefix, header, codec output —
+//! into a buffer off the shard's free list and that buffer is the
+//! outbound datagram, the shares parked in reassembly and the
+//! reconstructions delivered sit in the same pool, and every session's
+//! partial symbols are entries of the one slab. A session at rest holds
+//! no buffer and no partial.
 //!
 //! Routing is static: connection `cid` lives on shard
 //! `cid % num_shards`. A shard that reads a datagram it does not own
@@ -39,6 +41,7 @@ use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{EngineCore, Lent, Scratch, SessionReport, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
+use mcss_remicss::reassembly::Partials;
 use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError, CID_PREFIX_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
@@ -203,8 +206,8 @@ impl std::ops::IndexMut<u32> for SessionSlab {
 }
 
 /// One worker partition: the sessions it owns and their shared buffer
-/// pool, scratch, timer wheel and protocol metrics. It shares no mutable
-/// state with its peers.
+/// pool, partial slab, scratch, timer wheel and protocol metrics. It
+/// shares no mutable state with its peers.
 #[derive(Debug)]
 pub struct Shard {
     index: usize,
@@ -224,6 +227,9 @@ pub struct Shard {
     /// Every buffer of the shard and its sessions: outbound frames,
     /// shares parked in reassembly, reconstructions.
     pool: BufferPool,
+    /// Every session's partial symbols, each linked into its own table's
+    /// list.
+    partials: Partials,
     /// The key every session's shares are drawn under, each on the
     /// stream of its connection ID: the set's one key.
     key: ShareKey,
@@ -249,6 +255,7 @@ impl Shard {
             by_cid: IntMap::default(),
             metrics: Vec::new(),
             pool: BufferPool::new(),
+            partials: Partials::default(),
             key,
             scratch: Scratch::default(),
             timers: EventQueue::new(QueueKind::Wheel),
@@ -530,13 +537,14 @@ impl Shard {
     }
 
     /// Applies `event` to the engine of the session at `position`,
-    /// lending it the shard's pool, key and scratch with the session's
-    /// prefix and, for its stream id, its connection ID; then drains its
-    /// action queue while the slot is still in cache: share and control
-    /// frames, which the engine wrote behind the session's demux prefix
-    /// into pooled buffers, move to the outbound queue as they are,
-    /// timers go onto the shard wheel, reconstructed symbols park in the
-    /// session's delivery queue. Returns what `event` returned.
+    /// lending it the shard's pool, slab, key and scratch with the
+    /// session's prefix and, for its stream id, its connection ID; then
+    /// drains its action queue while the slot is still in cache: share
+    /// and control frames, which the engine wrote behind the session's
+    /// demux prefix into pooled buffers, move to the outbound queue as
+    /// they are, timers go onto the shard wheel, reconstructed symbols
+    /// park in the session's delivery queue. Returns what `event`
+    /// returned.
     fn drive<R>(
         &mut self,
         position: u32,
@@ -546,6 +554,7 @@ impl Shard {
         let cid = slot.cid;
         let lent = &mut Lent {
             pool: &mut self.pool,
+            partials: &mut self.partials,
             prefix: &slot.prefix,
             key: &self.key,
             stream: cid,
@@ -1012,9 +1021,9 @@ mod tests {
         // 1 584 B before the fields were ordered, 1 512 B before the
         // engine's return path was boxed, 984 B before its protocol
         // counters moved to the shard, 880 B before its choice and split
-        // planes did.
+        // planes did, 800 B before its partial symbols did.
         assert!(
-            size_of::<SessionSlot>() <= 800,
+            size_of::<SessionSlot>() <= 736,
             "`SessionSlot` grew to {} B",
             size_of::<SessionSlot>()
         );

@@ -11,11 +11,12 @@
 //! holds no metric at all. The buffers went the same way: frames, parked
 //! shares and reconstructions live in the shard's one pool, which its
 //! engines borrow, and so do the scheduler choice and split planes a
-//! symbol is drawn in, so a session is its pool-less engine and
-//! reassembly table, under 2 KB after traffic (1.9 KB here, where a
-//! thousand sessions divide the shards' own state; 1.7 KB on the
-//! benchmark's 10 000-session `mem_fleet`), and the pool holds what one
-//! symbol has in flight, not what every session once had.
+//! symbol is drawn in and the slab its partial symbols park in, so a
+//! session is its pool-less engine and reassembly table, under 2 KB
+//! after traffic (1.75 KB here, where a thousand sessions divide the
+//! shards' own state; 1.53 KB on the benchmark's 10 000-session
+//! `mem_fleet`), and the pool holds what one symbol has in flight, not
+//! what every session once had.
 //! Each direction's reassembly state is one open-addressed table of
 //! 16-byte slots, where two hash maps with headroom against their own
 //! tombstones held 0.8 KB a session more. A session that sends nothing
@@ -86,15 +87,16 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 1 886 B (+ 25 %); a session that kept its own scheduler
-/// choice and split planes held 2.2 KB, one beside shards that kept
+/// Measured 1 752 B (+ 25 %); a session that kept its own slab of
+/// partial symbols and insertion ring held 1.9 KB, one that kept its
+/// own scheduler choice and split planes 2.2 KB, one beside shards that kept
 /// cross-shard handoff queues (0.6 KB a session here) 2.8 KB, one that
 /// kept its own protocol counters 3.4 KB, one that built the B→A
 /// direction whether or not its traffic used it 4.4 KB, one with two
 /// hash maps per direction 5.1 KB, one stored inline in a hash table's
 /// buckets 6.8 KB, one that owned its buffers 8.5 KB, one that owned its
 /// histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 2_358;
+const BUDGET_BYTES_PER_SESSION: i64 = 2_190;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
