@@ -45,8 +45,6 @@ pub struct ProtocolConfig {
     scheduler: SchedulerKind,
     symbol_bytes: usize,
     reassembly_timeout: SimTime,
-    reassembly_capacity_bytes: usize,
-    readiness_threshold: SimTime,
     cpu: Option<CpuModel>,
     adaptive_target: Option<f64>,
     codec: CodecId,
@@ -59,11 +57,11 @@ impl ProtocolConfig {
     /// Default reassembly eviction timeout.
     pub const DEFAULT_REASSEMBLY_TIMEOUT: SimTime = SimTime::from_millis(500);
 
-    /// Default reassembly memory cap in buffered share bytes.
+    /// Reassembly memory cap in buffered share bytes, every session's.
     pub const DEFAULT_REASSEMBLY_CAPACITY: usize = 8 * 1024 * 1024;
 
-    /// Default backlog threshold below which a channel counts as
-    /// "ready for writing".
+    /// Backlog threshold below which a channel counts as "ready for
+    /// writing", every session's.
     pub const DEFAULT_READINESS_THRESHOLD: SimTime = SimTime::from_millis(2);
 
     /// Creates a configuration with mean threshold `κ` and mean
@@ -82,8 +80,6 @@ impl ProtocolConfig {
             scheduler: SchedulerKind::Dynamic,
             symbol_bytes: Self::DEFAULT_SYMBOL_BYTES,
             reassembly_timeout: Self::DEFAULT_REASSEMBLY_TIMEOUT,
-            reassembly_capacity_bytes: Self::DEFAULT_REASSEMBLY_CAPACITY,
-            readiness_threshold: Self::DEFAULT_READINESS_THRESHOLD,
             cpu: None,
             adaptive_target: None,
             codec: CodecId::from_env(),
@@ -130,21 +126,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Sets the reassembly memory cap (total buffered share bytes).
-    #[must_use]
-    pub fn with_reassembly_capacity(mut self, bytes: usize) -> Self {
-        self.reassembly_capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the writability backlog threshold used by the dynamic
-    /// scheduler's readiness test.
-    #[must_use]
-    pub fn with_readiness_threshold(mut self, threshold: SimTime) -> Self {
-        self.readiness_threshold = threshold;
-        self
-    }
-
     /// Enables the endpoint processing-cost model (used by the
     /// high-bandwidth experiments, Figures 6–7).
     #[must_use]
@@ -183,10 +164,11 @@ impl ProtocolConfig {
         self.reassembly_timeout
     }
 
-    /// Reassembly memory cap in bytes.
+    /// Reassembly memory cap in bytes:
+    /// [`DEFAULT_REASSEMBLY_CAPACITY`](Self::DEFAULT_REASSEMBLY_CAPACITY).
     #[must_use]
     pub fn reassembly_capacity_bytes(&self) -> usize {
-        self.reassembly_capacity_bytes
+        Self::DEFAULT_REASSEMBLY_CAPACITY
     }
 
     /// Bound on the receiver's resolved-symbol records: the one value
@@ -196,10 +178,11 @@ impl ProtocolConfig {
         crate::reassembly::DEFAULT_RESOLVED_CAP
     }
 
-    /// Readiness backlog threshold.
+    /// Readiness backlog threshold:
+    /// [`DEFAULT_READINESS_THRESHOLD`](Self::DEFAULT_READINESS_THRESHOLD).
     #[must_use]
     pub fn readiness_threshold(&self) -> SimTime {
-        self.readiness_threshold
+        Self::DEFAULT_READINESS_THRESHOLD
     }
 
     /// The CPU model, if enabled.
@@ -291,14 +274,10 @@ mod tests {
             .unwrap()
             .with_scheduler(SchedulerKind::RoundRobin)
             .with_symbol_bytes(100)
-            .with_reassembly_timeout(SimTime::from_millis(10))
-            .with_reassembly_capacity(1024)
-            .with_readiness_threshold(SimTime::from_micros(500));
+            .with_reassembly_timeout(SimTime::from_millis(10));
         assert!(matches!(c.scheduler(), SchedulerKind::RoundRobin));
         assert_eq!(c.symbol_bytes(), 100);
         assert_eq!(c.reassembly_timeout(), SimTime::from_millis(10));
-        assert_eq!(c.reassembly_capacity_bytes(), 1024);
-        assert_eq!(c.readiness_threshold(), SimTime::from_micros(500));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! [`Engine`] contains every protocol decision — scheduling, Shamir
 //! splitting, reassembly, adaptive feedback, pacing, metrics — but
 //! performs no I/O, reads no clock, and owns no randomness. A *driver*
-//! (the simulator [`Session`](crate::session::Session) or the real
-//! socket `udp::UdpDriver`) feeds it
-//! [`Event`]s with explicit timestamps and an explicit RNG, then drains
-//! the queued [`Action`]s and performs them against its transport.
+//! (the simulator [`Session`](crate::session::Session), or a shard of
+//! `mcss-server`'s `UdpServer` on real sockets) feeds it [`Event`]s with
+//! explicit timestamps and an explicit RNG, then drains the queued
+//! [`Action`]s and performs them against its transport.
 //!
 //! Randomness comes in two streams. The driver's seeded RNG is the
 //! *model stream*: schedule draws, and nothing that must stay secret.
@@ -164,6 +164,12 @@ pub enum SourceMode {
     /// reconstructions back via [`Action::DeliverSymbol`]. The sending
     /// window never closes.
     External,
+}
+
+impl From<Workload> for SourceMode {
+    fn from(workload: Workload) -> Self {
+        SourceMode::Paced(workload)
+    }
 }
 
 /// Everything a finished session reports — the numbers the paper's

@@ -7,7 +7,9 @@
 //! as any `k` shares arrive. Lost shares are never retransmitted — up to
 //! `m − k` losses per symbol are absorbed by the threshold scheme itself.
 //!
-//! The crate provides the protocol pieces, a pure engine, and drivers:
+//! The crate provides the protocol pieces, a pure engine, and the
+//! simulator driver (`mcss-server`'s `UdpServer` runs the same engine
+//! over real sockets):
 //!
 //! * [`wire`] — the share frame codec (what travels on each channel);
 //! * [`scheduler`] — per-symbol `(k, M)` selection: the paper's *dynamic
@@ -22,9 +24,6 @@
 //! * [`session`] *(feature `sim`, default)* — the discrete-event
 //!   simulator driver: a thin [`mcss_netsim::Application`] adapter over
 //!   the engine, reporting achieved rate, loss, and delay;
-//! * `udp` *(feature `udp`)* — the real-socket driver: one
-//!   non-blocking UDP socket pair per channel on loopback, a
-//!   monotonic-clock timer queue, and the same engine unchanged;
 //! * [`cpu`] — an optional endpoint processing-cost model used to
 //!   reproduce the paper's high-bandwidth saturation experiments
 //!   (Figures 6 and 7);
@@ -76,8 +75,6 @@ pub mod scheduler;
 pub mod session;
 #[cfg(feature = "sim")]
 pub mod testbed;
-#[cfg(feature = "udp")]
-pub mod udp;
 pub mod wire;
 
 pub use actions::{Action, Event};
@@ -86,5 +83,3 @@ pub use engine::{Engine, SessionReport, SourceMode, Workload};
 pub use metrics::HostMetrics;
 #[cfg(feature = "sim")]
 pub use session::Session;
-#[cfg(feature = "udp")]
-pub use udp::UdpDriver;

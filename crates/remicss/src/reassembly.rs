@@ -559,10 +559,9 @@ impl ReassemblyCore {
     /// symbol's slots return to `pool` and its entry to `partials`.
     ///
     /// Before a share is parked, the oldest other partials are evicted
-    /// until it fits under the memory cap. A later share of a symbol
-    /// that cannot fit even alone evicts that symbol too (a memory
-    /// eviction) and reads as [`AcceptOutcome::Stale`], as its
-    /// siblings will.
+    /// until it fits under the memory cap. A share of a symbol that
+    /// cannot fit even alone evicts that symbol too (a memory eviction)
+    /// and reads as [`AcceptOutcome::Stale`], as its siblings will.
     pub fn accept(
         &mut self,
         pool: &mut BufferPool,
@@ -596,9 +595,6 @@ impl ReassemblyCore {
                 self.stats.completed += 1;
                 return (AcceptOutcome::Completed, Some(out));
             }
-            // A share larger than the cap is parked all the same, in an
-            // otherwise empty table.
-            self.make_room(pool, partials, payload.len(), NO_PARTIAL);
             let partial = partials.insert(
                 &mut self.list,
                 Pending {
@@ -613,10 +609,9 @@ impl ReassemblyCore {
                     next: NO_PARTIAL,
                 },
             );
-            self.park(pool, partials, partial, x, payload);
             self.live_partials += 1;
             self.table.insert(seq, Record::Partial(partial).pack());
-            return (AcceptOutcome::Stored, None);
+            return self.park(pool, partials, partial, x, payload);
         };
         let Record::Partial(partial) = record else {
             self.stats.stale += 1;
@@ -638,14 +633,7 @@ impl ReassemblyCore {
         }
         let parked = p.shares.len();
         if parked + 1 < p.k as usize {
-            let first_seen = p.first_seen;
-            if !self.make_room(pool, partials, payload.len(), partial) {
-                self.evict(pool, partials, partial, first_seen, true);
-                self.stats.memory_evictions += 1;
-                return (AcceptOutcome::Stale, None);
-            }
-            self.park(pool, partials, partial, x, payload);
-            return (AcceptOutcome::Stored, None);
+            return self.park(pool, partials, partial, x, payload);
         }
         // The codec's rebuild over the pooled shares in arrival order
         // and then this one, read where the datagram lies: it is never
@@ -680,7 +668,10 @@ impl ReassemblyCore {
     }
 
     /// Parks share `x`'s `payload` with the partial at slab index
-    /// `partial`, in a buffer of `pool`.
+    /// `partial`, in a buffer of `pool`, once the oldest other partials
+    /// have made room for it under the memory cap. A symbol that cannot
+    /// fit even alone is evicted instead (a memory eviction), and the
+    /// share reads as [`AcceptOutcome::Stale`], as its siblings will.
     fn park(
         &mut self,
         pool: &mut BufferPool,
@@ -688,13 +679,20 @@ impl ReassemblyCore {
         partial: u32,
         x: u8,
         payload: &[u8],
-    ) {
+    ) -> (AcceptOutcome, Option<Vec<u8>>) {
+        if !self.make_room(pool, partials, payload.len(), partial) {
+            let first_seen = partials.get(partial).first_seen;
+            self.evict(pool, partials, partial, first_seen, true);
+            self.stats.memory_evictions += 1;
+            return (AcceptOutcome::Stale, None);
+        }
         let handle = pool.acquire();
         pool.get_mut(handle).extend_from_slice(payload);
         let p = partials.get_mut(partial);
         p.shares.push((x, handle));
         p.bytes += u32::try_from(payload.len()).expect("a share's length is a 16-bit field");
         self.buffered_bytes += payload.len();
+        (AcceptOutcome::Stored, None)
     }
 
     /// Ends the partial at slab index `partial`, whose slot is `at`: it
@@ -1534,6 +1532,18 @@ mod tests {
         assert_eq!(t.stats().memory_evictions, 1);
         assert_eq!((t.pending_symbols(), t.buffered_bytes()), (0, 0));
         assert_eq!(offer(&mut t, &a[2], SimTime::ZERO).0, Stale);
+        assert_eq!(t.stats().stale, 1);
+    }
+
+    #[test]
+    fn a_first_share_larger_than_the_cap_is_evicted() {
+        // Cap of 30 bytes; one 40-byte share of a 2-of-2 symbol.
+        let mut t = ReassemblyTable::new(SimTime::from_secs(1), 30);
+        let a = frames(10, 2, 2, &[1u8; 40]);
+        assert_eq!(offer(&mut t, &a[0], SimTime::ZERO).0, Stale);
+        assert_eq!(t.stats().memory_evictions, 1);
+        assert_eq!((t.pending_symbols(), t.buffered_bytes()), (0, 0));
+        assert_eq!(offer(&mut t, &a[1], SimTime::from_nanos(1)).0, Stale);
         assert_eq!(t.stats().stale, 1);
     }
 

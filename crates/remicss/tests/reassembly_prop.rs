@@ -102,7 +102,12 @@ mod periodic {
                     self.stats.completed += 1;
                     return AcceptOutcome::Completed;
                 }
-                self.make_room(share_len, None);
+                // A first share larger than the cap alone is evicted.
+                if !self.make_room(share_len, None) {
+                    self.resolve(seq, now);
+                    self.stats.memory_evictions += 1;
+                    return AcceptOutcome::Stale;
+                }
                 self.tickets += 1;
                 self.pending.insert(
                     seq,
@@ -314,20 +319,25 @@ proptest! {
 
     /// The memory cap is a hard invariant under adversarial arrival
     /// patterns: buffered bytes never exceed capacity, whichever share
-    /// of its symbol a share is.
+    /// of its symbol a share is, and however large.
     #[test]
     fn memory_cap_is_hard(
         k in 2u8..=3,
         arrivals in proptest::collection::vec((0u16..500, 0u8..3), 1..200),
+        oversized_every in 2u16..10,
+        oversized in 1001usize..2000,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let cap = 1000usize; // 31 shares of 32 bytes
         let mut table = ReassemblyTable::new(SimTime::from_secs(10), cap);
         let mut out = Vec::new();
         for (i, (seq, xi)) in arrivals.iter().enumerate() {
+            // Every symbol whose seq is a multiple of `oversized_every`
+            // has shares larger than the cap.
+            let len = if seq % oversized_every == 0 { oversized } else { 32 };
             // m = k: every share but the last of a symbol is stored,
             // the last completes it.
-            let frames = symbol_frames(CodecId::Shamir, u64::from(*seq), (k, k), &[0u8; 32], &mut rng);
+            let frames = symbol_frames(CodecId::Shamir, u64::from(*seq), (k, k), &vec![0u8; len], &mut rng);
             let share = ShareRef::decode(&frames[usize::from(*xi % k)]).unwrap();
             let _ = table.accept_into(&share, SimTime::from_nanos(i as u64), &mut out);
             prop_assert!(

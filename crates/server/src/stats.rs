@@ -98,6 +98,10 @@ shard_stats! {
     dropped_legacy,
     /// Outbound datagrams the transport refused (socket backpressure).
     send_drops,
+    /// Share frames discarded by injected loss
+    /// ([`UdpServer::set_loss`](crate::UdpServer::set_loss)) after their
+    /// engine counted them sent.
+    injected_drops,
     /// Event-loop wakeups: `epoll_wait` returns on the readiness
     /// backend, loop iterations on the busy-poll backend. The ratio of
     /// datagrams to wakeups shows how much work each wakeup amortizes.

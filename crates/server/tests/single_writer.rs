@@ -110,6 +110,7 @@ fn a_reader_sees_monotone_values_and_every_sample_at_the_end() {
 }
 
 /// Runs `record` on two threads at once until one of them panics.
+#[cfg(debug_assertions)]
 fn two_writers(record: impl Fn() + Sync) {
     let tripped = AtomicBool::new(false);
     let hammer = || {

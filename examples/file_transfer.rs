@@ -4,28 +4,27 @@
 //! The paper's protocol is best-effort: no ACKs, no retransmits, just
 //! enough share redundancy that symbol loss stays below target. This
 //! example moves a 1 MiB file from host A to host B across four
-//! loopback UDP channels through the sans-I/O [`UdpDriver`], with 30%
-//! injected datagram loss on one channel the whole way. With
-//! `(κ = 2, μ = 4)` each symbol needs any 2 of its ~4 shares, so a
-//! single bad channel costs nothing: the file arrives bit-exact with
-//! zero retransmissions. The run finishes by printing the engine's
-//! telemetry snapshot and writing it to `METRICS_file_transfer.json`
-//! for dashboards or CI artifacts.
+//! loopback UDP channels through a [`UdpServer`] hosting one
+//! external-source session, with 30% injected share loss on one channel
+//! the whole way. With `(κ = 2, μ = 4)` each symbol needs any 2 of its
+//! ~4 shares, so a single bad channel costs nothing: the file arrives
+//! bit-exact with zero retransmissions. The run finishes by printing the
+//! server's telemetry snapshot and writing it to
+//! `METRICS_file_transfer.json` for dashboards or CI artifacts.
 //!
 //! Run with:
 //!
 //! ```sh
-//! cargo run -p mcss-remicss --release --features udp --example file_transfer
+//! cargo run -p mcss-server --release --example file_transfer
 //! ```
-//!
-//! (Also builds with `--no-default-features --features udp`: the
-//! driver never touches the simulator.)
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use mcss_base::SimTime;
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::udp::UdpDriver;
+use mcss_remicss::engine::SourceMode;
+use mcss_server::{ServerConfig, UdpServer};
 
 const CHANNELS: usize = 4;
 const SYMBOL_BYTES: usize = 1024;
@@ -33,6 +32,10 @@ const KAPPA: f64 = 2.0;
 const MU: f64 = 4.0;
 const LOSSY_CHANNEL: usize = 2;
 const LOSS: f64 = 0.30;
+const CID: u32 = 1;
+/// Symbols offered between two short runs of the server, so socket
+/// buffers never overflow.
+const BATCH: usize = 32;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Deterministic pseudo-file.
@@ -48,42 +51,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let config = ProtocolConfig::new(KAPPA, MU)?.with_symbol_bytes(SYMBOL_BYTES);
-    let mut driver = UdpDriver::new(config, CHANNELS, 7)?;
-    driver.set_loss(LOSSY_CHANNEL, LOSS);
+    let mut server = UdpServer::new(ServerConfig::with_shards(1), config, CHANNELS)?;
+    server.add_session(CID, SourceMode::External, 7)?;
+    server.set_loss(LOSSY_CHANNEL, LOSS);
 
     let start = Instant::now();
+    let mut chunks = file.chunks(SYMBOL_BYTES);
     let mut received: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for chunk in file.chunks(SYMBOL_BYTES) {
-        driver.send_symbol(chunk)?;
-        // Drain sockets as we go so kernel buffers never overflow.
-        driver.poll()?;
-        while let Some((seq, payload)) = driver.next_symbol() {
-            received.insert(seq, payload);
-        }
-    }
-    // Let stragglers land: in-flight shares plus the reassembly sweep.
+    // Offer a batch, run briefly, collect; once everything is offered,
+    // keep running while stragglers land.
     let deadline = Instant::now() + Duration::from_secs(30);
     while received.len() < symbols && Instant::now() < deadline {
-        driver.drive(Duration::from_millis(5))?;
-        while let Some((seq, payload)) = driver.next_symbol() {
+        for chunk in chunks.by_ref().take(BATCH) {
+            server.offer_symbol(CID, chunk);
+        }
+        server.run_for(Duration::from_millis(2))?;
+        while let Some((seq, payload)) = server.pop_delivered(CID) {
             received.insert(seq, payload);
         }
     }
     let elapsed = start.elapsed();
 
-    let report = driver.report(driver.now());
+    let report = server
+        .shards()
+        .report(CID, SimTime::from_nanos(elapsed.as_nanos() as u64));
     println!(
         "sent {} symbols; receiver reconstructed {}/{symbols} in {elapsed:.2?} ({:.1} MiB/s)",
         report.sent_symbols,
         received.len(),
         file.len() as f64 / (1 << 20) as f64 / elapsed.as_secs_f64()
     );
+    let totals = server.shards().totals();
     println!(
-        "reassembly: {} completed, {} timed out, {} stale shares, {} local send drops",
+        "reassembly: {} completed, {} timed out, {} stale shares; \
+         {} shares dropped on channel {LOSSY_CHANNEL}, {} refused by the kernel",
         report.reassembly.completed,
         report.reassembly.timeout_evictions,
         report.reassembly.stale,
-        report.send_queue_drops
+        totals.injected_drops,
+        totals.send_drops
     );
 
     // Stitch the file back together and verify integrity.
@@ -105,9 +111,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.mean_m - report.mean_k
     );
 
-    // Export the engine's telemetry snapshot: Prometheus text to stdout,
+    // Export the server's telemetry snapshot: Prometheus text to stdout,
     // JSON to disk for CI artifact upload.
-    let snapshot = driver.engine().metrics_snapshot();
+    let snapshot = server.metrics_snapshot();
     println!(
         "\ntelemetry snapshot ({} counters):",
         snapshot.counters.len()

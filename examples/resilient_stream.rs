@@ -7,19 +7,21 @@
 //! (control frames riding the same sockets) and walks `μ` up until the
 //! loss target holds again — trading rate for reliability exactly along
 //! the tradeoff curve the model describes, with no operator in the
-//! loop. This is the same controller the simulator exercises; only the
-//! driver changed.
+//! loop. This is the same controller the simulator exercises, hosted
+//! by a [`UdpServer`]; only the driver changed.
 //!
 //! Run with:
 //!
 //! ```sh
-//! cargo run -p mcss-remicss --release --features udp --example resilient_stream
+//! cargo run -p mcss-server --release --example resilient_stream
 //! ```
 
 use std::time::{Duration, Instant};
 
+use mcss_base::SimTime;
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::udp::UdpDriver;
+use mcss_remicss::engine::SourceMode;
+use mcss_server::{ServerConfig, UdpServer};
 
 const CHANNELS: usize = 5;
 const SYMBOL_BYTES: usize = 256;
@@ -29,12 +31,14 @@ const CLEAN_MILLIS: u64 = 1_000;
 const DEGRADED_MILLIS: u64 = 3_000;
 const TICK: Duration = Duration::from_millis(100);
 const SYMBOLS_PER_TICK: usize = 40;
+const CID: u32 = 1;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ProtocolConfig::new(1.0, 1.0)?
         .with_symbol_bytes(SYMBOL_BYTES)
         .with_adaptive(TARGET_LOSS);
-    let mut driver = UdpDriver::new(config, CHANNELS, 2026)?;
+    let mut server = UdpServer::new(ServerConfig::with_shards(1), config, CHANNELS)?;
+    server.add_session(CID, SourceMode::External, 2026)?;
 
     println!("adaptive stream: {CHANNELS} loopback UDP channels, target loss {TARGET_LOSS}");
     println!(
@@ -44,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "{:>8} {:>8} {:>12} {:>14}",
-        "t (ms)", "mu", "est. loss", "adjustments"
+        "t (ms)", "mu", "loss so far", "adjustments"
     );
 
     let start = Instant::now();
@@ -55,36 +59,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while start.elapsed() < total {
         if !degraded && start.elapsed() >= Duration::from_millis(CLEAN_MILLIS) {
             for ch in 0..CHANNELS {
-                driver.set_loss(ch, LOSS);
+                server.set_loss(ch, LOSS);
             }
             degraded = true;
             println!("  -- all channels degraded to {:.0}% loss --", LOSS * 100.0);
         }
         for i in 0..SYMBOLS_PER_TICK {
             let payload = vec![(sent + i) as u8; SYMBOL_BYTES];
-            driver.send_symbol(&payload)?;
+            server.offer_symbol(CID, &payload);
         }
         sent += SYMBOLS_PER_TICK;
-        driver.drive(TICK)?;
-        while driver.next_symbol().is_some() {}
+        server.run_for(TICK)?;
+        while server.pop_delivered(CID).is_some() {}
 
         if start.elapsed() >= next_print {
-            let ctl = driver.engine().adaptive().expect("adaptation enabled");
+            let report = server.shards().report(CID, since(start));
             println!(
                 "{:>8} {:>8.2} {:>12.4} {:>14}",
                 next_print.as_millis(),
-                ctl.mu(),
-                ctl.estimated_loss().unwrap_or(0.0),
-                ctl.adjustments()
+                report.adaptive_final_mu.expect("adaptation enabled"),
+                report.loss_fraction,
+                report.adaptive_adjustments
             );
             next_print += Duration::from_millis(500);
         }
     }
     // Let the tail of the stream and the last feedback epochs land.
-    driver.drive(Duration::from_millis(200))?;
-    while driver.next_symbol().is_some() {}
+    server.run_for(Duration::from_millis(200))?;
+    while server.pop_delivered(CID).is_some() {}
 
-    let report = driver.report(driver.now());
+    let report = server.shards().report(CID, since(start));
     println!("\nfinal report:");
     println!(
         "  sent {} symbols, delivered (eventually) {:.2}%",
@@ -108,4 +112,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  controller settled consistently with the model's prediction");
     Ok(())
+}
+
+/// Wall time since `start`, as engine time.
+fn since(start: Instant) -> SimTime {
+    SimTime::from_nanos(start.elapsed().as_nanos() as u64)
 }
