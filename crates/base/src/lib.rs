@@ -15,8 +15,8 @@
 //!   onto it.
 //! * [`Endpoint`] — which of the two hosts of a point-to-point
 //!   multichannel bundle is acting.
-//! * [`BufferPool`] / [`BufHandle`] — capacity-recycling byte buffers,
-//!   the backbone of the zero-allocation data path.
+//! * [`BufferPool`] — capacity-recycling byte buffers, the backbone of
+//!   the zero-allocation data path.
 //! * [`Pacer`] — drift-free constant-rate tick scheduling.
 //! * [`hash`] — [`IntMap`](hash::IntMap), the hash map for integer keys
 //!   (connection IDs, sequence numbers): one multiply a lookup, seeded.
@@ -39,6 +39,6 @@ mod time;
 
 pub use endpoint::Endpoint;
 pub use pace::Pacer;
-pub use pool::{BufHandle, BufferPool};
+pub use pool::BufferPool;
 pub use queue::{EventQueue, QueueKind};
 pub use time::SimTime;

@@ -1,26 +1,14 @@
 //! Reusable byte-buffer pooling for the zero-allocation data path.
 //!
 //! A steady-state protocol session moves a bounded working set of
-//! buffers: frames in flight, shares pending reassembly, scratch for
-//! split/reconstruct. [`BufferPool`] keeps that working set alive so
-//! the hot loop recycles capacity instead of asking the allocator —
-//! after warmup, `take`/`put` and `acquire`/`release` cycles perform no
-//! heap allocation at all (the counting-allocator test in
-//! `mcss-remicss` pins this).
-//!
-//! Two usage shapes:
-//!
-//! * **Detached** buffers ([`take`](BufferPool::take) /
-//!   [`put`](BufferPool::put)) leave the pool entirely — e.g. a frame
-//!   payload that travels through the simulator by value and is
-//!   returned at the receiver.
-//! * **Checked-out** buffers ([`acquire`](BufferPool::acquire) /
-//!   [`release`](BufferPool::release)) stay inside the pool and are
-//!   addressed through a generation-checked [`BufHandle`] — e.g. share
-//!   data parked in a reassembly table. The generation stamp turns
-//!   use-after-release into a deterministic panic instead of silent
-//!   corruption, which is what makes handle recycling safe to reason
-//!   about.
+//! buffers: frames in flight, reconstructed payloads, received
+//! datagrams. [`BufferPool`] keeps that working set alive so the hot
+//! loop recycles capacity instead of asking the allocator — after
+//! warmup, `take`/`put` cycles perform no heap allocation at all (the
+//! counting-allocator test in `mcss-remicss` pins this). A buffer taken
+//! with [`take`](BufferPool::take) leaves the pool entirely, travels by
+//! value (through the simulator, a send queue, the application) and
+//! joins it again with [`put`](BufferPool::put).
 //!
 //! # Examples
 //!
@@ -32,46 +20,17 @@
 //! buf.extend_from_slice(b"payload");
 //! pool.put(buf);
 //! assert_eq!(pool.take().capacity() >= 7, true); // capacity recycled
-//!
-//! let h = pool.acquire();
-//! pool.get_mut(h).extend_from_slice(b"share");
-//! assert_eq!(pool.get(h), b"share");
-//! pool.release(h);
 //! ```
 
-/// A generation-stamped reference to a buffer checked out of a
-/// [`BufferPool`] slot.
-///
-/// Handles are plain `Copy` data; the pool validates the generation on
-/// every access, so a handle kept past its
-/// [`release`](BufferPool::release) panics instead of aliasing a
-/// recycled buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BufHandle {
-    index: u32,
-    generation: u32,
-}
-
-#[derive(Debug, Default)]
-struct Slot {
-    generation: u32,
-    live: bool,
-    buf: Vec<u8>,
-}
-
 /// A pool of `Vec<u8>` buffers that retain their capacity across
-/// reuse. See the [module docs](self) for the two usage shapes.
+/// reuse. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    /// Free detached buffers.
+    /// Free buffers.
     free: Vec<Vec<u8>>,
-    /// Slot storage for checked-out buffers.
-    slots: Vec<Slot>,
-    /// Indices of released slots available for re-acquisition.
-    free_slots: Vec<u32>,
     /// Buffers created fresh because the pool was dry.
     misses: u64,
-    /// Buffers served from the free lists.
+    /// Buffers served from the free list.
     hits: u64,
     /// Times a returned buffer raised the largest capacity seen.
     grows: u64,
@@ -87,8 +46,8 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Takes a cleared detached buffer out of the pool (allocating one
-    /// only if the pool is dry).
+    /// Takes a cleared buffer out of the pool (allocating one only if
+    /// the pool is dry).
     pub fn take(&mut self) -> Vec<u8> {
         if let Some(buf) = self.free.pop() {
             self.hits += 1;
@@ -100,7 +59,7 @@ impl BufferPool {
         }
     }
 
-    /// Returns a detached buffer to the pool, retaining its capacity.
+    /// Returns a buffer to the pool, retaining its capacity.
     pub fn put(&mut self, mut buf: Vec<u8>) {
         buf.clear();
         self.note_capacity(buf.capacity());
@@ -116,81 +75,6 @@ impl BufferPool {
         }
     }
 
-    /// Checks out an empty in-pool buffer and returns its handle.
-    pub fn acquire(&mut self) -> BufHandle {
-        if let Some(index) = self.free_slots.pop() {
-            self.hits += 1;
-            let slot = &mut self.slots[index as usize];
-            debug_assert!(!slot.live && slot.buf.is_empty());
-            slot.live = true;
-            BufHandle {
-                index,
-                generation: slot.generation,
-            }
-        } else {
-            self.misses += 1;
-            let index = u32::try_from(self.slots.len()).expect("pool slot count fits u32");
-            self.slots.push(Slot {
-                generation: 0,
-                live: true,
-                buf: Vec::new(),
-            });
-            BufHandle {
-                index,
-                generation: 0,
-            }
-        }
-    }
-
-    fn slot(&self, handle: BufHandle) -> &Slot {
-        let slot = &self.slots[handle.index as usize];
-        assert!(
-            slot.live && slot.generation == handle.generation,
-            "stale buffer handle: slot {} generation {} vs live generation {}",
-            handle.index,
-            handle.generation,
-            slot.generation,
-        );
-        slot
-    }
-
-    /// The buffer behind `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` was released (stale generation).
-    #[must_use]
-    pub fn get(&self, handle: BufHandle) -> &[u8] {
-        &self.slot(handle).buf
-    }
-
-    /// Mutable access to the buffer behind `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` was released (stale generation).
-    pub fn get_mut(&mut self, handle: BufHandle) -> &mut Vec<u8> {
-        self.slot(handle); // generation check
-        &mut self.slots[handle.index as usize].buf
-    }
-
-    /// Releases a checked-out buffer back to its slot, invalidating
-    /// every copy of `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` was already released (stale generation).
-    pub fn release(&mut self, handle: BufHandle) {
-        self.slot(handle); // generation check
-        let slot = &mut self.slots[handle.index as usize];
-        slot.live = false;
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.buf.clear();
-        let capacity = slot.buf.capacity();
-        self.note_capacity(capacity);
-        self.free_slots.push(handle.index);
-    }
-
     /// Buffers created fresh because no pooled buffer was available.
     /// Flat after warmup ⇔ the data path is allocation-free.
     #[must_use]
@@ -204,7 +88,7 @@ impl BufferPool {
         self.hits
     }
 
-    /// Detached buffers currently parked in the pool.
+    /// Buffers currently idle in the pool.
     #[must_use]
     pub fn idle(&self) -> usize {
         self.free.len()
@@ -244,60 +128,14 @@ mod tests {
     }
 
     #[test]
-    fn handles_round_trip() {
-        let mut pool = BufferPool::new();
-        let h1 = pool.acquire();
-        let h2 = pool.acquire();
-        assert_ne!(h1, h2);
-        pool.get_mut(h1).push(1);
-        pool.get_mut(h2).push(2);
-        assert_eq!(pool.get(h1), &[1]);
-        assert_eq!(pool.get(h2), &[2]);
-        pool.release(h1);
-        let h3 = pool.acquire(); // recycles h1's slot, new generation
-        assert_eq!(pool.get(h3), &[] as &[u8]);
-        assert_eq!(pool.get(h2), &[2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale buffer handle")]
-    fn stale_handle_read_panics() {
-        let mut pool = BufferPool::new();
-        let h = pool.acquire();
-        pool.release(h);
-        let _ = pool.get(h);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale buffer handle")]
-    fn double_release_panics() {
-        let mut pool = BufferPool::new();
-        let h = pool.acquire();
-        pool.release(h);
-        pool.release(h);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale buffer handle")]
-    fn recycled_slot_rejects_old_handle() {
-        let mut pool = BufferPool::new();
-        let old = pool.acquire();
-        pool.release(old);
-        let _new = pool.acquire(); // same slot, bumped generation
-        let _ = pool.get(old);
-    }
-
-    #[test]
     fn steady_state_is_miss_free() {
         let mut pool = BufferPool::new();
         for _ in 0..4 {
             let b = pool.take();
             pool.put(b);
-            let h = pool.acquire();
-            pool.release(h);
         }
-        assert_eq!(pool.misses(), 2); // one detached, one slot
-        assert_eq!(pool.hits(), 6);
+        assert_eq!(pool.misses(), 1);
+        assert_eq!(pool.hits(), 3);
     }
 
     #[test]

@@ -70,6 +70,6 @@ pub use mcss_base::{pool, queue, stats};
 pub use frame::Frame;
 pub use link::{LinkConfig, LinkStats, SendOutcome};
 pub use network::{Channel, ChannelId, Endpoint, Network, NetworkBuilder};
-pub use pool::{BufHandle, BufferPool};
+pub use pool::BufferPool;
 pub use queue::QueueKind;
 pub use sim::{Application, Context, Simulator};

@@ -3,11 +3,14 @@
 //! The paper's contribution is a set of *measures* — privacy `Z(p)`,
 //! loss `L(p)`, delay `D(p)`, and the rate achieved by ReMICSS's dynamic
 //! schedule. This crate is the runtime substrate those measures are
-//! observed through: counters, gauges, log₂-bucketed HDR-style
-//! [`Histogram`]s, RAII [`span!`] timers, and a [`Recorder`] registry
-//! that snapshots everything into a serializable [`MetricsSnapshot`]
-//! (JSON via serde, Prometheus text via
-//! [`MetricsSnapshot::to_prometheus`]).
+//! observed through: [`Counter`]s, log₂-bucketed HDR-style
+//! [`Histogram`]s, RAII [`span!`] timers into a [`Recorder`] registry
+//! of span histograms, and the serializable [`MetricsSnapshot`] every
+//! exporter fills (JSON via serde, Prometheus text via
+//! [`MetricsSnapshot::to_prometheus`]). Counters and the protocol's
+//! distributions are owned by what they count (a host's metrics, a
+//! shard's stats), which writes them into a snapshot itself; the
+//! registry holds the span timings alone.
 //!
 //! # Overhead contract
 //!
@@ -57,7 +60,7 @@ mod recorder;
 mod snapshot;
 
 pub use hist::{bucket_bounds, bucket_index, Histogram, BUCKETS, SUB_BUCKETS};
-pub use metric::{Counter, Gauge};
+pub use metric::Counter;
 pub use recorder::{global, global_snapshot, Recorder, SpanGuard, SpanSite};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 

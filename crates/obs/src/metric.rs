@@ -1,4 +1,4 @@
-//! Counters and gauges: relaxed atomics.
+//! Counters: relaxed atomics.
 //!
 //! A counter has two recorders. [`Counter::add`] is one atomic
 //! read-modify-write, for a counter several threads bump.
@@ -6,7 +6,7 @@
 //! counter with one writer at a time (the thread that owns what it
 //! counts): readers on other threads still see whole, monotone values.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Replaces `old`, which the caller just loaded from `cell`, by `new`.
 /// With one writer the plain store is the whole update; a debug build
@@ -73,38 +73,6 @@ impl Counter {
     }
 }
 
-/// A value that can move both ways (queue depth, pool occupancy).
-#[derive(Debug, Default)]
-#[repr(transparent)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    #[must_use]
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,13 +84,5 @@ mod tests {
         c.add(4);
         c.add_single_writer(2);
         assert_eq!(c.get(), 7);
-    }
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let g = Gauge::new();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 }

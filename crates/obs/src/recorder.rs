@@ -1,10 +1,10 @@
-//! The metric registry and span timers.
+//! The span registry and span timers.
 //!
-//! A [`Recorder`] owns named metrics registered at startup (or lazily at
-//! a [`span!`](crate::span) site's first execution) and snapshots them
-//! on demand. Registered metrics are leaked `&'static` references, so
-//! hot paths hold a direct pointer — the registry lock is touched only
-//! at registration and snapshot time.
+//! A [`Recorder`] owns the named histograms [`span!`](crate::span)
+//! sites register at their first execution and snapshots them on
+//! demand. Registered histograms are leaked `&'static` references, so a
+//! site holds a direct pointer — the registry lock is touched only at
+//! registration and snapshot time.
 //!
 //! Spans sample: a site times one execution in 64 per thread, and an
 //! execution it does not time reads no clock and writes nothing another
@@ -16,23 +16,15 @@ use std::sync::OnceLock;
 use std::thread::LocalKey;
 use std::time::Instant;
 
-use crate::metric::{Counter, Gauge};
-use crate::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
+use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 use crate::Histogram;
 
-#[derive(Default)]
-struct Inner {
-    counters: Vec<(&'static str, &'static Counter)>,
-    gauges: Vec<(&'static str, &'static Gauge)>,
-    histograms: Vec<(&'static str, &'static Histogram)>,
-}
-
-/// A registry of named counters, gauges, and histograms.
+/// A registry of named histograms: the span timings of the process.
 ///
 /// Usually accessed through [`global`](crate::global); independent
 /// recorders are useful in tests.
 pub struct Recorder {
-    inner: Mutex<Inner>,
+    histograms: Mutex<Vec<(&'static str, &'static Histogram)>>,
 }
 
 impl Default for Recorder {
@@ -46,80 +38,34 @@ impl Recorder {
     #[must_use]
     pub const fn new() -> Self {
         Recorder {
-            inner: Mutex::new(Inner {
-                counters: Vec::new(),
-                gauges: Vec::new(),
-                histograms: Vec::new(),
-            }),
+            histograms: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The counter named `name`, registering (and leaking) it on
-    /// first use. Repeated calls with the same name return the same
-    /// counter.
-    pub fn counter(&self, name: &'static str) -> &'static Counter {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        if let Some(&(_, c)) = inner.counters.iter().find(|(n, _)| *n == name) {
-            return c;
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        inner.counters.push((name, c));
-        c
-    }
-
-    /// The gauge named `name`, registering it on first use.
-    pub fn gauge(&self, name: &'static str) -> &'static Gauge {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        if let Some(&(_, g)) = inner.gauges.iter().find(|(n, _)| *n == name) {
-            return g;
-        }
-        let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-        inner.gauges.push((name, g));
-        g
     }
 
     /// The histogram named `name`, registering it on first use.
     /// Span sites share histograms by name.
     pub fn histogram(&self, name: &'static str) -> &'static Histogram {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        if let Some(&(_, h)) = inner.histograms.iter().find(|(n, _)| *n == name) {
+        let mut histograms = self.histograms.lock().expect("recorder poisoned");
+        if let Some(&(_, h)) = histograms.iter().find(|(n, _)| *n == name) {
             return h;
         }
         let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        inner.histograms.push((name, h));
+        histograms.push((name, h));
         h
     }
 
-    /// A point-in-time copy of every registered metric, sorted by
+    /// A point-in-time copy of every registered histogram, sorted by
     /// name for stable output.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("recorder poisoned");
+        let histograms = self.histograms.lock().expect("recorder poisoned");
         let mut snap = MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|&(name, c)| CounterSnapshot {
-                    name: name.to_string(),
-                    value: c.get(),
-                })
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|&(name, g)| GaugeSnapshot {
-                    name: name.to_string(),
-                    value: g.get(),
-                })
-                .collect(),
-            histograms: inner
-                .histograms
+            histograms: histograms
                 .iter()
                 .map(|&(name, h)| HistogramSnapshot::of(name, h))
                 .collect(),
+            ..MetricsSnapshot::default()
         };
-        snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
         snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
         snap
     }
@@ -211,19 +157,6 @@ pub fn global_snapshot() -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_dedupes_by_name() {
-        let r = Recorder::new();
-        let a = r.counter("dedupe.test");
-        let b = r.counter("dedupe.test");
-        a.inc();
-        assert_eq!(b.get(), 1);
-        assert!(std::ptr::eq(a, b));
-        let snap = r.snapshot();
-        assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.counters[0].value, 1);
-    }
 
     #[test]
     fn span_guard_records_into_named_histogram() {

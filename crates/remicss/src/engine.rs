@@ -23,7 +23,8 @@
 //! The engine owns no buffer either, unless asked to. [`EngineCore`] is
 //! the state machine itself: each call that can emit a frame or park a
 //! share borrows from its host a [`Lent`]: the [`BufferPool`], the
-//! [`Partials`] slab its reassembly tables park partial symbols in, the
+//! [`Partials`] slab its reassembly tables park partial symbols and
+//! their shares in, the
 //! bytes every frame it emits must start with, the share key with the
 //! session's stream id, and the [`Scratch`] a symbol is drawn and split
 //! in. So a host of many sessions (a server shard) lends all of them one
@@ -300,11 +301,13 @@ pub struct Scratch {
 /// What a call into [`EngineCore`] borrows from its host.
 #[derive(Debug)]
 pub struct Lent<'a> {
-    /// The pool every buffer comes from and goes back to; the same pool
-    /// on every call into one core.
+    /// The pool frames and rebuilt payloads come from and go back to.
+    /// Each buffer taken leaves the core by value, so the core holds
+    /// none between calls and any pool will do.
     pub pool: &'a mut BufferPool,
     /// The slab the core's reassembly tables keep their partial symbols
-    /// in: one per host, lent to every core on every call, like `pool`.
+    /// and parked shares in: one per host, lent to every core, and the
+    /// same slab on every call into one core.
     pub partials: &'a mut Partials,
     /// The bytes each emitted frame starts with (a demux prefix, or
     /// nothing).
@@ -336,10 +339,9 @@ impl Lent<'_> {
 ///
 /// A host of many sessions keeps one [`BufferPool`], one [`Partials`]
 /// slab, one [`ShareKey`], one [`Scratch`] and one core per session.
-/// Every `pool` lent to one core must be the same pool, and every
-/// `partials` the same slab: the shares its reassembly tables park are
-/// slots of the one, their partial symbols entries of the other.
-/// Every `(key, stream)` lent to one core must be the same too, and no
+/// Every `partials` lent to one core must be the same slab: its
+/// reassembly tables' partial symbols, with the shares parked in them,
+/// are entries of it. Every `(key, stream)` lent to one core must be the same too, and no
 /// other core on the host may be lent it: the core splits each symbol
 /// of a direction once, on the stream named by the direction and the
 /// symbol's number among that direction's splits, so no keystream byte
@@ -717,8 +719,8 @@ impl EngineCore {
 
     /// Feeds one event into the state machine, then queues the resulting
     /// actions for [`poll_action`](EngineCore::poll_action). Buffers
-    /// come from and go back to `lent.pool`, and partial symbols park in
-    /// `lent.partials`; every frame emitted starts with `lent.prefix`;
+    /// come from and go back to `lent.pool`, and partial symbols and
+    /// their shares park in `lent.partials`; every frame emitted starts with `lent.prefix`;
     /// share randomness is drawn under `lent.key`; a symbol is scheduled
     /// and split in `lent.scratch`.
     ///
@@ -861,9 +863,9 @@ impl EngineCore {
             TIMER_SWEEP => {
                 self.sweep_armed = false;
                 if let Some(back) = self.return_path.as_deref_mut() {
-                    back.table_a.sweep(lent.pool, lent.partials, now);
+                    back.table_a.sweep(lent.partials, now);
                 }
-                self.table_b.sweep(lent.pool, lent.partials, now);
+                self.table_b.sweep(lent.partials, now);
                 self.arm_sweep(lent.partials);
             }
             other => panic!("unknown timer token {other}"),
@@ -1226,9 +1228,9 @@ impl Engine {
         self
     }
 
-    /// The engine's buffer pool (for hit/miss/grow telemetry): frames,
-    /// reconstructions and the shares parked in reassembly all live in
-    /// it.
+    /// The engine's buffer pool (for hit/miss/grow telemetry): frames
+    /// and reconstructions live in it; the shares parked in reassembly
+    /// live in the engine's [`Partials`] slab.
     #[must_use]
     pub fn frame_pool(&self) -> &BufferPool {
         &self.pool

@@ -14,22 +14,23 @@
 //!   [`with_resolved_cap`](ReassemblyTable::with_resolved_cap),
 //!   evicting oldest-first, so memory stays flat on unbounded runs.
 //!
-//! Share data lives in a [`BufferPool`]: each buffered share occupies a
-//! generation-checked pool slot; the share that completes a symbol is
-//! never buffered — the symbol is reconstructed from the parked shares
-//! and from that one where its datagram lies, straight into a buffer of
-//! the same pool — and completed or evicted entries hand their slots
-//! back, so the steady-state receive path performs no heap allocation
-//! (see [`accept`](ReassemblyCore::accept)).
+//! A parked share's bytes belong to its partial symbol, in a buffer the
+//! [`Partials`] slab recycles: a completed or evicted symbol's buffers
+//! are emptied onto the slab's spare list, and the next share parked
+//! takes one from there. The share that completes a symbol is never
+//! parked — the symbol is reconstructed from the parked shares and from
+//! that one where its datagram lies, straight into a buffer of a
+//! [`BufferPool`] — so the steady-state receive path performs no heap
+//! allocation (see [`accept`](ReassemblyCore::accept)).
 //!
-//! Whose pool that is depends on the host. [`ReassemblyCore`] is the
-//! table with the pool and the partial symbols left out: every call
-//! that touches share data borrows a pool and a [`Partials`] slab, so
-//! the tables of ten thousand sessions park their shares in the one
-//! pool of the shard that hosts them and their partial symbols in its
-//! one slab, and hold no buffer of their own while nothing is pending.
-//! [`ReassemblyTable`] is the same core next to a pool and a slab it
-//! owns.
+//! Whose slab and pool those are depends on the host.
+//! [`ReassemblyCore`] is the table with the partial symbols left out:
+//! every call that touches them borrows a [`Partials`] slab, so the
+//! tables of ten thousand sessions park their partial symbols in the
+//! one slab of the shard that hosts them, and hold no buffer of their
+//! own while nothing is pending; [`accept`](ReassemblyCore::accept)
+//! also borrows the pool it rebuilds a symbol in. [`ReassemblyTable`] is
+//! the same core next to a slab and a pool it owns.
 //!
 //! # What a timeout costs
 //!
@@ -59,8 +60,9 @@
 //! the share that completes a symbol, and the sweep or memory cap that
 //! evicts one, turn the word from index into stamp where it stands; and
 //! forgetting a record reads its stamp from the slot it then clears.
-//! Slab entries keep their share lists when they are freed, so parking
-//! a share allocates nothing once the host has seen its peak.
+//! Slab entries keep their share lists when they are freed, and their
+//! share buffers go to the slab's spare list, so parking a share
+//! allocates nothing once the host has seen its peak.
 //!
 //! The table is never more than half full, so linear probing stays
 //! short, and a deleted record leaves no tombstone: the records probing
@@ -76,7 +78,7 @@ use std::hash::BuildHasher as _;
 use std::mem;
 
 use mcss_base::hash::IntBuildHasher;
-use mcss_base::{BufHandle, BufferPool, SimTime};
+use mcss_base::{BufferPool, SimTime};
 use mcss_codec::CodecId;
 
 use crate::wire::ShareRef;
@@ -131,8 +133,8 @@ struct Pending {
     codec: CodecId,
     k: u8,
     m: u8,
-    /// `(abscissa, pooled share data)` in arrival order.
-    shares: Vec<(u8, BufHandle)>,
+    /// `(abscissa, share data)` in arrival order.
+    shares: Vec<(u8, Vec<u8>)>,
     first_seen: SimTime,
     /// The symbol's sequence number, which names its table slot.
     seq: u64,
@@ -144,22 +146,25 @@ struct Pending {
     next: u32,
 }
 
-/// The partial symbols of every table a host keeps: one slab of
-/// entries with a free list, in which each table links its own entries
-/// in deadline order. A freed entry keeps its share list's capacity, so
-/// parking a share allocates nothing once the slab has seen the host's
-/// peak of partials at once.
+/// The partial symbols of every table a host keeps, with the bytes of
+/// their parked shares: one slab of entries with a free list, in which
+/// each table links its own entries in deadline order, and one spare
+/// list of emptied share buffers. A freed entry keeps its share list's
+/// capacity and gives its share buffers to the spare list, so parking a
+/// share allocates nothing once the slab has seen the host's peak of
+/// partials and parked shares at once.
 ///
-/// A host lends one slab to all of its tables, beside the
-/// [`BufferPool`] their shares are parked in and under the same
-/// contract: a table must be lent the same slab on every call, and a
-/// table dropped while partials are pending leaves their entries taken.
+/// A host lends one slab to all of its tables: a table must be lent the
+/// same slab on every call, and a table dropped while partials are
+/// pending leaves their entries taken.
 #[derive(Debug)]
 pub struct Partials {
     entries: Vec<Pending>,
     /// The most recently freed entry ([`NO_PARTIAL`] without one); the
     /// free list runs on through [`Pending::next`].
     free: u32,
+    /// Emptied share buffers, which the next shares parked fill.
+    spare: Vec<Vec<u8>>,
 }
 
 impl Default for Partials {
@@ -167,6 +172,7 @@ impl Default for Partials {
         Partials {
             entries: Vec::new(),
             free: NO_PARTIAL,
+            spare: Vec::new(),
         }
     }
 }
@@ -205,14 +211,33 @@ impl Partials {
         index
     }
 
-    /// Takes the entry at `index` out of `list`, releases its shares
-    /// into `pool` and returns it, its share list emptied, to the free
-    /// list. Returns the bytes it had parked.
-    fn remove(&mut self, list: &mut List, index: u32, pool: &mut BufferPool) -> usize {
+    /// Share buffers the slab holds, parked or spare: the most shares
+    /// its tables have had parked at once.
+    #[must_use]
+    pub fn buffers(&self) -> usize {
+        let parked: usize = self.entries.iter().map(|p| p.shares.len()).sum();
+        parked + self.spare.len()
+    }
+
+    /// Parks share `x`'s `payload` with the entry at `index`, in a spare
+    /// buffer if there is one.
+    fn park(&mut self, index: u32, x: u8, payload: &[u8]) {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.extend_from_slice(payload);
+        let entry = &mut self.entries[index as usize];
+        entry.shares.push((x, buf));
+        entry.bytes += u32::try_from(payload.len()).expect("a share's length is a 16-bit field");
+    }
+
+    /// Takes the entry at `index` out of `list`, empties its share
+    /// buffers onto the spare list and returns the entry, its share list
+    /// emptied, to the free list. Returns the bytes it had parked.
+    fn remove(&mut self, list: &mut List, index: u32) -> usize {
         let free = self.free;
-        let entry = self.get_mut(index);
-        for (_, handle) in entry.shares.drain(..) {
-            pool.release(handle);
+        let entry = &mut self.entries[index as usize];
+        for (_, mut buf) in entry.shares.drain(..) {
+            buf.clear();
+            self.spare.push(buf);
         }
         let (prev, next) = (entry.prev, mem::replace(&mut entry.next, free));
         let bytes = entry.bytes as usize;
@@ -394,16 +419,16 @@ impl SeqTable {
 }
 
 /// The reassembly table without its buffers: all of the table's state
-/// and logic, with the [`BufferPool`] that holds the share data and the
-/// [`Partials`] slab that holds the partial symbols lent by the caller
-/// on each call that touches them.
+/// and logic, with the [`Partials`] slab that holds the partial symbols
+/// and their share data lent by the caller on each call that touches
+/// them, and the [`BufferPool`] a completed symbol is rebuilt in lent to
+/// [`accept`](Self::accept).
 ///
-/// The handles of the buffered shares index the lent pool, and the
-/// table's slots and list index the lent slab, so a core must be lent
-/// the same pool and the same slab every time. With nothing pending it
-/// holds neither a handle nor an entry; a core dropped while partials
-/// are pending leaves their slots checked out of that pool and their
-/// entries taken in that slab.
+/// The table's slots and list index the lent slab, so a core must be
+/// lent the same slab every time; it holds no pool buffer between
+/// calls, so any pool will do. With nothing pending it holds no entry;
+/// a core dropped while partials are pending leaves their entries taken
+/// in that slab.
 #[derive(Debug)]
 pub struct ReassemblyCore {
     timeout: SimTime,
@@ -545,18 +570,18 @@ impl ReassemblyCore {
     }
 
     /// Offers an in-place decoded share to the table at time `now`,
-    /// with its share data parked in `pool` and its partial symbols in
+    /// with its partial symbols, and the shares parked with them, in
     /// `partials`.
     ///
     /// With [`AcceptOutcome::Completed`] comes the reconstructed payload,
     /// in a buffer taken from `pool` that is the caller's to put back;
     /// with every other outcome, `None` — a share that does not complete
-    /// its symbol costs no buffer beyond the slot it is parked in.
-    /// Steady state, this path performs no heap allocation: the data of
-    /// a share that leaves its symbol incomplete goes into a buffer of
-    /// `pool`, reconstruction reads the completing share in place and
-    /// writes into the taken buffer's capacity, and the completed
-    /// symbol's slots return to `pool` and its entry to `partials`.
+    /// its symbol costs no pool buffer. Steady state, this path performs
+    /// no heap allocation: the data of a share that leaves its symbol
+    /// incomplete goes into a spare buffer of `partials`, reconstruction
+    /// reads the completing share in place and writes into the taken
+    /// buffer's capacity, and the completed symbol's entry and share
+    /// buffers return to `partials`.
     ///
     /// Before a share is parked, the oldest other partials are evicted
     /// until it fits under the memory cap. A share of a symbol that
@@ -611,14 +636,14 @@ impl ReassemblyCore {
             );
             self.live_partials += 1;
             self.table.insert(seq, Record::Partial(partial).pack());
-            return self.park(pool, partials, partial, x, payload);
+            return self.park(partials, partial, x, payload);
         };
         let Record::Partial(partial) = record else {
             self.stats.stale += 1;
             return (AcceptOutcome::Stale, None);
         };
         let p = partials.get(partial);
-        let first_len = p.shares.first().map(|&(_, h)| pool.get(h).len());
+        let first_len = p.shares.first().map(|(_, share)| share.len());
         if p.codec != codec
             || p.k != k
             || p.m != m
@@ -633,14 +658,13 @@ impl ReassemblyCore {
         }
         let parked = p.shares.len();
         if parked + 1 < p.k as usize {
-            return self.park(pool, partials, partial, x, payload);
+            return self.park(partials, partial, x, payload);
         }
-        // The codec's rebuild over the pooled shares in arrival order
+        // The codec's rebuild over the parked shares in arrival order
         // and then this one, read where the datagram lies: it is never
         // parked. A failure (malformed payloads — Shamir's interpolation
         // is total) is surfaced as a decode failure.
         let mut out = pool.take();
-        let held: &BufferPool = pool;
         let decoded = p
             .codec
             .reconstruct_with(
@@ -648,13 +672,13 @@ impl ReassemblyCore {
                 p.m,
                 parked + 1,
                 |i| p.shares.get(i).map_or(x, |&(sx, _)| sx),
-                |i| p.shares.get(i).map_or(payload, |&(_, h)| held.get(h)),
+                |i| p.shares.get(i).map_or(payload, |(_, share)| share),
                 &mut out,
             )
             .is_ok();
         let residency = now.saturating_sub(p.first_seen);
         // Either way the symbol is done with.
-        self.retire(pool, partials, at, partial, now);
+        self.retire(partials, at, partial, now);
         self.remember(seq, now, false);
         if decoded {
             self.last_completed_residency = residency;
@@ -668,47 +692,35 @@ impl ReassemblyCore {
     }
 
     /// Parks share `x`'s `payload` with the partial at slab index
-    /// `partial`, in a buffer of `pool`, once the oldest other partials
-    /// have made room for it under the memory cap. A symbol that cannot
-    /// fit even alone is evicted instead (a memory eviction), and the
-    /// share reads as [`AcceptOutcome::Stale`], as its siblings will.
+    /// `partial` once the oldest other partials have made room for it
+    /// under the memory cap. A symbol that cannot fit even alone is
+    /// evicted instead (a memory eviction), and the share reads as
+    /// [`AcceptOutcome::Stale`], as its siblings will.
     fn park(
         &mut self,
-        pool: &mut BufferPool,
         partials: &mut Partials,
         partial: u32,
         x: u8,
         payload: &[u8],
     ) -> (AcceptOutcome, Option<Vec<u8>>) {
-        if !self.make_room(pool, partials, payload.len(), partial) {
+        if !self.make_room(partials, payload.len(), partial) {
             let first_seen = partials.get(partial).first_seen;
-            self.evict(pool, partials, partial, first_seen, true);
+            self.evict(partials, partial, first_seen, true);
             self.stats.memory_evictions += 1;
             return (AcceptOutcome::Stale, None);
         }
-        let handle = pool.acquire();
-        pool.get_mut(handle).extend_from_slice(payload);
-        let p = partials.get_mut(partial);
-        p.shares.push((x, handle));
-        p.bytes += u32::try_from(payload.len()).expect("a share's length is a 16-bit field");
+        partials.park(partial, x, payload);
         self.buffered_bytes += payload.len();
         (AcceptOutcome::Stored, None)
     }
 
     /// Ends the partial at slab index `partial`, whose slot is `at`: it
-    /// leaves the table's list, its buffers return to the pool, its
-    /// entry, share list emptied, to the slab's free list, and its slot
-    /// turns from partial to resolved at `stamp` where it stands.
-    /// [`remember`](Self::remember) files the record.
-    fn retire(
-        &mut self,
-        pool: &mut BufferPool,
-        partials: &mut Partials,
-        at: usize,
-        partial: u32,
-        stamp: SimTime,
-    ) {
-        self.buffered_bytes -= partials.remove(&mut self.list, partial, pool);
+    /// leaves the table's list, its share buffers go to the slab's spare
+    /// list and its entry, share list emptied, to the slab's free list,
+    /// and its slot turns from partial to resolved at `stamp` where it
+    /// stands. [`remember`](Self::remember) files the record.
+    fn retire(&mut self, partials: &mut Partials, at: usize, partial: u32, stamp: SimTime) {
+        self.buffered_bytes -= partials.remove(&mut self.list, partial);
         self.live_partials -= 1;
         self.table.slots[at].word = Record::Resolved(stamp).pack();
     }
@@ -716,9 +728,9 @@ impl ReassemblyCore {
     /// Evicts the partial symbols older than the timeout at `now`, oldest
     /// first, and forgets the resolution records older than twice the
     /// timeout. Costs `O(evicted + forgotten)`; nothing is evicted before
-    /// [`next_sweep_at`](Self::next_sweep_at). `pool` and `partials` are
-    /// the pool and the slab the table is lent.
-    pub fn sweep(&mut self, pool: &mut BufferPool, partials: &mut Partials, now: SimTime) {
+    /// [`next_sweep_at`](Self::next_sweep_at). `partials` is the slab
+    /// the table is lent.
+    pub fn sweep(&mut self, partials: &mut Partials, now: SimTime) {
         // The evictions below meet the resolved cap with the records
         // the grid instants before `now` left, not with those `now`
         // itself is about to drop.
@@ -727,7 +739,7 @@ impl ReassemblyCore {
             if now.saturating_sub(partials.get(self.list.oldest).first_seen) <= self.timeout {
                 break;
             }
-            self.evict(pool, partials, self.list.oldest, now, false);
+            self.evict(partials, self.list.oldest, now, false);
             self.stats.timeout_evictions += 1;
         }
         self.last_sweep = self.last_sweep.max(now);
@@ -736,19 +748,12 @@ impl ReassemblyCore {
 
     /// Evicts the partial at slab index `partial`, remembering it from
     /// `stamp` on.
-    fn evict(
-        &mut self,
-        pool: &mut BufferPool,
-        partials: &mut Partials,
-        partial: u32,
-        stamp: SimTime,
-        by_memory: bool,
-    ) {
+    fn evict(&mut self, partials: &mut Partials, partial: u32, stamp: SimTime, by_memory: bool) {
         let seq = partials.get(partial).seq;
         let Some((at, Record::Partial(_))) = self.table.get(seq) else {
             unreachable!("a listed partial has its slot");
         };
-        self.retire(pool, partials, at, partial, stamp);
+        self.retire(partials, at, partial, stamp);
         self.remember(seq, stamp, by_memory);
     }
 
@@ -850,13 +855,7 @@ impl ReassemblyCore {
     /// Evicts the oldest partial symbols but the one at slab index
     /// `keep` until `incoming` more bytes fit under the cap; whether
     /// they now do.
-    fn make_room(
-        &mut self,
-        pool: &mut BufferPool,
-        partials: &mut Partials,
-        incoming: usize,
-        keep: u32,
-    ) -> bool {
+    fn make_room(&mut self, partials: &mut Partials, incoming: usize, keep: u32) -> bool {
         let mut victim = self.list.oldest;
         while self.buffered_bytes + incoming > self.capacity_bytes {
             if victim == NO_PARTIAL {
@@ -866,7 +865,7 @@ impl ReassemblyCore {
                 next, first_seen, ..
             } = *partials.get(victim);
             if victim != keep {
-                self.evict(pool, partials, victim, first_seen, true);
+                self.evict(partials, victim, first_seen, true);
                 self.stats.memory_evictions += 1;
             }
             victim = next;
@@ -875,8 +874,9 @@ impl ReassemblyCore {
     }
 }
 
-/// The share reassembly table: a [`ReassemblyCore`], the pool its share
-/// data lives in and the slab its partial symbols live in. Counters and
+/// The share reassembly table: a [`ReassemblyCore`], the slab its
+/// partial symbols and their shares live in and the pool it rebuilds
+/// symbols in. Counters and
 /// sizes are read through the core (`table.stats()`,
 /// `table.buffered_bytes()`, …).
 ///
@@ -913,9 +913,10 @@ impl ReassemblyCore {
 #[derive(Debug)]
 pub struct ReassemblyTable {
     core: ReassemblyCore,
-    /// Share-data buffers, recycled across symbols.
+    /// Rebuild buffers, recycled across symbols.
     pool: BufferPool,
-    /// Partial symbols, their entries recycled likewise.
+    /// Partial symbols, their entries and share buffers recycled
+    /// likewise.
     partials: Partials,
 }
 
@@ -943,14 +944,15 @@ impl ReassemblyTable {
         self
     }
 
-    /// Buffers allocated by the internal share pool; flat after warmup
-    /// on the steady-state path.
+    /// Rebuild buffers allocated by the internal pool; flat after warmup
+    /// on the steady-state path. Parked shares live in the slab and are
+    /// not counted here.
     #[must_use]
     pub fn pool_misses(&self) -> u64 {
         self.pool.misses()
     }
 
-    /// Buffers served from the internal share pool without allocating.
+    /// Rebuild buffers served from the internal pool without allocating.
     #[must_use]
     pub fn pool_hits(&self) -> u64 {
         self.pool.hits()
@@ -982,9 +984,9 @@ impl ReassemblyTable {
         outcome
     }
 
-    /// [`ReassemblyCore::sweep`] over the table's own pool and slab.
+    /// [`ReassemblyCore::sweep`] over the table's own slab.
     pub fn sweep(&mut self, now: SimTime) {
-        self.core.sweep(&mut self.pool, &mut self.partials, now);
+        self.core.sweep(&mut self.partials, now);
     }
 }
 
@@ -1270,6 +1272,18 @@ mod tests {
         t.pool_hits() + t.pool_misses()
     }
 
+    /// Where the bytes of the share parked first for `seq` lie, and the
+    /// capacity of the buffer holding them.
+    fn parked_buffer(t: &ReassemblyTable, seq: u64) -> (*const u8, usize) {
+        let p = t
+            .partials
+            .entries
+            .iter()
+            .find(|p| p.seq == seq && !p.shares.is_empty());
+        let share = &p.expect("a share of it is parked").shares[0].1;
+        (share.as_ptr(), share.capacity())
+    }
+
     #[test]
     fn completing_share_is_checked_before_it_is_read_in_place() {
         for codec in CodecId::ALL {
@@ -1278,11 +1292,16 @@ mod tests {
             let len = ShareRef::decode(&fs[0]).unwrap().payload().len();
             assert_eq!(offer(&mut t, &fs[0], SimTime::ZERO).0, Stored);
             assert_eq!(offer(&mut t, &fs[1], SimTime::ZERO).0, Stored);
-            let parked = (t.pending_symbols(), t.buffered_bytes(), pool_takes(&t));
-            assert_eq!(parked, (1, 2 * len, 2), "{codec}");
+            let parked = (
+                t.pending_symbols(),
+                t.buffered_bytes(),
+                t.partials.buffers(),
+                pool_takes(&t),
+            );
+            assert_eq!(parked, (1, 2 * len, 2, 0), "{codec}");
 
             // Each of these would be the third share. None is read, none
-            // takes a slot, and the two parked shares stay as they were.
+            // takes a buffer, and the two parked shares stay as they were.
             let sibling = ShareRef::decode(&fs[2]).unwrap().payload().to_vec();
             let other = CodecId::ALL[1 - codec.wire_id() as usize];
             let rejected = [
@@ -1297,21 +1316,27 @@ mod tests {
             ];
             for (frame, verdict) in &rejected {
                 assert_eq!(offer(&mut t, frame, SimTime::ZERO).0, *verdict, "{codec}");
-                let now = (t.pending_symbols(), t.buffered_bytes(), pool_takes(&t));
+                let now = (
+                    t.pending_symbols(),
+                    t.buffered_bytes(),
+                    t.partials.buffers(),
+                    pool_takes(&t),
+                );
                 assert_eq!(now, parked, "{codec}: a rejected share moved something");
             }
             assert_eq!((t.stats().duplicates, t.stats().inconsistent), (1, 4));
 
             // The real third share completes from where it lies: the
-            // one buffer taken is the one the symbol is rebuilt in.
+            // slab holds the two parked shares' buffers and no third, and
+            // the one buffer taken is the one the symbol is rebuilt in.
             assert_eq!(
                 offer(&mut t, &fs[4], SimTime::ZERO),
                 (Completed, b"read where it lies".to_vec()),
                 "{codec}"
             );
             assert_eq!(
-                pool_takes(&t),
-                3,
+                (t.partials.buffers(), pool_takes(&t)),
+                (2, 1),
                 "{codec}: the completing share was parked"
             );
             assert_eq!((t.pending_symbols(), t.buffered_bytes()), (0, 0));
@@ -1387,13 +1412,47 @@ mod tests {
         // The completing share cannot be decoded with it: counted, the
         // symbol resolved, and the share itself never parked.
         assert_eq!(offer(&mut t, &fs[1], SimTime::ZERO).0, Inconsistent);
-        assert_eq!(pool_takes(&t), 2, "one parked share, one rebuild buffer");
+        assert_eq!(
+            (t.partials.buffers(), pool_takes(&t)),
+            (1, 1),
+            "one parked share, one rebuild buffer"
+        );
         assert_eq!(t.stats().decode_failures, 1);
         assert_eq!(t.stats().completed, 0);
         assert_eq!(t.pending_symbols(), 0, "failed symbol is resolved");
         assert_eq!(t.buffered_bytes(), 0);
         // Late shares of the failed symbol read as stale.
         assert_eq!(offer(&mut t, &fs[2], SimTime::ZERO).0, Stale);
+    }
+
+    #[test]
+    fn the_next_park_reuses_a_retired_partials_buffer() {
+        let mut t = ReassemblyTable::new(SimTime::from_millis(10), 1 << 20);
+        let first = frames(50, 2, 3, &[5u8; 300]);
+        offer(&mut t, &first[0], SimTime::ZERO);
+        let buffer = parked_buffer(&t, 50);
+        // Completed: its buffer waits, emptied, for the next share…
+        assert_eq!(offer(&mut t, &first[1], SimTime::ZERO).0, Completed);
+        assert_eq!(t.partials.buffers(), 1);
+        let second = frames(51, 2, 3, &[6u8; 300]);
+        offer(&mut t, &second[0], SimTime::ZERO);
+        assert_eq!(
+            parked_buffer(&t, 51),
+            buffer,
+            "a new buffer after completion"
+        );
+        assert_eq!(t.partials.buffers(), 1);
+        // …and evicted likewise.
+        t.sweep(SimTime::from_millis(11));
+        assert_eq!(t.stats().timeout_evictions, 1);
+        let third = frames(52, 2, 3, &[7u8; 300]);
+        offer(&mut t, &third[0], SimTime::from_millis(11));
+        assert_eq!(parked_buffer(&t, 52), buffer, "a new buffer after eviction");
+        assert_eq!(t.partials.buffers(), 1);
+        assert_eq!(
+            offer(&mut t, &third[1], SimTime::from_millis(11)),
+            (Completed, vec![7u8; 300])
+        );
     }
 
     #[test]
@@ -1610,12 +1669,12 @@ mod tests {
     fn pooled_buffers_recycle_across_symbols() {
         let mut t = table();
         let mut out = Vec::with_capacity(256);
-        // Warm up one symbol's worth of pool slots…
+        // Warm up one symbol's worth of pool and slab buffers…
         for f in &frames(0, 3, 3, &[0u8; 200]) {
             t.accept_into(&ShareRef::decode(f).unwrap(), SimTime::ZERO, &mut out);
         }
-        let warm = t.pool_misses();
-        assert!(warm > 0);
+        let warm = (t.pool_misses(), t.partials.buffers());
+        assert_eq!(warm, (1, 2));
         // …then every further same-shape symbol reuses them.
         for seq in 1..50u64 {
             for f in &frames(seq, 3, 3, &[seq as u8; 200]) {
@@ -1623,7 +1682,8 @@ mod tests {
             }
             assert_eq!(&out, &[seq as u8; 200], "symbol {seq}");
         }
-        assert_eq!(t.pool_misses(), warm, "steady state must not allocate");
+        let now = (t.pool_misses(), t.partials.buffers());
+        assert_eq!(now, warm, "steady state must not allocate");
     }
 
     #[test]

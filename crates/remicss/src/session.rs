@@ -173,8 +173,8 @@ impl Session {
         self.engine.metrics()
     }
 
-    /// The engine's buffer pool — frames, parked shares and
-    /// reconstructions (for hit/miss/grow telemetry).
+    /// The engine's buffer pool — frames and reconstructions (for
+    /// hit/miss/grow telemetry); parked shares live in its partial slab.
     #[must_use]
     pub fn frame_pool(&self) -> &BufferPool {
         self.engine.frame_pool()

@@ -7,10 +7,10 @@
 //! pool-less [`EngineCore`], drained the moment an event has run, so
 //! each share is written once — demux prefix, header, codec output —
 //! into a buffer off the shard's free list and that buffer is the
-//! outbound datagram, the shares parked in reassembly and the
-//! reconstructions delivered sit in the same pool, and every session's
-//! partial symbols are entries of the one slab. A session at rest holds
-//! no buffer and no partial.
+//! outbound datagram, the reconstructions delivered sit in the same
+//! pool, and every session's partial symbols, with the shares parked in
+//! them, are entries of the one slab. A session at rest holds no buffer
+//! and no partial.
 //!
 //! Routing is static: connection `cid` lives on shard
 //! `cid % num_shards`. A shard that reads a datagram it does not own
@@ -224,11 +224,11 @@ pub struct Shard {
     /// describe the channels, not the sessions, so a session adds none
     /// (a set is 15 KB per histogram, `2n + 1` of them).
     metrics: Vec<Arc<HostMetrics>>,
-    /// Every buffer of the shard and its sessions: outbound frames,
-    /// shares parked in reassembly, reconstructions.
+    /// Every buffer of the shard and its sessions but the parked
+    /// shares: outbound frames, reconstructions.
     pool: BufferPool,
-    /// Every session's partial symbols, each linked into its own table's
-    /// list.
+    /// Every session's partial symbols with their parked shares, each
+    /// linked into its own table's list.
     partials: Partials,
     /// The key every session's shares are drawn under, each on the
     /// stream of its connection ID: the set's one key.
@@ -307,6 +307,13 @@ impl Shard {
     #[must_use]
     pub fn pool(&self) -> &BufferPool {
         &self.pool
+    }
+
+    /// The slab the shard's sessions park partial symbols and their
+    /// shares in (what it holds is the shard's parked-share memory).
+    #[must_use]
+    pub fn partials(&self) -> &Partials {
+        &self.partials
     }
 
     /// Connection IDs owned by this shard, in the order registered.
@@ -946,7 +953,8 @@ impl ShardSet {
 
 /// Exports a buffer pool under `prefix`: its idle buffers, the buffers
 /// it ever created, and the largest capacity among them. With one pool
-/// per shard, that is what the server holds in buffers.
+/// per shard, that is what the server holds in buffers, but for the
+/// shares parked in its partial slab.
 fn pool_snapshot(
     prefix: &str,
     (idle, misses, max_capacity): (usize, u64, usize),

@@ -796,7 +796,9 @@ impl UdpServer {
     }
 
     /// Takes the oldest symbol session `cid` reconstructed, as
-    /// `(seq, payload)`.
+    /// `(seq, payload)`. The payload is a buffer of the session's shard
+    /// pool: hand it back with
+    /// [`recycle_delivered`](UdpServer::recycle_delivered).
     ///
     /// # Panics
     ///
@@ -805,6 +807,15 @@ impl UdpServer {
         self.set
             .shard_mut(self.set.shard_of(cid))
             .pop_delivered(cid)
+    }
+
+    /// Returns a payload [`pop_delivered`](UdpServer::pop_delivered)
+    /// took from session `cid` to its shard's pool, so the next
+    /// reconstruction reuses it.
+    pub fn recycle_delivered(&mut self, cid: u32, payload: Vec<u8>) {
+        self.set
+            .shard_mut(self.set.shard_of(cid))
+            .recycle_delivered(cid, payload);
     }
 
     /// Injects share loss on `channel`: every shard discards each share

@@ -8,10 +8,10 @@
 //! ever read. A shard now builds one set per channel count it hosts and
 //! every engine it builds records into that; since the per-channel
 //! share counters and the `(k, m)` matrix joined the set, a session
-//! holds no metric at all. The buffers went the same way: frames, parked
-//! shares and reconstructions live in the shard's one pool, which its
-//! engines borrow, and so do the scheduler choice and split planes a
-//! symbol is drawn in and the slab its partial symbols park in, so a
+//! holds no metric at all. The buffers went the same way: frames and
+//! reconstructions live in the shard's one pool, which its engines
+//! borrow, and so do the scheduler choice and split planes a symbol is
+//! drawn in and the slab its partial symbols and their shares park in, so a
 //! session is its pool-less engine and reassembly table, under 2 KB
 //! after traffic (1.75 KB here, where a thousand sessions divide the
 //! shards' own state; 1.53 KB on the benchmark's 10 000-session
@@ -85,7 +85,7 @@ const SESSIONS: u32 = 1_000;
 const CHANNELS: usize = 5;
 const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
-/// `(κ, μ) = (2, 3)`: three shares a symbol, two of them parked.
+/// `(κ, μ) = (2, 3)`: three shares a symbol, one of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
 /// Measured 1 752 B (+ 25 %); a session that kept its own slab of
 /// partial symbols and insertion ring held 1.9 KB, one that kept its
@@ -185,20 +185,24 @@ fn a_fleet_session_holds_kilobytes_and_shares_its_shards_histograms() {
         let idle = set.shard(i).pool().idle();
         assert!(idle <= SHARES_PER_SYMBOL, "shard {i}: {idle} idle");
     }
-    // One more symbol per session, all from warm pools: three frames
-    // taken, a slot for the one share parked below the threshold, and
-    // one buffer to reconstruct into. The second share completes the
-    // symbol and is read where its datagram lies, so it takes no slot
-    // (re-pinned once, from `k` slots a symbol to `k − 1`, when the
-    // completing share stopped being parked); the third, stale, takes
-    // nothing.
+    // One more symbol per session, all from warm pools and a warm slab:
+    // three frames and one buffer to reconstruct into taken from the
+    // pool, and the one share parked below the threshold held in the
+    // slab's one share buffer. The second share completes the symbol
+    // and is read where its datagram lies, so the slab never holds a
+    // second buffer (it did when the completing share was parked); the
+    // third, stale, takes nothing.
     let (hits, misses) = pool_hits_and_misses(&set);
     run(&mut set, SESSIONS);
-    let per_symbol = SHARES_PER_SYMBOL as u64 + 1 + 1;
+    let per_symbol = SHARES_PER_SYMBOL as u64 + 1;
     assert_eq!(
         pool_hits_and_misses(&set),
         (hits + u64::from(SESSIONS) * per_symbol, misses)
     );
+    for i in 0..set.num_shards() {
+        let buffers = set.shard(i).partials().buffers();
+        assert_eq!(buffers, 1, "shard {i}: the completing share was parked");
+    }
 
     // One set of metrics per shard, held by the shard and by each of
     // its engines: the second session onwards built none. It accounts
@@ -328,7 +332,7 @@ fn sparse_connection_ids_cost_what_dense_ones_do() {
 
 /// A constant-rate session sends nothing back, so it holds no state for
 /// frames arriving at A: a valid share and a control frame routed there
-/// are counted and dropped, parking nothing, taking no pool slot and
+/// are counted and dropped, parking nothing, taking no buffer and
 /// allocating nothing.
 #[test]
 fn frames_at_a_of_a_one_way_session_are_dropped_and_counted() {

@@ -448,7 +448,8 @@ const CID: u32 = 7;
 
 /// Offers `data` to session [`CID`] in symbols of `symbol_bytes`, 32 at
 /// a time with a 2 ms run after each batch, and runs on until every
-/// symbol is back or 30 s have passed; what came back, by seq.
+/// symbol is back or 30 s have passed; what came back, by seq, copied
+/// out of the buffers handed back to the server.
 fn transfer(server: &mut UdpServer, data: &[u8], symbol_bytes: usize) -> BTreeMap<u64, Vec<u8>> {
     let mut symbols = data.chunks(symbol_bytes);
     let count = symbols.len();
@@ -460,7 +461,8 @@ fn transfer(server: &mut UdpServer, data: &[u8], symbol_bytes: usize) -> BTreeMa
         }
         server.run_for(Duration::from_millis(2)).expect("run");
         while let Some((seq, payload)) = server.pop_delivered(CID) {
-            received.insert(seq, payload);
+            received.insert(seq, payload.clone());
+            server.recycle_delivered(CID, payload);
         }
     }
     received
@@ -525,6 +527,13 @@ fn one_mebibyte_crosses_four_loopback_channels() {
         let delivered = counter(&server, "server.total.symbols_delivered");
         assert_eq!(delivered, SYMBOLS as u64, "{backend:?}");
         assert_eq!(server.shards().totals().injected_drops, 0, "{backend:?}");
+        // Delivered payloads went back to the pool: it created buffers
+        // for what was in flight at once, not one a symbol.
+        let misses = counter(&server, "server.total.pool_misses");
+        assert!(
+            misses < SYMBOLS as u64 / 4,
+            "{backend:?}: {misses} pool misses"
+        );
     }
 }
 

@@ -67,7 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         server.run_for(Duration::from_millis(2))?;
         while let Some((seq, payload)) = server.pop_delivered(CID) {
-            received.insert(seq, payload);
+            // Keep a copy; the buffer goes back for the next symbol.
+            received.insert(seq, payload.clone());
+            server.recycle_delivered(CID, payload);
         }
     }
     let elapsed = start.elapsed();

@@ -70,7 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         sent += SYMBOLS_PER_TICK;
         server.run_for(TICK)?;
-        while server.pop_delivered(CID).is_some() {}
+        while let Some((_, payload)) = server.pop_delivered(CID) {
+            server.recycle_delivered(CID, payload);
+        }
 
         if start.elapsed() >= next_print {
             let report = server.shards().report(CID, since(start));
@@ -86,7 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // Let the tail of the stream and the last feedback epochs land.
     server.run_for(Duration::from_millis(200))?;
-    while server.pop_delivered(CID).is_some() {}
+    while let Some((_, payload)) = server.pop_delivered(CID) {
+        server.recycle_delivered(CID, payload);
+    }
 
     let report = server.shards().report(CID, since(start));
     println!("\nfinal report:");
