@@ -24,10 +24,6 @@
 //!   bit-identical hierarchical timer wheel, shared by the simulator's
 //!   event loop and each server shard's session timer multiplexer.
 //! * [`stats`] — throughput, sequence-loss, and delay meters.
-//!
-//! `mcss-netsim` re-exports all of these under their historical paths
-//! (`mcss_netsim::SimTime`, `mcss_netsim::pool`, …), so simulator-side
-//! code keeps compiling unchanged.
 
 pub mod endpoint;
 pub mod hash;

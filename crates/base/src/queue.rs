@@ -8,9 +8,8 @@
 //! hold the wheel to that contract bit-for-bit.
 //!
 //! The queue serves two masters with the same needs: the discrete-event
-//! simulator (`mcss-netsim`, which re-exports these types at their
-//! historical `mcss_netsim::queue` paths) schedules frame deliveries
-//! and application timers on it, and each `mcss-server` shard runs one
+//! simulator (`mcss-netsim`) schedules frame deliveries and
+//! application timers on it, and each `mcss-server` shard runs one
 //! wheel as its session timer multiplexer: a source tick per paced
 //! session and a sweep timer per session with something to expire —
 //! many short-horizon timers, the workload wheels were invented for,

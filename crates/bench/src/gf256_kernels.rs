@@ -3,9 +3,10 @@
 //!
 //! Every backend available on the host is driven directly (not through
 //! the process-wide dispatch), so one run reports the whole matrix the
-//! `MCSS_GF256_BACKEND` override can select from. Under
-//! `MCSS_BENCH_EMIT=1` — set by the binary itself, like every figure
-//! binary — the results land in `BENCH_gf256_kernels.json`.
+//! `MCSS_GF256_BACKEND` override can select from. The binary, like
+//! every figure binary, turns on
+//! [`report::enable_emission`](crate::report::enable_emission), so the
+//! results land in `BENCH_gf256_kernels.json`.
 //!
 //! The `keystream` rows are the AES-128 counter-mode fill every split
 //! draws its coefficients from, at the fleet and bulk share lengths: on

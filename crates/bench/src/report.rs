@@ -12,10 +12,14 @@
 //! overestimates; compare `wall_millis` against an `MCSS_BENCH_THREADS=1`
 //! run for a direct wall-clock measurement.
 //!
-//! The output directory defaults to the current directory and can be
-//! redirected with the `MCSS_BENCH_DIR` environment variable.
+//! Nothing is written unless the process called [`enable_emission`],
+//! which every binary does first and no test does, so `cargo test`
+//! leaves no `BENCH_*.json` behind. The output directory defaults to the
+//! current directory and can be redirected with the `MCSS_BENCH_DIR`
+//! environment variable.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use mcss::obs::MetricsSnapshot;
 use serde::Serialize;
@@ -155,7 +159,7 @@ impl BenchReport {
 /// Writes `BENCH_<id>.json` for an arbitrary serializable value — the
 /// escape hatch for binaries whose results are not sweep-shaped (the
 /// kernel matrix and the server scaling sweep).
-/// Honors the same `MCSS_BENCH_EMIT` gate and `MCSS_BENCH_DIR`
+/// Honors the same [`enable_emission`] gate and `MCSS_BENCH_DIR`
 /// destination as [`BenchReport::emit`]; filesystem failures only warn.
 pub fn emit_value(id: &str, value: &impl Serialize) {
     if !emission_enabled() {
@@ -170,14 +174,17 @@ pub fn emit_value(id: &str, value: &impl Serialize) {
     }
 }
 
+/// Whether this process writes `BENCH_<id>.json` files.
+static EMIT: AtomicBool = AtomicBool::new(false);
+
 /// Turns on `BENCH_<id>.json` emission for this process. Every figure
-/// and ablation binary calls this first thing in `main`.
+/// and ablation binary calls this first thing in `main`; no test does.
 pub fn enable_emission() {
-    std::env::set_var("MCSS_BENCH_EMIT", "1");
+    EMIT.store(true, Ordering::Relaxed);
 }
 
 fn emission_enabled() -> bool {
-    std::env::var_os("MCSS_BENCH_EMIT").is_some()
+    EMIT.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -12,13 +12,21 @@
 //! * each frame independently survives with probability `1 − loss` and,
 //!   if it survives, arrives one `delay` later (like `netem`);
 //! * everything is driven by a single event queue (a hierarchical timer
-//!   wheel, bit-identical to the reference binary heap — see [`queue`])
-//!   with deterministic tie-breaking, and all randomness comes from one
-//!   seeded RNG — the same seed always yields the same trace.
+//!   wheel, bit-identical to the reference binary heap — see
+//!   [`mcss_base::queue`]) with deterministic tie-breaking, and all
+//!   randomness comes from one seeded RNG — the same seed always yields
+//!   the same run.
 //!
-//! Application logic (traffic generators, the ReMICSS protocol) plugs in
-//! via the [`Application`] trait and interacts with the network through a
-//! [`Context`].
+//! A frame is a plain `Vec<u8>`: [`Context::send`] moves it into the
+//! link and [`Application::on_deliver`] hands the same allocation to the
+//! receiver. A frame the local queue refuses comes straight back from
+//! `send`; one lost in flight comes back emptied through
+//! [`Context::take_lost`]. Readiness is the link's serialization
+//! backlog ([`Context::backlog`]), not an `epoll` flag.
+//!
+//! Application logic (the two probes in [`traffic`], the ReMICSS
+//! protocol) plugs in via the [`Application`] trait and interacts with
+//! the network through a [`Context`].
 //!
 //! # Examples
 //!
@@ -26,8 +34,8 @@
 //!
 //! ```
 //! use mcss_netsim::{
-//!     Application, Context, Endpoint, Frame, LinkConfig, NetworkBuilder,
-//!     SimTime, Simulator,
+//!     Application, Context, Endpoint, LinkConfig, NetworkBuilder, SimTime,
+//!     Simulator,
 //! };
 //!
 //! struct Blaster;
@@ -38,7 +46,7 @@
 //!     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
 //!         // Offer 16 Mbit/s into 8 Mbit/s; the queue sheds the excess.
 //!         for _ in 0..16 {
-//!             let _ = ctx.send(0, Endpoint::A, Frame::new(vec![0u8; 125]));
+//!             let _ = ctx.send(0, Endpoint::A, vec![0u8; 125]);
 //!         }
 //!         let next = ctx.now() + SimTime::from_millis(1);
 //!         ctx.set_timer(next, 0);
@@ -54,22 +62,12 @@
 //! assert!((rate - 8_000_000.0).abs() / 8_000_000.0 < 0.02);
 //! ```
 
-mod frame;
 mod link;
 pub mod network;
 mod sim;
-pub mod trace;
 pub mod traffic;
 
-// Buffers, the event queue, the meters and the clock live in
-// `mcss-base`, where the sans-I/O engine and the server shards use them
-// without the simulator; the simulator's paths to them are kept.
-pub use mcss_base::SimTime;
-pub use mcss_base::{pool, queue, stats};
-
-pub use frame::Frame;
-pub use link::{LinkConfig, LinkStats, SendOutcome};
+pub use link::{LinkConfig, LinkStats};
+pub use mcss_base::{QueueKind, SimTime};
 pub use network::{Channel, ChannelId, Endpoint, Network, NetworkBuilder};
-pub use pool::BufferPool;
-pub use queue::QueueKind;
 pub use sim::{Application, Context, Simulator};

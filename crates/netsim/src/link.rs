@@ -5,7 +5,6 @@
 use rand::Rng;
 use rand::RngExt as _;
 
-use crate::frame::Frame;
 use crate::SimTime;
 
 /// Configuration of one link direction.
@@ -17,8 +16,7 @@ use crate::SimTime;
 ///
 /// let cfg = LinkConfig::new(100e6)
 ///     .with_loss(0.01)
-///     .with_delay(SimTime::from_micros(250))
-///     .with_overhead_bytes(42);
+///     .with_delay(SimTime::from_micros(250));
 /// assert_eq!(cfg.rate_bps(), 100e6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,7 +26,6 @@ pub struct LinkConfig {
     delay: SimTime,
     jitter: SimTime,
     queue_limit: SimTime,
-    overhead_bits: u64,
 }
 
 impl LinkConfig {
@@ -53,7 +50,6 @@ impl LinkConfig {
             delay: SimTime::ZERO,
             jitter: SimTime::ZERO,
             queue_limit: Self::DEFAULT_QUEUE_LIMIT,
-            overhead_bits: 0,
         }
     }
 
@@ -92,14 +88,6 @@ impl LinkConfig {
         self
     }
 
-    /// Sets per-frame framing overhead in bytes (e.g. 42 for
-    /// Ethernet + IP + UDP headers), charged against the rate budget.
-    #[must_use]
-    pub fn with_overhead_bytes(mut self, bytes: u64) -> Self {
-        self.overhead_bits = bytes * 8;
-        self
-    }
-
     /// Line rate in bits per second.
     #[must_use]
     pub fn rate_bps(&self) -> f64 {
@@ -129,25 +117,6 @@ impl LinkConfig {
     pub fn queue_limit(&self) -> SimTime {
         self.queue_limit
     }
-
-    /// Per-frame overhead in bits.
-    #[must_use]
-    pub fn overhead_bits(&self) -> u64 {
-        self.overhead_bits
-    }
-}
-
-/// What the sender observes when handing a frame to a link.
-///
-/// Random in-flight loss is deliberately *not* visible here — a real
-/// sender cannot distinguish a lost datagram from a delivered one at send
-/// time. Local queue overflow is visible (like `ENOBUFS`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SendOutcome {
-    /// The frame was accepted and scheduled for (possible) delivery.
-    Queued,
-    /// The frame was tail-dropped by the local queue.
-    Dropped,
 }
 
 /// Counters kept by each link direction.
@@ -163,7 +132,7 @@ pub struct LinkStats {
     pub lost_frames: u64,
     /// Frames delivered to the far endpoint.
     pub delivered_frames: u64,
-    /// Payload bits delivered (excluding framing overhead).
+    /// Payload bits delivered.
     pub delivered_bits: u64,
     /// Sum of per-frame one-way latency (queueing + serialization +
     /// propagation), for mean-latency reporting.
@@ -177,16 +146,6 @@ impl LinkStats {
     pub fn mean_latency(&self) -> Option<SimTime> {
         (self.delivered_frames > 0)
             .then(|| SimTime::from_nanos(self.total_latency.as_nanos() / self.delivered_frames))
-    }
-
-    /// Fraction of queued frames lost in flight.
-    #[must_use]
-    pub fn loss_ratio(&self) -> f64 {
-        if self.queued_frames == 0 {
-            0.0
-        } else {
-            self.lost_frames as f64 / self.queued_frames as f64
-        }
     }
 }
 
@@ -231,12 +190,13 @@ impl Link {
         self.next_free.saturating_sub(now)
     }
 
-    /// Admits a frame at time `now`, advancing the serializer clock and
-    /// drawing the loss coin. Returns the full fate of the frame.
+    /// Admits a `len`-byte frame at time `now`, advancing the serializer
+    /// clock by its `8 × len` bits and drawing the loss coin. Returns the
+    /// full fate of the frame.
     pub(crate) fn admit<R: Rng + ?Sized>(
         &mut self,
         now: SimTime,
-        frame: &Frame,
+        len: usize,
         rng: &mut R,
     ) -> Admit {
         self.stats.offered_frames += 1;
@@ -244,8 +204,7 @@ impl Link {
             self.stats.dropped_frames += 1;
             return Admit::Dropped;
         }
-        let wire_bits = frame.bits() + self.cfg.overhead_bits;
-        let tx = SimTime::from_secs_f64(wire_bits as f64 / self.cfg.rate_bps);
+        let tx = SimTime::from_secs_f64(bits(len) as f64 / self.cfg.rate_bps);
         let start = self.next_free.max(now);
         self.next_free = start + tx;
         self.stats.queued_frames += 1;
@@ -272,18 +231,18 @@ impl Link {
         self.cfg = cfg;
     }
 
-    /// Records a completed delivery (called by the simulator when the
-    /// deliver event fires).
-    pub(crate) fn record_delivery(
-        &mut self,
-        sent_at: SimTime,
-        delivered_at: SimTime,
-        frame: &Frame,
-    ) {
+    /// Records the delivery of a `len`-byte frame (called by the
+    /// simulator when the deliver event fires).
+    pub(crate) fn record_delivery(&mut self, sent_at: SimTime, delivered_at: SimTime, len: usize) {
         self.stats.delivered_frames += 1;
-        self.stats.delivered_bits += frame.bits();
+        self.stats.delivered_bits += bits(len);
         self.stats.total_latency += delivered_at - sent_at;
     }
+}
+
+/// Bits on the wire for a `len`-byte frame.
+fn bits(len: usize) -> u64 {
+    len as u64 * 8
 }
 
 #[cfg(test)]
@@ -300,12 +259,10 @@ mod tests {
         let c = LinkConfig::new(1e6)
             .with_loss(0.5)
             .with_delay(SimTime::from_millis(3))
-            .with_queue_limit(SimTime::from_millis(7))
-            .with_overhead_bytes(10);
+            .with_queue_limit(SimTime::from_millis(7));
         assert_eq!(c.loss(), 0.5);
         assert_eq!(c.delay(), SimTime::from_millis(3));
         assert_eq!(c.queue_limit(), SimTime::from_millis(7));
-        assert_eq!(c.overhead_bits(), 80);
     }
 
     #[test]
@@ -324,16 +281,16 @@ mod tests {
     fn serialization_time_accumulates() {
         // 1 Mbit/s, 1000-bit frames: 1 ms each.
         let mut link = Link::new(LinkConfig::new(1e6));
-        let f = Frame::new(vec![0u8; 125]);
+        let len = 125;
         let mut r = rng();
-        let a1 = link.admit(SimTime::ZERO, &f, &mut r);
+        let a1 = link.admit(SimTime::ZERO, len, &mut r);
         assert_eq!(
             a1,
             Admit::Deliver {
                 at: SimTime::from_millis(1)
             }
         );
-        let a2 = link.admit(SimTime::ZERO, &f, &mut r);
+        let a2 = link.admit(SimTime::ZERO, len, &mut r);
         assert_eq!(
             a2,
             Admit::Deliver {
@@ -342,7 +299,7 @@ mod tests {
         );
         assert_eq!(link.backlog(SimTime::ZERO), SimTime::from_millis(2));
         // After the backlog drains the serializer idles.
-        let a3 = link.admit(SimTime::from_millis(10), &f, &mut r);
+        let a3 = link.admit(SimTime::from_millis(10), len, &mut r);
         assert_eq!(
             a3,
             Admit::Deliver {
@@ -354,8 +311,8 @@ mod tests {
     #[test]
     fn delay_adds_to_delivery() {
         let mut link = Link::new(LinkConfig::new(1e6).with_delay(SimTime::from_millis(5)));
-        let f = Frame::new(vec![0u8; 125]);
-        let a = link.admit(SimTime::ZERO, &f, &mut rng());
+        let len = 125;
+        let a = link.admit(SimTime::ZERO, len, &mut rng());
         assert_eq!(
             a,
             Admit::Deliver {
@@ -365,59 +322,45 @@ mod tests {
     }
 
     #[test]
-    fn overhead_charged_against_rate() {
-        // 125-byte payload + 125-byte overhead = 2000 bits at 1 Mbit/s.
-        let mut link = Link::new(LinkConfig::new(1e6).with_overhead_bytes(125));
-        let f = Frame::new(vec![0u8; 125]);
-        let a = link.admit(SimTime::ZERO, &f, &mut rng());
-        assert_eq!(
-            a,
-            Admit::Deliver {
-                at: SimTime::from_millis(2)
-            }
-        );
-    }
-
-    #[test]
     fn queue_overflow_drops() {
         let mut link = Link::new(LinkConfig::new(1e6).with_queue_limit(SimTime::from_millis(2)));
-        let f = Frame::new(vec![0u8; 125]); // 1 ms each
+        let len = 125; // 1 ms each
         let mut r = rng();
         // Backlog after three frames = 3 ms > 2 ms limit.
-        assert_ne!(link.admit(SimTime::ZERO, &f, &mut r), Admit::Dropped);
-        assert_ne!(link.admit(SimTime::ZERO, &f, &mut r), Admit::Dropped);
-        assert_ne!(link.admit(SimTime::ZERO, &f, &mut r), Admit::Dropped);
-        assert_eq!(link.admit(SimTime::ZERO, &f, &mut r), Admit::Dropped);
+        assert_ne!(link.admit(SimTime::ZERO, len, &mut r), Admit::Dropped);
+        assert_ne!(link.admit(SimTime::ZERO, len, &mut r), Admit::Dropped);
+        assert_ne!(link.admit(SimTime::ZERO, len, &mut r), Admit::Dropped);
+        assert_eq!(link.admit(SimTime::ZERO, len, &mut r), Admit::Dropped);
         assert_eq!(link.stats().dropped_frames, 1);
         assert_eq!(link.stats().queued_frames, 3);
         assert_eq!(link.stats().offered_frames, 4);
     }
 
     #[test]
-    fn loss_ratio_converges() {
+    fn in_flight_loss_converges() {
         let mut link = Link::new(LinkConfig::new(1e12).with_loss(0.25));
-        let f = Frame::new(vec![0u8; 10]);
+        let len = 10;
         let mut r = rng();
         let mut t = SimTime::ZERO;
         for _ in 0..20_000 {
             t += SimTime::from_micros(1);
-            let _ = link.admit(t, &f, &mut r);
+            let _ = link.admit(t, len, &mut r);
         }
-        let ratio = link.stats().loss_ratio();
+        let s = link.stats();
+        let ratio = s.lost_frames as f64 / s.queued_frames as f64;
         assert!((ratio - 0.25).abs() < 0.02, "loss ratio {ratio}");
     }
 
     #[test]
     fn delivery_stats() {
         let mut link = Link::new(LinkConfig::new(1e6));
-        let f = Frame::new(vec![0u8; 125]);
-        link.record_delivery(SimTime::ZERO, SimTime::from_millis(4), &f);
-        link.record_delivery(SimTime::ZERO, SimTime::from_millis(2), &f);
+        let len = 125;
+        link.record_delivery(SimTime::ZERO, SimTime::from_millis(4), len);
+        link.record_delivery(SimTime::ZERO, SimTime::from_millis(2), len);
         let s = link.stats();
         assert_eq!(s.delivered_frames, 2);
         assert_eq!(s.delivered_bits, 2000);
         assert_eq!(s.mean_latency(), Some(SimTime::from_millis(3)));
         assert_eq!(LinkStats::default().mean_latency(), None);
-        assert_eq!(LinkStats::default().loss_ratio(), 0.0);
     }
 }

@@ -132,15 +132,15 @@ impl Network {
 /// # Examples
 ///
 /// ```
-/// use mcss_netsim::{LinkConfig, NetworkBuilder, SimTime};
+/// use mcss_netsim::{Endpoint, LinkConfig, NetworkBuilder, SimTime};
 ///
 /// let mut b = NetworkBuilder::new();
-/// // Symmetric channel (same shaping both ways), like the testbed.
+/// // The same shaping both ways, like the testbed.
 /// b.channel(LinkConfig::new(100e6).with_delay(SimTime::from_micros(250)));
-/// // Asymmetric channel.
-/// b.channel_asymmetric(LinkConfig::new(10e6), LinkConfig::new(1e6));
-/// let net = b.build();
-/// assert_eq!(net.len(), 2);
+/// let mut net = b.build();
+/// // One direction may be reshaped later.
+/// net.reconfigure(0, Endpoint::B, LinkConfig::new(1e6));
+/// assert_eq!(net.channel(0).backward().config().rate_bps(), 1e6);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NetworkBuilder {
@@ -154,20 +154,14 @@ impl NetworkBuilder {
         NetworkBuilder::default()
     }
 
-    /// Adds a symmetric channel: the same shaping in both directions
-    /// (the paper applies its `htb`/`netem` settings per direction,
-    /// identically).
+    /// Adds a channel with the same shaping in both directions (the
+    /// paper applies its `htb`/`netem` settings per direction,
+    /// identically); [`Network::reconfigure`] reshapes one direction.
     pub fn channel(&mut self, cfg: LinkConfig) -> ChannelId {
-        self.channel_asymmetric(cfg, cfg)
-    }
-
-    /// Adds a channel with distinct forward (A→B) and backward (B→A)
-    /// shaping.
-    pub fn channel_asymmetric(&mut self, forward: LinkConfig, backward: LinkConfig) -> ChannelId {
         let id = self.channels.len();
         self.channels.push(Channel {
-            forward: Link::new(forward),
-            backward: Link::new(backward),
+            forward: Link::new(cfg),
+            backward: Link::new(cfg),
         });
         id
     }
@@ -203,15 +197,6 @@ mod tests {
         assert!(!net.is_empty());
         assert_eq!(net.channels().count(), 2);
         assert_eq!(net.channel(1).forward().config().rate_bps(), 2e6);
-    }
-
-    #[test]
-    fn asymmetric_directions_independent() {
-        let mut b = NetworkBuilder::new();
-        b.channel_asymmetric(LinkConfig::new(10e6), LinkConfig::new(1e6));
-        let net = b.build();
-        assert_eq!(net.channel(0).forward().config().rate_bps(), 10e6);
-        assert_eq!(net.channel(0).backward().config().rate_bps(), 1e6);
     }
 
     #[test]

@@ -4,11 +4,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::frame::Frame;
-use crate::link::{Admit, SendOutcome};
+use mcss_base::queue::{EventQueue, QueueKind};
+
+use crate::link::Admit;
 use crate::network::{ChannelId, Endpoint, Network};
-use crate::queue::{EventQueue, QueueKind};
-use crate::trace::{Trace, TraceKind};
 use crate::SimTime;
 
 /// Application logic plugged into a [`Simulator`].
@@ -22,13 +21,14 @@ pub trait Application {
         let _ = ctx;
     }
 
-    /// Called when a frame arrives at endpoint `to` over `channel`.
+    /// Called when a frame arrives at endpoint `to` over `channel`, in
+    /// the buffer [`Context::send`] was handed.
     fn on_deliver(
         &mut self,
         ctx: &mut Context<'_>,
         channel: ChannelId,
         to: Endpoint,
-        frame: Frame,
+        frame: Vec<u8>,
     ) {
         let _ = (ctx, channel, to, frame);
     }
@@ -45,7 +45,7 @@ enum EventKind {
         channel: ChannelId,
         to: Endpoint,
         sent_at: SimTime,
-        frame: Frame,
+        frame: Vec<u8>,
     },
     Timer {
         token: u64,
@@ -54,9 +54,8 @@ enum EventKind {
 
 /// The application's handle to the simulation during a callback.
 ///
-/// Provides the current time, frame transmission, channel introspection
-/// (backlog/writability — the simulator's `epoll` equivalent), timers,
-/// and the simulation's seeded RNG.
+/// Provides the current time, frame transmission, each link's
+/// serialization backlog, timers, and the simulation's seeded RNG.
 #[derive(Debug)]
 pub struct Context<'a> {
     now: SimTime,
@@ -64,7 +63,6 @@ pub struct Context<'a> {
     queue: &'a mut EventQueue<EventKind>,
     seq: &'a mut u64,
     rng: &'a mut StdRng,
-    trace: &'a mut Option<Trace>,
     lost: &'a mut Vec<Vec<u8>>,
 }
 
@@ -83,54 +81,32 @@ impl Context<'_> {
 
     /// Sends `frame` from endpoint `from` over `channel`.
     ///
-    /// Returns [`SendOutcome::Dropped`] if the local queue is full;
-    /// random in-flight loss does *not* show in the outcome (only as an
-    /// emptied buffer from [`take_lost`](Context::take_lost)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn send(&mut self, channel: ChannelId, from: Endpoint, frame: Frame) -> SendOutcome {
-        match self.try_send(channel, from, frame) {
-            Ok(()) => SendOutcome::Queued,
-            Err(_rejected) => SendOutcome::Dropped,
-        }
-    }
-
-    /// Like [`send`](Context::send), but hands the frame back on a
-    /// local queue drop so a pooled payload buffer can be recycled
-    /// instead of freed.
-    ///
-    /// Only *locally observable* rejection returns the frame: on random
-    /// in-flight loss the call succeeds, exactly as a real socket write
-    /// succeeds on frames the network later loses, and the frame's
-    /// buffer comes back emptied through
-    /// [`take_lost`](Context::take_lost), which does not say which frame
-    /// it carried. `Err` therefore reveals nothing
-    /// [`send`](Context::send) doesn't.
+    /// Only *locally observable* rejection fails: on random in-flight
+    /// loss the call succeeds, exactly as a real socket write succeeds
+    /// on frames the network later loses, and the frame's buffer comes
+    /// back emptied through [`take_lost`](Context::take_lost), which
+    /// does not say which frame it carried.
     ///
     /// # Errors
     ///
-    /// Returns the frame if the local queue is full
-    /// ([`SendOutcome::Dropped`]).
+    /// Hands `frame` back, the same allocation, if the local queue is
+    /// full (like `ENOBUFS`), so a pooled buffer can be recycled.
     ///
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn try_send(
+    pub fn send(
         &mut self,
         channel: ChannelId,
         from: Endpoint,
-        frame: Frame,
-    ) -> Result<(), Frame> {
-        let bytes = frame.len();
+        mut frame: Vec<u8>,
+    ) -> Result<(), Vec<u8>> {
         let link = self.network.channel_mut(channel).link_from(from);
-        let result = match link.admit(self.now, &frame, self.rng) {
+        match link.admit(self.now, frame.len(), self.rng) {
             Admit::Dropped => Err(frame),
             Admit::Lost => {
-                let mut buf = frame.into_vec();
-                buf.clear();
-                self.lost.push(buf);
+                frame.clear();
+                self.lost.push(frame);
                 Ok(())
             }
             Admit::Deliver { at } => {
@@ -148,23 +124,7 @@ impl Context<'_> {
                 );
                 Ok(())
             }
-        };
-        if let Some(trace) = self.trace.as_mut() {
-            let outcome = match &result {
-                Ok(()) => SendOutcome::Queued,
-                Err(_) => SendOutcome::Dropped,
-            };
-            trace.record(
-                self.now,
-                TraceKind::Send {
-                    channel,
-                    from,
-                    bytes,
-                    outcome,
-                },
-            );
         }
-        result
     }
 
     /// Takes back the buffer of a frame a link lost in flight during this
@@ -176,7 +136,8 @@ impl Context<'_> {
         self.lost.pop()
     }
 
-    /// Serialization backlog of `channel` in the direction out of `from`.
+    /// Serialization backlog of `channel` in the direction out of `from`:
+    /// what a scheduler reads for readiness.
     ///
     /// # Panics
     ///
@@ -187,19 +148,6 @@ impl Context<'_> {
             .channel(channel)
             .link_from_ref(from)
             .backlog(self.now)
-    }
-
-    /// Whether `channel` is ready for writing from `from`: its backlog is
-    /// at most `threshold`. This is the simulator's equivalent of
-    /// `epoll` writability, which the ReMICSS dynamic share schedule
-    /// relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    #[must_use]
-    pub fn is_writable(&self, channel: ChannelId, from: Endpoint, threshold: SimTime) -> bool {
-        self.backlog(channel, from) <= threshold
     }
 
     /// Arms a timer to fire at absolute time `at` (clamped to now if in
@@ -230,7 +178,6 @@ pub struct Simulator<A> {
     seq: u64,
     events: u64,
     rng: StdRng,
-    trace: Option<Trace>,
     /// Buffers of the frames lost during the current callback
     /// ([`Context::take_lost`]); emptied after every callback.
     lost: Vec<Vec<u8>>,
@@ -241,8 +188,8 @@ impl<A: Application> Simulator<A> {
     /// [`on_start`](Application::on_start) hook at time zero.
     ///
     /// Uses the default timer-wheel event queue; the same
-    /// `(network, app, seed)` triple always produces the same trace,
-    /// whichever [`QueueKind`] runs it (see [`crate::queue`]).
+    /// `(network, app, seed)` triple always produces the same run,
+    /// whichever [`QueueKind`] runs it (see [`mcss_base::queue`]).
     pub fn new(network: Network, app: A, seed: u64) -> Self {
         Simulator::with_queue_kind(network, app, seed, QueueKind::default())
     }
@@ -258,46 +205,26 @@ impl<A: Application> Simulator<A> {
             seq: 0,
             events: 0,
             rng: StdRng::seed_from_u64(seed),
-            trace: None,
             lost: Vec::new(),
         };
-        let mut ctx = Context {
-            now: sim.now,
-            network: &mut sim.network,
-            queue: &mut sim.queue,
-            seq: &mut sim.seq,
-            rng: &mut sim.rng,
-            trace: &mut sim.trace,
-            lost: &mut sim.lost,
-        };
-        sim.app.on_start(&mut ctx);
+        let (app, mut ctx) = sim.split();
+        app.on_start(&mut ctx);
         sim.lost.clear();
         sim
     }
 
-    /// Turns on event tracing with a bounded ring buffer of `capacity`
-    /// events (see [`trace`](crate::trace)). Tracing costs a few
-    /// nanoseconds per event; leave it off for large sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero. A zero-capacity trace would
-    /// silently record nothing while appearing enabled (`trace()`
-    /// returning `Some`), so it is rejected loudly instead of being a
-    /// no-op.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        assert!(
-            capacity > 0,
-            "enable_trace(0): a zero-capacity trace records nothing; \
-             pass a positive capacity or leave tracing off"
-        );
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+    /// The application, and a [`Context`] over the rest of the
+    /// simulation for one callback.
+    fn split(&mut self) -> (&mut A, Context<'_>) {
+        let ctx = Context {
+            now: self.now,
+            network: &mut self.network,
+            queue: &mut self.queue,
+            seq: &mut self.seq,
+            rng: &mut self.rng,
+            lost: &mut self.lost,
+        };
+        (&mut self.app, ctx)
     }
 
     /// Current simulated time.
@@ -355,42 +282,13 @@ impl<A: Application> Simulator<A> {
                 self.network
                     .channel_mut(channel)
                     .link_from(to.peer())
-                    .record_delivery(sent_at, at, &frame);
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(
-                        self.now,
-                        TraceKind::Deliver {
-                            channel,
-                            to,
-                            bytes: frame.len(),
-                        },
-                    );
-                }
-                let mut ctx = Context {
-                    now: self.now,
-                    network: &mut self.network,
-                    queue: &mut self.queue,
-                    seq: &mut self.seq,
-                    rng: &mut self.rng,
-                    trace: &mut self.trace,
-                    lost: &mut self.lost,
-                };
-                self.app.on_deliver(&mut ctx, channel, to, frame);
+                    .record_delivery(sent_at, at, frame.len());
+                let (app, mut ctx) = self.split();
+                app.on_deliver(&mut ctx, channel, to, frame);
             }
             EventKind::Timer { token } => {
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(self.now, TraceKind::Timer { token });
-                }
-                let mut ctx = Context {
-                    now: self.now,
-                    network: &mut self.network,
-                    queue: &mut self.queue,
-                    seq: &mut self.seq,
-                    rng: &mut self.rng,
-                    trace: &mut self.trace,
-                    lost: &mut self.lost,
-                };
-                self.app.on_timer(&mut ctx, token);
+                let (app, mut ctx) = self.split();
+                app.on_timer(&mut ctx, token);
             }
         }
         self.lost.clear();
@@ -434,7 +332,7 @@ mod tests {
             ctx: &mut Context<'_>,
             channel: ChannelId,
             to: Endpoint,
-            frame: Frame,
+            frame: Vec<u8>,
         ) {
             self.delivered.push((ctx.now(), channel, to, frame.len()));
         }
@@ -454,27 +352,17 @@ mod tests {
     struct SendOnce(Recorder);
     impl Application for SendOnce {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let out = ctx.send(0, Endpoint::A, Frame::new(vec![0u8; 125]));
-            assert_eq!(out, SendOutcome::Queued);
+            assert_eq!(ctx.send(0, Endpoint::A, vec![0u8; 125]), Ok(()));
         }
         fn on_deliver(
             &mut self,
             ctx: &mut Context<'_>,
             channel: ChannelId,
             to: Endpoint,
-            frame: Frame,
+            frame: Vec<u8>,
         ) {
             self.0.on_deliver(ctx, channel, to, frame);
         }
-    }
-
-    /// Pins the documented `enable_trace(0)` contract: loud rejection,
-    /// not a silently-enabled trace that records nothing.
-    #[test]
-    #[should_panic(expected = "enable_trace(0)")]
-    fn enable_trace_zero_capacity_panics() {
-        let mut sim = Simulator::new(one_channel(1e6), Recorder::default(), 0);
-        sim.enable_trace(0);
     }
 
     #[test]
@@ -546,7 +434,7 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Context<'_>, _t: u64) {
                 let next = ctx.now() + SimTime::from_millis(1);
                 ctx.set_timer(next, 0);
-                let _ = ctx.send(0, Endpoint::A, Frame::new(vec![0u8; 10]));
+                let _ = ctx.send(0, Endpoint::A, vec![0u8; 10]);
             }
         }
         let mut sim = Simulator::new(one_channel(1e9), Periodic, 0);
@@ -564,8 +452,8 @@ mod tests {
         struct Both;
         impl Application for Both {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let _ = ctx.send(0, Endpoint::A, Frame::new(vec![0u8; 125]));
-                let _ = ctx.send(0, Endpoint::B, Frame::new(vec![0u8; 250]));
+                let _ = ctx.send(0, Endpoint::A, vec![0u8; 125]);
+                let _ = ctx.send(0, Endpoint::B, vec![0u8; 250]);
             }
         }
         let mut sim = Simulator::new(one_channel(1e6), Both, 0);
@@ -587,14 +475,14 @@ mod tests {
         }
         impl Application for Echo {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let _ = ctx.send(0, Endpoint::A, Frame::new(vec![1u8; 125]));
+                let _ = ctx.send(0, Endpoint::A, vec![1u8; 125]);
             }
             fn on_deliver(
                 &mut self,
                 ctx: &mut Context<'_>,
                 channel: ChannelId,
                 to: Endpoint,
-                frame: Frame,
+                frame: Vec<u8>,
             ) {
                 match to {
                     Endpoint::B => {
@@ -617,11 +505,9 @@ mod tests {
         struct Check;
         impl Application for Check {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                assert!(ctx.is_writable(0, Endpoint::A, SimTime::ZERO));
+                assert_eq!(ctx.backlog(0, Endpoint::A), SimTime::ZERO);
                 // 8000 bits at 1 Mbit/s = 8 ms backlog.
-                let _ = ctx.send(0, Endpoint::A, Frame::new(vec![0u8; 1000]));
-                assert!(!ctx.is_writable(0, Endpoint::A, SimTime::ZERO));
-                assert!(ctx.is_writable(0, Endpoint::A, SimTime::from_millis(8)));
+                let _ = ctx.send(0, Endpoint::A, vec![0u8; 1000]);
                 assert_eq!(ctx.backlog(0, Endpoint::A), SimTime::from_millis(8));
                 assert_eq!(ctx.backlog(0, Endpoint::B), SimTime::ZERO);
             }
@@ -640,7 +526,7 @@ mod tests {
                 ctx.set_timer(SimTime::ZERO, 0);
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, _t: u64) {
-                let _ = ctx.send(0, Endpoint::A, Frame::new(vec![0u8; 100]));
+                let _ = ctx.send(0, Endpoint::A, vec![0u8; 100]);
                 if ctx.now() < SimTime::from_millis(100) {
                     let next = ctx.now() + SimTime::from_micros(100);
                     ctx.set_timer(next, 0);
@@ -651,7 +537,7 @@ mod tests {
                 _ctx: &mut Context<'_>,
                 _c: ChannelId,
                 _to: Endpoint,
-                _f: Frame,
+                _f: Vec<u8>,
             ) {
                 self.delivered += 1;
             }
@@ -686,13 +572,10 @@ mod tests {
         impl Application for Lose {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
                 for len in 1..=self.sent {
-                    assert_eq!(
-                        ctx.try_send(0, Endpoint::A, Frame::new(vec![7u8; len])),
-                        Ok(())
-                    );
+                    assert_eq!(ctx.send(0, Endpoint::A, vec![7u8; len]), Ok(()));
                 }
                 self.back.extend(std::iter::from_fn(|| ctx.take_lost()));
-                let _ = ctx.send(0, Endpoint::A, Frame::new(vec![7u8; 100]));
+                let _ = ctx.send(0, Endpoint::A, vec![7u8; 100]);
                 ctx.set_timer(SimTime::from_millis(1), 0);
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
@@ -722,6 +605,38 @@ mod tests {
         assert!((0..=1).contains(&(lost - app.back.len() as u64)));
     }
 
+    /// A frame the full local queue refuses comes back from `send` as
+    /// the same allocation, bytes intact, so the sender can recycle it.
+    #[test]
+    fn refused_frames_come_back_whole() {
+        struct Flood {
+            refused: bool,
+        }
+        impl Application for Flood {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                // 1000 bits at 1 Mbit/s: 1 ms each against a 2 ms queue.
+                for _ in 0..3 {
+                    assert_eq!(ctx.send(0, Endpoint::A, vec![0u8; 125]), Ok(()));
+                }
+                let mut frame = Vec::with_capacity(512);
+                frame.extend(0..125u8);
+                let sent = (frame.as_ptr(), frame.capacity());
+                let back = ctx.send(0, Endpoint::A, frame).unwrap_err();
+                assert_eq!((back.as_ptr(), back.capacity()), sent);
+                assert_eq!(back, (0..125u8).collect::<Vec<_>>());
+                assert!(ctx.take_lost().is_none());
+                self.refused = true;
+            }
+        }
+        let mut b = NetworkBuilder::new();
+        b.channel(LinkConfig::new(1e6).with_queue_limit(SimTime::from_millis(2)));
+        let mut sim = Simulator::new(b.build(), Flood { refused: false }, 0);
+        sim.run_to_completion();
+        assert!(sim.app().refused);
+        let stats = *sim.network().channel(0).forward().stats();
+        assert_eq!((stats.dropped_frames, stats.delivered_frames), (1, 3));
+    }
+
     #[test]
     fn empty_queue_step_returns_false() {
         let mut sim = Simulator::new(one_channel(1e6), Recorder::default(), 0);
@@ -729,7 +644,8 @@ mod tests {
     }
 
     /// A jittery, lossy, multi-channel app whose full delivery/timer
-    /// record must be identical under both event-queue backends.
+    /// record and every link's counters must be identical under both
+    /// event-queue backends.
     #[test]
     fn wheel_replays_heap_bit_identical() {
         struct Chatty(Recorder);
@@ -739,7 +655,7 @@ mod tests {
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, t: u64) {
                 for c in 0..ctx.num_channels() {
-                    let _ = ctx.send(c, Endpoint::A, Frame::new(vec![0u8; 200 + 10 * c]));
+                    let _ = ctx.send(c, Endpoint::A, vec![0u8; 200 + 10 * c]);
                 }
                 if ctx.now() < SimTime::from_millis(50) {
                     // Uneven periods so timers and deliveries interleave
@@ -754,7 +670,7 @@ mod tests {
                 ctx: &mut Context<'_>,
                 channel: ChannelId,
                 to: Endpoint,
-                frame: Frame,
+                frame: Vec<u8>,
             ) {
                 if to == Endpoint::B && frame.len().is_multiple_of(3) {
                     let _ = ctx.send(channel, Endpoint::B, frame.clone());
@@ -775,20 +691,23 @@ mod tests {
         };
         let run = |kind| {
             let mut sim = Simulator::with_queue_kind(net(), Chatty(Recorder::default()), 11, kind);
-            sim.enable_trace(1 << 16);
             sim.run_to_completion();
-            let trace: Vec<_> = sim.trace().unwrap().events().cloned().collect();
+            let links: Vec<_> = sim
+                .network()
+                .channels()
+                .flat_map(|c| [*c.forward().stats(), *c.backward().stats()])
+                .collect();
             let events = sim.events_processed();
             let recorder = sim.app_mut();
             (
                 std::mem::take(&mut recorder.0.delivered),
                 std::mem::take(&mut recorder.0.timers),
-                trace,
+                links,
                 events,
             )
         };
-        let heap = run(crate::queue::QueueKind::Heap);
-        let wheel = run(crate::queue::QueueKind::Wheel);
+        let heap = run(QueueKind::Heap);
+        let wheel = run(QueueKind::Wheel);
         assert_eq!(heap, wheel);
         assert!(heap.3 > 1000, "workload should be non-trivial");
     }

@@ -1,21 +1,21 @@
 //! Traffic generators: the simulator-side equivalents of the paper's
 //! measurement tools.
 //!
-//! * [`Pacer`] — drift-free constant-bit-rate scheduling, the sending
-//!   discipline of `iperf`'s UDP mode.
+//! Both pace their datagrams with [`Pacer`], the drift-free
+//! constant-bit-rate discipline of `iperf`'s UDP mode.
+//!
 //! * [`ChannelProbe`] — measures one channel's deliverable rate and loss
 //!   by sending paced sequenced datagrams (how the paper obtains the
 //!   vectors `r⃗` and `l⃗` before each experiment).
 //! * [`EchoBenchmark`] — the paper's custom RTT utility: timestamped
 //!   datagrams echoed by the far host; one-way delay is RTT/2.
 
-use crate::frame::Frame;
+use mcss_base::stats::{DelaySummary, SequenceLossMeter, ThroughputMeter};
+use mcss_base::Pacer;
+
 use crate::network::{ChannelId, Endpoint};
 use crate::sim::{Application, Context};
-use crate::stats::{DelaySummary, SequenceLossMeter, ThroughputMeter};
 use crate::SimTime;
-
-pub use mcss_base::Pacer;
 
 /// `iperf`-style single-channel UDP probe: host A sends sequenced
 /// datagrams at a fixed offered rate for a fixed duration; host B counts
@@ -80,11 +80,11 @@ impl ChannelProbe {
         self.duration
     }
 
-    fn frame(&mut self) -> Frame {
+    fn frame(&mut self) -> Vec<u8> {
         let mut payload = vec![0u8; self.payload_bytes];
         payload[..8].copy_from_slice(&self.next_seq.to_be_bytes());
         self.next_seq += 1;
-        Frame::new(payload)
+        payload
     }
 }
 
@@ -109,12 +109,12 @@ impl Application for ChannelProbe {
         ctx: &mut Context<'_>,
         _channel: ChannelId,
         to: Endpoint,
-        frame: Frame,
+        frame: Vec<u8>,
     ) {
         if to == Endpoint::B && ctx.now() <= self.duration {
-            let seq = u64::from_be_bytes(frame.payload()[..8].try_into().expect("8-byte seq"));
+            let seq = u64::from_be_bytes(frame[..8].try_into().expect("8-byte seq"));
             self.loss.record(seq);
-            self.received.record(ctx.now(), frame.bits());
+            self.received.record(ctx.now(), frame.len() as u64 * 8);
         }
     }
 }
@@ -182,7 +182,7 @@ impl Application for EchoBenchmark {
         }
         let mut payload = vec![0u8; self.payload_bytes];
         payload[..8].copy_from_slice(&ctx.now().as_nanos().to_be_bytes());
-        let _ = ctx.send(self.channel, Endpoint::A, Frame::new(payload));
+        let _ = ctx.send(self.channel, Endpoint::A, payload);
         let at = self.pacer.next_tick();
         ctx.set_timer(at, 0);
     }
@@ -192,7 +192,7 @@ impl Application for EchoBenchmark {
         ctx: &mut Context<'_>,
         channel: ChannelId,
         to: Endpoint,
-        frame: Frame,
+        frame: Vec<u8>,
     ) {
         match to {
             Endpoint::B => {
@@ -200,8 +200,7 @@ impl Application for EchoBenchmark {
                 let _ = ctx.send(channel, Endpoint::B, frame);
             }
             Endpoint::A => {
-                let sent =
-                    u64::from_be_bytes(frame.payload()[..8].try_into().expect("8-byte stamp"));
+                let sent = u64::from_be_bytes(frame[..8].try_into().expect("8-byte stamp"));
                 self.rtts.record(ctx.now() - SimTime::from_nanos(sent));
             }
         }

@@ -1,9 +1,8 @@
 //! Dynamic network behaviour: delay jitter and mid-run reconfiguration.
 
-use mcss_netsim::stats::DelaySummary;
+use mcss_base::stats::DelaySummary;
 use mcss_netsim::{
-    Application, ChannelId, Context, Endpoint, Frame, LinkConfig, NetworkBuilder, SimTime,
-    Simulator,
+    Application, ChannelId, Context, Endpoint, LinkConfig, NetworkBuilder, SimTime, Simulator,
 };
 
 /// Paced one-channel sender that records per-frame latency at B.
@@ -37,14 +36,14 @@ impl Application for Probe {
         }
         let mut payload = vec![0u8; 100];
         payload[..8].copy_from_slice(&ctx.now().as_nanos().to_be_bytes());
-        let _ = ctx.send(0, Endpoint::A, Frame::new(payload));
+        let _ = ctx.send(0, Endpoint::A, payload);
         self.sent += 1;
         let next = ctx.now() + self.period;
         ctx.set_timer(next, 0);
     }
-    fn on_deliver(&mut self, ctx: &mut Context<'_>, _c: ChannelId, to: Endpoint, frame: Frame) {
+    fn on_deliver(&mut self, ctx: &mut Context<'_>, _c: ChannelId, to: Endpoint, frame: Vec<u8>) {
         if to == Endpoint::B {
-            let sent = u64::from_be_bytes(frame.payload()[..8].try_into().unwrap());
+            let sent = u64::from_be_bytes(frame[..8].try_into().unwrap());
             self.latency.record(ctx.now() - SimTime::from_nanos(sent));
             self.received += 1;
         }
@@ -112,7 +111,7 @@ fn jitter_can_reorder_frames() {
             let mut payload = vec![0u8; 16];
             payload[..8].copy_from_slice(&self.sent.to_be_bytes());
             self.sent += 1;
-            let _ = ctx.send(0, Endpoint::A, Frame::new(payload));
+            let _ = ctx.send(0, Endpoint::A, payload);
             let next = ctx.now() + SimTime::from_micros(1);
             ctx.set_timer(next, 0);
         }
@@ -121,11 +120,11 @@ fn jitter_can_reorder_frames() {
             _ctx: &mut Context<'_>,
             _c: ChannelId,
             to: Endpoint,
-            frame: Frame,
+            frame: Vec<u8>,
         ) {
             if to == Endpoint::B {
                 self.deliveries
-                    .push(u64::from_be_bytes(frame.payload()[..8].try_into().unwrap()));
+                    .push(u64::from_be_bytes(frame[..8].try_into().unwrap()));
             }
         }
     }

@@ -26,8 +26,9 @@
 
 use std::sync::Arc;
 
+use mcss_base::BufferPool;
 use mcss_codec::ShareKey;
-use mcss_netsim::{Application, BufferPool, ChannelId, Context, Endpoint, Frame, SimTime};
+use mcss_netsim::{Application, ChannelId, Context, Endpoint, SimTime};
 
 use mcss_obs::MetricsSnapshot;
 
@@ -232,19 +233,17 @@ impl Session {
                     channel,
                     from,
                     frame,
-                } => match ctx.try_send(channel, from, Frame::new(frame)) {
+                } => match ctx.send(channel, from, frame) {
                     Ok(()) => self.engine.share_send_ok(channel),
-                    Err(rejected) => self
-                        .engine
-                        .share_send_rejected(channel, rejected.into_vec()),
+                    Err(rejected) => self.engine.share_send_rejected(channel, rejected),
                 },
                 Action::SendControl {
                     channel,
                     from,
                     frame,
                 } => {
-                    if let Err(rejected) = ctx.try_send(channel, from, Frame::new(frame)) {
-                        self.engine.control_send_rejected(rejected.into_vec());
+                    if let Err(rejected) = ctx.send(channel, from, frame) {
+                        self.engine.control_send_rejected(rejected);
                     }
                 }
                 Action::SetTimer { token, at } => ctx.set_timer(at, token),
@@ -294,12 +293,11 @@ impl Application for Session {
         ctx: &mut Context<'_>,
         channel: ChannelId,
         to: Endpoint,
-        frame: Frame,
+        buf: Vec<u8>,
     ) {
-        // Reclaim the wire buffer (frames we sent carry owned buffers),
-        // let the engine decode borrowing from it, and recycle it for
-        // the next send.
-        let buf = frame.into_vec();
+        // The wire buffer is the one a send handed the simulator: let the
+        // engine decode borrowing from it, then recycle it for the next
+        // send.
         if self.echo && to == Endpoint::B {
             // A completed symbol at B echoes back: refresh B's readiness.
             self.feed_backlogs(ctx, Endpoint::B);
