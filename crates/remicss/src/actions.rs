@@ -16,25 +16,25 @@
 //! borrows from the [`Scratch`](crate::engine::Scratch) the host lent,
 //! which the next session's call overwrites.
 //!
-//! | Event | Meaning |
+//! | Input | Meaning |
 //! |---|---|
 //! | [`Event::Started`] | The driver is running; a paced source arms its first tick (nothing is armed for reassembly until a share is buffered). |
 //! | [`Event::SymbolReady`] | An external source offers one symbol to send from host A. |
-//! | [`Event::ShareReceived`] | A decoded share frame arrived on `channel` at `to`. |
-//! | [`Event::ControlReceived`] | A decoded control frame arrived at `to`. |
 //! | [`Event::TimerFired`] | A timer the engine set via [`Action::SetTimer`] is due. |
-//! | [`Event::ChannelWritable`] | Channel readiness update: `from`'s send backlog on `channel`. |
+//! | [`handle_frame`](crate::engine::EngineCore::handle_frame) | A wire frame arrived on `channel` at `to`; the engine decodes it and handles the share or control frame it holds. |
+//!
+//! Channel readiness is no event: the host sets its channels' send
+//! backlogs ([`Backlogs`](crate::engine::Backlogs)) and lends them to
+//! every call, and a symbol is scheduled over whatever they read then.
 //!
 //! | Action | Driver obligation |
 //! |---|---|
 //! | [`Action::SendShare`] | Put `frame` on `channel` from `from` as it is; report the outcome via [`share_send_ok`](crate::engine::EngineCore::share_send_ok) / [`share_send_rejected`](crate::engine::Engine::share_send_rejected), and give the buffer back once sent ([`Engine::recycle`](crate::engine::Engine::recycle)). |
-//! | [`Action::SendControl`] | Put `frame` on `channel` from `from`; give the buffer back once sent, or on local drop ([`Engine::control_send_rejected`](crate::engine::Engine::control_send_rejected)). |
+//! | [`Action::SendControl`] | Put `frame` on `channel` from `from`; give the buffer back once sent or dropped ([`Engine::recycle`](crate::engine::Engine::recycle)). |
 //! | [`Action::SetTimer`] | Fire [`Event::TimerFired`] with `token` at (or after) `at`. Timers are set on demand — an idle engine has none outstanding — so a driver may sleep until the earliest one. |
 //! | [`Action::DeliverSymbol`] | Hand `payload` to the application, then give the buffer back ([`Engine::recycle`](crate::engine::Engine::recycle)): it is the one the symbol was reconstructed into. |
 
 use mcss_base::{Endpoint, SimTime};
-
-use crate::wire::{ControlFrame, ShareRef};
 
 /// Timer token for the paced symbol source tick.
 pub const TIMER_SOURCE: u64 = 0;
@@ -48,11 +48,12 @@ pub const TIMER_SWEEP: u64 = 1;
 /// Timer token for the receiver's adaptive feedback report.
 pub const TIMER_FEEDBACK: u64 = 2;
 
-/// One input to [`Engine::handle`](crate::engine::Engine::handle).
+/// One input to [`Engine::handle`](crate::engine::Engine::handle);
+/// received frames enter through
+/// [`handle_frame`](crate::engine::Engine::handle_frame) instead.
 ///
-/// Events borrow frame contents from the driver's receive buffer; the
-/// engine copies what it must retain (shares under reassembly) into
-/// pooled storage, so the borrow ends with the call.
+/// A symbol offered borrows the driver's buffer: the engine splits it
+/// during the call, so the borrow ends with the call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event<'a> {
     /// The driver started; a paced engine arms its source tick (and the
@@ -67,40 +68,10 @@ pub enum Event<'a> {
         /// The symbol payload to split and send.
         payload: &'a [u8],
     },
-    /// A share frame was received on `channel` addressed to `to`.
-    ShareReceived {
-        /// Channel the share arrived on.
-        channel: usize,
-        /// Receiving endpoint.
-        to: Endpoint,
-        /// The decoded share, borrowing the driver's receive buffer.
-        share: ShareRef<'a>,
-    },
-    /// A control (feedback) frame was received addressed to `to`.
-    ControlReceived {
-        /// Channel the frame arrived on.
-        channel: usize,
-        /// Receiving endpoint.
-        to: Endpoint,
-        /// The decoded control frame.
-        control: ControlFrame,
-    },
     /// A timer set via [`Action::SetTimer`] fired.
     TimerFired {
         /// The token the timer was set with.
         token: u64,
-    },
-    /// Readiness update: `from`'s send backlog on `channel` is
-    /// `backlog`. The dynamic scheduler reads the most recent update
-    /// per channel when choosing a share subset; drivers refresh all
-    /// channels before any event that may transmit.
-    ChannelWritable {
-        /// The channel whose state changed.
-        channel: usize,
-        /// The sending endpoint the backlog belongs to.
-        from: Endpoint,
-        /// Serialization backlog (time until the queue drains).
-        backlog: SimTime,
     },
 }
 

@@ -26,12 +26,13 @@
 //! [`Partials`] slab its reassembly tables park partial symbols and
 //! their shares in, the
 //! bytes every frame it emits must start with, the share key with the
-//! session's stream id, and the [`Scratch`] a symbol is drawn and split
-//! in. So a host of many sessions (a server shard) lends all of them one
-//! pool, one slab, one key and one scratch and gets frames it can put on
-//! the wire as they are. [`Engine`] is that core next to a pool, a slab,
-//! a key and a scratch of its own and an empty prefix — what a
-//! single-session driver wants.
+//! session's stream id, the [`Scratch`] a symbol is drawn and split
+//! in, and the host's channel [`Backlogs`] the scheduler reads. So a
+//! host of many sessions (a server shard) lends all of them one pool,
+//! one slab, one key, one scratch and one set of backlogs and gets
+//! frames it can put on the wire as they are. [`Engine`] is that core
+//! next to a pool, a slab, a key, a scratch and backlogs of its own and
+//! an empty prefix — what a single-session driver wants.
 //!
 //! Two source modes cover the drivers' needs:
 //!
@@ -298,6 +299,41 @@ pub struct Scratch {
     codec: CodecScratch,
 }
 
+/// A host's send backlog on each of its channels, from A and from B:
+/// how long a frame queued there now waits to be serialized. The
+/// dynamic scheduler sends a symbol's shares on the channels whose
+/// backlog is within the config's readiness threshold, so readiness is
+/// the host's, read by each session it lends these to. All zero until
+/// the host sets one.
+#[derive(Debug, Clone, Default)]
+pub struct Backlogs {
+    from_a: [SimTime; MAX_CHANNELS],
+    from_b: [SimTime; MAX_CHANNELS],
+}
+
+impl Backlogs {
+    /// Sets `from`'s send backlog on `channel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not below [`MAX_CHANNELS`].
+    pub fn set(&mut self, from: Endpoint, channel: usize, backlog: SimTime) {
+        let backlogs = match from {
+            Endpoint::A => &mut self.from_a,
+            Endpoint::B => &mut self.from_b,
+        };
+        backlogs[channel] = backlog;
+    }
+
+    /// `from`'s send backlogs on the first `n` channels.
+    fn of(&self, from: Endpoint, n: usize) -> &[SimTime] {
+        match from {
+            Endpoint::A => &self.from_a[..n],
+            Endpoint::B => &self.from_b[..n],
+        }
+    }
+}
+
 /// What a call into [`EngineCore`] borrows from its host.
 #[derive(Debug)]
 pub struct Lent<'a> {
@@ -321,6 +357,8 @@ pub struct Lent<'a> {
     /// The host's scratch, which a symbol is scheduled and split in: one
     /// per host, lent to each of its sessions in turn.
     pub scratch: &'a mut Scratch,
+    /// The host's channel backlogs, which every symbol's schedule reads.
+    pub backlogs: &'a Backlogs,
 }
 
 impl Lent<'_> {
@@ -334,11 +372,13 @@ impl Lent<'_> {
 
 /// The protocol state machine without buffers: [`Engine`]'s state and
 /// all of its logic, written against the pool, partial slab, frame
-/// prefix, share key and scratch the host lends for the duration of a
-/// call ([`Lent`]). A core keeps only what outlives an event.
+/// prefix, share key, scratch and channel backlogs the host lends for
+/// the duration of a call ([`Lent`]). A core keeps only what outlives an
+/// event.
 ///
 /// A host of many sessions keeps one [`BufferPool`], one [`Partials`]
-/// slab, one [`ShareKey`], one [`Scratch`] and one core per session.
+/// slab, one [`ShareKey`], one [`Scratch`], one [`Backlogs`] and one core
+/// per session.
 /// Every `partials` lent to one core must be the same slab: its
 /// reassembly tables' partial symbols, with the shares parked in them,
 /// are entries of it. Every `(key, stream)` lent to one core must be the same too, and no
@@ -354,8 +394,8 @@ impl Lent<'_> {
 /// A core holds the state of the B→A direction only if its traffic uses
 /// it: an [`Workload::Echo`] source or an adaptive target builds it,
 /// boxed, with the core. Any other session never sends from B, so it
-/// ignores B's channel readiness and drops what arrives at A, counting
-/// it in [`SessionReport::misdirected_frames`].
+/// drops what arrives at A, counting it in
+/// [`SessionReport::misdirected_frames`].
 ///
 /// The fields are laid out as declared, in the order a symbol reads
 /// them (the `layout_follows_the_symbol_path` test pins the groups): a
@@ -381,9 +421,6 @@ pub struct EngineCore {
     sum_k: u64,
     sum_m: u64,
     scheduler_a: SessionScheduler,
-    // Channel readiness as last reported by the driver via
-    // `Event::ChannelWritable`.
-    backlogs_a: Vec<SimTime>,
     pacer: Option<Pacer>,
     metrics: Arc<HostMetrics>,
 
@@ -413,15 +450,22 @@ pub struct EngineCore {
 struct ReturnPath {
     table_a: ReassemblyCore,
     scheduler_b: SessionScheduler,
-    backlogs_b: Vec<SimTime>,
     rtt: DelaySummary,
     adaptive: Option<AdaptiveController>,
     /// Symbols B has split: the next echo's share stream.
     echoes: u64,
     feedback_epoch: u32,
+    /// One past the highest symbol number B has reconstructed.
+    seen_through: u64,
+    /// The symbols the next report covers, numbered below this: those
+    /// seen when the last report left, so a feedback period has passed
+    /// since a later symbol overtook each of them.
+    report_through: u64,
+    /// Symbols numbered below `report_through` B has reconstructed.
+    report_delivered: u64,
     last_epoch_seen: Option<u32>,
     last_feedback_delivered: u64,
-    last_feedback_sent: u64,
+    last_feedback_through: u64,
 }
 
 impl core::fmt::Debug for EngineCore {
@@ -513,14 +557,16 @@ impl EngineCore {
             Some(Box::new(ReturnPath {
                 table_a: table(),
                 scheduler_b: build_scheduler(config.scheduler(), config.kappa(), config.mu(), n)?,
-                backlogs_b: vec![SimTime::ZERO; n],
                 rtt: DelaySummary::new(),
                 adaptive,
                 echoes: 0,
                 feedback_epoch: 0,
+                seen_through: 0,
+                report_through: 0,
+                report_delivered: 0,
                 last_epoch_seen: None,
                 last_feedback_delivered: 0,
-                last_feedback_sent: 0,
+                last_feedback_through: 0,
             }))
         } else {
             None
@@ -560,7 +606,6 @@ impl EngineCore {
             cpu_a: CpuClock::new(),
             cpu_b: CpuClock::new(),
             metrics,
-            backlogs_a: vec![SimTime::ZERO; n],
             codec: config.codec(),
             // Allocated with the engine, among the session's other
             // allocations: the first event would allocate it anyway, and
@@ -720,13 +765,15 @@ impl EngineCore {
     /// Feeds one event into the state machine, then queues the resulting
     /// actions for [`poll_action`](EngineCore::poll_action). Buffers
     /// come from and go back to `lent.pool`, and partial symbols and
-    /// their shares park in `lent.partials`; every frame emitted starts with `lent.prefix`;
-    /// share randomness is drawn under `lent.key`; a symbol is scheduled
-    /// and split in `lent.scratch`.
+    /// their shares park in `lent.partials`; every frame emitted starts
+    /// with `lent.prefix`; share randomness is drawn under `lent.key`; a
+    /// symbol is scheduled over `lent.backlogs` and split in
+    /// `lent.scratch`.
     ///
     /// `now` must be monotonically non-decreasing across calls; `rng` is
     /// the session's model stream (scheduler draws), so seeding it
-    /// identically, under the same key, replays identically.
+    /// identically, under the same key and backlogs, replays
+    /// identically.
     ///
     /// # Panics
     ///
@@ -746,49 +793,13 @@ impl EngineCore {
             Event::SymbolReady { payload } => {
                 self.offer_symbol(lent, now, payload, rng);
             }
-            Event::ShareReceived { channel, to, share } => {
-                if to == Endpoint::A && self.return_path.is_none() {
-                    self.misdirected_frames += 1;
-                    return;
-                }
-                let now_ns = now.as_nanos();
-                self.metrics.record_receive(
-                    channel,
-                    now_ns,
-                    now_ns.saturating_sub(share.sent_at_nanos()),
-                );
-                match to {
-                    Endpoint::B => self.on_share_at_b(lent, now, &share, rng),
-                    Endpoint::A => self.on_share_at_a(lent, now, &share),
-                }
-            }
-            Event::ControlReceived { to, control, .. } => {
-                if to == Endpoint::A {
-                    if self.return_path.is_some() {
-                        self.on_control_at_a(control);
-                    } else {
-                        self.misdirected_frames += 1;
-                    }
-                }
-                // Control frames arriving at B (echo of our own order)
-                // cannot occur: B only ever sends them.
-            }
-            Event::ChannelWritable {
-                channel,
-                from,
-                backlog,
-            } => match (from, self.return_path.as_deref_mut()) {
-                (Endpoint::A, _) => self.backlogs_a[channel] = backlog,
-                (Endpoint::B, Some(back)) => back.backlogs_b[channel] = backlog,
-                // Nothing is ever sent from B.
-                (Endpoint::B, None) => {}
-            },
         }
     }
 
-    /// Decodes one received wire frame (without any demux prefix) and
-    /// feeds it to [`handle`](EngineCore::handle) as the matching
-    /// [`Event::ShareReceived`] / [`Event::ControlReceived`].
+    /// Decodes one wire frame (without any demux prefix) received on
+    /// `channel` at `to`, and handles the share or control frame it
+    /// holds; see [`handle`](EngineCore::handle) for what is lent and
+    /// queued.
     ///
     /// The caller keeps ownership of `bytes` (the engine copies what it
     /// retains).
@@ -806,26 +817,33 @@ impl EngineCore {
         bytes: &[u8],
         rng: &mut StdRng,
     ) -> Result<(), WireError> {
-        match wire::decode_message_ref(bytes) {
-            Err(err) => {
-                self.wire_errors += 1;
-                Err(err)
-            }
-            Ok(MessageRef::Share(share)) => {
-                let event = Event::ShareReceived { channel, to, share };
-                self.handle(lent, now, event, rng);
-                Ok(())
-            }
-            Ok(MessageRef::Control(control)) => {
-                let event = Event::ControlReceived {
+        let message = wire::decode_message_ref(bytes).inspect_err(|_| self.wire_errors += 1)?;
+        if to == Endpoint::A && self.return_path.is_none() {
+            self.misdirected_frames += 1;
+            return Ok(());
+        }
+        match message {
+            MessageRef::Share(share) => {
+                let now_ns = now.as_nanos();
+                self.metrics.record_receive(
                     channel,
-                    to,
-                    control,
-                };
-                self.handle(lent, now, event, rng);
-                Ok(())
+                    now_ns,
+                    now_ns.saturating_sub(share.sent_at_nanos()),
+                );
+                match to {
+                    Endpoint::B => self.on_share_at_b(lent, now, &share, rng),
+                    Endpoint::A => self.on_share_at_a(lent, now, &share),
+                }
+            }
+            // Control frames arriving at B (echo of our own order)
+            // cannot occur: B only ever sends them.
+            MessageRef::Control(control) => {
+                if to == Endpoint::A {
+                    self.on_control_at_a(control);
+                }
             }
         }
+        Ok(())
     }
 
     fn on_start(&mut self) {
@@ -963,16 +981,17 @@ impl EngineCore {
         rng: &mut StdRng,
     ) -> bool {
         {
-            let (scheduler, backlogs) = match from {
-                Endpoint::A => (&mut self.scheduler_a, &self.backlogs_a),
+            let scheduler = match from {
+                Endpoint::A => &mut self.scheduler_a,
                 Endpoint::B => {
                     let back = self
                         .return_path
                         .as_deref_mut()
                         .expect("only a session with a return path sends from B");
-                    (&mut back.scheduler_b, &back.backlogs_b)
+                    &mut back.scheduler_b
                 }
             };
+            let backlogs = lent.backlogs.of(from, self.n);
             let state = ChannelState::new(backlogs, self.config.readiness_threshold());
             scheduler.choose_into(&state, rng, &mut lent.scratch.choice);
         }
@@ -1071,7 +1090,7 @@ impl EngineCore {
             match self.source {
                 SourceMode::Paced(workload) => {
                     if pattern_matches(seq, &out) {
-                        self.delivered_total += 1;
+                        self.count_delivery(seq);
                         let window = workload.duration();
                         if now <= window {
                             self.delivered_window += 1;
@@ -1089,7 +1108,7 @@ impl EngineCore {
                     }
                 }
                 SourceMode::External => {
-                    self.delivered_total += 1;
+                    self.count_delivery(seq);
                     self.delivered_window += 1;
                     self.meter.record(now, (out.len() * 8) as u64);
                     self.delay.record(now - SimTime::from_nanos(stamp));
@@ -1100,6 +1119,18 @@ impl EngineCore {
             }
         }
         lent.pool.put(out);
+    }
+
+    /// Counts symbol `seq`, reconstructed at B, in the session's total
+    /// and, with a return path, in what B reports back.
+    fn count_delivery(&mut self, seq: u64) {
+        self.delivered_total += 1;
+        if let Some(back) = self.return_path.as_deref_mut() {
+            back.seen_through = back.seen_through.max(seq + 1);
+            if seq < back.report_through {
+                back.report_delivered += 1;
+            }
+        }
     }
 
     fn on_share_at_a(&mut self, lent: &mut Lent<'_>, now: SimTime, share: &ShareRef<'_>) {
@@ -1133,7 +1164,17 @@ impl EngineCore {
             .as_deref_mut()
             .expect("feedback is armed only with a return path");
         back.feedback_epoch += 1;
-        let frame = ControlFrame::new(back.feedback_epoch, self.delivered_total);
+        let frame = ControlFrame::new(
+            back.feedback_epoch,
+            back.report_delivered,
+            back.report_through,
+        );
+        // The next report covers every symbol seen by now, each of which
+        // B reconstructed or a later one overtook: by then one still
+        // missing is lost, not in flight. All B reconstructed so far is
+        // among them.
+        back.report_through = back.seen_through;
+        back.report_delivered = self.delivered_total;
         // Tiny frame, sent on every channel for loss resilience.
         for ch in 0..self.n {
             let mut buf = lent.take_frame();
@@ -1155,12 +1196,14 @@ impl EngineCore {
             return; // duplicate copy from another channel
         }
         back.last_epoch_seen = Some(frame.epoch());
+        // The epoch is the symbols the report covers and the last did
+        // not: A numbers only the symbols it sends.
         let delivered = frame
             .delivered()
             .saturating_sub(back.last_feedback_delivered);
-        let sent = self.sent.saturating_sub(back.last_feedback_sent);
+        let sent = frame.through().saturating_sub(back.last_feedback_through);
         back.last_feedback_delivered = frame.delivered();
-        back.last_feedback_sent = self.sent;
+        back.last_feedback_through = frame.through();
         let Some(ctl) = back.adaptive.as_mut() else {
             return;
         };
@@ -1194,6 +1237,7 @@ pub struct Engine {
     partials: Partials,
     key: ShareKey,
     scratch: Scratch,
+    backlogs: Backlogs,
 }
 
 impl Engine {
@@ -1216,6 +1260,7 @@ impl Engine {
             partials: Partials::default(),
             key: ShareKey::generate(),
             scratch: Scratch::default(),
+            backlogs: Backlogs::default(),
         })
     }
 
@@ -1269,44 +1314,54 @@ impl Engine {
         self.pool.put(frame);
     }
 
-    /// The driver's local queue rejected an [`Action::SendControl`]
-    /// frame. Control drops are deliberate (loss-resilient duplicates,
-    /// not counted), but the buffer still comes back to the pool.
-    pub fn control_send_rejected(&mut self, frame: Vec<u8>) {
-        self.pool.put(frame);
-    }
-
     /// Returns a buffer to the engine's pool: received wire frames after
-    /// [`handle_frame`](Engine::handle_frame), and
-    /// [`Action::DeliverSymbol`] payloads after the application consumed
-    /// them. Keeps the steady state allocation-free.
+    /// [`handle_frame`](Engine::handle_frame), control frames a local
+    /// queue refused (control drops are loss-resilient duplicates, not
+    /// counted), and [`Action::DeliverSymbol`] payloads after the
+    /// application consumed them. Keeps the steady state allocation-free.
     pub fn recycle(&mut self, buf: Vec<u8>) {
         self.pool.put(buf);
     }
 
-    /// [`EngineCore::handle`] over the engine's own pool, slab, key and
-    /// scratch, with no frame prefix, as stream 0.
+    /// Sets `from`'s send backlog on `channel`, which every symbol
+    /// scheduled from then on reads ([`Backlogs::set`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Backlogs::set`].
+    pub fn set_backlog(&mut self, from: Endpoint, channel: usize, backlog: SimTime) {
+        self.backlogs.set(from, channel, backlog);
+    }
+
+    /// The core and what the engine lends it: its own pool, slab, key,
+    /// scratch and backlogs, no frame prefix, and stream 0, the one
+    /// session of its host.
+    fn split(&mut self) -> (&mut EngineCore, Lent<'_>) {
+        let lent = Lent {
+            pool: &mut self.pool,
+            partials: &mut self.partials,
+            prefix: &[],
+            key: &self.key,
+            stream: 0,
+            scratch: &mut self.scratch,
+            backlogs: &self.backlogs,
+        };
+        (&mut self.core, lent)
+    }
+
+    /// [`EngineCore::handle`] over what the engine lends itself.
     ///
     /// # Panics
     ///
     /// As [`EngineCore::handle`].
     pub fn handle(&mut self, now: SimTime, event: Event<'_>, rng: &mut StdRng) {
-        let lent = &mut Lent {
-            pool: &mut self.pool,
-            partials: &mut self.partials,
-            prefix: &[],
-            key: &self.key,
-            // The one session of its host.
-            stream: 0,
-            scratch: &mut self.scratch,
-        };
-        self.core.handle(lent, now, event, rng);
+        let (core, mut lent) = self.split();
+        core.handle(&mut lent, now, event, rng);
     }
 
-    /// [`EngineCore::handle_frame`] over the engine's own pool, slab, key
-    /// and scratch, as stream 0, with no frame prefix. Hand `bytes`' buffer
-    /// back with [`recycle`](Engine::recycle) once the queued actions are
-    /// applied.
+    /// [`EngineCore::handle_frame`] over what the engine lends itself.
+    /// Hand `bytes`' buffer back with [`recycle`](Engine::recycle) once
+    /// the queued actions are applied.
     ///
     /// # Errors
     ///
@@ -1319,15 +1374,8 @@ impl Engine {
         bytes: &[u8],
         rng: &mut StdRng,
     ) -> Result<(), WireError> {
-        let lent = &mut Lent {
-            pool: &mut self.pool,
-            partials: &mut self.partials,
-            prefix: &[],
-            key: &self.key,
-            stream: 0,
-            scratch: &mut self.scratch,
-        };
-        self.core.handle_frame(lent, now, channel, to, bytes, rng)
+        let (core, mut lent) = self.split();
+        core.handle_frame(&mut lent, now, channel, to, bytes, rng)
     }
 }
 
@@ -1411,7 +1459,6 @@ mod tests {
             sum_k,
             sum_m,
             scheduler_a,
-            backlogs_a,
             pacer,
             metrics
         );
@@ -1474,9 +1521,10 @@ mod tests {
         // merged, 1 400 B before the return path was boxed and the
         // transmit frames moved to the stack, 768 B before the choice and
         // the split planes moved to the host, 688 B before the partial
-        // symbols did; declaration order must not cost padding.
+        // symbols did, 624 B before the channel backlogs did; declaration
+        // order must not cost padding.
         assert!(
-            size_of::<EngineCore>() <= 624,
+            size_of::<EngineCore>() <= 600,
             "`EngineCore` grew to {} B",
             size_of::<EngineCore>()
         );

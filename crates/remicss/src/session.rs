@@ -2,9 +2,10 @@
 //! that feeds the sans-I/O [`Engine`] from the discrete-event simulator.
 //!
 //! All protocol behaviour lives in [`crate::engine`]; this module only
-//! translates simulator callbacks into [`Event`]s (with channel-backlog
-//! refreshes before any event that may transmit) and performs the
-//! drained [`Action`]s against the simulator's channels and timer queue.
+//! translates simulator callbacks into [`Event`]s and received frames
+//! (setting the engine's channel backlogs from the links' before any
+//! event that may transmit) and performs the drained [`Action`]s against
+//! the simulator's channels and timer queue.
 //!
 //! Two workloads mirror the paper's measurements:
 //!
@@ -65,8 +66,8 @@ pub enum TraceEvent {
         /// The timer token.
         token: u64,
     },
-    /// A batch of [`Event::ChannelWritable`] updates: `backlogs[i]` is
-    /// channel `i`'s send backlog at `from`.
+    /// The links' send backlogs at `from`, set into the engine with
+    /// [`Engine::set_backlog`]: `backlogs[i]` is channel `i`'s.
     Backlogs {
         /// The sending endpoint the backlogs belong to.
         from: Endpoint,
@@ -188,31 +189,22 @@ impl Session {
         self.engine.metrics_snapshot()
     }
 
-    /// Refreshes the engine's view of `from`'s per-channel send backlogs
-    /// from the simulator. Done before any event that may transmit, so
-    /// the scheduler sees exactly what `ctx.backlog` would have said.
-    fn feed_backlogs(&mut self, ctx: &mut Context<'_>, from: Endpoint) {
-        let now = ctx.now();
+    /// Sets the engine's backlogs of `from`'s channels to the links'.
+    /// Done before any event that may transmit, so the scheduler sees
+    /// exactly what `ctx.backlog` would have said.
+    fn feed_backlogs(&mut self, ctx: &Context<'_>, from: Endpoint) {
+        for channel in 0..self.n {
+            self.engine
+                .set_backlog(from, channel, ctx.backlog(channel, from));
+        }
         if let Some(trace) = self.trace.as_mut() {
             trace.push(TraceStep::Event {
-                now,
+                now: ctx.now(),
                 event: TraceEvent::Backlogs {
                     from,
                     backlogs: (0..self.n).map(|i| ctx.backlog(i, from)).collect(),
                 },
             });
-        }
-        for channel in 0..self.n {
-            let backlog = ctx.backlog(channel, from);
-            self.engine.handle(
-                now,
-                Event::ChannelWritable {
-                    channel,
-                    from,
-                    backlog,
-                },
-                ctx.rng(),
-            );
         }
     }
 
@@ -243,7 +235,7 @@ impl Session {
                     frame,
                 } => {
                     if let Err(rejected) = ctx.send(channel, from, frame) {
-                        self.engine.control_send_rejected(rejected);
+                        self.engine.recycle(rejected);
                     }
                 }
                 Action::SetTimer { token, at } => ctx.set_timer(at, token),

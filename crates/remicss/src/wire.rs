@@ -249,18 +249,21 @@ pub fn put_share_header_for(
 pub const CONTROL_MAGIC: [u8; 2] = *b"RC";
 
 /// Size of an encoded control frame in bytes.
-pub const CONTROL_BYTES: usize = 2 + 1 + 4 + 8;
+pub const CONTROL_BYTES: usize = 2 + 1 + 4 + 8 + 8;
 
-/// Receiver-to-sender feedback: cumulative delivery count, used by the
-/// adaptive multiplicity controller
-/// ([`adaptive`](crate::adaptive)).
+/// Receiver-to-sender feedback, used by the adaptive multiplicity
+/// controller ([`adaptive`](crate::adaptive)): of the symbols numbered
+/// below `through`, how many the receiver has reconstructed. The
+/// receiver names as `through` only symbols it had already seen
+/// overtaken a feedback period before, so a symbol still in flight on a
+/// slower channel is not counted as lost.
 ///
 /// # Examples
 ///
 /// ```
 /// use mcss_remicss::wire::ControlFrame;
 ///
-/// let c = ControlFrame::new(3, 1234);
+/// let c = ControlFrame::new(3, 1234, 1250);
 /// let mut buf = Vec::new();
 /// c.encode_into(&mut buf);
 /// assert_eq!(ControlFrame::decode(&buf).unwrap(), c);
@@ -269,14 +272,19 @@ pub const CONTROL_BYTES: usize = 2 + 1 + 4 + 8;
 pub struct ControlFrame {
     epoch: u32,
     delivered: u64,
+    through: u64,
 }
 
 impl ControlFrame {
-    /// Builds a feedback frame for `epoch` reporting `delivered`
-    /// cumulative symbol deliveries.
+    /// Builds a feedback frame for `epoch` reporting that `delivered` of
+    /// the symbols numbered below `through` were reconstructed.
     #[must_use]
-    pub fn new(epoch: u32, delivered: u64) -> Self {
-        ControlFrame { epoch, delivered }
+    pub fn new(epoch: u32, delivered: u64, through: u64) -> Self {
+        ControlFrame {
+            epoch,
+            delivered,
+            through,
+        }
     }
 
     /// The feedback epoch number.
@@ -285,10 +293,17 @@ impl ControlFrame {
         self.epoch
     }
 
-    /// Cumulative symbols the receiver has reconstructed.
+    /// Symbols numbered below [`through`](ControlFrame::through) the
+    /// receiver has reconstructed.
     #[must_use]
     pub fn delivered(&self) -> u64 {
         self.delivered
+    }
+
+    /// The number of the first symbol the report does not cover.
+    #[must_use]
+    pub fn through(&self) -> u64 {
+        self.through
     }
 
     /// Appends the encoded frame to `buf` (no allocation beyond the
@@ -298,6 +313,7 @@ impl ControlFrame {
         buf.push(VERSION);
         buf.extend_from_slice(&self.epoch.to_be_bytes());
         buf.extend_from_slice(&self.delivered.to_be_bytes());
+        buf.extend_from_slice(&self.through.to_be_bytes());
     }
 
     /// Parses a control frame.
@@ -329,6 +345,7 @@ impl ControlFrame {
         Ok(ControlFrame {
             epoch: u32::from_be_bytes(buf[3..7].try_into().expect("4 bytes")),
             delivered: u64::from_be_bytes(buf[7..15].try_into().expect("8 bytes")),
+            through: u64::from_be_bytes(buf[15..23].try_into().expect("8 bytes")),
         })
     }
 }
@@ -585,10 +602,14 @@ mod tests {
             assert_eq!(header_bytes(codec), HEADER_BYTES, "{codec}");
         }
         let mut control = Vec::new();
-        ControlFrame::new(0x0a0b_0c0d, seq).encode_into(&mut control);
+        ControlFrame::new(0x0a0b_0c0d, seq, stamp).encode_into(&mut control);
         assert_eq!(
             control,
-            [b'R', b'C', 1, 0x0a, 0x0b, 0x0c, 0x0d, 1, 2, 3, 4, 5, 6, 7, 8]
+            [
+                b'R', b'C', 1, 0x0a, 0x0b, 0x0c, 0x0d, // magic, version, epoch
+                1, 2, 3, 4, 5, 6, 7, 8, // symbols delivered
+                0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // numbered below
+            ]
         );
         assert_eq!(control.len(), CONTROL_BYTES);
         let mut prefix = Vec::new();
@@ -700,7 +721,7 @@ mod tests {
 
     #[test]
     fn control_frame_round_trip() {
-        let c = ControlFrame::new(u32::MAX, u64::MAX);
+        let c = ControlFrame::new(u32::MAX, u64::MAX, u64::MAX - 1);
         let enc = control_bytes(c);
         assert_eq!(ControlFrame::decode(&enc).unwrap(), c);
         assert_eq!(enc.len(), CONTROL_BYTES);
@@ -708,7 +729,7 @@ mod tests {
 
     #[test]
     fn control_frame_decode_errors() {
-        let enc = control_bytes(ControlFrame::new(1, 2));
+        let enc = control_bytes(ControlFrame::new(1, 2, 3));
         assert!(matches!(
             ControlFrame::decode(&enc[..5]),
             Err(WireError::Truncated { .. })
@@ -733,7 +754,7 @@ mod tests {
             MessageRef::Share(s) => assert_eq!(s.seq(), 0xdead_beef),
             MessageRef::Control(_) => panic!("expected share"),
         }
-        let ctl = ControlFrame::new(7, 8);
+        let ctl = ControlFrame::new(7, 8, 9);
         match decode_message_ref(&control_bytes(ctl)).unwrap() {
             MessageRef::Control(c) => assert_eq!(c, ctl),
             MessageRef::Share(_) => panic!("expected control"),
@@ -758,7 +779,7 @@ mod tests {
         }
         let mut ctl = Vec::new();
         put_cid_prefix(&mut ctl, 7);
-        ControlFrame::new(1, 2).encode_into(&mut ctl);
+        ControlFrame::new(1, 2, 3).encode_into(&mut ctl);
         assert!(matches!(
             demux_frame(&ctl).unwrap(),
             DemuxFrame::Cid { cid: 7, .. }
@@ -772,7 +793,7 @@ mod tests {
             demux_frame(&share_enc).unwrap(),
             DemuxFrame::Legacy(&share_enc[..])
         );
-        let ctl_enc = control_bytes(ControlFrame::new(1, 2));
+        let ctl_enc = control_bytes(ControlFrame::new(1, 2, 3));
         assert_eq!(
             demux_frame(&ctl_enc).unwrap(),
             DemuxFrame::Legacy(&ctl_enc[..])

@@ -119,3 +119,22 @@ fn without_adaptation_mu_is_static() {
     // Loss stays at the raw per-channel rate (~25%).
     assert!(report.loss_fraction > 0.15);
 }
+
+#[test]
+fn lossless_delayed_links_keep_mu() {
+    // Lossless links whose one-way delays differ by up to 12 ms: a
+    // symbol still in flight when B reports is not a lost one, so the
+    // controller never sees loss and never raises mu.
+    let channels = setups::delayed();
+    let config = ProtocolConfig::new(1.0, 1.0).unwrap().with_adaptive(0.01);
+    let offered = 0.2 * testbed::optimal_symbol_rate(&channels, &config).unwrap();
+    let window = SimTime::from_secs(1);
+    let net = testbed::network_for(&channels, &config);
+    let session = Session::new(config.clone(), 5, Workload::cbr(offered, window)).unwrap();
+    let mut sim = Simulator::new(net, session, 7);
+    sim.run_until(window + SimTime::from_secs(1));
+    let report = sim.app().report(window);
+    assert_eq!(report.loss_fraction, 0.0);
+    assert_eq!(report.adaptive_final_mu, Some(1.0));
+    assert_eq!(report.adaptive_adjustments, 0);
+}

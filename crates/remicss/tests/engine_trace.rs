@@ -77,15 +77,7 @@ fn replay(
                     }
                     TraceEvent::Backlogs { from, backlogs } => {
                         for (channel, &backlog) in backlogs.iter().enumerate() {
-                            engine.handle(
-                                *now,
-                                Event::ChannelWritable {
-                                    channel,
-                                    from: *from,
-                                    backlog,
-                                },
-                                &mut rng,
-                            );
+                            engine.set_backlog(*from, channel, backlog);
                         }
                     }
                     TraceEvent::Frame { channel, to, bytes } => {

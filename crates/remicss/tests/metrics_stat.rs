@@ -12,7 +12,7 @@ use mcss_base::BufferPool;
 use mcss_codec::ShareKey;
 use mcss_netsim::SimTime;
 use mcss_remicss::actions::{Action, Event};
-use mcss_remicss::engine::{EngineCore, Lent, Scratch, SourceMode};
+use mcss_remicss::engine::{Backlogs, EngineCore, Lent, Scratch, SourceMode};
 use mcss_remicss::reassembly::Partials;
 use mcss_remicss::scheduler::{ChannelState, DynamicScheduler, Scheduler as _};
 use mcss_remicss::{HostMetrics, ProtocolConfig};
@@ -137,6 +137,7 @@ fn a_hosted_fleet_converges_within_one_percent() {
         })
         .collect();
     let payload = [0x3cu8; 16];
+    let backlogs = Backlogs::default();
     for symbol in 0..SYMBOLS {
         let cid = symbol as usize % SESSIONS;
         let (engine, rng) = &mut sessions[cid];
@@ -148,6 +149,7 @@ fn a_hosted_fleet_converges_within_one_percent() {
             key: &key,
             stream: cid as u32,
             scratch,
+            backlogs: &backlogs,
         };
         let now = SimTime::from_micros(symbol);
         if symbol < SESSIONS as u64 {

@@ -44,7 +44,7 @@ use mcss_gf256::Gf256;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{Engine, EngineCore, Lent, Scratch, SourceMode};
+use mcss_remicss::engine::{Backlogs, Engine, EngineCore, Lent, Scratch, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::reassembly::Partials;
 use mcss_remicss::session::{Session, Workload};
@@ -293,6 +293,7 @@ struct Hosted {
     key: ShareKey,
     prefix: Vec<u8>,
     scratch: Scratch,
+    backlogs: Backlogs,
 }
 
 /// The hosted session's connection ID.
@@ -310,6 +311,7 @@ impl Hosted {
             key: ShareKey::generate(),
             prefix,
             scratch: Scratch::default(),
+            backlogs: Backlogs::default(),
         }
     }
 }
@@ -324,6 +326,7 @@ impl Host for Hosted {
             key: &self.key,
             stream: HOSTED_CID,
             scratch: &mut self.scratch,
+            backlogs: &self.backlogs,
         };
         self.core.handle(lent, now, event, rng);
     }
@@ -338,6 +341,7 @@ impl Host for Hosted {
             key: &self.key,
             stream: HOSTED_CID,
             scratch: &mut self.scratch,
+            backlogs: &self.backlogs,
         };
         let _ = self
             .core

@@ -2,8 +2,9 @@
 //! connection-ID space, [`ShardSet`] drives every shard from one thread
 //! with deterministic sequencing.
 //!
-//! A shard owns one [`BufferPool`], one [`Partials`] slab and one
-//! [`Scratch`] and lends them to every session it hosts: a session is a
+//! A shard owns one [`BufferPool`], one [`Partials`] slab, one
+//! [`Scratch`] and its sockets' [`Backlogs`] and lends them to every
+//! session it hosts: a session is a
 //! pool-less [`EngineCore`], drained the moment an event has run, so
 //! each share is written once — demux prefix, header, codec output —
 //! into a buffer off the shard's free list and that buffer is the
@@ -39,7 +40,7 @@ use mcss_codec::{CodecId, ShareKey};
 use mcss_obs::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
-use mcss_remicss::engine::{EngineCore, Lent, Scratch, SessionReport, SourceMode};
+use mcss_remicss::engine::{Backlogs, EngineCore, Lent, Scratch, SessionReport, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::reassembly::Partials;
 use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError, CID_PREFIX_BYTES};
@@ -236,6 +237,9 @@ pub struct Shard {
     /// What a symbol is scheduled and split in, lent to whichever
     /// session is transmitting.
     scratch: Scratch,
+    /// The send backlog of each of the shard's channels, which every
+    /// session's scheduler reads.
+    backlogs: Backlogs,
     /// Pending timers, each the `(position, token)` of its session.
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
@@ -258,6 +262,7 @@ impl Shard {
             partials: Partials::default(),
             key,
             scratch: Scratch::default(),
+            backlogs: Backlogs::default(),
             timers: EventQueue::new(QueueKind::Wheel),
             timer_seq: 0,
             due: Vec::new(),
@@ -401,21 +406,15 @@ impl Shard {
         self.feed(now, cid, Event::TimerFired { token });
     }
 
-    /// Updates `cid`'s view of `from`'s send backlog on `channel`.
-    pub fn channel_writable(
-        &mut self,
-        now: SimTime,
-        cid: u32,
-        channel: usize,
-        from: Endpoint,
-        backlog: SimTime,
-    ) {
-        let event = Event::ChannelWritable {
-            channel,
-            from,
-            backlog,
-        };
-        self.feed(now, cid, event);
+    /// Sets `from`'s send backlog on `channel`, which every session of
+    /// the shard schedules its next symbols over ([`Backlogs::set`]).
+    /// All zero until set.
+    ///
+    /// # Panics
+    ///
+    /// As [`Backlogs::set`].
+    pub fn set_backlog(&mut self, channel: usize, from: Endpoint, backlog: SimTime) {
+        self.backlogs.set(from, channel, backlog);
     }
 
     /// Offers one symbol payload to an external-source session.
@@ -544,9 +543,9 @@ impl Shard {
     }
 
     /// Applies `event` to the engine of the session at `position`,
-    /// lending it the shard's pool, slab, key and scratch with the
-    /// session's prefix and, for its stream id, its connection ID; then
-    /// drains its action queue while the slot is still in cache: share
+    /// lending it the shard's pool, slab, key, scratch and backlogs with
+    /// the session's prefix and, for its stream id, its connection ID;
+    /// then drains its action queue while the slot is still in cache: share
     /// and control frames, which the engine wrote behind the session's
     /// demux prefix into pooled buffers, move to the outbound queue as
     /// they are, timers go onto the shard wheel, reconstructed symbols
@@ -566,6 +565,7 @@ impl Shard {
             key: &self.key,
             stream: cid,
             scratch: &mut self.scratch,
+            backlogs: &self.backlogs,
         };
         let result = event(&mut slot.engine, lent, &mut slot.rng);
         while let Some(action) = slot.engine.poll_action() {
@@ -780,19 +780,6 @@ impl ShardSet {
     pub fn fire_timer(&mut self, now: SimTime, cid: u32, token: u64) {
         let owner = self.shard_of(cid);
         self.shards[owner].fire_timer(now, cid, token);
-    }
-
-    /// Updates `cid`'s channel-backlog view.
-    pub fn channel_writable(
-        &mut self,
-        now: SimTime,
-        cid: u32,
-        channel: usize,
-        from: Endpoint,
-        backlog: SimTime,
-    ) {
-        let owner = self.shard_of(cid);
-        self.shards[owner].channel_writable(now, cid, channel, from, backlog);
     }
 
     /// Offers a symbol payload to external-source session `cid`.
@@ -1029,9 +1016,10 @@ mod tests {
         // 1 584 B before the fields were ordered, 1 512 B before the
         // engine's return path was boxed, 984 B before its protocol
         // counters moved to the shard, 880 B before its choice and split
-        // planes did, 800 B before its partial symbols did.
+        // planes did, 800 B before its partial symbols did, 736 B before
+        // its channel backlogs did.
         assert!(
-            size_of::<SessionSlot>() <= 736,
+            size_of::<SessionSlot>() <= 712,
             "`SessionSlot` grew to {} B",
             size_of::<SessionSlot>()
         );

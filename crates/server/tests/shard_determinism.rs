@@ -243,21 +243,33 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
     loop {
         let mut progressed = false;
         for (s, run) in runs.iter().enumerate() {
-            let Some(step) = run.trace.get(next_step[s]) else {
+            let Some(mut step) = run.trace.get(next_step[s]) else {
                 continue;
             };
             next_step[s] += 1;
             progressed = true;
             let cid = cids[s];
+            let owner = set.shard_of(cid);
+            // Backlogs are the shard's, read by whichever of its
+            // sessions transmits next: set them in the round of the
+            // event they preceded, before another session's step can
+            // overwrite them.
+            while let TraceStep::Event {
+                event: TraceEvent::Backlogs { from, backlogs },
+                ..
+            } = step
+            {
+                for (channel, &backlog) in backlogs.iter().enumerate() {
+                    set.shard_mut(owner).set_backlog(channel, *from, backlog);
+                }
+                step = &run.trace[next_step[s]];
+                next_step[s] += 1;
+            }
             match step {
                 TraceStep::Event { now, event } => match event {
                     TraceEvent::Started => set.start(*now, cid),
                     TraceEvent::Timer { token } => set.fire_timer(*now, cid, *token),
-                    TraceEvent::Backlogs { from, backlogs } => {
-                        for (channel, &backlog) in backlogs.iter().enumerate() {
-                            set.channel_writable(*now, cid, channel, *from, backlog);
-                        }
-                    }
+                    TraceEvent::Backlogs { .. } => unreachable!("set above"),
                     TraceEvent::Frame { channel, to, bytes } => {
                         datagram.clear();
                         mcss_remicss::wire::put_cid_prefix(&mut datagram, cid);
@@ -271,7 +283,6 @@ fn assert_sharded_replay_matches(runs: &[RecordedRun], shards: usize) {
                 TraceStep::Action(_) => {}
             }
             // One session was driven, so what its shard queued is its.
-            let owner = set.shard_of(cid);
             while let Some(d) = set.shard_mut(owner).pop_outbound() {
                 assert_eq!(d.cid, cid, "{} (shards={shards})", run.label);
                 outbound[s].push((d.channel, d.from, d.bytes));
