@@ -306,10 +306,7 @@ pub struct Scratch {
 /// the host's, read by each session it lends these to. All zero until
 /// the host sets one.
 #[derive(Debug, Clone, Default)]
-pub struct Backlogs {
-    from_a: [SimTime; MAX_CHANNELS],
-    from_b: [SimTime; MAX_CHANNELS],
-}
+pub struct Backlogs([[SimTime; MAX_CHANNELS]; 2]);
 
 impl Backlogs {
     /// Sets `from`'s send backlog on `channel`.
@@ -317,20 +314,8 @@ impl Backlogs {
     /// # Panics
     ///
     /// Panics if `channel` is not below [`MAX_CHANNELS`].
-    pub fn set(&mut self, from: Endpoint, channel: usize, backlog: SimTime) {
-        let backlogs = match from {
-            Endpoint::A => &mut self.from_a,
-            Endpoint::B => &mut self.from_b,
-        };
-        backlogs[channel] = backlog;
-    }
-
-    /// `from`'s send backlogs on the first `n` channels.
-    fn of(&self, from: Endpoint, n: usize) -> &[SimTime] {
-        match from {
-            Endpoint::A => &self.from_a[..n],
-            Endpoint::B => &self.from_b[..n],
-        }
+    pub fn set(&mut self, channel: usize, from: Endpoint, backlog: SimTime) {
+        self.0[from as usize][channel] = backlog;
     }
 }
 
@@ -991,7 +976,7 @@ impl EngineCore {
                     &mut back.scheduler_b
                 }
             };
-            let backlogs = lent.backlogs.of(from, self.n);
+            let backlogs = &lent.backlogs.0[from as usize][..self.n];
             let state = ChannelState::new(backlogs, self.config.readiness_threshold());
             scheduler.choose_into(&state, rng, &mut lent.scratch.choice);
         }
@@ -1219,9 +1204,10 @@ impl EngineCore {
 }
 
 /// The sans-I/O protocol state machine for one A↔B session over `n`
-/// channels, with a buffer pool of its own.
+/// channels, with a buffer pool and channel backlogs of its own.
 ///
-/// Drive it with [`handle`](Engine::handle) (or
+/// Set the backlogs with [`set_backlog`](Engine::set_backlog), drive it
+/// with [`handle`](Engine::handle) (and
 /// [`handle_frame`](Engine::handle_frame) for raw wire bytes), drain
 /// [`poll_action`](Engine::poll_action), and report each
 /// [`Action::SendShare`] outcome via
@@ -1329,8 +1315,8 @@ impl Engine {
     /// # Panics
     ///
     /// As [`Backlogs::set`].
-    pub fn set_backlog(&mut self, from: Endpoint, channel: usize, backlog: SimTime) {
-        self.backlogs.set(from, channel, backlog);
+    pub fn set_backlog(&mut self, channel: usize, from: Endpoint, backlog: SimTime) {
+        self.backlogs.set(channel, from, backlog);
     }
 
     /// The core and what the engine lends it: its own pool, slab, key,

@@ -195,7 +195,7 @@ impl Session {
     fn feed_backlogs(&mut self, ctx: &Context<'_>, from: Endpoint) {
         for channel in 0..self.n {
             self.engine
-                .set_backlog(from, channel, ctx.backlog(channel, from));
+                .set_backlog(channel, from, ctx.backlog(channel, from));
         }
         if let Some(trace) = self.trace.as_mut() {
             trace.push(TraceStep::Event {

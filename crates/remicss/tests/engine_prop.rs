@@ -57,7 +57,7 @@ struct RunLog {
 }
 
 /// Runs the scripted ops against a fresh engine. `backlogs[i]` is
-/// channel `i`'s send backlog from A, set before every symbol.
+/// channel `i`'s send backlog from A.
 fn run(ops: &[Op], seed: u64, backlogs: &[SimTime; N]) -> RunLog {
     let config = ProtocolConfig::new(2.0, 3.0)
         .unwrap()
@@ -66,6 +66,9 @@ fn run(ops: &[Op], seed: u64, backlogs: &[SimTime; N]) -> RunLog {
         .unwrap()
         .with_share_key(ShareKey::insecure_from_seed(seed));
     let mut rng = StdRng::seed_from_u64(seed);
+    for (channel, &backlog) in backlogs.iter().enumerate() {
+        engine.set_backlog(channel, Endpoint::A, backlog);
+    }
 
     let mut now = SimTime::ZERO;
     let mut timers: VecDeque<(SimTime, u64)> = VecDeque::new(); // (at, token), FIFO per push
@@ -133,9 +136,6 @@ fn run(ops: &[Op], seed: u64, backlogs: &[SimTime; N]) -> RunLog {
                 }
             }
             Op::Symbol(fill) => {
-                for (channel, &backlog) in backlogs.iter().enumerate() {
-                    engine.set_backlog(Endpoint::A, channel, backlog);
-                }
                 let payload = vec![fill; SYMBOL_BYTES];
                 engine.handle(now, Event::SymbolReady { payload: &payload }, &mut rng);
                 drain(&mut engine, &mut log, &mut timers, &mut in_flight);

@@ -77,7 +77,7 @@ fn replay(
                     }
                     TraceEvent::Backlogs { from, backlogs } => {
                         for (channel, &backlog) in backlogs.iter().enumerate() {
-                            engine.set_backlog(*from, channel, backlog);
+                            engine.set_backlog(channel, *from, backlog);
                         }
                     }
                     TraceEvent::Frame { channel, to, bytes } => {

@@ -414,7 +414,7 @@ impl Shard {
     ///
     /// As [`Backlogs::set`].
     pub fn set_backlog(&mut self, channel: usize, from: Endpoint, backlog: SimTime) {
-        self.backlogs.set(from, channel, backlog);
+        self.backlogs.set(channel, from, backlog);
     }
 
     /// Offers one symbol payload to an external-source session.
