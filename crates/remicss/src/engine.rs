@@ -1111,7 +1111,8 @@ impl EngineCore {
     fn count_delivery(&mut self, seq: u64) {
         self.delivered_total += 1;
         if let Some(back) = self.return_path.as_deref_mut() {
-            back.seen_through = back.seen_through.max(seq + 1);
+            // The peer picks the numbers: the largest must not overflow.
+            back.seen_through = back.seen_through.max(seq.saturating_add(1));
             if seq < back.report_through {
                 back.report_delivered += 1;
             }
@@ -1556,6 +1557,33 @@ mod tests {
             })
         );
         assert!(Engine::new(config, MAX_CHANNELS, SourceMode::External).is_ok());
+    }
+
+    /// B counts a delivery by its symbol number, which the sender
+    /// wrote: the largest number is delivered and counted, not
+    /// overflowed.
+    #[test]
+    fn the_largest_symbol_number_is_counted() {
+        let config = ProtocolConfig::new(1.0, 1.0)
+            .unwrap()
+            .with_codec(CodecId::Shamir)
+            .with_adaptive(0.01);
+        let mut engine = Engine::new(config, 1, SourceMode::External).unwrap();
+        let mut frame = Vec::new();
+        wire::put_share_header_for(&mut frame, CodecId::Shamir, u64::MAX, 1, 1, 1, 0, 4).unwrap();
+        frame.extend_from_slice(b"abcd");
+        let mut rng = StdRng::seed_from_u64(1);
+        engine
+            .handle_frame(SimTime::ZERO, 0, Endpoint::B, &frame, &mut rng)
+            .unwrap();
+        assert_eq!(
+            engine.poll_action(),
+            Some(Action::DeliverSymbol {
+                seq: u64::MAX,
+                payload: b"abcd".to_vec()
+            })
+        );
+        assert_eq!(engine.delivered_total(), 1);
     }
 
     /// The ramp copy and the chunked comparison are `pattern_byte`, byte

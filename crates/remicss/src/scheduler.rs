@@ -205,7 +205,7 @@ impl Scheduler for DynamicScheduler {
         // Ready channels first, then busy ones, each by backlog and ties
         // by index. The sort key is unique (it ends in the index), so the
         // unstable sort is deterministic. Backlogs already in index order
-        // (all equal, as when no host reports readiness) put the ready
+        // (all equal, as when the host has set none) put the ready
         // ones first too, so the sort would leave `0..n` as it is.
         choice.k = k;
         choice.channels.clear();
