@@ -451,6 +451,11 @@ struct ReturnPath {
     last_epoch_seen: Option<u32>,
     last_feedback_delivered: u64,
     last_feedback_through: u64,
+    /// A's symbols numbered below this are counted in some epoch.
+    counted_through: u64,
+    /// A's next symbol number when the report before last and the last
+    /// report arrived, in that order.
+    next_seq_at_reports: [u64; 2],
 }
 
 impl core::fmt::Debug for EngineCore {
@@ -552,6 +557,8 @@ impl EngineCore {
                 last_epoch_seen: None,
                 last_feedback_delivered: 0,
                 last_feedback_through: 0,
+                counted_through: 0,
+                next_seq_at_reports: [0; 2],
             }))
         } else {
             None
@@ -1183,13 +1190,25 @@ impl EngineCore {
         }
         back.last_epoch_seen = Some(frame.epoch());
         // The epoch is the symbols the report covers and the last did
-        // not: A numbers only the symbols it sends.
+        // not: A numbers only the symbols it sends. A report whose
+        // `through` did not move says B saw no new symbol in the period
+        // before the last report left. Every symbol A had sent when the
+        // report before last arrived had reached B by then, if a round
+        // trip is shorter than the period, so those B has not seen are
+        // lost, not in flight: without them a channel that delivers
+        // nothing would show no loss at all.
+        let mut covered = frame.through();
+        if covered <= back.last_feedback_through {
+            covered = covered.max(back.next_seq_at_reports[0]);
+        }
         let delivered = frame
             .delivered()
             .saturating_sub(back.last_feedback_delivered);
-        let sent = frame.through().saturating_sub(back.last_feedback_through);
+        let sent = covered.saturating_sub(back.counted_through);
         back.last_feedback_delivered = frame.delivered();
         back.last_feedback_through = frame.through();
+        back.counted_through = back.counted_through.max(covered);
+        back.next_seq_at_reports = [back.next_seq_at_reports[1], self.next_seq];
         let Some(ctl) = back.adaptive.as_mut() else {
             return;
         };

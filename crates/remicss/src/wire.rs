@@ -32,11 +32,14 @@
 //! Receiver feedback is one fixed-size control frame:
 //!
 //! ```text
-//!  0      2    3            7                    15
-//!  +------+----+------------+--------------------+
-//!  | "RC" | v=1| epoch      | delivered symbols  |
-//!  +------+----+------------+--------------------+
+//!  0      2    3            7                    15                   23
+//!  +------+----+------------+--------------------+--------------------+
+//!  | "RC" | v=2| epoch      | delivered symbols  | numbered below     |
+//!  +------+----+------------+--------------------+--------------------+
 //! ```
+//!
+//! Version 1 control frames were 15 bytes, without the last field; they
+//! fail as [`WireError::BadVersion`].
 //!
 //! # Connection-ID demux prefix
 //!
@@ -64,7 +67,7 @@ pub const HEADER_BYTES: usize = 24;
 pub const MAGIC: [u8; 2] = *b"RM";
 
 /// Version of the control frame this implementation speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Header size a share of `codec` is framed with. Every codec shares
 /// [`HEADER_BYTES`] today; callers that price a share ask per codec so
@@ -323,19 +326,24 @@ impl ControlFrame {
     /// [`WireError::Truncated`], [`WireError::BadMagic`],
     /// [`WireError::BadVersion`], or [`WireError::TrailingBytes`].
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        if buf.len() < CONTROL_BYTES {
-            return Err(WireError::Truncated {
-                have: buf.len(),
-                need: CONTROL_BYTES,
-            });
+        let truncated = WireError::Truncated {
+            have: buf.len(),
+            need: CONTROL_BYTES,
+        };
+        if buf.len() < 3 {
+            return Err(truncated);
         }
         if buf[0..2] != CONTROL_MAGIC {
             return Err(WireError::BadMagic {
                 found: [buf[0], buf[1]],
             });
         }
+        // Ahead of the length: a frame of another version has another.
         if buf[2] != VERSION {
             return Err(WireError::BadVersion { found: buf[2] });
+        }
+        if buf.len() < CONTROL_BYTES {
+            return Err(truncated);
         }
         if buf.len() > CONTROL_BYTES {
             return Err(WireError::TrailingBytes {
@@ -606,7 +614,7 @@ mod tests {
         assert_eq!(
             control,
             [
-                b'R', b'C', 1, 0x0a, 0x0b, 0x0c, 0x0d, // magic, version, epoch
+                b'R', b'C', 2, 0x0a, 0x0b, 0x0c, 0x0d, // magic, version, epoch
                 1, 2, 3, 4, 5, 6, 7, 8, // symbols delivered
                 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // numbered below
             ]
@@ -746,6 +754,21 @@ mod tests {
             ControlFrame::decode(&long),
             Err(WireError::TrailingBytes { .. })
         ));
+    }
+
+    /// A version 1 peer's 15-byte frame names its version, not a short
+    /// read.
+    #[test]
+    fn version_1_control_frames_fail_as_bad_version() {
+        let old = [b'R', b'C', 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 42];
+        assert_eq!(
+            ControlFrame::decode(&old).unwrap_err(),
+            WireError::BadVersion { found: 1 }
+        );
+        assert_eq!(
+            decode_message_ref(&old).unwrap_err(),
+            WireError::BadVersion { found: 1 }
+        );
     }
 
     #[test]

@@ -138,3 +138,39 @@ fn lossless_delayed_links_keep_mu() {
     assert_eq!(report.adaptive_final_mu, Some(1.0));
     assert_eq!(report.adaptive_adjustments, 0);
 }
+
+#[test]
+fn a_dead_first_channel_raises_mu_and_delivery_recovers() {
+    // At a low rate every backlog is empty when a symbol leaves, so at
+    // mu = 1 the dynamic schedule sends every symbol on channel 0 alone.
+    // At t = 1 s that channel stops delivering anything from A: B then
+    // reconstructs nothing at all, and the controller must read that
+    // silence as loss and spread shares onto the live channels.
+    let channels = setups::identical(50.0);
+    let config = ProtocolConfig::new(1.0, 1.0).unwrap().with_adaptive(0.02);
+    let offered = 0.05 * testbed::optimal_symbol_rate(&channels, &config).unwrap();
+    let window = SimTime::from_secs(4);
+    let net = testbed::network_for(&channels, &config);
+    let session = Session::new(config.clone(), 5, Workload::cbr(offered, window)).unwrap();
+    let mut sim = Simulator::new(net, session, 25);
+
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.app().adaptive().unwrap().mu(), 1.0);
+    // Frames still arrive, an hour late: the channel is a black hole
+    // whose backlog stays empty.
+    sim.network_mut().reconfigure(
+        0,
+        Endpoint::A,
+        LinkConfig::new(50e6).with_delay(SimTime::from_secs(3600)),
+    );
+    sim.run_until(window + SimTime::from_secs(1));
+    let report = sim.app().report(window);
+    let final_mu = report.adaptive_final_mu.unwrap();
+    assert!(final_mu > 1.5, "mu stayed at {final_mu} on a dead channel");
+    // Stuck at mu = 1 the session would lose the last three quarters.
+    assert!(
+        report.loss_fraction < 0.2,
+        "delivery did not recover: loss {}",
+        report.loss_fraction
+    );
+}
