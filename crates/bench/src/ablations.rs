@@ -54,6 +54,7 @@ pub fn schedulers(mode: Mode) -> Vec<Row> {
                 config.clone(),
                 Workload::cbr(opt_symbols, mode.duration()),
                 0xAB1 ^ kname.len() as u64,
+                None,
             );
             let optimal = testbed::payload_bps(opt_symbols, &config);
             println!(
@@ -166,6 +167,7 @@ pub fn eviction(mode: Mode) -> Vec<Row> {
             config,
             Workload::cbr(offered, mode.duration()),
             0xAB3 ^ timeout_ms,
+            None,
         );
         let delivered = 1.0 - report.loss_fraction;
         println!(

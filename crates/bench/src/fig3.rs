@@ -66,6 +66,7 @@ fn eval(channels: &ChannelSet, mode: Mode, name: &str, point: GridPoint) -> Row 
         config.clone(),
         Workload::cbr(opt_symbols, mode.duration()),
         seed(kappa_i, mu),
+        None,
     );
     Row {
         label: format!("{name}/k{kappa_i}"),

@@ -39,6 +39,7 @@ fn eval(channels: &ChannelSet, mode: Mode, point: GridPoint) -> Row {
         config,
         Workload::echo(opt_symbols, mode.duration()),
         seed(kappa_i, mu),
+        None,
     );
     // One-way delay = RTT / 2, as the paper computes.
     let actual = report

@@ -37,6 +37,7 @@ fn eval(channels: &ChannelSet, mode: Mode, point: GridPoint) -> Row {
         config,
         Workload::cbr(opt_symbols, mode.duration()),
         seed(kappa_i, mu),
+        None,
     );
     Row {
         label: format!("k{kappa_i}"),
@@ -117,6 +118,7 @@ mod tests {
             config,
             Workload::cbr(offered, mcss::netsim::SimTime::from_secs(2)),
             0xC0FFEE,
+            None,
         );
         let expect = 1.0 - setups::LOSSY_LOSS.iter().map(|l| 1.0 - l).product::<f64>();
         assert!(

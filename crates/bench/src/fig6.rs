@@ -28,15 +28,14 @@ pub fn rates(mode: Mode) -> Vec<u64> {
 /// Evaluates one rate point at `κ = μ = 1` under the paper CPU model.
 fn eval(mode: Mode, rate: u64) -> Row {
     let channels = setups::identical(rate as f64);
-    let config = ProtocolConfig::new(1.0, 1.0)
-        .expect("valid parameters")
-        .with_cpu_model(CpuModel::paper_testbed());
+    let config = ProtocolConfig::new(1.0, 1.0).expect("valid parameters");
     let opt_symbols = testbed::optimal_symbol_rate(&channels, &config).expect("valid mu");
     let report = run_session(
         &channels,
         config.clone(),
         Workload::cbr(opt_symbols * 1.05, mode.duration()),
         0xF166 ^ rate,
+        Some(CpuModel::paper_testbed()),
     );
     Row {
         label: "mu1".into(),

@@ -35,15 +35,14 @@ pub fn grid(mode: Mode) -> Vec<(u64, u64)> {
 /// Evaluates one `(κ, rate)` point at `μ = 5` under the paper CPU model.
 fn eval(mode: Mode, kappa_i: u64, rate: u64) -> Row {
     let channels = setups::identical(rate as f64);
-    let config = ProtocolConfig::new(kappa_i as f64, 5.0)
-        .expect("valid parameters")
-        .with_cpu_model(CpuModel::paper_testbed());
+    let config = ProtocolConfig::new(kappa_i as f64, 5.0).expect("valid parameters");
     let opt_symbols = testbed::optimal_symbol_rate(&channels, &config).expect("valid mu");
     let report = run_session(
         &channels,
         config.clone(),
         Workload::cbr(opt_symbols * 1.05, mode.duration()),
         0xF177 ^ (kappa_i << 16) ^ rate,
+        Some(CpuModel::paper_testbed()),
     );
     Row {
         label: format!("k{kappa_i}"),

@@ -31,6 +31,7 @@ pub mod sweep;
 
 use mcss::netsim::{SimTime, Simulator};
 use mcss::prelude::*;
+use mcss::remicss::cpu::CpuModel;
 
 /// How thorough a sweep to run. `Quick` keeps CI and smoke tests fast;
 /// `Full` matches the paper's grid (κ steps of 1, μ steps of 0.1, one
@@ -84,20 +85,23 @@ impl Mode {
     }
 }
 
-/// Runs one protocol session and returns its report over the workload
-/// window.
+/// Runs one protocol session, its hosts' work charged under `cpu` if
+/// given, and returns its report over the workload window.
 #[must_use]
 pub fn run_session(
     channels: &ChannelSet,
     config: ProtocolConfig,
     workload: Workload,
     seed: u64,
+    cpu: Option<CpuModel>,
 ) -> SessionReport {
-    let window = match workload {
-        Workload::Cbr { duration, .. } | Workload::Echo { duration, .. } => duration,
-    };
+    let window = workload.duration();
     let net = testbed::network_for(channels, &config);
-    let session = Session::new(config, channels.len(), workload).expect("valid session parameters");
+    let mut session =
+        Session::new(config, channels.len(), workload).expect("valid session parameters");
+    if let Some(model) = cpu {
+        session = session.with_cpu_model(model);
+    }
     let mut sim = Simulator::new(net, session, seed);
     sim.run_until(window + SimTime::from_secs(1));
     sim.app().report(window)
@@ -162,6 +166,7 @@ mod tests {
             config,
             Workload::cbr(offered, SimTime::from_millis(100)),
             1,
+            None,
         );
         assert!(r.delivered_symbols > 0);
     }

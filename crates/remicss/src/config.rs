@@ -6,8 +6,6 @@ use mcss_base::SimTime;
 use mcss_codec::CodecId;
 use mcss_core::{ModelError, ShareSchedule};
 
-use crate::cpu::CpuModel;
-
 /// Which share scheduler the sender uses (§V).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerKind {
@@ -45,7 +43,6 @@ pub struct ProtocolConfig {
     scheduler: SchedulerKind,
     symbol_bytes: usize,
     reassembly_timeout: SimTime,
-    cpu: Option<CpuModel>,
     adaptive_target: Option<f64>,
     codec: CodecId,
 }
@@ -80,7 +77,6 @@ impl ProtocolConfig {
             scheduler: SchedulerKind::Dynamic,
             symbol_bytes: Self::DEFAULT_SYMBOL_BYTES,
             reassembly_timeout: Self::DEFAULT_REASSEMBLY_TIMEOUT,
-            cpu: None,
             adaptive_target: None,
             codec: CodecId::from_env(),
         })
@@ -123,14 +119,6 @@ impl ProtocolConfig {
     #[must_use]
     pub fn with_reassembly_timeout(mut self, timeout: SimTime) -> Self {
         self.reassembly_timeout = timeout;
-        self
-    }
-
-    /// Enables the endpoint processing-cost model (used by the
-    /// high-bandwidth experiments, Figures 6–7).
-    #[must_use]
-    pub fn with_cpu_model(mut self, cpu: CpuModel) -> Self {
-        self.cpu = Some(cpu);
         self
     }
 
@@ -183,12 +171,6 @@ impl ProtocolConfig {
     #[must_use]
     pub fn readiness_threshold(&self) -> SimTime {
         Self::DEFAULT_READINESS_THRESHOLD
-    }
-
-    /// The CPU model, if enabled.
-    #[must_use]
-    pub fn cpu(&self) -> Option<&CpuModel> {
-        self.cpu.as_ref()
     }
 
     /// The share codec this session encodes and decodes with.
@@ -253,7 +235,6 @@ mod tests {
             crate::wire::header_bytes(codec)
                 + codec.share_len(ProtocolConfig::DEFAULT_SYMBOL_BYTES, 1, 1)
         );
-        assert!(c.cpu().is_none());
     }
 
     #[test]

@@ -17,8 +17,13 @@
 //! A [`CpuClock`] tracks each host's busy horizon; symbols that would
 //! push the horizon past a small buffering window are dropped, exactly
 //! like a socket overrun on a saturated host.
+//!
+//! The processor is the host's, not a session's: a [`HostCpu`] holds the
+//! model and one clock per endpoint, and its host lends it to every
+//! session it runs (`Lent::cpu`), so a saturated host sheds symbols
+//! whichever session they belong to.
 
-use mcss_base::SimTime;
+use mcss_base::{Endpoint, SimTime};
 
 /// Cost coefficients for endpoint processing.
 ///
@@ -88,12 +93,6 @@ pub struct CpuClock {
 }
 
 impl CpuClock {
-    /// A fresh, idle clock.
-    #[must_use]
-    pub fn new() -> Self {
-        CpuClock::default()
-    }
-
     /// Attempts to charge `cost` of work at time `now` under `model`'s
     /// buffering window. Returns `true` if the work was accepted,
     /// `false` if the host is saturated and the symbol is shed.
@@ -112,11 +111,45 @@ impl CpuClock {
     pub fn shed(&self) -> u64 {
         self.shed
     }
+}
 
-    /// The time the host becomes idle.
+/// A host's processors: an optional [`CpuModel`] and the [`CpuClock`]
+/// of each endpoint, which every session the host lends it to charges.
+/// Without a model (the default) nothing is charged and nothing shed.
+#[derive(Debug, Clone, Default)]
+pub struct HostCpu {
+    model: Option<CpuModel>,
+    clocks: [CpuClock; 2],
+}
+
+impl HostCpu {
+    /// Idle processors that charge work under `model`.
     #[must_use]
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
+    pub fn new(model: CpuModel) -> Self {
+        HostCpu {
+            model: Some(model),
+            ..HostCpu::default()
+        }
+    }
+
+    /// Charges `at`'s clock at `now` with what `cost` says the work costs
+    /// under the model. Returns `false` if the symbol is shed; always
+    /// `true` without a model.
+    pub fn try_charge(
+        &mut self,
+        at: Endpoint,
+        now: SimTime,
+        cost: impl FnOnce(&CpuModel) -> SimTime,
+    ) -> bool {
+        self.model
+            .as_ref()
+            .is_none_or(|model| self.clocks[at as usize].try_charge(now, cost(model), model))
+    }
+
+    /// Symbols shed at `at` because its processor was saturated.
+    #[must_use]
+    pub fn shed(&self, at: Endpoint) -> u64 {
+        self.clocks[at as usize].shed()
     }
 }
 
@@ -146,7 +179,7 @@ mod tests {
             recon_per_k2_byte_ns: 0.0,
             busy_window: SimTime::from_micros(10),
         };
-        let mut clock = CpuClock::new();
+        let mut clock = CpuClock::default();
         let cost = SimTime::from_micros(4);
         let now = SimTime::ZERO;
         assert!(clock.try_charge(now, cost, &model)); // busy to 4 µs
@@ -158,17 +191,17 @@ mod tests {
         // Time passes; the backlog drains and work is accepted again.
         let later = SimTime::from_micros(5);
         assert!(clock.try_charge(later, cost, &model));
-        assert_eq!(clock.busy_until(), SimTime::from_micros(16));
+        assert_eq!(clock.busy_until, SimTime::from_micros(16));
     }
 
     #[test]
     fn idle_clock_starts_at_now() {
         let model = CpuModel::paper_testbed();
-        let mut clock = CpuClock::new();
+        let mut clock = CpuClock::default();
         let now = SimTime::from_secs(1);
         assert!(clock.try_charge(now, SimTime::from_micros(1), &model));
         assert_eq!(
-            clock.busy_until(),
+            clock.busy_until,
             SimTime::from_secs(1) + SimTime::from_micros(1)
         );
     }
@@ -185,5 +218,83 @@ mod tests {
             (60_000.0..120_000.0).contains(&rate),
             "sender symbol rate {rate}"
         );
+    }
+
+    /// One `HostCpu` lent to two sessions in turn is one processor: the
+    /// second session's symbol is shed when the first's filled the
+    /// window.
+    #[test]
+    fn a_host_cpu_lent_to_two_cores_charges_one_horizon() {
+        use crate::config::ProtocolConfig;
+        use crate::engine::{Backlogs, EngineCore, Lent, Scratch, SourceMode};
+        use crate::metrics::HostMetrics;
+        use crate::reassembly::Partials;
+        use crate::Event;
+        use mcss_base::BufferPool;
+        use mcss_codec::ShareKey;
+        use rand::SeedableRng as _;
+        use std::sync::Arc;
+
+        // One symbol costs 10 µs and the host queues at most 10 µs ahead.
+        let model = CpuModel {
+            per_symbol_ns: 10_000.0,
+            per_share_ns: 0.0,
+            split_per_share_byte_ns: 0.0,
+            recon_per_k2_byte_ns: 0.0,
+            busy_window: SimTime::from_micros(10),
+        };
+        let (mut pool, mut partials, mut scratch) =
+            (BufferPool::new(), Partials::default(), Scratch::default());
+        let (key, backlogs) = (ShareKey::insecure_from_seed(1), Backlogs::default());
+        let mut cpu = HostCpu::new(model);
+        let metrics = Arc::new(HostMetrics::new(1));
+        let config = Arc::new(ProtocolConfig::new(1.0, 1.0).unwrap());
+        let mut cores: Vec<EngineCore> = (0..2)
+            .map(|_| {
+                EngineCore::new(
+                    Arc::clone(&config),
+                    1,
+                    SourceMode::External,
+                    Arc::clone(&metrics),
+                )
+                .unwrap()
+            })
+            .collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut shares = [0; 2];
+        // Each core offers two symbols at t = 0, alternating: the first
+        // core's first symbol takes the processor to 10 µs, its second to
+        // 20 µs, and every symbol after that would start past the window.
+        for (i, core) in [0, 0, 1, 1].into_iter().enumerate() {
+            let lent = &mut Lent {
+                pool: &mut pool,
+                partials: &mut partials,
+                prefix: &[],
+                key: &key,
+                stream: core,
+                scratch: &mut scratch,
+                backlogs: &backlogs,
+                cpu: &mut cpu,
+            };
+            let payload = [i as u8; 16];
+            cores[core as usize].handle(
+                lent,
+                SimTime::ZERO,
+                Event::SymbolReady { payload: &payload },
+                &mut rng,
+            );
+            while let Some(action) = cores[core as usize].poll_action() {
+                if let crate::Action::SendShare { frame, .. } = action {
+                    shares[core as usize] += 1;
+                    pool.put(frame);
+                }
+            }
+        }
+        assert_eq!(shares, [2, 0], "the second core had a processor of its own");
+        assert_eq!(cpu.shed(Endpoint::A), 2);
+        assert_eq!(cpu.shed(Endpoint::B), 0);
+        // The second core's symbols were offered, and shed unsent.
+        let report = cores[1].report(SimTime::from_secs(1));
+        assert_eq!((report.offered_symbols, report.sent_symbols), (2, 0));
     }
 }

@@ -27,12 +27,14 @@
 //! their shares in, the
 //! bytes every frame it emits must start with, the share key with the
 //! session's stream id, the [`Scratch`] a symbol is drawn and split
-//! in, and the host's channel [`Backlogs`] the scheduler reads. So a
+//! in, the host's channel [`Backlogs`] the scheduler reads, and the
+//! host's processors ([`HostCpu`]) a symbol's work is charged to. So a
 //! host of many sessions (a server shard) lends all of them one pool,
-//! one slab, one key, one scratch and one set of backlogs and gets
-//! frames it can put on the wire as they are. [`Engine`] is that core
-//! next to a pool, a slab, a key, a scratch and backlogs of its own and
-//! an empty prefix — what a single-session driver wants.
+//! one slab, one key, one scratch, one set of backlogs and one
+//! processor and gets frames it can put on the wire as they are.
+//! [`Engine`] is that core next to a pool, a slab, a key, a scratch,
+//! backlogs and a processor of its own and an empty prefix — what a
+//! single-session driver wants.
 //!
 //! Two source modes cover the drivers' needs:
 //!
@@ -47,7 +49,7 @@ use std::collections::VecDeque;
 use std::mem;
 use std::sync::Arc;
 
-use mcss_base::stats::{DelaySummary, ThroughputMeter};
+use mcss_base::stats::DelaySummary;
 use mcss_base::{BufferPool, Endpoint, Pacer, SimTime};
 use mcss_codec::{CodecId, CodecScratch, ShareKey};
 use mcss_core::{ChannelError, MAX_CHANNELS};
@@ -58,7 +60,7 @@ use mcss_obs::MetricsSnapshot;
 use crate::actions::{Action, Event, TIMER_FEEDBACK, TIMER_SOURCE, TIMER_SWEEP};
 use crate::adaptive::AdaptiveController;
 use crate::config::{ProtocolConfig, SchedulerKind};
-use crate::cpu::CpuClock;
+use crate::cpu::{CpuModel, HostCpu};
 use crate::metrics::HostMetrics;
 use crate::reassembly::{AcceptOutcome, Partials, ReassemblyCore, ReassemblyStats};
 use crate::scheduler::{
@@ -187,9 +189,10 @@ pub struct SessionReport {
     /// Reconstructed symbols whose payload failed verification
     /// (must be zero: Shamir reconstruction is exact).
     pub corrupted_symbols: u64,
-    /// Achieved payload throughput, bits per second over the window.
+    /// Achieved payload throughput, bits per second over the window (0
+    /// over a zero window).
     pub achieved_payload_bps: f64,
-    /// Achieved symbol rate over the window.
+    /// Achieved symbol rate over the window (0 over a zero window).
     pub achieved_symbol_rate: f64,
     /// Symbol loss fraction: `1 − (eventually delivered) / sent`.
     /// Counted against *all* deliveries (even after the measurement
@@ -206,10 +209,6 @@ pub struct SessionReport {
     pub mean_m: f64,
     /// Share frames rejected by local channel queues.
     pub send_queue_drops: u64,
-    /// Symbols shed by the sender CPU model.
-    pub sender_cpu_shed: u64,
-    /// Symbols shed by the receiver CPU model.
-    pub receiver_cpu_shed: u64,
     /// Undecodable frames received (must be zero in the simulator).
     pub wire_errors: u64,
     /// Share and control frames that arrived at A of a session that
@@ -344,6 +343,9 @@ pub struct Lent<'a> {
     pub scratch: &'a mut Scratch,
     /// The host's channel backlogs, which every symbol's schedule reads.
     pub backlogs: &'a Backlogs,
+    /// The host's processors, which every split and reconstruction is
+    /// charged to: one per host, lent to each of its sessions in turn.
+    pub cpu: &'a mut HostCpu,
 }
 
 impl Lent<'_> {
@@ -357,13 +359,14 @@ impl Lent<'_> {
 
 /// The protocol state machine without buffers: [`Engine`]'s state and
 /// all of its logic, written against the pool, partial slab, frame
-/// prefix, share key, scratch and channel backlogs the host lends for
-/// the duration of a call ([`Lent`]). A core keeps only what outlives an
-/// event.
+/// prefix, share key, scratch, channel backlogs and processors the host
+/// lends for the duration of a call ([`Lent`]). A core keeps only what
+/// outlives an event, and of what it counts only what its
+/// [`SessionReport`] reads.
 ///
 /// A host of many sessions keeps one [`BufferPool`], one [`Partials`]
-/// slab, one [`ShareKey`], one [`Scratch`], one [`Backlogs`] and one core
-/// per session.
+/// slab, one [`ShareKey`], one [`Scratch`], one [`Backlogs`], one
+/// [`HostCpu`] and one core per session.
 /// Every `partials` lent to one core must be the same slab: its
 /// reassembly tables' partial symbols, with the shares parked in them,
 /// are entries of it. Every `(key, stream)` lent to one core must be the same too, and no
@@ -391,8 +394,9 @@ impl Lent<'_> {
 pub struct EngineCore {
     // Read by every event, whichever way it travels.
     config: Arc<ProtocolConfig>,
-    n: usize,
     source: SourceMode,
+    /// The channel count, at most [`MAX_CHANNELS`].
+    n: u8,
     codec: CodecId,
     /// Whether a `TIMER_SWEEP` is outstanding (never more than one).
     sweep_armed: bool,
@@ -410,18 +414,19 @@ pub struct EngineCore {
     metrics: Arc<HostMetrics>,
 
     // Receive at B: a share meets `metrics` above, then the table; the
-    // one that completes its symbol updates the counters before it.
+    // one that completes its symbol updates the counters before it. A
+    // symbol delivered within the window adds its bits and its one-way
+    // delay to the sums, and one to `delivered_window`: the report's
+    // rate and mean delay are these sums over the window and the count.
     delivered_window: u64,
     delivered_total: u64,
-    meter: ThroughputMeter,
-    delay: DelaySummary,
+    delivered_bits: u64,
+    delay_sum_nanos: u64,
     table_b: ReassemblyCore,
 
-    // What a constant-rate session never reads: the return path, the
-    // CPU model, the error counters.
+    // What a constant-rate session never reads: the return path and the
+    // error counters.
     return_path: Option<Box<ReturnPath>>,
-    cpu_a: CpuClock,
-    cpu_b: CpuClock,
     corrupted: u64,
     send_queue_drops: u64,
     wire_errors: u64,
@@ -466,6 +471,15 @@ impl core::fmt::Debug for EngineCore {
             .field("source", &self.source)
             .field("sent", &self.sent)
             .finish_non_exhaustive()
+    }
+}
+
+/// `num / den`, or 0 over a zero `den` (a zero window, no symbol sent).
+fn ratio(num: u64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num as f64 / den
     }
 }
 
@@ -587,16 +601,14 @@ impl EngineCore {
             sent: 0,
             sum_k: 0,
             sum_m: 0,
-            meter: ThroughputMeter::new(),
+            delivered_bits: 0,
             delivered_window: 0,
             delivered_total: 0,
-            delay: DelaySummary::new(),
+            delay_sum_nanos: 0,
             corrupted: 0,
             send_queue_drops: 0,
             wire_errors: 0,
             misdirected_frames: 0,
-            cpu_a: CpuClock::new(),
-            cpu_b: CpuClock::new(),
             metrics,
             codec: config.codec(),
             // Allocated with the engine, among the session's other
@@ -605,7 +617,7 @@ impl EngineCore {
             // (`setup_s` on the benchmark's `mem_bulk`, by 15 to 25 %).
             actions: VecDeque::with_capacity(4),
             config,
-            n,
+            n: n as u8,
             source,
         })
     }
@@ -613,7 +625,7 @@ impl EngineCore {
     /// The number of channels the engine schedules over.
     #[must_use]
     pub fn channels(&self) -> usize {
-        self.n
+        usize::from(self.n)
     }
 
     /// The protocol configuration.
@@ -664,28 +676,19 @@ impl EngineCore {
             sent_symbols: self.sent,
             delivered_symbols: delivered,
             corrupted_symbols: self.corrupted,
-            achieved_payload_bps: self.meter.rate_bps(window),
-            achieved_symbol_rate: delivered as f64 / window.as_secs_f64(),
+            achieved_payload_bps: ratio(self.delivered_bits, window.as_secs_f64()),
+            achieved_symbol_rate: ratio(delivered, window.as_secs_f64()),
             loss_fraction: if self.sent == 0 {
                 0.0
             } else {
                 1.0 - self.delivered_total as f64 / self.sent as f64
             },
-            mean_one_way_delay: self.delay.mean(),
+            mean_one_way_delay: (delivered > 0)
+                .then(|| SimTime::from_nanos(self.delay_sum_nanos / delivered)),
             mean_rtt: self.return_path.as_ref().and_then(|back| back.rtt.mean()),
-            mean_k: if self.sent == 0 {
-                0.0
-            } else {
-                self.sum_k as f64 / self.sent as f64
-            },
-            mean_m: if self.sent == 0 {
-                0.0
-            } else {
-                self.sum_m as f64 / self.sent as f64
-            },
+            mean_k: ratio(self.sum_k, self.sent as f64),
+            mean_m: ratio(self.sum_m, self.sent as f64),
             send_queue_drops: self.send_queue_drops,
-            sender_cpu_shed: self.cpu_a.shed(),
-            receiver_cpu_shed: self.cpu_b.shed(),
             wire_errors: self.wire_errors,
             misdirected_frames: self.misdirected_frames,
             reassembly: self.table_b.stats(),
@@ -759,8 +762,8 @@ impl EngineCore {
     /// come from and go back to `lent.pool`, and partial symbols and
     /// their shares park in `lent.partials`; every frame emitted starts
     /// with `lent.prefix`; share randomness is drawn under `lent.key`; a
-    /// symbol is scheduled over `lent.backlogs` and split in
-    /// `lent.scratch`.
+    /// symbol is scheduled over `lent.backlogs`, charged to `lent.cpu`
+    /// and split in `lent.scratch`.
     ///
     /// `now` must be monotonically non-decreasing across calls; `rng` is
     /// the session's model stream (scheduler draws), so seeding it
@@ -840,7 +843,7 @@ impl EngineCore {
 
     fn on_start(&mut self) {
         assert!(
-            self.config.mu() <= self.n as f64,
+            self.config.mu() <= f64::from(self.n),
             "config mu exceeds channel count"
         );
         if let Some(pacer) = self.pacer.as_mut() {
@@ -983,20 +986,16 @@ impl EngineCore {
                     &mut back.scheduler_b
                 }
             };
-            let backlogs = &lent.backlogs.0[from as usize][..self.n];
+            let backlogs = &lent.backlogs.0[from as usize][..usize::from(self.n)];
             let state = ChannelState::new(backlogs, self.config.readiness_threshold());
             scheduler.choose_into(&state, rng, &mut lent.scratch.choice);
         }
         let (k, m) = (lent.scratch.choice.k, lent.scratch.choice.channels.len());
-        if let Some(cpu) = self.config.cpu() {
-            let cost = cpu.send_cost(m, payload.len());
-            let clock = match from {
-                Endpoint::A => &mut self.cpu_a,
-                Endpoint::B => &mut self.cpu_b,
-            };
-            if !clock.try_charge(now, cost, cpu) {
-                return false;
-            }
+        if !lent
+            .cpu
+            .try_charge(from, now, |cpu| cpu.send_cost(m, payload.len()))
+        {
+            return false;
         }
         let split = match from {
             Endpoint::A => seq,
@@ -1070,24 +1069,18 @@ impl EngineCore {
         };
         self.metrics
             .record_residency(self.table_b.last_completed_residency().as_nanos());
-        let charged = match self.config.cpu() {
-            Some(cpu) => {
-                let cost = cpu.recv_cost(k, out.len());
-                // On failure the receiver is saturated: symbol dropped.
-                self.cpu_b.try_charge(now, cost, cpu)
-            }
-            None => true,
-        };
-        if charged {
+        // On failure the receiver is saturated: symbol dropped.
+        if lent
+            .cpu
+            .try_charge(Endpoint::B, now, |cpu| cpu.recv_cost(k, out.len()))
+        {
             match self.source {
                 SourceMode::Paced(workload) => {
                     if pattern_matches(seq, &out) {
                         self.count_delivery(seq);
                         let window = workload.duration();
                         if now <= window {
-                            self.delivered_window += 1;
-                            self.meter.record(now, (out.len() * 8) as u64);
-                            self.delay.record(now - SimTime::from_nanos(stamp));
+                            self.count_in_window(now, stamp, out.len());
                         }
                         if matches!(workload, Workload::Echo { .. }) {
                             // Bounce the symbol back through the protocol,
@@ -1101,9 +1094,7 @@ impl EngineCore {
                 }
                 SourceMode::External => {
                     self.count_delivery(seq);
-                    self.delivered_window += 1;
-                    self.meter.record(now, (out.len() * 8) as u64);
-                    self.delay.record(now - SimTime::from_nanos(stamp));
+                    self.count_in_window(now, stamp, out.len());
                     self.actions
                         .push_back(Action::DeliverSymbol { seq, payload: out });
                     return;
@@ -1111,6 +1102,15 @@ impl EngineCore {
             }
         }
         lent.pool.put(out);
+    }
+
+    /// Counts a symbol of `bytes` stamped `stamp` and reconstructed at B
+    /// at `now`, within the measurement window, in the report's sums.
+    fn count_in_window(&mut self, now: SimTime, stamp: u64, bytes: usize) {
+        self.delivered_window += 1;
+        self.delivered_bits += bytes as u64 * 8;
+        // The peer writes the stamp: one from the future is no delay.
+        self.delay_sum_nanos += now.as_nanos().saturating_sub(stamp);
     }
 
     /// Counts symbol `seq`, reconstructed at B, in the session's total
@@ -1135,15 +1135,12 @@ impl EngineCore {
             .expect("`handle` drops shares at A without a return path");
         let (outcome, payload) = back.table_a.accept(lent.pool, lent.partials, share, now);
         if let Some(out) = payload {
-            let charged = match self.config.cpu() {
-                Some(cpu) => {
-                    let cost = cpu.recv_cost(k, out.len());
-                    self.cpu_a.try_charge(now, cost, cpu)
-                }
-                None => true,
-            };
-            if charged {
-                back.rtt.record(now - SimTime::from_nanos(stamp));
+            if lent
+                .cpu
+                .try_charge(Endpoint::A, now, |cpu| cpu.recv_cost(k, out.len()))
+            {
+                back.rtt
+                    .record(now.saturating_sub(SimTime::from_nanos(stamp)));
             }
             lent.pool.put(out);
         } else if outcome == AcceptOutcome::Stored {
@@ -1169,7 +1166,7 @@ impl EngineCore {
         back.report_through = back.seen_through;
         back.report_delivered = self.delivered_total;
         // Tiny frame, sent on every channel for loss resilience.
-        for ch in 0..self.n {
+        for ch in 0..self.channels() {
             let mut buf = lent.take_frame();
             frame.encode_into(&mut buf);
             self.actions.push_back(Action::SendControl {
@@ -1196,9 +1193,12 @@ impl EngineCore {
         // report before last arrived had reached B by then, if a round
         // trip is shorter than the period, so those B has not seen are
         // lost, not in flight: without them a channel that delivers
-        // nothing would show no loss at all.
+        // nothing would show no loss at all. Until B has reported a first
+        // symbol, though, a `through` that stays at 0 says only that none
+        // has arrived yet, as on a path longer than the period, so the
+        // rule waits for one.
         let mut covered = frame.through();
-        if covered <= back.last_feedback_through {
+        if back.last_feedback_through > 0 && covered <= back.last_feedback_through {
             covered = covered.max(back.next_seq_at_reports[0]);
         }
         let delivered = frame
@@ -1216,7 +1216,7 @@ impl EngineCore {
         let new_mu = ctl.observe(delivered, sent);
         if (new_mu - old_mu).abs() > 1e-12 {
             self.scheduler_a = SessionScheduler::Dynamic(
-                DynamicScheduler::new(self.config.kappa(), new_mu, self.n)
+                DynamicScheduler::new(self.config.kappa(), new_mu, self.channels())
                     .expect("controller keeps mu within [kappa, n]"),
             );
         }
@@ -1224,10 +1224,12 @@ impl EngineCore {
 }
 
 /// The sans-I/O protocol state machine for one A↔B session over `n`
-/// channels, with a buffer pool and channel backlogs of its own.
+/// channels, with a buffer pool, channel backlogs and processors of its
+/// own.
 ///
-/// Set the backlogs with [`set_backlog`](Engine::set_backlog), drive it
-/// with [`handle`](Engine::handle) (and
+/// Set the backlogs with [`set_backlog`](Engine::set_backlog) and the
+/// processing-cost model with [`with_cpu_model`](Engine::with_cpu_model),
+/// drive it with [`handle`](Engine::handle) (and
 /// [`handle_frame`](Engine::handle_frame) for raw wire bytes), drain
 /// [`poll_action`](Engine::poll_action), and report each
 /// [`Action::SendShare`] outcome via
@@ -1244,6 +1246,7 @@ pub struct Engine {
     key: ShareKey,
     scratch: Scratch,
     backlogs: Backlogs,
+    cpu: HostCpu,
 }
 
 impl Engine {
@@ -1267,6 +1270,7 @@ impl Engine {
             key: ShareKey::generate(),
             scratch: Scratch::default(),
             backlogs: Backlogs::default(),
+            cpu: HostCpu::default(),
         })
     }
 
@@ -1279,12 +1283,21 @@ impl Engine {
         self
     }
 
-    /// The engine's buffer pool (for hit/miss/grow telemetry): frames
-    /// and reconstructions live in it; the shares parked in reassembly
-    /// live in the engine's [`Partials`] slab.
+    /// The engine with its processors' work charged under `model` (the
+    /// high-bandwidth experiments, Figures 6–7): a symbol that would
+    /// queue past the model's window is shed. Set it before the first
+    /// event.
     #[must_use]
-    pub fn frame_pool(&self) -> &BufferPool {
-        &self.pool
+    pub fn with_cpu_model(mut self, model: CpuModel) -> Self {
+        self.cpu = HostCpu::new(model);
+        self
+    }
+
+    /// The engine's processors, which count the symbols each endpoint
+    /// shed.
+    #[must_use]
+    pub fn cpu(&self) -> &HostCpu {
+        &self.cpu
     }
 
     /// The [core's snapshot](EngineCore::metrics_snapshot) plus the
@@ -1340,8 +1353,8 @@ impl Engine {
     }
 
     /// The core and what the engine lends it: its own pool, slab, key,
-    /// scratch and backlogs, no frame prefix, and stream 0, the one
-    /// session of its host.
+    /// scratch, backlogs and processors, no frame prefix, and stream 0,
+    /// the one session of its host.
     fn split(&mut self) -> (&mut EngineCore, Lent<'_>) {
         let lent = Lent {
             pool: &mut self.pool,
@@ -1351,6 +1364,7 @@ impl Engine {
             stream: 0,
             scratch: &mut self.scratch,
             backlogs: &self.backlogs,
+            cpu: &mut self.cpu,
         };
         (&mut self.core, lent)
     }
@@ -1437,7 +1451,7 @@ mod tests {
         // Every event, whichever way it travels (`handle`,
         // `handle_frame`, `arm_sweep`, each `actions.push_back`): the
         // head of the struct.
-        let shared = offsets!(config, n, source, codec, sweep_armed, actions);
+        let shared = offsets!(config, source, n, codec, sweep_armed, actions);
         assert_eq!(shared[0].1, 0, "`config` leads");
         let shared_end = offset_of!(EngineCore, actions) + size_of::<VecDeque<Action>>();
         assert!(
@@ -1477,7 +1491,12 @@ mod tests {
             "the receive group spans {} B, more than two cache lines",
             receive_end - receive_start
         );
-        let receive = offsets!(delivered_window, delivered_total, meter, delay);
+        let receive = offsets!(
+            delivered_window,
+            delivered_total,
+            delivered_bits,
+            delay_sum_nanos
+        );
         // The groups follow one another: shared, transmit, receive,
         // `table_b`, then what a constant-rate session never reads.
         assert!(shared_end <= transmit_start && transmit_end <= receive_start);
@@ -1508,8 +1527,6 @@ mod tests {
         // echoes or adapts.
         let cold = offsets!(
             return_path,
-            cpu_a,
-            cpu_b,
             corrupted,
             send_queue_drops,
             wire_errors,
@@ -1527,13 +1544,53 @@ mod tests {
         // merged, 1 400 B before the return path was boxed and the
         // transmit frames moved to the stack, 768 B before the choice and
         // the split planes moved to the host, 688 B before the partial
-        // symbols did, 624 B before the channel backlogs did; declaration
+        // symbols did, 624 B before the channel backlogs did, 600 B before
+        // the CPU clocks did and the receive meters became sums; declaration
         // order must not cost padding.
         assert!(
-            size_of::<EngineCore>() <= 600,
+            size_of::<EngineCore>() <= 504,
             "`EngineCore` grew to {} B",
             size_of::<EngineCore>()
         );
+    }
+
+    /// The report's rate and mean delay, read off the core's sums, are
+    /// bit for bit what a [`ThroughputMeter`] and a [`DelaySummary`] fed
+    /// the same deliveries report: over random streams, the empty one
+    /// included, and over a zero window.
+    #[test]
+    fn receive_sums_report_what_the_meters_did() {
+        use mcss_base::stats::ThroughputMeter;
+        use rand::RngExt as _;
+        let mut rng = StdRng::seed_from_u64(41);
+        let config = ProtocolConfig::new(1.0, 1.0).unwrap();
+        for round in 0..200 {
+            let mut core = Engine::new(config.clone(), 1, SourceMode::External)
+                .unwrap()
+                .core;
+            let (mut meter, mut delay) = (ThroughputMeter::new(), DelaySummary::new());
+            let mut now = SimTime::ZERO;
+            for _ in 0..round % 50 {
+                now += SimTime::from_nanos(rng.random_range(0..5_000_000));
+                let late = rng.random_range(0..200_000_000u64).min(now.as_nanos());
+                let stamp = now.as_nanos() - late;
+                let bytes = rng.random_range(1..=65_535usize);
+                core.count_in_window(now, stamp, bytes);
+                meter.record(now, (bytes * 8) as u64);
+                delay.record(now - SimTime::from_nanos(stamp));
+            }
+            let window = SimTime::from_nanos(rng.random_range(1..10_000_000_000));
+            for window in [window, SimTime::ZERO] {
+                let report = core.report(window);
+                assert_eq!(
+                    report.achieved_payload_bps.to_bits(),
+                    meter.rate_bps(window).to_bits(),
+                    "round {round}, window {window}"
+                );
+                assert_eq!(report.mean_one_way_delay, delay.mean(), "round {round}");
+                assert_eq!(report.delivered_symbols, delay.count());
+            }
+        }
     }
 
     /// Only an echo or an adaptive session builds the B→A direction.
@@ -1578,9 +1635,9 @@ mod tests {
         assert!(Engine::new(config, MAX_CHANNELS, SourceMode::External).is_ok());
     }
 
-    /// B counts a delivery by its symbol number, which the sender
-    /// wrote: the largest number is delivered and counted, not
-    /// overflowed.
+    /// B counts a delivery by its symbol number and its stamp, which the
+    /// sender wrote: the largest number is delivered and counted, not
+    /// overflowed, and a stamp from the future is no delay.
     #[test]
     fn the_largest_symbol_number_is_counted() {
         let config = ProtocolConfig::new(1.0, 1.0)
@@ -1589,7 +1646,8 @@ mod tests {
             .with_adaptive(0.01);
         let mut engine = Engine::new(config, 1, SourceMode::External).unwrap();
         let mut frame = Vec::new();
-        wire::put_share_header_for(&mut frame, CodecId::Shamir, u64::MAX, 1, 1, 1, 0, 4).unwrap();
+        wire::put_share_header_for(&mut frame, CodecId::Shamir, u64::MAX, 1, 1, 1, u64::MAX, 4)
+            .unwrap();
         frame.extend_from_slice(b"abcd");
         let mut rng = StdRng::seed_from_u64(1);
         engine
@@ -1603,6 +1661,8 @@ mod tests {
             })
         );
         assert_eq!(engine.delivered_total(), 1);
+        let report = engine.report(SimTime::from_secs(1));
+        assert_eq!(report.mean_one_way_delay, Some(SimTime::ZERO));
     }
 
     /// The ramp copy and the chunked comparison are `pattern_byte`, byte

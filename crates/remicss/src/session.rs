@@ -27,17 +27,13 @@
 
 use std::sync::Arc;
 
-use mcss_base::BufferPool;
 use mcss_codec::ShareKey;
 use mcss_netsim::{Application, ChannelId, Context, Endpoint, SimTime};
 
-use mcss_obs::MetricsSnapshot;
-
 use crate::actions::{Action, Event, TIMER_SOURCE};
-use crate::adaptive::AdaptiveController;
 use crate::config::ProtocolConfig;
+use crate::cpu::CpuModel;
 use crate::engine::{Engine, SourceMode};
-use crate::metrics::HostMetrics;
 
 pub use crate::engine::{SessionReport, Workload};
 
@@ -92,7 +88,6 @@ pub enum TraceEvent {
 /// See the [crate docs](crate) for a complete example.
 pub struct Session {
     engine: Engine,
-    n: usize,
     echo: bool,
     trace: Option<Vec<TraceStep>>,
 }
@@ -122,7 +117,6 @@ impl Session {
         let engine = Engine::new(config, n, SourceMode::Paced(workload))?;
         Ok(Session {
             engine,
-            n,
             echo: matches!(workload, Workload::Echo { .. }),
             trace: None,
         })
@@ -133,6 +127,14 @@ impl Session {
     #[must_use]
     pub fn with_share_key(mut self, key: ShareKey) -> Self {
         self.engine = self.engine.with_share_key(key);
+        self
+    }
+
+    /// The session with its hosts' work charged under `model`
+    /// ([`Engine::with_cpu_model`]).
+    #[must_use]
+    pub fn with_cpu_model(mut self, model: CpuModel) -> Self {
+        self.engine = self.engine.with_cpu_model(model);
         self
     }
 
@@ -148,52 +150,20 @@ impl Session {
         self.trace.take().unwrap_or_default()
     }
 
-    /// The driven sans-I/O engine.
+    /// The driven sans-I/O engine, which the session also dereferences
+    /// to: its report, adaptive controller, metrics (a host of one's) and
+    /// processors are the engine's.
     #[must_use]
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// The session's report over a measurement `window` (typically the
-    /// workload duration).
-    #[must_use]
-    pub fn report(&self, window: SimTime) -> SessionReport {
-        self.engine.report(window)
-    }
-
-    /// The adaptive controller's state, if adaptation is enabled.
-    #[must_use]
-    pub fn adaptive(&self) -> Option<&AdaptiveController> {
-        self.engine.adaptive()
-    }
-
-    /// The protocol metrics of the session's host, a host of one
-    /// (per-channel share traffic, delay and gap histograms, realized
-    /// `(k, m)` frequencies).
-    #[must_use]
-    pub fn metrics(&self) -> &Arc<HostMetrics> {
-        self.engine.metrics()
-    }
-
-    /// The engine's buffer pool — frames and reconstructions (for
-    /// hit/miss/grow telemetry); parked shares live in its partial slab.
-    #[must_use]
-    pub fn frame_pool(&self) -> &BufferPool {
-        self.engine.frame_pool()
-    }
-
-    /// Serializable snapshot of the session's metrics plus the buffer
-    /// pool and reassembly counters, under `remicss.*` names.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.engine.metrics_snapshot()
     }
 
     /// Sets the engine's backlogs of `from`'s channels to the links'.
     /// Done before any event that may transmit, so the scheduler sees
     /// exactly what `ctx.backlog` would have said.
     fn feed_backlogs(&mut self, ctx: &Context<'_>, from: Endpoint) {
-        for channel in 0..self.n {
+        let n = self.engine.channels();
+        for channel in 0..n {
             self.engine
                 .set_backlog(channel, from, ctx.backlog(channel, from));
         }
@@ -202,7 +172,7 @@ impl Session {
                 now: ctx.now(),
                 event: TraceEvent::Backlogs {
                     from,
-                    backlogs: (0..self.n).map(|i| ctx.backlog(i, from)).collect(),
+                    backlogs: (0..n).map(|i| ctx.backlog(i, from)).collect(),
                 },
             });
         }
@@ -247,6 +217,14 @@ impl Session {
         while let Some(buf) = ctx.take_lost() {
             self.engine.recycle(buf);
         }
+    }
+}
+
+impl core::ops::Deref for Session {
+    type Target = Engine;
+
+    fn deref(&self) -> &Engine {
+        &self.engine
     }
 }
 
@@ -314,6 +292,7 @@ impl Application for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::HostCpu;
     use crate::testbed;
     use mcss_core::setups;
     use mcss_core::ShareSchedule;
@@ -325,13 +304,26 @@ mod tests {
         workload: Workload,
         seed: u64,
     ) -> SessionReport {
-        let window = workload.duration();
-        let net = testbed::network_for(channels, config);
-        // The session shares the caller's config instead of cloning it.
-        let session = Session::new(Arc::clone(config), channels.len(), workload).unwrap();
+        run_on(
+            Session::new(Arc::clone(config), channels.len(), workload).unwrap(),
+            channels,
+            seed,
+        )
+        .0
+    }
+
+    /// Runs `session` over `channels` to two seconds past its window;
+    /// returns its report and its host's processors.
+    fn run_on(
+        session: Session,
+        channels: &mcss_core::ChannelSet,
+        seed: u64,
+    ) -> (SessionReport, HostCpu) {
+        let window = session.engine().duration();
+        let net = testbed::network_for(channels, session.engine().config());
         let mut sim = Simulator::new(net, session, seed);
         sim.run_until(window + SimTime::from_secs(2));
-        sim.app().report(window)
+        (sim.app().report(window), sim.app().engine().cpu().clone())
     }
 
     #[test]
@@ -503,33 +495,22 @@ mod tests {
     #[test]
     fn cpu_model_caps_throughput() {
         let channels = setups::identical(800.0);
-        let base = ProtocolConfig::new(1.0, 1.0).unwrap();
+        let base = Arc::new(ProtocolConfig::new(1.0, 1.0).unwrap());
         let offered = testbed::optimal_symbol_rate(&channels, &base).unwrap();
-        let capped_cfg = Arc::new(
-            base.clone()
-                .with_cpu_model(crate::cpu::CpuModel::paper_testbed()),
-        );
-        let base = Arc::new(base);
+        let workload = Workload::cbr(offered, SimTime::from_millis(300));
         // Without CPU model: near wire rate. With: capped well below.
-        let free = run(
-            &channels,
-            &base,
-            Workload::cbr(offered, SimTime::from_millis(300)),
-            9,
-        );
-        let capped = run(
-            &channels,
-            &capped_cfg,
-            Workload::cbr(offered, SimTime::from_millis(300)),
-            9,
-        );
+        let free = run(&channels, &base, workload, 9);
+        let session = Session::new(Arc::clone(&base), channels.len(), workload)
+            .unwrap()
+            .with_cpu_model(CpuModel::paper_testbed());
+        let (capped, cpu) = run_on(session, &channels, 9);
         assert!(
             capped.achieved_payload_bps < 0.5 * free.achieved_payload_bps,
             "cpu cap ineffective: {} vs {}",
             capped.achieved_payload_bps,
             free.achieved_payload_bps
         );
-        assert!(capped.sender_cpu_shed > 0);
+        assert!(cpu.shed(Endpoint::A) > 0);
     }
 
     #[test]
@@ -553,5 +534,8 @@ mod tests {
         let r = s.report(SimTime::from_secs(1));
         assert_eq!(r.mean_k, 0.0);
         assert_eq!(r.delivered_symbols, 0);
+        // Over a zero window both rates read 0, not 0 / 0.
+        let r = s.report(SimTime::ZERO);
+        assert_eq!((r.achieved_payload_bps, r.achieved_symbol_rate), (0.0, 0.0));
     }
 }

@@ -140,6 +140,31 @@ fn lossless_delayed_links_keep_mu() {
 }
 
 #[test]
+fn lossless_long_paths_keep_mu() {
+    // Five lossless links with a 100-ms one-way delay, two feedback
+    // periods: B's first reports leave before any symbol has arrived, so
+    // they carry nothing and must not read as a stall that counts every
+    // symbol in flight as lost.
+    let channels = ChannelSet::new(
+        (0..5)
+            .map(|_| Channel::new(0.1, 0.0, 0.1, 50.0).unwrap())
+            .collect(),
+    )
+    .unwrap();
+    let config = ProtocolConfig::new(1.0, 1.0).unwrap().with_adaptive(0.01);
+    let offered = 0.2 * testbed::optimal_symbol_rate(&channels, &config).unwrap();
+    let window = SimTime::from_secs(3);
+    let net = testbed::network_for(&channels, &config);
+    let session = Session::new(config.clone(), 5, Workload::cbr(offered, window)).unwrap();
+    let mut sim = Simulator::new(net, session, 7);
+    sim.run_until(window + SimTime::from_secs(1));
+    let report = sim.app().report(window);
+    assert_eq!(report.loss_fraction, 0.0);
+    assert_eq!(report.adaptive_adjustments, 0);
+    assert_eq!(report.adaptive_final_mu, Some(1.0));
+}
+
+#[test]
 fn a_dead_first_channel_raises_mu_and_delivery_recovers() {
     // At a low rate every backlog is empty when a symbol leaves, so at
     // mu = 1 the dynamic schedule sends every symbol on channel 0 alone.

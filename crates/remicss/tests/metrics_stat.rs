@@ -12,6 +12,7 @@ use mcss_base::BufferPool;
 use mcss_codec::ShareKey;
 use mcss_netsim::SimTime;
 use mcss_remicss::actions::{Action, Event};
+use mcss_remicss::cpu::HostCpu;
 use mcss_remicss::engine::{Backlogs, EngineCore, Lent, Scratch, SourceMode};
 use mcss_remicss::reassembly::Partials;
 use mcss_remicss::scheduler::{ChannelState, DynamicScheduler, Scheduler as _};
@@ -138,6 +139,7 @@ fn a_hosted_fleet_converges_within_one_percent() {
         .collect();
     let payload = [0x3cu8; 16];
     let backlogs = Backlogs::default();
+    let mut cpu = HostCpu::default();
     for symbol in 0..SYMBOLS {
         let cid = symbol as usize % SESSIONS;
         let (engine, rng) = &mut sessions[cid];
@@ -150,6 +152,7 @@ fn a_hosted_fleet_converges_within_one_percent() {
             stream: cid as u32,
             scratch,
             backlogs: &backlogs,
+            cpu: &mut cpu,
         };
         let now = SimTime::from_micros(symbol);
         if symbol < SESSIONS as u64 {

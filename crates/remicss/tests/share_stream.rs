@@ -96,8 +96,9 @@ fn a_shed_symbol_leaves_its_seq_and_its_stream_to_the_next() {
         busy_window: SimTime::from_micros(20),
     };
     let key = ShareKey::insecure_from_seed(SEED);
-    let mut engine = Engine::new(config().with_cpu_model(cpu), CHANNELS, SourceMode::External)
+    let mut engine = Engine::new(config(), CHANNELS, SourceMode::External)
         .unwrap()
+        .with_cpu_model(cpu)
         .with_share_key(key.clone());
     let mut rng = StdRng::seed_from_u64(SEED);
     engine.handle(SimTime::ZERO, Event::Started, &mut rng);

@@ -44,6 +44,7 @@ use mcss_gf256::Gf256;
 use mcss_netsim::{QueueKind, SimTime, Simulator};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
+use mcss_remicss::cpu::HostCpu;
 use mcss_remicss::engine::{Backlogs, Engine, EngineCore, Lent, Scratch, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::reassembly::Partials;
@@ -294,6 +295,7 @@ struct Hosted {
     prefix: Vec<u8>,
     scratch: Scratch,
     backlogs: Backlogs,
+    cpu: HostCpu,
 }
 
 /// The hosted session's connection ID.
@@ -312,6 +314,7 @@ impl Hosted {
             prefix,
             scratch: Scratch::default(),
             backlogs: Backlogs::default(),
+            cpu: HostCpu::default(),
         }
     }
 }
@@ -327,6 +330,7 @@ impl Host for Hosted {
             stream: HOSTED_CID,
             scratch: &mut self.scratch,
             backlogs: &self.backlogs,
+            cpu: &mut self.cpu,
         };
         self.core.handle(lent, now, event, rng);
     }
@@ -342,6 +346,7 @@ impl Host for Hosted {
             stream: HOSTED_CID,
             scratch: &mut self.scratch,
             backlogs: &self.backlogs,
+            cpu: &mut self.cpu,
         };
         let _ = self
             .core

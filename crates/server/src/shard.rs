@@ -3,8 +3,9 @@
 //! with deterministic sequencing.
 //!
 //! A shard owns one [`BufferPool`], one [`Partials`] slab, one
-//! [`Scratch`] and its sockets' [`Backlogs`] and lends them to every
-//! session it hosts: a session is a
+//! [`Scratch`], its sockets' [`Backlogs`] and one [`HostCpu`] (without a
+//! processing-cost model) and lends them to every session it hosts: a
+//! session is a
 //! pool-less [`EngineCore`], drained the moment an event has run, so
 //! each share is written once — demux prefix, header, codec output —
 //! into a buffer off the shard's free list and that buffer is the
@@ -40,6 +41,7 @@ use mcss_codec::{CodecId, ShareKey};
 use mcss_obs::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
+use mcss_remicss::cpu::HostCpu;
 use mcss_remicss::engine::{Backlogs, EngineCore, Lent, Scratch, SessionReport, SourceMode};
 use mcss_remicss::metrics::HostMetrics;
 use mcss_remicss::reassembly::Partials;
@@ -240,6 +242,9 @@ pub struct Shard {
     /// The send backlog of each of the shard's channels, which every
     /// session's scheduler reads.
     backlogs: Backlogs,
+    /// The shard's processors, which every session's work is charged
+    /// to: modelless, so they charge nothing and shed nothing.
+    cpu: HostCpu,
     /// Pending timers, each the `(position, token)` of its session.
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
@@ -263,6 +268,7 @@ impl Shard {
             key,
             scratch: Scratch::default(),
             backlogs: Backlogs::default(),
+            cpu: HostCpu::default(),
             timers: EventQueue::new(QueueKind::Wheel),
             timer_seq: 0,
             due: Vec::new(),
@@ -543,7 +549,8 @@ impl Shard {
     }
 
     /// Applies `event` to the engine of the session at `position`,
-    /// lending it the shard's pool, slab, key, scratch and backlogs with
+    /// lending it the shard's pool, slab, key, scratch, backlogs and
+    /// processors with
     /// the session's prefix and, for its stream id, its connection ID;
     /// then drains its action queue while the slot is still in cache: share
     /// and control frames, which the engine wrote behind the session's
@@ -566,6 +573,7 @@ impl Shard {
             stream: cid,
             scratch: &mut self.scratch,
             backlogs: &self.backlogs,
+            cpu: &mut self.cpu,
         };
         let result = event(&mut slot.engine, lent, &mut slot.rng);
         while let Some(action) = slot.engine.poll_action() {
@@ -1017,9 +1025,10 @@ mod tests {
         // engine's return path was boxed, 984 B before its protocol
         // counters moved to the shard, 880 B before its choice and split
         // planes did, 800 B before its partial symbols did, 736 B before
-        // its channel backlogs did.
+        // its channel backlogs did, 712 B before its CPU clocks did and its
+        // receive meters became sums.
         assert!(
-            size_of::<SessionSlot>() <= 712,
+            size_of::<SessionSlot>() <= 616,
             "`SessionSlot` grew to {} B",
             size_of::<SessionSlot>()
         );

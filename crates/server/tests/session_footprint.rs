@@ -87,8 +87,9 @@ const SYMBOL_BYTES: usize = 64;
 const WARMUP_SYMBOLS_PER_SESSION: u32 = 8;
 /// `(κ, μ) = (2, 3)`: three shares a symbol, one of them parked.
 const SHARES_PER_SYMBOL: usize = 3;
-/// Measured 1 688 B (+ 25 %); a session that kept its own copy of its
-/// channels' backlogs held 1.75 KB, one that kept its own slab of
+/// Measured 1 559 B (+ 25 %); a session that kept its own CPU clocks
+/// and receive meters held 1.69 KB, one that kept its own copy of its
+/// channels' backlogs 1.75 KB, one that kept its own slab of
 /// partial symbols and insertion ring 1.9 KB, one that kept its
 /// own scheduler choice and split planes 2.2 KB, one beside shards that kept
 /// cross-shard handoff queues (0.6 KB a session here) 2.8 KB, one that
@@ -97,7 +98,7 @@ const SHARES_PER_SYMBOL: usize = 3;
 /// hash maps per direction 5.1 KB, one stored inline in a hash table's
 /// buckets 6.8 KB, one that owned its buffers 8.5 KB, one that owned its
 /// histograms too 176 KB.
-const BUDGET_BYTES_PER_SESSION: i64 = 2_110;
+const BUDGET_BYTES_PER_SESSION: i64 = 1_949;
 
 /// Buffers the shards' pools served warm and had to create, in all.
 fn pool_hits_and_misses(set: &ShardSet) -> (u64, u64) {
