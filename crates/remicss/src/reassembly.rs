@@ -1004,9 +1004,9 @@ mod tests {
     use super::*;
     use crate::wire::header_bytes;
     use crate::wire::testutil::share_bytes;
+    use mcss_base::hash::IntMap;
     use mcss_codec::CodecScratch;
     use rand::{RngExt as _, SeedableRng};
-    use std::collections::HashMap;
 
     /// The `m` encoded share frames of one symbol, in abscissa order.
     fn frames_for(codec: CodecId, seq: u64, k: u8, m: u8, payload: &[u8]) -> Vec<Vec<u8>> {
@@ -1069,7 +1069,7 @@ mod tests {
 
     /// `t` holds exactly `model`: each of its records is found, nothing
     /// in `absent` is, and no slot is full beyond them.
-    fn assert_holds(t: &SeqTable, model: &HashMap<u64, u64>, absent: &[u64]) {
+    fn assert_holds(t: &SeqTable, model: &IntMap<u64, u64>, absent: &[u64]) {
         assert_eq!(t.len, model.len());
         for (&seq, &word) in model {
             let at = t.find(seq).unwrap_or_else(|| panic!("{seq} lost"));
@@ -1092,7 +1092,7 @@ mod tests {
             .flat_map(|i| [i, i << 32, i << 12 | 7, u64::MAX - i])
             .collect();
         let mut t = SeqTable::default();
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: IntMap<u64, u64> = IntMap::default();
         let mut slots = 0;
         for step in 0..200_000u64 {
             let seq = universe[rng.random_range(0..universe.len())];
@@ -1142,7 +1142,7 @@ mod tests {
                     .collect();
                 // Insertion order decides who sits where in the cluster.
                 shuffle(&mut keys, &mut rng);
-                let mut model = HashMap::new();
+                let mut model = IntMap::default();
                 for (i, &seq) in keys.iter().enumerate() {
                     t.insert(seq, i as u64 + 1);
                     model.insert(seq, i as u64 + 1);

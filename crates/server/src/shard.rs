@@ -158,19 +158,19 @@ struct SessionSlot {
 }
 
 /// Slots per chunk of a [`SessionSlab`]: a power of two (the index
-/// splits by shift and mask) that keeps a chunk of 1.6 KB slots near
-/// 100 KB, a size the allocator recycles rather than maps afresh.
+/// splits by shift and mask); a chunk of 616 B slots is ≈ 39 KB.
 const CHUNK_SLOTS: usize = 64;
 
 /// A shard's sessions in creation order, found by position.
 ///
 /// The slots sit inline in chunks of [`CHUNK_SLOTS`], so neighbours in
-/// creation order are neighbours in memory, and registering a session
-/// never moves one: a single `Vec` of 1.6 KB slots re-copies (and
-/// re-faults) the whole fleet at every doubling — most of the time it
-/// takes to register ten thousand sessions — and holds up to twice
-/// what it uses. Append-only: sessions are never removed, so a position
-/// is for life (close/evict will need a free list and a generation).
+/// creation order are neighbours in memory, and a fleet that doubles
+/// adds chunks without moving a session. A single `Vec` of slots
+/// re-copies (and re-faults) the whole fleet at every doubling — most
+/// of the time it takes to register ten thousand sessions — and holds
+/// up to twice what it uses. Append-only: sessions are never removed,
+/// so a position is for life (close/evict will need a free list and a
+/// generation).
 #[derive(Debug, Default)]
 struct SessionSlab {
     /// Every chunk but the last is full; none grows past its capacity.
